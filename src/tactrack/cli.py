@@ -14,10 +14,10 @@ import yaml
 
 from . import harness, imageio
 from .episodes import load_episode
-from .harness import ConfigError, SuiteConfig
+from .harness import SuiteConfig
 from .reconstruct import reconstruct_cloud
 from .render import GelConfig, NormalImage
-from .tracker import TrackerConfig, TrackerMode
+from .tracker import ConfigError, TrackerConfig, TrackerMode
 
 
 def _load_tracker_config(path) -> TrackerConfig:

@@ -8,6 +8,7 @@ perturbed normal images are produced deterministically from a seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -20,6 +21,9 @@ from .render import (DepthImage, GelConfig, NormalImage, contact_touches_border,
                      depth_to_normals, perturb_normals, render_depth,
                      _trace_lower_envelope)
 from .shapes import ShapeSDF, shape_from_descriptor
+
+
+MAX_CONTACT_BREAKS = 2   # consecutive out-of-contact steps an episode survives
 
 
 class EpisodeGenerationError(RuntimeError):
@@ -41,16 +45,6 @@ class TrajectorySpec:
     spin_deg: float = 0.0          # rotation about the contact axis (rotation/composite)
     dt: float = 0.1
 
-    def to_dict(self):
-        return {"kind": self.kind, "steps": self.steps, "indent": self.indent,
-                "length": self.length, "direction_deg": self.direction_deg,
-                "arc_radius": self.arc_radius, "arc_angle_deg": self.arc_angle_deg,
-                "spin_deg": self.spin_deg, "dt": self.dt}
-
-    @staticmethod
-    def from_dict(d):
-        return TrajectorySpec(**d)
-
 
 @dataclass
 class NoiseSpec:
@@ -68,17 +62,6 @@ class NoiseSpec:
 
     def vis_sigmas(self):
         return np.array([self.vis_sigma_rot] * 3 + [self.vis_sigma_trans] * 3)
-
-    def to_dict(self):
-        return {"normal_sigma": self.normal_sigma,
-                "eff_sigma_rot": self.eff_sigma_rot,
-                "eff_sigma_trans": self.eff_sigma_trans,
-                "vis_sigma_rot": self.vis_sigma_rot,
-                "vis_sigma_trans": self.vis_sigma_trans}
-
-    @staticmethod
-    def from_dict(d):
-        return NoiseSpec(**d)
 
 
 @dataclass
@@ -153,14 +136,12 @@ def _trajectory_delta(traj: TrajectorySpec, frac: float, direction: float,
 
 
 def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig,
-                     noise: NoiseSpec, seed: int,
-                     max_contact_breaks: int = 2,
-                     drop_border_frames: bool = True) -> Episode:
+                     noise: NoiseSpec, seed: int) -> Episode:
     """Simulate one contact episode; deterministic for a fixed seed.
 
     Frames whose contact region touches the image border are dropped, as the
     Poisson boundary condition cannot handle them.  More than
-    `max_contact_breaks` consecutive out-of-contact steps abort generation.
+    MAX_CONTACT_BREAKS consecutive out-of-contact steps abort generation.
     """
     if trajectory.steps < 3:
         raise EpisodeGenerationError("episodes need at least 3 steps")
@@ -182,13 +163,13 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
         depth = render_depth(shape, object_pose, eff, gel)
         if not depth.mask.any():
             consecutive_breaks += 1
-            if consecutive_breaks > max_contact_breaks:
+            if consecutive_breaks > MAX_CONTACT_BREAKS:
                 raise EpisodeGenerationError(
-                    f"contact lost for more than {max_contact_breaks} "
+                    f"contact lost for more than {MAX_CONTACT_BREAKS} "
                     f"consecutive steps at step {k}")
         else:
             consecutive_breaks = 0
-        if drop_border_frames and contact_touches_border(depth.mask):
+        if contact_touches_border(depth.mask):
             dropped.append(k)
             continue
         normals = depth_to_normals(depth, gel)
@@ -212,8 +193,8 @@ def save_episode(episode: Episode, directory) -> None:
     meta = {
         "seed": episode.seed,
         "shape": episode.shape_descriptor,
-        "gel": episode.gel.to_dict(),
-        "noise": episode.noise.to_dict(),
+        "gel": dataclasses.asdict(episode.gel),
+        "noise": dataclasses.asdict(episode.noise),
         "vision_prior": geometry.to_quat_trans(episode.vision_prior),
         "dropped_steps": episode.dropped_steps,
         "frames": [],
@@ -240,7 +221,7 @@ def save_episode(episode: Episode, directory) -> None:
 def load_episode(directory) -> Episode:
     with open(os.path.join(directory, "episode.json")) as f:
         meta = json.load(f)
-    gel = GelConfig.from_dict(meta["gel"])
+    gel = GelConfig(**meta["gel"])
     frames = []
     for fr in meta["frames"]:
         normals = imageio.read_pfm(os.path.join(directory, fr["normals"])).astype(float)
@@ -259,6 +240,6 @@ def load_episode(directory) -> Episode:
             depth_gt=depth))
     return Episode(frames=frames,
                    vision_prior=geometry.from_quat_trans(meta["vision_prior"]),
-                   noise=NoiseSpec.from_dict(meta["noise"]),
+                   noise=NoiseSpec(**meta["noise"]),
                    shape_descriptor=meta["shape"], gel=gel, seed=meta["seed"],
                    dropped_steps=meta.get("dropped_steps", []))

@@ -12,7 +12,6 @@ transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -76,17 +75,6 @@ class Factor:
     def residual(self, values: dict) -> np.ndarray:
         return self.noise.whiten(self.residual_raw(values))
 
-    def measurement_payload(self):
-        return None
-
-    def to_dict(self):
-        d = {"type": self.name, "keys": [k.label() for k in self.keys],
-             "sigmas": self.noise.sigmas.tolist()}
-        payload = self.measurement_payload()
-        if payload is not None:
-            d["measurement"] = payload
-        return d
-
 
 @dataclass
 class PriorFactor(Factor):
@@ -102,9 +90,6 @@ class PriorFactor(Factor):
 
     def residual_raw(self, values):
         return geometry.ominus(self.measured, values[self.key])
-
-    def measurement_payload(self):
-        return geometry.to_quat_trans(self.measured)
 
 
 def eff_prior(t: int, measured: Pose, noise: NoiseModel) -> PriorFactor:
@@ -175,9 +160,6 @@ class Im2ImFactor(Factor):
         graph_rel = geometry.compose(geometry.inverse(rel_prev), rel_curr)
         return geometry.ominus(self.measured, graph_rel)
 
-    def measurement_payload(self):
-        return geometry.to_quat_trans(self.measured)
-
 
 @dataclass
 class Im2PatchFactor(Factor):
@@ -197,9 +179,6 @@ class Im2PatchFactor(Factor):
         graph_rel = geometry.compose(geometry.inverse(o), e)
         return geometry.ominus(self.measured, graph_rel)
 
-    def measurement_payload(self):
-        return geometry.to_quat_trans(self.measured)
-
 
 @dataclass
 class FactorGraph:
@@ -217,13 +196,6 @@ class FactorGraph:
             r = f.residual(values)
             total += 0.5 * float(r @ r)
         return total
-
-    def dump_json(self, values: dict = None) -> str:
-        payload = {"factors": [f.to_dict() for f in self.factors]}
-        if values is not None:
-            payload["values"] = {k.label(): geometry.to_quat_trans(p)
-                                 for k, p in sorted(values.items())}
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 @dataclass

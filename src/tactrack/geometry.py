@@ -64,9 +64,6 @@ class Pose:
         """Apply the pose to an (N, 3) array of points."""
         return points @ self.rotation.T + self.translation
 
-    def rotate_vectors(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors @ self.rotation.T
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """a * b: maps b-frame coordinates through b, then a."""

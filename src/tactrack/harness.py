@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,20 +20,13 @@ from .episodes import (Episode, EpisodeGenerationError, NoiseSpec,
                        save_episode)
 from .render import GelConfig
 from .shapes import shape_from_descriptor
-from .tracker import TrackerConfig, TrackerMode, track_episode
-
-
-class ConfigError(ValueError):
-    pass
+from .tracker import ConfigError, TrackerConfig, TrackerMode, track_episode
 
 
 @dataclass
 class SuiteObject:
     name: str
     shape: dict   # shape descriptor
-
-    def to_dict(self):
-        return {"name": self.name, "shape": self.shape}
 
 
 @dataclass
@@ -55,18 +50,10 @@ class SuiteConfig:
                 TrackerMode(mode)
             except ValueError as err:
                 raise ConfigError(f"unknown tracker mode {mode!r}") from err
+        TrackerConfig.from_dict(self.tracker)   # reject bad overrides at load
 
     def to_dict(self):
-        return {
-            "objects": [o.to_dict() for o in self.objects],
-            "episodes_per_object": self.episodes_per_object,
-            "trajectories": [t.to_dict() for t in self.trajectories],
-            "gel": self.gel.to_dict(),
-            "noise": self.noise.to_dict(),
-            "modes": list(self.modes),
-            "master_seed": self.master_seed,
-            "tracker": self.tracker,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SuiteConfig":
@@ -74,11 +61,10 @@ class SuiteConfig:
             return SuiteConfig(
                 objects=[SuiteObject(**o) for o in d.get("objects", [])],
                 episodes_per_object=d.get("episodes_per_object", 20),
-                trajectories=[TrajectorySpec.from_dict(t)
+                trajectories=[TrajectorySpec(**t)
                               for t in d.get("trajectories", [])],
-                gel=GelConfig.from_dict(d["gel"]) if "gel" in d else GelConfig(),
-                noise=(NoiseSpec.from_dict(d["noise"])
-                       if "noise" in d else NoiseSpec()),
+                gel=GelConfig(**d.get("gel", {})),
+                noise=NoiseSpec(**d.get("noise", {})),
                 modes=d.get("modes", [m.value for m in TrackerMode]),
                 master_seed=d.get("master_seed", 0),
                 tracker=d.get("tracker", {}),
@@ -165,12 +151,13 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
             traj = config.trajectories[ei % len(config.trajectories)]
             directory = os.path.join(out_dir, obj.name, f"ep{ei:04d}")
             cache_key = hashlib.sha256(json.dumps(
-                {"shape": obj.shape, "traj": traj.to_dict(),
-                 "gel": config.gel.to_dict(), "noise": config.noise.to_dict(),
+                {"shape": obj.shape, "traj": dataclasses.asdict(traj),
+                 "gel": dataclasses.asdict(config.gel),
+                 "noise": dataclasses.asdict(config.noise),
                  "seed": seed}, sort_keys=True).encode()).hexdigest()
             marker = os.path.join(directory, "cache_key.txt")
             if not (os.path.exists(marker)
-                    and open(marker).read().strip() == cache_key):
+                    and pathlib.Path(marker).read_text().strip() == cache_key):
                 try:
                     episode = generate_episode(shape, traj, config.gel,
                                                config.noise, seed)

@@ -1,51 +1,15 @@
-"""Online local patch map: keyframe selection and fusion of sensor clouds
-into an object-frame cloud with voxel downsampling."""
+"""Online local patch map: fusion of keyframe sensor clouds into an
+object-frame cloud with voxel downsampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Pose
 from .reconstruct import PointCloud
-
-
-@dataclass
-class KeyframePolicy:
-    """fixed-interval: keyframe every k steps; overlap-threshold: keyframe
-    when the measured overlap with the map drops below the fraction."""
-
-    variant: str = "fixed_interval"   # fixed_interval | overlap_threshold
-    interval: int = 5
-    overlap_fraction: float = 0.5
-
-    def __post_init__(self):
-        if self.variant not in ("fixed_interval", "overlap_threshold"):
-            raise ValueError(f"unknown keyframe policy {self.variant!r}")
-        if self.interval < 1:
-            raise ValueError("keyframe interval must be >= 1")
-        if not 0.0 < self.overlap_fraction < 1.0:
-            raise ValueError("overlap fraction must lie in (0, 1)")
-
-
-def should_add_keyframe(policy: KeyframePolicy, step: int,
-                        overlap: float = None) -> bool:
-    if step < 0:
-        raise ValueError("step index must be non-negative")
-    if policy.variant == "fixed_interval":
-        return step % policy.interval == 0
-    if overlap is None:
-        raise ValueError("overlap-threshold policy needs a measured overlap")
-    return overlap < policy.overlap_fraction
-
-
-@dataclass
-class KeyframeRecord:
-    step: int
-    cloud: PointCloud               # sensor frame, as reconstructed
-    object_from_sensor: Pose        # estimate used at fusion time
 
 
 def _voxel_downsample(points, normals, voxel: float):
@@ -83,11 +47,10 @@ def _voxel_downsample(points, normals, voxel: float):
 
 @dataclass
 class PatchMap:
-    """Fused object-frame cloud plus the keyframe records that produced it."""
+    """Fused object-frame cloud of the keyframes seen so far."""
 
     voxel_size: float = 0.3
     cloud: PointCloud = None
-    keyframes: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.voxel_size <= 0:
@@ -112,18 +75,4 @@ def fuse_keyframe(pmap: PatchMap, cloud: PointCloud,
     normals = np.vstack([pmap.cloud.normals, moved.normals])
     points, normals = _voxel_downsample(points, normals, pmap.voxel_size)
     fused = PointCloud(points=points, normals=normals, frame="object")
-    record = KeyframeRecord(step=cloud.step, cloud=cloud,
-                            object_from_sensor=object_from_sensor)
-    return PatchMap(voxel_size=pmap.voxel_size, cloud=fused,
-                    keyframes=pmap.keyframes + [record])
-
-
-def overlap_fraction(cloud: PointCloud, pmap: PatchMap, radius: float) -> float:
-    """Fraction of cloud points with a map point within `radius` mm."""
-    if len(cloud) == 0:
-        raise ValueError("overlap query needs a nonempty cloud")
-    if pmap.is_empty():
-        return 0.0
-    dists, _ = cKDTree(pmap.cloud.points).query(cloud.points,
-                                                distance_upper_bound=radius)
-    return float(np.isfinite(dists).mean())
+    return PatchMap(voxel_size=pmap.voxel_size, cloud=fused)

@@ -76,66 +76,50 @@ def idst2(coeffs: np.ndarray) -> np.ndarray:
     return sfft.idst(sfft.idst(coeffs, type=1, axis=0), type=1, axis=1)
 
 
-def poisson_solve(grad: GradientField, pixel_pitch: float,
-                  boundary_value: float = 0.0) -> DepthImage:
+def poisson_solve(grad: GradientField, pixel_pitch) -> DepthImage:
     """Integrate a gradient field into depth with a DST Poisson solver.
 
-    Solves the discrete Poisson equation Lap(z) = dp/dx + dq/dy (central
-    difference divergence) with Dirichlet boundary on the image border, by
-    diagonalizing the 5-point Laplacian with the type-I DST.  The result is
-    shifted so the unmasked region means `boundary_value`.
+    `pixel_pitch` is the pixel size in mm, one number for square pixels or
+    a (pitch_x, pitch_y) pair.  Solves the discrete Poisson equation
+    Lap(z) = dp/dx + dq/dy (central difference divergence) with Dirichlet
+    boundary on the image border, by diagonalizing the 5-point Laplacian
+    with the type-I DST.  The result is shifted so the unmasked region
+    means zero.
     """
     p, q = np.asarray(grad.p, float), np.asarray(grad.q, float)
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise ValueError("gradient field must be finite")
     if p.shape != q.shape:
         raise ValueError("p and q must share dimensions")
-    h = float(pixel_pitch)
+    hx, hy = (float(h) for h in np.broadcast_to(pixel_pitch, 2))
     rows, cols = p.shape
     if rows < 3 or cols < 3:
         raise ValueError("image too small for the Poisson solve")
 
-    div = np.gradient(p, h, axis=1) + np.gradient(q, h, axis=0)
+    div = np.gradient(p, hx, axis=1) + np.gradient(q, hy, axis=0)
     rhs = div[1:-1, 1:-1]
 
     m, n = rhs.shape
     u = np.arange(1, m + 1)
     v = np.arange(1, n + 1)
-    eig = ((2.0 * np.cos(np.pi * u / (m + 1)) - 2.0)[:, None]
-           + (2.0 * np.cos(np.pi * v / (n + 1)) - 2.0)[None, :]) / h**2
+    # Row modes see the y pitch, column modes the x pitch.
+    eig = ((2.0 * np.cos(np.pi * u / (m + 1)) - 2.0)[:, None] * (hx / hy)**2
+           + (2.0 * np.cos(np.pi * v / (n + 1)) - 2.0)[None, :]) / hx**2
     z_int = idst2(dst2(rhs) / eig)
     z = np.zeros_like(p)
     z[1:-1, 1:-1] = z_int
 
-    if grad.mask.any() and (~grad.mask).any():
-        z += boundary_value - z[~grad.mask].mean()
-    else:
-        z += boundary_value
+    background = ~grad.mask
+    z += -z[background].mean() if grad.mask.any() and background.any() else 0.0
     return DepthImage(values=z, mask=grad.mask.copy())
-
-
-def _clip_projection_matrix(gel: GelConfig) -> np.ndarray:
-    # Symmetric frustum sized so the gel extent fills the image at the gel
-    # plane, which sits `far` millimetres from the camera.
-    n, f = gel.near, gel.far
-    r = (gel.extent_x / 2.0) * n / f
-    t = (gel.extent_y / 2.0) * n / f
-    return np.array([
-        [n / r, 0, 0, 0],
-        [0, n / t, 0, 0],
-        [0, 0, -(f + n) / (f - n), -2 * f * n / (f - n)],
-        [0, 0, -1, 0],
-    ])
 
 
 def depth_to_pointcloud(depth: DepthImage, normals: NormalImage,
                         gel: GelConfig, step: int = -1) -> PointCloud:
     """Unproject masked pixels into a sensor-frame cloud with normals.
 
-    The sensor frame has its origin at the gel centre; depth d maps to
-    z = -d.  The orthographic model scales pixels by the physical pitch;
-    the clip model runs the standard inverse projection with a homogeneous
-    divide, followed by the inverse view matrix.
+    The sensor frame has its origin at the gel centre; a pixel maps to its
+    centre scaled by the physical pitch, and depth d maps to z = -d.
     """
     if depth.values.shape != normals.values.shape[:2]:
         raise ValueError("depth and normal images must share dimensions")
@@ -143,23 +127,7 @@ def depth_to_pointcloud(depth: DepthImage, normals: NormalImage,
         raise ValueError("mask and depth must share dimensions")
     mask = depth.mask
     xs, ys = gel.pixel_centers()
-    d = depth.values[mask]
-    if gel.camera == "orthographic":
-        pts = np.column_stack([xs[mask], ys[mask], -d])
-    else:
-        proj = _clip_projection_matrix(gel)
-        inv_proj = np.linalg.inv(proj)
-        ndc_x = xs[mask] / (gel.extent_x / 2.0)
-        ndc_y = ys[mask] / (gel.extent_y / 2.0)
-        # Camera at (0, 0, far) looking down -z; surface at camera depth far + d.
-        z_eye = -(gel.far + d)
-        ndc_z = (-(gel.far + gel.near) * z_eye - 2 * gel.far * gel.near) / ((gel.far - gel.near) * -z_eye)
-        w_clip = -z_eye
-        clip = np.column_stack([ndc_x * w_clip, ndc_y * w_clip, ndc_z * w_clip, w_clip])
-        eye = clip @ inv_proj.T
-        eye = eye[:, :3] / eye[:, 3:4]
-        # Inverse view: camera frame -> sensor frame is a +far shift along z.
-        pts = eye + np.array([0.0, 0.0, gel.far])
+    pts = np.column_stack([xs[mask], ys[mask], -depth.values[mask]])
     return PointCloud(points=pts, normals=normals.values[mask].copy(),
                       frame="sensor", step=step)
 
@@ -170,7 +138,7 @@ def reconstruct_cloud(normals: NormalImage, gel: GelConfig, step: int = -1):
     Returns (DepthImage, PointCloud); the cloud is empty when the mask is.
     """
     grad = normals_to_gradients(normals)
-    depth = poisson_solve(grad, gel.pitch_x, boundary_value=0.0)
+    depth = poisson_solve(grad, (gel.pitch_x, gel.pitch_y))
     # Unproject only true contact pixels; the integration support is wider
     # by the one-pixel rim ring, which carries no surface points.
     contact = DepthImage(values=depth.values, mask=normals.mask.copy())

@@ -65,44 +65,25 @@ class ICPResult:
                 "condition_number": self.condition_number}
 
 
-def nearest_neighbors(source: PointCloud, target: PointCloud, max_dist: float):
-    """(source index, target index) pairs for each source point whose
-    Euclidean-nearest target point lies within max_dist."""
-    if len(source) == 0 or len(target) == 0:
-        raise ValueError("both clouds must be nonempty")
-    tree = cKDTree(target.points)
-    dists, idx = tree.query(source.points, distance_upper_bound=max_dist)
-    keep = np.isfinite(dists)
-    return np.column_stack([np.nonzero(keep)[0], idx[keep]])
+def point_to_plane_step(src_pts, tgt_pts, tgt_normals):
+    """One linearized point-to-plane solve over matched point pairs.
 
-
-def _normal_system(src_pts, tgt_pts, tgt_normals):
-    # Rows of the linearized point-to-plane system for twist [w, v]:
+    Returns (update twist [w, v], condition number of the 6x6 normal
+    matrix).  Raises InsufficientOverlapError for fewer than 6 pairs and
+    DegenerateGeometryError when the condition number is above 1e8 (e.g. a
+    flat patch sliding in-plane).
+    """
+    if len(src_pts) < 6:
+        raise InsufficientOverlapError(len(src_pts), 6)
+    # Rows of the linearized system for twist [w, v]:
     # residual n . (p + w x p + v - q).
     a = np.hstack([np.cross(src_pts, tgt_normals), tgt_normals])
     b = np.einsum("ij,ij->i", tgt_normals, tgt_pts - src_pts)
     ata = a.T @ a
-    atb = a.T @ b
-    return ata, atb
-
-
-def point_to_plane_step(source: PointCloud, target: PointCloud,
-                        correspondences: np.ndarray) -> np.ndarray:
-    """One linearized point-to-plane solve; returns the update twist.
-
-    Raises DegenerateGeometryError when the 6x6 normal matrix has condition
-    number above 1e8 (e.g. a flat patch sliding in-plane).
-    """
-    if len(correspondences) < 6:
-        raise InsufficientOverlapError(len(correspondences), 6)
-    src = source.points[correspondences[:, 0]]
-    tgt = target.points[correspondences[:, 1]]
-    nrm = target.normals[correspondences[:, 1]]
-    ata, atb = _normal_system(src, tgt, nrm)
-    cond = np.linalg.cond(ata)
+    cond = float(np.linalg.cond(ata))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateGeometryError(cond)
-    return np.linalg.solve(ata, atb)
+    return np.linalg.solve(ata, a.T @ b), cond
 
 
 def _point_rmse(src, tgt):
@@ -138,11 +119,7 @@ def icp_register(source: PointCloud, target: PointCloud, init: Pose,
         tgt = target.points[idx[keep]]
         nrm = target.normals[idx[keep]]
         rmse = _point_rmse(src, tgt)
-        ata, atb = _normal_system(src, tgt, nrm)
-        cond = float(np.linalg.cond(ata))
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise DegenerateGeometryError(cond)
-        delta = np.linalg.solve(ata, atb)
+        delta, cond = point_to_plane_step(src, tgt, nrm)
         transform = geometry.compose(geometry.exp(delta), transform)
         if np.linalg.norm(delta) < params.convergence_threshold:
             converged = True

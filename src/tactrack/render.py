@@ -10,7 +10,7 @@ normals pointing toward the object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,31 +21,20 @@ from .shapes import ShapeSDF
 
 @dataclass
 class GelConfig:
-    """Gel geometry and camera model for rendering and unprojection.
-
-    camera is "orthographic" (default) or "clip"; the clip model places the
-    camera ``far`` millimetres above the gel plane with the frustum sized so
-    the gel extent fills the image at the gel plane.
-    """
+    """Gel geometry: image resolution, physical extent (mm) and the maximum
+    indentation; pixels map orthographically onto the gel plane."""
 
     width: int = 64
     height: int = 64
     extent_x: float = 20.0
     extent_y: float = 20.0
     max_indent: float = 1.5
-    camera: str = "orthographic"
-    near: float = 1.0
-    far: float = 50.0
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image resolution must be strictly positive")
         if self.extent_x <= 0 or self.extent_y <= 0:
             raise ValueError("gel extent must be strictly positive")
-        if self.camera not in ("orthographic", "clip"):
-            raise ValueError(f"unknown camera model {self.camera!r}")
-        if not self.near < self.far:
-            raise ValueError("near plane must be closer than far plane")
 
     @property
     def pitch_x(self) -> float:
@@ -60,16 +49,6 @@ class GelConfig:
         x = (np.arange(self.width) + 0.5) * self.pitch_x - self.extent_x / 2.0
         y = (np.arange(self.height) + 0.5) * self.pitch_y - self.extent_y / 2.0
         return np.meshgrid(x, y)
-
-    def to_dict(self) -> dict:
-        return {"width": self.width, "height": self.height,
-                "extent_x": self.extent_x, "extent_y": self.extent_y,
-                "max_indent": self.max_indent, "camera": self.camera,
-                "near": self.near, "far": self.far}
-
-    @staticmethod
-    def from_dict(d: dict) -> "GelConfig":
-        return GelConfig(**d)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Each shape evaluates a signed distance (negative inside, positive outside)
 for points given in the object frame.  Every primitive carries an offset
-pose (object-from-shape) so compound objects can be assembled from unions.
+pose (object-from-shape) that places it within the object.
 The distances are exact for sphere and box; the pyramid uses a half-space
 intersection which is a conservative lower bound, which is all sphere
 tracing requires.
@@ -110,18 +110,6 @@ class Pyramid(ShapeSDF):
                 "height": self.height, "offset": geometry.to_quat_trans(self.offset)}
 
 
-@dataclass
-class Union(ShapeSDF):
-    parts: list = field(default_factory=list)
-
-    def _sdf_local(self, points):
-        return np.minimum.reduce([p.sdf(points) for p in self.parts])
-
-    def descriptor(self):
-        return {"type": "union", "offset": geometry.to_quat_trans(self.offset),
-                "parts": [p.descriptor() for p in self.parts]}
-
-
 def shape_from_descriptor(desc: dict) -> ShapeSDF:
     offset = geometry.from_quat_trans(desc.get("offset", [1, 0, 0, 0, 0, 0, 0]))
     kind = desc["type"]
@@ -132,6 +120,4 @@ def shape_from_descriptor(desc: dict) -> ShapeSDF:
     if kind == "pyramid":
         return Pyramid(offset=offset, base_half_length=float(desc["base_half_length"]),
                        height=float(desc["height"]))
-    if kind == "union":
-        return Union(offset=offset, parts=[shape_from_descriptor(d) for d in desc["parts"]])
     raise ValueError(f"unknown shape type {kind!r}")

@@ -4,6 +4,7 @@ the local patch map."""
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 
@@ -14,7 +15,7 @@ from .factors import (ConstVelFactor, FactorGraph, Im2ImFactor, Im2PatchFactor,
                       MotionPriorFactor, NoiseModel, OptimizerParams, eff_key,
                       eff_prior, obj_key, vis_prior)
 from .geometry import Pose
-from .patchmap import KeyframePolicy, PatchMap
+from .patchmap import PatchMap
 from .reconstruct import PointCloud, reconstruct_cloud
 from .registration import ICPParams
 from .render import GelConfig, NormalImage, contact_touches_border
@@ -28,8 +29,8 @@ class TrackerMode(str, enum.Enum):
     GROUNDTRUTH_PATCH = "gtpatch"
 
 
-class ConfigurationError(ValueError):
-    pass
+class ConfigError(ValueError):
+    """A tracker or suite configuration is invalid."""
 
 
 @dataclass
@@ -51,8 +52,7 @@ class TrackerConfig:
     icp: ICPParams = field(default_factory=ICPParams)
     # Short episodes benefit from a dense patch: more keyframes mean better
     # overlap for patch registrations.
-    keyframes: KeyframePolicy = field(
-        default_factory=lambda: KeyframePolicy(interval=2))
+    keyframe_interval: int = 2            # fuse every k-th frame, from the first
     voxel_size: float = 0.3
     optimizer: OptimizerParams = field(default_factory=OptimizerParams)
     im2im_in_patchgraph: bool = True      # ablation switch
@@ -68,61 +68,37 @@ class TrackerConfig:
     gt_sample_count: int = 4000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.keyframe_interval < 1:
+            raise ConfigError("keyframe_interval must be >= 1")
+
     def noise(self, pair) -> NoiseModel:
         return NoiseModel.isotropic(*pair)
 
-    def to_dict(self):
-        return {
-            "gel": self.gel.to_dict(),
-            "sigma_eff": list(self.sigma_eff), "sigma_vis": list(self.sigma_vis),
-            "sigma_im2im": list(self.sigma_im2im),
-            "sigma_im2pc": list(self.sigma_im2pc),
-            "sigma_im2gt": list(self.sigma_im2gt),
-            "sigma_vel": list(self.sigma_vel),
-            "icp": {"max_iterations": self.icp.max_iterations,
-                    "max_correspondence_distance": self.icp.max_correspondence_distance,
-                    "convergence_threshold": self.icp.convergence_threshold,
-                    "min_correspondences": self.icp.min_correspondences},
-            "keyframes": {"variant": self.keyframes.variant,
-                          "interval": self.keyframes.interval,
-                          "overlap_fraction": self.keyframes.overlap_fraction},
-            "voxel_size": self.voxel_size,
-            "optimizer": {"max_iterations": self.optimizer.max_iterations,
-                          "lambda_init": self.optimizer.lambda_init,
-                          "lambda_scale": self.optimizer.lambda_scale,
-                          "cost_tolerance": self.optimizer.cost_tolerance},
-            "im2im_in_patchgraph": self.im2im_in_patchgraph,
-            "gate_im2im": list(self.gate_im2im),
-            "gate_im2pc": list(self.gate_im2pc),
-            "fixed_lag": self.fixed_lag,
-            "gt_sample_radius_scale": self.gt_sample_radius_scale,
-            "gt_sample_count": self.gt_sample_count,
-            "seed": self.seed,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
-        cfg = TrackerConfig()
-        if "gel" in d:
-            cfg.gel = GelConfig.from_dict(d["gel"])
-        for name in ("sigma_eff", "sigma_vis", "sigma_im2im", "sigma_im2pc",
-                     "sigma_im2gt", "sigma_vel"):
-            if name in d:
-                setattr(cfg, name, tuple(d[name]))
-        if "icp" in d:
-            cfg.icp = ICPParams(**d["icp"])
-        if "keyframes" in d:
-            cfg.keyframes = KeyframePolicy(**d["keyframes"])
-        if "optimizer" in d:
-            cfg.optimizer = OptimizerParams(**d["optimizer"])
-        for name in ("voxel_size", "im2im_in_patchgraph", "fixed_lag",
-                     "gt_sample_radius_scale", "gt_sample_count", "seed"):
-            if name in d:
-                setattr(cfg, name, d[name])
-        for name in ("gate_im2im", "gate_im2pc"):
-            if name in d:
-                setattr(cfg, name, tuple(d[name]))
-        return cfg
+        """Inverse of dataclasses.asdict: a mapping of field overrides, with
+        nested mappings for gel/icp/optimizer and lists for tuples.
+
+        Raises ConfigError for an unknown key or a bad value.
+        """
+        try:
+            return _from_mapping(TrackerConfig, d)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad tracker config: {err}") from err
+
+
+def _from_mapping(cls, data):
+    defaults = {f.name: getattr(cls(), f.name) for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for name, value in dict(data).items():
+        default = defaults.get(name)
+        if dataclasses.is_dataclass(default):
+            value = _from_mapping(type(default), value)
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 @dataclass
@@ -180,7 +156,7 @@ class Tracker:
                  shape: ShapeSDF = None):
         mode = TrackerMode(mode)
         if mode is TrackerMode.GROUNDTRUTH_PATCH and shape is None:
-            raise ConfigurationError("GroundtruthPatch mode needs the object shape")
+            raise ConfigError("GroundtruthPatch mode needs the object shape")
         self.mode = mode
         self.config = config
         self.shape = shape
@@ -217,8 +193,27 @@ class Tracker:
     def _warn(self, message: str):
         self.warnings.append({"step": self.t, "message": message})
 
-    def _register(self, source, target, init):
-        return registration.icp_register(source, target, init, self.config.icp)
+    def _add_registration(self, factor_type, source, target, init: Pose,
+                          gate, sigma, diag: dict):
+        """Register `source` onto `target` from `init` and add the resulting
+        factor, unless the result jumped past `gate` (rad, mm) from `init` or
+        the registration failed; either is logged as a warning."""
+        kind = factor_type.name
+        try:
+            result = registration.icp_register(source, target, init,
+                                               self.config.icp)
+            diag[f"icp_{kind}"] = result.to_dict()
+            jump = geometry.ominus(init, result.transform)
+            if (np.linalg.norm(jump[:3]) > gate[0]
+                    or np.linalg.norm(jump[3:]) > gate[1]):
+                self._warn(f"{kind} registration jumped far from its "
+                           "initialization; factor omitted")
+            else:
+                self.graph.add(factor_type(self.t, result.transform,
+                                           self.config.noise(sigma)))
+        except (registration.DegenerateGeometryError,
+                registration.InsufficientOverlapError) as err:
+            self._warn(f"{kind} registration dropped: {err}")
 
     def _ensure_gt_target(self, cloud: PointCloud):
         if self.gt_target is not None:
@@ -272,47 +267,20 @@ class Tracker:
             # graph's own prediction (self-confirming feedback).
             init = geometry.compose(geometry.inverse(self.prev_eff_measurement),
                                     eff_measurement)
-            try:
-                result = self._register(cloud, self.prev_cloud, init)
-                diag["icp_im2im"] = result.to_dict()
-                jump = geometry.ominus(init, result.transform)
-                if (np.linalg.norm(jump[:3]) > cfg.gate_im2im[0]
-                        or np.linalg.norm(jump[3:]) > cfg.gate_im2im[1]):
-                    self._warn("im2im registration jumped far from its "
-                               "initialization; factor omitted")
-                else:
-                    self.graph.add(Im2ImFactor(t, result.transform,
-                                               cfg.noise(cfg.sigma_im2im)))
-            except (registration.DegenerateGeometryError,
-                    registration.InsufficientOverlapError) as err:
-                self._warn(f"im2im registration dropped: {err}")
+            self._add_registration(Im2ImFactor, cloud, self.prev_cloud, init,
+                                   cfg.gate_im2im, cfg.sigma_im2im, diag)
 
         if cloud is not None and self.mode in (TrackerMode.PATCH_GRAPH,
                                                TrackerMode.GROUNDTRUTH_PATCH):
             if self.mode is TrackerMode.GROUNDTRUTH_PATCH:
                 self._ensure_gt_target(cloud)
-                target = self.gt_target
+                target, sigma = self.gt_target, cfg.sigma_im2gt
             else:
-                target = None if self.patch.is_empty() else self.patch.cloud
-            if target is not None and len(target) > 0:
-                init = self._object_from_sensor(t)
-                sigma = (cfg.sigma_im2gt
-                         if self.mode is TrackerMode.GROUNDTRUTH_PATCH
-                         else cfg.sigma_im2pc)
-                try:
-                    result = self._register(cloud, target, init)
-                    diag["icp_im2patch"] = result.to_dict()
-                    jump = geometry.ominus(init, result.transform)
-                    if (np.linalg.norm(jump[:3]) > cfg.gate_im2pc[0]
-                            or np.linalg.norm(jump[3:]) > cfg.gate_im2pc[1]):
-                        self._warn("im2patch registration jumped far from its "
-                                   "initialization; factor omitted")
-                    else:
-                        self.graph.add(Im2PatchFactor(t, result.transform,
-                                                      cfg.noise(sigma)))
-                except (registration.DegenerateGeometryError,
-                        registration.InsufficientOverlapError) as err:
-                    self._warn(f"im2patch registration dropped: {err}")
+                target, sigma = self.patch.cloud, cfg.sigma_im2pc
+            if len(target) > 0:
+                self._add_registration(Im2PatchFactor, cloud, target,
+                                       self._object_from_sensor(t),
+                                       cfg.gate_im2pc, sigma, diag)
 
         fixed = set()
         if cfg.fixed_lag is not None:
@@ -330,7 +298,7 @@ class Tracker:
                              "final_cost": stats.final_cost}
 
         if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
-                and patchmap.should_add_keyframe(cfg.keyframes, t - 1)):
+                and (t - 1) % cfg.keyframe_interval == 0):
             self.patch = patchmap.fuse_keyframe(self.patch, cloud,
                                                 self._object_from_sensor(t))
             diag["keyframe"] = True

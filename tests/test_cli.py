@@ -56,6 +56,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("tracker", {"fixd_lag": 4}),
+        ("gel", {"camera": "clip"}),
+    ])
+    def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
+                                                  key, value):
+        data = yaml.safe_load(suite_yaml.read_text())
+        data[key] = value
+        suite_yaml.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(suite_yaml),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_simulate_track_eval(self, suite_yaml, tmp_path):
@@ -90,6 +104,18 @@ class TestPipeline:
                      "--episode", str(episodes / "sphere" / "ep0000"),
                      "--mode", "constvel", "--config", str(tracker_yaml),
                      "--out", str(run)]) == 0
+
+    def test_track_mistyped_key_exit_2(self, suite_yaml, tmp_path):
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        tracker_yaml = tmp_path / "tracker.yaml"
+        tracker_yaml.write_text(yaml.safe_dump({"tracker": {"fixd_lag": 4}}))
+        run = tmp_path / "run"
+        assert main(["track",
+                     "--episode", str(episodes / "sphere" / "ep0000"),
+                     "--mode", "constvel", "--config", str(tracker_yaml),
+                     "--out", str(run)]) == 2
+        assert not run.exists()
 
     def test_eval_empty_runs_exit_2(self, tmp_path):
         (tmp_path / "runs").mkdir()

@@ -1,7 +1,5 @@
 """Factor residuals, linearization, and the Levenberg-Marquardt solver."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -207,14 +205,3 @@ class TestOptimize:
         jac = system.dense_jacobian()
         grad = jac.T @ system.residual
         assert np.abs(grad).max() < 1e-6 * (1.0 + stats.initial_cost)
-
-
-class TestSerialization:
-    def test_graph_dump_json(self):
-        graph = FactorGraph()
-        graph.add(vis_prior(1, Pose.identity(), UNIT))
-        graph.add(ConstVelFactor(3, UNIT))
-        payload = json.loads(graph.dump_json({obj_key(1): Pose.identity()}))
-        assert [f["type"] for f in payload["factors"]] == ["vis_prior",
-                                                           "const_vel"]
-        assert payload["values"]["o1"][:4] == [1.0, 0.0, 0.0, 0.0]

@@ -1,6 +1,8 @@
 """Suite orchestration: config parsing, aggregation, reports, determinism."""
 
+import gc
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from tactrack.episodes import NoiseSpec, TrajectorySpec
 from tactrack.harness import (ConfigError, SuiteConfig, SuiteObject,
                               boxplot_stats, default_suite_config,
-                              episode_seed, run_suite, write_report)
+                              episode_seed, generate_suite_episodes, run_suite,
+                              write_report)
 
 SPHERE = {"type": "sphere", "radius": 6.35}
 
@@ -146,6 +149,15 @@ class TestRunSuite:
         stamp = marker.stat().st_mtime_ns
         run_suite(cfg, tmp_path / "suite")
         assert marker.stat().st_mtime_ns == stamp
+
+    def test_cached_generation_closes_files(self, tmp_path):
+        cfg = tiny_config(episodes_per_object=1)
+        generate_suite_episodes(cfg, tmp_path / "episodes")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            generate_suite_episodes(cfg, tmp_path / "episodes")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_no_objects_rejected(self, tmp_path):
         cfg = tiny_config()

@@ -1,15 +1,17 @@
-"""Local patch map: keyframe policy, fusion, overlap, consistency."""
+"""Local patch map: keyframe policy, fusion, consistency."""
 
 import numpy as np
 import pytest
 
 from tactrack import geometry
 from tactrack.geometry import Pose
-from tactrack.patchmap import (KeyframePolicy, PatchMap, fuse_keyframe,
-                               overlap_fraction, should_add_keyframe)
+from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
+from tactrack.patchmap import PatchMap, fuse_keyframe
 from tactrack.reconstruct import PointCloud, reconstruct_cloud
 from tactrack.render import GelConfig, depth_to_normals, render_depth
-from tactrack.shapes import Sphere
+from tactrack.shapes import Pyramid, Sphere
+from tactrack.tracker import (ConfigError, TrackerConfig, TrackerMode,
+                              track_episode)
 
 
 def sphere_contact_cloud(sensor_pose, radius=6.35, gel=None):
@@ -30,29 +32,31 @@ def sensor_pose_over_sphere(offset_x, radius=6.35, indent=1.0):
     return Pose(np.eye(3), np.array([offset_x, 0.0, surface + indent]))
 
 
+@pytest.fixture(scope="module")
+def keyframe_flags():
+    """Per-step keyframe flags of a patchgraph run with keyframe_interval=5."""
+    gel = GelConfig()
+    ep = generate_episode(Pyramid(),
+                          TrajectorySpec(steps=6, indent=1.25, length=1.0),
+                          gel, NoiseSpec(), seed=3)
+    result = track_episode(ep, TrackerMode.PATCH_GRAPH,
+                           TrackerConfig(gel=gel, keyframe_interval=5))
+    assert all(not d["skipped_registration"] for d in result.diagnostics)
+    return [d["keyframe"] for d in result.diagnostics]
+
+
 class TestKeyframePolicy:
-    def test_fixed_interval_first_frame(self):
-        assert should_add_keyframe(KeyframePolicy(interval=5), 0)
+    def test_fixed_interval_first_frame(self, keyframe_flags):
+        assert keyframe_flags[0]
 
-    def test_fixed_interval_between(self):
-        assert not should_add_keyframe(KeyframePolicy(interval=5), 7)
-
-    def test_overlap_threshold(self):
-        policy = KeyframePolicy(variant="overlap_threshold",
-                                overlap_fraction=0.6)
-        assert should_add_keyframe(policy, 3, overlap=0.4)
-        assert not should_add_keyframe(policy, 3, overlap=0.8)
-
-    def test_overlap_needs_measurement(self):
-        policy = KeyframePolicy(variant="overlap_threshold")
-        with pytest.raises(ValueError):
-            should_add_keyframe(policy, 1)
+    def test_fixed_interval_between(self, keyframe_flags):
+        assert keyframe_flags[1:6] == [False, False, False, False, True]
 
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            KeyframePolicy(variant="sometimes")
-        with pytest.raises(ValueError):
-            KeyframePolicy(interval=0)
+        with pytest.raises(ConfigError):
+            TrackerConfig(keyframe_interval=0)
+        with pytest.raises(ConfigError):
+            TrackerConfig.from_dict({"keyframes": {"interval": 2}})
 
 
 class TestFuseKeyframe:
@@ -62,7 +66,6 @@ class TestFuseKeyframe:
         pmap = fuse_keyframe(PatchMap(voxel_size=0.3), cloud, pose)
         assert not pmap.is_empty()
         assert pmap.cloud.frame == "object"
-        assert len(pmap.keyframes) == 1
         # Downsampling only merges points; the fused cloud covers the same
         # region as the transformed input.
         moved = pose.transform_points(cloud.points)
@@ -105,44 +108,6 @@ class TestFuseKeyframe:
         empty = PatchMap(voxel_size=0.3)
         fuse_keyframe(empty, cloud, Pose.identity())
         assert empty.is_empty()
-
-
-class TestOverlapFraction:
-    def test_containment(self):
-        cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
-        pmap = fuse_keyframe(PatchMap(voxel_size=0.3), cloud, Pose.identity())
-        moved = cloud.transformed(Pose.identity(), frame="object")
-        assert overlap_fraction(moved, pmap, radius=0.5) == 1.0
-
-    def test_disjoint(self):
-        cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
-        pmap = fuse_keyframe(PatchMap(voxel_size=0.3), cloud, Pose.identity())
-        far = PointCloud(points=cloud.points + 100.0, normals=cloud.normals,
-                         frame="object")
-        assert overlap_fraction(far, pmap, radius=0.5) == 0.0
-
-    def test_half_overlap(self):
-        n = 1000
-        rng = np.random.default_rng(0)
-        pts = np.column_stack([rng.uniform(0, 10, (n, 2)), np.zeros(n)])
-        normals = np.tile([0.0, 0, 1], (n, 1))
-        base = PointCloud(points=pts, normals=normals, frame="sensor")
-        pmap = fuse_keyframe(PatchMap(voxel_size=0.3), base, Pose.identity())
-        shifted = PointCloud(points=pts + np.array([5.0, 0, 0]),
-                             normals=normals, frame="object")
-        frac = overlap_fraction(shifted, pmap, radius=0.5)
-        assert abs(frac - 0.5) < 0.1
-
-    def test_empty_map_zero(self):
-        cloud = PointCloud(points=np.zeros((1, 3)), normals=np.zeros((1, 3)),
-                           frame="object")
-        assert overlap_fraction(cloud, PatchMap(), radius=1.0) == 0.0
-
-    def test_empty_cloud_rejected(self):
-        empty = PointCloud(points=np.zeros((0, 3)), normals=np.zeros((0, 3)),
-                           frame="object")
-        with pytest.raises(ValueError):
-            overlap_fraction(empty, PatchMap(), radius=1.0)
 
 
 class TestInvariants:

@@ -1,4 +1,4 @@
-"""Point-to-plane ICP: correspondences, single steps, full registration."""
+"""Point-to-plane ICP: single steps, full registration."""
 
 import numpy as np
 import pytest
@@ -8,76 +8,40 @@ from tactrack.geometry import Pose
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import (DegenerateGeometryError, ICPParams,
                                    InsufficientOverlapError, icp_register,
-                                   nearest_neighbors, point_to_plane_step)
+                                   point_to_plane_step)
 
 from .conftest import plane_cloud, random_pose, sphere_cap_cloud
-
-
-class TestNearestNeighbors:
-    def test_self_matching(self):
-        cloud = sphere_cap_cloud(n=100)
-        pairs = nearest_neighbors(cloud, cloud, max_dist=1.0)
-        assert len(pairs) == 100
-        np.testing.assert_array_equal(pairs[:, 0], pairs[:, 1])
-
-    def test_distance_cap(self):
-        a = PointCloud(points=np.array([[0.0, 0, 0]]),
-                       normals=np.array([[0.0, 0, 1]]))
-        b = PointCloud(points=np.array([[5.0, 0, 0]]),
-                       normals=np.array([[0.0, 0, 1]]))
-        assert len(nearest_neighbors(a, b, max_dist=1.0)) == 0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        src = PointCloud(points=rng.uniform(-5, 5, (500, 3)),
-                         normals=np.tile([0.0, 0, 1], (500, 1)))
-        tgt = PointCloud(points=rng.uniform(-5, 5, (500, 3)),
-                         normals=np.tile([0.0, 0, 1], (500, 1)))
-        pairs = nearest_neighbors(src, tgt, max_dist=2.0)
-        dists = np.linalg.norm(src.points[:, None] - tgt.points[None], axis=2)
-        expected = {(i, int(np.argmin(dists[i])))
-                    for i in range(500) if dists[i].min() <= 2.0}
-        assert {tuple(p) for p in pairs} == expected
-
-    def test_empty_cloud_rejected(self):
-        empty = PointCloud(points=np.zeros((0, 3)), normals=np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            nearest_neighbors(empty, empty, 1.0)
 
 
 class TestPointToPlaneStep:
     def test_zero_residual_zero_twist(self):
         cloud = sphere_cap_cloud(n=200)
-        corr = np.column_stack([np.arange(200), np.arange(200)])
-        twist = point_to_plane_step(cloud, cloud, corr)
+        twist, cond = point_to_plane_step(cloud.points, cloud.points,
+                                          cloud.normals)
         np.testing.assert_allclose(twist, np.zeros(6), atol=1e-12)
+        assert np.isfinite(cond) and cond >= 1.0
 
     def test_normal_shift_recovered(self):
         src = sphere_cap_cloud(n=200)
-        shifted = PointCloud(points=src.points + np.array([0, 0, 0.1]),
-                             normals=src.normals)
-        corr = np.column_stack([np.arange(200), np.arange(200)])
-        twist = point_to_plane_step(src, shifted, corr)
+        shifted = src.points + np.array([0, 0, 0.1])
+        twist, _ = point_to_plane_step(src.points, shifted, src.normals)
         moved = geometry.exp(twist).transform_points(src.points)
-        residual = np.einsum("ij,ij->i", shifted.normals,
-                             moved - shifted.points)
+        residual = np.einsum("ij,ij->i", src.normals, moved - shifted)
         assert np.abs(residual).max() < 1e-6
 
     def test_plane_patch_degenerate(self):
         src = plane_cloud(n=200)
         # A single plane constrains only 3 of 6 degrees of freedom, so the
         # normal matrix is rank deficient regardless of the applied shift.
-        shifted = PointCloud(points=src.points + np.array([0.3, 0, 0.1]),
-                             normals=src.normals)
-        corr = np.column_stack([np.arange(200), np.arange(200)])
+        shifted = src.points + np.array([0.3, 0, 0.1])
         with pytest.raises(DegenerateGeometryError):
-            point_to_plane_step(src, shifted, corr)
+            point_to_plane_step(src.points, shifted, src.normals)
 
     def test_too_few_correspondences(self):
         cloud = sphere_cap_cloud(n=10)
-        corr = np.column_stack([np.arange(4), np.arange(4)])
         with pytest.raises(InsufficientOverlapError):
-            point_to_plane_step(cloud, cloud, corr)
+            point_to_plane_step(cloud.points[:4], cloud.points[:4],
+                                cloud.normals[:4])
 
 
 class TestIcpRegister:
@@ -136,9 +100,8 @@ class TestIcpRegister:
         cap = sphere_cap_cloud(n=300)
         cap_result = icp_register(cap, cap, Pose.identity())
         plane = plane_cloud(n=300)
-        corr = np.column_stack([np.arange(300), np.arange(300)])
         with pytest.raises(DegenerateGeometryError) as err:
-            point_to_plane_step(plane, plane, corr)
+            point_to_plane_step(plane.points, plane.points, plane.normals)
         assert cap_result.condition_number < err.value.condition_number
 
     def test_insufficient_overlap(self):

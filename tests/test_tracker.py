@@ -1,14 +1,20 @@
 """Tracking loop: mode behavior, zero-noise regressions, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import yaml
 
 from tactrack import geometry
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
 from tactrack.shapes import Box, Pyramid, Sphere
-from tactrack.tracker import (ConfigurationError, Tracker, TrackerConfig,
-                              TrackerMode, pose_errors, track_episode)
+from tactrack.factors import OptimizerParams
+from tactrack.registration import ICPParams
+from tactrack.render import GelConfig
+from tactrack.tracker import (ConfigError, Tracker, TrackerConfig, TrackerMode,
+                              pose_errors, track_episode)
 
 ZERO_NOISE = NoiseSpec(normal_sigma=0.0, eff_sigma_rot=0.0,
                        eff_sigma_trans=0.0, vis_sigma_rot=0.0,
@@ -40,7 +46,7 @@ class TestPoseErrors:
 
 class TestTrackerSetup:
     def test_gtpatch_requires_shape(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
                     Pose.identity(), Pose.identity())
 
@@ -58,9 +64,43 @@ class TestTrackerSetup:
                                    atol=1e-8)
 
     def test_config_roundtrip(self):
-        cfg = TrackerConfig(sigma_vel=(0.01, 0.2), fixed_lag=4)
-        clone = TrackerConfig.from_dict(cfg.to_dict())
-        assert clone.to_dict() == cfg.to_dict()
+        cfg = TrackerConfig(
+            gel=GelConfig(width=48, height=32, extent_x=15.0, extent_y=12.0,
+                          max_indent=2.0),
+            sigma_eff=(0.02, 1.5), sigma_vis=(0.06, 2.5),
+            sigma_im2im=(0.04, 2.0), sigma_im2pc=(0.1, 7.0),
+            sigma_im2gt=(0.03, 1.2), sigma_vel=(0.01, 0.2),
+            icp=ICPParams(max_iterations=12, max_correspondence_distance=4.0,
+                          convergence_threshold=1e-6, min_correspondences=30),
+            keyframe_interval=3, voxel_size=0.4,
+            optimizer=OptimizerParams(max_iterations=20, lambda_init=1e-3,
+                                      lambda_scale=5.0, cost_tolerance=1e-8,
+                                      lambda_max=1e8),
+            im2im_in_patchgraph=False, gate_im2im=(0.3, 2.0),
+            gate_im2pc=(0.9, 7.0), fixed_lag=4, gt_sample_radius_scale=1.2,
+            gt_sample_count=3000, seed=9)
+        def leaves(d, prefix=""):
+            for name, value in d.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, prefix + name + ".")
+                else:
+                    yield prefix + name, value
+
+        default = dict(leaves(dataclasses.asdict(TrackerConfig())))
+        for name, value in leaves(dataclasses.asdict(cfg)):
+            assert value != default[name], name
+        text = yaml.safe_dump({"tracker": dataclasses.asdict(cfg)})
+        assert TrackerConfig.from_dict(yaml.safe_load(text)["tracker"]) == cfg
+
+    @pytest.mark.parametrize("overrides", [
+        {"fixd_lag": 4},
+        {"icp": {"max_iter": 5}},
+        {"gel": {"camera": "clip"}},
+        {"keyframe_interval": 0},
+    ])
+    def test_bad_config_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            TrackerConfig.from_dict(overrides)
 
 
 class TestZeroNoiseRegressions:
