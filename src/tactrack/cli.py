@@ -82,9 +82,12 @@ def cmd_reconstruct(args) -> int:
     mask = imageio.read_pgm_mask(args.mask)
     if normals.ndim != 3 or normals.shape[:2] != mask.shape:
         raise ConfigError("normal image and mask dimensions disagree")
-    gel = GelConfig(width=mask.shape[1], height=mask.shape[0],
-                    extent_x=args.extent_x, extent_y=args.extent_y,
-                    max_indent=args.max_indent)
+    try:
+        gel = GelConfig(width=mask.shape[1], height=mask.shape[0],
+                        extent_x=args.extent_x, extent_y=args.extent_y,
+                        max_indent=args.max_indent)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     depth, cloud = reconstruct_cloud(NormalImage(values=normals, mask=mask), gel)
     imageio.write_pfm(args.out_depth, depth.values)
     imageio.write_ply(args.out_cloud, cloud.points, cloud.normals)

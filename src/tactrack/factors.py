@@ -1,9 +1,15 @@
 """Factor definitions and the nonlinear least-squares solver.
 
 Variables are object poses ``o_t`` and end-effector poses ``e_t``; factors
-whiten their twist residuals by per-axis sigmas and are linearized with
-numerical Jacobians on the manifold.  The solver is Levenberg-Marquardt with
-right-multiplicative retraction of each pose block.
+whiten their twist residuals by per-axis sigmas.  Every residual is
+``log(M^-1 * G)`` of a composition ``G`` of poses, so each factor supplies
+closed-form Jacobians in the tangent space of a right perturbation
+``X * exp(d)``: a variable appearing in ``G`` as ``P * X * Q`` gets
+``Jr^-1(r) Ad(Q^-1)``, one appearing as ``P * X^-1 * Q`` gets
+``-Jr^-1(r) Ad(Q^-1 X)`` (Sola, Deray & Atchuthan, "A micro Lie theory for
+state estimation in robotics", arXiv:1812.01537).  The central-difference
+Jacobian in :mod:`geometry` is only the tests' oracle for them.  The solver is
+Levenberg-Marquardt with right-multiplicative retraction of each pose block.
 
 Frame convention: with world-from-body poses, the object-from-sensor
 transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
@@ -61,7 +67,8 @@ class NoiseModel:
         return NoiseModel(np.array([sigma_rot] * 3 + [sigma_trans] * 3))
 
     def whiten(self, residual: np.ndarray) -> np.ndarray:
-        return residual / self.sigmas
+        """Scale each row of a residual (6,) or a Jacobian (6, k)."""
+        return (residual.T / self.sigmas).T
 
 
 class Factor:
@@ -74,6 +81,15 @@ class Factor:
 
     def residual(self, values: dict) -> np.ndarray:
         return self.noise.whiten(self.residual_raw(values))
+
+    def jacobians(self, values: dict, r: np.ndarray) -> list:
+        """Unwhitened 6x6 Jacobians of `residual_raw` at `values`, one per
+        key in `keys`, given the raw residual `r` there."""
+        raise NotImplementedError
+
+
+def _ad_inv(a: Pose) -> np.ndarray:
+    return geometry.adjoint(geometry.inverse(a))
 
 
 @dataclass
@@ -90,6 +106,9 @@ class PriorFactor(Factor):
 
     def residual_raw(self, values):
         return geometry.ominus(self.measured, values[self.key])
+
+    def jacobians(self, values, r):
+        return [geometry.right_jacobian_inv(r)]
 
 
 def eff_prior(t: int, measured: Pose, noise: NoiseModel) -> PriorFactor:
@@ -117,6 +136,16 @@ class ConstVelFactor(Factor):
         step_curr = geometry.compose(geometry.inverse(b), c)
         return geometry.ominus(step_prev, step_curr)
 
+    def jacobians(self, values, r):
+        # G = b^-1 a b^-1 c: b appears twice, and its two terms add.
+        a, b, c = (values[k] for k in self.keys)
+        jr_inv = geometry.right_jacobian_inv(r)
+        ad_c_inv_b = _ad_inv(geometry.compose(geometry.inverse(b), c))
+        ad_step_prev = geometry.adjoint(
+            geometry.compose(geometry.inverse(a), b))
+        j_prev = jr_inv @ ad_c_inv_b
+        return [j_prev, -j_prev @ ad_step_prev - j_prev, jr_inv]
+
 
 @dataclass
 class MotionPriorFactor(Factor):
@@ -137,6 +166,12 @@ class MotionPriorFactor(Factor):
     def residual_raw(self, values):
         a, b = (values[k] for k in self.keys)
         return geometry.ominus(a, b)
+
+    def jacobians(self, values, r):
+        a, b = (values[k] for k in self.keys)
+        jr_inv = geometry.right_jacobian_inv(r)
+        return [-jr_inv @ _ad_inv(geometry.compose(geometry.inverse(a), b)),
+                jr_inv]
 
 
 @dataclass
@@ -160,6 +195,17 @@ class Im2ImFactor(Factor):
         graph_rel = geometry.compose(geometry.inverse(rel_prev), rel_curr)
         return geometry.ominus(self.measured, graph_rel)
 
+    def jacobians(self, values, r):
+        # G = e_prev^-1 o_prev o_curr^-1 e_curr.
+        o_prev, e_prev, o_curr, e_curr = (values[k] for k in self.keys)
+        rel_prev = geometry.compose(geometry.inverse(o_prev), e_prev)
+        rel_curr = geometry.compose(geometry.inverse(o_curr), e_curr)
+        jr_inv = geometry.right_jacobian_inv(r)
+        j_obj = jr_inv @ _ad_inv(rel_curr)
+        j_eff_prev = -jr_inv @ _ad_inv(
+            geometry.compose(geometry.inverse(rel_prev), rel_curr))
+        return [j_obj, j_eff_prev, -j_obj, jr_inv]
+
 
 @dataclass
 class Im2PatchFactor(Factor):
@@ -178,6 +224,12 @@ class Im2PatchFactor(Factor):
         o, e = (values[k] for k in self.keys)
         graph_rel = geometry.compose(geometry.inverse(o), e)
         return geometry.ominus(self.measured, graph_rel)
+
+    def jacobians(self, values, r):
+        o, e = (values[k] for k in self.keys)
+        jr_inv = geometry.right_jacobian_inv(r)
+        return [-jr_inv @ _ad_inv(geometry.compose(geometry.inverse(o), e)),
+                jr_inv]
 
 
 @dataclass
@@ -215,9 +267,10 @@ class LinearSystem:
         return jac
 
 
-def linearize(graph: FactorGraph, values: dict, eps: float = 1e-6,
+def linearize(graph: FactorGraph, values: dict,
               fixed=frozenset()) -> LinearSystem:
-    """Whitened residual stack plus numerical Jacobian blocks in tangent space.
+    """Whitened residual stack plus each factor's closed-form Jacobian blocks
+    in tangent space.
 
     Keys in `fixed` are treated as constants: they contribute to residuals
     but receive no Jacobian block or column.
@@ -228,19 +281,11 @@ def linearize(graph: FactorGraph, values: dict, eps: float = 1e-6,
     residual = np.zeros(6 * len(graph.factors))
     for fi, factor in enumerate(graph.factors):
         row = 6 * fi
-        residual[row:row + 6] = factor.residual(values)
-        for key in factor.keys:
-            if key in fixed:
-                continue
-            base = values[key]
-
-            def on_perturbed(pose, _factor=factor, _key=key):
-                trial = dict(values)
-                trial[_key] = pose
-                return _factor.residual(trial)
-
-            block = geometry.numerical_jacobian(on_perturbed, base, eps)
-            blocks.append((row, key, block))
+        r = factor.residual_raw(values)
+        residual[row:row + 6] = factor.noise.whiten(r)
+        for key, jac in zip(factor.keys, factor.jacobians(values, r)):
+            if key not in fixed:
+                blocks.append((row, key, factor.noise.whiten(jac)))
     return LinearSystem(keys=keys, col_of=col_of, blocks=blocks, residual=residual)
 
 
@@ -251,6 +296,19 @@ class OptimizerParams:
     lambda_scale: float = 10.0
     cost_tolerance: float = 1e-9
     lambda_max: float = 1e10
+
+    def __post_init__(self):
+        # lambda must grow on every rejected step, or the damping loop of
+        # optimize() never reaches lambda_max and never exits.
+        if not self.lambda_scale > 1:
+            raise ValueError("optimizer lambda_scale must be > 1")
+        if not self.lambda_init > 0:
+            raise ValueError("optimizer lambda_init must be > 0")
+        if not self.lambda_max >= self.lambda_init:
+            raise ValueError("optimizer lambda_max must be >= lambda_init")
+        if self.max_iterations < 0 or not self.cost_tolerance >= 0:
+            raise ValueError("optimizer max_iterations and cost_tolerance "
+                             "must be >= 0")
 
 
 @dataclass

@@ -1,4 +1,9 @@
-"""SE(3) pose algebra: composition, exp/log maps, retraction operators, numerical Jacobians.
+"""SE(3) pose algebra: composition, exp/log maps, retraction operators,
+adjoints and the closed-form inverse right Jacobian.
+
+The factor Jacobians are closed-form products of :func:`right_jacobian_inv`
+and :func:`adjoint`; the central-difference Jacobian at the end of the
+pose algebra is only the test oracle they are checked against.
 
 Conventions used throughout the package:
 
@@ -24,6 +29,8 @@ class DomainError(ValueError):
 
 _EPS_ANGLE = 1e-9
 _SMALL = 1e-10
+# Below this rotation angle right_jacobian_inv uses series coefficients.
+_SERIES_ANGLE = 1e-2
 _I3 = np.eye(3)
 _I3.setflags(write=False)
 
@@ -171,8 +178,56 @@ def ominus(a: Pose, b: Pose) -> np.ndarray:
     return log(compose(inverse(a), b))
 
 
+def adjoint(a: Pose) -> np.ndarray:
+    """6x6 adjoint ``[[R, 0], [t^ R, R]]`` in ``[w, v]`` order, so that
+    ``a * exp(xi) * a^-1 == exp(adjoint(a) @ xi)``."""
+    out = np.zeros((6, 6))
+    out[:3, :3] = a.rotation
+    out[3:, 3:] = a.rotation
+    out[3:, :3] = _skew(a.translation) @ a.rotation
+    return out
+
+
+def right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobian of SE(3) at the twist ``xi = [w, v]``:
+    ``log(exp(xi) * exp(d)) = xi + right_jacobian_inv(xi) @ d + O(|d|^2)``.
+
+    Closed form from Barfoot's left Jacobian ("State Estimation for
+    Robotics") with ``Jr(xi) = Jl(-xi)``.  Below ``_SERIES_ANGLE`` the angle
+    coefficients, which cancel catastrophically near zero, come from their
+    Taylor series.
+    """
+    xi = np.asarray(xi, dtype=float)
+    wx, vx = _skew(xi[:3]), _skew(xi[3:])
+    theta = np.linalg.norm(xi[:3])
+    t2 = theta * theta
+    if theta < _SERIES_ANGLE:
+        c_so3 = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
+        a = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+        b = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0
+        c = 1.0 / 120.0 - t2 / 2520.0 + t2 * t2 / 120960.0
+    else:
+        s, co = np.sin(theta), np.cos(theta)
+        c_so3 = 1.0 / t2 - (1.0 + co) / (2.0 * theta * s)
+        a = (theta - s) / theta**3
+        b = (t2 + 2.0 * co - 2.0) / (2.0 * t2 * t2)
+        c = (2.0 * theta - 3.0 * s + theta * co) / (2.0 * t2 * t2 * theta)
+    wv, vw, wvw = wx @ vx, vx @ wx, wx @ vx @ wx
+    wwv, vww = wx @ wv, vw @ wx
+    # Coupling block of Jr, i.e. Barfoot's Q evaluated at (-v, -w).
+    q = (-0.5 * vx + a * (wv + vw - wvw) - b * (wwv + vww - 3.0 * wvw)
+         + c * (wvw @ wx + wx @ wvw))
+    rot_inv = _I3 + 0.5 * wx + c_so3 * (wx @ wx)
+    out = np.zeros((6, 6))
+    out[:3, :3] = rot_inv
+    out[3:, 3:] = rot_inv
+    out[3:, :3] = -rot_inv @ q @ rot_inv
+    return out
+
+
 def numerical_jacobian(f, at: Pose, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``at`` in tangent coordinates.
+    """Central-difference Jacobian of ``f`` at ``at`` in tangent coordinates;
+    the tests' oracle for the closed-form factor Jacobians.
 
     ``f`` maps a Pose to either a vector or a Pose.  Column i perturbs
     tangent coordinate i by +/- eps via :func:`oplus`.  For Pose-valued

@@ -64,7 +64,7 @@ class TrackerConfig:
     gate_im2im: tuple = (0.2, 3.0)        # (rad, mm)
     gate_im2pc: tuple = (1.0, 8.0)
     fixed_lag: int | None = None          # None = full batch
-    gt_sample_radius_scale: float = 1.5   # ball diameter as multiple of gel extent
+    gt_sample_radius_scale: float = 1.5   # ball diameter / larger gel extent
     gt_sample_count: int = 4000
     seed: int = 0
 
@@ -220,9 +220,11 @@ class Tracker:
             return
         obj_from_sensor = self._object_from_sensor(self.t)
         center = obj_from_sensor.transform_points(cloud.points).mean(axis=0)
-        radius = self.config.gt_sample_radius_scale * self.config.gel.extent_x / 2.0
+        gel = self.config.gel
+        radius = (self.config.gt_sample_radius_scale
+                  * max(gel.extent_x, gel.extent_y) / 2.0)
         self.gt_target = _sample_sdf_surface(
-            self.shape, center, radius, spacing=self.config.gel.pitch_x,
+            self.shape, center, radius, spacing=min(gel.pitch_x, gel.pitch_y),
             count=self.config.gt_sample_count, seed=self.config.seed)
 
     # -- pipeline ----------------------------------------------------------

@@ -117,6 +117,19 @@ class TestPipeline:
                      "--out", str(run)]) == 2
         assert not run.exists()
 
+    def test_track_bad_optimizer_exit_2(self, suite_yaml, tmp_path):
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        tracker_yaml = tmp_path / "tracker.yaml"
+        tracker_yaml.write_text(yaml.safe_dump(
+            {"tracker": {"optimizer": {"lambda_scale": 0.5}}}))
+        run = tmp_path / "run"
+        assert main(["track",
+                     "--episode", str(episodes / "sphere" / "ep0000"),
+                     "--mode", "constvel", "--config", str(tracker_yaml),
+                     "--out", str(run)]) == 2
+        assert not run.exists()
+
     def test_eval_empty_runs_exit_2(self, tmp_path):
         (tmp_path / "runs").mkdir()
         assert main(["eval", "--runs", str(tmp_path / "runs"),
@@ -162,6 +175,19 @@ class TestReconstruct:
             json.loads((ep / "episode.json").read_text())["gel"][k]
             for k in ("height", "width"))
         assert len(points) == len(normals) > 0
+
+    @pytest.mark.parametrize("extent", [["--extent-x", "-1"],
+                                        ["--extent-y", "0"]])
+    def test_nonpositive_extent_exit_2(self, tmp_path, extent):
+        from tactrack.imageio import write_pfm, write_pgm_mask
+
+        write_pfm(tmp_path / "n.pfm", np.zeros((4, 4, 3), dtype=np.float32))
+        write_pgm_mask(tmp_path / "m.pgm", np.zeros((4, 4), dtype=bool))
+        assert main(["reconstruct", "--normals", str(tmp_path / "n.pfm"),
+                     "--mask", str(tmp_path / "m.pgm"),
+                     "--out-depth", str(tmp_path / "d.pfm"),
+                     "--out-cloud", str(tmp_path / "c.ply")] + extent) == 2
+        assert not (tmp_path / "d.pfm").exists()
 
     def test_mismatched_mask_exit_2(self, tmp_path):
         from tactrack.imageio import write_pfm, write_pgm_mask

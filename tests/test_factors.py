@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from tactrack import geometry
 from tactrack.factors import (ConstVelFactor, FactorGraph, GaugeError,
@@ -96,17 +98,6 @@ class TestLinearize:
         assert len(system.residual) == 0
         assert len(system.blocks) == 0
 
-    def test_step_halving_consistency(self):
-        rng = np.random.default_rng(7)
-        o, e = random_pose(rng), random_pose(rng)
-        measured = geometry.compose(geometry.inverse(o), e)
-        graph = FactorGraph()
-        graph.add(Im2PatchFactor(1, measured, UNIT))
-        values = {obj_key(1): random_pose(rng), eff_key(1): random_pose(rng)}
-        full = linearize(graph, values, eps=1e-5).dense_jacobian()
-        half = linearize(graph, values, eps=5e-6).dense_jacobian()
-        assert np.abs(full - half).max() < 1e-5
-
     def test_fixed_variables_excluded(self):
         rng = np.random.default_rng(8)
         o, e = random_pose(rng), random_pose(rng)
@@ -115,6 +106,110 @@ class TestLinearize:
         system = linearize(graph, {obj_key(1): o, eff_key(1): e},
                            fixed=frozenset({obj_key(1)}))
         assert system.keys == [eff_key(1)]
+
+
+# Anisotropic sigmas, so that whitening rows instead of columns shows.
+ANISO = NoiseModel(np.array([0.01, 0.02, 0.05, 0.5, 1.0, 2.0]))
+
+
+def _twist(max_angle, max_trans):
+    """A twist with rotation angle up to `max_angle` rad and translation
+    components up to `max_trans` mm."""
+    axis = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda a: np.linalg.norm(a) > 0.1)
+    return st.builds(
+        lambda a, angle, v: np.concatenate(
+            [np.array(a) / np.linalg.norm(a) * angle, v]),
+        axis, st.floats(0.0, max_angle),
+        st.tuples(*[st.floats(-max_trans, max_trans)] * 3).map(np.array))
+
+
+POSES = _twist(2.5, 40.0).map(geometry.exp)
+# Residual rotation angles: exactly zero, inside the series branch of
+# right_jacobian_inv, and up to 2.5 rad.
+RESIDUALS = {"zero": st.just(np.zeros(6)), "small": _twist(5e-3, 1e-3),
+             "large": _twist(2.5, 30.0)}
+
+
+def _factor_at(kind, poses, offset):
+    """A factor of `kind` at t = 3 and values whose raw residual is `offset`:
+    the measurement (or the last pose) is solved for from the others."""
+    o1, e1, o2, e2, o3 = poses
+    values = {obj_key(1): o1, eff_key(1): e1, obj_key(2): o2, eff_key(2): e2,
+              obj_key(3): o3}
+    off_inv = geometry.exp(-offset)
+    if kind == "prior":
+        return PriorFactor(obj_key(3), geometry.compose(o3, off_inv),
+                           ANISO), values
+    if kind == "motion_prior":
+        values[obj_key(3)] = geometry.compose(o2, geometry.exp(offset))
+        return MotionPriorFactor(3, ANISO), values
+    if kind == "const_vel":
+        step = geometry.compose(geometry.inverse(o1), o2)
+        values[obj_key(3)] = geometry.compose(
+            geometry.compose(o2, step), geometry.exp(offset))
+        return ConstVelFactor(3, ANISO), values
+    rel1 = geometry.compose(geometry.inverse(o1), e1)
+    rel2 = geometry.compose(geometry.inverse(o2), e2)
+    if kind == "im2im":
+        graph_rel = geometry.compose(geometry.inverse(rel1), rel2)
+        return Im2ImFactor(2, geometry.compose(graph_rel, off_inv),
+                           ANISO), values
+    return Im2PatchFactor(2, geometry.compose(rel2, off_inv), ANISO), values
+
+
+class TestJacobianOracle:
+    """Closed-form blocks from linearize against central differences."""
+
+    @pytest.mark.parametrize("residual", sorted(RESIDUALS))
+    @pytest.mark.parametrize("kind", ["prior", "motion_prior", "const_vel",
+                                      "im2im", "im2patch"])
+    def test_blocks_match_numerical_jacobian(self, kind, residual):
+        # Derandomized, and without shrinking: a wrong block fails on almost
+        # every draw, and shrinking 15 cases of ~40 floats takes minutes.
+        @settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None, phases=[Phase.explicit, Phase.generate],
+                  suppress_health_check=[HealthCheck.filter_too_much])
+        @given(poses=st.tuples(*[POSES] * 5), offset=RESIDUALS[residual],
+               fixed_mask=st.tuples(*[st.booleans()] * 5))
+        def check(poses, offset, fixed_mask):
+            factor, values = _factor_at(kind, poses, offset)
+            np.testing.assert_allclose(factor.residual_raw(values), offset,
+                                       atol=1e-7)
+            fixed = frozenset(k for k, f in zip(sorted(values), fixed_mask)
+                              if f)
+            graph = FactorGraph()
+            graph.add(factor)
+            system = linearize(graph, values, fixed=fixed)
+            assert system.keys == sorted(set(values) - fixed)
+            blocks = {key: block for _, key, block in system.blocks}
+            assert set(blocks) == set(factor.keys) - fixed
+            for key, block in blocks.items():
+                def perturbed(pose, key=key):
+                    return factor.residual({**values, key: pose})
+
+                oracle = geometry.numerical_jacobian(perturbed, values[key])
+                err = np.linalg.norm(block - oracle)
+                assert err <= 1e-6 * np.linalg.norm(oracle), (key, err)
+
+        check()
+
+
+class TestOptimizerParams:
+    @pytest.mark.parametrize("overrides", [
+        {"lambda_scale": 1.0}, {"lambda_scale": 0.5},
+        {"lambda_init": 0.0}, {"lambda_init": -1e-4},
+        {"lambda_init": 1.0, "lambda_max": 0.5},
+        {"max_iterations": -1}, {"cost_tolerance": -1e-9},
+    ])
+    def test_invalid_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            OptimizerParams(**overrides)
+
+    def test_boundary_values_accepted(self):
+        OptimizerParams()
+        OptimizerParams(max_iterations=0, cost_tolerance=0.0,
+                        lambda_max=OptimizerParams().lambda_init)
 
 
 class TestOptimize:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tactrack import geometry
 from tactrack.geometry import DomainError, Pose
@@ -152,6 +153,81 @@ class TestNumericalJacobian:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             geometry.numerical_jacobian(lambda p: p, Pose.identity(), eps=0.0)
+
+
+def _numerical_right_jacobian(xi, eps=1e-6):
+    """Jr with exp(xi + d) = exp(xi) * exp(Jr d) to first order."""
+    base_inv = geometry.inverse(geometry.exp(xi))
+    cols = []
+    for i in range(6):
+        d = np.zeros(6)
+        d[i] = eps
+        plus = geometry.log(geometry.compose(base_inv, geometry.exp(xi + d)))
+        minus = geometry.log(geometry.compose(base_inv, geometry.exp(xi - d)))
+        cols.append((plus - minus) / (2.0 * eps))
+    return np.stack(cols, axis=1)
+
+
+def _twist(rng, angle, max_trans=30.0):
+    axis = rng.normal(size=3)
+    return np.concatenate([axis / np.linalg.norm(axis) * angle,
+                           rng.uniform(-max_trans, max_trans, 3)])
+
+
+class TestAdjoint:
+    def test_homomorphism(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            a = random_pose(rng, max_angle=2.5, max_trans=30.0)
+            b = random_pose(rng, max_angle=2.5, max_trans=30.0)
+            np.testing.assert_allclose(
+                geometry.adjoint(geometry.compose(a, b)),
+                geometry.adjoint(a) @ geometry.adjoint(b), atol=1e-9)
+
+    def test_conjugation(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            t = random_pose(rng, max_angle=2.5, max_trans=30.0)
+            xi = _twist(rng, rng.uniform(0.0, 1.0), max_trans=5.0)
+            lhs = geometry.exp(geometry.adjoint(t) @ xi)
+            rhs = geometry.compose(geometry.compose(t, geometry.exp(xi)),
+                                   geometry.inverse(t))
+            np.testing.assert_allclose(lhs.matrix(), rhs.matrix(), atol=1e-9)
+
+
+def _series_right_jacobian(xi):
+    """Jr = integral_0^1 exp(-s ad(xi)) ds, read off the exponential of the
+    block matrix [[-ad, I], [0, 0]]."""
+    w, v = geometry._skew(xi[:3]), geometry._skew(xi[3:])
+    ad = np.block([[w, np.zeros((3, 3))], [v, w]])
+    block = np.zeros((12, 12))
+    block[:6, :6] = -ad
+    block[:6, 6:] = np.eye(6)
+    return scipy.linalg.expm(block)[:6, 6:]
+
+
+class TestRightJacobianInv:
+    # Central differences of exp(xi + d) lose digits when the angle of
+    # xi + d is tiny but not zero, so they check the moderate angles.
+    @pytest.mark.parametrize("angle", [0.02, 0.5, 1.5, 2.5])
+    def test_inverse_of_numerical_jacobian(self, angle):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            xi = _twist(rng, angle)
+            expected = np.linalg.inv(_numerical_right_jacobian(xi))
+            np.testing.assert_allclose(geometry.right_jacobian_inv(xi),
+                                       expected, rtol=0, atol=1e-7)
+
+    # Both sides of the switch to series coefficients at 1e-2 included.
+    @pytest.mark.parametrize("angle", [0.0, 1e-8, 1e-3, 1e-2 - 1e-9,
+                                       1e-2 + 1e-9, 0.02, 0.5, 1.5, 2.5])
+    def test_inverse_of_series_jacobian(self, angle):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            xi = _twist(rng, angle)
+            expected = np.linalg.inv(_series_right_jacobian(xi))
+            np.testing.assert_allclose(geometry.right_jacobian_inv(xi),
+                                       expected, rtol=0, atol=1e-10)
 
 
 class TestSerialization:

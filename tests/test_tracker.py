@@ -11,6 +11,7 @@ from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
 from tactrack.shapes import Box, Pyramid, Sphere
 from tactrack.factors import OptimizerParams
+from tactrack.reconstruct import PointCloud
 from tactrack.registration import ICPParams
 from tactrack.render import GelConfig
 from tactrack.tracker import (ConfigError, Tracker, TrackerConfig, TrackerMode,
@@ -49,6 +50,25 @@ class TestTrackerSetup:
         with pytest.raises(ConfigError):
             Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
                     Pose.identity(), Pose.identity())
+
+    def test_gt_target_covers_contact_on_tall_gel(self):
+        # A flat face under the whole 10 x 20 mm gel: the sample ball must
+        # reach the ends of the long side, 10 mm from the contact centre.
+        gel = GelConfig(width=32, height=64, extent_x=10.0, extent_y=20.0)
+        face = Box(half_extents=(30.0, 30.0, 5.0),
+                   offset=Pose(np.eye(3), np.array([0.0, 0.0, 5.0])))
+        tracker = Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(gel=gel),
+                          Pose.identity(), Pose.identity(), shape=face)
+        tracker.t = 1
+        x, y = gel.pixel_centers()
+        contact = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
+        tracker._ensure_gt_target(PointCloud(points=contact,
+                                             normals=np.zeros_like(contact),
+                                             frame="sensor"))
+        target = tracker.gt_target.points
+        gaps = np.linalg.norm(contact[:, None, :2] - target[None, :, :2],
+                              axis=2).min(axis=1)
+        assert gaps.max() < 1.0
 
     def test_init_values_match_priors(self, gel):
         ep = generate_episode(Sphere(radius=6.35),
@@ -97,6 +117,7 @@ class TestTrackerSetup:
         {"icp": {"max_iter": 5}},
         {"gel": {"camera": "clip"}},
         {"keyframe_interval": 0},
+        {"optimizer": {"lambda_scale": 0.5}},
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(ConfigError):
