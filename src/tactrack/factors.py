@@ -72,20 +72,51 @@ class NoiseModel:
 
 
 class Factor:
+    """A factor over the poses at `keys` with residual ``log(E)``.
+
+    Each subclass's static ``evaluate`` works on a whole batch of factors of
+    that class at once; the per-instance methods below are the same code on
+    a batch of one, with no batch dimension.
+    """
+
     keys: tuple
     noise: NoiseModel
     name = "factor"
 
-    def residual_raw(self, values: dict) -> np.ndarray:
+    @staticmethod
+    def evaluate(poses, measured, jacobians=False):
+        """The error pose ``E`` of a batch of factors of this class, whose
+        log is the raw residual, and with `jacobians` the tangent maps
+        ``T_k``, one (..., 6, 6) array per key in `keys` order, such that
+        the key's Jacobian block is ``Jr^-1(log E) @ T_k``.  `poses` holds
+        one Pose per key and `measured` the measurements (None for factors
+        without one), each stacked over the batch."""
         raise NotImplementedError
+
+    def _evaluate(self, values, jacobians):
+        return self.evaluate([values[k] for k in self.keys],
+                             getattr(self, "measured", None), jacobians)
+
+    def residual_raw(self, values: dict) -> np.ndarray:
+        return geometry.log(self._evaluate(values, False)[0])
 
     def residual(self, values: dict) -> np.ndarray:
         return self.noise.whiten(self.residual_raw(values))
 
-    def jacobians(self, values: dict, r: np.ndarray) -> list:
+    def jacobians(self, values: dict) -> list:
         """Unwhitened 6x6 Jacobians of `residual_raw` at `values`, one per
-        key in `keys`, given the raw residual `r` there."""
-        raise NotImplementedError
+        key in `keys`."""
+        error, maps = self._evaluate(values, True)
+        jr_inv = geometry.right_jacobian_inv(geometry.log(error))
+        return [jr_inv @ m for m in maps]
+
+
+_I6 = np.eye(6)
+_I6.setflags(write=False)
+
+
+def _identity_maps(pose: Pose) -> np.ndarray:
+    return np.broadcast_to(_I6, pose.translation.shape[:-1] + (6, 6))
 
 
 def _ad_inv(a: Pose) -> np.ndarray:
@@ -104,11 +135,12 @@ class PriorFactor(Factor):
     def __post_init__(self):
         self.keys = (self.key,)
 
-    def residual_raw(self, values):
-        return geometry.ominus(self.measured, values[self.key])
-
-    def jacobians(self, values, r):
-        return [geometry.right_jacobian_inv(r)]
+    @staticmethod
+    def evaluate(poses, measured, jacobians=False):
+        error = geometry.compose(geometry.inverse(measured), poses[0])
+        if not jacobians:
+            return error, None
+        return error, [_identity_maps(error)]
 
 
 def eff_prior(t: int, measured: Pose, noise: NoiseModel) -> PriorFactor:
@@ -130,21 +162,19 @@ class ConstVelFactor(Factor):
     def __post_init__(self):
         self.keys = (obj_key(self.t - 2), obj_key(self.t - 1), obj_key(self.t))
 
-    def residual_raw(self, values):
-        a, b, c = (values[k] for k in self.keys)
+    @staticmethod
+    def evaluate(poses, measured, jacobians=False):
+        a, b, c = poses
         step_prev = geometry.compose(geometry.inverse(a), b)
         step_curr = geometry.compose(geometry.inverse(b), c)
-        return geometry.ominus(step_prev, step_curr)
-
-    def jacobians(self, values, r):
-        # G = b^-1 a b^-1 c: b appears twice, and its two terms add.
-        a, b, c = (values[k] for k in self.keys)
-        jr_inv = geometry.right_jacobian_inv(r)
-        ad_c_inv_b = _ad_inv(geometry.compose(geometry.inverse(b), c))
-        ad_step_prev = geometry.adjoint(
-            geometry.compose(geometry.inverse(a), b))
-        j_prev = jr_inv @ ad_c_inv_b
-        return [j_prev, -j_prev @ ad_step_prev - j_prev, jr_inv]
+        error = geometry.compose(geometry.inverse(step_prev), step_curr)
+        if not jacobians:
+            return error, None
+        # E = b^-1 a b^-1 c: b appears twice, and its two terms add.
+        ad_prev = _ad_inv(step_curr)
+        return error, [ad_prev,
+                       -ad_prev @ (geometry.adjoint(step_prev) + _I6),
+                       _identity_maps(error)]
 
 
 @dataclass
@@ -163,15 +193,13 @@ class MotionPriorFactor(Factor):
     def __post_init__(self):
         self.keys = (obj_key(self.t - 1), obj_key(self.t))
 
-    def residual_raw(self, values):
-        a, b = (values[k] for k in self.keys)
-        return geometry.ominus(a, b)
-
-    def jacobians(self, values, r):
-        a, b = (values[k] for k in self.keys)
-        jr_inv = geometry.right_jacobian_inv(r)
-        return [-jr_inv @ _ad_inv(geometry.compose(geometry.inverse(a), b)),
-                jr_inv]
+    @staticmethod
+    def evaluate(poses, measured, jacobians=False):
+        a, b = poses
+        error = geometry.compose(geometry.inverse(a), b)
+        if not jacobians:
+            return error, None
+        return error, [-_ad_inv(error), _identity_maps(error)]
 
 
 @dataclass
@@ -188,23 +216,19 @@ class Im2ImFactor(Factor):
         self.keys = (obj_key(self.t - 1), eff_key(self.t - 1),
                      obj_key(self.t), eff_key(self.t))
 
-    def residual_raw(self, values):
-        o_prev, e_prev, o_curr, e_curr = (values[k] for k in self.keys)
+    @staticmethod
+    def evaluate(poses, measured, jacobians=False):
+        # G = e_prev^-1 o_prev o_curr^-1 e_curr.
+        o_prev, e_prev, o_curr, e_curr = poses
         rel_prev = geometry.compose(geometry.inverse(o_prev), e_prev)
         rel_curr = geometry.compose(geometry.inverse(o_curr), e_curr)
         graph_rel = geometry.compose(geometry.inverse(rel_prev), rel_curr)
-        return geometry.ominus(self.measured, graph_rel)
-
-    def jacobians(self, values, r):
-        # G = e_prev^-1 o_prev o_curr^-1 e_curr.
-        o_prev, e_prev, o_curr, e_curr = (values[k] for k in self.keys)
-        rel_prev = geometry.compose(geometry.inverse(o_prev), e_prev)
-        rel_curr = geometry.compose(geometry.inverse(o_curr), e_curr)
-        jr_inv = geometry.right_jacobian_inv(r)
-        j_obj = jr_inv @ _ad_inv(rel_curr)
-        j_eff_prev = -jr_inv @ _ad_inv(
-            geometry.compose(geometry.inverse(rel_prev), rel_curr))
-        return [j_obj, j_eff_prev, -j_obj, jr_inv]
+        error = geometry.compose(geometry.inverse(measured), graph_rel)
+        if not jacobians:
+            return error, None
+        ad_obj = _ad_inv(rel_curr)
+        return error, [ad_obj, -_ad_inv(graph_rel), -ad_obj,
+                       _identity_maps(error)]
 
 
 @dataclass
@@ -220,16 +244,54 @@ class Im2PatchFactor(Factor):
     def __post_init__(self):
         self.keys = (obj_key(self.t), eff_key(self.t))
 
-    def residual_raw(self, values):
-        o, e = (values[k] for k in self.keys)
+    @staticmethod
+    def evaluate(poses, measured, jacobians=False):
+        o, e = poses
         graph_rel = geometry.compose(geometry.inverse(o), e)
-        return geometry.ominus(self.measured, graph_rel)
+        error = geometry.compose(geometry.inverse(measured), graph_rel)
+        if not jacobians:
+            return error, None
+        return error, [-_ad_inv(graph_rel), _identity_maps(error)]
 
-    def jacobians(self, values, r):
-        o, e = (values[k] for k in self.keys)
-        jr_inv = geometry.right_jacobian_inv(r)
-        return [-jr_inv @ _ad_inv(geometry.compose(geometry.inverse(o), e)),
-                jr_inv]
+
+def _evaluate_by_class(factors, values, order, jacobians=False):
+    """Evaluate `factors` one class at a time on stacked poses, with one log
+    (and one inverse right Jacobian) over all of them.
+
+    Returns one ``(rows, residuals, blocks)`` triple per factor class: the
+    (m, k) indices into `order` of each factor's keys, the whitened
+    residuals (m, 6) and, with `jacobians`, the whitened Jacobian blocks
+    (m, k, 6, 6), else None.  `order` lists the keys of `values` to stack.
+    """
+    if not factors:
+        return []
+    index = {key: i for i, key in enumerate(order)}
+    stacked = Pose.stack([values[key] for key in order])
+    groups = {}
+    for factor in factors:
+        groups.setdefault(type(factor), []).append(factor)
+    all_rows, errors, maps = [], [], []
+    for cls, group in groups.items():
+        rows = np.array([[index[key] for key in f.keys] for f in group])
+        poses = [Pose(stacked.rotation[i], stacked.translation[i])
+                 for i in rows.T]
+        measured = (Pose.stack([f.measured for f in group])
+                    if hasattr(group[0], "measured") else None)
+        error, tangent = cls.evaluate(poses, measured, jacobians)
+        all_rows.append(rows)
+        errors.append(error)
+        maps.append(tangent)
+    sigmas = np.array([f.noise.sigmas for g in groups.values() for f in g])
+    raw = geometry.log(Pose(np.concatenate([e.rotation for e in errors]),
+                            np.concatenate([e.translation for e in errors])))
+    bounds = np.cumsum([len(rows) for rows in all_rows])[:-1]
+    residuals = np.split(raw / sigmas, bounds)
+    if not jacobians:
+        return [(rows, r, None) for rows, r in zip(all_rows, residuals)]
+    jr_inv = np.split(geometry.right_jacobian_inv(raw) / sigmas[:, :, None],
+                      bounds)
+    return [(rows, r, j[:, None] @ np.stack(tangent, axis=1))
+            for rows, r, j, tangent in zip(all_rows, residuals, jr_inv, maps)]
 
 
 @dataclass
@@ -243,50 +305,65 @@ class FactorGraph:
         return len(self.factors)
 
     def cost(self, values: dict) -> float:
-        total = 0.0
-        for f in self.factors:
-            r = f.residual(values)
-            total += 0.5 * float(r @ r)
-        return total
+        groups = _evaluate_by_class(self.factors, values, list(values))
+        return 0.5 * sum(float(np.sum(r * r)) for _, r, _ in groups)
 
 
 @dataclass
 class LinearSystem:
-    """Stacked whitened residual and Jacobian blocks per factor-variable pair."""
+    """Gauss-Newton normal equations ``J^T J`` and ``J^T r`` of the whitened
+    graph, six rows and columns per free variable in `keys` order."""
 
-    keys: list                    # column ordering
-    col_of: dict                  # VariableKey -> column offset
-    blocks: list                  # (row offset, key, 6x6 block)
-    residual: np.ndarray          # (6 * num_factors,)
-
-    def dense_jacobian(self) -> np.ndarray:
-        jac = np.zeros((len(self.residual), 6 * len(self.keys)))
-        for row, key, block in self.blocks:
-            col = self.col_of[key]
-            jac[row:row + 6, col:col + 6] = block
-        return jac
+    keys: list                    # free variables, in column-block order
+    jtj: np.ndarray               # (6 n, 6 n)
+    jtr: np.ndarray               # (6 n,)
 
 
 def linearize(graph: FactorGraph, values: dict,
               fixed=frozenset()) -> LinearSystem:
-    """Whitened residual stack plus each factor's closed-form Jacobian blocks
-    in tangent space.
+    """Normal equations assembled from each factor's closed-form Jacobian
+    blocks in tangent space, evaluated one factor class at a time.
 
     Keys in `fixed` are treated as constants: they contribute to residuals
-    but receive no Jacobian block or column.
+    but receive no Jacobian block or column, and a factor whose keys are all
+    fixed is not evaluated.
     """
     keys = sorted(k for k in values.keys() if k not in fixed)
-    col_of = {k: 6 * i for i, k in enumerate(keys)}
-    blocks = []
-    residual = np.zeros(6 * len(graph.factors))
-    for fi, factor in enumerate(graph.factors):
-        row = 6 * fi
-        r = factor.residual_raw(values)
-        residual[row:row + 6] = factor.noise.whiten(r)
-        for key, jac in zip(factor.keys, factor.jacobians(values, r)):
-            if key not in fixed:
-                blocks.append((row, key, factor.noise.whiten(jac)))
-    return LinearSystem(keys=keys, col_of=col_of, blocks=blocks, residual=residual)
+    order = keys + [k for k in values if k in fixed]
+    active = [f for f in graph.factors if any(k not in fixed for k in f.keys)]
+    n = len(keys)
+    if not active:
+        return LinearSystem(keys=keys, jtj=np.zeros((6 * n, 6 * n)),
+                            jtr=np.zeros(6 * n))
+    # Per factor, the 6x6 products J_k^T J_l of its blocks for every pair of
+    # keys (k, l), and J_k^T r for every key k, with the flat index of the
+    # first entry each lands on.  All fixed keys share block n, a sink cut
+    # off at the end.
+    size = 6 * (n + 1)
+    pair_at, products, grad_at, grads = [], [], [], []
+    for rows, r, blocks in _evaluate_by_class(active, values, order, True):
+        first = 6 * np.minimum(rows, n)
+        blocks_t = np.swapaxes(blocks, -1, -2)
+        pair_at.append(first[:, :, None] * size + first[:, None, :])
+        products.append(blocks_t[:, :, None] @ blocks[:, None])
+        grad_at.append(size * size + first)
+        grads.append(blocks_t @ r[:, None, :, None])
+    # One scatter-add over the entries of J^T J, then those of J^T r.
+    # np.bincount adds in input order, so the sums are deterministic.
+    offsets = np.arange(6)
+    where = np.concatenate([
+        (_flat(pair_at)[:, None, None] + offsets[:, None] * size
+         + offsets).ravel(),
+        (_flat(grad_at)[:, None] + offsets).ravel()])
+    flat = np.bincount(where, np.concatenate([_flat(products), _flat(grads)]),
+                       minlength=size * size + size)
+    return LinearSystem(
+        keys=keys, jtj=flat[:size * size].reshape(size, size)[:6 * n, :6 * n],
+        jtr=flat[size * size:size * size + 6 * n])
+
+
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 @dataclass
@@ -319,9 +396,11 @@ class OptimizeStats:
 
 
 def _retract_all(values: dict, keys, delta: np.ndarray) -> dict:
+    moved = geometry.oplus(Pose.stack([values[k] for k in keys]),
+                           delta.reshape(-1, 6))
     out = dict(values)
     for i, key in enumerate(keys):
-        out[key] = geometry.oplus(values[key], delta[6 * i:6 * i + 6])
+        out[key] = Pose(moved.rotation[i], moved.translation[i])
     return out
 
 
@@ -353,16 +432,17 @@ def optimize(graph: FactorGraph, init: dict,
     iterations = 0
     for _ in range(params.max_iterations):
         system = linearize(graph, values, fixed=fixed)
-        jac = system.dense_jacobian()
-        jtj = jac.T @ jac
-        jtr = jac.T @ system.residual
+        jtj, jtr = system.jtj, system.jtr
         diag = np.diag(jtj).copy()
         diag[diag < 1e-12] = 1e-12
+        damped = jtj.copy()
+        on_diag = np.diag_indices_from(damped)
 
         accepted = False
         while lam <= params.lambda_max:
+            damped[on_diag] = jtj[on_diag] + lam * diag
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+                delta = np.linalg.solve(damped, -jtr)
             except np.linalg.LinAlgError:
                 lam *= params.lambda_scale
                 continue

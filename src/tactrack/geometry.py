@@ -1,6 +1,11 @@
 """SE(3) pose algebra: composition, exp/log maps, retraction operators,
 adjoints and the closed-form inverse right Jacobian.
 
+Every operation here also works on a batch: a :class:`Pose` may hold
+rotations of shape ``(..., 3, 3)`` and translations of shape ``(..., 3)``,
+and twists may have shape ``(..., 6)``.  A single pose is the same code with
+no batch dimension.
+
 The factor Jacobians are closed-form products of :func:`right_jacobian_inv`
 and :func:`adjoint`; the central-difference Jacobian at the end of the
 pose algebra is only the test oracle they are checked against.
@@ -29,30 +34,85 @@ class DomainError(ValueError):
 
 _EPS_ANGLE = 1e-9
 _SMALL = 1e-10
-# Below this rotation angle right_jacobian_inv uses series coefficients.
+# Below this rotation angle the angle coefficients of exp, log and
+# right_jacobian_inv, whose closed forms cancel near zero, come from their
+# Taylor series.
 _SERIES_ANGLE = 1e-2
 _I3 = np.eye(3)
 _I3.setflags(write=False)
+# Levi-Civita symbol: skew(w)[i, k] = sum_j eps[i, j, k] w[j].
+_LEVI_CIVITA = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                         [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                         [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], dtype=float)
+_LEVI_CIVITA.setflags(write=False)
 
 
 def _skew(w):
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
+    """Cross-product matrices: skew(w) @ v == cross(w, v)."""
+    w = np.asarray(w, dtype=float)
+    return (w[..., None, None, :] @ _LEVI_CIVITA)[..., 0, :]
+
+
+def _norm(x):
+    # vecdot takes the same BLAS dot as np.linalg.norm of a single vector,
+    # so a batch rounds like its elements do one at a time.
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _t(m):
+    return np.swapaxes(m, -1, -2)
+
+
+def _mv(m, v):
+    """Matrix-vector product over matching batch dimensions."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _scale(coef, m):
+    """Multiply each 3x3 matrix of a batch by its scalar coefficient."""
+    return coef[..., None, None] * m
+
+
+def _angle_coef(theta, coef):
+    """A coefficient of the rotation angle, given as ``(series, closed)``:
+    ``closed(theta)`` at and above ``_SERIES_ANGLE``, below it the Taylor
+    polynomial whose coefficients in powers of ``theta**2`` are
+    ``series``."""
+    series, closed = coef
+    t2 = theta * theta
+    poly = series[0] + t2 * (series[1] + t2 * series[2])
+    return np.where(theta < _SERIES_ANGLE, poly,
+                    closed(np.maximum(theta, _SERIES_ANGLE)))
+
+
+# The closed forms use products, not powers: a power of a single angle
+# (a NumPy scalar) rounds differently from the same power of an array.
+_SIN_T = ((1.0, -1.0 / 6.0, 1.0 / 120.0), lambda t: np.sin(t) / t)
+_COS_T2 = ((0.5, -1.0 / 24.0, 1.0 / 720.0),
+           lambda t: (1.0 - np.cos(t)) / (t * t))
+_SIN_T3 = ((1.0 / 6.0, -1.0 / 120.0, 1.0 / 5040.0),
+           lambda t: (t - np.sin(t)) / (t * t * t))
+# The wx^2 coefficient of the inverse SO(3) Jacobians and inverse V matrix.
+_SO3_INV = ((1.0 / 12.0, 1.0 / 720.0, 1.0 / 30240.0),
+            lambda t: 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
+_COS_T4 = ((1.0 / 24.0, -1.0 / 720.0, 1.0 / 40320.0),
+           lambda t: (t * t + 2.0 * np.cos(t) - 2.0) / (2.0 * t * t * t * t))
+_SIN_T5 = ((1.0 / 120.0, -1.0 / 2520.0, 1.0 / 120960.0),
+           lambda t: ((2.0 * t - 3.0 * np.sin(t) + t * np.cos(t))
+                      / (2.0 * t * t * t * t * t)))
 
 
 def _reorthonormalize(rot):
     # One Newton step toward the orthogonal polar factor; applied where
     # rotations are synthesized from series or quaternions so products of
     # Pose rotations stay orthonormal to machine precision.
-    return rot @ (1.5 * _I3 - 0.5 * (rot.T @ rot))
+    return rot @ (1.5 * _I3 - 0.5 * (_t(rot) @ rot))
 
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: 3x3 rotation matrix plus translation in millimetres."""
+    """Rigid transform: 3x3 rotation matrix plus translation in millimetres,
+    or a batch of them (leading dimensions on both arrays)."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -60,6 +120,12 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
+
+    @staticmethod
+    def stack(poses) -> "Pose":
+        """One batched Pose from a sequence of single poses."""
+        return Pose(np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
+                    np.array([p.translation for p in poses]).reshape(-1, 3))
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
@@ -75,76 +141,70 @@ class Pose:
 def compose(a: Pose, b: Pose) -> Pose:
     """a * b: maps b-frame coordinates through b, then a."""
     return Pose(a.rotation @ b.rotation,
-                a.rotation @ b.translation + a.translation)
+                _mv(a.rotation, b.translation) + a.translation)
 
 
 def inverse(a: Pose) -> Pose:
-    rot = a.rotation.T
-    return Pose(rot, -rot @ a.translation)
+    rot = _t(a.rotation)
+    return Pose(rot, -_mv(rot, a.translation))
 
 
 def exp(xi: np.ndarray) -> Pose:
     """SE(3) exponential of a twist [w, v], with the V-matrix coupling."""
     xi = np.asarray(xi, dtype=float)
-    w, v = xi[:3], xi[3:]
-    theta = np.linalg.norm(w)
+    w, v = xi[..., :3], xi[..., 3:]
+    theta = _norm(w)
     wx = _skew(w)
     wx2 = wx @ wx
-    if theta < _SMALL:
-        rot = _I3 + wx + 0.5 * wx2
-        vmat = _I3 + 0.5 * wx + wx2 / 6.0
-    else:
-        s, c = np.sin(theta), np.cos(theta)
-        rot = _I3 + (s / theta) * wx + ((1.0 - c) / theta**2) * wx2
-        vmat = (_I3 + ((1.0 - c) / theta**2) * wx
-                + ((theta - s) / theta**3) * wx2)
-    return Pose(_reorthonormalize(rot), vmat @ v)
+    a, b, c = (_angle_coef(theta, coef)
+               for coef in (_SIN_T, _COS_T2, _SIN_T3))
+    rot = _I3 + _scale(a, wx) + _scale(b, wx2)
+    vmat = _I3 + _scale(b, wx) + _scale(c, wx2)
+    return Pose(_reorthonormalize(rot), _mv(vmat, v))
 
 
 def _mat_to_quat(rot):
-    # Shepperd's method; returns [w, x, y, z] with w >= 0.
+    # Shepperd's method; returns [w, x, y, z] with w >= 0.  The symmetric
+    # matrix `k` equals 4 q q^T, so its row i is q scaled by 4 q_i = s.
+    # Row 0 serves if the trace is positive (|w| > 1/2), else the row of
+    # the largest diagonal element of `rot`.  The component axis comes
+    # first until q is normalized.
     m = rot
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (m[2, 1] - m[1, 2]) / s,
-                      (m[0, 2] - m[2, 0]) / s,
-                      (m[1, 0] - m[0, 1]) / s])
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array([(m[2, 1] - m[1, 2]) / s,
-                      0.25 * s,
-                      (m[0, 1] + m[1, 0]) / s,
-                      (m[0, 2] + m[2, 0]) / s])
-    elif m[1, 1] >= m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array([(m[0, 2] - m[2, 0]) / s,
-                      (m[0, 1] + m[1, 0]) / s,
-                      0.25 * s,
-                      (m[1, 2] + m[2, 1]) / s])
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array([(m[1, 0] - m[0, 1]) / s,
-                      (m[0, 2] + m[2, 0]) / s,
-                      (m[1, 2] + m[2, 1]) / s,
-                      0.25 * s])
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    tr = m00 + m11 + m22
+    wx, wy, wz = (m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                  m[..., 1, 0] - m[..., 0, 1])
+    xy, xz, yz = (m[..., 0, 1] + m[..., 1, 0], m[..., 0, 2] + m[..., 2, 0],
+                  m[..., 1, 2] + m[..., 2, 1])
+    k = np.array([[tr + 1.0, wx, wy, wz],
+                  [wx, 1.0 + m00 - m11 - m22, xy, xz],
+                  [wy, xy, 1.0 + m11 - m00 - m22, yz],
+                  [wz, xz, yz, 1.0 + m22 - m00 - m11]])
+    # Diagonal elements lie in [-1, 1], so +-2 ranks row 0 first or last;
+    # argmax takes the first of equal scores.
+    scores = np.array([4.0 * (tr > 0) - 2.0, m00, m11, m22])
+    picked = (scores.argmax(axis=0)
+              == np.arange(4).reshape((4,) + (1,) * np.ndim(tr)))
+    row = (picked[:, None] * k).sum(axis=0)
+    s = np.sqrt((picked * row).sum(axis=0)) * 2.0
+    q = np.where(picked, 0.25 * s, row / s)
+    q = np.ascontiguousarray(q.transpose((*range(1, q.ndim), 0)))
+    q = q * np.where(q[..., :1] < 0, -1.0, 1.0)
+    return q / _norm(q)[..., None]
 
 
 def rotation_log(rot: np.ndarray) -> np.ndarray:
     """Rotation-vector logarithm of a rotation matrix (angle < pi)."""
     q = _mat_to_quat(rot)
-    vec_norm = np.linalg.norm(q[1:])
-    theta = 2.0 * np.arctan2(vec_norm, q[0])
-    if theta >= np.pi - _EPS_ANGLE:
-        raise DomainError(f"rotation angle {theta:.9f} is at the log singularity (pi)")
-    if vec_norm < _SMALL:
-        # sin(theta/2) ~ theta/2, so q_vec ~ axis * theta / 2
-        return 2.0 * q[1:]
-    return q[1:] * (theta / vec_norm)
+    vec_norm = _norm(q[..., 1:])
+    theta = 2.0 * np.arctan2(vec_norm, q[..., 0])
+    if np.any(theta >= np.pi - _EPS_ANGLE):
+        raise DomainError(f"rotation angle {np.max(theta):.9f} is at the "
+                          "log singularity (pi)")
+    # Below _SMALL, sin(theta/2) ~ theta/2, so q_vec ~ axis * theta / 2.
+    tiny = vec_norm < _SMALL
+    scale = np.where(tiny, 2.0, theta / np.where(tiny, 1.0, vec_norm))
+    return q[..., 1:] * scale[..., None]
 
 
 def rotation_angle(rot: np.ndarray) -> float:
@@ -156,16 +216,10 @@ def rotation_angle(rot: np.ndarray) -> float:
 def log(a: Pose) -> np.ndarray:
     """SE(3) logarithm; inverse of :func:`exp` for rotation angle < pi."""
     w = rotation_log(a.rotation)
-    theta = np.linalg.norm(w)
     wx = _skew(w)
-    wx2 = wx @ wx
-    if theta < _SMALL:
-        vinv = _I3 - 0.5 * wx + wx2 / 12.0
-    else:
-        s, c = np.sin(theta), np.cos(theta)
-        coef = (1.0 / theta**2) - (1.0 + c) / (2.0 * theta * s)
-        vinv = _I3 - 0.5 * wx + coef * wx2
-    return np.concatenate([w, vinv @ a.translation])
+    coef = _angle_coef(_norm(w), _SO3_INV)
+    vinv = _I3 - 0.5 * wx + _scale(coef, wx @ wx)
+    return np.concatenate([w, _mv(vinv, a.translation)], axis=-1)
 
 
 def oplus(a: Pose, xi: np.ndarray) -> Pose:
@@ -181,10 +235,11 @@ def ominus(a: Pose, b: Pose) -> np.ndarray:
 def adjoint(a: Pose) -> np.ndarray:
     """6x6 adjoint ``[[R, 0], [t^ R, R]]`` in ``[w, v]`` order, so that
     ``a * exp(xi) * a^-1 == exp(adjoint(a) @ xi)``."""
-    out = np.zeros((6, 6))
-    out[:3, :3] = a.rotation
-    out[3:, 3:] = a.rotation
-    out[3:, :3] = _skew(a.translation) @ a.rotation
+    rot = a.rotation
+    out = np.zeros(rot.shape[:-2] + (6, 6))
+    out[..., :3, :3] = rot
+    out[..., 3:, 3:] = rot
+    out[..., 3:, :3] = _skew(a.translation) @ rot
     return out
 
 
@@ -198,30 +253,22 @@ def right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
     Taylor series.
     """
     xi = np.asarray(xi, dtype=float)
-    wx, vx = _skew(xi[:3]), _skew(xi[3:])
-    theta = np.linalg.norm(xi[:3])
-    t2 = theta * theta
-    if theta < _SERIES_ANGLE:
-        c_so3 = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-        a = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-        b = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0
-        c = 1.0 / 120.0 - t2 / 2520.0 + t2 * t2 / 120960.0
-    else:
-        s, co = np.sin(theta), np.cos(theta)
-        c_so3 = 1.0 / t2 - (1.0 + co) / (2.0 * theta * s)
-        a = (theta - s) / theta**3
-        b = (t2 + 2.0 * co - 2.0) / (2.0 * t2 * t2)
-        c = (2.0 * theta - 3.0 * s + theta * co) / (2.0 * t2 * t2 * theta)
-    wv, vw, wvw = wx @ vx, vx @ wx, wx @ vx @ wx
+    wx, vx = _skew(xi[..., :3]), _skew(xi[..., 3:])
+    theta = _norm(xi[..., :3])
+    a, b, c, so3 = (_angle_coef(theta, coef)
+                    for coef in (_SIN_T3, _COS_T4, _SIN_T5, _SO3_INV))
+    wv, vw = wx @ vx, vx @ wx
+    wvw = wv @ wx
     wwv, vww = wx @ wv, vw @ wx
     # Coupling block of Jr, i.e. Barfoot's Q evaluated at (-v, -w).
-    q = (-0.5 * vx + a * (wv + vw - wvw) - b * (wwv + vww - 3.0 * wvw)
-         + c * (wvw @ wx + wx @ wvw))
-    rot_inv = _I3 + 0.5 * wx + c_so3 * (wx @ wx)
-    out = np.zeros((6, 6))
-    out[:3, :3] = rot_inv
-    out[3:, 3:] = rot_inv
-    out[3:, :3] = -rot_inv @ q @ rot_inv
+    q = (-0.5 * vx + _scale(a, wv + vw - wvw)
+         - _scale(b, wwv + vww - 3.0 * wvw)
+         + _scale(c, wvw @ wx + wx @ wvw))
+    rot_inv = _I3 + 0.5 * wx + _scale(so3, wx @ wx)
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = rot_inv
+    out[..., 3:, 3:] = rot_inv
+    out[..., 3:, :3] = -rot_inv @ q @ rot_inv
     return out
 
 

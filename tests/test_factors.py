@@ -5,13 +5,17 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from tactrack import geometry
+from tactrack import factors, geometry
+from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.factors import (ConstVelFactor, FactorGraph, GaugeError,
-                              Im2ImFactor, Im2PatchFactor, MotionPriorFactor,
-                              NoiseModel, OptimizerParams, PriorFactor,
-                              eff_key, eff_prior, linearize, obj_key, optimize,
-                              vis_prior)
-from tactrack.geometry import Pose
+                              Im2ImFactor, Im2PatchFactor, LinearSystem,
+                              MotionPriorFactor, NoiseModel, OptimizerParams,
+                              PriorFactor, eff_key, eff_prior, linearize,
+                              obj_key, optimize, vis_prior)
+from tactrack.geometry import DomainError, Pose
+from tactrack.render import GelConfig
+from tactrack.shapes import Pyramid
+from tactrack.tracker import Tracker, TrackerConfig, TrackerMode, track_episode
 
 from .conftest import random_pose
 
@@ -89,14 +93,14 @@ class TestLinearize:
         graph = FactorGraph()
         graph.add(vis_prior(1, p, UNIT))
         system = linearize(graph, {obj_key(1): p})
-        assert len(system.blocks) == 1
-        _, _, block = system.blocks[0]
-        np.testing.assert_allclose(block, np.eye(6), atol=1e-6)
+        np.testing.assert_allclose(system.jtj, np.eye(6), atol=1e-6)
+        np.testing.assert_allclose(system.jtr, np.zeros(6), atol=1e-9)
 
     def test_empty_graph(self):
         system = linearize(FactorGraph(), {})
-        assert len(system.residual) == 0
-        assert len(system.blocks) == 0
+        assert system.keys == []
+        assert system.jtj.shape == (0, 0)
+        assert system.jtr.shape == (0,)
 
     def test_fixed_variables_excluded(self):
         rng = np.random.default_rng(8)
@@ -131,35 +135,66 @@ RESIDUALS = {"zero": st.just(np.zeros(6)), "small": _twist(5e-3, 1e-3),
              "large": _twist(2.5, 30.0)}
 
 
-def _factor_at(kind, poses, offset):
-    """A factor of `kind` at t = 3 and values whose raw residual is `offset`:
-    the measurement (or the last pose) is solved for from the others."""
+def _factor_at(kind, poses, offset, t0=0):
+    """A factor of `kind` on the poses at times t0 + 1 .. t0 + 3, and values
+    whose raw residual is `offset`: the measurement (or the last pose) is
+    solved for from the others."""
     o1, e1, o2, e2, o3 = poses
-    values = {obj_key(1): o1, eff_key(1): e1, obj_key(2): o2, eff_key(2): e2,
-              obj_key(3): o3}
+    values = {obj_key(t0 + 1): o1, eff_key(t0 + 1): e1, obj_key(t0 + 2): o2,
+              eff_key(t0 + 2): e2, obj_key(t0 + 3): o3}
     off_inv = geometry.exp(-offset)
     if kind == "prior":
-        return PriorFactor(obj_key(3), geometry.compose(o3, off_inv),
+        return PriorFactor(obj_key(t0 + 3), geometry.compose(o3, off_inv),
                            ANISO), values
     if kind == "motion_prior":
-        values[obj_key(3)] = geometry.compose(o2, geometry.exp(offset))
-        return MotionPriorFactor(3, ANISO), values
+        values[obj_key(t0 + 3)] = geometry.compose(o2, geometry.exp(offset))
+        return MotionPriorFactor(t0 + 3, ANISO), values
     if kind == "const_vel":
         step = geometry.compose(geometry.inverse(o1), o2)
-        values[obj_key(3)] = geometry.compose(
+        values[obj_key(t0 + 3)] = geometry.compose(
             geometry.compose(o2, step), geometry.exp(offset))
-        return ConstVelFactor(3, ANISO), values
+        return ConstVelFactor(t0 + 3, ANISO), values
     rel1 = geometry.compose(geometry.inverse(o1), e1)
     rel2 = geometry.compose(geometry.inverse(o2), e2)
     if kind == "im2im":
         graph_rel = geometry.compose(geometry.inverse(rel1), rel2)
-        return Im2ImFactor(2, geometry.compose(graph_rel, off_inv),
+        return Im2ImFactor(t0 + 2, geometry.compose(graph_rel, off_inv),
                            ANISO), values
-    return Im2PatchFactor(2, geometry.compose(rel2, off_inv), ANISO), values
+    return Im2PatchFactor(t0 + 2, geometry.compose(rel2, off_inv),
+                          ANISO), values
+
+
+def _assert_matches_per_factor(system, graph, values, fixed, block, rel):
+    """Compare the normal equations of `system` with a reference built from
+    a dense Jacobian filled one factor at a time; `block(factor, i)` is the
+    whitened 6x6 block of the factor's i-th key.  The tolerance is `rel`
+    times the largest sum of absolute terms, since J^T r nearly cancels at
+    an optimum."""
+    keys = sorted(k for k in values if k not in fixed)
+    col = {key: 6 * i for i, key in enumerate(keys)}
+    jac = np.zeros((6 * len(graph), 6 * len(keys)))
+    res = np.zeros(6 * len(graph))
+    for row, factor in zip(range(0, 6 * len(graph), 6), graph.factors):
+        res[row:row + 6] = factor.residual(values)
+        for i, key in enumerate(factor.keys):
+            if key not in fixed:
+                jac[row:row + 6, col[key]:col[key] + 6] = block(factor, i)
+    assert system.keys == keys
+    for actual, expected, terms in (
+            (system.jtj, jac.T @ jac, np.abs(jac).T @ np.abs(jac)),
+            (system.jtr, jac.T @ res, np.abs(jac).T @ np.abs(res))):
+        np.testing.assert_allclose(actual, expected, rtol=0,
+                                   atol=rel * terms.max(initial=0.0))
+
+
+def _analytic_block(values):
+    return lambda factor, i: factor.noise.whiten(factor.jacobians(values)[i])
 
 
 class TestJacobianOracle:
-    """Closed-form blocks from linearize against central differences."""
+    """Closed-form blocks against central differences, and the batched
+    normal equations of linearize against the same blocks assembled one
+    factor at a time."""
 
     @pytest.mark.parametrize("residual", sorted(RESIDUALS))
     @pytest.mark.parametrize("kind", ["prior", "motion_prior", "const_vel",
@@ -167,32 +202,127 @@ class TestJacobianOracle:
     def test_blocks_match_numerical_jacobian(self, kind, residual):
         # Derandomized, and without shrinking: a wrong block fails on almost
         # every draw, and shrinking 15 cases of ~40 floats takes minutes.
+        # Each draw holds two or three factors of the kind, so a batched
+        # evaluation that mixes rows of the batch fails too.
         @settings(max_examples=40, deadline=None, derandomize=True,
                   database=None, phases=[Phase.explicit, Phase.generate],
                   suppress_health_check=[HealthCheck.filter_too_much])
-        @given(poses=st.tuples(*[POSES] * 5), offset=RESIDUALS[residual],
-               fixed_mask=st.tuples(*[st.booleans()] * 5))
-        def check(poses, offset, fixed_mask):
-            factor, values = _factor_at(kind, poses, offset)
-            np.testing.assert_allclose(factor.residual_raw(values), offset,
-                                       atol=1e-7)
-            fixed = frozenset(k for k, f in zip(sorted(values), fixed_mask)
-                              if f)
-            graph = FactorGraph()
-            graph.add(factor)
-            system = linearize(graph, values, fixed=fixed)
-            assert system.keys == sorted(set(values) - fixed)
-            blocks = {key: block for _, key, block in system.blocks}
-            assert set(blocks) == set(factor.keys) - fixed
-            for key, block in blocks.items():
-                def perturbed(pose, key=key):
-                    return factor.residual({**values, key: pose})
+        @given(draws=st.lists(
+            st.tuples(st.tuples(*[POSES] * 5), RESIDUALS[residual],
+                      st.tuples(*[st.booleans()] * 5)),
+            min_size=2, max_size=3))
+        def check(draws):
+            graph, values, fixed = FactorGraph(), {}, set()
+            for n, (poses, offset, fixed_mask) in enumerate(draws):
+                factor, own = _factor_at(kind, poses, offset, t0=3 * n)
+                np.testing.assert_allclose(factor.residual_raw(own), offset,
+                                           atol=1e-7)
+                graph.add(factor)
+                values.update(own)
+                fixed.update(k for k, f in zip(sorted(own), fixed_mask) if f)
+            fixed = frozenset(fixed)
+            for factor in graph.factors:
+                blocks = factor.jacobians(values)
+                assert len(blocks) == len(factor.keys)
+                for key, block in zip(factor.keys, blocks):
+                    def perturbed(pose, key=key, factor=factor):
+                        return factor.residual({**values, key: pose})
 
-                oracle = geometry.numerical_jacobian(perturbed, values[key])
-                err = np.linalg.norm(block - oracle)
-                assert err <= 1e-6 * np.linalg.norm(oracle), (key, err)
+                    oracle = geometry.numerical_jacobian(perturbed,
+                                                         values[key])
+                    err = np.linalg.norm(factor.noise.whiten(block) - oracle)
+                    assert err <= 1e-6 * np.linalg.norm(oracle), (key, err)
+            _assert_matches_per_factor(linearize(graph, values, fixed=fixed),
+                                       graph, values, fixed,
+                                       _analytic_block(values), 1e-12)
 
         check()
+
+
+@pytest.fixture(scope="module")
+def episode_graph():
+    """The graph and estimate at the end of a 24-step patchgraph episode,
+    with the keys more than four steps old fixed."""
+    gel = GelConfig()
+    ep = generate_episode(Pyramid(),
+                          TrajectorySpec(steps=24, indent=1.25, length=2.0),
+                          gel, NoiseSpec(), seed=1)
+    tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(gel=gel),
+                      ep.vision_prior, ep.frames[0].eff_measured)
+    for frame in ep.frames:
+        tracker.step(frame.normals, frame.eff_measured)
+    fixed = frozenset(k for k in tracker.values if k.t < 20)
+    return tracker.graph, tracker.values, fixed
+
+
+class TestEpisodeGraph:
+    """Batched evaluation on a real tracking graph against the per-factor
+    reference."""
+
+    def test_graph_has_every_factor_kind(self, episode_graph):
+        graph, values, fixed = episode_graph
+        assert {f.name for f in graph.factors} == {
+            "vis_prior", "eff_prior", "motion_prior", "const_vel", "im2im",
+            "im2patch"}
+        assert fixed and any(all(k in fixed for k in f.keys)
+                             for f in graph.factors)
+
+    def test_normal_equations_match_per_factor_reference(self, episode_graph):
+        graph, values, fixed = episode_graph
+        _assert_matches_per_factor(linearize(graph, values, fixed=fixed),
+                                   graph, values, fixed,
+                                   _analytic_block(values), 1e-10)
+
+    def test_cost_is_sum_of_factor_costs(self, episode_graph):
+        graph, values, _ = episode_graph
+        expected = sum(0.5 * float(f.residual(values) @ f.residual(values))
+                       for f in graph.factors)
+        assert graph.cost(values) == pytest.approx(expected, rel=1e-12)
+
+    def test_residual_at_pi_in_batch_raises(self, episode_graph):
+        graph, values, fixed = episode_graph
+        last = max((f for f in graph.factors if f.name == "im2patch"),
+                   key=lambda f: f.t)
+        graph_rel = geometry.compose(geometry.inverse(values[obj_key(last.t)]),
+                                     values[eff_key(last.t)])
+        flipped = Im2PatchFactor(last.t, geometry.compose(
+            graph_rel, Pose(geometry.rot_z(np.pi), np.zeros(3))), last.noise)
+        broken = FactorGraph([flipped if f is last else f
+                              for f in graph.factors])
+        with pytest.raises(DomainError):
+            broken.cost(values)
+        with pytest.raises(DomainError):
+            linearize(broken, values, fixed=fixed)
+
+    def test_skipping_fully_fixed_factors_keeps_trajectory(self, monkeypatch):
+        gel = GelConfig()
+        ep = generate_episode(Pyramid(),
+                              TrajectorySpec(steps=12, indent=1.25, length=2.0),
+                              gel, NoiseSpec(), seed=1)
+        config = TrackerConfig(gel=gel, fixed_lag=4)
+        skipping = track_episode(ep, TrackerMode.PATCH_GRAPH, config)
+
+        fully_fixed = []
+
+        def evaluating_all(graph, values, fixed=frozenset()):
+            # Evaluates every factor with no key fixed, then drops the rows
+            # and columns of the fixed keys.
+            fully_fixed.append(sum(all(k in fixed for k in f.keys)
+                                   for f in graph.factors))
+            full = linearize(graph, values)
+            keep = [i for i, key in enumerate(full.keys) if key not in fixed]
+            sel = (6 * np.array(keep, dtype=int)[:, None]
+                   + np.arange(6)).ravel()
+            return LinearSystem([full.keys[i] for i in keep],
+                                full.jtj[np.ix_(sel, sel)], full.jtr[sel])
+
+        monkeypatch.setattr(factors, "linearize", evaluating_all)
+        reference = track_episode(ep, TrackerMode.PATCH_GRAPH, config)
+        assert max(fully_fixed) > 0
+        for field in ("object_trajectory", "eff_trajectory"):
+            np.testing.assert_allclose(getattr(skipping, field),
+                                       getattr(reference, field),
+                                       rtol=0, atol=1e-9)
 
 
 class TestOptimizerParams:
@@ -296,7 +426,5 @@ class TestOptimize:
         values, stats = optimize(graph, init,
                                  OptimizerParams(max_iterations=100,
                                                  cost_tolerance=1e-14))
-        system = linearize(graph, values)
-        jac = system.dense_jacobian()
-        grad = jac.T @ system.residual
+        grad = linearize(graph, values).jtr
         assert np.abs(grad).max() < 1e-6 * (1.0 + stats.initial_cost)

@@ -81,6 +81,18 @@ class TestExpLog:
         with pytest.raises(DomainError):
             geometry.log(p)
 
+    # The V-matrix coefficients cancel in closed form at small angles; the
+    # translation must still match the matrix exponential.
+    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.5])
+    def test_exp_matches_expm(self, angle):
+        xi = np.array([0.0, 0.0, angle, 30.0, 0.0, 0.0])
+        twist = np.zeros((4, 4))
+        twist[:3, :3] = geometry._skew(xi[:3])
+        twist[:3, 3] = xi[3:]
+        np.testing.assert_allclose(geometry.exp(xi).matrix(),
+                                   scipy.linalg.expm(twist), rtol=0,
+                                   atol=1e-12)
+
     def test_oplus_quarter_turn(self):
         p = geometry.oplus(Pose.identity(),
                            np.array([0, 0, np.pi / 2, 0, 0, 0]))
@@ -228,6 +240,53 @@ class TestRightJacobianInv:
             expected = np.linalg.inv(_series_right_jacobian(xi))
             np.testing.assert_allclose(geometry.right_jacobian_inv(xi),
                                        expected, rtol=0, atol=1e-10)
+
+
+class TestBatch:
+    """Each operation on a stack of poses equals it applied to each pose."""
+
+    def _poses(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return [random_pose(rng, max_angle=2.5, max_trans=30.0)
+                for _ in range(n)]
+
+    def _assert_rows(self, batched, singles):
+        for i, single in enumerate(singles):
+            if isinstance(single, Pose):
+                np.testing.assert_array_equal(batched.rotation[i],
+                                              single.rotation)
+                np.testing.assert_array_equal(batched.translation[i],
+                                              single.translation)
+            else:
+                np.testing.assert_array_equal(batched[i], single)
+
+    def test_pose_operations(self):
+        a, b = self._poses(7, 20), self._poses(7, 21)
+        sa, sb = Pose.stack(a), Pose.stack(b)
+        self._assert_rows(geometry.compose(sa, sb),
+                          [geometry.compose(x, y) for x, y in zip(a, b)])
+        self._assert_rows(geometry.inverse(sa), map(geometry.inverse, a))
+        self._assert_rows(geometry.log(sa), map(geometry.log, a))
+        self._assert_rows(geometry.adjoint(sa), map(geometry.adjoint, a))
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-3, 0.5, 2.5])
+    def test_twist_operations(self, angle):
+        rng = np.random.default_rng(22)
+        xi = np.stack([_twist(rng, angle * rng.uniform(0.5, 1.0))
+                       for _ in range(5)] + [np.zeros(6)])
+        self._assert_rows(geometry.exp(xi), map(geometry.exp, xi))
+        self._assert_rows(geometry.right_jacobian_inv(xi),
+                          map(geometry.right_jacobian_inv, xi))
+
+    def test_empty_batch(self):
+        empty = Pose.stack([])
+        assert geometry.log(empty).shape == (0, 6)
+        assert geometry.exp(np.zeros((0, 6))).rotation.shape == (0, 3, 3)
+
+    def test_log_raises_if_any_rotation_at_pi(self):
+        batch = Pose.stack(self._poses(3, 23) + [rz(np.pi)])
+        with pytest.raises(DomainError):
+            geometry.log(batch)
 
 
 class TestSerialization:
