@@ -10,27 +10,22 @@ import json
 import os
 import sys
 
-import yaml
-
 from . import harness, imageio
 from .episodes import load_episode
 from .harness import SuiteConfig
 from .reconstruct import reconstruct_cloud
 from .render import GelConfig, NormalImage
-from .tracker import ConfigError, TrackerConfig, TrackerMode
+from .tracker import (ConfigError, TrackerConfig, TrackerMode, from_mapping,
+                      read_yaml_mapping)
 
 
 def _load_tracker_config(path) -> TrackerConfig:
     if path is None:
         return TrackerConfig()
-    try:
-        with open(path) as f:
-            data = yaml.safe_load(f) or {}
-    except (OSError, yaml.YAMLError) as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    if not isinstance(data, dict):
-        raise ConfigError("tracker config must be a mapping")
-    return TrackerConfig.from_dict(data.get("tracker", data))
+    data = read_yaml_mapping(path)
+    if set(data) == {"tracker"}:   # overrides may be nested under `tracker:`
+        data = data["tracker"]
+    return TrackerConfig.from_dict(data)
 
 
 def cmd_simulate(args) -> int:
@@ -63,7 +58,6 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     tracker_config = _load_tracker_config(args.config)
     episode = load_episode(args.episode)
-    tracker_config.gel = episode.gel
     metrics = harness.run_tracking(episode, TrackerMode(args.mode),
                                    tracker_config, args.out)
     print(f"mode={args.mode} rotation_error={metrics['final_rotation_error_rad']:.6f}rad "
@@ -82,12 +76,9 @@ def cmd_reconstruct(args) -> int:
     mask = imageio.read_pgm_mask(args.mask)
     if normals.ndim != 3 or normals.shape[:2] != mask.shape:
         raise ConfigError("normal image and mask dimensions disagree")
-    try:
-        gel = GelConfig(width=mask.shape[1], height=mask.shape[0],
-                        extent_x=args.extent_x, extent_y=args.extent_y,
-                        max_indent=args.max_indent)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    gel = from_mapping(GelConfig, dict(
+        width=mask.shape[1], height=mask.shape[0], extent_x=args.extent_x,
+        extent_y=args.extent_y, max_indent=args.max_indent))
     depth, cloud = reconstruct_cloud(NormalImage(values=normals, mask=mask), gel)
     imageio.write_pfm(args.out_depth, depth.values)
     imageio.write_ply(args.out_cloud, cloud.points, cloud.normals)

@@ -45,6 +45,10 @@ class TrajectorySpec:
     spin_deg: float = 0.0          # rotation about the contact axis (rotation/composite)
     dt: float = 0.1
 
+    def __post_init__(self):
+        if self.kind not in ("linear", "arc", "rotation", "composite"):
+            raise ValueError(f"unknown trajectory kind {self.kind!r}")
+
 
 @dataclass
 class NoiseSpec:

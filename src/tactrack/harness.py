@@ -11,7 +11,6 @@ import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import geometry, imageio
 from .geometry import Pose
@@ -20,7 +19,8 @@ from .episodes import (Episode, EpisodeGenerationError, NoiseSpec,
                        save_episode)
 from .render import GelConfig
 from .shapes import shape_from_descriptor
-from .tracker import ConfigError, TrackerConfig, TrackerMode, track_episode
+from .tracker import (ConfigError, TrackerConfig, TrackerMode, from_mapping,
+                      read_yaml_mapping, track_episode)
 
 
 @dataclass
@@ -28,12 +28,19 @@ class SuiteObject:
     name: str
     shape: dict   # shape descriptor
 
+    def __post_init__(self):
+        try:
+            shape_from_descriptor(self.shape)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"object {self.name!r} has a bad shape "
+                              f"{self.shape!r}: {err}") from err
+
 
 @dataclass
 class SuiteConfig:
-    objects: list = field(default_factory=list)
+    objects: list[SuiteObject] = field(default_factory=list)
     episodes_per_object: int = 20
-    trajectories: list = field(default_factory=list)
+    trajectories: list[TrajectorySpec] = field(default_factory=list)
     gel: GelConfig = field(default_factory=GelConfig)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     modes: list = field(default_factory=lambda: [m.value for m in TrackerMode])
@@ -57,42 +64,19 @@ class SuiteConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SuiteConfig":
-        try:
-            return SuiteConfig(
-                objects=[SuiteObject(**o) for o in d.get("objects", [])],
-                episodes_per_object=d.get("episodes_per_object", 20),
-                trajectories=[TrajectorySpec(**t)
-                              for t in d.get("trajectories", [])],
-                gel=GelConfig(**d.get("gel", {})),
-                noise=NoiseSpec(**d.get("noise", {})),
-                modes=d.get("modes", [m.value for m in TrackerMode]),
-                master_seed=d.get("master_seed", 0),
-                tracker=d.get("tracker", {}),
-            )
-        except (TypeError, KeyError, ValueError) as err:
-            if isinstance(err, ConfigError):
-                raise
-            raise ConfigError(f"bad suite config: {err}") from err
+        """Inverse of to_dict; see tracker.from_mapping."""
+        return from_mapping(SuiteConfig, d)
 
     @staticmethod
     def from_yaml(path) -> "SuiteConfig":
-        try:
-            with open(path) as f:
-                data = yaml.safe_load(f)
-        except (OSError, yaml.YAMLError) as err:
-            raise ConfigError(f"cannot read config {path}: {err}") from err
-        if not isinstance(data, dict):
-            raise ConfigError("suite config must be a mapping")
-        return SuiteConfig.from_dict(data)
+        return SuiteConfig.from_dict(read_yaml_mapping(path))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def tracker_config(self) -> TrackerConfig:
-        cfg = TrackerConfig.from_dict(self.tracker)
-        cfg.gel = self.gel
-        return cfg
+        return TrackerConfig.from_dict(self.tracker)
 
 
 def default_suite_config(master_seed: int = 0,

@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
+import yaml
 
 from . import factors, geometry, patchmap, registration
 from .factors import (ConstVelFactor, FactorGraph, Im2ImFactor, Im2PatchFactor,
@@ -33,72 +35,89 @@ class ConfigError(ValueError):
     """A tracker or suite configuration is invalid."""
 
 
+# Registration factor weights and jump gates, (rad, mm) per axis.
+SIGMA_IM2IM = (0.05, 2.5)
+# Patch registrations target the self-built local map, which inherits the
+# bias and noise of the poses it was fused at, so they get far less weight
+# than registrations against a known object model.
+SIGMA_IM2PC = (0.12, 8.0)
+SIGMA_IM2GT = (0.02, 1.0)
+# Registrations whose result jumps this far from their initialization landed
+# in a wrong basin (symmetric imprints) and are discarded.  The rotation gate
+# stays loose for patch registrations: rotationally symmetric contacts
+# (spheres) wander freely in rotation while still carrying good translation
+# information.
+GATE_IM2IM = (0.2, 3.0)
+GATE_IM2PC = (1.0, 8.0)
+# Surface samples of the true shape around the first contact: gtpatch's target.
+GT_SAMPLE_RADIUS_SCALE = 1.5   # ball diameter / larger gel extent
+GT_SAMPLE_COUNT = 4000
+GT_SAMPLE_SEED = 0
+
+
 @dataclass
 class TrackerConfig:
-    gel: GelConfig = field(default_factory=GelConfig)
     sigma_eff: tuple = (0.01, 1.0)        # (rad, mm) per axis
     sigma_vis: tuple = (0.05, 2.0)
-    sigma_im2im: tuple = (0.05, 2.5)
-    # Patch registrations target the self-built local map, which inherits the
-    # bias and noise of the poses it was fused at, so they get far less
-    # weight than registrations against a known object model.
-    sigma_im2pc: tuple = (0.12, 8.0)
-    sigma_im2gt: tuple = (0.02, 1.0)
     # Tight quasi-static motion prior: grasped objects barely move between
     # frames, and a looser prior lets the optimizer absorb end-effector
     # measurement noise as spurious object motion, random-walking the
     # estimate over an episode.
     sigma_vel: tuple = (0.005, 0.1)
     icp: ICPParams = field(default_factory=ICPParams)
+    optimizer: OptimizerParams = field(default_factory=OptimizerParams)
     # Short episodes benefit from a dense patch: more keyframes mean better
     # overlap for patch registrations.
     keyframe_interval: int = 2            # fuse every k-th frame, from the first
-    voxel_size: float = 0.3
-    optimizer: OptimizerParams = field(default_factory=OptimizerParams)
-    im2im_in_patchgraph: bool = True      # ablation switch
-    # Registrations whose result jumps this far from their initialization
-    # landed in a wrong basin (symmetric imprints) and are discarded.
-    # The rotation gate stays loose for patch registrations: rotationally
-    # symmetric contacts (spheres) wander freely in rotation while still
-    # carrying good translation information.
-    gate_im2im: tuple = (0.2, 3.0)        # (rad, mm)
-    gate_im2pc: tuple = (1.0, 8.0)
     fixed_lag: int | None = None          # None = full batch
-    gt_sample_radius_scale: float = 1.5   # ball diameter / larger gel extent
-    gt_sample_count: int = 4000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.keyframe_interval < 1:
-            raise ConfigError("keyframe_interval must be >= 1")
-
-    def noise(self, pair) -> NoiseModel:
-        return NoiseModel.isotropic(*pair)
+        if type(self.keyframe_interval) is not int or self.keyframe_interval < 1:
+            raise ConfigError("keyframe_interval must be an int >= 1")
+        if self.fixed_lag is not None and not (type(self.fixed_lag) is int
+                                               and self.fixed_lag >= 0):
+            raise ConfigError("fixed_lag must be None or an int >= 0")
 
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
-        """Inverse of dataclasses.asdict: a mapping of field overrides, with
-        nested mappings for gel/icp/optimizer and lists for tuples.
-
-        Raises ConfigError for an unknown key or a bad value.
-        """
-        try:
-            return _from_mapping(TrackerConfig, d)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad tracker config: {err}") from err
+        """Inverse of dataclasses.asdict; see from_mapping."""
+        return from_mapping(TrackerConfig, d)
 
 
-def _from_mapping(cls, data):
-    defaults = {f.name: getattr(cls(), f.name) for f in dataclasses.fields(cls)}
+def from_mapping(cls, data):
+    """Build dataclass `cls` from a mapping of its fields, as read from YAML:
+    dataclass and `list[Dataclass]` fields from nested mappings, tuples from
+    lists.  ConfigError for an unknown key at any level or a bad value."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cls.__name__} must be a mapping, got {data!r}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for name, value in dict(data).items():
-        default = defaults.get(name)
-        if dataclasses.is_dataclass(default):
-            value = _from_mapping(type(default), value)
-        elif isinstance(default, tuple):
-            value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        for name, value in data.items():
+            hint = hints.get(name)   # an unknown name fails in cls(**kwargs)
+            item = typing.get_args(hint)[0] if typing.get_origin(hint) is list else None
+            if dataclasses.is_dataclass(hint):
+                value = from_mapping(hint, value)
+            elif dataclasses.is_dataclass(item):
+                value = [from_mapping(item, v) for v in value]
+            elif hint is tuple:
+                value = tuple(value)
+            kwargs[name] = value
+        return cls(**kwargs)
+    except (TypeError, ValueError) as err:   # nested ConfigErrors gain a prefix
+        raise ConfigError(f"bad {cls.__name__}: {err}") from err
+
+
+def read_yaml_mapping(path) -> dict:
+    """The top-level mapping of a YAML file, or ConfigError."""
+    try:
+        with open(path) as f:
+            data = yaml.safe_load(f)
+    except (OSError, yaml.YAMLError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a mapping")
+    return data
 
 
 @dataclass
@@ -153,16 +172,17 @@ class Tracker:
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, first_eff_measurement: Pose,
-                 shape: ShapeSDF = None):
+                 gel: GelConfig, shape: ShapeSDF = None):
         mode = TrackerMode(mode)
         if mode is TrackerMode.GROUNDTRUTH_PATCH and shape is None:
             raise ConfigError("GroundtruthPatch mode needs the object shape")
         self.mode = mode
         self.config = config
+        self.gel = gel
         self.shape = shape
         self.graph = FactorGraph()
         self.values: dict = {}
-        self.patch = PatchMap(voxel_size=config.voxel_size)
+        self.patch = PatchMap()
         self.prev_cloud: PointCloud | None = None
         self.prev_eff_measurement: Pose | None = None
         self.gt_target: PointCloud | None = None
@@ -170,9 +190,11 @@ class Tracker:
         self.warnings: list = []
         self.diagnostics: list = []
 
-        self.graph.add(vis_prior(1, vision_prior, config.noise(config.sigma_vis)))
-        self.graph.add(eff_prior(1, first_eff_measurement,
-                                 config.noise(config.sigma_eff)))
+        self.eff_noise = NoiseModel.isotropic(*config.sigma_eff)
+        self.vel_noise = NoiseModel.isotropic(*config.sigma_vel)
+        self.graph.add(vis_prior(1, vision_prior,
+                                 NoiseModel.isotropic(*config.sigma_vis)))
+        self.graph.add(eff_prior(1, first_eff_measurement, self.eff_noise))
         self.values[obj_key(1)] = vision_prior
         self.values[eff_key(1)] = first_eff_measurement
 
@@ -210,7 +232,7 @@ class Tracker:
                            "initialization; factor omitted")
             else:
                 self.graph.add(factor_type(self.t, result.transform,
-                                           self.config.noise(sigma)))
+                                           NoiseModel.isotropic(*sigma)))
         except (registration.DegenerateGeometryError,
                 registration.InsufficientOverlapError) as err:
             self._warn(f"{kind} registration dropped: {err}")
@@ -220,12 +242,11 @@ class Tracker:
             return
         obj_from_sensor = self._object_from_sensor(self.t)
         center = obj_from_sensor.transform_points(cloud.points).mean(axis=0)
-        gel = self.config.gel
-        radius = (self.config.gt_sample_radius_scale
-                  * max(gel.extent_x, gel.extent_y) / 2.0)
+        gel = self.gel
+        radius = GT_SAMPLE_RADIUS_SCALE * max(gel.extent_x, gel.extent_y) / 2.0
         self.gt_target = _sample_sdf_surface(
             self.shape, center, radius, spacing=min(gel.pitch_x, gel.pitch_y),
-            count=self.config.gt_sample_count, seed=self.config.seed)
+            count=GT_SAMPLE_COUNT, seed=GT_SAMPLE_SEED)
 
     # -- pipeline ----------------------------------------------------------
 
@@ -241,13 +262,13 @@ class Tracker:
         if t > 1:
             self.values[eff_key(t)] = eff_measurement
             self.values[obj_key(t)] = self._extrapolate_object()
-            self.graph.add(eff_prior(t, eff_measurement, cfg.noise(cfg.sigma_eff)))
+            self.graph.add(eff_prior(t, eff_measurement, self.eff_noise))
             if t == 2:
                 # Seed the velocity chain: without this the first step's
                 # velocity is a free direction (steady drift costs nothing).
-                self.graph.add(MotionPriorFactor(t, cfg.noise(cfg.sigma_vel)))
+                self.graph.add(MotionPriorFactor(t, self.vel_noise))
             if t >= 3:
-                self.graph.add(ConstVelFactor(t, cfg.noise(cfg.sigma_vel)))
+                self.graph.add(ConstVelFactor(t, self.vel_noise))
 
         cloud = None
         if not normal_image.mask.any():
@@ -257,11 +278,10 @@ class Tracker:
             diag["skipped_registration"] = True
             self._warn("contact touches image border; registration skipped")
         else:
-            _, cloud = reconstruct_cloud(normal_image, cfg.gel, step=t)
+            _, cloud = reconstruct_cloud(normal_image, self.gel, step=t)
 
-        wants_im2im = self.mode is TrackerMode.IMAGE_TO_IMAGE or (
-            self.mode is TrackerMode.PATCH_GRAPH and cfg.im2im_in_patchgraph)
-        if wants_im2im and cloud is not None and self.prev_cloud is not None:
+        if (self.mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH)
+                and cloud is not None and self.prev_cloud is not None):
             # Initialize at the measured relative sensor motion.  Directions
             # the contact geometry cannot observe (e.g. sliding on a sphere)
             # then stay at an unbiased, graph-independent estimate instead of
@@ -270,19 +290,19 @@ class Tracker:
             init = geometry.compose(geometry.inverse(self.prev_eff_measurement),
                                     eff_measurement)
             self._add_registration(Im2ImFactor, cloud, self.prev_cloud, init,
-                                   cfg.gate_im2im, cfg.sigma_im2im, diag)
+                                   GATE_IM2IM, SIGMA_IM2IM, diag)
 
         if cloud is not None and self.mode in (TrackerMode.PATCH_GRAPH,
                                                TrackerMode.GROUNDTRUTH_PATCH):
             if self.mode is TrackerMode.GROUNDTRUTH_PATCH:
                 self._ensure_gt_target(cloud)
-                target, sigma = self.gt_target, cfg.sigma_im2gt
+                target, sigma = self.gt_target, SIGMA_IM2GT
             else:
-                target, sigma = self.patch.cloud, cfg.sigma_im2pc
+                target, sigma = self.patch.cloud, SIGMA_IM2PC
             if len(target) > 0:
                 self._add_registration(Im2PatchFactor, cloud, target,
                                        self._object_from_sensor(t),
-                                       cfg.gate_im2pc, sigma, diag)
+                                       GATE_IM2PC, sigma, diag)
 
         fixed = set()
         if cfg.fixed_lag is not None:
@@ -312,7 +332,7 @@ class Tracker:
                             eff_pose=self.values[eff_key(t)],
                             diagnostics=diag)
 
-    def finalize(self, gt_object_poses: list, gt_eff_poses: list = None) -> EpisodeResult:
+    def finalize(self, gt_object_poses: list) -> EpisodeResult:
         """Final-step tracking errors plus the serialized trajectory."""
         if self.t < 1:
             raise RuntimeError("finalize requires at least one processed step")
@@ -332,11 +352,10 @@ class Tracker:
 def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> EpisodeResult:
     """Run the tracker over a generated episode and score it against the
     stored ground truth."""
-    config = config or TrackerConfig(gel=episode.gel)
+    config = config or TrackerConfig()
     shape = episode.shape if TrackerMode(mode) is TrackerMode.GROUNDTRUTH_PATCH else None
     tracker = Tracker(mode, config, episode.vision_prior,
-                      episode.frames[0].eff_measured, shape=shape)
+                      episode.frames[0].eff_measured, episode.gel, shape=shape)
     for frame in episode.frames:
         tracker.step(frame.normals, frame.eff_measured)
-    return tracker.finalize([f.object_pose for f in episode.frames],
-                            [f.eff_pose for f in episode.frames])
+    return tracker.finalize([f.object_pose for f in episode.frames])

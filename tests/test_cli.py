@@ -59,6 +59,11 @@ class TestSimulate:
     @pytest.mark.parametrize("key, value", [
         ("tracker", {"fixd_lag": 4}),
         ("gel", {"camera": "clip"}),
+        ("episodes_per_objekt", 1),
+        ("objects", [{"name": "sphere", "shape": {"type": "sphere",
+                                                  "radius": 6.35}},
+                     {"name": "cone", "shape": {"type": "cone"}}]),
+        ("trajectories", [{"kind": "zigzag", "steps": 4}]),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):
@@ -109,13 +114,15 @@ class TestPipeline:
         episodes = tmp_path / "episodes"
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
         tracker_yaml = tmp_path / "tracker.yaml"
-        tracker_yaml.write_text(yaml.safe_dump({"tracker": {"fixd_lag": 4}}))
         run = tmp_path / "run"
-        assert main(["track",
-                     "--episode", str(episodes / "sphere" / "ep0000"),
-                     "--mode", "constvel", "--config", str(tracker_yaml),
-                     "--out", str(run)]) == 2
-        assert not run.exists()
+        for data in ({"tracker": {"fixd_lag": 4}},
+                     {"tracker": {"fixed_lag": 4}, "fixd_lag": 4}):
+            tracker_yaml.write_text(yaml.safe_dump(data))
+            assert main(["track",
+                         "--episode", str(episodes / "sphere" / "ep0000"),
+                         "--mode", "constvel", "--config", str(tracker_yaml),
+                         "--out", str(run)]) == 2
+            assert not run.exists()
 
     def test_track_bad_optimizer_exit_2(self, suite_yaml, tmp_path):
         episodes = tmp_path / "episodes"

@@ -247,8 +247,8 @@ def episode_graph():
     ep = generate_episode(Pyramid(),
                           TrajectorySpec(steps=24, indent=1.25, length=2.0),
                           gel, NoiseSpec(), seed=1)
-    tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(gel=gel),
-                      ep.vision_prior, ep.frames[0].eff_measured)
+    tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
+                      ep.vision_prior, ep.frames[0].eff_measured, gel)
     for frame in ep.frames:
         tracker.step(frame.normals, frame.eff_measured)
     fixed = frozenset(k for k in tracker.values if k.t < 20)
@@ -299,7 +299,7 @@ class TestEpisodeGraph:
         ep = generate_episode(Pyramid(),
                               TrajectorySpec(steps=12, indent=1.25, length=2.0),
                               gel, NoiseSpec(), seed=1)
-        config = TrackerConfig(gel=gel, fixed_lag=4)
+        config = TrackerConfig(fixed_lag=4)
         skipping = track_episode(ep, TrackerMode.PATCH_GRAPH, config)
 
         fully_fixed = []

@@ -40,7 +40,7 @@ def keyframe_flags():
                           TrajectorySpec(steps=6, indent=1.25, length=1.0),
                           gel, NoiseSpec(), seed=3)
     result = track_episode(ep, TrackerMode.PATCH_GRAPH,
-                           TrackerConfig(gel=gel, keyframe_interval=5))
+                           TrackerConfig(keyframe_interval=5))
     assert all(not d["skipped_registration"] for d in result.diagnostics)
     return [d["keyframe"] for d in result.diagnostics]
 

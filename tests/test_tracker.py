@@ -49,7 +49,7 @@ class TestTrackerSetup:
     def test_gtpatch_requires_shape(self):
         with pytest.raises(ConfigError):
             Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
-                    Pose.identity(), Pose.identity())
+                    Pose.identity(), Pose.identity(), GelConfig())
 
     def test_gt_target_covers_contact_on_tall_gel(self):
         # A flat face under the whole 10 x 20 mm gel: the sample ball must
@@ -57,8 +57,8 @@ class TestTrackerSetup:
         gel = GelConfig(width=32, height=64, extent_x=10.0, extent_y=20.0)
         face = Box(half_extents=(30.0, 30.0, 5.0),
                    offset=Pose(np.eye(3), np.array([0.0, 0.0, 5.0])))
-        tracker = Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(gel=gel),
-                          Pose.identity(), Pose.identity(), shape=face)
+        tracker = Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
+                          Pose.identity(), Pose.identity(), gel, shape=face)
         tracker.t = 1
         x, y = gel.pixel_centers()
         contact = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
@@ -74,8 +74,8 @@ class TestTrackerSetup:
         ep = generate_episode(Sphere(radius=6.35),
                               TrajectorySpec(steps=3, indent=1.0, length=0.0),
                               gel, ZERO_NOISE, seed=0)
-        tracker = Tracker(TrackerMode.CONST_VEL, TrackerConfig(gel=gel),
-                          ep.vision_prior, ep.frames[0].eff_measured)
+        tracker = Tracker(TrackerMode.CONST_VEL, TrackerConfig(),
+                          ep.vision_prior, ep.frames[0].eff_measured, gel)
         est = tracker.step(ep.frames[0].normals, ep.frames[0].eff_measured)
         np.testing.assert_allclose(est.object_pose.matrix(),
                                    ep.vision_prior.matrix(), atol=1e-8)
@@ -85,28 +85,35 @@ class TestTrackerSetup:
 
     def test_config_roundtrip(self):
         cfg = TrackerConfig(
-            gel=GelConfig(width=48, height=32, extent_x=15.0, extent_y=12.0,
-                          max_indent=2.0),
             sigma_eff=(0.02, 1.5), sigma_vis=(0.06, 2.5),
-            sigma_im2im=(0.04, 2.0), sigma_im2pc=(0.1, 7.0),
-            sigma_im2gt=(0.03, 1.2), sigma_vel=(0.01, 0.2),
+            sigma_vel=(0.01, 0.2),
             icp=ICPParams(max_iterations=12, max_correspondence_distance=4.0,
                           convergence_threshold=1e-6, min_correspondences=30),
-            keyframe_interval=3, voxel_size=0.4,
             optimizer=OptimizerParams(max_iterations=20, lambda_init=1e-3,
                                       lambda_scale=5.0, cost_tolerance=1e-8,
                                       lambda_max=1e8),
-            im2im_in_patchgraph=False, gate_im2im=(0.3, 2.0),
-            gate_im2pc=(0.9, 7.0), fixed_lag=4, gt_sample_radius_scale=1.2,
-            gt_sample_count=3000, seed=9)
+            keyframe_interval=3, fixed_lag=4)
+
         def leaves(d, prefix=""):
             for name, value in d.items():
                 if isinstance(value, dict):
                     yield from leaves(value, prefix + name + ".")
+                elif isinstance(value, tuple):
+                    for i, v in enumerate(value):
+                        yield f"{prefix}{name}[{i}]", v
                 else:
                     yield prefix + name, value
 
         default = dict(leaves(dataclasses.asdict(TrackerConfig())))
+        # Every settable value; a new knob must be named here.
+        assert set(default) == {
+            "sigma_eff[0]", "sigma_eff[1]", "sigma_vis[0]", "sigma_vis[1]",
+            "sigma_vel[0]", "sigma_vel[1]",
+            "icp.max_iterations", "icp.max_correspondence_distance",
+            "icp.convergence_threshold", "icp.min_correspondences",
+            "optimizer.max_iterations", "optimizer.lambda_init",
+            "optimizer.lambda_scale", "optimizer.cost_tolerance",
+            "optimizer.lambda_max", "keyframe_interval", "fixed_lag"}
         for name, value in leaves(dataclasses.asdict(cfg)):
             assert value != default[name], name
         text = yaml.safe_dump({"tracker": dataclasses.asdict(cfg)})
@@ -118,6 +125,9 @@ class TestTrackerSetup:
         {"gel": {"camera": "clip"}},
         {"keyframe_interval": 0},
         {"optimizer": {"lambda_scale": 0.5}},
+        {"fixed_lag": -1},
+        {"fixed_lag": 2.5},
+        {"gel": {}},
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -129,8 +139,7 @@ class TestZeroNoiseRegressions:
         ep = generate_episode(Sphere(radius=6.35),
                               TrajectorySpec(steps=4, indent=1.0, length=0.0),
                               gel, ZERO_NOISE, seed=0)
-        result = track_episode(ep, TrackerMode.CONST_VEL,
-                               TrackerConfig(gel=gel))
+        result = track_episode(ep, TrackerMode.CONST_VEL)
         assert result.final_translation_error < 1e-6
         assert result.final_rotation_error < 1e-6
 
@@ -138,8 +147,7 @@ class TestZeroNoiseRegressions:
         ep = generate_episode(corner_tilted_cube(),
                               TrajectorySpec(steps=20, indent=1.25, length=2.0),
                               gel, ZERO_NOISE, seed=0)
-        result = track_episode(ep, TrackerMode.PATCH_GRAPH,
-                               TrackerConfig(gel=gel))
+        result = track_episode(ep, TrackerMode.PATCH_GRAPH)
         assert result.final_translation_error < 0.5
         assert result.final_rotation_error < 0.02
 
@@ -149,8 +157,7 @@ class TestZeroNoiseRegressions:
         ep = generate_episode(Sphere(radius=6.35),
                               TrajectorySpec(steps=12, indent=1.25, length=2.0),
                               gel, NoiseSpec(), seed=0)
-        result = track_episode(ep, TrackerMode.PATCH_GRAPH,
-                               TrackerConfig(gel=gel))
+        result = track_episode(ep, TrackerMode.PATCH_GRAPH)
         assert result.final_translation_error < 4.0
 
 
@@ -160,7 +167,7 @@ class TestModes:
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
                               gel, NoiseSpec(), seed=1)
         for mode in TrackerMode:
-            result = track_episode(ep, mode, TrackerConfig(gel=gel))
+            result = track_episode(ep, mode)
             assert len(result.object_trajectory) == len(ep.frames)
             assert np.isfinite(result.final_translation_error)
 
@@ -168,8 +175,8 @@ class TestModes:
         ep = generate_episode(Pyramid(),
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
                               gel, NoiseSpec(), seed=2)
-        a = track_episode(ep, TrackerMode.PATCH_GRAPH, TrackerConfig(gel=gel))
-        b = track_episode(ep, TrackerMode.PATCH_GRAPH, TrackerConfig(gel=gel))
+        a = track_episode(ep, TrackerMode.PATCH_GRAPH)
+        b = track_episode(ep, TrackerMode.PATCH_GRAPH)
         assert a.object_trajectory == b.object_trajectory
         assert a.final_translation_error == b.final_translation_error
         assert a.final_rotation_error == b.final_rotation_error
@@ -178,16 +185,14 @@ class TestModes:
         ep = generate_episode(Pyramid(),
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
                               gel, NoiseSpec(), seed=3)
-        result = track_episode(ep, TrackerMode.PATCH_GRAPH,
-                               TrackerConfig(gel=gel))
+        result = track_episode(ep, TrackerMode.PATCH_GRAPH)
         assert not result.patch.is_empty()
 
     def test_constvel_keeps_patch_empty(self, gel):
         ep = generate_episode(Pyramid(),
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
                               gel, NoiseSpec(), seed=3)
-        result = track_episode(ep, TrackerMode.CONST_VEL,
-                               TrackerConfig(gel=gel))
+        result = track_episode(ep, TrackerMode.CONST_VEL)
         assert result.patch.is_empty()
 
     def test_empty_contact_skips_registration(self, gel):
@@ -197,21 +202,7 @@ class TestModes:
         # Blank out one frame's contact; tracking must continue on priors.
         blank = ep.frames[2].normals
         blank.mask[:] = False
-        result = track_episode(ep, TrackerMode.IMAGE_TO_IMAGE,
-                               TrackerConfig(gel=gel))
+        result = track_episode(ep, TrackerMode.IMAGE_TO_IMAGE)
         assert len(result.object_trajectory) == len(ep.frames)
         assert any("registration skipped" in w["message"]
                    for w in result.warnings)
-
-    def test_im2im_in_patchgraph_ablation(self, gel):
-        ep = generate_episode(Pyramid(),
-                              TrajectorySpec(steps=6, indent=1.25, length=1.0),
-                              gel, NoiseSpec(), seed=5)
-        cfg = TrackerConfig(gel=gel, im2im_in_patchgraph=False)
-        tracker = Tracker(TrackerMode.PATCH_GRAPH, cfg, ep.vision_prior,
-                          ep.frames[0].eff_measured)
-        for fr in ep.frames:
-            tracker.step(fr.normals, fr.eff_measured)
-        names = {f.name for f in tracker.graph.factors}
-        assert "im2im" not in names
-        assert "im2patch" in names
