@@ -18,8 +18,7 @@ import numpy as np
 from . import geometry, imageio
 from .geometry import Pose
 from .render import (DepthImage, GelConfig, NormalImage, contact_touches_border,
-                     depth_to_normals, perturb_normals, render_depth,
-                     _trace_lower_envelope)
+                     depth_to_normals, perturb_normals, render_depth)
 from .shapes import ShapeSDF, shape_from_descriptor
 
 
@@ -102,18 +101,51 @@ def _rotation_about_point(axis_angle: np.ndarray, center: np.ndarray) -> Pose:
     return Pose(rot, center - rot @ center)
 
 
+def _lowest_hit(shape: ShapeSDF, xs, ys, z_start: float, z_range: float,
+                tol: float = 1e-5, max_iters: int = 200):
+    """(row-major ray index, z) of the lowest surface hit of rays cast along
+    +z from (x, y, z_start) in the object frame, or None if no ray hits.
+
+    Marches like render._trace_lower_envelope, and also retires every ray
+    whose height z_start + t is already above the lowest hit so far: t only
+    grows, so that ray can neither beat the hit nor tie it.  Among equal
+    heights the first ray in row-major order wins.
+    """
+    live = np.arange(xs.size)
+    pts = np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, z_start)])
+    t = np.zeros(xs.size)
+    d = shape.sdf(pts)
+    best_k, best_z = -1, np.inf
+    for it in range(max_iters + 1):
+        if it:
+            t += d
+            pts[:, 2] += d
+            d = shape.sdf(pts)
+        hit = d <= tol
+        if hit.any():
+            z = z_start + t[hit]
+            m = np.argmin(z)   # the first of equal minima: live is in row-major order
+            k = live[hit][m]
+            if z[m] < best_z or (z[m] == best_z and k < best_k):
+                best_k, best_z = k, z[m]
+        keep = ~hit & (t < z_range) & (z_start + t <= best_z)
+        live, pts, d, t = live[keep], pts[keep], d[keep], t[keep]
+        if not live.size:
+            break
+    return None if best_k < 0 else (best_k, best_z)
+
+
 def find_contact_base(shape: ShapeSDF, gel: GelConfig, indent: float) -> Pose:
     """Sensor pose (identity rotation) placing the gel plane `indent` mm above
     the object's lowest surface point, laterally centred on that point."""
     xs = np.linspace(-gel.extent_x / 2, gel.extent_x / 2, 129)
     ys = np.linspace(-gel.extent_y / 2, gel.extent_y / 2, 129)
     gx, gy = np.meshgrid(xs, ys)
-    hit, z_surf = _trace_lower_envelope(shape, Pose.identity(), gx, gy,
-                                        z_start=-60.0, z_range=120.0)
-    if not hit.any():
+    lowest = _lowest_hit(shape, gx, gy, z_start=-60.0, z_range=120.0)
+    if lowest is None:
         raise EpisodeGenerationError("object has no surface above the search window")
-    i, j = np.unravel_index(np.nanargmin(np.where(hit, z_surf, np.inf)), z_surf.shape)
-    z_low = z_surf[i, j]
+    k, z_low = lowest
+    i, j = np.unravel_index(k, gx.shape)
     return Pose(np.eye(3), np.array([gx[i, j], gy[i, j], z_low + indent]))
 
 

@@ -82,21 +82,26 @@ def _trace_lower_envelope(shape: ShapeSDF, object_from_sensor: Pose,
     trans = object_from_sensor.translation
     step_dir = rot[:, 2]  # sensor +z expressed in the object frame
 
+    # Only the live rays are marched: their grid indices, points, distances
+    # and travel are kept in compact arrays, in grid order, and a ray leaves
+    # them once it hits or runs past z_range.
     pts = pts_sensor @ rot.T + trans
-    t = np.zeros(n)
     d = shape.sdf(pts)
     hit = d <= tol
-    active = ~hit & (t < z_range)
+    t = np.zeros(n)
+    live = np.flatnonzero(~hit & (t < z_range))
+    pts, d, t_live = pts[live], d[live], t[live]
     for _ in range(max_iters):
-        if not active.any():
+        if not live.size:
             break
-        adv = d[active]
-        t[active] += adv
-        pts[active] += adv[:, None] * step_dir
-        d[active] = shape.sdf(pts[active])
-        newly_hit = active & (d <= tol)
-        hit |= newly_hit
-        active &= ~newly_hit & (t < z_range)
+        t_live += d
+        pts += d[:, None] * step_dir
+        d = shape.sdf(pts)
+        newly_hit = d <= tol
+        hit[live[newly_hit]] = True
+        t[live[newly_hit]] = t_live[newly_hit]
+        keep = ~newly_hit & (t_live < z_range)
+        live, pts, d, t_live = live[keep], pts[keep], d[keep], t_live[keep]
     z_surf = np.where(hit, z_start + t, np.nan)
     return hit.reshape(xs.shape), z_surf.reshape(xs.shape)
 

@@ -7,12 +7,15 @@ import pytest
 
 from tactrack import geometry
 from tactrack.episodes import (EpisodeGenerationError, NoiseSpec,
-                               TrajectorySpec, generate_episode, load_episode,
-                               save_episode)
+                               TrajectorySpec, find_contact_base,
+                               generate_episode, load_episode, save_episode)
 from tactrack.geometry import Pose
-from tactrack.render import (DepthImage, GelConfig, contact_touches_border,
-                             depth_to_normals, perturb_normals, render_depth)
-from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
+from tactrack.harness import default_suite_config
+from tactrack.render import (DepthImage, GelConfig, _trace_lower_envelope,
+                             contact_touches_border, depth_to_normals,
+                             perturb_normals, render_depth)
+from tactrack.shapes import (Box, Pyramid, ShapeSDF, Sphere,
+                             shape_from_descriptor)
 
 
 def centered_sphere(radius=6.35, indent=1.0):
@@ -77,6 +80,151 @@ class TestRenderDepth:
         vals = depth.values[depth.mask]
         assert len(vals) > 0
         np.testing.assert_allclose(vals, d, atol=1e-3)
+
+
+def _full_grid_trace(shape, object_from_sensor, xs, ys, z_start, z_range,
+                     tol=1e-5, max_iters=200):
+    """Reference sphere trace that masks every ray of the grid on every
+    iteration; `_trace_lower_envelope` must match it bit for bit."""
+    n = xs.size
+    pts_sensor = np.column_stack([xs.ravel(), ys.ravel(), np.full(n, z_start)])
+    rot = object_from_sensor.rotation
+    step_dir = rot[:, 2]
+    pts = pts_sensor @ rot.T + object_from_sensor.translation
+    t = np.zeros(n)
+    d = shape.sdf(pts)
+    hit = d <= tol
+    active = ~hit & (t < z_range)
+    for _ in range(max_iters):
+        if not active.any():
+            break
+        adv = d[active]
+        t[active] += adv
+        pts[active] += adv[:, None] * step_dir
+        d[active] = shape.sdf(pts[active])
+        newly_hit = active & (d <= tol)
+        hit |= newly_hit
+        active &= ~newly_hit & (t < z_range)
+    z_surf = np.where(hit, z_start + t, np.nan)
+    return hit.reshape(xs.shape), z_surf.reshape(xs.shape)
+
+
+class _SplitFloor(ShapeSDF):
+    """The floor z = -5 for x >= 0, where rays from z = -60 land on the first
+    step, and z = `left` for x < 0, where the distance bound `bound(d)` <= d
+    makes rays take other steps."""
+
+    def __init__(self, left, bound):
+        super().__init__()
+        self.left, self.bound = left, bound
+
+    def _sdf_local(self, points):
+        z = points[:, 2]
+        return np.where(points[:, 0] < 0, self.bound(self.left - z), -5.0 - z)
+
+
+def _default_shapes():
+    return {obj.name: shape_from_descriptor(obj.shape)
+            for obj in default_suite_config().objects}
+
+
+def _tilted(shape_cls, twist, **kwargs):
+    return shape_cls(offset=geometry.exp(np.array(twist, dtype=float)), **kwargs)
+
+
+class TestTraceLowerEnvelope:
+    @pytest.mark.parametrize("name, twist, z_range, max_iters", [
+        ("sphere", [0.0, 0.0, 0.0, 0.3, -0.2, 0.0], 1.6, 200),
+        ("cube", [0.05, -0.1, 0.2, 0.5, 0.4, 0.0], 1.6, 200),
+        ("pyramid", [0.1, 0.2, 0.0, -0.4, 0.3, 0.0], 1.6, 200),
+        ("sphere", [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.5, 200),   # range exits
+        ("sphere", [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1.6, 3),     # iteration cap
+    ])
+    def test_matches_full_grid_reference(self, gel, name, twist, z_range,
+                                         max_iters):
+        shape = _default_shapes()[name]
+        sensor = geometry.compose(geometry.exp(np.array(twist)),
+                                  find_contact_base(shape, gel, 1.25))
+        xs, ys = gel.pixel_centers()
+        args = (shape, sensor, xs, ys, -1.6, z_range)
+        hit, z_surf = _trace_lower_envelope(*args, max_iters=max_iters)
+        ref_hit, ref_z = _full_grid_trace(*args, max_iters=max_iters)
+        assert hit.any() and not hit.all()
+        np.testing.assert_array_equal(hit, ref_hit)
+        assert z_surf.tobytes() == ref_z.tobytes()
+
+
+class TestContactBase:
+    """find_contact_base stops at the lowest hit; it must pick the same ray
+    and height as a full-grid trace followed by nanargmin."""
+
+    @staticmethod
+    def _reference(shape, gel, indent):
+        xs = np.linspace(-gel.extent_x / 2, gel.extent_x / 2, 129)
+        ys = np.linspace(-gel.extent_y / 2, gel.extent_y / 2, 129)
+        gx, gy = np.meshgrid(xs, ys)
+        hit, z_surf = _full_grid_trace(shape, Pose.identity(), gx, gy,
+                                       z_start=-60.0, z_range=120.0)
+        heights = np.where(hit, z_surf, np.inf)
+        i, j = np.unravel_index(np.nanargmin(heights), z_surf.shape)
+        ties = int((heights == heights[i, j]).sum())
+        return np.array([gx[i, j], gy[i, j], z_surf[i, j] + indent]), ties
+
+    @pytest.mark.parametrize("shape, gel, indent", [
+        ("sphere", GelConfig(), 1.25),
+        ("cube", GelConfig(), 1.25),
+        ("pyramid", GelConfig(), 1.25),
+        ("pyramid", GelConfig(), 1.0),
+        (_tilted(Sphere, [0, 0, 0, 2.3, -1.7, 4.0], radius=5.0), GelConfig(), 1.0),
+        (_tilted(Box, [0.4, -0.7, 0.2, -1.5, 2.5, 0.0],
+                 half_extents=(4.0, 6.0, 3.0)), GelConfig(), 1.25),
+        (_tilted(Pyramid, [0.3, 0.1, 0.5, 3.0, -2.0, 1.0],
+                 base_half_length=12.0, height=8.0), GelConfig(), 1.0),
+        ("cube", GelConfig(width=40, height=70, extent_x=14.0,
+                           extent_y=26.0), 1.0),
+        (_tilted(Pyramid, [0.2, -0.3, 0.0, 1.0, 4.0, 0.0]),
+         GelConfig(width=40, height=70, extent_x=14.0, extent_y=26.0), 1.25),
+        # Flat bottom face: hundreds of rays tie, the first row-major wins.
+        (Box(half_extents=(5.0, 5.0, 5.0)), GelConfig(), 1.0),
+        # Ties found on different steps: the later, first row-major one wins.
+        (_SplitFloor(-5.0, lambda d: np.minimum(d, 30.0)), GelConfig(), 1.0),
+        # A hit found later, 0.2 um below the first: the search must keep
+        # marching the rays just below the best hit so far.
+        (_SplitFloor(-5.0002, lambda d: np.maximum(d - 4e-4, d / 2)),
+         GelConfig(), 1.0),
+        # The lowest point 0.1 mm short of the 120 mm search range.
+        ("high-cube", GelConfig(), 1.0),
+    ], ids=["sphere", "cube", "pyramid", "pyramid-indent1", "offset-sphere",
+            "tilted-box", "tilted-pyramid", "cube-tall-gel",
+            "tilted-pyramid-tall-gel", "flat-box", "split-floor-tie",
+            "split-floor-lower-late", "high-cube"])
+    def test_matches_full_trace(self, shape, gel, indent):
+        if shape == "high-cube":
+            cube = _default_shapes()["cube"]
+            low = find_contact_base(cube, gel, 0.0).translation[2]
+            shape = Box(half_extents=cube.half_extents, offset=geometry.compose(
+                Pose(np.eye(3), np.array([0.0, 0.0, 59.9 - low])), cube.offset))
+        elif isinstance(shape, str):
+            shape = _default_shapes()[shape]
+        base = find_contact_base(shape, gel, indent)
+        expected, _ = self._reference(shape, gel, indent)
+        assert base.rotation.tobytes() == np.eye(3).tobytes()
+        assert base.translation.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape, first", [
+        (Box(half_extents=(5.0, 5.0, 5.0)), [-5.0, -5.0]),
+        (_SplitFloor(-5.0, lambda d: np.minimum(d, 30.0)), [-10.0, -10.0]),
+    ], ids=["flat-box", "split-floor"])
+    def test_tie_cases_tie(self, gel, shape, first):
+        # The tie cases above decide between hundreds of rays at one height.
+        expected, ties = self._reference(shape, gel, 1.0)
+        assert ties > 100
+        np.testing.assert_array_equal(expected, first + [-4.0])
+
+    def test_no_surface_in_window(self, gel):
+        far = Sphere(radius=2.0, offset=Pose(np.eye(3), np.array([50.0, 0, 0])))
+        with pytest.raises(EpisodeGenerationError):
+            find_contact_base(far, gel, 1.0)
 
 
 class TestDepthToNormals:
