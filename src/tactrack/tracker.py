@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -72,6 +73,12 @@ class TrackerConfig:
     fixed_lag: int | None = None          # None = full batch
 
     def __post_init__(self):
+        for name in ("sigma_eff", "sigma_vis", "sigma_vel"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(_is_positive_number(v) for v in pair)):
+                raise ConfigError(f"{name} must be a pair of finite numbers > 0, "
+                                  f"got {pair!r}")
         if type(self.keyframe_interval) is not int or self.keyframe_interval < 1:
             raise ConfigError("keyframe_interval must be an int >= 1")
         if self.fixed_lag is not None and not (type(self.fixed_lag) is int
@@ -84,10 +91,16 @@ class TrackerConfig:
         return from_mapping(TrackerConfig, d)
 
 
+def _is_positive_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 def from_mapping(cls, data):
     """Build dataclass `cls` from a mapping of its fields, as read from YAML:
     dataclass and `list[Dataclass]` fields from nested mappings, tuples from
-    lists.  ConfigError for an unknown key at any level or a bad value."""
+    lists, and `int` fields only from ints (not floats or bools).  ConfigError
+    for an unknown key at any level or a bad value."""
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__} must be a mapping, got {data!r}")
     hints = typing.get_type_hints(cls)
@@ -102,6 +115,8 @@ def from_mapping(cls, data):
                 value = [from_mapping(item, v) for v in value]
             elif hint is tuple:
                 value = tuple(value)
+            elif hint is int and type(value) is not int:
+                raise ConfigError(f"{name} must be an int, got {value!r}")
             kwargs[name] = value
         return cls(**kwargs)
     except (TypeError, ValueError) as err:   # nested ConfigErrors gain a prefix

@@ -64,6 +64,9 @@ class TestSimulate:
                                                   "radius": 6.35}},
                      {"name": "cone", "shape": {"type": "cone"}}]),
         ("trajectories", [{"kind": "zigzag", "steps": 4}]),
+        ("episodes_per_object", 2.5),
+        ("tracker", {"icp": {"max_iterations": 2.5}}),
+        ("tracker", {"sigma_eff": [-1, 1]}),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):

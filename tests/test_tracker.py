@@ -128,6 +128,11 @@ class TestTrackerSetup:
         {"fixed_lag": -1},
         {"fixed_lag": 2.5},
         {"gel": {}},
+        {"sigma_eff": [-1, 1]},
+        {"sigma_vis": [1, 2, 3]},
+        {"sigma_vel": [0.005, float("inf")]},
+        {"icp": {"max_iterations": 2.5}},
+        {"optimizer": {"max_iterations": True}},
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -206,3 +211,4 @@ class TestModes:
         assert len(result.object_trajectory) == len(ep.frames)
         assert any("registration skipped" in w["message"]
                    for w in result.warnings)
+
