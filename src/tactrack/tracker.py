@@ -224,8 +224,10 @@ class Tracker:
         if t <= 2:
             return self.values[obj_key(t - 1)]
         prev, prev2 = self.values[obj_key(t - 1)], self.values[obj_key(t - 2)]
-        velocity = geometry.compose(geometry.inverse(prev2), prev)
-        return geometry.compose(prev, velocity)
+        # prev * exp(log(prev2^-1 prev)): exp returns an orthonormal rotation,
+        # where composing with inverse() (a transpose) lets rounding grow
+        # step after step until the rotation is no longer one.
+        return geometry.oplus(prev, geometry.ominus(prev2, prev))
 
     def _warn(self, message: str):
         self.warnings.append({"step": self.t, "message": message})

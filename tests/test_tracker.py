@@ -9,7 +9,8 @@ import yaml
 from tactrack import geometry
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
-from tactrack.shapes import Box, Pyramid, Sphere
+from tactrack.harness import default_suite_config
+from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
 from tactrack.factors import OptimizerParams
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import ICPParams
@@ -212,3 +213,31 @@ class TestModes:
         assert any("registration skipped" in w["message"]
                    for w in result.warnings)
 
+
+@pytest.fixture(scope="module")
+def long_pyramid_episode():
+    """The default suite's pyramid and slide, stretched to 48 steps."""
+    suite = default_suite_config()
+    obj = next(o for o in suite.objects if o.name == "pyramid")
+    traj = dataclasses.replace(suite.trajectories[0], steps=48)
+    return generate_episode(shape_from_descriptor(obj.shape), traj, suite.gel,
+                            suite.noise, seed=7)
+
+
+class TestLongEpisodes:
+    @pytest.mark.parametrize("mode", list(TrackerMode), ids=lambda m: m.value)
+    def test_48_step_slide_stays_on_se3(self, long_pyramid_episode, mode):
+        # Extrapolating with compose/inverse let rotation rounding grow until
+        # the im2im, patchgraph and gtpatch runs raised DomainError here.
+        ep = long_pyramid_episode
+        shape = ep.shape if mode is TrackerMode.GROUNDTRUTH_PATCH else None
+        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior,
+                          ep.frames[0].eff_measured, ep.gel, shape=shape)
+        for frame in ep.frames:
+            estimate = tracker.step(frame.normals, frame.eff_measured)
+            assert np.isfinite(estimate.object_pose.matrix()).all()
+            assert np.isfinite(estimate.eff_pose.matrix()).all()
+        assert tracker.t == len(ep.frames) > 36
+        for key, pose in tracker.values.items():
+            gram = pose.rotation.T @ pose.rotation
+            assert np.abs(gram - np.eye(3)).max() < 1e-9, key
