@@ -106,33 +106,40 @@ def _lowest_hit(shape: ShapeSDF, xs, ys, z_start: float, z_range: float,
     """(row-major ray index, z) of the lowest surface hit of rays cast along
     +z from (x, y, z_start) in the object frame, or None if no ray hits.
 
-    Marches like render._trace_lower_envelope, and also retires every ray
-    whose height z_start + t is already above the lowest hit so far: t only
-    grows, so that ray can neither beat the hit nor tie it.  Among equal
-    heights the first ray in row-major order wins.
+    Each ray marches as in render._trace_lower_envelope.  The ray that
+    starts closest to the surface marches first, and its hit bounds the
+    lowest one from above.  Every ray whose next height z_start + t + d is
+    above the lowest hit so far then retires: t only grows, so it can
+    neither beat that hit nor tie it.  Among equal heights the first ray in
+    row-major order wins.
     """
-    live = np.arange(xs.size)
-    pts = np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, z_start)])
-    t = np.zeros(xs.size)
-    d = shape.sdf(pts)
-    best_k, best_z = -1, np.inf
-    for it in range(max_iters + 1):
-        if it:
-            t += d
-            pts[:, 2] += d
-            d = shape.sdf(pts)
-        hit = d <= tol
-        if hit.any():
-            z = z_start + t[hit]
-            m = np.argmin(z)   # the first of equal minima: live is in row-major order
-            k = live[hit][m]
-            if z[m] < best_z or (z[m] == best_z and k < best_k):
-                best_k, best_z = k, z[m]
-        keep = ~hit & (t < z_range) & (z_start + t <= best_z)
-        live, pts, d, t = live[keep], pts[keep], d[keep], t[keep]
-        if not live.size:
-            break
-    return None if best_k < 0 else (best_k, best_z)
+    start = np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, z_start)])
+    start_d = shape.sdf(start)
+
+    def march(live, best_k, best_z):
+        pts, d, t = start[live], start_d[live], np.zeros(live.size)
+        for it in range(max_iters + 1):
+            if it:
+                t += d
+                pts[:, 2] += d
+                d = shape.sdf(pts)
+            hit = d <= tol
+            if hit.any():
+                z = z_start + t[hit]
+                m = np.argmin(z)   # the first of equal minima: live is in row-major order
+                k = live[hit][m]
+                if z[m] < best_z or (z[m] == best_z and k < best_k):
+                    best_k, best_z = k, z[m]
+            keep = ~hit & (t < z_range) & (z_start + (t + d) <= best_z)
+            live, pts, d, t = live[keep], pts[keep], d[keep], t[keep]
+            if not live.size:
+                break
+        return best_k, best_z
+
+    first = int(np.argmin(start_d))
+    best = march(np.array([first]), -1, np.inf)
+    best = march(np.flatnonzero(np.arange(xs.size) != first), *best)
+    return None if best[0] < 0 else best
 
 
 def find_contact_base(shape: ShapeSDF, gel: GelConfig, indent: float) -> Pose:

@@ -7,7 +7,7 @@ import pytest
 
 from tactrack import geometry
 from tactrack.episodes import (EpisodeGenerationError, NoiseSpec,
-                               TrajectorySpec, find_contact_base,
+                               TrajectorySpec, _lowest_hit, find_contact_base,
                                generate_episode, load_episode, save_episode)
 from tactrack.geometry import Pose
 from tactrack.harness import default_suite_config
@@ -110,17 +110,26 @@ def _full_grid_trace(shape, object_from_sensor, xs, ys, z_start, z_range,
 
 
 class _SplitFloor(ShapeSDF):
-    """The floor z = -5 for x >= 0, where rays from z = -60 land on the first
-    step, and z = `left` for x < 0, where the distance bound `bound(d)` <= d
-    makes rays take other steps."""
+    """The floor z = -5 for x < 0 and z = `right` for x >= 0.  The distance
+    bounds `left(d)` and `right_bound(d)`, each <= d, set the steps rays
+    take from z = -60, and so which ray starts closest to the surface."""
 
-    def __init__(self, left, bound):
+    def __init__(self, right, left, right_bound):
         super().__init__()
-        self.left, self.bound = left, bound
+        self.right, self.left, self.right_bound = right, left, right_bound
 
     def _sdf_local(self, points):
         z = points[:, 2]
-        return np.where(points[:, 0] < 0, self.bound(self.left - z), -5.0 - z)
+        return np.where(points[:, 0] < 0, self.left(-5.0 - z),
+                        self.right_bound(self.right - z))
+
+
+def _exact(d):
+    return d
+
+
+def _capped(d):
+    return np.minimum(d, 30.0)
 
 
 def _default_shapes():
@@ -186,12 +195,12 @@ class TestContactBase:
          GelConfig(width=40, height=70, extent_x=14.0, extent_y=26.0), 1.25),
         # Flat bottom face: hundreds of rays tie, the first row-major wins.
         (Box(half_extents=(5.0, 5.0, 5.0)), GelConfig(), 1.0),
-        # Ties found on different steps: the later, first row-major one wins.
-        (_SplitFloor(-5.0, lambda d: np.minimum(d, 30.0)), GelConfig(), 1.0),
-        # A hit found later, 0.2 um below the first: the search must keep
-        # marching the rays just below the best hit so far.
-        (_SplitFloor(-5.0002, lambda d: np.maximum(d - 4e-4, d / 2)),
-         GelConfig(), 1.0),
+        # The ray marched first, on the right, ties with the left rays, one
+        # step apart: the first row-major ray wins.
+        (_SplitFloor(-5.0, _exact, _capped), GelConfig(), 1.0),
+        # A hit 0.2 um below the first ray's: the search must keep marching
+        # the rays that may still reach below the best hit so far.
+        (_SplitFloor(-5.0002, _capped, _exact), GelConfig(), 1.0),
         # The lowest point 0.1 mm short of the 120 mm search range.
         ("high-cube", GelConfig(), 1.0),
     ], ids=["sphere", "cube", "pyramid", "pyramid-indent1", "offset-sphere",
@@ -213,13 +222,28 @@ class TestContactBase:
 
     @pytest.mark.parametrize("shape, first", [
         (Box(half_extents=(5.0, 5.0, 5.0)), [-5.0, -5.0]),
-        (_SplitFloor(-5.0, lambda d: np.minimum(d, 30.0)), [-10.0, -10.0]),
+        (_SplitFloor(-5.0, _exact, _capped), [-10.0, -10.0]),
     ], ids=["flat-box", "split-floor"])
     def test_tie_cases_tie(self, gel, shape, first):
         # The tie cases above decide between hundreds of rays at one height.
         expected, ties = self._reference(shape, gel, 1.0)
         assert ties > 100
         np.testing.assert_array_equal(expected, first + [-4.0])
+
+    @pytest.mark.parametrize("name, max_iters", [
+        ("sphere", 0), ("sphere", 1), ("pyramid", 7), ("pyramid", 8),
+        ("cube", 8), ("cube", 9), ("cube", 11), ("cube", 12)])
+    def test_iteration_cap(self, name, max_iters):
+        # The lowest hit appears, or moves, at these caps.
+        shape = _default_shapes()[name]
+        xs = np.linspace(-10.0, 10.0, 129)
+        gx, gy = np.meshgrid(xs, xs)
+        hit, z_surf = _full_grid_trace(shape, Pose.identity(), gx, gy, -60.0,
+                                       120.0, max_iters=max_iters)
+        heights = np.where(hit, z_surf, np.inf).ravel()
+        expected = (int(np.nanargmin(heights)), heights.min()) if hit.any() else None
+        assert _lowest_hit(shape, gx, gy, -60.0, 120.0,
+                           max_iters=max_iters) == expected
 
     def test_no_surface_in_window(self, gel):
         far = Sphere(radius=2.0, offset=Pose(np.eye(3), np.array([50.0, 0, 0])))
