@@ -1,5 +1,6 @@
 """Tactile simulator: SDF shapes, depth rendering, normal images, episodes."""
 
+import itertools
 import os
 
 import numpy as np
@@ -132,13 +133,22 @@ def _capped(d):
     return np.minimum(d, 30.0)
 
 
-def _default_shapes():
-    return {obj.name: shape_from_descriptor(obj.shape)
-            for obj in default_suite_config().objects}
+DEFAULT_SHAPES = {obj.name: shape_from_descriptor(obj.shape)
+                  for obj in default_suite_config().objects}
 
 
 def _tilted(shape_cls, twist, **kwargs):
     return shape_cls(offset=geometry.exp(np.array(twist, dtype=float)), **kwargs)
+
+
+def _lifted_cube(low=59.9):
+    """The default cube, lifted until its lowest corner is at z = `low`."""
+    cube = DEFAULT_SHAPES["cube"]
+    corners = np.array(list(itertools.product((-9.0, 9.0), repeat=3)))
+    lift = low - cube.offset.transform_points(corners)[:, 2].min()
+    return Box(half_extents=cube.half_extents,
+               offset=Pose(cube.offset.rotation,
+                           cube.offset.translation + [0.0, 0.0, lift]))
 
 
 class TestTraceLowerEnvelope:
@@ -151,7 +161,7 @@ class TestTraceLowerEnvelope:
     ])
     def test_matches_full_grid_reference(self, gel, name, twist, z_range,
                                          max_iters):
-        shape = _default_shapes()[name]
+        shape = DEFAULT_SHAPES[name]
         sensor = geometry.compose(geometry.exp(np.array(twist)),
                                   find_contact_base(shape, gel, 1.25))
         xs, ys = gel.pixel_centers()
@@ -180,17 +190,17 @@ class TestContactBase:
         return np.array([gx[i, j], gy[i, j], z_surf[i, j] + indent]), ties
 
     @pytest.mark.parametrize("shape, gel, indent", [
-        ("sphere", GelConfig(), 1.25),
-        ("cube", GelConfig(), 1.25),
-        ("pyramid", GelConfig(), 1.25),
-        ("pyramid", GelConfig(), 1.0),
+        (DEFAULT_SHAPES["sphere"], GelConfig(), 1.25),
+        (DEFAULT_SHAPES["cube"], GelConfig(), 1.25),
+        (DEFAULT_SHAPES["pyramid"], GelConfig(), 1.25),
+        (DEFAULT_SHAPES["pyramid"], GelConfig(), 1.0),
         (_tilted(Sphere, [0, 0, 0, 2.3, -1.7, 4.0], radius=5.0), GelConfig(), 1.0),
         (_tilted(Box, [0.4, -0.7, 0.2, -1.5, 2.5, 0.0],
                  half_extents=(4.0, 6.0, 3.0)), GelConfig(), 1.25),
         (_tilted(Pyramid, [0.3, 0.1, 0.5, 3.0, -2.0, 1.0],
                  base_half_length=12.0, height=8.0), GelConfig(), 1.0),
-        ("cube", GelConfig(width=40, height=70, extent_x=14.0,
-                           extent_y=26.0), 1.0),
+        (DEFAULT_SHAPES["cube"], GelConfig(width=40, height=70, extent_x=14.0,
+                                           extent_y=26.0), 1.0),
         (_tilted(Pyramid, [0.2, -0.3, 0.0, 1.0, 4.0, 0.0]),
          GelConfig(width=40, height=70, extent_x=14.0, extent_y=26.0), 1.25),
         # Flat bottom face: hundreds of rays tie, the first row-major wins.
@@ -202,19 +212,12 @@ class TestContactBase:
         # the rays that may still reach below the best hit so far.
         (_SplitFloor(-5.0002, _capped, _exact), GelConfig(), 1.0),
         # The lowest point 0.1 mm short of the 120 mm search range.
-        ("high-cube", GelConfig(), 1.0),
+        (_lifted_cube(), GelConfig(), 1.0),
     ], ids=["sphere", "cube", "pyramid", "pyramid-indent1", "offset-sphere",
             "tilted-box", "tilted-pyramid", "cube-tall-gel",
             "tilted-pyramid-tall-gel", "flat-box", "split-floor-tie",
             "split-floor-lower-late", "high-cube"])
     def test_matches_full_trace(self, shape, gel, indent):
-        if shape == "high-cube":
-            cube = _default_shapes()["cube"]
-            low = find_contact_base(cube, gel, 0.0).translation[2]
-            shape = Box(half_extents=cube.half_extents, offset=geometry.compose(
-                Pose(np.eye(3), np.array([0.0, 0.0, 59.9 - low])), cube.offset))
-        elif isinstance(shape, str):
-            shape = _default_shapes()[shape]
         base = find_contact_base(shape, gel, indent)
         expected, _ = self._reference(shape, gel, indent)
         assert base.rotation.tobytes() == np.eye(3).tobytes()
@@ -235,7 +238,7 @@ class TestContactBase:
         ("cube", 8), ("cube", 9), ("cube", 11), ("cube", 12)])
     def test_iteration_cap(self, name, max_iters):
         # The lowest hit appears, or moves, at these caps.
-        shape = _default_shapes()[name]
+        shape = DEFAULT_SHAPES[name]
         xs = np.linspace(-10.0, 10.0, 129)
         gx, gy = np.meshgrid(xs, xs)
         hit, z_surf = _full_grid_trace(shape, Pose.identity(), gx, gy, -60.0,
