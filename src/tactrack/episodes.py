@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -59,6 +60,13 @@ class NoiseSpec:
     eff_sigma_trans: float = 1.0
     vis_sigma_rot: float = 0.05
     vis_sigma_trans: float = 2.0
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"noise {f.name} must be finite and >= 0, "
+                                 f"got {value!r}")
 
     def eff_sigmas(self):
         return np.array([self.eff_sigma_rot] * 3 + [self.eff_sigma_trans] * 3)

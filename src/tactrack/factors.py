@@ -7,9 +7,9 @@ closed-form Jacobians in the tangent space of a right perturbation
 ``X * exp(d)``: a variable appearing in ``G`` as ``P * X * Q`` gets
 ``Jr^-1(r) Ad(Q^-1)``, one appearing as ``P * X^-1 * Q`` gets
 ``-Jr^-1(r) Ad(Q^-1 X)`` (Sola, Deray & Atchuthan, "A micro Lie theory for
-state estimation in robotics", arXiv:1812.01537).  The central-difference
-Jacobian in :mod:`geometry` is only the tests' oracle for them.  The solver is
-Levenberg-Marquardt with right-multiplicative retraction of each pose block.
+state estimation in robotics", arXiv:1812.01537), and the tests check them
+against central differences.  The solver is Levenberg-Marquardt with
+right-multiplicative retraction of each pose block.
 
 Frame convention: with world-from-body poses, the object-from-sensor
 transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
@@ -366,23 +366,19 @@ def _flat(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
 
+# Levenberg-Marquardt damping schedule.  The ceiling is only a safety net:
+# the damping search ends once the model predicts no damped step can pay.
+LAMBDA_INIT = 1e-4
+LAMBDA_SCALE = 10.0
+LAMBDA_MAX = 1e10
+
+
 @dataclass
 class OptimizerParams:
     max_iterations: int = 50
-    lambda_init: float = 1e-4
-    lambda_scale: float = 10.0
     cost_tolerance: float = 1e-9
-    lambda_max: float = 1e10
 
     def __post_init__(self):
-        # lambda must grow on every rejected step, or the damping loop of
-        # optimize() never reaches lambda_max and never exits.
-        if not self.lambda_scale > 1:
-            raise ValueError("optimizer lambda_scale must be > 1")
-        if not self.lambda_init > 0:
-            raise ValueError("optimizer lambda_init must be > 0")
-        if not self.lambda_max >= self.lambda_init:
-            raise ValueError("optimizer lambda_max must be >= lambda_init")
         if self.max_iterations < 0 or not self.cost_tolerance >= 0:
             raise ValueError("optimizer max_iterations and cost_tolerance "
                              "must be >= 0")
@@ -409,9 +405,13 @@ def optimize(graph: FactorGraph, init: dict,
     """Levenberg-Marquardt on the manifold.
 
     Solves (J^T J + lambda diag(J^T J)) delta = -J^T r, retracts each pose
-    block via oplus, and accepts or rejects by cost.  Terminates on relative
-    cost change below the tolerance or on the iteration cap; accepted costs
-    are monotonically non-increasing.
+    block via oplus, and accepts or rejects by cost.  Each rejection raises
+    lambda, and the search ends once the decrease the quadratic model
+    predicts for the rejected step is below the tolerance: more damping only
+    shrinks it (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
+    Squares Problems", 2004, sec. 3.2).  Terminates then, on relative cost
+    change below the tolerance or on the iteration cap; accepted costs are
+    monotonically non-increasing.
     """
     params = params or OptimizerParams()
     touched = {k for f in graph.factors for k in f.keys}
@@ -428,7 +428,7 @@ def optimize(graph: FactorGraph, init: dict,
     if not np.isfinite(cost):
         raise DivergenceError(f"non-finite initial cost {cost}")
 
-    lam = params.lambda_init
+    lam = LAMBDA_INIT
     iterations = 0
     for _ in range(params.max_iterations):
         system = linearize(graph, values, fixed=fixed)
@@ -439,12 +439,12 @@ def optimize(graph: FactorGraph, init: dict,
         on_diag = np.diag_indices_from(damped)
 
         accepted = False
-        while lam <= params.lambda_max:
+        while lam <= LAMBDA_MAX:
             damped[on_diag] = jtj[on_diag] + lam * diag
             try:
                 delta = np.linalg.solve(damped, -jtr)
             except np.linalg.LinAlgError:
-                lam *= params.lambda_scale
+                lam *= LAMBDA_SCALE
                 continue
             candidate = _retract_all(values, system.keys, delta)
             new_cost = graph.cost(candidate)
@@ -453,13 +453,16 @@ def optimize(graph: FactorGraph, init: dict,
             if new_cost < cost:
                 accepted = True
                 break
-            lam *= params.lambda_scale
+            predicted = -(delta @ jtr) - 0.5 * delta @ (jtj @ delta)
+            if predicted < params.cost_tolerance * max(cost, 1.0):
+                break
+            lam *= LAMBDA_SCALE
         if not accepted:
             break
         iterations += 1
         improvement = cost - new_cost
         values, cost = candidate, new_cost
-        lam = max(lam / params.lambda_scale, 1e-12)
+        lam = max(lam / LAMBDA_SCALE, 1e-12)
         if improvement < params.cost_tolerance * max(cost, 1.0):
             break
     return values, OptimizeStats(iterations=iterations,

@@ -7,8 +7,7 @@ and twists may have shape ``(..., 6)``.  A single pose is the same code with
 no batch dimension.
 
 The factor Jacobians are closed-form products of :func:`right_jacobian_inv`
-and :func:`adjoint`; the central-difference Jacobian at the end of the
-pose algebra is only the test oracle they are checked against.
+and :func:`adjoint`; the tests check them against central differences.
 
 Conventions used throughout the package:
 
@@ -270,30 +269,6 @@ def right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
     out[..., 3:, 3:] = rot_inv
     out[..., 3:, :3] = -rot_inv @ q @ rot_inv
     return out
-
-
-def numerical_jacobian(f, at: Pose, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``at`` in tangent coordinates;
-    the tests' oracle for the closed-form factor Jacobians.
-
-    ``f`` maps a Pose to either a vector or a Pose.  Column i perturbs
-    tangent coordinate i by +/- eps via :func:`oplus`.  For Pose-valued
-    ``f`` the output difference is taken with :func:`ominus`.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    cols = []
-    for i in range(6):
-        delta = np.zeros(6)
-        delta[i] = eps
-        fp = f(oplus(at, delta))
-        fm = f(oplus(at, -delta))
-        if isinstance(fp, Pose):
-            diff = ominus(fm, fp)
-        else:
-            diff = np.asarray(fp, dtype=float) - np.asarray(fm, dtype=float)
-        cols.append(diff / (2.0 * eps))
-    return np.stack(cols, axis=1)
 
 
 def to_quat_trans(a: Pose) -> list:

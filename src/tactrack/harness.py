@@ -236,7 +236,7 @@ def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> Sui
                        episodes_per_object=episodes_per_object, results=results)
 
 
-def run_suite(config: SuiteConfig, out_dir, progress=None) -> SuiteReport:
+def run_suite(config: SuiteConfig, out_dir) -> SuiteReport:
     """Generate episodes, run every requested mode on each one, aggregate.
 
     Per-episode failures are recorded and the suite continues; the report is
@@ -257,8 +257,6 @@ def run_suite(config: SuiteConfig, out_dir, progress=None) -> SuiteReport:
                     metrics = {"status": "failed", "error": entry["error"],
                                "episode_seed": entry["seed"], "mode": mode}
                     records[obj.name][mode].append(metrics)
-                    if progress is not None:
-                        progress(obj.name, ei, mode, metrics)
                 continue
             episode = load_episode(entry)
             for mode in config.modes:
@@ -272,8 +270,6 @@ def run_suite(config: SuiteConfig, out_dir, progress=None) -> SuiteReport:
                     metrics = {"status": "failed", "error": str(err),
                                "episode_seed": episode.seed, "mode": mode}
                 records[obj.name][mode].append(metrics)
-                if progress is not None:
-                    progress(obj.name, ei, mode, metrics)
     report = _aggregate(records, config.config_hash(), config.episodes_per_object)
     write_report(report, os.path.join(out_dir, "report.json"),
                  os.path.join(out_dir, "report.csv"))

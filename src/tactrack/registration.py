@@ -13,6 +13,12 @@ from .geometry import Pose
 from .reconstruct import PointCloud
 
 CONDITION_LIMIT = 1e8
+MAX_ITERATIONS = 30
+# Large enough that a vision-prior-sized initialization error (a few mm)
+# still yields correspondences on the first registration of an episode.
+MAX_CORRESPONDENCE_DISTANCE = 6.0   # mm
+CONVERGENCE_THRESHOLD = 1e-5        # update twist norm
+MIN_CORRESPONDENCES = 20
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -29,21 +35,6 @@ class InsufficientOverlapError(RuntimeError):
         super().__init__(f"only {count} correspondences, need {required}")
         self.count = count
         self.required = required
-
-
-@dataclass
-class ICPParams:
-    max_iterations: int = 30
-    # Large enough that a vision-prior-sized initialization error (a few mm)
-    # still yields correspondences on the first registration of an episode.
-    max_correspondence_distance: float = 6.0   # mm
-    convergence_threshold: float = 1e-5        # update twist norm
-    min_correspondences: int = 20
-
-    def __post_init__(self):
-        if (self.max_iterations <= 0 or self.max_correspondence_distance <= 0
-                or self.convergence_threshold <= 0 or self.min_correspondences <= 0):
-            raise ValueError("ICP parameters must be strictly positive")
 
 
 @dataclass
@@ -90,17 +81,16 @@ def _point_rmse(src, tgt):
     return float(np.sqrt(np.mean(np.sum((src - tgt) ** 2, axis=1))))
 
 
-def icp_register(source: PointCloud, target: PointCloud, init: Pose,
-                 params: ICPParams = None) -> ICPResult:
+def icp_register(source: PointCloud, target: PointCloud,
+                 init: Pose) -> ICPResult:
     """Iterative point-to-plane registration from an initial guess.
 
     Correspondences are re-estimated each iteration with a k-d tree; the
     point-to-point inlier RMSE is reported as the fitness metric.
     """
-    params = params or ICPParams()
     if len(source) == 0 or len(target) == 0:
         raise InsufficientOverlapError(min(len(source), len(target)),
-                                       params.min_correspondences)
+                                       MIN_CORRESPONDENCES)
     tree = cKDTree(target.points)
     transform = init
     converged = False
@@ -108,24 +98,24 @@ def icp_register(source: PointCloud, target: PointCloud, init: Pose,
     rmse = np.inf
     cond = 1.0
     count = 0
-    for iterations in range(1, params.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         moved = transform.transform_points(source.points)
-        dists, idx = tree.query(moved, distance_upper_bound=params.max_correspondence_distance)
+        dists, idx = tree.query(moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
         keep = np.isfinite(dists)
         count = int(keep.sum())
-        if count < params.min_correspondences:
-            raise InsufficientOverlapError(count, params.min_correspondences)
+        if count < MIN_CORRESPONDENCES:
+            raise InsufficientOverlapError(count, MIN_CORRESPONDENCES)
         src = moved[keep]
         tgt = target.points[idx[keep]]
         nrm = target.normals[idx[keep]]
         rmse = _point_rmse(src, tgt)
         delta, cond = point_to_plane_step(src, tgt, nrm)
         transform = geometry.compose(geometry.exp(delta), transform)
-        if np.linalg.norm(delta) < params.convergence_threshold:
+        if np.linalg.norm(delta) < CONVERGENCE_THRESHOLD:
             converged = True
             break
     moved = transform.transform_points(source.points)
-    dists, idx = tree.query(moved, distance_upper_bound=params.max_correspondence_distance)
+    dists, idx = tree.query(moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
     keep = np.isfinite(dists)
     if keep.any():
         rmse = _point_rmse(moved[keep], target.points[idx[keep]])

@@ -10,6 +10,7 @@ normals pointing toward the object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class GelConfig:
             raise ValueError("image resolution must be strictly positive")
         if self.extent_x <= 0 or self.extent_y <= 0:
             raise ValueError("gel extent must be strictly positive")
+        if not (math.isfinite(self.max_indent) and self.max_indent > 0):
+            raise ValueError("gel max_indent must be finite and > 0")
 
     @property
     def pitch_x(self) -> float:

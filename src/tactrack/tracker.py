@@ -20,7 +20,6 @@ from .factors import (ConstVelFactor, FactorGraph, Im2ImFactor, Im2PatchFactor,
 from .geometry import Pose
 from .patchmap import PatchMap
 from .reconstruct import PointCloud, reconstruct_cloud
-from .registration import ICPParams
 from .render import GelConfig, NormalImage, contact_touches_border
 from .shapes import ShapeSDF
 
@@ -65,7 +64,6 @@ class TrackerConfig:
     # measurement noise as spurious object motion, random-walking the
     # estimate over an episode.
     sigma_vel: tuple = (0.005, 0.1)
-    icp: ICPParams = field(default_factory=ICPParams)
     optimizer: OptimizerParams = field(default_factory=OptimizerParams)
     # Short episodes benefit from a dense patch: more keyframes mean better
     # overlap for patch registrations.
@@ -239,8 +237,7 @@ class Tracker:
         the registration failed; either is logged as a warning."""
         kind = factor_type.name
         try:
-            result = registration.icp_register(source, target, init,
-                                               self.config.icp)
+            result = registration.icp_register(source, target, init)
             diag[f"icp_{kind}"] = result.to_dict()
             jump = geometry.ominus(init, result.transform)
             if (np.linalg.norm(jump[:3]) > gate[0]
@@ -321,15 +318,10 @@ class Tracker:
                                        self._object_from_sensor(t),
                                        GATE_IM2PC, sigma, diag)
 
-        fixed = set()
+        fixed = frozenset()
         if cfg.fixed_lag is not None:
             horizon = t - cfg.fixed_lag
-            fixed = {k for k in self.values if k.t < horizon}
-        # Variables no factor touches yet (e.g. the object pose at t = 2 in
-        # constant-velocity mode, before the first velocity triplet closes)
-        # stay pinned at their extrapolated initialization.
-        touched = {k for f in self.graph.factors for k in f.keys}
-        fixed = frozenset(fixed | (set(self.values) - touched))
+            fixed = frozenset(k for k in self.values if k.t < horizon)
         self.values, stats = factors.optimize(self.graph, self.values,
                                               cfg.optimizer, fixed=fixed)
         diag["optimizer"] = {"iterations": stats.iterations,

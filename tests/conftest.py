@@ -9,6 +9,30 @@ from tactrack.reconstruct import PointCloud
 from tactrack.render import GelConfig
 
 
+def numerical_jacobian(f, at: Pose, eps: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of ``f`` at ``at`` in tangent coordinates;
+    the oracle for the closed-form factor Jacobians.
+
+    ``f`` maps a Pose to either a vector or a Pose.  Column i perturbs
+    tangent coordinate i by +/- eps via ``geometry.oplus``.  For Pose-valued
+    ``f`` the output difference is taken with ``geometry.ominus``.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    cols = []
+    for i in range(6):
+        delta = np.zeros(6)
+        delta[i] = eps
+        fp = f(geometry.oplus(at, delta))
+        fm = f(geometry.oplus(at, -delta))
+        if isinstance(fp, Pose):
+            diff = geometry.ominus(fm, fp)
+        else:
+            diff = np.asarray(fp, dtype=float) - np.asarray(fm, dtype=float)
+        cols.append(diff / (2.0 * eps))
+    return np.stack(cols, axis=1)
+
+
 def random_pose(rng, max_angle=1.0, max_trans=5.0) -> Pose:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)

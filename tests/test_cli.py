@@ -65,8 +65,11 @@ class TestSimulate:
                      {"name": "cone", "shape": {"type": "cone"}}]),
         ("trajectories", [{"kind": "zigzag", "steps": 4}]),
         ("episodes_per_object", 2.5),
-        ("tracker", {"icp": {"max_iterations": 2.5}}),
+        ("tracker", {"optimizer": {"max_iterations": 2.5}}),
         ("tracker", {"sigma_eff": [-1, 1]}),
+        ("noise", {"normal_sigma": -0.1}),
+        ("noise", {"eff_sigma_trans": -1}),
+        ("gel", {"max_indent": 0}),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):
@@ -132,7 +135,7 @@ class TestPipeline:
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
         tracker_yaml = tmp_path / "tracker.yaml"
         tracker_yaml.write_text(yaml.safe_dump(
-            {"tracker": {"optimizer": {"lambda_scale": 0.5}}}))
+            {"tracker": {"optimizer": {"cost_tolerance": -1}}}))
         run = tmp_path / "run"
         assert main(["track",
                      "--episode", str(episodes / "sphere" / "ep0000"),

@@ -17,7 +17,7 @@ from tactrack.render import GelConfig
 from tactrack.shapes import Pyramid
 from tactrack.tracker import Tracker, TrackerConfig, TrackerMode, track_episode
 
-from .conftest import random_pose
+from .conftest import numerical_jacobian, random_pose
 
 UNIT = NoiseModel.isotropic(1.0, 1.0)
 
@@ -228,8 +228,7 @@ class TestJacobianOracle:
                     def perturbed(pose, key=key, factor=factor):
                         return factor.residual({**values, key: pose})
 
-                    oracle = geometry.numerical_jacobian(perturbed,
-                                                         values[key])
+                    oracle = numerical_jacobian(perturbed, values[key])
                     err = np.linalg.norm(factor.noise.whiten(block) - oracle)
                     assert err <= 1e-6 * np.linalg.norm(oracle), (key, err)
             _assert_matches_per_factor(linearize(graph, values, fixed=fixed),
@@ -327,9 +326,6 @@ class TestEpisodeGraph:
 
 class TestOptimizerParams:
     @pytest.mark.parametrize("overrides", [
-        {"lambda_scale": 1.0}, {"lambda_scale": 0.5},
-        {"lambda_init": 0.0}, {"lambda_init": -1e-4},
-        {"lambda_init": 1.0, "lambda_max": 0.5},
         {"max_iterations": -1}, {"cost_tolerance": -1e-9},
     ])
     def test_invalid_rejected(self, overrides):
@@ -338,8 +334,7 @@ class TestOptimizerParams:
 
     def test_boundary_values_accepted(self):
         OptimizerParams()
-        OptimizerParams(max_iterations=0, cost_tolerance=0.0,
-                        lambda_max=OptimizerParams().lambda_init)
+        OptimizerParams(max_iterations=0, cost_tolerance=0.0)
 
 
 class TestOptimize:
@@ -352,6 +347,26 @@ class TestOptimize:
         values, stats = optimize(graph, init)
         assert np.linalg.norm(geometry.ominus(values[obj_key(1)], mean)) < 1e-8
         assert 1 <= stats.iterations <= 3
+
+    def test_at_optimum_ends_damping_search_on_model(self, monkeypatch):
+        # No damped step can lower the cost, and the quadratic model says
+        # so: the search ends on the first rejected step instead of raising
+        # lambda to its ceiling.
+        rng = np.random.default_rng(13)
+        mean = random_pose(rng)
+        graph = FactorGraph()
+        graph.add(vis_prior(1, mean, UNIT))
+        calls = []
+        cost = FactorGraph.cost
+
+        def counted(self, values):
+            calls.append(values)
+            return cost(self, values)
+
+        monkeypatch.setattr(FactorGraph, "cost", counted)
+        _, stats = optimize(graph, {obj_key(1): mean})
+        assert stats.iterations == 0
+        assert len(calls) <= 2
 
     def test_two_prior_gaussian_fusion(self):
         mu1 = Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))

@@ -7,7 +7,7 @@ import scipy.linalg
 from tactrack import geometry
 from tactrack.geometry import DomainError, Pose
 
-from .conftest import random_pose
+from .conftest import numerical_jacobian, random_pose
 
 
 def rz(angle):
@@ -134,13 +134,13 @@ class TestNumericalJacobian:
     def test_identity_map(self):
         rng = np.random.default_rng(8)
         at = random_pose(rng)
-        jac = geometry.numerical_jacobian(lambda p: p, at)
+        jac = numerical_jacobian(lambda p: p, at)
         np.testing.assert_allclose(jac, np.eye(6), atol=1e-6)
 
     def test_ominus_at_fixed_pose(self):
         rng = np.random.default_rng(9)
         fixed = random_pose(rng)
-        jac = geometry.numerical_jacobian(
+        jac = numerical_jacobian(
             lambda p: geometry.ominus(p, fixed), fixed)
         np.testing.assert_allclose(jac, -np.eye(6), atol=1e-6)
 
@@ -153,7 +153,7 @@ class TestNumericalJacobian:
         def f(p):
             return geometry.ominus(target, p)
 
-        central = geometry.numerical_jacobian(f, at, eps)
+        central = numerical_jacobian(f, at, eps)
         forward = np.zeros((6, 6))
         base = np.asarray(f(at))
         for i in range(6):
@@ -164,7 +164,7 @@ class TestNumericalJacobian:
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            geometry.numerical_jacobian(lambda p: p, Pose.identity(), eps=0.0)
+            numerical_jacobian(lambda p: p, Pose.identity(), eps=0.0)
 
 
 def _numerical_right_jacobian(xi, eps=1e-6):

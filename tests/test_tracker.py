@@ -13,7 +13,6 @@ from tactrack.harness import default_suite_config
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
 from tactrack.factors import OptimizerParams
 from tactrack.reconstruct import PointCloud
-from tactrack.registration import ICPParams
 from tactrack.render import GelConfig
 from tactrack.tracker import (ConfigError, Tracker, TrackerConfig, TrackerMode,
                               pose_errors, track_episode)
@@ -88,11 +87,7 @@ class TestTrackerSetup:
         cfg = TrackerConfig(
             sigma_eff=(0.02, 1.5), sigma_vis=(0.06, 2.5),
             sigma_vel=(0.01, 0.2),
-            icp=ICPParams(max_iterations=12, max_correspondence_distance=4.0,
-                          convergence_threshold=1e-6, min_correspondences=30),
-            optimizer=OptimizerParams(max_iterations=20, lambda_init=1e-3,
-                                      lambda_scale=5.0, cost_tolerance=1e-8,
-                                      lambda_max=1e8),
+            optimizer=OptimizerParams(max_iterations=20, cost_tolerance=1e-8),
             keyframe_interval=3, fixed_lag=4)
 
         def leaves(d, prefix=""):
@@ -110,11 +105,8 @@ class TestTrackerSetup:
         assert set(default) == {
             "sigma_eff[0]", "sigma_eff[1]", "sigma_vis[0]", "sigma_vis[1]",
             "sigma_vel[0]", "sigma_vel[1]",
-            "icp.max_iterations", "icp.max_correspondence_distance",
-            "icp.convergence_threshold", "icp.min_correspondences",
-            "optimizer.max_iterations", "optimizer.lambda_init",
-            "optimizer.lambda_scale", "optimizer.cost_tolerance",
-            "optimizer.lambda_max", "keyframe_interval", "fixed_lag"}
+            "optimizer.max_iterations", "optimizer.cost_tolerance",
+            "keyframe_interval", "fixed_lag"}
         for name, value in leaves(dataclasses.asdict(cfg)):
             assert value != default[name], name
         text = yaml.safe_dump({"tracker": dataclasses.asdict(cfg)})
@@ -122,17 +114,17 @@ class TestTrackerSetup:
 
     @pytest.mark.parametrize("overrides", [
         {"fixd_lag": 4},
-        {"icp": {"max_iter": 5}},
+        {"icp": {"max_iterations": 30}},        # ICP settings are constants
         {"gel": {"camera": "clip"}},
         {"keyframe_interval": 0},
-        {"optimizer": {"lambda_scale": 0.5}},
+        {"optimizer": {"lambda_scale": 10.0}},  # so is the LM schedule
         {"fixed_lag": -1},
         {"fixed_lag": 2.5},
         {"gel": {}},
         {"sigma_eff": [-1, 1]},
         {"sigma_vis": [1, 2, 3]},
         {"sigma_vel": [0.005, float("inf")]},
-        {"icp": {"max_iterations": 2.5}},
+        {"optimizer": {"max_iterations": 2.5}},
         {"optimizer": {"max_iterations": True}},
     ])
     def test_bad_config_rejected(self, overrides):
