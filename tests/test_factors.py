@@ -325,8 +325,13 @@ class TestEpisodeGraph:
 
 
 class TestOptimizerParams:
+    # Explicit ids: the negative cases keep the ids they had when five
+    # damping-schedule cases came first.
     @pytest.mark.parametrize("overrides", [
-        {"max_iterations": -1}, {"cost_tolerance": -1e-9},
+        pytest.param({"cost_tolerance": float("nan")}, id="overrides0"),
+        pytest.param({"cost_tolerance": float("-inf")}, id="overrides1"),
+        pytest.param({"max_iterations": -1}, id="overrides5"),
+        pytest.param({"cost_tolerance": -1e-9}, id="overrides6"),
     ])
     def test_invalid_rejected(self, overrides):
         with pytest.raises(ValueError):
