@@ -48,6 +48,22 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.kind not in ("linear", "arc", "rotation", "composite"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        if self.steps < 3:
+            raise ValueError(f"trajectory steps must be >= 3, got {self.steps!r}")
+
+        def check(name, holds, requirement):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and holds(value)):
+                raise ValueError(f"trajectory {name} must be {requirement}, "
+                                 f"got {value!r}")
+
+        for name in ("indent", "arc_radius", "dt"):
+            check(name, lambda v: v > 0, "finite and > 0")
+        check("length", lambda v: v >= 0, "finite and >= 0")
+        for name in ("arc_angle_deg", "spin_deg"):
+            check(name, lambda v: True, "finite")
+        if self.direction_deg is not None:
+            check("direction_deg", lambda v: True, "None or finite")
 
 
 @dataclass
@@ -194,8 +210,6 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
     Poisson boundary condition cannot handle them.  More than
     MAX_CONTACT_BREAKS consecutive out-of-contact steps abort generation.
     """
-    if trajectory.steps < 3:
-        raise EpisodeGenerationError("episodes need at least 3 steps")
     rng = np.random.default_rng(seed)
     direction = (np.deg2rad(trajectory.direction_deg)
                  if trajectory.direction_deg is not None

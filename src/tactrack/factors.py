@@ -18,7 +18,8 @@ transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -254,59 +255,144 @@ class Im2PatchFactor(Factor):
         return error, [-_ad_inv(graph_rel), _identity_maps(error)]
 
 
-def _evaluate_by_class(factors, values, order, jacobians=False):
-    """Evaluate `factors` one class at a time on stacked poses, with one log
-    (and one inverse right Jacobian) over all of them.
+class Values(Mapping):
+    """Poses by variable key, kept stacked: the pose of `key` is row
+    ``index[key]`` of the batched Pose `poses`.  Factors gather their poses
+    from it by row, and a retraction moves rows of a copy, so neither has to
+    restack a dict of poses."""
 
-    Returns one ``(rows, residuals, blocks)`` triple per factor class: the
-    (m, k) indices into `order` of each factor's keys, the whitened
-    residuals (m, 6) and, with `jacobians`, the whitened Jacobian blocks
-    (m, k, 6, 6), else None.  `order` lists the keys of `values` to stack.
+    def __init__(self, index: dict, poses: Pose):
+        self.index = index
+        self.poses = poses
+
+    @staticmethod
+    def of(values) -> "Values":
+        """`values` if already stacked, else its poses stacked in key order."""
+        if isinstance(values, Values):
+            return values
+        return Values({key: i for i, key in enumerate(values)},
+                      Pose.stack(list(values.values())))
+
+    def __getitem__(self, key) -> Pose:
+        return self.take(self.index[key])
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self):
+        return len(self.index)
+
+    def rows(self, keys) -> np.ndarray:
+        return np.array([self.index[key] for key in keys], dtype=np.intp)
+
+    def take(self, rows) -> Pose:
+        return Pose(self.poses.rotation[rows], self.poses.translation[rows])
+
+    def retract(self, rows: np.ndarray, delta: np.ndarray) -> "Values":
+        """A copy with the poses at `rows` moved by oplus of `delta`, six
+        entries per row."""
+        moved = geometry.oplus(self.take(rows), delta.reshape(-1, 6))
+        rotation = self.poses.rotation.copy()
+        translation = self.poses.translation.copy()
+        rotation[rows], translation[rows] = moved.rotation, moved.translation
+        return Values(self.index, Pose(rotation, translation))
+
+
+class _Store:
+    """The factors of one class in insertion order, stacked: per factor, its
+    graph key ids, its position in the graph, its sigmas and, for classes
+    with a measurement, the measured rotation and translation."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.arrays = {}
+
+    def append(self, **row):
+        for name, value in row.items():
+            value = np.asarray(value)[None]
+            if name in self.arrays:
+                value = np.concatenate([self.arrays[name], value])
+            self.arrays[name] = value
+
+    def __getitem__(self, name) -> np.ndarray:
+        return self.arrays[name]
+
+    def measured(self, select):
+        if "rotation" not in self.arrays:
+            return None
+        return Pose(self["rotation"][select], self["translation"][select])
+
+
+def _evaluate_by_class(values: Values, rows, batches, jacobians=False):
+    """Evaluate factors one class at a time on poses gathered from `values`
+    by row, with one log (and one inverse right Jacobian) over all of them.
+
+    `rows` holds the row in `values` of each graph key id, and `batches`
+    lists ``(store, select)`` pairs in summation order: the factors at
+    `select` (an index, or a slice) of a class store.  Returns one
+    ``(residuals, blocks)`` pair per batch: the whitened residuals (m, 6)
+    and, with `jacobians`, the whitened Jacobian blocks (m, k, 6, 6), else
+    None.
     """
-    if not factors:
+    if not batches:
         return []
-    index = {key: i for i, key in enumerate(order)}
-    stacked = Pose.stack([values[key] for key in order])
-    groups = {}
-    for factor in factors:
-        groups.setdefault(type(factor), []).append(factor)
-    all_rows, errors, maps = [], [], []
-    for cls, group in groups.items():
-        rows = np.array([[index[key] for key in f.keys] for f in group])
-        poses = [Pose(stacked.rotation[i], stacked.translation[i])
-                 for i in rows.T]
-        measured = (Pose.stack([f.measured for f in group])
-                    if hasattr(group[0], "measured") else None)
-        error, tangent = cls.evaluate(poses, measured, jacobians)
-        all_rows.append(rows)
+    errors, maps, sigmas = [], [], []
+    for store, select in batches:
+        poses = values.take(rows[store["ids"][select]].T)   # (k, m, ...)
+        error, tangent = store.cls.evaluate(
+            [Pose(r, t) for r, t in zip(poses.rotation, poses.translation)],
+            store.measured(select), jacobians)
         errors.append(error)
         maps.append(tangent)
-    sigmas = np.array([f.noise.sigmas for g in groups.values() for f in g])
+        sigmas.append(store["sigmas"][select])
+    bounds = np.cumsum([len(s) for s in sigmas])[:-1]
+    sigmas = np.concatenate(sigmas)
     raw = geometry.log(Pose(np.concatenate([e.rotation for e in errors]),
                             np.concatenate([e.translation for e in errors])))
-    bounds = np.cumsum([len(rows) for rows in all_rows])[:-1]
     residuals = np.split(raw / sigmas, bounds)
     if not jacobians:
-        return [(rows, r, None) for rows, r in zip(all_rows, residuals)]
+        return [(r, None) for r in residuals]
     jr_inv = np.split(geometry.right_jacobian_inv(raw) / sigmas[:, :, None],
                       bounds)
-    return [(rows, r, j[:, None] @ np.stack(tangent, axis=1))
-            for rows, r, j, tangent in zip(all_rows, residuals, jr_inv, maps)]
+    return [(r, j[:, None] @ np.stack(tangent, axis=1))
+            for r, j, tangent in zip(residuals, jr_inv, maps)]
 
 
-@dataclass
 class FactorGraph:
-    factors: list = field(default_factory=list)
+    """Factors in insertion order.  `add` also numbers each new key in order
+    of first appearance and appends the factor to its class's store; the
+    stores, in order of each class's first appearance, are what `cost` and
+    `linearize` evaluate."""
+
+    def __init__(self, factors=()):
+        self.factors = []
+        self.key_ids = {}   # VariableKey -> id
+        self.stores = {}    # factor class -> _Store
+        self._plan = None   # (token, _Plan) of the last linearize
+        for factor in factors:
+            self.add(factor)
 
     def add(self, factor: Factor) -> None:
+        cls = type(factor)
+        if cls not in self.stores:
+            self.stores[cls] = _Store(cls)
+        row = {"ids": [self.key_ids.setdefault(key, len(self.key_ids))
+                       for key in factor.keys],
+               "position": len(self.factors), "sigmas": factor.noise.sigmas}
+        if hasattr(factor, "measured"):
+            row.update(rotation=factor.measured.rotation,
+                       translation=factor.measured.translation)
+        self.stores[cls].append(**row)
         self.factors.append(factor)
 
     def __len__(self):
         return len(self.factors)
 
-    def cost(self, values: dict) -> float:
-        groups = _evaluate_by_class(self.factors, values, list(values))
-        return 0.5 * sum(float(np.sum(r * r)) for _, r, _ in groups)
+    def cost(self, values) -> float:
+        values = Values.of(values)
+        batches = [(store, slice(None)) for store in self.stores.values()]
+        groups = _evaluate_by_class(values, values.rows(self.key_ids), batches)
+        return 0.5 * sum(float(np.sum(r * r)) for r, _ in groups)
 
 
 @dataclass
@@ -319,42 +405,79 @@ class LinearSystem:
     jtr: np.ndarray               # (6 n,)
 
 
-def linearize(graph: FactorGraph, values: dict,
-              fixed=frozenset()) -> LinearSystem:
+class _Plan(NamedTuple):
+    """How `linearize` lays out a graph for one key set and fixed set."""
+
+    keys: list           # free keys, in column-block order
+    rows: np.ndarray     # row in the values of each graph key id
+    batches: list        # (store, select) to evaluate, in summation order
+    where: np.ndarray    # flat J^T J, then J^T r, entry of each product term
+
+
+def _make_plan(graph: FactorGraph, values: Values, fixed) -> _Plan:
+    keys = sorted(k for k in values if k not in fixed)
+    n = len(keys)
+    # The column block of each graph key.  All fixed keys share block n, a
+    # sink cut off at the end.
+    column = {key: i for i, key in enumerate(keys)}
+    block = np.array([column.get(key, n) for key in graph.key_ids],
+                     dtype=np.intp)
+    # Only factors with a free key are evaluated, and each class is summed
+    # at the place of its first such factor.
+    ordered = []
+    for store in graph.stores.values():
+        active = (block[store["ids"]] < n).any(axis=1)
+        if active.any():
+            select = slice(None) if active.all() else np.flatnonzero(active)
+            ordered.append((store["position"][active.argmax()], store, select))
+    ordered.sort(key=lambda batch: batch[0])
+    batches = [(store, select) for _, store, select in ordered]
+    rows = values.rows(graph.key_ids)
+    if not batches:
+        return _Plan(keys, rows, batches, None)
+    # Per factor, the 6x6 products J_k^T J_l of its blocks land at the flat
+    # index first[k] * size + first[l] of J^T J for every pair of keys (k, l),
+    # and J_k^T r at first[k] of J^T r, stored after J^T J.
+    size = 6 * (n + 1)
+    offsets = np.arange(6)
+    firsts = [6 * block[store["ids"][select]] for store, select in batches]
+    pair_at = _flat([f[:, :, None] * size + f[:, None, :] for f in firsts])
+    grad_at = _flat([size * size + f for f in firsts])
+    where = np.concatenate([
+        (pair_at[:, None, None] + offsets[:, None] * size + offsets).ravel(),
+        (grad_at[:, None] + offsets).ravel()])
+    return _Plan(keys, rows, batches, where)
+
+
+def linearize(graph: FactorGraph, values, fixed=frozenset()) -> LinearSystem:
     """Normal equations assembled from each factor's closed-form Jacobian
     blocks in tangent space, evaluated one factor class at a time.
 
     Keys in `fixed` are treated as constants: they contribute to residuals
     but receive no Jacobian block or column, and a factor whose keys are all
     fixed is not evaluated.
+
+    The layout (columns, batches and scatter indices) depends only on the
+    graph's factors, the keys of `values` and `fixed`, so the graph keeps
+    the last one: every call within one `optimize` reuses it.
     """
-    keys = sorted(k for k in values.keys() if k not in fixed)
-    order = keys + [k for k in values if k in fixed]
-    active = [f for f in graph.factors if any(k not in fixed for k in f.keys)]
+    values = Values.of(values)
+    token = (values.index, len(graph), frozenset(fixed))
+    if graph._plan is None or graph._plan[0] != token:
+        graph._plan = (token, _make_plan(graph, values, fixed))
+    keys, rows, batches, where = graph._plan[1]
     n = len(keys)
-    if not active:
+    if not batches:
         return LinearSystem(keys=keys, jtj=np.zeros((6 * n, 6 * n)),
                             jtr=np.zeros(6 * n))
-    # Per factor, the 6x6 products J_k^T J_l of its blocks for every pair of
-    # keys (k, l), and J_k^T r for every key k, with the flat index of the
-    # first entry each lands on.  All fixed keys share block n, a sink cut
-    # off at the end.
-    size = 6 * (n + 1)
-    pair_at, products, grad_at, grads = [], [], [], []
-    for rows, r, blocks in _evaluate_by_class(active, values, order, True):
-        first = 6 * np.minimum(rows, n)
+    products, grads = [], []
+    for r, blocks in _evaluate_by_class(values, rows, batches, True):
         blocks_t = np.swapaxes(blocks, -1, -2)
-        pair_at.append(first[:, :, None] * size + first[:, None, :])
         products.append(blocks_t[:, :, None] @ blocks[:, None])
-        grad_at.append(size * size + first)
         grads.append(blocks_t @ r[:, None, :, None])
     # One scatter-add over the entries of J^T J, then those of J^T r.
     # np.bincount adds in input order, so the sums are deterministic.
-    offsets = np.arange(6)
-    where = np.concatenate([
-        (_flat(pair_at)[:, None, None] + offsets[:, None] * size
-         + offsets).ravel(),
-        (_flat(grad_at)[:, None] + offsets).ravel()])
+    size = 6 * (n + 1)
     flat = np.bincount(where, np.concatenate([_flat(products), _flat(grads)]),
                        minlength=size * size + size)
     return LinearSystem(
@@ -391,15 +514,6 @@ class OptimizeStats:
     final_cost: float
 
 
-def _retract_all(values: dict, keys, delta: np.ndarray) -> dict:
-    moved = geometry.oplus(Pose.stack([values[k] for k in keys]),
-                           delta.reshape(-1, 6))
-    out = dict(values)
-    for i, key in enumerate(keys):
-        out[key] = Pose(moved.rotation[i], moved.translation[i])
-    return out
-
-
 def optimize(graph: FactorGraph, init: dict,
              params: OptimizerParams = None, fixed=frozenset()):
     """Levenberg-Marquardt on the manifold.
@@ -411,18 +525,18 @@ def optimize(graph: FactorGraph, init: dict,
     shrinks it (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
     Squares Problems", 2004, sec. 3.2).  Terminates then, on relative cost
     change below the tolerance or on the iteration cap; accepted costs are
-    monotonically non-increasing.
+    monotonically non-increasing.  The estimate stays stacked (`Values`)
+    throughout and is returned as a dict of poses, with the stats.
     """
     params = params or OptimizerParams()
-    touched = {k for f in graph.factors for k in f.keys}
     for key in init:
-        if key not in touched and key not in fixed:
+        if key not in graph.key_ids and key not in fixed:
             raise GaugeError(f"variable {key.label()} has no factor attached")
-    for key in touched:
+    for key in graph.key_ids:
         if key not in init:
             raise KeyError(f"factor references missing variable {key.label()}")
 
-    values = dict(init)
+    values = Values.of(init)
     cost = graph.cost(values)
     initial_cost = cost
     if not np.isfinite(cost):
@@ -433,6 +547,7 @@ def optimize(graph: FactorGraph, init: dict,
     for _ in range(params.max_iterations):
         system = linearize(graph, values, fixed=fixed)
         jtj, jtr = system.jtj, system.jtr
+        rows = values.rows(system.keys)
         diag = np.diag(jtj).copy()
         diag[diag < 1e-12] = 1e-12
         damped = jtj.copy()
@@ -446,7 +561,7 @@ def optimize(graph: FactorGraph, init: dict,
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_SCALE
                 continue
-            candidate = _retract_all(values, system.keys, delta)
+            candidate = values.retract(rows, delta)
             new_cost = graph.cost(candidate)
             if not np.isfinite(new_cost):
                 raise DivergenceError(f"non-finite cost {new_cost}")
@@ -465,5 +580,6 @@ def optimize(graph: FactorGraph, init: dict,
         lam = max(lam / LAMBDA_SCALE, 1e-12)
         if improvement < params.cost_tolerance * max(cost, 1.0):
             break
-    return values, OptimizeStats(iterations=iterations,
-                                 initial_cost=initial_cost, final_cost=cost)
+    return dict(values), OptimizeStats(iterations=iterations,
+                                       initial_cost=initial_cost,
+                                       final_cost=cost)

@@ -29,6 +29,11 @@ class SuiteObject:
     shape: dict   # shape descriptor
 
     def __post_init__(self):
+        # The name becomes a directory under the output directory.
+        if not (isinstance(self.name, str) and self.name not in ("", ".", "..")
+                and os.path.basename(self.name) == self.name):
+            raise ConfigError(f"object name {self.name!r} must be one "
+                              "non-empty path component")
         try:
             shape_from_descriptor(self.shape)
         except (KeyError, TypeError, ValueError) as err:
@@ -52,11 +57,19 @@ class SuiteConfig:
             raise ConfigError("episodes_per_object must be >= 1")
         if not self.trajectories:
             self.trajectories = [TrajectorySpec()]
+        names = [obj.name for obj in self.objects]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"object names must be unique, got {names}")
+        if not self.modes:
+            raise ConfigError("modes lists no tracker mode")
+        modes = []
         for mode in self.modes:
             try:
-                TrackerMode(mode)
+                modes.append(TrackerMode(mode))
             except ValueError as err:
                 raise ConfigError(f"unknown tracker mode {mode!r}") from err
+        if len(set(modes)) != len(modes):
+            raise ConfigError(f"modes must be unique, got {self.modes!r}")
         TrackerConfig.from_dict(self.tracker)   # reject bad overrides at load
 
     def to_dict(self):

@@ -3,10 +3,12 @@ depth -> unprojected 3-D point cloud with per-point normals."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.spatial import cKDTree
 
 from .render import DepthImage, GelConfig, NormalImage
 
@@ -33,6 +35,13 @@ class PointCloud:
 
     def __len__(self):
         return len(self.points)
+
+    @functools.cached_property
+    def search(self):
+        """A k-d tree over the points, and the points and normals side by
+        side as one (n, 6) array to gather matches from.  Built on first use
+        and kept: a cloud's arrays are not changed once it is made."""
+        return cKDTree(self.points), np.hstack([self.points, self.normals])
 
     def transformed(self, pose, frame: str) -> "PointCloud":
         return PointCloud(points=pose.transform_points(self.points),

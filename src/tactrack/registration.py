@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .geometry import Pose
@@ -67,11 +66,19 @@ def point_to_plane_step(src_pts, tgt_pts, tgt_normals):
     if len(src_pts) < 6:
         raise InsufficientOverlapError(len(src_pts), 6)
     # Rows of the linearized system for twist [w, v]:
-    # residual n . (p + w x p + v - q).
-    a = np.hstack([np.cross(src_pts, tgt_normals), tgt_normals])
-    b = np.einsum("ij,ij->i", tgt_normals, tgt_pts - src_pts)
+    # residual n . (p + w x p + v - q).  The columns p x n are written out
+    # with the same arithmetic as np.cross.
+    p, n = src_pts, tgt_normals
+    a = np.empty((len(p), 6))
+    a[:, 0] = p[:, 1] * n[:, 2] - p[:, 2] * n[:, 1]
+    a[:, 1] = p[:, 2] * n[:, 0] - p[:, 0] * n[:, 2]
+    a[:, 2] = p[:, 0] * n[:, 1] - p[:, 1] * n[:, 0]
+    a[:, 3:] = n
+    b = np.einsum("ij,ij->i", n, tgt_pts - p)
     ata = a.T @ a
-    cond = float(np.linalg.cond(ata))
+    # The 2-norm condition number, as np.linalg.cond computes it.
+    s = np.linalg.svd(ata, compute_uv=False)
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateGeometryError(cond)
     return np.linalg.solve(ata, a.T @ b), cond
@@ -85,19 +92,16 @@ def icp_register(source: PointCloud, target: PointCloud,
                  init: Pose) -> ICPResult:
     """Iterative point-to-plane registration from an initial guess.
 
-    Correspondences are re-estimated each iteration with a k-d tree; the
-    point-to-point inlier RMSE is reported as the fitness metric.
+    Correspondences are re-estimated each iteration with the target's k-d
+    tree; the point-to-point inlier RMSE of the returned transform is
+    reported as the fitness metric.
     """
     if len(source) == 0 or len(target) == 0:
         raise InsufficientOverlapError(min(len(source), len(target)),
                                        MIN_CORRESPONDENCES)
-    tree = cKDTree(target.points)
+    tree, target_rows = target.search
     transform = init
     converged = False
-    iterations = 0
-    rmse = np.inf
-    cond = 1.0
-    count = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         moved = transform.transform_points(source.points)
         dists, idx = tree.query(moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
@@ -106,20 +110,20 @@ def icp_register(source: PointCloud, target: PointCloud,
         if count < MIN_CORRESPONDENCES:
             raise InsufficientOverlapError(count, MIN_CORRESPONDENCES)
         src = moved[keep]
-        tgt = target.points[idx[keep]]
-        nrm = target.normals[idx[keep]]
-        rmse = _point_rmse(src, tgt)
-        delta, cond = point_to_plane_step(src, tgt, nrm)
+        matched = target_rows[idx[keep]]
+        delta, cond = point_to_plane_step(src, matched[:, :3], matched[:, 3:])
         transform = geometry.compose(geometry.exp(delta), transform)
         if np.linalg.norm(delta) < CONVERGENCE_THRESHOLD:
             converged = True
             break
+    # Score the returned transform on its own matches; if it has none, keep
+    # the last iteration's.
     moved = transform.transform_points(source.points)
     dists, idx = tree.query(moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
     keep = np.isfinite(dists)
     if keep.any():
-        rmse = _point_rmse(moved[keep], target.points[idx[keep]])
-        count = int(keep.sum())
+        src, matched, count = moved[keep], target_rows[idx[keep]], int(keep.sum())
     return ICPResult(transform=transform, converged=converged,
-                     iterations=iterations, inlier_rmse=rmse,
+                     iterations=iterations,
+                     inlier_rmse=_point_rmse(src, matched[:, :3]),
                      correspondence_count=count, condition_number=cond)

@@ -11,6 +11,9 @@ from tactrack.episodes import NoiseSpec, TrajectorySpec
 from tactrack.harness import SuiteConfig, SuiteObject
 
 
+SPHERE = {"type": "sphere", "radius": 6.35}
+
+
 @pytest.fixture()
 def suite_yaml(tmp_path):
     cfg = SuiteConfig(
@@ -70,6 +73,20 @@ class TestSimulate:
         ("noise", {"normal_sigma": -0.1}),
         ("noise", {"eff_sigma_trans": -1}),
         ("gel", {"max_indent": 0}),
+        ("objects", [{"name": "a", "shape": SPHERE}, {"name": "a", "shape": SPHERE}]),
+        ("objects", [{"name": "", "shape": SPHERE}]),
+        ("objects", [{"name": "..", "shape": SPHERE}]),
+        ("objects", [{"name": "a/b", "shape": SPHERE}]),
+        ("modes", []),
+        ("modes", ["constvel", "im2im", "constvel"]),
+        ("trajectories", [{"steps": 1, "indent": 1.0, "length": 0.5}]),
+        ("trajectories", [{"steps": 4, "indent": -1.0, "length": 0.5}]),
+        ("trajectories", [{"steps": 4, "indent": 1.0, "length": float("nan")}]),
+        ("trajectories", [{"steps": 4, "indent": 1.0, "dt": 0.0}]),
+        ("trajectories", [{"kind": "arc", "steps": 4, "arc_radius": 0.0}]),
+        ("trajectories", [{"steps": 4, "direction_deg": float("inf")}]),
+        ("trajectories", [{"kind": "rotation", "steps": 4,
+                           "spin_deg": float("nan")}]),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):

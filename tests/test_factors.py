@@ -293,6 +293,44 @@ class TestEpisodeGraph:
         with pytest.raises(DomainError):
             linearize(broken, values, fixed=fixed)
 
+    @pytest.mark.parametrize("fixed_before", [None, 20])
+    def test_interleaved_adds_match_fresh_graph(self, episode_graph,
+                                                 fixed_before):
+        # The class stores grow and the cached linearize layout is rebuilt
+        # as factors arrive between evaluations; neither may change a bit
+        # of what a graph built in one go gives.
+        graph, values, _ = episode_graph
+        fixed = frozenset(k for k in values
+                          if fixed_before is not None and k.t < fixed_before)
+        stacked = factors.Values.of(values)
+        grown = FactorGraph()
+        for factor in graph.factors:
+            grown.add(factor)
+            grown.cost(stacked)
+            linearize(grown, stacked, fixed=fixed)
+        fresh = FactorGraph(graph.factors)
+        assert grown.cost(stacked) == fresh.cost(values)
+        for a, b in ((linearize(grown, stacked, fixed=fixed),
+                      linearize(fresh, values, fixed=fixed)),
+                     (linearize(grown, values, fixed=fixed),
+                      linearize(graph, stacked, fixed=fixed))):
+            assert a.keys == b.keys
+            np.testing.assert_array_equal(a.jtj, b.jtj)
+            np.testing.assert_array_equal(a.jtr, b.jtr)
+
+    def test_skipping_matches_graph_of_evaluated_factors(self, episode_graph):
+        # Skipping fully fixed factors sums the rest class by class, in the
+        # order of each class's first evaluated factor: the sums of a graph
+        # that holds only those factors, to the bit.
+        graph, values, fixed = episode_graph
+        evaluated = FactorGraph([f for f in graph.factors
+                                 if any(k not in fixed for k in f.keys)])
+        assert len(evaluated) < len(graph)
+        a = linearize(graph, values, fixed=fixed)
+        b = linearize(evaluated, values, fixed=fixed)
+        np.testing.assert_array_equal(a.jtj, b.jtj)
+        np.testing.assert_array_equal(a.jtr, b.jtr)
+
     def test_skipping_fully_fixed_factors_keeps_trajectory(self, monkeypatch):
         gel = GelConfig()
         ep = generate_episode(Pyramid(),

@@ -44,6 +44,71 @@ class TestPointToPlaneStep:
                                 cloud.normals[:4])
 
 
+def _reference_system(src_pts, tgt_pts, tgt_normals):
+    """The normal equations of point_to_plane_step as first written, with
+    np.cross and np.hstack; it solved them and took np.linalg.cond."""
+    a = np.hstack([np.cross(src_pts, tgt_normals), tgt_normals])
+    b = np.einsum("ij,ij->i", tgt_normals, tgt_pts - src_pts)
+    return a.T @ a, a.T @ b
+
+
+def _random_match(rng, n):
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    src = rng.uniform(-4.0, 4.0, size=(n, 3))
+    return src, src + rng.normal(scale=0.2, size=(n, 3)), normals
+
+
+def _cap_match(rng, n):
+    cap = sphere_cap_cloud(n=n)
+    shift = geometry.exp(rng.uniform(-0.05, 0.05, 6))
+    return cap.points, shift.transform_points(cap.points), cap.normals
+
+
+class TestStepMatchesReference:
+    """The column-by-column system gives the bits of the np.cross one, on
+    contiguous inputs and on the strided views icp_register passes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make, n", [(_random_match, 7), (_random_match, 500),
+                                         (_cap_match, 60), (_cap_match, 400)])
+    def test_same_bits(self, make, n, seed):
+        src, tgt, nrm = make(np.random.default_rng(seed), n)
+        ata, atb = _reference_system(src, tgt, nrm)
+        expected = np.linalg.solve(ata, atb)
+        expected_cond = float(np.linalg.cond(ata))
+        stacked = np.hstack([tgt, nrm])
+        for args in ((src, tgt, nrm), (src, stacked[:, :3], stacked[:, 3:])):
+            twist, cond = point_to_plane_step(*args)
+            np.testing.assert_array_equal(twist, expected)
+            assert cond == expected_cond
+
+    def test_plane_still_degenerate(self):
+        plane = plane_cloud(n=200)
+        shifted = plane.points + np.array([0.3, 0, 0.1])
+        ata, _ = _reference_system(plane.points, shifted, plane.normals)
+        with pytest.raises(DegenerateGeometryError) as err:
+            point_to_plane_step(plane.points, shifted, plane.normals)
+        assert err.value.condition_number == float(np.linalg.cond(ata))
+
+
+class _BlindAfter:
+    """A k-d tree that answers its first `calls` queries and finds no match
+    after that, recording the points and answer of the last one answered."""
+
+    def __init__(self, tree, calls):
+        self.tree, self.calls = tree, calls
+        self.last = None
+
+    def query(self, points, **kwargs):
+        if self.calls == 0:
+            return np.full(len(points), np.inf), np.full(len(points), self.tree.n)
+        self.calls -= 1
+        dists, idx = self.tree.query(points, **kwargs)
+        self.last = points, dists, idx
+        return dists, idx
+
+
 class TestIcpRegister:
     def test_self_registration_identity(self):
         cloud = sphere_cap_cloud(n=300)
@@ -109,6 +174,39 @@ class TestIcpRegister:
         b = PointCloud(points=a.points + 100.0, normals=a.normals)
         with pytest.raises(InsufficientOverlapError):
             icp_register(a, b, Pose.identity())
+
+    def test_fitness_of_returned_transform(self):
+        src = sphere_cap_cloud(n=300)
+        true = geometry.exp(np.array([0.02, -0.01, 0.03, 0.2, -0.1, 0.3]))
+        tgt = src.transformed(true, frame="sensor")
+        result = icp_register(src, tgt, Pose.identity())
+        moved = result.transform.transform_points(src.points)
+        dists, idx = tgt.search[0].query(moved, distance_upper_bound=6.0)
+        keep = np.isfinite(dists)
+        assert result.correspondence_count == keep.sum()
+        assert result.inlier_rmse == np.sqrt(np.mean(np.sum(
+            (moved[keep] - tgt.points[idx[keep]]) ** 2, axis=1)))
+
+    def test_no_final_match_keeps_last_iteration_fitness(self):
+        # When the returned transform matches no point, the fitness stays
+        # that of the last iteration's matches, before its update.
+        src = sphere_cap_cloud(n=300)
+        true = geometry.exp(np.array([0.02, -0.01, 0.03, 0.2, -0.1, 0.3]))
+        tgt = src.transformed(true, frame="sensor")
+        reference = icp_register(src, tgt, Pose.identity())
+        blind = PointCloud(points=tgt.points, normals=tgt.normals)
+        tree, rows = tgt.search
+        blind.search = (_BlindAfter(tree, reference.iterations), rows)
+        result = icp_register(src, blind, Pose.identity())
+        assert result.iterations == reference.iterations
+        np.testing.assert_array_equal(result.transform.matrix(),
+                                      reference.transform.matrix())
+        points, dists, idx = blind.search[0].last
+        keep = np.isfinite(dists)
+        assert result.correspondence_count == keep.sum()
+        assert result.inlier_rmse == np.sqrt(np.mean(np.sum(
+            (points[keep] - tgt.points[idx[keep]]) ** 2, axis=1)))
+        assert result.inlier_rmse != reference.inlier_rmse
 
     def test_result_serializable(self):
         cloud = sphere_cap_cloud(n=100)
