@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from . import geometry
 from .geometry import Pose
@@ -301,10 +302,13 @@ class Values(Mapping):
 class _Store:
     """The factors of one class in insertion order, stacked: per factor, its
     graph key ids, its position in the graph, its sigmas and, for classes
-    with a measurement, the measured rotation and translation."""
+    with a measurement, the measured rotation and translation.  `pairs`
+    holds the positions (k, l), k <= l, of the unordered pairs of a
+    factor's keys, whose products J_k^T J_l `linearize` sums."""
 
-    def __init__(self, cls):
+    def __init__(self, cls, key_count: int):
         self.cls = cls
+        self.pairs = np.array(np.triu_indices(key_count))   # (2, pairs)
         self.arrays = {}
 
     def append(self, **row):
@@ -375,7 +379,7 @@ class FactorGraph:
     def add(self, factor: Factor) -> None:
         cls = type(factor)
         if cls not in self.stores:
-            self.stores[cls] = _Store(cls)
+            self.stores[cls] = _Store(cls, len(factor.keys))
         row = {"ids": [self.key_ids.setdefault(key, len(self.key_ids))
                        for key in factor.keys],
                "position": len(self.factors), "sigmas": factor.noise.sigmas}
@@ -397,11 +401,18 @@ class FactorGraph:
 
 @dataclass
 class LinearSystem:
-    """Gauss-Newton normal equations ``J^T J`` and ``J^T r`` of the whitened
-    graph, six rows and columns per free variable in `keys` order."""
+    """Gauss-Newton normal equations of the whitened graph, six rows and
+    columns per free variable in `keys` order.  The keys are ordered by
+    ``(t, kind)``, so each factor's columns lie close together and ``J^T J``
+    is banded: its half-bandwidth is ``w = 6 s + 5``, ``s`` the widest span
+    of column blocks among the keys of one evaluated factor (at most
+    ``6 n - 1``).  `ab` holds the lower band in LAPACK storage,
+    ``ab[i - j, j] = (J^T J)[i, j]`` for ``0 <= i - j <= w``, zero where
+    ``i`` would pass the last row; the upper triangle is its mirror image
+    and is not stored."""
 
     keys: list                    # free variables, in column-block order
-    jtj: np.ndarray               # (6 n, 6 n)
+    ab: np.ndarray                # (w + 1, 6 n), lower band of J^T J
     jtr: np.ndarray               # (6 n,)
 
 
@@ -411,14 +422,16 @@ class _Plan(NamedTuple):
     keys: list           # free keys, in column-block order
     rows: np.ndarray     # row in the values of each graph key id
     batches: list        # (store, select) to evaluate, in summation order
-    where: np.ndarray    # flat J^T J, then J^T r, entry of each product term
+    width: int           # half-bandwidth w of J^T J
+    where: np.ndarray    # band, J^T r or trash entry of each product term
 
 
 def _make_plan(graph: FactorGraph, values: Values, fixed) -> _Plan:
-    keys = sorted(k for k in values if k not in fixed)
+    keys = sorted((k for k in values if k not in fixed),
+                  key=lambda k: (k.t, k.kind))
     n = len(keys)
     # The column block of each graph key.  All fixed keys share block n, a
-    # sink cut off at the end.
+    # sink past the last free block.
     column = {key: i for i, key in enumerate(keys)}
     block = np.array([column.get(key, n) for key in graph.key_ids],
                      dtype=np.intp)
@@ -433,60 +446,84 @@ def _make_plan(graph: FactorGraph, values: Values, fixed) -> _Plan:
     ordered.sort(key=lambda batch: batch[0])
     batches = [(store, select) for _, store, select in ordered]
     rows = values.rows(graph.key_ids)
-    if not batches:
-        return _Plan(keys, rows, batches, None)
-    # Per factor, the 6x6 products J_k^T J_l of its blocks land at the flat
-    # index first[k] * size + first[l] of J^T J for every pair of keys (k, l),
-    # and J_k^T r at first[k] of J^T r, stored after J^T J.
-    size = 6 * (n + 1)
-    offsets = np.arange(6)
-    firsts = [6 * block[store["ids"][select]] for store, select in batches]
-    pair_at = _flat([f[:, :, None] * size + f[:, None, :] for f in firsts])
-    grad_at = _flat([size * size + f for f in firsts])
-    where = np.concatenate([
-        (pair_at[:, None, None] + offsets[:, None] * size + offsets).ravel(),
-        (grad_at[:, None] + offsets).ravel()])
-    return _Plan(keys, rows, batches, where)
+    blocks = [block[store["ids"][select]] for store, select in batches]
+    # The blocks of the two keys of each product J_k^T J_l, in the order the
+    # products are summed: batch, factor, then pair.
+    ends = [b[:, store.pairs] for b, (store, _) in zip(blocks, batches)]
+    first = _flat([e[:, 0] for e in ends])
+    second = _flat([e[:, 1] for e in ends])
+    hi, lo = np.maximum(first, second), np.minimum(first, second)
+    # The widest span of free blocks in one evaluated factor bounds the
+    # distance of a nonzero entry of J^T J from the diagonal.
+    span = int((hi - lo)[hi < n].max(initial=0))
+    width = min(6 * span + 5, max(6 * n - 1, 0))
+    # Entry (a, b) of the product J_k^T J_l is entry (6 bk + a, 6 bl + b) of
+    # J^T J, bk and bl being the keys' blocks, and its mirror (6 bl + b,
+    # 6 bk + a).  The one on or below the diagonal, (i, j) = (6 hi + c,
+    # 6 lo + e) with hi and lo the larger and the smaller block, lands at
+    # ab[i - j, j]: flat j (w + 1) + i - j = 6 (w lo + hi) + w e + c, since
+    # the storage is column-major, as LAPACK reads it.  J_k^T r lands at
+    # 6 bk + a of J^T r, stored after the band.  The upper triangles of
+    # diagonal blocks (bk = bl) and the entries of fixed keys go to a trash
+    # slot at the end, which is cut off.
+    size = 6 * n
+    grad_base = (width + 1) * size
+    trash = grad_base + size
+    c, e = np.indices((6, 6))
+    pattern = np.stack([c + width * e, e + width * c])   # as is, mirrored
+    pair_at = (6 * (width * lo + hi))[:, None, None] \
+        + pattern[(first < second).astype(np.intp)]
+    pair_at[hi == n] = trash
+    pair_at[(first == second)[:, None, None] & (c < e)] = trash
+    key_at = _flat(blocks)
+    grad_at = grad_base + 6 * key_at[:, None] + np.arange(6)
+    grad_at[key_at == n] = trash
+    where = np.concatenate([pair_at.ravel(), grad_at.ravel()])
+    return _Plan(keys, rows, batches, width, where)
 
 
 def linearize(graph: FactorGraph, values, fixed=frozenset()) -> LinearSystem:
     """Normal equations assembled from each factor's closed-form Jacobian
     blocks in tangent space, evaluated one factor class at a time.
 
-    Keys in `fixed` are treated as constants: they contribute to residuals
-    but receive no Jacobian block or column, and a factor whose keys are all
-    fixed is not evaluated.
+    The free keys are ordered by ``(t, kind)``, so ``J^T J`` is banded, and
+    only its lower band is assembled: per factor, the products ``J_k^T J_l``
+    of each unordered key pair, scattered into LAPACK lower band storage
+    (`LinearSystem`).  Keys in `fixed` are treated as constants: they
+    contribute to residuals but receive no Jacobian block or column, and a
+    factor whose keys are all fixed is not evaluated.
 
-    The layout (columns, batches and scatter indices) depends only on the
-    graph's factors, the keys of `values` and `fixed`, so the graph keeps
-    the last one: every call within one `optimize` reuses it.
+    The layout (columns, batches, bandwidth and scatter indices) depends
+    only on the graph's factors, the keys of `values` and `fixed`, so the
+    graph keeps the last one: every call within one `optimize` reuses it.
     """
     values = Values.of(values)
     token = (values.index, len(graph), frozenset(fixed))
     if graph._plan is None or graph._plan[0] != token:
         graph._plan = (token, _make_plan(graph, values, fixed))
-    keys, rows, batches, where = graph._plan[1]
-    n = len(keys)
+    keys, rows, batches, width, where = graph._plan[1]
+    size = 6 * len(keys)
     if not batches:
-        return LinearSystem(keys=keys, jtj=np.zeros((6 * n, 6 * n)),
-                            jtr=np.zeros(6 * n))
+        return LinearSystem(keys=keys, ab=np.zeros((width + 1, size)),
+                            jtr=np.zeros(size))
     products, grads = [], []
-    for r, blocks in _evaluate_by_class(values, rows, batches, True):
-        blocks_t = np.swapaxes(blocks, -1, -2)
-        products.append(blocks_t[:, :, None] @ blocks[:, None])
-        grads.append(blocks_t @ r[:, None, :, None])
-    # One scatter-add over the entries of J^T J, then those of J^T r.
-    # np.bincount adds in input order, so the sums are deterministic.
-    size = 6 * (n + 1)
+    for (r, blocks), (store, _) in zip(
+            _evaluate_by_class(values, rows, batches, True), batches):
+        k, l = store.pairs
+        products.append(np.swapaxes(blocks[:, k], -1, -2) @ blocks[:, l])
+        grads.append(np.swapaxes(blocks, -1, -2) @ r[:, None, :, None])
+    # One scatter-add over the band of J^T J, then J^T r, then the trash
+    # slot.  np.bincount adds in input order, so the sums are deterministic.
+    band = (width + 1) * size
     flat = np.bincount(where, np.concatenate([_flat(products), _flat(grads)]),
-                       minlength=size * size + size)
-    return LinearSystem(
-        keys=keys, jtj=flat[:size * size].reshape(size, size)[:6 * n, :6 * n],
-        jtr=flat[size * size:size * size + 6 * n])
+                       minlength=band + size + 1)
+    return LinearSystem(keys=keys, ab=flat[:band].reshape(size, width + 1).T,
+                        jtr=flat[band:band + size])
 
 
 def _flat(arrays):
-    return np.concatenate([a.ravel() for a in arrays])
+    return np.concatenate([a.ravel() for a in arrays]
+                          or [np.zeros(0, dtype=np.intp)])
 
 
 # Levenberg-Marquardt damping schedule.  The ceiling is only a safety net:
@@ -514,15 +551,31 @@ class OptimizeStats:
     final_cost: float
 
 
+def _solve_damped(ab: np.ndarray, jtr: np.ndarray,
+                  damping: np.ndarray) -> np.ndarray:
+    """The step ``delta`` solving ``(J^T J + diag(damping)) delta = -J^T r``,
+    with ``J^T J`` in lower band storage `ab`, by a banded Cholesky
+    factorization (LAPACK ``dpbsv``).  Raises ``np.linalg.LinAlgError`` if
+    the damped matrix is not positive definite."""
+    damped = ab.copy(order="F")
+    damped[0] += damping
+    _, delta, info = lapack.dpbsv(damped, -jtr, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"banded Cholesky failed (LAPACK dpbsv info {info})")
+    return delta
+
+
 def optimize(graph: FactorGraph, init: dict,
              params: OptimizerParams = None, fixed=frozenset()):
     """Levenberg-Marquardt on the manifold.
 
-    Solves (J^T J + lambda diag(J^T J)) delta = -J^T r, retracts each pose
-    block via oplus, and accepts or rejects by cost.  Each rejection raises
-    lambda, and the search ends once the decrease the quadratic model
-    predicts for the rejected step is below the tolerance: more damping only
-    shrinks it (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
+    Solves (J^T J + lambda diag(J^T J)) delta = -J^T r by a banded Cholesky
+    factorization (`_solve_damped`), retracts each pose block via oplus, and
+    accepts or rejects by cost; a factorization that fails counts as a
+    rejection.  Each rejection raises lambda, and the search ends once the
+    decrease the quadratic model predicts for the rejected step is below the
+    tolerance: more damping only shrinks it (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
     Squares Problems", 2004, sec. 3.2).  Terminates then, on relative cost
     change below the tolerance or on the iteration cap; accepted costs are
     monotonically non-increasing.  The estimate stays stacked (`Values`)
@@ -546,18 +599,18 @@ def optimize(graph: FactorGraph, init: dict,
     iterations = 0
     for _ in range(params.max_iterations):
         system = linearize(graph, values, fixed=fixed)
-        jtj, jtr = system.jtj, system.jtr
+        if not system.keys:
+            break
+        ab, jtr = system.ab, system.jtr
+        width = len(ab) - 1
         rows = values.rows(system.keys)
-        diag = np.diag(jtj).copy()
+        diag = ab[0].copy()
         diag[diag < 1e-12] = 1e-12
-        damped = jtj.copy()
-        on_diag = np.diag_indices_from(damped)
 
         accepted = False
         while lam <= LAMBDA_MAX:
-            damped[on_diag] = jtj[on_diag] + lam * diag
             try:
-                delta = np.linalg.solve(damped, -jtr)
+                delta = _solve_damped(ab, jtr, lam * diag)
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_SCALE
                 continue
@@ -568,7 +621,8 @@ def optimize(graph: FactorGraph, init: dict,
             if new_cost < cost:
                 accepted = True
                 break
-            predicted = -(delta @ jtr) - 0.5 * delta @ (jtj @ delta)
+            predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
+                width, 1.0, ab, delta, lower=1)
             if predicted < params.cost_tolerance * max(cost, 1.0):
                 break
             lam *= LAMBDA_SCALE

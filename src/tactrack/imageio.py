@@ -47,6 +47,8 @@ def write_pgm_mask(path, mask: np.ndarray) -> None:
 
 
 def read_pgm_mask(path) -> np.ndarray:
+    """Read a binary P5 PGM with maxval 1..255 as a boolean mask: a pixel
+    is inside where its value is above half the maxval."""
     with open(path, "rb") as f:
         magic = f.readline().strip()
         if magic != b"P5":
@@ -55,9 +57,11 @@ def read_pgm_mask(path) -> np.ndarray:
         while line.startswith(b"#"):
             line = f.readline()
         w, h = (int(v) for v in line.split())
-        int(f.readline())  # maxval
+        maxval = int(f.readline())
+        if not 1 <= maxval <= 255:
+            raise ValueError(f"PGM maxval {maxval} is not in 1..255: {path}")
         data = np.frombuffer(f.read(w * h), dtype=np.uint8)
-    return data.reshape(h, w) > 127
+    return data.reshape(h, w) > maxval // 2
 
 
 def write_ply(path, points: np.ndarray, normals: np.ndarray) -> None:
@@ -89,7 +93,10 @@ def read_ply(path):
             raise ValueError(f"not a PLY file: {path}")
         count = 0
         while True:
-            line = f.readline().strip()
+            line = f.readline()
+            if not line:
+                raise ValueError(f"PLY header has no end_header: {path}")
+            line = line.strip()
             if line.startswith("element vertex"):
                 count = int(line.split()[-1])
             if line == "end_header":

@@ -93,13 +93,13 @@ class TestLinearize:
         graph = FactorGraph()
         graph.add(vis_prior(1, p, UNIT))
         system = linearize(graph, {obj_key(1): p})
-        np.testing.assert_allclose(system.jtj, np.eye(6), atol=1e-6)
+        np.testing.assert_allclose(_dense(system.ab), np.eye(6), atol=1e-6)
         np.testing.assert_allclose(system.jtr, np.zeros(6), atol=1e-9)
 
     def test_empty_graph(self):
         system = linearize(FactorGraph(), {})
         assert system.keys == []
-        assert system.jtj.shape == (0, 0)
+        assert system.ab.shape == (1, 0)
         assert system.jtr.shape == (0,)
 
     def test_fixed_variables_excluded(self):
@@ -164,13 +164,36 @@ def _factor_at(kind, poses, offset, t0=0):
                           ANISO), values
 
 
+def _band(dense, width):
+    """The lower band of `dense` in LAPACK storage, ab[i - j, j] =
+    dense[i, j], zero past the last row."""
+    size = len(dense)
+    ab = np.zeros((width + 1, size))
+    for d in range(width + 1):
+        ab[d, :size - d] = np.diagonal(dense, -d)
+    return ab
+
+
+def _dense(ab):
+    """The symmetric matrix whose lower band `ab` holds."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for d in range(len(ab)):
+        i = np.arange(d, size)
+        dense[i, i - d] = dense[i - d, i] = ab[d, :size - d]
+    return dense
+
+
 def _assert_matches_per_factor(system, graph, values, fixed, block, rel):
     """Compare the normal equations of `system` with a reference built from
-    a dense Jacobian filled one factor at a time; `block(factor, i)` is the
-    whitened 6x6 block of the factor's i-th key.  The tolerance is `rel`
-    times the largest sum of absolute terms, since J^T r nearly cancels at
-    an optimum."""
-    keys = sorted(k for k in values if k not in fixed)
+    a dense Jacobian filled one factor at a time, in (t, kind) key order;
+    `block(factor, i)` is the whitened 6x6 block of the factor's i-th key.
+    The band of J^T J is compared with the reference's, and the reference
+    must be exactly zero outside it, so a band too narrow fails.  The
+    tolerance is `rel` times the largest sum of absolute terms, since J^T r
+    nearly cancels at an optimum."""
+    keys = sorted((k for k in values if k not in fixed),
+                  key=lambda k: (k.t, k.kind))
     col = {key: 6 * i for i, key in enumerate(keys)}
     jac = np.zeros((6 * len(graph), 6 * len(keys)))
     res = np.zeros(6 * len(graph))
@@ -180,8 +203,12 @@ def _assert_matches_per_factor(system, graph, values, fixed, block, rel):
             if key not in fixed:
                 jac[row:row + 6, col[key]:col[key] + 6] = block(factor, i)
     assert system.keys == keys
+    width = len(system.ab) - 1
+    jtj = jac.T @ jac
+    i, j = np.indices(jtj.shape)
+    assert not jtj[np.abs(i - j) > width].any()
     for actual, expected, terms in (
-            (system.jtj, jac.T @ jac, np.abs(jac).T @ np.abs(jac)),
+            (system.ab, _band(jtj, width), np.abs(jac).T @ np.abs(jac)),
             (system.jtr, jac.T @ res, np.abs(jac).T @ np.abs(res))):
         np.testing.assert_allclose(actual, expected, rtol=0,
                                    atol=rel * terms.max(initial=0.0))
@@ -315,7 +342,7 @@ class TestEpisodeGraph:
                      (linearize(grown, values, fixed=fixed),
                       linearize(graph, stacked, fixed=fixed))):
             assert a.keys == b.keys
-            np.testing.assert_array_equal(a.jtj, b.jtj)
+            np.testing.assert_array_equal(a.ab, b.ab)
             np.testing.assert_array_equal(a.jtr, b.jtr)
 
     def test_skipping_matches_graph_of_evaluated_factors(self, episode_graph):
@@ -328,8 +355,27 @@ class TestEpisodeGraph:
         assert len(evaluated) < len(graph)
         a = linearize(graph, values, fixed=fixed)
         b = linearize(evaluated, values, fixed=fixed)
-        np.testing.assert_array_equal(a.jtj, b.jtj)
+        np.testing.assert_array_equal(a.ab, b.ab)
         np.testing.assert_array_equal(a.jtr, b.jtr)
+
+    @pytest.mark.parametrize("fixed_before", [None, 20])
+    def test_banded_damped_solve_matches_dense(self, episode_graph,
+                                               fixed_before):
+        # Time order makes J^T J banded (a const-vel factor spans five key
+        # blocks, so 29 columns below the diagonal), and the banded Cholesky
+        # solve agrees with a dense solve of the same damped system.
+        graph, values, _ = episode_graph
+        fixed = frozenset(k for k in values
+                          if fixed_before is not None and k.t < fixed_before)
+        system = linearize(graph, values, fixed=fixed)
+        assert system.ab.shape == (30, 6 * len(system.keys))
+        jtj = _dense(system.ab)
+        diag = np.diag(jtj)
+        for lam in (factors.LAMBDA_INIT, 1.0):
+            delta = factors._solve_damped(system.ab, system.jtr, lam * diag)
+            expected = np.linalg.solve(jtj + np.diag(lam * diag), -system.jtr)
+            assert (np.linalg.norm(delta - expected)
+                    <= 1e-9 * np.linalg.norm(expected))
 
     def test_skipping_fully_fixed_factors_keeps_trajectory(self, monkeypatch):
         gel = GelConfig()
@@ -343,15 +389,17 @@ class TestEpisodeGraph:
 
         def evaluating_all(graph, values, fixed=frozenset()):
             # Evaluates every factor with no key fixed, then drops the rows
-            # and columns of the fixed keys.
+            # and columns of the fixed keys, which keeps the band.
             fully_fixed.append(sum(all(k in fixed for k in f.keys)
                                    for f in graph.factors))
             full = linearize(graph, values)
             keep = [i for i, key in enumerate(full.keys) if key not in fixed]
             sel = (6 * np.array(keep, dtype=int)[:, None]
                    + np.arange(6)).ravel()
+            width = min(len(full.ab) - 1, max(len(sel) - 1, 0))
             return LinearSystem([full.keys[i] for i in keep],
-                                full.jtj[np.ix_(sel, sel)], full.jtr[sel])
+                                _band(_dense(full.ab)[np.ix_(sel, sel)],
+                                      width), full.jtr[sel])
 
         monkeypatch.setattr(factors, "linearize", evaluating_all)
         reference = track_episode(ep, TrackerMode.PATCH_GRAPH, config)
@@ -450,6 +498,22 @@ class TestOptimize:
         for t in range(10):
             err = geometry.ominus(values[eff_key(t + 1)], truth[t])
             assert np.linalg.norm(err) < 1e-6
+
+    def test_indefinite_damped_system_raises(self):
+        ab = np.array([[1.0, -1.0], [2.0, 0.0]])   # [[1, 2], [2, -1]]
+        with pytest.raises(np.linalg.LinAlgError):
+            factors._solve_damped(ab, np.ones(2), np.zeros(2))
+
+    def test_all_keys_fixed_returns_init(self):
+        rng = np.random.default_rng(14)
+        graph = FactorGraph()
+        graph.add(vis_prior(1, random_pose(rng), UNIT))
+        init = {obj_key(1): random_pose(rng)}
+        values, stats = optimize(graph, init, fixed=frozenset(init))
+        assert stats.iterations == 0
+        assert stats.final_cost == stats.initial_cost
+        np.testing.assert_array_equal(values[obj_key(1)].translation,
+                                      init[obj_key(1)].translation)
 
     def test_gauge_error_for_unconstrained_variable(self):
         graph = FactorGraph()

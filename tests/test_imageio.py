@@ -67,6 +67,19 @@ class TestPGM:
         np.testing.assert_array_equal(read_pgm_mask(path),
                                       [[True, False]])
 
+    def test_maxval_one(self, tmp_path):
+        path = tmp_path / "binary.pgm"
+        path.write_bytes(b"P5\n3 1\n1\n\x01\x00\x01")
+        np.testing.assert_array_equal(read_pgm_mask(path),
+                                      [[True, False, True]])
+
+    @pytest.mark.parametrize("maxval", [0, 256, 65535])
+    def test_maxval_out_of_range_rejected(self, tmp_path, maxval):
+        path = tmp_path / "wide.pgm"
+        path.write_bytes(b"P5\n1 1\n%d\n\x00\x00" % maxval)
+        with pytest.raises(ValueError):
+            read_pgm_mask(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0\n")
@@ -100,5 +113,11 @@ class TestPLY:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text("obj\nend_header\n")
+        with pytest.raises(ValueError):
+            read_ply(path)
+
+    def test_header_without_end_rejected(self, tmp_path):
+        path = tmp_path / "truncated.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n")
         with pytest.raises(ValueError):
             read_ply(path)
