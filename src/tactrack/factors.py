@@ -372,7 +372,7 @@ class FactorGraph:
         self.factors = []
         self.key_ids = {}   # VariableKey -> id
         self.stores = {}    # factor class -> _Store
-        self._plan = None   # (token, _Plan) of the last linearize
+        self._plan = None   # (token, _Plan) of the last evaluation
         for factor in factors:
             self.add(factor)
 
@@ -392,11 +392,18 @@ class FactorGraph:
     def __len__(self):
         return len(self.factors)
 
-    def cost(self, values) -> float:
+    def cost(self, values, fixed=frozenset()) -> float:
+        """Half the squared norm of the whitened residuals of the factors
+        with a key not in `fixed`: of every factor by default.  The sum runs
+        as `linearize`'s does, so the two agree to the bit."""
         values = Values.of(values)
-        batches = [(store, slice(None)) for store in self.stores.values()]
-        groups = _evaluate_by_class(values, values.rows(self.key_ids), batches)
-        return 0.5 * sum(float(np.sum(r * r)) for r, _ in groups)
+        plan = _layout(self, values, fixed)
+        return _half_squared_norm(
+            _evaluate_by_class(values, plan.rows, plan.batches))
+
+
+def _half_squared_norm(groups) -> float:
+    return 0.5 * sum(float(np.sum(r * r)) for r, _ in groups)
 
 
 @dataclass
@@ -409,19 +416,24 @@ class LinearSystem:
     ``6 n - 1``).  `ab` holds the lower band in LAPACK storage,
     ``ab[i - j, j] = (J^T J)[i, j]`` for ``0 <= i - j <= w``, zero where
     ``i`` would pass the last row; the upper triangle is its mirror image
-    and is not stored."""
+    and is not stored.  `cost` is half the squared norm of the whitened
+    residuals of the evaluated factors, those with a free key, at the
+    linearization point."""
 
     keys: list                    # free variables, in column-block order
     ab: np.ndarray                # (w + 1, 6 n), lower band of J^T J
     jtr: np.ndarray               # (6 n,)
+    cost: float
 
 
 class _Plan(NamedTuple):
-    """How `linearize` lays out a graph for one key set and fixed set."""
+    """How `linearize` and `FactorGraph.cost` lay out a graph for one key
+    set and fixed set."""
 
     keys: list           # free keys, in column-block order
     rows: np.ndarray     # row in the values of each graph key id
     batches: list        # (store, select) to evaluate, in summation order
+    frozen: list         # (store, select) of the factors with no free key
     width: int           # half-bandwidth w of J^T J
     where: np.ndarray    # band, J^T r or trash entry of each product term
 
@@ -437,12 +449,14 @@ def _make_plan(graph: FactorGraph, values: Values, fixed) -> _Plan:
                      dtype=np.intp)
     # Only factors with a free key are evaluated, and each class is summed
     # at the place of its first such factor.
-    ordered = []
+    ordered, frozen = [], []
     for store in graph.stores.values():
         active = (block[store["ids"]] < n).any(axis=1)
         if active.any():
             select = slice(None) if active.all() else np.flatnonzero(active)
             ordered.append((store["position"][active.argmax()], store, select))
+        if not active.all():
+            frozen.append((store, np.flatnonzero(~active)))
     ordered.sort(key=lambda batch: batch[0])
     batches = [(store, select) for _, store, select in ordered]
     rows = values.rows(graph.key_ids)
@@ -479,36 +493,43 @@ def _make_plan(graph: FactorGraph, values: Values, fixed) -> _Plan:
     grad_at = grad_base + 6 * key_at[:, None] + np.arange(6)
     grad_at[key_at == n] = trash
     where = np.concatenate([pair_at.ravel(), grad_at.ravel()])
-    return _Plan(keys, rows, batches, width, where)
+    return _Plan(keys, rows, batches, frozen, width, where)
+
+
+def _layout(graph: FactorGraph, values: Values, fixed) -> _Plan:
+    """The layout (columns, batches, bandwidth and scatter indices) of
+    `graph` for the keys of `values` and `fixed`.  It depends on nothing
+    else, so the graph keeps the last one: every evaluation within one
+    `optimize` call reuses it."""
+    token = (values.index, len(graph), frozenset(fixed))
+    if graph._plan is None or graph._plan[0] != token:
+        graph._plan = (token, _make_plan(graph, values, fixed))
+    return graph._plan[1]
 
 
 def linearize(graph: FactorGraph, values, fixed=frozenset()) -> LinearSystem:
     """Normal equations assembled from each factor's closed-form Jacobian
-    blocks in tangent space, evaluated one factor class at a time.
+    blocks in tangent space, evaluated one factor class at a time, and the
+    cost at `values` of the factors evaluated.
 
     The free keys are ordered by ``(t, kind)``, so ``J^T J`` is banded, and
     only its lower band is assembled: per factor, the products ``J_k^T J_l``
     of each unordered key pair, scattered into LAPACK lower band storage
     (`LinearSystem`).  Keys in `fixed` are treated as constants: they
     contribute to residuals but receive no Jacobian block or column, and a
-    factor whose keys are all fixed is not evaluated.
-
-    The layout (columns, batches, bandwidth and scatter indices) depends
-    only on the graph's factors, the keys of `values` and `fixed`, so the
-    graph keeps the last one: every call within one `optimize` reuses it.
+    factor whose keys are all fixed is not evaluated, nor counted in the
+    cost.  The cost is summed as `FactorGraph.cost` sums it, so with the
+    same `fixed` the two agree to the bit.
     """
     values = Values.of(values)
-    token = (values.index, len(graph), frozenset(fixed))
-    if graph._plan is None or graph._plan[0] != token:
-        graph._plan = (token, _make_plan(graph, values, fixed))
-    keys, rows, batches, width, where = graph._plan[1]
+    keys, rows, batches, _, width, where = _layout(graph, values, fixed)
     size = 6 * len(keys)
     if not batches:
         return LinearSystem(keys=keys, ab=np.zeros((width + 1, size)),
-                            jtr=np.zeros(size))
+                            jtr=np.zeros(size), cost=0.0)
+    groups = _evaluate_by_class(values, rows, batches, True)
     products, grads = [], []
-    for (r, blocks), (store, _) in zip(
-            _evaluate_by_class(values, rows, batches, True), batches):
+    for (r, blocks), (store, _) in zip(groups, batches):
         k, l = store.pairs
         products.append(np.swapaxes(blocks[:, k], -1, -2) @ blocks[:, l])
         grads.append(np.swapaxes(blocks, -1, -2) @ r[:, None, :, None])
@@ -518,7 +539,8 @@ def linearize(graph: FactorGraph, values, fixed=frozenset()) -> LinearSystem:
     flat = np.bincount(where, np.concatenate([_flat(products), _flat(grads)]),
                        minlength=band + size + 1)
     return LinearSystem(keys=keys, ab=flat[:band].reshape(size, width + 1).T,
-                        jtr=flat[band:band + size])
+                        jtr=flat[band:band + size],
+                        cost=_half_squared_norm(groups))
 
 
 def _flat(arrays):
@@ -573,13 +595,22 @@ def optimize(graph: FactorGraph, init: dict,
     Solves (J^T J + lambda diag(J^T J)) delta = -J^T r by a banded Cholesky
     factorization (`_solve_damped`), retracts each pose block via oplus, and
     accepts or rejects by cost; a factorization that fails counts as a
-    rejection.  Each rejection raises lambda, and the search ends once the
-    decrease the quadratic model predicts for the rejected step is below the
-    tolerance: more damping only shrinks it (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
-    Squares Problems", 2004, sec. 3.2).  Terminates then, on relative cost
-    change below the tolerance or on the iteration cap; accepted costs are
-    monotonically non-increasing.  The estimate stays stacked (`Values`)
-    throughout and is returned as a dict of poses, with the stats.
+    rejection.  Each rejection raises lambda.  Terminates on relative cost
+    change below the tolerance, on the iteration cap, or on a rejected step
+    whose decrease predicted by the quadratic model is below the tolerance:
+    more damping only shrinks it, so no damped step can pay (Madsen, Nielsen
+    & Tingleff, "Methods for Non-Linear Least Squares Problems", 2004, sec.
+    3.2).  Accepted costs are monotonically non-increasing.
+
+    Each point is evaluated once.  `linearize` gives the cost with the
+    system, so a trial is linearized, and an accepted one drives the next
+    iteration; only a trial that must be the last, by the model or the
+    cap, gets a cost-only pass (`FactorGraph.cost`), and its point is
+    linearized after all if it is accepted with a real improvement.  Factors
+    whose keys are all in `fixed` are evaluated once, as a constant added to
+    every cost.  With ``max_iterations=0`` no Jacobian is computed.  The
+    estimate stays stacked (`Values`) throughout and is returned as a dict
+    of poses, with the stats.
     """
     params = params or OptimizerParams()
     for key in init:
@@ -590,22 +621,31 @@ def optimize(graph: FactorGraph, init: dict,
             raise KeyError(f"factor references missing variable {key.label()}")
 
     values = Values.of(init)
-    cost = graph.cost(values)
+    plan = _layout(graph, values, fixed)
+    frozen = _half_squared_norm(
+        _evaluate_by_class(values, plan.rows, plan.frozen))
+
+    def evaluate(point, final):
+        """The cost at `point` and, unless `final`, its linear system."""
+        if final:
+            return frozen + graph.cost(point, fixed), None
+        system = linearize(graph, point, fixed=fixed)
+        return frozen + system.cost, system
+
+    cost, system = evaluate(values, params.max_iterations == 0)
     initial_cost = cost
     if not np.isfinite(cost):
         raise DivergenceError(f"non-finite initial cost {cost}")
 
     lam = LAMBDA_INIT
     iterations = 0
-    for _ in range(params.max_iterations):
-        system = linearize(graph, values, fixed=fixed)
-        if not system.keys:
-            break
+    while system is not None and system.keys:
         ab, jtr = system.ab, system.jtr
         width = len(ab) - 1
         rows = values.rows(system.keys)
         diag = ab[0].copy()
         diag[diag < 1e-12] = 1e-12
+        last = iterations + 1 == params.max_iterations
 
         accepted = False
         while lam <= LAMBDA_MAX:
@@ -614,16 +654,17 @@ def optimize(graph: FactorGraph, init: dict,
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_SCALE
                 continue
+            predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
+                width, 1.0, ab, delta, lower=1)
+            stalled = predicted < params.cost_tolerance * max(cost, 1.0)
             candidate = values.retract(rows, delta)
-            new_cost = graph.cost(candidate)
+            new_cost, new_system = evaluate(candidate, stalled or last)
             if not np.isfinite(new_cost):
                 raise DivergenceError(f"non-finite cost {new_cost}")
             if new_cost < cost:
                 accepted = True
                 break
-            predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
-                width, 1.0, ab, delta, lower=1)
-            if predicted < params.cost_tolerance * max(cost, 1.0):
+            if stalled:
                 break
             lam *= LAMBDA_SCALE
         if not accepted:
@@ -632,8 +673,11 @@ def optimize(graph: FactorGraph, init: dict,
         improvement = cost - new_cost
         values, cost = candidate, new_cost
         lam = max(lam / LAMBDA_SCALE, 1e-12)
-        if improvement < params.cost_tolerance * max(cost, 1.0):
+        if last or improvement < params.cost_tolerance * max(cost, 1.0):
             break
+        if new_system is None:   # stalled, but paid more than predicted
+            new_system = linearize(graph, values, fixed=fixed)
+        system = new_system
     return dict(values), OptimizeStats(iterations=iterations,
                                        initial_cost=initial_cost,
                                        final_cost=cost)

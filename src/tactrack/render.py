@@ -34,8 +34,9 @@ class GelConfig:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image resolution must be strictly positive")
-        if self.extent_x <= 0 or self.extent_y <= 0:
-            raise ValueError("gel extent must be strictly positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.extent_x, self.extent_y)):
+            raise ValueError("gel extent must be finite and > 0")
         if not (math.isfinite(self.max_indent) and self.max_indent > 0):
             raise ValueError("gel max_indent must be finite and > 0")
 

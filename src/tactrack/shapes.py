@@ -10,6 +10,7 @@ tracing requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +55,18 @@ class ShapeSDF:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
+    def _require_sizes(self, name, *sizes):
+        if not all(math.isfinite(v) and v > 0 for v in sizes):
+            raise ValueError(f"{type(self).__name__.lower()} {name} must be "
+                             f"finite and > 0, got {sizes!r}")
+
 
 @dataclass
 class Sphere(ShapeSDF):
     radius: float = 6.35
+
+    def __post_init__(self):
+        self._require_sizes("radius", self.radius)
 
     def _sdf_local(self, points):
         return np.linalg.norm(points, axis=1) - self.radius
@@ -70,6 +79,12 @@ class Sphere(ShapeSDF):
 @dataclass
 class Box(ShapeSDF):
     half_extents: tuple = (10.0, 10.0, 10.0)
+
+    def __post_init__(self):
+        if len(self.half_extents) != 3:
+            raise ValueError("box half_extents must hold 3 values, got "
+                             f"{self.half_extents!r}")
+        self._require_sizes("half_extents", *self.half_extents)
 
     def _sdf_local(self, points):
         h = np.asarray(self.half_extents, dtype=float)
@@ -89,6 +104,10 @@ class Pyramid(ShapeSDF):
 
     base_half_length: float = 22.225
     height: float = 12.7
+
+    def __post_init__(self):
+        self._require_sizes("base_half_length", self.base_half_length)
+        self._require_sizes("height", self.height)
 
     def _sdf_local(self, points):
         a, h = self.base_half_length, self.height

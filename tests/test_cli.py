@@ -87,6 +87,17 @@ class TestSimulate:
         ("trajectories", [{"steps": 4, "direction_deg": float("inf")}]),
         ("trajectories", [{"kind": "rotation", "steps": 4,
                            "spin_deg": float("nan")}]),
+        ("gel", {"extent_x": float("nan")}),
+        ("gel", {"extent_y": float("inf")}),
+        ("objects", [{"name": "s", "shape": {"type": "sphere",
+                                             "radius": -1.0}}]),
+        ("objects", [{"name": "s", "shape": {"type": "sphere",
+                                             "radius": float("nan")}}]),
+        ("objects", [{"name": "b", "shape": {"type": "box",
+                                             "half_extents": [1, 0, 1]}}]),
+        ("objects", [{"name": "p", "shape": {"type": "pyramid",
+                                             "base_half_length": 10.0,
+                                             "height": float("inf")}}]),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):

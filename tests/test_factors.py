@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas
 
 from tactrack import factors, geometry
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
-from tactrack.factors import (ConstVelFactor, FactorGraph, GaugeError,
-                              Im2ImFactor, Im2PatchFactor, LinearSystem,
-                              MotionPriorFactor, NoiseModel, OptimizerParams,
-                              PriorFactor, eff_key, eff_prior, linearize,
-                              obj_key, optimize, vis_prior)
+from tactrack.factors import (ConstVelFactor, DivergenceError, FactorGraph,
+                              GaugeError, Im2ImFactor, Im2PatchFactor,
+                              LinearSystem, MotionPriorFactor, NoiseModel,
+                              OptimizeStats, OptimizerParams, PriorFactor,
+                              eff_key, eff_prior, linearize, obj_key, optimize,
+                              vis_prior)
 from tactrack.geometry import DomainError, Pose
 from tactrack.render import GelConfig
 from tactrack.shapes import Pyramid
@@ -218,6 +220,65 @@ def _analytic_block(values):
     return lambda factor, i: factor.noise.whiten(factor.jacobians(values)[i])
 
 
+def _per_factor_cost(graph, values, fixed=frozenset()):
+    """Half the squared whitened residual norm of the factors of `graph`
+    with a key not in `fixed`, one factor at a time."""
+    return sum(0.5 * float(r @ r) for r in (
+        f.residual(values) for f in graph.factors
+        if any(k not in fixed for k in f.keys)))
+
+
+def _two_pass_optimize(graph, init, params=OptimizerParams(),
+                       fixed=frozenset()):
+    """Levenberg-Marquardt as `optimize` ran it when it evaluated every
+    point twice: the cost of all factors at each trial, and the normal
+    equations of each accepted point again.  Returns the values, the stats
+    and, for each trial evaluated, whether it was accepted and whether the
+    decrease the model predicted for it was below the tolerance."""
+    values = factors.Values.of(init)
+    cost = graph.cost(values)
+    initial_cost = cost
+    trials = []
+    lam = factors.LAMBDA_INIT
+    iterations = 0
+    for _ in range(params.max_iterations):
+        system = linearize(graph, values, fixed=fixed)
+        if not system.keys:
+            break
+        ab, jtr = system.ab, system.jtr
+        rows = values.rows(system.keys)
+        diag = ab[0].copy()
+        diag[diag < 1e-12] = 1e-12
+        accepted = False
+        while lam <= factors.LAMBDA_MAX:
+            try:
+                delta = factors._solve_damped(ab, jtr, lam * diag)
+            except np.linalg.LinAlgError:
+                lam *= factors.LAMBDA_SCALE
+                continue
+            candidate = values.retract(rows, delta)
+            new_cost = graph.cost(candidate)
+            predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
+                len(ab) - 1, 1.0, ab, delta, lower=1)
+            stalled = predicted < params.cost_tolerance * max(cost, 1.0)
+            trials.append((bool(new_cost < cost), bool(stalled)))
+            if new_cost < cost:
+                accepted = True
+                break
+            if stalled:
+                break
+            lam *= factors.LAMBDA_SCALE
+        if not accepted:
+            break
+        iterations += 1
+        improvement = cost - new_cost
+        values, cost = candidate, new_cost
+        lam = max(lam / factors.LAMBDA_SCALE, 1e-12)
+        if improvement < params.cost_tolerance * max(cost, 1.0):
+            break
+    return dict(values), OptimizeStats(iterations, initial_cost, cost), trials
+
+
 class TestJacobianOracle:
     """Closed-form blocks against central differences, and the batched
     normal equations of linearize against the same blocks assembled one
@@ -304,6 +365,7 @@ class TestEpisodeGraph:
         expected = sum(0.5 * float(f.residual(values) @ f.residual(values))
                        for f in graph.factors)
         assert graph.cost(values) == pytest.approx(expected, rel=1e-12)
+        assert linearize(graph, values).cost == graph.cost(values)
 
     def test_residual_at_pi_in_batch_raises(self, episode_graph):
         graph, values, fixed = episode_graph
@@ -344,6 +406,7 @@ class TestEpisodeGraph:
             assert a.keys == b.keys
             np.testing.assert_array_equal(a.ab, b.ab)
             np.testing.assert_array_equal(a.jtr, b.jtr)
+            assert a.cost == b.cost
 
     def test_skipping_matches_graph_of_evaluated_factors(self, episode_graph):
         # Skipping fully fixed factors sums the rest class by class, in the
@@ -357,6 +420,71 @@ class TestEpisodeGraph:
         b = linearize(evaluated, values, fixed=fixed)
         np.testing.assert_array_equal(a.ab, b.ab)
         np.testing.assert_array_equal(a.jtr, b.jtr)
+        assert (a.cost == b.cost == graph.cost(values, fixed)
+                == evaluated.cost(values))
+        assert a.cost == pytest.approx(_per_factor_cost(graph, values, fixed),
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("fixed_before", [None, 20])
+    def test_optimize_matches_two_pass_reference(self, episode_graph,
+                                                 monkeypatch, fixed_before):
+        # Evaluating each point once takes the same steps as evaluating the
+        # cost of every trial and linearizing every accepted point again:
+        # to the bit with no fixed key, and up to the order of the cost sums
+        # (frozen factors added as one constant) with fixed keys.
+        graph, values, _ = episode_graph
+        fixed = frozenset(k for k in values
+                          if fixed_before is not None and k.t < fixed_before)
+        rng = np.random.default_rng(21)
+        init = {k: geometry.oplus(p, rng.normal(scale=[0.01] * 3 + [0.1] * 3))
+                for k, p in values.items()}
+        expected, expected_stats, trials = _two_pass_optimize(graph, init,
+                                                              fixed=fixed)
+        assert expected_stats.iterations >= 2
+
+        passes = {"cost": 0, "linearize": 0}
+        cost = FactorGraph.cost
+
+        def counted_cost(self, point, fixed=frozenset()):
+            passes["cost"] += 1
+            return cost(self, point, fixed)
+
+        def counted_linearize(graph, point, fixed=frozenset()):
+            passes["linearize"] += 1
+            return linearize(graph, point, fixed=fixed)
+
+        monkeypatch.setattr(FactorGraph, "cost", counted_cost)
+        monkeypatch.setattr(factors, "linearize", counted_linearize)
+        actual, stats = optimize(graph, init, fixed=fixed)
+
+        assert stats.iterations == expected_stats.iterations
+        if not fixed:
+            assert stats == expected_stats
+            for key in expected:
+                np.testing.assert_array_equal(actual[key].rotation,
+                                              expected[key].rotation)
+                np.testing.assert_array_equal(actual[key].translation,
+                                              expected[key].translation)
+        else:
+            for name in ("initial_cost", "final_cost"):
+                assert getattr(stats, name) == pytest.approx(
+                    getattr(expected_stats, name), rel=1e-12)
+            for key in expected:
+                np.testing.assert_allclose(
+                    geometry.ominus(actual[key], expected[key]), 0.0,
+                    rtol=0, atol=1e-9)
+        # A trial the model calls final takes a cost-only pass, and is
+        # linearized too if it is accepted and the search goes on; every
+        # other trial is linearized once.
+        stalled = sum(s for _, s in trials)
+        assert passes["cost"] == stalled
+        assert passes["linearize"] == 1 + len(trials) - stalled + sum(
+            a and s for a, s in trials[:-1])
+        # No trial is rejected here and the last one is stalled: one
+        # linearization at the start and one per accepted non-final step,
+        # and a cost-only pass only for the final step.
+        assert passes["linearize"] == 1 + sum(a for a, _ in trials[:-1])
+        assert passes["cost"] <= 1 + sum(not a for a, _ in trials)
 
     @pytest.mark.parametrize("fixed_before", [None, 20])
     def test_banded_damped_solve_matches_dense(self, episode_graph,
@@ -389,7 +517,8 @@ class TestEpisodeGraph:
 
         def evaluating_all(graph, values, fixed=frozenset()):
             # Evaluates every factor with no key fixed, then drops the rows
-            # and columns of the fixed keys, which keeps the band.
+            # and columns of the fixed keys, which keeps the band; the cost
+            # is that of the factors with a free key, one at a time.
             fully_fixed.append(sum(all(k in fixed for k in f.keys)
                                    for f in graph.factors))
             full = linearize(graph, values)
@@ -399,9 +528,11 @@ class TestEpisodeGraph:
             width = min(len(full.ab) - 1, max(len(sel) - 1, 0))
             return LinearSystem([full.keys[i] for i in keep],
                                 _band(_dense(full.ab)[np.ix_(sel, sel)],
-                                      width), full.jtr[sel])
+                                      width), full.jtr[sel],
+                                _per_factor_cost(graph, values, fixed))
 
         monkeypatch.setattr(factors, "linearize", evaluating_all)
+        monkeypatch.setattr(FactorGraph, "cost", _per_factor_cost)
         reference = track_episode(ep, TrackerMode.PATCH_GRAPH, config)
         assert max(fully_fixed) > 0
         for field in ("object_trajectory", "eff_trajectory"):
@@ -442,7 +573,8 @@ class TestOptimize:
     def test_at_optimum_ends_damping_search_on_model(self, monkeypatch):
         # No damped step can lower the cost, and the quadratic model says
         # so: the search ends on the first rejected step instead of raising
-        # lambda to its ceiling.
+        # lambda to its ceiling.  Every evaluation pass counts, cost-only or
+        # linearization.
         rng = np.random.default_rng(13)
         mean = random_pose(rng)
         graph = FactorGraph()
@@ -450,11 +582,16 @@ class TestOptimize:
         calls = []
         cost = FactorGraph.cost
 
-        def counted(self, values):
-            calls.append(values)
-            return cost(self, values)
+        def counted_cost(self, values, fixed=frozenset()):
+            calls.append("cost")
+            return cost(self, values, fixed)
 
-        monkeypatch.setattr(FactorGraph, "cost", counted)
+        def counted_linearize(graph, values, fixed=frozenset()):
+            calls.append("linearize")
+            return linearize(graph, values, fixed=fixed)
+
+        monkeypatch.setattr(FactorGraph, "cost", counted_cost)
+        monkeypatch.setattr(factors, "linearize", counted_linearize)
         _, stats = optimize(graph, {obj_key(1): mean})
         assert stats.iterations == 0
         assert len(calls) <= 2
@@ -503,6 +640,49 @@ class TestOptimize:
         ab = np.array([[1.0, -1.0], [2.0, 0.0]])   # [[1, 2], [2, -1]]
         with pytest.raises(np.linalg.LinAlgError):
             factors._solve_damped(ab, np.ones(2), np.zeros(2))
+
+    def test_non_finite_initial_cost_raises(self):
+        graph = FactorGraph()
+        graph.add(vis_prior(1, Pose(np.eye(3), np.array([np.nan, 0.0, 0.0])),
+                            UNIT))
+        with pytest.raises(DivergenceError):
+            optimize(graph, {obj_key(1): Pose.identity()})
+
+    @pytest.mark.parametrize("offset", [0.0, 0.05],
+                             ids=["final_trial", "linearized_trial"])
+    def test_non_finite_trial_cost_raises(self, monkeypatch, offset):
+        # At the optimum the model calls the first trial final, which gets
+        # a cost-only pass; away from it the trial is linearized.
+        rng = np.random.default_rng(15)
+        mean = random_pose(rng)
+        graph = FactorGraph()
+        graph.add(vis_prior(1, mean, UNIT))
+        retract = factors.Values.retract
+
+        def poisoned(self, rows, delta):
+            moved = retract(self, rows, delta)
+            moved.poses.translation[rows] = np.nan
+            return moved
+
+        monkeypatch.setattr(factors.Values, "retract", poisoned)
+        with pytest.raises(DivergenceError):
+            optimize(graph, {obj_key(1): geometry.oplus(mean,
+                                                        np.full(6, offset))})
+
+    def test_no_iterations_computes_no_jacobian(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        graph = FactorGraph()
+        graph.add(vis_prior(1, random_pose(rng), UNIT))
+        init = {obj_key(1): random_pose(rng)}
+
+        def refused(*args, **kwargs):
+            raise AssertionError("linearize called")
+
+        monkeypatch.setattr(factors, "linearize", refused)
+        values, stats = optimize(graph, init,
+                                 OptimizerParams(max_iterations=0))
+        assert stats.iterations == 0
+        assert stats.initial_cost == stats.final_cost == graph.cost(init)
 
     def test_all_keys_fixed_returns_init(self):
         rng = np.random.default_rng(14)

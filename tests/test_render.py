@@ -53,6 +53,27 @@ class TestShapes:
         with pytest.raises(ValueError):
             shape_from_descriptor({"type": "torus"})
 
+    @pytest.mark.parametrize("desc", [
+        {"type": "sphere", "radius": -1.0},
+        {"type": "sphere", "radius": float("nan")},
+        {"type": "box", "half_extents": [1.0, 0.0, 1.0]},
+        {"type": "box", "half_extents": [1.0, 1.0]},
+        {"type": "pyramid", "base_half_length": 10.0, "height": float("inf")},
+        {"type": "pyramid", "base_half_length": 0.0, "height": 5.0},
+    ])
+    def test_bad_geometry_rejected(self, desc):
+        with pytest.raises(ValueError):
+            shape_from_descriptor(desc)
+
+
+class TestGelConfig:
+    @pytest.mark.parametrize("overrides", [
+        {"extent_x": float("nan")}, {"extent_y": float("inf")},
+        {"extent_x": 0.0}, {"extent_y": -1.0}])
+    def test_bad_extent_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            GelConfig(**overrides)
+
 
 class TestRenderDepth:
     def test_no_contact_empty_mask(self, gel):
