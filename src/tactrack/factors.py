@@ -154,39 +154,10 @@ def vis_prior(t: int, measured: Pose, noise: NoiseModel) -> PriorFactor:
 
 
 @dataclass
-class ConstVelFactor(Factor):
-    """Ternary smoothness prior over consecutive object pose triplets."""
-
-    t: int
-    noise: NoiseModel
-    name = "const_vel"
-
-    def __post_init__(self):
-        self.keys = (obj_key(self.t - 2), obj_key(self.t - 1), obj_key(self.t))
-
-    @staticmethod
-    def evaluate(poses, measured, jacobians=False):
-        a, b, c = poses
-        step_prev = geometry.compose(geometry.inverse(a), b)
-        step_curr = geometry.compose(geometry.inverse(b), c)
-        error = geometry.compose(geometry.inverse(step_prev), step_curr)
-        if not jacobians:
-            return error, None
-        # E = b^-1 a b^-1 c: b appears twice, and its two terms add.
-        ad_prev = _ad_inv(step_curr)
-        return error, [ad_prev,
-                       -ad_prev @ (geometry.adjoint(step_prev) + _I6),
-                       _identity_maps(error)]
-
-
-@dataclass
 class MotionPriorFactor(Factor):
-    """Binary zero-motion prior between consecutive object poses.
-
-    The smoothness chain penalizes velocity changes only, so a steady drift
-    costs nothing; anchoring the first step at zero motion removes that
-    free direction.
-    """
+    """The object's motion model: a zero-motion random walk, penalizing
+    the motion ``o_{t-1}^-1 o_t`` between consecutive object poses, so the
+    object is held still unless the measurements move it."""
 
     t: int
     noise: NoiseModel

@@ -138,7 +138,10 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
 
     Returns a map object name -> list of entries, each either an episode
     directory or an {"error": message} record for episodes whose generation
-    failed (the suite continues past them)."""
+    failed (the suite continues past them).  ConfigError, before anything
+    is written, if the config lists no objects."""
+    if not config.objects:
+        raise ConfigError("suite config lists no objects")
     episodes = {}
     for oi, obj in enumerate(config.objects):
         shape = shape_from_descriptor(obj.shape)
@@ -255,10 +258,8 @@ def run_suite(config: SuiteConfig, out_dir) -> SuiteReport:
     Per-episode failures are recorded and the suite continues; the report is
     deterministic for a fixed master seed.
     """
-    if not config.objects:
-        raise ConfigError("suite config lists no objects")
-    os.makedirs(out_dir, exist_ok=True)
     episode_dirs = generate_suite_episodes(config, os.path.join(out_dir, "episodes"))
+    os.makedirs(out_dir, exist_ok=True)
     tracker_config = config.tracker_config()
     records = {}
     for obj in config.objects:

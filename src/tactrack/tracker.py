@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from . import factors, geometry, patchmap, registration
-from .factors import (ConstVelFactor, FactorGraph, Im2ImFactor, Im2PatchFactor,
+from .factors import (FactorGraph, Im2ImFactor, Im2PatchFactor,
                       MotionPriorFactor, NoiseModel, OptimizerParams, eff_key,
                       eff_prior, obj_key, vis_prior)
 from .geometry import Pose
@@ -59,10 +59,10 @@ GT_SAMPLE_SEED = 0
 class TrackerConfig:
     sigma_eff: tuple = (0.01, 1.0)        # (rad, mm) per axis
     sigma_vis: tuple = (0.05, 2.0)
-    # Tight quasi-static motion prior: grasped objects barely move between
-    # frames, and a looser prior lets the optimizer absorb end-effector
-    # measurement noise as spurious object motion, random-walking the
-    # estimate over an episode.
+    # Per-step sigma of the object's zero-motion random walk: grasped
+    # objects barely move between frames, and a looser walk lets the
+    # optimizer absorb end-effector measurement noise as spurious object
+    # motion over an episode.
     sigma_vel: tuple = (0.005, 0.1)
     optimizer: OptimizerParams = field(default_factory=OptimizerParams)
     # Short episodes benefit from a dense patch: more keyframes mean better
@@ -217,16 +217,6 @@ class Tracker:
         return geometry.compose(geometry.inverse(self.values[obj_key(t)]),
                                 self.values[eff_key(t)])
 
-    def _extrapolate_object(self) -> Pose:
-        t = self.t
-        if t <= 2:
-            return self.values[obj_key(t - 1)]
-        prev, prev2 = self.values[obj_key(t - 1)], self.values[obj_key(t - 2)]
-        # prev * exp(log(prev2^-1 prev)): exp returns an orthonormal rotation,
-        # where composing with inverse() (a transpose) lets rounding grow
-        # step after step until the rotation is no longer one.
-        return geometry.oplus(prev, geometry.ominus(prev2, prev))
-
     def _warn(self, message: str):
         self.warnings.append({"step": self.t, "message": message})
 
@@ -275,14 +265,9 @@ class Tracker:
 
         if t > 1:
             self.values[eff_key(t)] = eff_measurement
-            self.values[obj_key(t)] = self._extrapolate_object()
+            self.values[obj_key(t)] = self.values[obj_key(t - 1)]
             self.graph.add(eff_prior(t, eff_measurement, self.eff_noise))
-            if t == 2:
-                # Seed the velocity chain: without this the first step's
-                # velocity is a free direction (steady drift costs nothing).
-                self.graph.add(MotionPriorFactor(t, self.vel_noise))
-            if t >= 3:
-                self.graph.add(ConstVelFactor(t, self.vel_noise))
+            self.graph.add(MotionPriorFactor(t, self.vel_noise))
 
         cloud = None
         if not normal_image.mask.any():

@@ -98,6 +98,7 @@ class TestSimulate:
         ("objects", [{"name": "p", "shape": {"type": "pyramid",
                                              "base_half_length": 10.0,
                                              "height": float("inf")}}]),
+        ("objects", []),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):

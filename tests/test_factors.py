@@ -8,12 +8,11 @@ from scipy.linalg import blas
 
 from tactrack import factors, geometry
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
-from tactrack.factors import (ConstVelFactor, DivergenceError, FactorGraph,
-                              GaugeError, Im2ImFactor, Im2PatchFactor,
-                              LinearSystem, MotionPriorFactor, NoiseModel,
-                              OptimizeStats, OptimizerParams, PriorFactor,
-                              eff_key, eff_prior, linearize, obj_key, optimize,
-                              vis_prior)
+from tactrack.factors import (DivergenceError, FactorGraph, GaugeError,
+                              Im2ImFactor, Im2PatchFactor, LinearSystem,
+                              MotionPriorFactor, NoiseModel, OptimizeStats,
+                              OptimizerParams, PriorFactor, eff_key, eff_prior,
+                              linearize, obj_key, optimize, vis_prior)
 from tactrack.geometry import DomainError, Pose
 from tactrack.render import GelConfig
 from tactrack.shapes import Pyramid
@@ -31,17 +30,6 @@ class TestResiduals:
         factor = eff_prior(1, p, UNIT)
         np.testing.assert_allclose(factor.residual({eff_key(1): p}),
                                    np.zeros(6), atol=1e-12)
-
-    def test_const_vel_zero_on_arithmetic_progression(self):
-        rng = np.random.default_rng(1)
-        o1 = random_pose(rng)
-        delta = geometry.exp(rng.uniform(-0.2, 0.2, 6))
-        o2 = geometry.compose(o1, delta)
-        o3 = geometry.compose(o2, delta)
-        factor = ConstVelFactor(3, UNIT)
-        values = {obj_key(1): o1, obj_key(2): o2, obj_key(3): o3}
-        np.testing.assert_allclose(factor.residual(values), np.zeros(6),
-                                   atol=1e-9)
 
     def test_motion_prior_zero_when_static(self):
         rng = np.random.default_rng(2)
@@ -151,11 +139,6 @@ def _factor_at(kind, poses, offset, t0=0):
     if kind == "motion_prior":
         values[obj_key(t0 + 3)] = geometry.compose(o2, geometry.exp(offset))
         return MotionPriorFactor(t0 + 3, ANISO), values
-    if kind == "const_vel":
-        step = geometry.compose(geometry.inverse(o1), o2)
-        values[obj_key(t0 + 3)] = geometry.compose(
-            geometry.compose(o2, step), geometry.exp(offset))
-        return ConstVelFactor(t0 + 3, ANISO), values
     rel1 = geometry.compose(geometry.inverse(o1), e1)
     rel2 = geometry.compose(geometry.inverse(o2), e2)
     if kind == "im2im":
@@ -285,8 +268,8 @@ class TestJacobianOracle:
     factor at a time."""
 
     @pytest.mark.parametrize("residual", sorted(RESIDUALS))
-    @pytest.mark.parametrize("kind", ["prior", "motion_prior", "const_vel",
-                                      "im2im", "im2patch"])
+    @pytest.mark.parametrize("kind", ["prior", "motion_prior", "im2im",
+                                      "im2patch"])
     def test_blocks_match_numerical_jacobian(self, kind, residual):
         # Derandomized, and without shrinking: a wrong block fails on almost
         # every draw, and shrinking 15 cases of ~40 floats takes minutes.
@@ -349,8 +332,7 @@ class TestEpisodeGraph:
     def test_graph_has_every_factor_kind(self, episode_graph):
         graph, values, fixed = episode_graph
         assert {f.name for f in graph.factors} == {
-            "vis_prior", "eff_prior", "motion_prior", "const_vel", "im2im",
-            "im2patch"}
+            "vis_prior", "eff_prior", "motion_prior", "im2im", "im2patch"}
         assert fixed and any(all(k in fixed for k in f.keys)
                              for f in graph.factors)
 
@@ -489,14 +471,15 @@ class TestEpisodeGraph:
     @pytest.mark.parametrize("fixed_before", [None, 20])
     def test_banded_damped_solve_matches_dense(self, episode_graph,
                                                fixed_before):
-        # Time order makes J^T J banded (a const-vel factor spans five key
-        # blocks, so 29 columns below the diagonal), and the banded Cholesky
-        # solve agrees with a dense solve of the same damped system.
+        # Time order makes J^T J banded (an im2im factor, the widest, spans
+        # the four key blocks (o, e) at t - 1 and t, so w = 6 * 3 + 5 = 23
+        # columns below the diagonal), and the banded Cholesky solve agrees
+        # with a dense solve of the same damped system.
         graph, values, _ = episode_graph
         fixed = frozenset(k for k in values
                           if fixed_before is not None and k.t < fixed_before)
         system = linearize(graph, values, fixed=fixed)
-        assert system.ab.shape == (30, 6 * len(system.keys))
+        assert system.ab.shape == (24, 6 * len(system.keys))
         jtj = _dense(system.ab)
         diag = np.diag(jtj)
         for lam in (factors.LAMBDA_INIT, 1.0):

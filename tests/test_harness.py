@@ -164,6 +164,7 @@ class TestRunSuite:
         cfg.objects = []
         with pytest.raises(ConfigError):
             run_suite(cfg, tmp_path / "suite")
+        assert not (tmp_path / "suite").exists()
 
     def test_failures_recorded_not_raised(self, tmp_path):
         # The second trajectory slides clean off the gel, so that episode's

@@ -9,9 +9,9 @@ import yaml
 from tactrack import geometry
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
-from tactrack.harness import default_suite_config
+from tactrack.harness import default_suite_config, episode_seed
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
-from tactrack.factors import OptimizerParams
+from tactrack.factors import OptimizerParams, obj_key
 from tactrack.reconstruct import PointCloud
 from tactrack.render import GelConfig
 from tactrack.tracker import (ConfigError, Tracker, TrackerConfig, TrackerMode,
@@ -206,6 +206,31 @@ class TestModes:
                    for w in result.warnings)
 
 
+class TestMotionModel:
+    def test_gtpatch_holds_still_object_still(self):
+        # Every simulated object is static, so registering against the true
+        # shape must keep the estimate within a fraction of a millimetre of
+        # its first pose; a motion model under which a steady drift costs
+        # little lets end-effector noise build one up (~1 mm here).
+        suite = default_suite_config()
+        obj = next(o for o in suite.objects if o.name == "pyramid")
+        seed = episode_seed(suite, suite.objects.index(obj), 2)
+        ep = generate_episode(shape_from_descriptor(obj.shape),
+                              suite.trajectories[0], suite.gel, suite.noise,
+                              seed=seed)
+        tracker = Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
+                          ep.vision_prior, ep.frames[0].eff_measured, ep.gel,
+                          shape=ep.shape)
+        for frame in ep.frames:
+            estimate = tracker.step(frame.normals, frame.eff_measured)
+        first = tracker.values[obj_key(1)]
+        drift = geometry.ominus(first, estimate.object_pose)[3:]
+        assert np.linalg.norm(drift) < 0.25
+        steps = [f.keys[1].t for f in tracker.graph.factors
+                 if f.name == "motion_prior"]
+        assert sorted(steps) == list(range(2, len(ep.frames) + 1))
+
+
 @pytest.fixture(scope="module")
 def long_pyramid_episode():
     """The default suite's pyramid and slide, stretched to 48 steps."""
@@ -219,8 +244,9 @@ def long_pyramid_episode():
 class TestLongEpisodes:
     @pytest.mark.parametrize("mode", list(TrackerMode), ids=lambda m: m.value)
     def test_48_step_slide_stays_on_se3(self, long_pyramid_episode, mode):
-        # Extrapolating with compose/inverse let rotation rounding grow until
-        # the im2im, patchgraph and gtpatch runs raised DomainError here.
+        # Long episodes must keep every pose finite and every rotation
+        # orthonormal: rotation rounding that grows step after step ends in
+        # DomainError.
         ep = long_pyramid_episode
         shape = ep.shape if mode is TrackerMode.GROUNDTRUTH_PATCH else None
         tracker = Tracker(mode, TrackerConfig(), ep.vision_prior,
