@@ -272,10 +272,10 @@ class Values(Mapping):
 
 class _Store:
     """The factors of one class in insertion order, stacked: per factor, its
-    graph key ids, its position in the graph, its sigmas and, for classes
-    with a measurement, the measured rotation and translation.  `pairs`
-    holds the positions (k, l), k <= l, of the unordered pairs of a
-    factor's keys, whose products J_k^T J_l `linearize` sums."""
+    graph key ids, its sigmas and, for classes with a measurement, the
+    measured rotation and translation.  `pairs` holds the positions (k, l),
+    k <= l, of the unordered pairs of a factor's keys, whose products
+    J_k^T J_l `linearize` sums."""
 
     def __init__(self, cls, key_count: int):
         self.cls = cls
@@ -292,34 +292,33 @@ class _Store:
     def __getitem__(self, name) -> np.ndarray:
         return self.arrays[name]
 
-    def measured(self, select):
+    def measured(self):
         if "rotation" not in self.arrays:
             return None
-        return Pose(self["rotation"][select], self["translation"][select])
+        return Pose(self["rotation"], self["translation"])
 
 
-def _evaluate_by_class(values: Values, rows, batches, jacobians=False):
+def _evaluate_by_class(values: Values, rows, stores, jacobians=False):
     """Evaluate factors one class at a time on poses gathered from `values`
     by row, with one log (and one inverse right Jacobian) over all of them.
 
-    `rows` holds the row in `values` of each graph key id, and `batches`
-    lists ``(store, select)`` pairs in summation order: the factors at
-    `select` (an index, or a slice) of a class store.  Returns one
-    ``(residuals, blocks)`` pair per batch: the whitened residuals (m, 6)
+    `rows` holds the row in `values` of each graph key id, and `stores`
+    lists the class stores in summation order.  Returns one
+    ``(residuals, blocks)`` pair per store: the whitened residuals (m, 6)
     and, with `jacobians`, the whitened Jacobian blocks (m, k, 6, 6), else
     None.
     """
-    if not batches:
+    if not stores:
         return []
     errors, maps, sigmas = [], [], []
-    for store, select in batches:
-        poses = values.take(rows[store["ids"][select]].T)   # (k, m, ...)
+    for store in stores:
+        poses = values.take(rows[store["ids"]].T)   # (k, m, ...)
         error, tangent = store.cls.evaluate(
             [Pose(r, t) for r, t in zip(poses.rotation, poses.translation)],
-            store.measured(select), jacobians)
+            store.measured(), jacobians)
         errors.append(error)
         maps.append(tangent)
-        sigmas.append(store["sigmas"][select])
+        sigmas.append(store["sigmas"])
     bounds = np.cumsum([len(s) for s in sigmas])[:-1]
     sigmas = np.concatenate(sigmas)
     raw = geometry.log(Pose(np.concatenate([e.rotation for e in errors]),
@@ -352,8 +351,7 @@ class FactorGraph:
         if cls not in self.stores:
             self.stores[cls] = _Store(cls, len(factor.keys))
         row = {"ids": [self.key_ids.setdefault(key, len(self.key_ids))
-                       for key in factor.keys],
-               "position": len(self.factors), "sigmas": factor.noise.sigmas}
+                       for key in factor.keys], "sigmas": factor.noise.sigmas}
         if hasattr(factor, "measured"):
             row.update(rotation=factor.measured.rotation,
                        translation=factor.measured.translation)
@@ -363,14 +361,13 @@ class FactorGraph:
     def __len__(self):
         return len(self.factors)
 
-    def cost(self, values, fixed=frozenset()) -> float:
-        """Half the squared norm of the whitened residuals of the factors
-        with a key not in `fixed`: of every factor by default.  The sum runs
-        as `linearize`'s does, so the two agree to the bit."""
+    def cost(self, values) -> float:
+        """Half the squared norm of the whitened residuals.  The sum runs as
+        `linearize`'s does, so the two agree to the bit."""
         values = Values.of(values)
-        plan = _layout(self, values, fixed)
+        plan = _layout(self, values)
         return _half_squared_norm(
-            _evaluate_by_class(values, plan.rows, plan.batches))
+            _evaluate_by_class(values, plan.rows, plan.stores))
 
 
 def _half_squared_norm(groups) -> float:
@@ -380,18 +377,17 @@ def _half_squared_norm(groups) -> float:
 @dataclass
 class LinearSystem:
     """Gauss-Newton normal equations of the whitened graph, six rows and
-    columns per free variable in `keys` order.  The keys are ordered by
+    columns per variable in `keys` order.  The keys are ordered by
     ``(t, kind)``, so each factor's columns lie close together and ``J^T J``
     is banded: its half-bandwidth is ``w = 6 s + 5``, ``s`` the widest span
-    of column blocks among the keys of one evaluated factor (at most
-    ``6 n - 1``).  `ab` holds the lower band in LAPACK storage,
+    of column blocks among the keys of one factor (at most ``6 n - 1``).
+    `ab` holds the lower band in LAPACK storage,
     ``ab[i - j, j] = (J^T J)[i, j]`` for ``0 <= i - j <= w``, zero where
     ``i`` would pass the last row; the upper triangle is its mirror image
     and is not stored.  `cost` is half the squared norm of the whitened
-    residuals of the evaluated factors, those with a free key, at the
-    linearization point."""
+    residuals at the linearization point."""
 
-    keys: list                    # free variables, in column-block order
+    keys: list                    # variables, in column-block order
     ab: np.ndarray                # (w + 1, 6 n), lower band of J^T J
     jtr: np.ndarray               # (6 n,)
     cost: float
@@ -399,48 +395,33 @@ class LinearSystem:
 
 class _Plan(NamedTuple):
     """How `linearize` and `FactorGraph.cost` lay out a graph for one key
-    set and fixed set."""
+    set."""
 
-    keys: list           # free keys, in column-block order
+    keys: list           # keys, in column-block order
     rows: np.ndarray     # row in the values of each graph key id
-    batches: list        # (store, select) to evaluate, in summation order
-    frozen: list         # (store, select) of the factors with no free key
+    stores: list         # class stores, in summation order
     width: int           # half-bandwidth w of J^T J
     where: np.ndarray    # band, J^T r or trash entry of each product term
 
 
-def _make_plan(graph: FactorGraph, values: Values, fixed) -> _Plan:
-    keys = sorted((k for k in values if k not in fixed),
-                  key=lambda k: (k.t, k.kind))
+def _make_plan(graph: FactorGraph, values: Values) -> _Plan:
+    keys = sorted(values, key=lambda k: (k.t, k.kind))
     n = len(keys)
-    # The column block of each graph key.  All fixed keys share block n, a
-    # sink past the last free block.
     column = {key: i for i, key in enumerate(keys)}
-    block = np.array([column.get(key, n) for key in graph.key_ids],
-                     dtype=np.intp)
-    # Only factors with a free key are evaluated, and each class is summed
-    # at the place of its first such factor.
-    ordered, frozen = [], []
-    for store in graph.stores.values():
-        active = (block[store["ids"]] < n).any(axis=1)
-        if active.any():
-            select = slice(None) if active.all() else np.flatnonzero(active)
-            ordered.append((store["position"][active.argmax()], store, select))
-        if not active.all():
-            frozen.append((store, np.flatnonzero(~active)))
-    ordered.sort(key=lambda batch: batch[0])
-    batches = [(store, select) for _, store, select in ordered]
+    block = np.array([column[key] for key in graph.key_ids], dtype=np.intp)
+    # Classes are summed in the order they first appear in the graph.
+    stores = list(graph.stores.values())
     rows = values.rows(graph.key_ids)
-    blocks = [block[store["ids"][select]] for store, select in batches]
+    blocks = [block[store["ids"]] for store in stores]
     # The blocks of the two keys of each product J_k^T J_l, in the order the
-    # products are summed: batch, factor, then pair.
-    ends = [b[:, store.pairs] for b, (store, _) in zip(blocks, batches)]
+    # products are summed: store, factor, then pair.
+    ends = [b[:, store.pairs] for b, store in zip(blocks, stores)]
     first = _flat([e[:, 0] for e in ends])
     second = _flat([e[:, 1] for e in ends])
     hi, lo = np.maximum(first, second), np.minimum(first, second)
-    # The widest span of free blocks in one evaluated factor bounds the
-    # distance of a nonzero entry of J^T J from the diagonal.
-    span = int((hi - lo)[hi < n].max(initial=0))
+    # The widest span of blocks in one factor bounds the distance of a
+    # nonzero entry of J^T J from the diagonal.
+    span = int((hi - lo).max(initial=0))
     width = min(6 * span + 5, max(6 * n - 1, 0))
     # Entry (a, b) of the product J_k^T J_l is entry (6 bk + a, 6 bl + b) of
     # J^T J, bk and bl being the keys' blocks, and its mirror (6 bl + b,
@@ -449,8 +430,8 @@ def _make_plan(graph: FactorGraph, values: Values, fixed) -> _Plan:
     # ab[i - j, j]: flat j (w + 1) + i - j = 6 (w lo + hi) + w e + c, since
     # the storage is column-major, as LAPACK reads it.  J_k^T r lands at
     # 6 bk + a of J^T r, stored after the band.  The upper triangles of
-    # diagonal blocks (bk = bl) and the entries of fixed keys go to a trash
-    # slot at the end, which is cut off.
+    # diagonal blocks (bk = bl) go to a trash slot at the end, which is cut
+    # off.
     size = 6 * n
     grad_base = (width + 1) * size
     trash = grad_base + size
@@ -458,49 +439,43 @@ def _make_plan(graph: FactorGraph, values: Values, fixed) -> _Plan:
     pattern = np.stack([c + width * e, e + width * c])   # as is, mirrored
     pair_at = (6 * (width * lo + hi))[:, None, None] \
         + pattern[(first < second).astype(np.intp)]
-    pair_at[hi == n] = trash
     pair_at[(first == second)[:, None, None] & (c < e)] = trash
-    key_at = _flat(blocks)
-    grad_at = grad_base + 6 * key_at[:, None] + np.arange(6)
-    grad_at[key_at == n] = trash
+    grad_at = grad_base + 6 * _flat(blocks)[:, None] + np.arange(6)
     where = np.concatenate([pair_at.ravel(), grad_at.ravel()])
-    return _Plan(keys, rows, batches, frozen, width, where)
+    return _Plan(keys, rows, stores, width, where)
 
 
-def _layout(graph: FactorGraph, values: Values, fixed) -> _Plan:
-    """The layout (columns, batches, bandwidth and scatter indices) of
-    `graph` for the keys of `values` and `fixed`.  It depends on nothing
-    else, so the graph keeps the last one: every evaluation within one
-    `optimize` call reuses it."""
-    token = (values.index, len(graph), frozenset(fixed))
+def _layout(graph: FactorGraph, values: Values) -> _Plan:
+    """The layout (columns, stores, bandwidth and scatter indices) of
+    `graph` for the keys of `values`.  It depends on nothing else, so the
+    graph keeps the last one: every evaluation within one `optimize` call
+    reuses it."""
+    token = (values.index, len(graph))
     if graph._plan is None or graph._plan[0] != token:
-        graph._plan = (token, _make_plan(graph, values, fixed))
+        graph._plan = (token, _make_plan(graph, values))
     return graph._plan[1]
 
 
-def linearize(graph: FactorGraph, values, fixed=frozenset()) -> LinearSystem:
+def linearize(graph: FactorGraph, values) -> LinearSystem:
     """Normal equations assembled from each factor's closed-form Jacobian
     blocks in tangent space, evaluated one factor class at a time, and the
-    cost at `values` of the factors evaluated.
+    cost at `values`.
 
-    The free keys are ordered by ``(t, kind)``, so ``J^T J`` is banded, and
-    only its lower band is assembled: per factor, the products ``J_k^T J_l``
-    of each unordered key pair, scattered into LAPACK lower band storage
-    (`LinearSystem`).  Keys in `fixed` are treated as constants: they
-    contribute to residuals but receive no Jacobian block or column, and a
-    factor whose keys are all fixed is not evaluated, nor counted in the
-    cost.  The cost is summed as `FactorGraph.cost` sums it, so with the
-    same `fixed` the two agree to the bit.
+    The keys are ordered by ``(t, kind)``, so ``J^T J`` is banded, and only
+    its lower band is assembled: per factor, the products ``J_k^T J_l`` of
+    each unordered key pair, scattered into LAPACK lower band storage
+    (`LinearSystem`).  The cost is summed as `FactorGraph.cost` sums it, so
+    the two agree to the bit.
     """
     values = Values.of(values)
-    keys, rows, batches, _, width, where = _layout(graph, values, fixed)
+    keys, rows, stores, width, where = _layout(graph, values)
     size = 6 * len(keys)
-    if not batches:
+    if not stores:
         return LinearSystem(keys=keys, ab=np.zeros((width + 1, size)),
                             jtr=np.zeros(size), cost=0.0)
-    groups = _evaluate_by_class(values, rows, batches, True)
+    groups = _evaluate_by_class(values, rows, stores, True)
     products, grads = [], []
-    for (r, blocks), (store, _) in zip(groups, batches):
+    for (r, blocks), store in zip(groups, stores):
         k, l = store.pairs
         products.append(np.swapaxes(blocks[:, k], -1, -2) @ blocks[:, l])
         grads.append(np.swapaxes(blocks, -1, -2) @ r[:, None, :, None])
@@ -559,8 +534,7 @@ def _solve_damped(ab: np.ndarray, jtr: np.ndarray,
     return delta
 
 
-def optimize(graph: FactorGraph, init: dict,
-             params: OptimizerParams = None, fixed=frozenset()):
+def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
     """Levenberg-Marquardt on the manifold.
 
     Solves (J^T J + lambda diag(J^T J)) delta = -J^T r by a banded Cholesky
@@ -577,31 +551,27 @@ def optimize(graph: FactorGraph, init: dict,
     system, so a trial is linearized, and an accepted one drives the next
     iteration; only a trial that must be the last, by the model or the
     cap, gets a cost-only pass (`FactorGraph.cost`), and its point is
-    linearized after all if it is accepted with a real improvement.  Factors
-    whose keys are all in `fixed` are evaluated once, as a constant added to
-    every cost.  With ``max_iterations=0`` no Jacobian is computed.  The
-    estimate stays stacked (`Values`) throughout and is returned as a dict
-    of poses, with the stats.
+    linearized after all if it is accepted with a real improvement.  With
+    ``max_iterations=0`` no Jacobian is computed.  The estimate stays
+    stacked (`Values`) throughout and is returned as a dict of poses, with
+    the stats.
     """
     params = params or OptimizerParams()
     for key in init:
-        if key not in graph.key_ids and key not in fixed:
+        if key not in graph.key_ids:
             raise GaugeError(f"variable {key.label()} has no factor attached")
     for key in graph.key_ids:
         if key not in init:
             raise KeyError(f"factor references missing variable {key.label()}")
 
     values = Values.of(init)
-    plan = _layout(graph, values, fixed)
-    frozen = _half_squared_norm(
-        _evaluate_by_class(values, plan.rows, plan.frozen))
 
     def evaluate(point, final):
         """The cost at `point` and, unless `final`, its linear system."""
         if final:
-            return frozen + graph.cost(point, fixed), None
-        system = linearize(graph, point, fixed=fixed)
-        return frozen + system.cost, system
+            return graph.cost(point), None
+        system = linearize(graph, point)
+        return system.cost, system
 
     cost, system = evaluate(values, params.max_iterations == 0)
     initial_cost = cost
@@ -647,7 +617,7 @@ def optimize(graph: FactorGraph, init: dict,
         if last or improvement < params.cost_tolerance * max(cost, 1.0):
             break
         if new_system is None:   # stalled, but paid more than predicted
-            new_system = linearize(graph, values, fixed=fixed)
+            new_system = linearize(graph, values)
         system = new_system
     return dict(values), OptimizeStats(iterations=iterations,
                                        initial_cost=initial_cost,

@@ -49,6 +49,10 @@ SIGMA_IM2GT = (0.02, 1.0)
 # information.
 GATE_IM2IM = (0.2, 3.0)
 GATE_IM2PC = (1.0, 8.0)
+# Patchgraph fuses every k-th frame into its patch map, from the first.
+# Short episodes benefit from a dense patch: more keyframes mean better
+# overlap for patch registrations.
+KEYFRAME_INTERVAL = 2
 # Surface samples of the true shape around the first contact: gtpatch's target.
 GT_SAMPLE_RADIUS_SCALE = 1.5   # ball diameter / larger gel extent
 GT_SAMPLE_COUNT = 4000
@@ -65,10 +69,6 @@ class TrackerConfig:
     # motion over an episode.
     sigma_vel: tuple = (0.005, 0.1)
     optimizer: OptimizerParams = field(default_factory=OptimizerParams)
-    # Short episodes benefit from a dense patch: more keyframes mean better
-    # overlap for patch registrations.
-    keyframe_interval: int = 2            # fuse every k-th frame, from the first
-    fixed_lag: int | None = None          # None = full batch
 
     def __post_init__(self):
         for name in ("sigma_eff", "sigma_vis", "sigma_vel"):
@@ -77,11 +77,6 @@ class TrackerConfig:
                     and all(_is_positive_number(v) for v in pair)):
                 raise ConfigError(f"{name} must be a pair of finite numbers > 0, "
                                   f"got {pair!r}")
-        if type(self.keyframe_interval) is not int or self.keyframe_interval < 1:
-            raise ConfigError("keyframe_interval must be an int >= 1")
-        if self.fixed_lag is not None and not (type(self.fixed_lag) is int
-                                               and self.fixed_lag >= 0):
-            raise ConfigError("fixed_lag must be None or an int >= 0")
 
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
@@ -259,7 +254,6 @@ class Tracker:
         measurement already seeded the priors at construction."""
         self.t += 1
         t = self.t
-        cfg = self.config
         diag = {"step": t, "icp_im2im": None, "icp_im2patch": None,
                 "skipped_registration": False, "keyframe": False}
 
@@ -303,18 +297,14 @@ class Tracker:
                                        self._object_from_sensor(t),
                                        GATE_IM2PC, sigma, diag)
 
-        fixed = frozenset()
-        if cfg.fixed_lag is not None:
-            horizon = t - cfg.fixed_lag
-            fixed = frozenset(k for k in self.values if k.t < horizon)
         self.values, stats = factors.optimize(self.graph, self.values,
-                                              cfg.optimizer, fixed=fixed)
+                                              self.config.optimizer)
         diag["optimizer"] = {"iterations": stats.iterations,
                              "initial_cost": stats.initial_cost,
                              "final_cost": stats.final_cost}
 
         if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
-                and (t - 1) % cfg.keyframe_interval == 0):
+                and (t - 1) % KEYFRAME_INTERVAL == 0):
             self.patch = patchmap.fuse_keyframe(self.patch, cloud,
                                                 self._object_from_sensor(t))
             diag["keyframe"] = True

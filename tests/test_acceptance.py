@@ -17,9 +17,9 @@ import yaml
 from tactrack import geometry
 from tactrack.cli import main as cli_main
 from tactrack.episodes import NoiseSpec, TrajectorySpec
-from tactrack.factors import (FactorGraph, Im2ImFactor, NoiseModel,
-                              PriorFactor, eff_key, eff_prior, obj_key,
-                              optimize)
+from tactrack.factors import (FactorGraph, Im2ImFactor, MotionPriorFactor,
+                              NoiseModel, PriorFactor, eff_key, eff_prior,
+                              obj_key, optimize, vis_prior)
 from tactrack.geometry import Pose
 from tactrack.harness import (SuiteConfig, SuiteObject, default_suite_config,
                               run_suite)
@@ -195,15 +195,16 @@ class TestCriterion4Optimizer:
                     truth[-1], geometry.exp(rng.uniform(-0.2, 0.2, 6))))
             graph = FactorGraph()
             graph.add(eff_prior(1, truth[0], unit))
+            graph.add(vis_prior(1, Pose.identity(), unit))
             for t in range(2, 11):
                 measured = geometry.compose(geometry.inverse(truth[t - 2]),
                                             truth[t - 1])
                 graph.add(Im2ImFactor(t, measured, unit))
+                graph.add(MotionPriorFactor(t, unit))
             init = {eff_key(t + 1): geometry.oplus(
                 truth[t], rng.uniform(-0.05, 0.05, 6)) for t in range(10)}
             init.update({obj_key(t + 1): Pose.identity() for t in range(10)})
-            fixed = frozenset(obj_key(t + 1) for t in range(10))
-            values, _ = optimize(graph, init, fixed=fixed)
+            values, _ = optimize(graph, init)
             for t in range(10):
                 err = geometry.ominus(values[eff_key(t + 1)], truth[t])
                 assert np.linalg.norm(err) < 1e-6

@@ -138,7 +138,7 @@ class TestPipeline:
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
         tracker_yaml = tmp_path / "tracker.yaml"
         tracker_yaml.write_text(yaml.safe_dump(
-            {"tracker": {"fixed_lag": 4}}))
+            {"tracker": {"sigma_vel": [0.01, 0.2]}}))
         run = tmp_path / "run"
         assert main(["track",
                      "--episode", str(episodes / "sphere" / "ep0000"),
@@ -151,7 +151,9 @@ class TestPipeline:
         tracker_yaml = tmp_path / "tracker.yaml"
         run = tmp_path / "run"
         for data in ({"tracker": {"fixd_lag": 4}},
-                     {"tracker": {"fixed_lag": 4}, "fixd_lag": 4}):
+                     {"tracker": {"sigma_vel": [0.01, 0.2]}, "fixd_lag": 4},
+                     {"tracker": {"fixed_lag": 4}},
+                     {"tracker": {"keyframe_interval": 2}}):
             tracker_yaml.write_text(yaml.safe_dump(data))
             assert main(["track",
                          "--episode", str(episodes / "sphere" / "ep0000"),

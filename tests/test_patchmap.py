@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tactrack import geometry
+from tactrack import geometry, tracker
 from tactrack.geometry import Pose
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.patchmap import PatchMap, fuse_keyframe
@@ -34,13 +34,15 @@ def sensor_pose_over_sphere(offset_x, radius=6.35, indent=1.0):
 
 @pytest.fixture(scope="module")
 def keyframe_flags():
-    """Per-step keyframe flags of a patchgraph run with keyframe_interval=5."""
+    """Per-step keyframe flags of a patchgraph run with a keyframe interval
+    of 5."""
     gel = GelConfig()
     ep = generate_episode(Pyramid(),
                           TrajectorySpec(steps=6, indent=1.25, length=1.0),
                           gel, NoiseSpec(), seed=3)
-    result = track_episode(ep, TrackerMode.PATCH_GRAPH,
-                           TrackerConfig(keyframe_interval=5))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tracker, "KEYFRAME_INTERVAL", 5)
+        result = track_episode(ep, TrackerMode.PATCH_GRAPH)
     assert all(not d["skipped_registration"] for d in result.diagnostics)
     return [d["keyframe"] for d in result.diagnostics]
 
@@ -53,8 +55,9 @@ class TestKeyframePolicy:
         assert keyframe_flags[1:6] == [False, False, False, False, True]
 
     def test_invalid_policy_rejected(self):
+        # The interval is a constant, not a setting.
         with pytest.raises(ConfigError):
-            TrackerConfig(keyframe_interval=0)
+            TrackerConfig.from_dict({"keyframe_interval": 2})
         with pytest.raises(ConfigError):
             TrackerConfig.from_dict({"keyframes": {"interval": 2}})
 

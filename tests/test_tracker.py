@@ -87,8 +87,7 @@ class TestTrackerSetup:
         cfg = TrackerConfig(
             sigma_eff=(0.02, 1.5), sigma_vis=(0.06, 2.5),
             sigma_vel=(0.01, 0.2),
-            optimizer=OptimizerParams(max_iterations=20, cost_tolerance=1e-8),
-            keyframe_interval=3, fixed_lag=4)
+            optimizer=OptimizerParams(max_iterations=20, cost_tolerance=1e-8))
 
         def leaves(d, prefix=""):
             for name, value in d.items():
@@ -105,8 +104,7 @@ class TestTrackerSetup:
         assert set(default) == {
             "sigma_eff[0]", "sigma_eff[1]", "sigma_vis[0]", "sigma_vis[1]",
             "sigma_vel[0]", "sigma_vel[1]",
-            "optimizer.max_iterations", "optimizer.cost_tolerance",
-            "keyframe_interval", "fixed_lag"}
+            "optimizer.max_iterations", "optimizer.cost_tolerance"}
         for name, value in leaves(dataclasses.asdict(cfg)):
             assert value != default[name], name
         text = yaml.safe_dump({"tracker": dataclasses.asdict(cfg)})
@@ -116,10 +114,10 @@ class TestTrackerSetup:
         {"fixd_lag": 4},
         {"icp": {"max_iterations": 30}},        # ICP settings are constants
         {"gel": {"camera": "clip"}},
-        {"keyframe_interval": 0},
+        {"keyframe_interval": 2},               # a constant too
         {"optimizer": {"lambda_scale": 10.0}},  # so is the LM schedule
-        {"fixed_lag": -1},
-        {"fixed_lag": 2.5},
+        {"fixed_lag": 4},
+        {"fixed_lag": None},
         {"gel": {}},
         {"sigma_eff": [-1, 1]},
         {"sigma_vis": [1, 2, 3]},
