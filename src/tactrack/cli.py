@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 total failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,8 +31,8 @@ def _load_tracker_config(path) -> TrackerConfig:
 
 def cmd_simulate(args) -> int:
     config = SuiteConfig.from_yaml(args.config)
-    if args.seed is not None:
-        config.master_seed = args.seed
+    if args.seed is not None:   # checked like the config's own seed
+        config = dataclasses.replace(config, master_seed=args.seed)
     total = len(config.objects) * config.episodes_per_object
     entries = harness.generate_suite_episodes(config, args.out)
     failed = {name: [e["error"] for e in lst if isinstance(e, dict)]

@@ -76,12 +76,18 @@ def _angle_coef(theta, coef):
     """A coefficient of the rotation angle, given as ``(series, closed)``:
     ``closed(theta)`` at and above ``_SERIES_ANGLE``, below it the Taylor
     polynomial whose coefficients in powers of ``theta**2`` are
-    ``series``."""
+    ``series``.  A single angle evaluates only its own branch; a batch
+    evaluates both and selects."""
     series, closed = coef
-    t2 = theta * theta
-    poly = series[0] + t2 * (series[1] + t2 * series[2])
-    return np.where(theta < _SERIES_ANGLE, poly,
+    if np.ndim(theta) == 0:
+        return _poly(theta, series) if theta < _SERIES_ANGLE else closed(theta)
+    return np.where(theta < _SERIES_ANGLE, _poly(theta, series),
                     closed(np.maximum(theta, _SERIES_ANGLE)))
+
+
+def _poly(theta, series):
+    t2 = theta * theta
+    return series[0] + t2 * (series[1] + t2 * series[2])
 
 
 # The closed forms use products, not powers: a power of a single angle

@@ -55,6 +55,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.episodes_per_object < 1:
             raise ConfigError("episodes_per_object must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, "
+                              f"got {self.master_seed}")
         if not self.trajectories:
             self.trajectories = [TrajectorySpec()]
         names = [obj.name for obj in self.objects]

@@ -13,13 +13,21 @@ from .reconstruct import PointCloud
 
 
 def _voxel_downsample(points, normals, voxel: float):
+    # Voxels are numbered in x, then y, then z order of their integer keys,
+    # and each voxel's sums add its points in input order.
     keys = np.floor(points / voxel).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
-                                   return_counts=True)
-    centroids = np.zeros((len(counts), 3))
-    mean_normals = np.zeros((len(counts), 3))
-    np.add.at(centroids, inverse, points)
-    np.add.at(mean_normals, inverse, normals)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    m = int(starts.sum())
+    counts = np.bincount(inverse, minlength=m)
+    centroids = np.column_stack([np.bincount(inverse, points[:, k], m)
+                                 for k in range(3)])
+    mean_normals = np.column_stack([np.bincount(inverse, normals[:, k], m)
+                                    for k in range(3)])
     centroids /= counts[:, None]
     norms = np.linalg.norm(mean_normals, axis=1, keepdims=True)
     norms[norms < 1e-9] = 1.0

@@ -109,8 +109,10 @@ def icp_register(source: PointCloud, target: PointCloud,
         count = int(keep.sum())
         if count < MIN_CORRESPONDENCES:
             raise InsufficientOverlapError(count, MIN_CORRESPONDENCES)
-        src = moved[keep]
-        matched = target_rows[idx[keep]]
+        if count == len(moved):   # the usual case: every point matched
+            src, matched = moved, target_rows[idx]
+        else:
+            src, matched = moved[keep], target_rows[idx[keep]]
         delta, cond = point_to_plane_step(src, matched[:, :3], matched[:, 3:])
         transform = geometry.compose(geometry.exp(delta), transform)
         if np.linalg.norm(delta) < CONVERGENCE_THRESHOLD:

@@ -270,7 +270,7 @@ class Tracker:
         elif contact_touches_border(normal_image.mask):
             diag["skipped_registration"] = True
             self._warn("contact touches image border; registration skipped")
-        else:
+        elif self.mode is not TrackerMode.CONST_VEL:   # constvel registers nothing
             _, cloud = reconstruct_cloud(normal_image, self.gel, step=t)
 
         if (self.mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH)

@@ -99,6 +99,7 @@ class TestSimulate:
                                              "base_half_length": 10.0,
                                              "height": float("inf")}}]),
         ("objects", []),
+        ("master_seed", -1),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):
@@ -108,6 +109,13 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(suite_yaml),
                      "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_seed_override_exit_2_before_generating(self, suite_yaml,
+                                                              tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(suite_yaml),
+                     "--out", str(out), "--seed", "-1"]) == 2
         assert not out.exists()
 
 

@@ -269,11 +269,21 @@ class TestBatch:
         self._assert_rows(geometry.log(sa), map(geometry.log, a))
         self._assert_rows(geometry.adjoint(sa), map(geometry.adjoint, a))
 
-    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-3, 0.5, 2.5])
+    # "switch" is one batch on both sides of the switch to series
+    # coefficients, with an angle of exactly 1e-2 along an axis: a single
+    # angle there takes one branch, a batch selects with np.where.
+    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-3, 0.5, 2.5, "switch"])
     def test_twist_operations(self, angle):
         rng = np.random.default_rng(22)
-        xi = np.stack([_twist(rng, angle * rng.uniform(0.5, 1.0))
-                       for _ in range(5)] + [np.zeros(6)])
+        if angle == "switch":
+            xi = np.stack([_twist(rng, a) for a in (5e-3, 1e-2 - 1e-12,
+                                                     1e-2 + 1e-12, 0.02)]
+                          + [np.r_[1e-2, 0.0, 0.0, rng.uniform(-30, 30, 3)]])
+            theta = np.linalg.norm(xi[:, :3], axis=1)
+            assert theta[-1] == 1e-2 and theta.min() < 1e-2 < theta.max()
+        else:
+            xi = np.stack([_twist(rng, angle * rng.uniform(0.5, 1.0))
+                           for _ in range(5)] + [np.zeros(6)])
         self._assert_rows(geometry.exp(xi), map(geometry.exp, xi))
         self._assert_rows(geometry.right_jacobian_inv(xi),
                           map(geometry.right_jacobian_inv, xi))

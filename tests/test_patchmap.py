@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from tactrack import geometry, tracker
 from tactrack.geometry import Pose
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
-from tactrack.patchmap import PatchMap, fuse_keyframe
+from tactrack.patchmap import PatchMap, _voxel_downsample, fuse_keyframe
 from tactrack.reconstruct import PointCloud, reconstruct_cloud
 from tactrack.render import GelConfig, depth_to_normals, render_depth
 from tactrack.shapes import Pyramid, Sphere
@@ -135,3 +136,85 @@ class TestInvariants:
         lo = pmap.cloud.points.min(axis=0) - 0.3
         hi = pmap.cloud.points.max(axis=0) + 0.3
         assert len(pmap.cloud) <= np.prod(hi - lo) / 0.3**3
+
+
+def _reference_downsample(points, normals, voxel):
+    """_voxel_downsample as first written: voxels grouped with
+    np.unique(axis=0) and summed with np.add.at."""
+    keys = np.floor(points / voxel).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
+                                   return_counts=True)
+    centroids = np.zeros((len(counts), 3))
+    mean_normals = np.zeros((len(counts), 3))
+    np.add.at(centroids, inverse, points)
+    np.add.at(mean_normals, inverse, normals)
+    centroids /= counts[:, None]
+    norms = np.linalg.norm(mean_normals, axis=1, keepdims=True)
+    norms[norms < 1e-9] = 1.0
+    mean_normals /= norms
+    min_sep = voxel / 2.0
+    while len(centroids) > 1:
+        pairs = cKDTree(centroids).query_pairs(min_sep, output_type="ndarray")
+        if len(pairs) == 0:
+            break
+        drop = np.zeros(len(centroids), dtype=bool)
+        for a, b in pairs:
+            if not drop[a] and not drop[b]:
+                centroids[a] = 0.5 * (centroids[a] + centroids[b])
+                merged = mean_normals[a] + mean_normals[b]
+                n = np.linalg.norm(merged)
+                mean_normals[a] = merged / n if n > 1e-9 else mean_normals[a]
+                drop[b] = True
+        centroids = centroids[~drop]
+        mean_normals = mean_normals[~drop]
+    return centroids, mean_normals
+
+
+def _negative(rng):
+    return rng.uniform(-5.0, -0.1, size=(300, 3))
+
+
+def _duplicates(rng):
+    points = rng.uniform(-2.0, 2.0, size=(100, 3))
+    return np.vstack([points, points[::2], points[:10]])
+
+
+def _single(rng):
+    return rng.uniform(-2.0, 2.0, size=(1, 3))
+
+
+def _wide(rng):
+    # A span of 2e4 mm is over 6e4 voxels of 0.3 mm on every axis.
+    return rng.uniform(-1e4, 1e4, size=(500, 3))
+
+
+def _merging(rng):
+    # Pairs straddling voxel faces: their centroids land closer than half
+    # a voxel, so the merge loop runs.
+    centres = 0.3 * rng.integers(-10, 10, size=(60, 3))
+    offset = rng.uniform(0.0, 0.01, size=(60, 3))
+    return np.vstack([centres - offset, centres + offset])
+
+
+class TestVoxelDownsample:
+    """The lexsort and bincount grouping gives the bits of np.unique and
+    np.add.at, merge loop included."""
+
+    @pytest.mark.parametrize("make", [_negative, _duplicates, _single, _wide,
+                                      _merging])
+    def test_same_bits_as_reference(self, make):
+        rng = np.random.default_rng(5)
+        points = make(rng)
+        normals = rng.normal(size=points.shape)
+        got = _voxel_downsample(points, normals, 0.3)
+        expected = _reference_downsample(points, normals, 0.3)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_merge_case_runs_the_merge_loop(self):
+        rng = np.random.default_rng(5)
+        points = _merging(rng)
+        merged, _ = _voxel_downsample(points, rng.normal(size=points.shape),
+                                      0.3)
+        assert len(merged) < len(np.unique(np.floor(points / 0.3), axis=0))

@@ -6,7 +6,9 @@ import pytest
 from tactrack import geometry
 from tactrack.geometry import Pose
 from tactrack.reconstruct import PointCloud
-from tactrack.registration import (DegenerateGeometryError,
+from tactrack.registration import (CONVERGENCE_THRESHOLD,
+                                   MAX_CORRESPONDENCE_DISTANCE,
+                                   MAX_ITERATIONS, DegenerateGeometryError,
                                    InsufficientOverlapError, icp_register,
                                    point_to_plane_step)
 
@@ -214,3 +216,70 @@ class TestIcpRegister:
         assert set(d) == {"transform", "converged", "iterations",
                           "inlier_rmse", "correspondence_count",
                           "condition_number"}
+
+
+def _reference_icp(source, target, init):
+    """icp_register's loop as first written, which gathers every
+    iteration's matches through the finite-distance mask, as a tuple of
+    the ICPResult fields."""
+    tree, rows = target.search
+    transform = init
+    converged = False
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        moved = transform.transform_points(source.points)
+        dists, idx = tree.query(
+            moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
+        keep = np.isfinite(dists)
+        matched = rows[idx[keep]]
+        delta, cond = point_to_plane_step(moved[keep], matched[:, :3],
+                                          matched[:, 3:])
+        transform = geometry.compose(geometry.exp(delta), transform)
+        if np.linalg.norm(delta) < CONVERGENCE_THRESHOLD:
+            converged = True
+            break
+    moved = transform.transform_points(source.points)
+    dists, idx = tree.query(moved,
+                            distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
+    keep = np.isfinite(dists)
+    rmse = np.sqrt(np.mean(np.sum((moved[keep] - rows[idx[keep], :3]) ** 2,
+                                  axis=1)))
+    return transform, converged, iterations, float(rmse), int(keep.sum()), cond
+
+
+class _Unmatched:
+    """A k-d tree that records how many points each query left unmatched."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.unmatched = []
+
+    def query(self, points, **kwargs):
+        dists, idx = self.tree.query(points, **kwargs)
+        self.unmatched.append(int(np.isinf(dists).sum()))
+        return dists, idx
+
+
+class TestIcpMatchesReference:
+    def test_same_bits_with_and_without_unmatched_points(self):
+        # Started 6.2 mm off along the cap's axis and 3 mm across it, part
+        # of the source lies beyond the correspondence distance until the
+        # first step pulls it in; later iterations match every point.
+        src = sphere_cap_cloud()
+        tgt = src.transformed(geometry.exp(np.array([0.02, -0.01, 0.03,
+                                                     0.2, -0.1, 0.3])),
+                              frame="sensor")
+        init = geometry.exp(np.array([0.0, 0.0, 0.0, 3.0, 0.0, 6.2]))
+        recorded = PointCloud(points=tgt.points, normals=tgt.normals)
+        tree, rows = tgt.search
+        recorded.search = (_Unmatched(tree), rows)
+        result = icp_register(src, recorded, init)
+        unmatched = recorded.search[0].unmatched[:-1]   # the loop's queries
+        assert unmatched[0] > 0 and 0 in unmatched
+        transform, *fields = _reference_icp(src, tgt, init)
+        np.testing.assert_array_equal(result.transform.rotation,
+                                      transform.rotation)
+        np.testing.assert_array_equal(result.transform.translation,
+                                      transform.translation)
+        assert [result.converged, result.iterations, result.inlier_rmse,
+                result.correspondence_count,
+                result.condition_number] == fields
