@@ -17,6 +17,8 @@ MAX_ITERATIONS = 30
 # still yields correspondences on the first registration of an episode.
 MAX_CORRESPONDENCE_DISTANCE = 6.0   # mm
 CONVERGENCE_THRESHOLD = 1e-5        # update twist norm
+# Stop once a step's predicted share of the point-to-plane cost is this small.
+MIN_PREDICTED_REDUCTION = 1e-2
 MIN_CORRESPONDENCES = 20
 
 
@@ -46,22 +48,28 @@ class ICPResult:
     inlier_rmse: float
     correspondence_count: int
     condition_number: float
+    predicted_reduction: float   # of the last step, see point_to_plane_step
 
     def to_dict(self):
         return {"transform": geometry.to_quat_trans(self.transform),
                 "converged": self.converged, "iterations": self.iterations,
                 "inlier_rmse": self.inlier_rmse,
                 "correspondence_count": self.correspondence_count,
-                "condition_number": self.condition_number}
+                "condition_number": self.condition_number,
+                "predicted_reduction": self.predicted_reduction}
 
 
 def point_to_plane_step(src_pts, tgt_pts, tgt_normals):
     """One linearized point-to-plane solve over matched point pairs.
 
     Returns (update twist [w, v], condition number of the 6x6 normal
-    matrix).  Raises InsufficientOverlapError for fewer than 6 pairs and
-    DegenerateGeometryError when the condition number is above 1e8 (e.g. a
-    flat patch sliding in-plane).
+    matrix, predicted relative reduction).  The last is the share of the
+    squared point-to-plane residual ||b||^2 that the linearized model says
+    the step removes: ||A delta||^2 / ||b||^2, which for the Gauss-Newton
+    solution equals delta . A^T b / ||b||^2 and lies in [0, 1]; it is 0 when
+    every residual is already 0.  Raises InsufficientOverlapError for fewer
+    than 6 pairs and DegenerateGeometryError when the condition number is
+    above 1e8 (e.g. a flat patch sliding in-plane).
     """
     if len(src_pts) < 6:
         raise InsufficientOverlapError(len(src_pts), 6)
@@ -81,7 +89,10 @@ def point_to_plane_step(src_pts, tgt_pts, tgt_normals):
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateGeometryError(cond)
-    return np.linalg.solve(ata, a.T @ b), cond
+    atb = a.T @ b
+    delta = np.linalg.solve(ata, atb)
+    total = b @ b
+    return delta, cond, float(delta @ atb / total) if total > 0 else 0.0
 
 
 def _point_rmse(src, tgt):
@@ -93,8 +104,19 @@ def icp_register(source: PointCloud, target: PointCloud,
     """Iterative point-to-plane registration from an initial guess.
 
     Correspondences are re-estimated each iteration with the target's k-d
-    tree; the point-to-point inlier RMSE of the returned transform is
-    reported as the fitness metric.
+    tree.  The loop applies each Gauss-Newton step and then ends, with
+    `converged` True, on the first step that either
+
+    - is shorter than CONVERGENCE_THRESHOLD (twist norm), which ends a fit
+      whose residuals go to zero, as on noise-free data, where each step
+      still removes nearly all of the remaining cost;
+    - or is predicted to remove at most MIN_PREDICTED_REDUCTION of the
+      point-to-plane cost: the fit has flattened, and further steps only
+      wander along directions the contact does not observe.
+
+    `converged` is False only when MAX_ITERATIONS steps pass neither test.
+    The point-to-point inlier RMSE of the returned transform is reported as
+    the fitness metric, and the last step's predicted reduction with it.
     """
     if len(source) == 0 or len(target) == 0:
         raise InsufficientOverlapError(min(len(source), len(target)),
@@ -113,9 +135,11 @@ def icp_register(source: PointCloud, target: PointCloud,
             src, matched = moved, target_rows[idx]
         else:
             src, matched = moved[keep], target_rows[idx[keep]]
-        delta, cond = point_to_plane_step(src, matched[:, :3], matched[:, 3:])
+        delta, cond, reduction = point_to_plane_step(src, matched[:, :3],
+                                                     matched[:, 3:])
         transform = geometry.compose(geometry.exp(delta), transform)
-        if np.linalg.norm(delta) < CONVERGENCE_THRESHOLD:
+        if (np.linalg.norm(delta) < CONVERGENCE_THRESHOLD
+                or reduction <= MIN_PREDICTED_REDUCTION):
             converged = True
             break
     # Score the returned transform on its own matches; if it has none, keep
@@ -128,4 +152,5 @@ def icp_register(source: PointCloud, target: PointCloud,
     return ICPResult(transform=transform, converged=converged,
                      iterations=iterations,
                      inlier_rmse=_point_rmse(src, matched[:, :3]),
-                     correspondence_count=count, condition_number=cond)
+                     correspondence_count=count, condition_number=cond,
+                     predicted_reduction=reduction)

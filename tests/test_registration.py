@@ -8,7 +8,8 @@ from tactrack.geometry import Pose
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import (CONVERGENCE_THRESHOLD,
                                    MAX_CORRESPONDENCE_DISTANCE,
-                                   MAX_ITERATIONS, DegenerateGeometryError,
+                                   MAX_ITERATIONS, MIN_PREDICTED_REDUCTION,
+                                   DegenerateGeometryError,
                                    InsufficientOverlapError, icp_register,
                                    point_to_plane_step)
 
@@ -18,18 +19,34 @@ from .conftest import plane_cloud, random_pose, sphere_cap_cloud
 class TestPointToPlaneStep:
     def test_zero_residual_zero_twist(self):
         cloud = sphere_cap_cloud(n=200)
-        twist, cond = point_to_plane_step(cloud.points, cloud.points,
-                                          cloud.normals)
+        twist, cond, reduction = point_to_plane_step(cloud.points, cloud.points,
+                                                     cloud.normals)
         np.testing.assert_allclose(twist, np.zeros(6), atol=1e-12)
         assert np.isfinite(cond) and cond >= 1.0
+        assert reduction == 0.0
 
     def test_normal_shift_recovered(self):
         src = sphere_cap_cloud(n=200)
         shifted = src.points + np.array([0, 0, 0.1])
-        twist, _ = point_to_plane_step(src.points, shifted, src.normals)
+        twist, _, reduction = point_to_plane_step(src.points, shifted,
+                                                  src.normals)
         moved = geometry.exp(twist).transform_points(src.points)
         residual = np.einsum("ij,ij->i", src.normals, moved - shifted)
         assert np.abs(residual).max() < 1e-6
+        # A pure shift is in the model's span: the step removes all the cost.
+        assert abs(reduction - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_predicted_reduction_is_model_decrease(self, seed):
+        # ||b||^2 - ||b - A delta||^2, the cost the linearized model loses
+        # over the step, as a share of ||b||^2.
+        src, tgt, nrm = _random_match(np.random.default_rng(seed), 300)
+        twist, _, reduction = point_to_plane_step(src, tgt, nrm)
+        a = np.hstack([np.cross(src, nrm), nrm])
+        b = np.einsum("ij,ij->i", nrm, tgt - src)
+        left = b - a @ twist
+        assert 0.0 < reduction < 1.0
+        assert abs(reduction - (b @ b - left @ left) / (b @ b)) < 1e-12
 
     def test_plane_patch_degenerate(self):
         src = plane_cloud(n=200)
@@ -81,7 +98,7 @@ class TestStepMatchesReference:
         expected_cond = float(np.linalg.cond(ata))
         stacked = np.hstack([tgt, nrm])
         for args in ((src, tgt, nrm), (src, stacked[:, :3], stacked[:, 3:])):
-            twist, cond = point_to_plane_step(*args)
+            twist, cond, _ = point_to_plane_step(*args)
             np.testing.assert_array_equal(twist, expected)
             assert cond == expected_cond
 
@@ -92,6 +109,21 @@ class TestStepMatchesReference:
         with pytest.raises(DegenerateGeometryError) as err:
             point_to_plane_step(plane.points, shifted, plane.normals)
         assert err.value.condition_number == float(np.linalg.cond(ata))
+
+
+def _cap_rotated_about_centre(noise, angle=0.05, radius=6.35, indent=1.0):
+    """The reconstructed cap with `noise` (mm) added to its points, and a
+    noise-free copy rotated by `angle` about the sphere's centre, with that
+    rotation: (source, target, transform)."""
+    cap = sphere_cap_cloud(radius=radius, indent=indent)
+    centre = np.array([0.0, 0.0, radius - indent])
+    rotation = geometry.rot_x(angle)
+    true = Pose(rotation, centre - rotation @ centre)
+    rng = np.random.default_rng(0)
+    src = PointCloud(points=cap.points + rng.normal(scale=noise,
+                                                    size=cap.points.shape),
+                     normals=cap.normals, frame="sensor")
+    return src, cap.transformed(true, frame="sensor"), true
 
 
 class _BlindAfter:
@@ -138,6 +170,30 @@ class TestIcpRegister:
         result = icp_register(src, tgt, true)
         assert result.converged
         assert result.iterations <= 2
+
+    def test_noisy_fit_stops_on_predicted_reduction(self):
+        # Rotation about the sphere's centre barely changes the cap, so on
+        # noisy points the cost flattens within a few steps while the twist
+        # keeps wandering along that direction; the twist test alone ran
+        # this to the iteration cap.
+        src, tgt, true = _cap_rotated_about_centre(noise=0.01)
+        result = icp_register(src, tgt, Pose.identity())
+        assert result.converged
+        assert result.iterations <= MAX_ITERATIONS // 3
+        assert result.predicted_reduction <= MIN_PREDICTED_REDUCTION
+        err = geometry.ominus(true, result.transform)
+        assert np.linalg.norm(err[3:]) < 0.05
+
+    def test_noise_free_fit_stops_on_twist(self):
+        # Without noise every step removes nearly all of the remaining cost,
+        # so only the twist test can end the loop, at criterion 3's accuracy.
+        src, tgt, true = _cap_rotated_about_centre(noise=0.0)
+        result = icp_register(src, tgt, Pose.identity())
+        assert result.converged
+        assert result.predicted_reduction > MIN_PREDICTED_REDUCTION
+        err = geometry.ominus(true, result.transform)
+        assert np.linalg.norm(err[:3]) < 1e-3
+        assert np.linalg.norm(err[3:]) < 1e-2
 
     def test_final_rmse_not_worse_than_initial(self):
         rng = np.random.default_rng(1)
@@ -215,13 +271,13 @@ class TestIcpRegister:
         d = icp_register(cloud, cloud, Pose.identity()).to_dict()
         assert set(d) == {"transform", "converged", "iterations",
                           "inlier_rmse", "correspondence_count",
-                          "condition_number"}
+                          "condition_number", "predicted_reduction"}
 
 
 def _reference_icp(source, target, init):
     """icp_register's loop as first written, which gathers every
-    iteration's matches through the finite-distance mask, as a tuple of
-    the ICPResult fields."""
+    iteration's matches through the finite-distance mask, with both stop
+    tests, as a tuple of the ICPResult fields."""
     tree, rows = target.search
     transform = init
     converged = False
@@ -231,10 +287,11 @@ def _reference_icp(source, target, init):
             moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
         keep = np.isfinite(dists)
         matched = rows[idx[keep]]
-        delta, cond = point_to_plane_step(moved[keep], matched[:, :3],
-                                          matched[:, 3:])
+        delta, cond, reduction = point_to_plane_step(
+            moved[keep], matched[:, :3], matched[:, 3:])
         transform = geometry.compose(geometry.exp(delta), transform)
-        if np.linalg.norm(delta) < CONVERGENCE_THRESHOLD:
+        if (np.linalg.norm(delta) < CONVERGENCE_THRESHOLD
+                or reduction <= MIN_PREDICTED_REDUCTION):
             converged = True
             break
     moved = transform.transform_points(source.points)
@@ -243,7 +300,8 @@ def _reference_icp(source, target, init):
     keep = np.isfinite(dists)
     rmse = np.sqrt(np.mean(np.sum((moved[keep] - rows[idx[keep], :3]) ** 2,
                                   axis=1)))
-    return transform, converged, iterations, float(rmse), int(keep.sum()), cond
+    return (transform, converged, iterations, float(rmse), int(keep.sum()),
+            cond, reduction)
 
 
 class _Unmatched:
@@ -281,5 +339,5 @@ class TestIcpMatchesReference:
         np.testing.assert_array_equal(result.transform.translation,
                                       transform.translation)
         assert [result.converged, result.iterations, result.inlier_rmse,
-                result.correspondence_count,
-                result.condition_number] == fields
+                result.correspondence_count, result.condition_number,
+                result.predicted_reduction] == fields

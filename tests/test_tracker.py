@@ -13,6 +13,7 @@ from tactrack.harness import default_suite_config, episode_seed
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
 from tactrack.factors import OptimizerParams, obj_key
 from tactrack.reconstruct import PointCloud
+from tactrack.registration import MAX_ITERATIONS
 from tactrack.render import GelConfig
 from tactrack.tracker import (ConfigError, Tracker, TrackerConfig, TrackerMode,
                               pose_errors, track_episode)
@@ -227,6 +228,29 @@ class TestMotionModel:
         steps = [f.keys[1].t for f in tracker.graph.factors
                  if f.name == "motion_prior"]
         assert sorted(steps) == list(range(2, len(ep.frames) + 1))
+
+
+class TestRegistrationEffort:
+    def test_sphere_patchgraph_icp_counts(self):
+        # The default suite's first sphere episode in patchgraph mode.  On a
+        # sphere most ICP calls flatten within a few steps and then wander
+        # along the rotation the contact cannot observe; with only the
+        # twist-norm stop, 6 of these 22 calls ran to the iteration cap
+        # (377 iterations in all).  The counts repeat exactly.
+        suite = default_suite_config()
+        obj = next(o for o in suite.objects if o.name == "sphere")
+        seed = episode_seed(suite, suite.objects.index(obj), 0)
+        ep = generate_episode(shape_from_descriptor(obj.shape),
+                              suite.trajectories[0], suite.gel, suite.noise,
+                              seed=seed)
+        result = track_episode(ep, TrackerMode.PATCH_GRAPH)
+        icp = [d[k] for d in result.diagnostics
+               for k in ("icp_im2im", "icp_im2patch") if d[k] is not None]
+        capped = [r for r in icp if not r["converged"]]
+        assert all(r["iterations"] == MAX_ITERATIONS for r in capped)
+        assert len(icp) == 22
+        assert len(capped) == 2
+        assert sum(r["iterations"] for r in icp) == 197
 
 
 @pytest.fixture(scope="module")
