@@ -18,6 +18,7 @@ transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -503,13 +504,22 @@ LAMBDA_MAX = 1e10
 
 @dataclass
 class OptimizerParams:
+    """`cost_tolerance` is the decrease of the cost (half chi^2) below which
+    a step does not matter: one predicted to remove less is shorter than
+    sqrt(2 cost_tolerance) posterior standard deviations (see
+    `_negligible`)."""
+
     max_iterations: int = 50
-    cost_tolerance: float = 1e-9
+    cost_tolerance: float = 1e-3
 
     def __post_init__(self):
-        if self.max_iterations < 0 or not self.cost_tolerance >= 0:
-            raise ValueError("optimizer max_iterations and cost_tolerance "
-                             "must be >= 0")
+        tolerance = self.cost_tolerance
+        if (self.max_iterations < 0 or isinstance(tolerance, bool)
+                or not isinstance(tolerance, (int, float))
+                or not math.isfinite(tolerance) or tolerance < 0):
+            raise ValueError("optimizer max_iterations must be >= 0 and "
+                             "cost_tolerance a finite number >= 0, got "
+                             f"{self.max_iterations!r}, {tolerance!r}")
 
 
 @dataclass
@@ -517,6 +527,17 @@ class OptimizeStats:
     iterations: int
     initial_cost: float
     final_cost: float
+    linearizations: int
+    predicted_decrease: float | None   # of the last trial step, if any
+
+
+def _negligible(decrease: float, cost: float, tolerance: float) -> bool:
+    """Whether a cost decrease is too small to matter: below `tolerance`, or
+    below 1% of `cost` when the cost itself is that small.  The 1% clause
+    keeps noise-free problems converging, since each Gauss-Newton step there
+    removes nearly all of the remaining cost; they stop at the floor of
+    1e-6 `tolerance`."""
+    return decrease < max(1e-6 * tolerance, min(tolerance, 0.01 * cost))
 
 
 def _solve_damped(ab: np.ndarray, jtr: np.ndarray,
@@ -540,12 +561,14 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
     Solves (J^T J + lambda diag(J^T J)) delta = -J^T r by a banded Cholesky
     factorization (`_solve_damped`), retracts each pose block via oplus, and
     accepts or rejects by cost; a factorization that fails counts as a
-    rejection.  Each rejection raises lambda.  Terminates on relative cost
-    change below the tolerance, on the iteration cap, or on a rejected step
-    whose decrease predicted by the quadratic model is below the tolerance:
-    more damping only shrinks it, so no damped step can pay (Madsen, Nielsen
-    & Tingleff, "Methods for Non-Linear Least Squares Problems", 2004, sec.
-    3.2).  Accepted costs are monotonically non-increasing.
+    rejection.  Each rejection raises lambda.  Terminates on an accepted
+    step whose decrease is negligible (`_negligible`), on the iteration
+    cap, or on a rejected step whose decrease predicted by the quadratic
+    model is negligible: more damping only shrinks it, so no damped step
+    can pay (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
+    Squares Problems", 2004, sec. 3.2).  A trial predicted to be negligible
+    is still taken if it lowers the cost.  Accepted costs are monotonically
+    non-increasing.
 
     Each point is evaluated once.  `linearize` gives the cost with the
     system, so a trial is linearized, and an accepted one drives the next
@@ -554,7 +577,8 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
     linearized after all if it is accepted with a real improvement.  With
     ``max_iterations=0`` no Jacobian is computed.  The estimate stays
     stacked (`Values`) throughout and is returned as a dict of poses, with
-    the stats.
+    the stats: iterations, costs, linearizations and the last trial's
+    predicted decrease.
     """
     params = params or OptimizerParams()
     for key in init:
@@ -565,11 +589,15 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
             raise KeyError(f"factor references missing variable {key.label()}")
 
     values = Values.of(init)
+    linearizations = 0
+    tolerance = params.cost_tolerance
 
     def evaluate(point, final):
         """The cost at `point` and, unless `final`, its linear system."""
+        nonlocal linearizations
         if final:
             return graph.cost(point), None
+        linearizations += 1
         system = linearize(graph, point)
         return system.cost, system
 
@@ -580,6 +608,7 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
 
     lam = LAMBDA_INIT
     iterations = 0
+    predicted = None
     while system is not None and system.keys:
         ab, jtr = system.ab, system.jtr
         width = len(ab) - 1
@@ -597,7 +626,7 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
                 continue
             predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
                 width, 1.0, ab, delta, lower=1)
-            stalled = predicted < params.cost_tolerance * max(cost, 1.0)
+            stalled = _negligible(predicted, cost, tolerance)
             candidate = values.retract(rows, delta)
             new_cost, new_system = evaluate(candidate, stalled or last)
             if not np.isfinite(new_cost):
@@ -614,11 +643,12 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
         improvement = cost - new_cost
         values, cost = candidate, new_cost
         lam = max(lam / LAMBDA_SCALE, 1e-12)
-        if last or improvement < params.cost_tolerance * max(cost, 1.0):
+        if last or _negligible(improvement, cost, tolerance):
             break
         if new_system is None:   # stalled, but paid more than predicted
-            new_system = linearize(graph, values)
+            _, new_system = evaluate(values, False)
         system = new_system
-    return dict(values), OptimizeStats(iterations=iterations,
-                                       initial_cost=initial_cost,
-                                       final_cost=cost)
+    return dict(values), OptimizeStats(
+        iterations=iterations, initial_cost=initial_cost, final_cost=cost,
+        linearizations=linearizations,
+        predicted_decrease=None if predicted is None else float(predicted))

@@ -216,25 +216,28 @@ class Tracker:
         self.warnings.append({"step": self.t, "message": message})
 
     def _add_registration(self, factor_type, source, target, init: Pose,
-                          gate, sigma, diag: dict):
+                          gate, sigma, diag: dict) -> Pose | None:
         """Register `source` onto `target` from `init` and add the resulting
         factor, unless the result jumped past `gate` (rad, mm) from `init` or
-        the registration failed; either is logged as a warning."""
+        the registration failed; either is logged as a warning.  Returns the
+        added factor's measurement, or None."""
         kind = factor_type.name
         try:
             result = registration.icp_register(source, target, init)
-            diag[f"icp_{kind}"] = result.to_dict()
-            jump = geometry.ominus(init, result.transform)
-            if (np.linalg.norm(jump[:3]) > gate[0]
-                    or np.linalg.norm(jump[3:]) > gate[1]):
-                self._warn(f"{kind} registration jumped far from its "
-                           "initialization; factor omitted")
-            else:
-                self.graph.add(factor_type(self.t, result.transform,
-                                           NoiseModel.isotropic(*sigma)))
         except (registration.DegenerateGeometryError,
                 registration.InsufficientOverlapError) as err:
             self._warn(f"{kind} registration dropped: {err}")
+            return None
+        diag[f"icp_{kind}"] = result.to_dict()
+        jump = geometry.ominus(init, result.transform)
+        if (np.linalg.norm(jump[:3]) > gate[0]
+                or np.linalg.norm(jump[3:]) > gate[1]):
+            self._warn(f"{kind} registration jumped far from its "
+                       "initialization; factor omitted")
+            return None
+        self.graph.add(factor_type(self.t, result.transform,
+                                   NoiseModel.isotropic(*sigma)))
+        return result.transform
 
     def _ensure_gt_target(self, cloud: PointCloud):
         if self.gt_target is not None:
@@ -255,7 +258,8 @@ class Tracker:
         self.t += 1
         t = self.t
         diag = {"step": t, "icp_im2im": None, "icp_im2patch": None,
-                "skipped_registration": False, "keyframe": False}
+                "im2patch_init": None, "skipped_registration": False,
+                "keyframe": False}
 
         if t > 1:
             self.values[eff_key(t)] = eff_measurement
@@ -273,6 +277,7 @@ class Tracker:
         elif self.mode is not TrackerMode.CONST_VEL:   # constvel registers nothing
             _, cloud = reconstruct_cloud(normal_image, self.gel, step=t)
 
+        im2im = None
         if (self.mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH)
                 and cloud is not None and self.prev_cloud is not None):
             # Initialize at the measured relative sensor motion.  Directions
@@ -282,8 +287,8 @@ class Tracker:
             # graph's own prediction (self-confirming feedback).
             init = geometry.compose(geometry.inverse(self.prev_eff_measurement),
                                     eff_measurement)
-            self._add_registration(Im2ImFactor, cloud, self.prev_cloud, init,
-                                   GATE_IM2IM, SIGMA_IM2IM, diag)
+            im2im = self._add_registration(Im2ImFactor, cloud, self.prev_cloud,
+                                           init, GATE_IM2IM, SIGMA_IM2IM, diag)
 
         if cloud is not None and self.mode in (TrackerMode.PATCH_GRAPH,
                                                TrackerMode.GROUNDTRUTH_PATCH):
@@ -293,15 +298,23 @@ class Tracker:
             else:
                 target, sigma = self.patch.cloud, SIGMA_IM2PC
             if len(target) > 0:
-                self._add_registration(Im2PatchFactor, cloud, target,
-                                       self._object_from_sensor(t),
+                # Start from this step's accepted image-to-image motion, as
+                # odometry-initialized scan-to-map registration does (Zhang &
+                # Singh, "LOAM", RSS 2014): it carries no end-effector
+                # measurement noise, unlike the graph's o_{t-1}^-1 e_t.
+                if im2im is not None:
+                    init = geometry.compose(self._object_from_sensor(t - 1),
+                                            im2im)
+                    diag["im2patch_init"] = "im2im"
+                else:
+                    init = self._object_from_sensor(t)
+                    diag["im2patch_init"] = "graph"
+                self._add_registration(Im2PatchFactor, cloud, target, init,
                                        GATE_IM2PC, sigma, diag)
 
         self.values, stats = factors.optimize(self.graph, self.values,
                                               self.config.optimizer)
-        diag["optimizer"] = {"iterations": stats.iterations,
-                             "initial_cost": stats.initial_cost,
-                             "final_cost": stats.final_cost}
+        diag["optimizer"] = dataclasses.asdict(stats)
 
         if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
                 and (t - 1) % KEYFRAME_INTERVAL == 0):

@@ -100,6 +100,8 @@ class TestSimulate:
                                              "height": float("inf")}}]),
         ("objects", []),
         ("master_seed", -1),
+        ("tracker", {"optimizer": {"cost_tolerance": float("inf")}}),
+        ("tracker", {"optimizer": {"cost_tolerance": True}}),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):
@@ -175,6 +177,22 @@ class TestPipeline:
         tracker_yaml = tmp_path / "tracker.yaml"
         tracker_yaml.write_text(yaml.safe_dump(
             {"tracker": {"optimizer": {"cost_tolerance": -1}}}))
+        run = tmp_path / "run"
+        assert main(["track",
+                     "--episode", str(episodes / "sphere" / "ep0000"),
+                     "--mode", "constvel", "--config", str(tracker_yaml),
+                     "--out", str(run)]) == 2
+        assert not run.exists()
+
+    @pytest.mark.parametrize("tolerance", [float("inf"), True],
+                             ids=["inf", "bool"])
+    def test_track_bad_cost_tolerance_exit_2(self, suite_yaml, tmp_path,
+                                             tolerance):
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        tracker_yaml = tmp_path / "tracker.yaml"
+        tracker_yaml.write_text(yaml.safe_dump(
+            {"tracker": {"optimizer": {"cost_tolerance": tolerance}}}))
         run = tmp_path / "run"
         assert main(["track",
                      "--episode", str(episodes / "sphere" / "ep0000"),

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import yaml
 
-from tactrack import geometry
+from tactrack import factors, geometry, registration
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
 from tactrack.harness import default_suite_config, episode_seed
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
-from tactrack.factors import OptimizerParams, obj_key
+from tactrack.factors import OptimizerParams, linearize, obj_key
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import MAX_ITERATIONS
 from tactrack.render import GelConfig
@@ -125,6 +125,8 @@ class TestTrackerSetup:
         {"sigma_vel": [0.005, float("inf")]},
         {"optimizer": {"max_iterations": 2.5}},
         {"optimizer": {"max_iterations": True}},
+        {"optimizer": {"cost_tolerance": float("inf")}},
+        {"optimizer": {"cost_tolerance": True}},
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -230,27 +232,143 @@ class TestMotionModel:
         assert sorted(steps) == list(range(2, len(ep.frames) + 1))
 
 
+@pytest.fixture(scope="module")
+def sphere_episode():
+    """The default suite's first sphere episode."""
+    suite = default_suite_config()
+    obj = next(o for o in suite.objects if o.name == "sphere")
+    seed = episode_seed(suite, suite.objects.index(obj), 0)
+    return generate_episode(shape_from_descriptor(obj.shape),
+                            suite.trajectories[0], suite.gel, suite.noise,
+                            seed=seed)
+
+
 class TestRegistrationEffort:
-    def test_sphere_patchgraph_icp_counts(self):
-        # The default suite's first sphere episode in patchgraph mode.  On a
-        # sphere most ICP calls flatten within a few steps and then wander
-        # along the rotation the contact cannot observe; with only the
-        # twist-norm stop, 6 of these 22 calls ran to the iteration cap
-        # (377 iterations in all).  The counts repeat exactly.
-        suite = default_suite_config()
-        obj = next(o for o in suite.objects if o.name == "sphere")
-        seed = episode_seed(suite, suite.objects.index(obj), 0)
-        ep = generate_episode(shape_from_descriptor(obj.shape),
-                              suite.trajectories[0], suite.gel, suite.noise,
-                              seed=seed)
-        result = track_episode(ep, TrackerMode.PATCH_GRAPH)
+    def test_sphere_patchgraph_icp_counts(self, sphere_episode):
+        # The first sphere episode in patchgraph mode.  On a sphere most ICP
+        # calls flatten within a few steps and then wander along the
+        # rotation the contact cannot observe; with only the twist-norm
+        # stop, 6 of these 22 calls ran to the iteration cap (377 iterations
+        # in all), and 2 did (197) with the predicted-reduction stop while
+        # every im2patch call started from the graph (131 of them; 56 now
+        # that most start from the step's im2im result).  The counts repeat
+        # exactly.
+        result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH)
         icp = [d[k] for d in result.diagnostics
                for k in ("icp_im2im", "icp_im2patch") if d[k] is not None]
         capped = [r for r in icp if not r["converged"]]
         assert all(r["iterations"] == MAX_ITERATIONS for r in capped)
         assert len(icp) == 22
-        assert len(capped) == 2
-        assert sum(r["iterations"] for r in icp) == 197
+        assert len(capped) == 0
+        assert sum(r["iterations"] for r in icp) == 122
+
+    def test_sphere_patchgraph_linearization_count(self, sphere_episode,
+                                                   monkeypatch):
+        # The same episode's 12 solves take 23 linearizations; with the
+        # relative 1e-9 cost stop they took 40.  The counts repeat exactly.
+        calls = []
+
+        def counted_linearize(graph, values):
+            calls.append(len(values))
+            return linearize(graph, values)
+
+        monkeypatch.setattr(factors, "linearize", counted_linearize)
+        result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH)
+        assert len(calls) == 23
+        assert sum(d["optimizer"]["linearizations"]
+                   for d in result.diagnostics) == len(calls)
+
+
+class TestPatchInit:
+    """Where each im2patch registration starts: at this step's im2im result
+    when its factor was added, else at the graph's object-from-sensor."""
+
+    def _run(self, monkeypatch, gel, mode, im2im=None):
+        """Track a 6-step pyramid slide in `mode`, with every im2im
+        registration forced to be `gated` or `dropped` if asked; returns
+        the tracker, the im2im factor measurement of each step that added
+        one, and per im2patch call its step, init and the two candidate
+        inits the tracker could have used."""
+        ep = generate_episode(Pyramid(),
+                              TrajectorySpec(steps=6, indent=1.25, length=1.0),
+                              gel, NoiseSpec(), seed=5)
+        shape = ep.shape if mode is TrackerMode.GROUNDTRUTH_PATCH else None
+        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior,
+                          ep.frames[0].eff_measured, gel, shape=shape)
+        register, calls = registration.icp_register, []
+
+        def recorded(source, target, init):
+            t = tracker.t
+            if target is not tracker.prev_cloud:
+                previous = tracker._object_from_sensor(t - 1) if t > 1 else None
+                calls.append((t, init, previous, tracker._object_from_sensor(t)))
+            elif im2im == "dropped":
+                raise registration.DegenerateGeometryError(np.inf)
+            result = register(source, target, init)
+            if target is tracker.prev_cloud and im2im == "gated":
+                # 10 mm past the initialization: beyond the 3 mm gate.
+                far = geometry.compose(init, geometry.exp(
+                    np.array([0.0, 0.0, 0.0, 10.0, 0.0, 0.0])))
+                result = dataclasses.replace(result, transform=far)
+            return result
+
+        monkeypatch.setattr(registration, "icp_register", recorded)
+        for frame in ep.frames:
+            tracker.step(frame.normals, frame.eff_measured)
+        added = {f.t: f.measured for f in tracker.graph.factors
+                 if f.name == "im2im"}
+        return tracker, added, calls
+
+    @staticmethod
+    def _assert_same(a, b):
+        np.testing.assert_array_equal(a.rotation, b.rotation)
+        np.testing.assert_array_equal(a.translation, b.translation)
+
+    def test_starts_from_added_im2im(self, monkeypatch, gel):
+        tracker, added, calls = self._run(monkeypatch, gel,
+                                          TrackerMode.PATCH_GRAPH)
+        used = [t for t, *_ in calls if t in added]
+        assert used   # the branch is taken
+        for t, init, previous, graph in calls:
+            if t in added:
+                self._assert_same(init, geometry.compose(previous, added[t]))
+                assert tracker.diagnostics[t - 1]["im2patch_init"] == "im2im"
+            else:
+                self._assert_same(init, graph)
+                assert tracker.diagnostics[t - 1]["im2patch_init"] == "graph"
+
+    @pytest.mark.parametrize("im2im", ["gated", "dropped"])
+    def test_graph_init_without_im2im_factor(self, monkeypatch, gel, im2im):
+        tracker, added, calls = self._run(monkeypatch, gel,
+                                          TrackerMode.PATCH_GRAPH, im2im)
+        assert not added and calls
+        messages = [w["message"] for w in tracker.warnings]
+        assert any(m.startswith(f"im2im registration "
+                                f"{'jumped' if im2im == 'gated' else 'dropped'}")
+                   for m in messages)
+        for t, init, _, graph in calls:
+            self._assert_same(init, graph)
+            assert tracker.diagnostics[t - 1]["im2patch_init"] == "graph"
+
+    def test_first_frame(self, monkeypatch, gel):
+        # Patchgraph has no patch to register against at the first frame;
+        # gtpatch does, and starts from the graph, having no im2im.
+        tracker, _, calls = self._run(monkeypatch, gel,
+                                      TrackerMode.PATCH_GRAPH)
+        assert calls[0][0] == 2
+        assert tracker.diagnostics[0]["im2patch_init"] is None
+        tracker, _, calls = self._run(monkeypatch, gel,
+                                      TrackerMode.GROUNDTRUTH_PATCH)
+        assert calls[0][0] == 1
+        assert tracker.diagnostics[0]["im2patch_init"] == "graph"
+
+    def test_gtpatch_always_starts_from_graph(self, monkeypatch, gel):
+        tracker, added, calls = self._run(monkeypatch, gel,
+                                          TrackerMode.GROUNDTRUTH_PATCH)
+        assert not added and len(calls) == len(tracker.diagnostics)
+        for t, init, _, graph in calls:
+            self._assert_same(init, graph)
+            assert tracker.diagnostics[t - 1]["im2patch_init"] == "graph"
 
 
 @pytest.fixture(scope="module")
