@@ -178,16 +178,20 @@ class MotionPriorFactor(Factor):
 
 @dataclass
 class Im2ImFactor(Factor):
-    """Binary factor on consecutive (object, end-effector) pairs from
-    image-to-image ICP registration."""
+    """Binary factor on the (object, end-effector) pairs at `k` and `t` from
+    image-to-image ICP registration of frame t against frame k, by default
+    the previous one."""
 
     t: int
-    measured: Pose  # maps sensor frame at t into sensor frame at t-1
+    measured: Pose  # maps sensor frame at t into sensor frame at k
     noise: NoiseModel
+    k: int = None   # t - 1 if None
     name = "im2im"
 
     def __post_init__(self):
-        self.keys = (obj_key(self.t - 1), eff_key(self.t - 1),
+        if self.k is None:
+            self.k = self.t - 1
+        self.keys = (obj_key(self.k), eff_key(self.k),
                      obj_key(self.t), eff_key(self.t))
 
     @staticmethod

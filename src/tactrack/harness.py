@@ -175,6 +175,21 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
     return episodes
 
 
+def relative_motion_error(trajectory: dict) -> float:
+    """Translation error (mm) of the first-to-last object-from-sensor motion
+    (o_1^-1 e_1)^-1 (o_T^-1 e_T), which is what touch observes, from the
+    quaternion-translation lists of a trajectory record."""
+    def motion(objects, effs):
+        first, last = (geometry.compose(
+            geometry.inverse(geometry.from_quat_trans(objects[i])),
+            geometry.from_quat_trans(effs[i])) for i in (0, -1))
+        return geometry.compose(geometry.inverse(first), last)
+    estimate = motion(trajectory["object_estimates"], trajectory["eff_estimates"])
+    truth = motion(trajectory["object_groundtruth"], trajectory["eff_groundtruth"])
+    return float(np.linalg.norm(
+        geometry.compose(geometry.inverse(estimate), truth).translation))
+
+
 def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
                  out_dir) -> dict:
     """Track one episode in one mode, persist the artifacts, and return the
@@ -197,6 +212,7 @@ def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
         "steps": len(episode.frames),
         "final_rotation_error_rad": result.final_rotation_error,
         "final_translation_error_mm": result.final_translation_error,
+        "final_rel_translation_error_mm": relative_motion_error(trajectory),
         "warnings": result.warnings,
         "diagnostics": result.diagnostics,
     }
@@ -235,21 +251,17 @@ def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> Sui
     for obj, by_mode in records.items():
         results[obj] = {}
         for mode, entries in by_mode.items():
-            rot = [e["final_rotation_error_rad"] for e in entries
-                   if e.get("status", "ok") == "ok"]
-            trans = [e["final_translation_error_mm"] for e in entries
-                     if e.get("status", "ok") == "ok"]
-            record = {
-                "rotation_errors": [e.get("final_rotation_error_rad")
-                                    for e in entries],
-                "translation_errors": [e.get("final_translation_error_mm")
-                                       for e in entries],
-                "failures": [e["error"] for e in entries
-                             if e.get("status") == "failed"],
-            }
-            if rot:
-                record["rotation_stats"] = boxplot_stats(rot)
-                record["translation_stats"] = boxplot_stats(trans)
+            record = {"failures": [e["error"] for e in entries
+                                   if e.get("status") == "failed"]}
+            for name, key in (("rotation", "final_rotation_error_rad"),
+                              ("translation", "final_translation_error_mm"),
+                              ("rel_translation",
+                               "final_rel_translation_error_mm")):
+                errors = [e.get(key) for e in entries]
+                record[f"{name}_errors"] = errors
+                if any(err is not None for err in errors):
+                    record[f"{name}_stats"] = boxplot_stats(
+                        err for err in errors if err is not None)
             results[obj][mode] = record
     return SuiteReport(config_hash=config_hash,
                        episodes_per_object=episodes_per_object, results=results)

@@ -1,5 +1,6 @@
-"""Online local patch map: fusion of keyframe sensor clouds into an
-object-frame cloud with voxel downsampling."""
+"""Local patch map: fusion of keyframe sensor clouds into an object-frame
+cloud with voxel downsampling.  The tracker fuses its keyframes once, at the
+final pose estimates; the map is an output, not a registration target."""
 
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ def _voxel_downsample(points, normals, voxel: float):
 
 @dataclass
 class PatchMap:
-    """Fused object-frame cloud of the keyframes seen so far."""
+    """Fused object-frame cloud of keyframes."""
 
     voxel_size: float = 0.3
     cloud: PointCloud = None

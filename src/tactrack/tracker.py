@@ -1,6 +1,7 @@
 """Per-timestep tracking pipeline: reconstruct the contact cloud, register it
-(image-to-image and/or image-to-patch), assemble factors, optimize, update
-the local patch map."""
+(image to image, image to the latest keyframe, or image to the true shape),
+assemble factors and optimize.  Patchgraph fuses its keyframes into the
+local patch map once, at the final poses, in `finalize`."""
 
 from __future__ import annotations
 
@@ -35,23 +36,21 @@ class ConfigError(ValueError):
     """A tracker or suite configuration is invalid."""
 
 
-# Registration factor weights and jump gates, (rad, mm) per axis.
+# Registration factor weights and jump gates, (rad, mm) per axis.  Keyframe
+# registrations are image-to-image registrations over a longer span and get
+# the im2im weight and gate.
 SIGMA_IM2IM = (0.05, 2.5)
-# Patch registrations target the self-built local map, which inherits the
-# bias and noise of the poses it was fused at, so they get far less weight
-# than registrations against a known object model.
-SIGMA_IM2PC = (0.12, 8.0)
 SIGMA_IM2GT = (0.02, 1.0)
 # Registrations whose result jumps this far from their initialization landed
 # in a wrong basin (symmetric imprints) and are discarded.  The rotation gate
-# stays loose for patch registrations: rotationally symmetric contacts
-# (spheres) wander freely in rotation while still carrying good translation
-# information.
+# stays loose for registrations against the true shape: rotationally
+# symmetric contacts (spheres) wander freely in rotation while still
+# carrying good translation information.
 GATE_IM2IM = (0.2, 3.0)
 GATE_IM2PC = (1.0, 8.0)
-# Patchgraph fuses every k-th frame into its patch map, from the first.
-# Short episodes benefit from a dense patch: more keyframes mean better
-# overlap for patch registrations.
+# Patchgraph keeps every k-th frame's cloud as a keyframe, from the first,
+# and registers each later frame against the latest one.  With k = 2 every
+# other frame spans two steps, and the band of J^T J stays narrow.
 KEYFRAME_INTERVAL = 2
 # Surface samples of the true shape around the first contact: gtpatch's target.
 GT_SAMPLE_RADIUS_SCALE = 1.5   # ball diameter / larger gel extent
@@ -190,7 +189,7 @@ class Tracker:
         self.shape = shape
         self.graph = FactorGraph()
         self.values: dict = {}
-        self.patch = PatchMap()
+        self.keyframes: list = []   # (t, sensor-frame cloud), in time order
         self.prev_cloud: PointCloud | None = None
         self.prev_eff_measurement: Pose | None = None
         self.gt_target: PointCloud | None = None
@@ -215,13 +214,12 @@ class Tracker:
     def _warn(self, message: str):
         self.warnings.append({"step": self.t, "message": message})
 
-    def _add_registration(self, factor_type, source, target, init: Pose,
-                          gate, sigma, diag: dict) -> Pose | None:
-        """Register `source` onto `target` from `init` and add the resulting
-        factor, unless the result jumped past `gate` (rad, mm) from `init` or
-        the registration failed; either is logged as a warning.  Returns the
-        added factor's measurement, or None."""
-        kind = factor_type.name
+    def _register(self, kind: str, source, target, init: Pose, gate,
+                  diag: dict) -> Pose | None:
+        """Register `source` onto `target` from `init` and record the ICP
+        result as ``diag["icp_<kind>"]``.  Returns the registered transform,
+        or None if the registration failed or its result jumped past `gate`
+        (rad, mm) from `init`; either is logged as a warning."""
         try:
             result = registration.icp_register(source, target, init)
         except (registration.DegenerateGeometryError,
@@ -235,9 +233,36 @@ class Tracker:
             self._warn(f"{kind} registration jumped far from its "
                        "initialization; factor omitted")
             return None
-        self.graph.add(factor_type(self.t, result.transform,
-                                   NoiseModel.isotropic(*sigma)))
         return result.transform
+
+    def _register_keyframe(self, cloud: PointCloud, im2im: Pose | None,
+                           diag: dict):
+        """Register frame t against the latest keyframe k and add an
+        Im2ImFactor on (o_k, e_k, o_t, e_t).  Skipped when k = t - 1, a pair
+        that im2im already registers."""
+        t = self.t
+        k, target = self.keyframes[-1]
+        if k == t - 1:
+            return
+        diag["keyframe_target"] = k
+        keyframe_from_object = geometry.inverse(self._object_from_sensor(k))
+        # Start from this step's accepted image-to-image motion, as
+        # odometry-initialized scan-to-map registration does (Zhang & Singh,
+        # "LOAM", RSS 2014): it carries no end-effector measurement noise,
+        # unlike the graph's o_{t-1}^-1 e_t.
+        if im2im is not None:
+            init = geometry.compose(geometry.compose(
+                keyframe_from_object, self._object_from_sensor(t - 1)), im2im)
+            diag["keyframe_init"] = "im2im"
+        else:
+            init = geometry.compose(keyframe_from_object,
+                                    self._object_from_sensor(t))
+            diag["keyframe_init"] = "graph"
+        measured = self._register("keyframe", cloud, target, init, GATE_IM2IM,
+                                  diag)
+        if measured is not None:
+            self.graph.add(Im2ImFactor(t, measured,
+                                       NoiseModel.isotropic(*SIGMA_IM2IM), k=k))
 
     def _ensure_gt_target(self, cloud: PointCloud):
         if self.gt_target is not None:
@@ -257,9 +282,10 @@ class Tracker:
         measurement already seeded the priors at construction."""
         self.t += 1
         t = self.t
-        diag = {"step": t, "icp_im2im": None, "icp_im2patch": None,
-                "im2patch_init": None, "skipped_registration": False,
-                "keyframe": False}
+        diag = {"step": t, "icp_im2im": None, "icp_keyframe": None,
+                "keyframe_target": None, "keyframe_init": None,
+                "icp_im2patch": None, "im2patch_init": None,
+                "skipped_registration": False, "keyframe": False}
 
         if t > 1:
             self.values[eff_key(t)] = eff_measurement
@@ -287,30 +313,26 @@ class Tracker:
             # graph's own prediction (self-confirming feedback).
             init = geometry.compose(geometry.inverse(self.prev_eff_measurement),
                                     eff_measurement)
-            im2im = self._add_registration(Im2ImFactor, cloud, self.prev_cloud,
-                                           init, GATE_IM2IM, SIGMA_IM2IM, diag)
+            im2im = self._register("im2im", cloud, self.prev_cloud, init,
+                                   GATE_IM2IM, diag)
+            if im2im is not None:
+                self.graph.add(Im2ImFactor(t, im2im,
+                                           NoiseModel.isotropic(*SIGMA_IM2IM)))
 
-        if cloud is not None and self.mode in (TrackerMode.PATCH_GRAPH,
-                                               TrackerMode.GROUNDTRUTH_PATCH):
-            if self.mode is TrackerMode.GROUNDTRUTH_PATCH:
-                self._ensure_gt_target(cloud)
-                target, sigma = self.gt_target, SIGMA_IM2GT
-            else:
-                target, sigma = self.patch.cloud, SIGMA_IM2PC
-            if len(target) > 0:
-                # Start from this step's accepted image-to-image motion, as
-                # odometry-initialized scan-to-map registration does (Zhang &
-                # Singh, "LOAM", RSS 2014): it carries no end-effector
-                # measurement noise, unlike the graph's o_{t-1}^-1 e_t.
-                if im2im is not None:
-                    init = geometry.compose(self._object_from_sensor(t - 1),
-                                            im2im)
-                    diag["im2patch_init"] = "im2im"
-                else:
-                    init = self._object_from_sensor(t)
-                    diag["im2patch_init"] = "graph"
-                self._add_registration(Im2PatchFactor, cloud, target, init,
-                                       GATE_IM2PC, sigma, diag)
+        if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
+                and self.keyframes):
+            self._register_keyframe(cloud, im2im, diag)
+
+        if cloud is not None and self.mode is TrackerMode.GROUNDTRUTH_PATCH:
+            self._ensure_gt_target(cloud)
+            if len(self.gt_target) > 0:
+                diag["im2patch_init"] = "graph"
+                measured = self._register("im2patch", cloud, self.gt_target,
+                                          self._object_from_sensor(t),
+                                          GATE_IM2PC, diag)
+                if measured is not None:
+                    self.graph.add(Im2PatchFactor(
+                        t, measured, NoiseModel.isotropic(*SIGMA_IM2GT)))
 
         self.values, stats = factors.optimize(self.graph, self.values,
                                               self.config.optimizer)
@@ -318,8 +340,7 @@ class Tracker:
 
         if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
                 and (t - 1) % KEYFRAME_INTERVAL == 0):
-            self.patch = patchmap.fuse_keyframe(self.patch, cloud,
-                                                self._object_from_sensor(t))
+            self.keyframes.append((t, cloud))
             diag["keyframe"] = True
 
         self.prev_cloud = cloud
@@ -339,10 +360,15 @@ class Tracker:
         for t in range(1, self.t + 1):
             obj_traj.append(geometry.to_quat_trans(self.values[obj_key(t)]))
             eff_traj.append(geometry.to_quat_trans(self.values[eff_key(t)]))
+        # The patch is an output, fused once at the final poses.
+        patch = PatchMap()
+        for k, cloud in self.keyframes:
+            patch = patchmap.fuse_keyframe(patch, cloud,
+                                           self._object_from_sensor(k))
         return EpisodeResult(object_trajectory=obj_traj, eff_trajectory=eff_traj,
                              final_rotation_error=rot_err,
                              final_translation_error=trans_err,
-                             diagnostics=self.diagnostics, patch=self.patch,
+                             diagnostics=self.diagnostics, patch=patch,
                              warnings=self.warnings)
 
 

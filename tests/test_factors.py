@@ -119,7 +119,8 @@ RESIDUALS = {"zero": st.just(np.zeros(6)), "small": _twist(5e-3, 1e-3),
 def _factor_at(kind, poses, offset, t0=0):
     """A factor of `kind` on the poses at times t0 + 1 .. t0 + 3, and values
     whose raw residual is `offset`: the measurement (or the last pose) is
-    solved for from the others."""
+    solved for from the others.  A keyframe factor is an Im2ImFactor from
+    t0 + 1 to t0 + 3 (k = t - 2), with e at t0 + 3 set to e at t0 + 2."""
     o1, e1, o2, e2, o3 = poses
     values = {obj_key(t0 + 1): o1, eff_key(t0 + 1): e1, obj_key(t0 + 2): o2,
               eff_key(t0 + 2): e2, obj_key(t0 + 3): o3}
@@ -136,6 +137,12 @@ def _factor_at(kind, poses, offset, t0=0):
         graph_rel = geometry.compose(geometry.inverse(rel1), rel2)
         return Im2ImFactor(t0 + 2, geometry.compose(graph_rel, off_inv),
                            ANISO), values
+    if kind == "keyframe":
+        values[eff_key(t0 + 3)] = e2
+        rel3 = geometry.compose(geometry.inverse(o3), e2)
+        graph_rel = geometry.compose(geometry.inverse(rel1), rel3)
+        return Im2ImFactor(t0 + 3, geometry.compose(graph_rel, off_inv),
+                           ANISO, k=t0 + 1), values
     return Im2PatchFactor(t0 + 2, geometry.compose(rel2, off_inv),
                           ANISO), values
 
@@ -252,7 +259,7 @@ class TestJacobianOracle:
 
     @pytest.mark.parametrize("residual", sorted(RESIDUALS))
     @pytest.mark.parametrize("kind", ["prior", "motion_prior", "im2im",
-                                      "im2patch"])
+                                      "keyframe", "im2patch"])
     def test_blocks_match_numerical_jacobian(self, kind, residual):
         # Derandomized, and without shrinking: a wrong block fails on almost
         # every draw, and shrinking 15 cases of ~40 floats takes minutes.
@@ -290,16 +297,27 @@ class TestJacobianOracle:
 
 @pytest.fixture(scope="module")
 def episode_graph():
-    """The graph and estimate at the end of a 24-step patchgraph episode."""
+    """The graph and estimate at the end of a 24-step patchgraph episode,
+    with the im2patch factors that gtpatch adds on the same episode, so that
+    one real graph holds every factor class: patchgraph's keyframe factors
+    (k = t - 2) and gtpatch's unary factors against the true shape."""
     gel = GelConfig()
     ep = generate_episode(Pyramid(),
                           TrajectorySpec(steps=24, indent=1.25, length=2.0),
                           gel, NoiseSpec(), seed=1)
-    tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
-                      ep.vision_prior, ep.frames[0].eff_measured, gel)
-    for frame in ep.frames:
-        tracker.step(frame.normals, frame.eff_measured)
-    return tracker.graph, tracker.values
+
+    def run(mode, shape=None):
+        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior,
+                          ep.frames[0].eff_measured, gel, shape=shape)
+        for frame in ep.frames:
+            tracker.step(frame.normals, frame.eff_measured)
+        return tracker
+
+    patchgraph = run(TrackerMode.PATCH_GRAPH)
+    gtpatch = run(TrackerMode.GROUNDTRUTH_PATCH, ep.shape)
+    return FactorGraph(patchgraph.graph.factors + [
+        f for f in gtpatch.graph.factors if f.name == "im2patch"]), \
+        patchgraph.values
 
 
 class TestEpisodeGraph:
@@ -310,6 +328,8 @@ class TestEpisodeGraph:
         graph, _ = episode_graph
         assert {f.name for f in graph.factors} == {
             "vis_prior", "eff_prior", "motion_prior", "im2im", "im2patch"}
+        spans = {f.t - f.k for f in graph.factors if f.name == "im2im"}
+        assert spans == {1, 2}
 
     def test_normal_equations_match_per_factor_reference(self, episode_graph):
         graph, values = episode_graph
@@ -436,12 +456,12 @@ class TestEpisodeGraph:
                 < 1e-4
 
     def test_banded_damped_solve_matches_dense(self, episode_graph):
-        # Time order makes J^T J banded (an im2im factor, the widest, spans
-        # the four key blocks (o, e) at t - 1 and t, so w = 6 * 3 + 5 = 23
-        # columns below the diagonal), and the banded Cholesky solve agrees
-        # with a dense solve of the same damped system.
+        # Time order makes J^T J banded (a keyframe factor, the widest, spans
+        # the six key blocks e_{t-2}, o_{t-2} ... e_t, o_t, so
+        # w = 6 * 5 + 5 = 35 columns below the diagonal), and the banded
+        # Cholesky solve agrees with a dense solve of the same damped system.
         system = linearize(*episode_graph)
-        assert system.ab.shape == (24, 6 * len(system.keys))
+        assert system.ab.shape == (36, 6 * len(system.keys))
         jtj = _dense(system.ab)
         diag = np.diag(jtj)
         for lam in (factors.LAMBDA_INIT, 1.0):

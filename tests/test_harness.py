@@ -11,8 +11,8 @@ import pytest
 from tactrack.episodes import NoiseSpec, TrajectorySpec
 from tactrack.harness import (ConfigError, SuiteConfig, SuiteObject,
                               boxplot_stats, default_suite_config,
-                              episode_seed, generate_suite_episodes, run_suite,
-                              write_report)
+                              episode_seed, generate_suite_episodes,
+                              relative_motion_error, run_suite, write_report)
 
 SPHERE = {"type": "sphere", "radius": 6.35}
 
@@ -28,6 +28,24 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return SuiteConfig(**base)
+
+
+class TestRelativeMotionError:
+    def test_error_of_first_to_last_sensor_motion(self):
+        # The object is still and the sensor truly moves 2 mm along x; the
+        # estimate has the object 1 mm off throughout (unobservable by
+        # touch, so no error) and the sensor's last pose 0.5 mm short.
+        still = [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]] * 2
+        shifted = [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]] * 2
+        trajectory = {
+            "object_groundtruth": still,
+            "eff_groundtruth": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                [1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0]],
+            "object_estimates": shifted,
+            "eff_estimates": [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                              [1.0, 0.0, 0.0, 0.0, 2.5, 0.0, 0.0]],
+        }
+        assert relative_motion_error(trajectory) == pytest.approx(0.5)
 
 
 class TestBoxplotStats:
@@ -100,6 +118,23 @@ class TestRunSuite:
         assert len(rec["translation_errors"]) == 1
         assert rec["translation_errors"][0] < 1e-6
         assert rec["rotation_errors"][0] < 1e-6
+        assert rec["rel_translation_errors"][0] < 1e-6
+
+    def test_rel_error_in_metrics_and_report(self, tmp_path):
+        cfg = tiny_config(modes=["constvel", "im2im"])
+        report = run_suite(cfg, tmp_path / "suite")
+        for mode in ("constvel", "im2im"):
+            rel = []
+            for ep in range(cfg.episodes_per_object):
+                run = tmp_path / "suite" / "runs" / "sphere" / f"ep{ep:04d}" / mode
+                metrics = json.loads((run / "metrics.json").read_text())
+                trajectory = json.loads((run / "trajectory.json").read_text())
+                assert metrics["final_rel_translation_error_mm"] == \
+                    relative_motion_error(trajectory)
+                rel.append(metrics["final_rel_translation_error_mm"])
+            rec = report.results["sphere"][mode]
+            assert rec["rel_translation_errors"] == rel
+            assert rec["rel_translation_stats"] == boxplot_stats(rel)
 
     def test_entry_counts(self, tmp_path):
         cfg = tiny_config(modes=["constvel", "im2im"])

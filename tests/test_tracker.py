@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import yaml
 
-from tactrack import factors, geometry, registration
+from tactrack import factors, geometry, patchmap, registration
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
 from tactrack.harness import default_suite_config, episode_seed
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
 from tactrack.factors import OptimizerParams, linearize, obj_key
+from tactrack.patchmap import PatchMap
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import MAX_ITERATIONS
 from tactrack.render import GelConfig
@@ -187,6 +188,35 @@ class TestModes:
         result = track_episode(ep, TrackerMode.PATCH_GRAPH)
         assert not result.patch.is_empty()
 
+    def test_patch_fused_once_in_finalize(self, gel, monkeypatch):
+        # The patch is an output: no step fuses, and finalize fuses each
+        # keyframe once, in order, at the final poses.
+        ep = generate_episode(Pyramid(),
+                              TrajectorySpec(steps=6, indent=1.25, length=1.0),
+                              gel, NoiseSpec(), seed=3)
+        fuse, fused = patchmap.fuse_keyframe, []
+
+        def recorded(pmap, cloud, object_from_sensor):
+            fused.append((tracker.t, cloud, object_from_sensor))
+            return fuse(pmap, cloud, object_from_sensor)
+
+        monkeypatch.setattr(patchmap, "fuse_keyframe", recorded)
+        tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
+                          ep.vision_prior, ep.frames[0].eff_measured, gel)
+        for frame in ep.frames:
+            tracker.step(frame.normals, frame.eff_measured)
+        assert not fused
+        result = tracker.finalize([f.object_pose for f in ep.frames])
+        assert [k for k, _ in tracker.keyframes] == [1, 3, 5]
+        assert [cloud for _, cloud, _ in fused] == [
+            cloud for _, cloud in tracker.keyframes]
+        expected = PatchMap()
+        for k, cloud in tracker.keyframes:
+            pose = tracker._object_from_sensor(k)
+            expected = fuse(expected, cloud, pose)
+        np.testing.assert_array_equal(result.patch.cloud.points,
+                                      expected.cloud.points)
+
     def test_constvel_keeps_patch_empty(self, gel):
         ep = generate_episode(Pyramid(),
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
@@ -247,25 +277,22 @@ class TestRegistrationEffort:
     def test_sphere_patchgraph_icp_counts(self, sphere_episode):
         # The first sphere episode in patchgraph mode.  On a sphere most ICP
         # calls flatten within a few steps and then wander along the
-        # rotation the contact cannot observe; with only the twist-norm
-        # stop, 6 of these 22 calls ran to the iteration cap (377 iterations
-        # in all), and 2 did (197) with the predicted-reduction stop while
-        # every im2patch call started from the graph (131 of them; 56 now
-        # that most start from the step's im2im result).  The counts repeat
-        # exactly.
+        # rotation the contact cannot observe; the predicted-reduction stop
+        # ends them there, so none runs to the iteration cap.  The counts
+        # repeat exactly.
         result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH)
         icp = [d[k] for d in result.diagnostics
-               for k in ("icp_im2im", "icp_im2patch") if d[k] is not None]
+               for k in ("icp_im2im", "icp_keyframe") if d[k] is not None]
         capped = [r for r in icp if not r["converged"]]
         assert all(r["iterations"] == MAX_ITERATIONS for r in capped)
-        assert len(icp) == 22
+        assert len(icp) == 16
         assert len(capped) == 0
-        assert sum(r["iterations"] for r in icp) == 122
+        assert sum(r["iterations"] for r in icp) == 95
 
     def test_sphere_patchgraph_linearization_count(self, sphere_episode,
                                                    monkeypatch):
-        # The same episode's 12 solves take 23 linearizations; with the
-        # relative 1e-9 cost stop they took 40.  The counts repeat exactly.
+        # The same episode's 12 solves take 21 linearizations.  The counts
+        # repeat exactly.
         calls = []
 
         def counted_linearize(graph, values):
@@ -274,21 +301,24 @@ class TestRegistrationEffort:
 
         monkeypatch.setattr(factors, "linearize", counted_linearize)
         result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH)
-        assert len(calls) == 23
+        assert len(calls) == 21
         assert sum(d["optimizer"]["linearizations"]
                    for d in result.diagnostics) == len(calls)
 
 
 class TestPatchInit:
-    """Where each im2patch registration starts: at this step's im2im result
-    when its factor was added, else at the graph's object-from-sensor."""
+    """Where each keyframe registration of frame t against keyframe k
+    starts: at the graph's k-to-(t-1) motion chained with this step's im2im
+    result when its factor was added, else at the graph's k-to-t motion.
+    gtpatch's registrations against the true shape start from the graph."""
 
     def _run(self, monkeypatch, gel, mode, im2im=None):
         """Track a 6-step pyramid slide in `mode`, with every im2im
         registration forced to be `gated` or `dropped` if asked; returns
         the tracker, the im2im factor measurement of each step that added
-        one, and per im2patch call its step, init and the two candidate
-        inits the tracker could have used."""
+        one, and per registration that is not im2im its step, init,
+        keyframe (None in gtpatch) and the two candidate inits the tracker
+        could have used."""
         ep = generate_episode(Pyramid(),
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
                               gel, NoiseSpec(), seed=5)
@@ -300,8 +330,15 @@ class TestPatchInit:
         def recorded(source, target, init):
             t = tracker.t
             if target is not tracker.prev_cloud:
-                previous = tracker._object_from_sensor(t - 1) if t > 1 else None
-                calls.append((t, init, previous, tracker._object_from_sensor(t)))
+                k = next((k for k, cloud in tracker.keyframes
+                          if cloud is target), None)
+                frame = (Pose.identity() if k is None else geometry.inverse(
+                    tracker._object_from_sensor(k)))
+                previous = (geometry.compose(frame,
+                                             tracker._object_from_sensor(t - 1))
+                            if t > 1 else None)
+                calls.append((t, init, k, previous, geometry.compose(
+                    frame, tracker._object_from_sensor(t))))
             elif im2im == "dropped":
                 raise registration.DegenerateGeometryError(np.inf)
             result = register(source, target, init)
@@ -316,7 +353,7 @@ class TestPatchInit:
         for frame in ep.frames:
             tracker.step(frame.normals, frame.eff_measured)
         added = {f.t: f.measured for f in tracker.graph.factors
-                 if f.name == "im2im"}
+                 if f.name == "im2im" and f.k == f.t - 1}
         return tracker, added, calls
 
     @staticmethod
@@ -329,13 +366,25 @@ class TestPatchInit:
                                           TrackerMode.PATCH_GRAPH)
         used = [t for t, *_ in calls if t in added]
         assert used   # the branch is taken
-        for t, init, previous, graph in calls:
+        for t, init, k, previous, graph in calls:
+            diag = tracker.diagnostics[t - 1]
+            assert diag["keyframe_target"] == k
             if t in added:
                 self._assert_same(init, geometry.compose(previous, added[t]))
-                assert tracker.diagnostics[t - 1]["im2patch_init"] == "im2im"
+                assert diag["keyframe_init"] == "im2im"
             else:
                 self._assert_same(init, graph)
-                assert tracker.diagnostics[t - 1]["im2patch_init"] == "graph"
+                assert diag["keyframe_init"] == "graph"
+            assert diag["icp_im2patch"] is None
+            assert diag["im2patch_init"] is None
+
+    def test_keyframe_factor_spans_target_to_step(self, monkeypatch, gel):
+        tracker, _, calls = self._run(monkeypatch, gel,
+                                      TrackerMode.PATCH_GRAPH)
+        spans = {(f.k, f.t) for f in tracker.graph.factors
+                 if f.name == "im2im" and f.k != f.t - 1}
+        assert spans and spans <= {(k, t) for t, _, k, *_ in calls}
+        assert not [f for f in tracker.graph.factors if f.name == "im2patch"]
 
     @pytest.mark.parametrize("im2im", ["gated", "dropped"])
     def test_graph_init_without_im2im_factor(self, monkeypatch, gel, im2im):
@@ -346,17 +395,33 @@ class TestPatchInit:
         assert any(m.startswith(f"im2im registration "
                                 f"{'jumped' if im2im == 'gated' else 'dropped'}")
                    for m in messages)
-        for t, init, _, graph in calls:
+        for t, init, _, _, graph in calls:
             self._assert_same(init, graph)
-            assert tracker.diagnostics[t - 1]["im2patch_init"] == "graph"
+            assert tracker.diagnostics[t - 1]["keyframe_init"] == "graph"
 
-    def test_first_frame(self, monkeypatch, gel):
-        # Patchgraph has no patch to register against at the first frame;
-        # gtpatch does, and starts from the graph, having no im2im.
+    def test_previous_keyframe_skipped(self, monkeypatch, gel):
+        # Keyframes are frames 1, 3, 5: frame t registers against t - 2 when
+        # t is odd, and the even frames' latest keyframe is t - 1, whose pair
+        # im2im registers, so they make no call.  Frame 1 has no keyframe.
         tracker, _, calls = self._run(monkeypatch, gel,
                                       TrackerMode.PATCH_GRAPH)
-        assert calls[0][0] == 2
-        assert tracker.diagnostics[0]["im2patch_init"] is None
+        assert [(t, k) for t, _, k, *_ in calls] == [(3, 1), (5, 3)]
+        for diag in tracker.diagnostics:
+            if diag["step"] in (3, 5):
+                assert diag["keyframe_target"] == diag["step"] - 2
+                assert diag["icp_keyframe"] is not None
+            else:
+                assert diag["keyframe_target"] is None
+                assert diag["keyframe_init"] is None
+                assert diag["icp_keyframe"] is None
+
+    def test_first_frame(self, monkeypatch, gel):
+        # Patchgraph has no keyframe to register against at the first
+        # frame; gtpatch has its target, and starts from the graph.
+        tracker, _, calls = self._run(monkeypatch, gel,
+                                      TrackerMode.PATCH_GRAPH)
+        assert calls[0][0] == 3
+        assert tracker.diagnostics[0]["keyframe_init"] is None
         tracker, _, calls = self._run(monkeypatch, gel,
                                       TrackerMode.GROUNDTRUTH_PATCH)
         assert calls[0][0] == 1
@@ -366,9 +431,13 @@ class TestPatchInit:
         tracker, added, calls = self._run(monkeypatch, gel,
                                           TrackerMode.GROUNDTRUTH_PATCH)
         assert not added and len(calls) == len(tracker.diagnostics)
-        for t, init, _, graph in calls:
+        assert not tracker.keyframes
+        for t, init, _, _, graph in calls:
             self._assert_same(init, graph)
-            assert tracker.diagnostics[t - 1]["im2patch_init"] == "graph"
+            diag = tracker.diagnostics[t - 1]
+            assert diag["im2patch_init"] == "graph"
+            assert diag["keyframe_target"] is None
+            assert diag["icp_keyframe"] is None
 
 
 @pytest.fixture(scope="module")
@@ -399,3 +468,28 @@ class TestLongEpisodes:
         for key, pose in tracker.values.items():
             gram = pose.rotation.T @ pose.rotation
             assert np.abs(gram - np.eye(3)).max() < 1e-9, key
+
+
+class TestScenarioMatrix:
+    @pytest.mark.parametrize("steps", [3, 48])
+    def test_patchgraph_on_every_trajectory_kind(self, steps):
+        # The default objects under every trajectory kind, short and long:
+        # no exception, finite poses, one diagnostics record per step, and
+        # keyframe registrations only against earlier frames.
+        suite = default_suite_config()
+        for kind in ("linear", "arc", "rotation", "composite"):
+            traj = dataclasses.replace(
+                suite.trajectories[0], kind=kind, steps=steps,
+                spin_deg=10.0 if kind in ("rotation", "composite") else 0.0)
+            for index, obj in enumerate(suite.objects):
+                ep = generate_episode(shape_from_descriptor(obj.shape), traj,
+                                      suite.gel, suite.noise,
+                                      seed=episode_seed(suite, index, 0))
+                result = track_episode(ep, TrackerMode.PATCH_GRAPH)
+                poses = result.object_trajectory + result.eff_trajectory
+                assert np.isfinite(np.concatenate(poses)).all(), (kind, obj.name)
+                assert [d["step"] for d in result.diagnostics] == \
+                    list(range(1, steps + 1))
+                for d in result.diagnostics:
+                    assert d["keyframe_target"] is None \
+                        or d["keyframe_target"] < d["step"]
