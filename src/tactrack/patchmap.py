@@ -1,5 +1,6 @@
 """Local patch map: fusion of keyframe sensor clouds into an object-frame
-cloud with voxel downsampling.  The tracker fuses its keyframes once, at the
+cloud, downsampled on a voxel grid to one centroid and one mean normal per
+occupied voxel of `VOXEL_SIZE`.  The tracker fuses its keyframes once, at the
 final pose estimates; the map is an output, not a registration target."""
 
 from __future__ import annotations
@@ -7,10 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Pose
 from .reconstruct import PointCloud
+
+VOXEL_SIZE = 0.3   # mm
 
 
 def _voxel_downsample(points, normals, voxel: float):
@@ -33,24 +35,6 @@ def _voxel_downsample(points, normals, voxel: float):
     norms = np.linalg.norm(mean_normals, axis=1, keepdims=True)
     norms[norms < 1e-9] = 1.0
     mean_normals /= norms
-
-    # Voxel centroids near a shared boundary can end up arbitrarily close;
-    # merge any pair closer than half a voxel so the spacing bound holds.
-    min_sep = voxel / 2.0
-    while len(centroids) > 1:
-        pairs = cKDTree(centroids).query_pairs(min_sep, output_type="ndarray")
-        if len(pairs) == 0:
-            break
-        drop = np.zeros(len(centroids), dtype=bool)
-        for a, b in pairs:
-            if not drop[a] and not drop[b]:
-                centroids[a] = 0.5 * (centroids[a] + centroids[b])
-                merged = mean_normals[a] + mean_normals[b]
-                n = np.linalg.norm(merged)
-                mean_normals[a] = merged / n if n > 1e-9 else mean_normals[a]
-                drop[b] = True
-        centroids = centroids[~drop]
-        mean_normals = mean_normals[~drop]
     return centroids, mean_normals
 
 
@@ -58,12 +42,9 @@ def _voxel_downsample(points, normals, voxel: float):
 class PatchMap:
     """Fused object-frame cloud of keyframes."""
 
-    voxel_size: float = 0.3
     cloud: PointCloud = None
 
     def __post_init__(self):
-        if self.voxel_size <= 0:
-            raise ValueError("voxel size must be positive")
         if self.cloud is None:
             self.cloud = PointCloud(points=np.zeros((0, 3)),
                                     normals=np.zeros((0, 3)), frame="object")
@@ -82,6 +63,6 @@ def fuse_keyframe(pmap: PatchMap, cloud: PointCloud,
     moved = cloud.transformed(object_from_sensor, frame="object")
     points = np.vstack([pmap.cloud.points, moved.points])
     normals = np.vstack([pmap.cloud.normals, moved.normals])
-    points, normals = _voxel_downsample(points, normals, pmap.voxel_size)
+    points, normals = _voxel_downsample(points, normals, VOXEL_SIZE)
     fused = PointCloud(points=points, normals=normals, frame="object")
-    return PatchMap(voxel_size=pmap.voxel_size, cloud=fused)
+    return PatchMap(cloud=fused)

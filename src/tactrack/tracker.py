@@ -156,7 +156,8 @@ def pose_errors(estimate: Pose, truth: Pose):
 def _sample_sdf_surface(shape: ShapeSDF, center: np.ndarray, radius: float,
                         spacing: float, count: int, seed: int) -> PointCloud:
     """Surface points of the true SDF near the contact, density-matched to
-    reconstruction clouds via voxel spacing."""
+    reconstruction clouds: one point per occupied voxel of `spacing`, the
+    gel's pixel pitch."""
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(count, 3))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)

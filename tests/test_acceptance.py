@@ -260,7 +260,7 @@ class TestCriterion7PatchConsistency:
         with criterion(7):
             radius = 6.35
             shape = Sphere(radius=radius)
-            pmap = PatchMap(voxel_size=0.3)
+            pmap = PatchMap()
             for offset in (-1.5, 0.0, 1.5):
                 pose = sensor_pose_over_sphere(offset, radius)
                 cloud = sphere_contact_cloud(pose, radius)

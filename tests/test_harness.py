@@ -8,11 +8,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tactrack.episodes import NoiseSpec, TrajectorySpec
+from tactrack import imageio
+from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.harness import (ConfigError, SuiteConfig, SuiteObject,
                               boxplot_stats, default_suite_config,
                               episode_seed, generate_suite_episodes,
-                              relative_motion_error, run_suite, write_report)
+                              relative_motion_error, run_suite, run_tracking,
+                              write_report)
+from tactrack.render import GelConfig
+from tactrack.shapes import Sphere
+from tactrack.tracker import TrackerConfig, track_episode
 
 SPHERE = {"type": "sphere", "radius": 6.35}
 
@@ -103,6 +108,40 @@ class TestSuiteConfig:
         assert [o.name for o in cfg.objects] == ["sphere", "cube", "pyramid"]
         assert cfg.episodes_per_object == 20
         assert set(cfg.modes) == {"constvel", "im2im", "patchgraph", "gtpatch"}
+
+
+@pytest.fixture(scope="module")
+def short_episode():
+    return generate_episode(Sphere(radius=6.35),
+                            TrajectorySpec(steps=4, indent=1.0, length=0.5),
+                            GelConfig(), NoiseSpec(), seed=7)
+
+
+class TestPatchPly:
+    def test_patchgraph_patch_round_trips(self, short_episode, tmp_path):
+        run_tracking(short_episode, "patchgraph", TrackerConfig(), tmp_path)
+        points, normals = imageio.read_ply(tmp_path / "patch.ply")
+        patch = track_episode(short_episode, "patchgraph").patch.cloud
+        assert len(patch) > 0
+        # The file keeps 6 decimals: half a unit of the last one, plus the
+        # parse back to double.
+        tol = 0.5e-6 + 1e-12
+        np.testing.assert_allclose(points, patch.points, rtol=0, atol=tol)
+        np.testing.assert_allclose(normals, patch.normals, rtol=0, atol=tol)
+
+    def test_patchgraph_patch_byte_identical(self, short_episode, tmp_path):
+        written = []
+        for name in ("a", "b"):
+            run_tracking(short_episode, "patchgraph", TrackerConfig(),
+                         tmp_path / name)
+            written.append((tmp_path / name / "patch.ply").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("mode", ["constvel", "im2im", "gtpatch"])
+    def test_other_modes_write_no_patch(self, short_episode, mode, tmp_path):
+        run_tracking(short_episode, mode, TrackerConfig(), tmp_path)
+        assert (tmp_path / "metrics.json").exists()
+        assert not (tmp_path / "patch.ply").exists()
 
 
 class TestRunSuite:

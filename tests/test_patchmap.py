@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from tactrack import geometry, tracker
 from tactrack.geometry import Pose
@@ -67,7 +66,7 @@ class TestFuseKeyframe:
     def test_fuse_into_empty(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
         pose = geometry.exp(np.array([0, 0, 0, 1.0, 0, 0]))
-        pmap = fuse_keyframe(PatchMap(voxel_size=0.3), cloud, pose)
+        pmap = fuse_keyframe(PatchMap(), cloud, pose)
         assert not pmap.is_empty()
         assert pmap.cloud.frame == "object"
         # Downsampling only merges points; the fused cloud covers the same
@@ -79,13 +78,13 @@ class TestFuseKeyframe:
     def test_refusing_same_cloud_stable(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
         pose = Pose.identity()
-        once = fuse_keyframe(PatchMap(voxel_size=0.3), cloud, pose)
+        once = fuse_keyframe(PatchMap(), cloud, pose)
         twice = fuse_keyframe(once, cloud, pose)
         assert abs(len(twice.cloud) - len(once.cloud)) <= 0.05 * len(once.cloud)
 
     def test_sphere_radius_from_fused_caps(self):
         radius = 6.35
-        pmap = PatchMap(voxel_size=0.3)
+        pmap = PatchMap()
         for offset in (-1.5, 0.0, 1.5):
             pose = sensor_pose_over_sphere(offset, radius)
             cloud = sphere_contact_cloud(pose, radius)
@@ -109,7 +108,7 @@ class TestFuseKeyframe:
 
     def test_input_map_unmodified(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
-        empty = PatchMap(voxel_size=0.3)
+        empty = PatchMap()
         fuse_keyframe(empty, cloud, Pose.identity())
         assert empty.is_empty()
 
@@ -120,7 +119,7 @@ class TestInvariants:
         true surface to within a voxel."""
         radius = 6.35
         shape = Sphere(radius=radius)
-        pmap = PatchMap(voxel_size=0.3)
+        pmap = PatchMap()
         for offset in (-1.5, 0.0, 1.5):
             pose = sensor_pose_over_sphere(offset, radius)
             cloud = sphere_contact_cloud(pose, radius)
@@ -130,7 +129,7 @@ class TestInvariants:
 
     def test_map_size_bounded(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
-        pmap = PatchMap(voxel_size=0.3)
+        pmap = PatchMap()
         for _ in range(10):
             pmap = fuse_keyframe(pmap, cloud, Pose.identity())
         lo = pmap.cloud.points.min(axis=0) - 0.3
@@ -152,21 +151,6 @@ def _reference_downsample(points, normals, voxel):
     norms = np.linalg.norm(mean_normals, axis=1, keepdims=True)
     norms[norms < 1e-9] = 1.0
     mean_normals /= norms
-    min_sep = voxel / 2.0
-    while len(centroids) > 1:
-        pairs = cKDTree(centroids).query_pairs(min_sep, output_type="ndarray")
-        if len(pairs) == 0:
-            break
-        drop = np.zeros(len(centroids), dtype=bool)
-        for a, b in pairs:
-            if not drop[a] and not drop[b]:
-                centroids[a] = 0.5 * (centroids[a] + centroids[b])
-                merged = mean_normals[a] + mean_normals[b]
-                n = np.linalg.norm(merged)
-                mean_normals[a] = merged / n if n > 1e-9 else mean_normals[a]
-                drop[b] = True
-        centroids = centroids[~drop]
-        mean_normals = mean_normals[~drop]
     return centroids, mean_normals
 
 
@@ -189,19 +173,21 @@ def _wide(rng):
 
 
 def _merging(rng):
-    # Pairs straddling voxel faces: their centroids land closer than half
-    # a voxel, so the merge loop runs.
+    # Pairs straddling voxel faces: neighbouring voxels whose centroids land
+    # closer than half a voxel apart.
     centres = 0.3 * rng.integers(-10, 10, size=(60, 3))
     offset = rng.uniform(0.0, 0.01, size=(60, 3))
     return np.vstack([centres - offset, centres + offset])
 
 
+INPUTS = [_negative, _duplicates, _single, _wide, _merging]
+
+
 class TestVoxelDownsample:
     """The lexsort and bincount grouping gives the bits of np.unique and
-    np.add.at, merge loop included."""
+    np.add.at."""
 
-    @pytest.mark.parametrize("make", [_negative, _duplicates, _single, _wide,
-                                      _merging])
+    @pytest.mark.parametrize("make", INPUTS)
     def test_same_bits_as_reference(self, make):
         rng = np.random.default_rng(5)
         points = make(rng)
@@ -212,9 +198,14 @@ class TestVoxelDownsample:
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-    def test_merge_case_runs_the_merge_loop(self):
+    @pytest.mark.parametrize("make", INPUTS)
+    def test_one_point_per_occupied_voxel(self, make):
         rng = np.random.default_rng(5)
-        points = _merging(rng)
-        merged, _ = _voxel_downsample(points, rng.normal(size=points.shape),
-                                      0.3)
-        assert len(merged) < len(np.unique(np.floor(points / 0.3), axis=0))
+        points = make(rng)
+        centroids, _ = _voxel_downsample(points, rng.normal(size=points.shape),
+                                         0.3)
+        occupied = np.unique(np.floor(points / 0.3), axis=0)
+        # Each centroid lies in the voxel it stands for.
+        np.testing.assert_array_equal(
+            np.unique(np.floor(centroids / 0.3), axis=0), occupied)
+        assert len(centroids) == len(occupied)
