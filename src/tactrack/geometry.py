@@ -278,9 +278,10 @@ def right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
 
 
 def to_quat_trans(a: Pose) -> list:
-    """Serialize as [qw qx qy qz tx ty tz] (unit quaternion, millimetres)."""
+    """Serialize as [qw qx qy qz tx ty tz] (unit quaternion, millimetres);
+    a batched Pose gives one such list per pose."""
     q = _mat_to_quat(a.rotation)
-    return [float(x) for x in np.concatenate([q, a.translation])]
+    return np.concatenate([q, a.translation], axis=-1).tolist()
 
 
 def from_quat_trans(values) -> Pose:

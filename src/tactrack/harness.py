@@ -201,10 +201,10 @@ def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
         "episode_seed": episode.seed,
         "object_estimates": result.object_trajectory,
         "eff_estimates": result.eff_trajectory,
-        "object_groundtruth": [geometry.to_quat_trans(f.object_pose)
-                               for f in episode.frames],
-        "eff_groundtruth": [geometry.to_quat_trans(f.eff_pose)
-                            for f in episode.frames],
+        "object_groundtruth": geometry.to_quat_trans(
+            Pose.stack([f.object_pose for f in episode.frames])),
+        "eff_groundtruth": geometry.to_quat_trans(
+            Pose.stack([f.eff_pose for f in episode.frames])),
     }
     metrics = {
         "mode": TrackerMode(mode).value,
@@ -215,6 +215,7 @@ def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
         "final_rel_translation_error_mm": relative_motion_error(trajectory),
         "warnings": result.warnings,
         "diagnostics": result.diagnostics,
+        "final_optimizer": result.final_optimizer,
     }
     with open(os.path.join(out_dir, "trajectory.json"), "w") as f:
         json.dump(trajectory, f, indent=2, sort_keys=True)

@@ -80,10 +80,11 @@ def write_ply(path, points: np.ndarray, normals: np.ndarray) -> None:
         "property float nz",
         "end_header",
     ]
-    for p, n in zip(points, normals):
-        lines.append("%.6f %.6f %.6f %.6f %.6f %.6f" % (p[0], p[1], p[2], n[0], n[1], n[2]))
+    rows = np.hstack([points, normals])
+    body = (("%.6f %.6f %.6f %.6f %.6f %.6f\n" * len(rows))
+            % tuple(rows.ravel().tolist()))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(lines) + "\n" + body)
 
 
 def read_ply(path):

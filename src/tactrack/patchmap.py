@@ -1,7 +1,8 @@
 """Local patch map: fusion of keyframe sensor clouds into an object-frame
 cloud, downsampled on a voxel grid to one centroid and one mean normal per
-occupied voxel of `VOXEL_SIZE`.  The tracker fuses its keyframes once, at the
-final pose estimates; the map is an output, not a registration target."""
+occupied voxel of `VOXEL_SIZE`.  The tracker fuses all its keyframes in one
+call, at the final pose estimates; the map is an output, not a registration
+target."""
 
 from __future__ import annotations
 
@@ -53,16 +54,22 @@ class PatchMap:
         return len(self.cloud) == 0
 
 
-def fuse_keyframe(pmap: PatchMap, cloud: PointCloud,
-                  object_from_sensor: Pose) -> PatchMap:
-    """Transform a sensor-frame cloud into the object frame, append it to the
-    map and voxel-downsample (centroid per voxel, normals averaged and
-    renormalized).  Returns a new PatchMap; the input map is not modified."""
-    if cloud.frame != "sensor":
-        raise ValueError(f"expected a sensor-frame cloud, got {cloud.frame!r}")
-    moved = cloud.transformed(object_from_sensor, frame="object")
-    points = np.vstack([pmap.cloud.points, moved.points])
-    normals = np.vstack([pmap.cloud.normals, moved.normals])
-    points, normals = _voxel_downsample(points, normals, VOXEL_SIZE)
+def fuse_keyframe(pmap: PatchMap,
+                  keyframes: list[tuple[PointCloud, Pose]]) -> PatchMap:
+    """Transform the sensor-frame cloud of each (cloud, object_from_sensor)
+    pair of `keyframes` into the object frame and voxel-downsample them with
+    the map's points in one pass (centroid per voxel, normals averaged and
+    renormalized).  Fused into an empty map, the patch is the plain voxel
+    mean of all keyframe points.  Returns a new PatchMap; the input map is
+    not modified."""
+    points, normals = [pmap.cloud.points], [pmap.cloud.normals]
+    for cloud, object_from_sensor in keyframes:
+        if cloud.frame != "sensor":
+            raise ValueError(f"expected a sensor-frame cloud, got {cloud.frame!r}")
+        moved = cloud.transformed(object_from_sensor, frame="object")
+        points.append(moved.points)
+        normals.append(moved.normals)
+    points, normals = _voxel_downsample(np.vstack(points), np.vstack(normals),
+                                        VOXEL_SIZE)
     fused = PointCloud(points=points, normals=normals, frame="object")
     return PatchMap(cloud=fused)

@@ -85,6 +85,20 @@ def idst2(coeffs: np.ndarray) -> np.ndarray:
     return sfft.idst(sfft.idst(coeffs, type=1, axis=0), type=1, axis=1)
 
 
+@functools.lru_cache(maxsize=8)
+def _laplacian_eigenvalues(m: int, n: int, hx: float, hy: float) -> np.ndarray:
+    """Eigenvalues of the 5-point Laplacian on an m x n interior with
+    Dirichlet boundary, in the type-I DST basis.  Read-only: every solve on
+    the same grid shares the array."""
+    u = np.arange(1, m + 1)
+    v = np.arange(1, n + 1)
+    # Row modes see the y pitch, column modes the x pitch.
+    eig = ((2.0 * np.cos(np.pi * u / (m + 1)) - 2.0)[:, None] * (hx / hy)**2
+           + (2.0 * np.cos(np.pi * v / (n + 1)) - 2.0)[None, :]) / hx**2
+    eig.setflags(write=False)
+    return eig
+
+
 def poisson_solve(grad: GradientField, pixel_pitch) -> DepthImage:
     """Integrate a gradient field into depth with a DST Poisson solver.
 
@@ -105,16 +119,11 @@ def poisson_solve(grad: GradientField, pixel_pitch) -> DepthImage:
     if rows < 3 or cols < 3:
         raise ValueError("image too small for the Poisson solve")
 
-    div = np.gradient(p, hx, axis=1) + np.gradient(q, hy, axis=0)
-    rhs = div[1:-1, 1:-1]
-
-    m, n = rhs.shape
-    u = np.arange(1, m + 1)
-    v = np.arange(1, n + 1)
-    # Row modes see the y pitch, column modes the x pitch.
-    eig = ((2.0 * np.cos(np.pi * u / (m + 1)) - 2.0)[:, None] * (hx / hy)**2
-           + (2.0 * np.cos(np.pi * v / (n + 1)) - 2.0)[None, :]) / hx**2
-    z_int = idst2(dst2(rhs) / eig)
+    # Central-difference divergence on the interior, the only part the
+    # solve uses (np.gradient's interior arithmetic).
+    rhs = ((p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * hx)
+           + (q[2:, 1:-1] - q[:-2, 1:-1]) / (2.0 * hy))
+    z_int = idst2(dst2(rhs) / _laplacian_eigenvalues(rows - 2, cols - 2, hx, hy))
     z = np.zeros_like(p)
     z[1:-1, 1:-1] = z_int
 

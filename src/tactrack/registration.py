@@ -115,8 +115,10 @@ def icp_register(source: PointCloud, target: PointCloud,
       wander along directions the contact does not observe.
 
     `converged` is False only when MAX_ITERATIONS steps pass neither test.
-    The point-to-point inlier RMSE of the returned transform is reported as
-    the fitness metric, and the last step's predicted reduction with it.
+    The fitness metric is the point-to-point RMSE of the returned transform
+    over the last iteration's matches, so a call makes one tree query per
+    iteration; it is reported with those matches' count and the last step's
+    predicted reduction.
     """
     if len(source) == 0 or len(target) == 0:
         raise InsufficientOverlapError(min(len(source), len(target)),
@@ -142,15 +144,10 @@ def icp_register(source: PointCloud, target: PointCloud,
                 or reduction <= MIN_PREDICTED_REDUCTION):
             converged = True
             break
-    # Score the returned transform on its own matches; if it has none, keep
-    # the last iteration's.
-    moved = transform.transform_points(source.points)
-    dists, idx = tree.query(moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
-    keep = np.isfinite(dists)
-    if keep.any():
-        src, matched, count = moved[keep], target_rows[idx[keep]], int(keep.sum())
+    # Score the returned transform on the last iteration's matches.
+    moved = transform.transform_points(source.points[keep])
     return ICPResult(transform=transform, converged=converged,
                      iterations=iterations,
-                     inlier_rmse=_point_rmse(src, matched[:, :3]),
+                     inlier_rmse=_point_rmse(moved, matched[:, :3]),
                      correspondence_count=count, condition_number=cond,
                      predicted_reduction=reduction)

@@ -143,6 +143,7 @@ class EpisodeResult:
     diagnostics: list
     patch: PatchMap
     warnings: list
+    final_optimizer: dict   # OptimizeStats of finalize's converged solve
 
 
 def pose_errors(estimate: Pose, truth: Pose):
@@ -176,7 +177,13 @@ def _sample_sdf_surface(shape: ShapeSDF, center: np.ndarray, radius: float,
 
 
 class Tracker:
-    """Single-episode tracking loop over one of the four baseline modes."""
+    """Single-episode tracking loop over one of the four baseline modes.
+
+    The graph is smoothed incrementally, as iSAM2 does (Kaess et al., IJRR
+    2012): each `step` advances the estimate by at most one
+    Levenberg-Marquardt iteration from the previous frame's solution, whose
+    warm start carries the rest, and `finalize` runs LM to convergence under
+    `config.optimizer` before it scores and serializes the estimate."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, first_eff_measurement: Pose,
@@ -198,6 +205,9 @@ class Tracker:
         self.warnings: list = []
         self.diagnostics: list = []
 
+        self.step_optimizer = dataclasses.replace(
+            config.optimizer,
+            max_iterations=min(1, config.optimizer.max_iterations))
         self.eff_noise = NoiseModel.isotropic(*config.sigma_eff)
         self.vel_noise = NoiseModel.isotropic(*config.sigma_vel)
         self.graph.add(vis_prior(1, vision_prior,
@@ -336,7 +346,7 @@ class Tracker:
                         t, measured, NoiseModel.isotropic(*SIGMA_IM2GT)))
 
         self.values, stats = factors.optimize(self.graph, self.values,
-                                              self.config.optimizer)
+                                              self.step_optimizer)
         diag["optimizer"] = dataclasses.asdict(stats)
 
         if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
@@ -352,25 +362,31 @@ class Tracker:
                             diagnostics=diag)
 
     def finalize(self, gt_object_poses: list) -> EpisodeResult:
-        """Final-step tracking errors plus the serialized trajectory."""
+        """Converge the smoother, then the final-step tracking errors, the
+        serialized trajectory and the patch, all at the converged poses."""
         if self.t < 1:
             raise RuntimeError("finalize requires at least one processed step")
+        self.values, stats = factors.optimize(self.graph, self.values,
+                                              self.config.optimizer)
         rot_err, trans_err = pose_errors(self.values[obj_key(self.t)],
                                          gt_object_poses[self.t - 1])
-        obj_traj, eff_traj = [], []
-        for t in range(1, self.t + 1):
-            obj_traj.append(geometry.to_quat_trans(self.values[obj_key(t)]))
-            eff_traj.append(geometry.to_quat_trans(self.values[eff_key(t)]))
+        steps = range(1, self.t + 1)
+        obj_traj = geometry.to_quat_trans(
+            Pose.stack([self.values[obj_key(t)] for t in steps]))
+        eff_traj = geometry.to_quat_trans(
+            Pose.stack([self.values[eff_key(t)] for t in steps]))
         # The patch is an output, fused once at the final poses.
         patch = PatchMap()
-        for k, cloud in self.keyframes:
-            patch = patchmap.fuse_keyframe(patch, cloud,
-                                           self._object_from_sensor(k))
+        if self.keyframes:
+            patch = patchmap.fuse_keyframe(
+                patch, [(cloud, self._object_from_sensor(k))
+                        for k, cloud in self.keyframes])
         return EpisodeResult(object_trajectory=obj_traj, eff_trajectory=eff_traj,
                              final_rotation_error=rot_err,
                              final_translation_error=trans_err,
                              diagnostics=self.diagnostics, patch=patch,
-                             warnings=self.warnings)
+                             warnings=self.warnings,
+                             final_optimizer=dataclasses.asdict(stats))
 
 
 def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> EpisodeResult:

@@ -260,11 +260,11 @@ class TestCriterion7PatchConsistency:
         with criterion(7):
             radius = 6.35
             shape = Sphere(radius=radius)
-            pmap = PatchMap()
+            keyframes = []
             for offset in (-1.5, 0.0, 1.5):
                 pose = sensor_pose_over_sphere(offset, radius)
-                cloud = sphere_contact_cloud(pose, radius)
-                pmap = fuse_keyframe(pmap, cloud, pose)
+                keyframes.append((sphere_contact_cloud(pose, radius), pose))
+            pmap = fuse_keyframe(PatchMap(), keyframes)
             med = float(np.median(np.abs(shape.sdf(pmap.cloud.points))))
             note(f"criterion 7: median patch-to-surface distance {med:.3f} mm")
             assert med < 0.3

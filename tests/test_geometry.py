@@ -310,3 +310,20 @@ class TestSerialization:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             geometry.from_quat_trans([1, 0, 0, 0])
+
+    def test_batch_equals_each_pose(self):
+        # The first four take the four branches of Shepperd's method: a
+        # positive trace, then the largest diagonal element x, y or z.
+        rng = np.random.default_rng(12)
+        rotations = [geometry.rot_z(0.3), geometry.rot_x(3.0),
+                     geometry.rot_y(3.0), geometry.rot_z(3.0)]
+        branches = [np.argmax([4.0 * (np.trace(r) > 0) - 2.0, *np.diag(r)])
+                    for r in rotations]
+        assert branches == [0, 1, 2, 3]
+        poses = ([Pose(r, rng.uniform(-30, 30, 3)) for r in rotations]
+                 + [random_pose(rng, max_angle=3.0, max_trans=30.0)
+                    for _ in range(4)])
+        batched = geometry.to_quat_trans(Pose.stack(poses))
+        singles = [geometry.to_quat_trans(p) for p in poses]
+        np.testing.assert_array_equal(np.array(batched), np.array(singles))
+        assert all(type(x) is float for row in batched for x in row)

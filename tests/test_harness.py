@@ -144,6 +144,21 @@ class TestPatchPly:
         assert not (tmp_path / "patch.ply").exists()
 
 
+class TestRunTracking:
+    def test_metrics_record_final_optimizer(self, short_episode, tmp_path):
+        # Finalize's converging solve is written with the step records.
+        metrics = run_tracking(short_episode, "patchgraph", TrackerConfig(),
+                               tmp_path)
+        with open(tmp_path / "metrics.json") as f:
+            written = json.load(f)
+        assert written["final_optimizer"] == metrics["final_optimizer"]
+        assert set(written["final_optimizer"]) == {
+            "iterations", "initial_cost", "final_cost", "linearizations",
+            "predicted_decrease"}
+        assert (written["final_optimizer"]["initial_cost"]
+                == written["diagnostics"][-1]["optimizer"]["final_cost"])
+
+
 class TestRunSuite:
     def test_zero_noise_stationary_single_entry(self, tmp_path):
         cfg = tiny_config(

@@ -99,6 +99,22 @@ class TestPLY:
         np.testing.assert_allclose(rp, points, atol=1e-6)
         np.testing.assert_allclose(rn, normals, atol=1e-6)
 
+    def test_same_bytes_as_row_by_row(self, tmp_path):
+        # All rows are formatted in one operation, to the bytes of
+        # formatting one row at a time.
+        rng = np.random.default_rng(4)
+        points = rng.normal(scale=50.0, size=(30, 3))
+        normals = rng.normal(size=(30, 3))
+        points[0] = [-0.0, 1e-9, -5e-7]
+        path = tmp_path / "cloud.ply"
+        write_ply(path, points, normals)
+        header = ["ply", "format ascii 1.0", "element vertex 30"] + [
+            f"property float {axis}" for axis in ("x", "y", "z", "nx", "ny", "nz")
+        ] + ["end_header"]
+        rows = ["%.6f %.6f %.6f %.6f %.6f %.6f" % (*p, *n)
+                for p, n in zip(points, normals)]
+        assert path.read_text() == "\n".join(header + rows) + "\n"
+
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.ply"
         write_ply(path, np.zeros((0, 3)), np.zeros((0, 3)))

@@ -6,7 +6,8 @@ import pytest
 from tactrack import geometry, tracker
 from tactrack.geometry import Pose
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
-from tactrack.patchmap import PatchMap, _voxel_downsample, fuse_keyframe
+from tactrack.patchmap import (VOXEL_SIZE, PatchMap, _voxel_downsample,
+                               fuse_keyframe)
 from tactrack.reconstruct import PointCloud, reconstruct_cloud
 from tactrack.render import GelConfig, depth_to_normals, render_depth
 from tactrack.shapes import Pyramid, Sphere
@@ -66,7 +67,7 @@ class TestFuseKeyframe:
     def test_fuse_into_empty(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
         pose = geometry.exp(np.array([0, 0, 0, 1.0, 0, 0]))
-        pmap = fuse_keyframe(PatchMap(), cloud, pose)
+        pmap = fuse_keyframe(PatchMap(), [(cloud, pose)])
         assert not pmap.is_empty()
         assert pmap.cloud.frame == "object"
         # Downsampling only merges points; the fused cloud covers the same
@@ -78,20 +79,20 @@ class TestFuseKeyframe:
     def test_refusing_same_cloud_stable(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
         pose = Pose.identity()
-        once = fuse_keyframe(PatchMap(), cloud, pose)
-        twice = fuse_keyframe(once, cloud, pose)
+        once = fuse_keyframe(PatchMap(), [(cloud, pose)])
+        twice = fuse_keyframe(once, [(cloud, pose)])
         assert abs(len(twice.cloud) - len(once.cloud)) <= 0.05 * len(once.cloud)
 
     def test_sphere_radius_from_fused_caps(self):
         radius = 6.35
-        pmap = PatchMap()
+        keyframes = []
         for offset in (-1.5, 0.0, 1.5):
             pose = sensor_pose_over_sphere(offset, radius)
             cloud = sphere_contact_cloud(pose, radius)
             object_from_sensor = geometry.inverse(Pose.identity())
             object_from_sensor = geometry.compose(object_from_sensor, pose)
-            pmap = fuse_keyframe(pmap, cloud, object_from_sensor)
-        pts = pmap.cloud.points
+            keyframes.append((cloud, object_from_sensor))
+        pts = fuse_keyframe(PatchMap(), keyframes).cloud.points
         # Algebraic least-squares sphere fit.
         A = np.column_stack([2 * pts, np.ones(len(pts))])
         b = np.sum(pts**2, axis=1)
@@ -100,16 +101,32 @@ class TestFuseKeyframe:
         fit_radius = np.sqrt(sol[3] + center @ center)
         assert abs(fit_radius - radius) < 0.02 * radius
 
+    def test_pairs_fused_in_one_pass(self):
+        # Several keyframes in one call give the voxel mean of all their
+        # points, not a mean of per-keyframe means.
+        keyframes = []
+        for offset in (-1.5, 0.0, 1.5):
+            pose = sensor_pose_over_sphere(offset)
+            keyframes.append((sphere_contact_cloud(pose), pose))
+        fused = fuse_keyframe(PatchMap(), keyframes).cloud
+        moved = [cloud.transformed(pose, frame="object")
+                 for cloud, pose in keyframes]
+        points, normals = _voxel_downsample(
+            np.vstack([m.points for m in moved]),
+            np.vstack([m.normals for m in moved]), VOXEL_SIZE)
+        np.testing.assert_array_equal(fused.points, points)
+        np.testing.assert_array_equal(fused.normals, normals)
+
     def test_wrong_frame_rejected(self):
         cloud = PointCloud(points=np.zeros((1, 3)), normals=np.zeros((1, 3)),
                            frame="object")
         with pytest.raises(ValueError):
-            fuse_keyframe(PatchMap(), cloud, Pose.identity())
+            fuse_keyframe(PatchMap(), [(cloud, Pose.identity())])
 
     def test_input_map_unmodified(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
         empty = PatchMap()
-        fuse_keyframe(empty, cloud, Pose.identity())
+        fuse_keyframe(empty, [(cloud, Pose.identity())])
         assert empty.is_empty()
 
 
@@ -119,11 +136,11 @@ class TestInvariants:
         true surface to within a voxel."""
         radius = 6.35
         shape = Sphere(radius=radius)
-        pmap = PatchMap()
+        keyframes = []
         for offset in (-1.5, 0.0, 1.5):
             pose = sensor_pose_over_sphere(offset, radius)
-            cloud = sphere_contact_cloud(pose, radius)
-            pmap = fuse_keyframe(pmap, cloud, pose)
+            keyframes.append((sphere_contact_cloud(pose, radius), pose))
+        pmap = fuse_keyframe(PatchMap(), keyframes)
         dists = np.abs(shape.sdf(pmap.cloud.points))
         assert np.median(dists) < 0.3
 
@@ -131,7 +148,7 @@ class TestInvariants:
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
         pmap = PatchMap()
         for _ in range(10):
-            pmap = fuse_keyframe(pmap, cloud, Pose.identity())
+            pmap = fuse_keyframe(pmap, [(cloud, Pose.identity())])
         lo = pmap.cloud.points.min(axis=0) - 0.3
         hi = pmap.cloud.points.max(axis=0) + 0.3
         assert len(pmap.cloud) <= np.prod(hi - lo) / 0.3**3

@@ -117,6 +117,28 @@ class TestPoissonSolve:
                + np.gradient(grad.q, h, axis=0))[1:-1, 1:-1]
         assert np.linalg.norm(lap - div) < 1e-8 * np.linalg.norm(div)
 
+    @pytest.mark.parametrize("pitch", [0.5, (0.03, 0.04)])
+    def test_same_bits_as_full_gradient_divergence(self, pitch):
+        # The solve takes the divergence on the interior only; as first
+        # written it took np.gradient over the whole image and cut the
+        # border off, the same arithmetic on the interior.
+        rng = np.random.default_rng(5)
+        p, q = rng.normal(size=(2, 20, 27))
+        mask = rng.uniform(size=(20, 27)) < 0.5
+        depth = poisson_solve(GradientField(p=p, q=q, mask=mask), pitch)
+        hx, hy = np.broadcast_to(pitch, 2)
+        rhs = (np.gradient(p, hx, axis=1)
+               + np.gradient(q, hy, axis=0))[1:-1, 1:-1]
+        m, n = rhs.shape
+        u, v = np.arange(1, m + 1), np.arange(1, n + 1)
+        eig = ((2.0 * np.cos(np.pi * u / (m + 1)) - 2.0)[:, None]
+               * (hx / hy)**2
+               + (2.0 * np.cos(np.pi * v / (n + 1)) - 2.0)[None, :]) / hx**2
+        z = np.zeros_like(p)
+        z[1:-1, 1:-1] = idst2(dst2(rhs) / eig)
+        z += -z[~mask].mean()
+        np.testing.assert_array_equal(depth.values, z)
+
     def test_non_finite_rejected(self):
         p = np.zeros((8, 8))
         p[4, 4] = np.nan

@@ -126,21 +126,25 @@ def _cap_rotated_about_centre(noise, angle=0.05, radius=6.35, indent=1.0):
     return src, cap.transformed(true, frame="sensor"), true
 
 
-class _BlindAfter:
-    """A k-d tree that answers its first `calls` queries and finds no match
-    after that, recording the points and answer of the last one answered."""
+class _Recorded:
+    """A k-d tree that records the points and answer of every query."""
 
-    def __init__(self, tree, calls):
-        self.tree, self.calls = tree, calls
-        self.last = None
+    def __init__(self, tree):
+        self.tree = tree
+        self.queries = []
 
     def query(self, points, **kwargs):
-        if self.calls == 0:
-            return np.full(len(points), np.inf), np.full(len(points), self.tree.n)
-        self.calls -= 1
         dists, idx = self.tree.query(points, **kwargs)
-        self.last = points, dists, idx
+        self.queries.append((points, dists, idx))
         return dists, idx
+
+
+def _recorded(target):
+    """A copy of `target` whose k-d tree is _Recorded."""
+    copy = PointCloud(points=target.points, normals=target.normals)
+    tree, rows = target.search
+    copy.search = (_Recorded(tree), rows)
+    return copy
 
 
 class TestIcpRegister:
@@ -245,26 +249,29 @@ class TestIcpRegister:
         assert result.inlier_rmse == np.sqrt(np.mean(np.sum(
             (moved[keep] - tgt.points[idx[keep]]) ** 2, axis=1)))
 
-    def test_no_final_match_keeps_last_iteration_fitness(self):
-        # When the returned transform matches no point, the fitness stays
-        # that of the last iteration's matches, before its update.
-        src = sphere_cap_cloud(n=300)
+    @pytest.mark.parametrize("outliers", [0, 10])
+    def test_scored_on_last_matches_with_one_query_per_iteration(
+            self, outliers):
+        # The fitness is the RMSE of the returned transform T over the last
+        # iteration's matches, so no query follows the loop.  Outliers 100 mm
+        # off never match, so with them every iteration keeps a subset.
+        cap = sphere_cap_cloud(n=300)
+        src = PointCloud(points=np.vstack([cap.points,
+                                           cap.points[:outliers] + 100.0]),
+                         normals=np.vstack([cap.normals,
+                                            cap.normals[:outliers]]))
         true = geometry.exp(np.array([0.02, -0.01, 0.03, 0.2, -0.1, 0.3]))
-        tgt = src.transformed(true, frame="sensor")
-        reference = icp_register(src, tgt, Pose.identity())
-        blind = PointCloud(points=tgt.points, normals=tgt.normals)
-        tree, rows = tgt.search
-        blind.search = (_BlindAfter(tree, reference.iterations), rows)
-        result = icp_register(src, blind, Pose.identity())
-        assert result.iterations == reference.iterations
-        np.testing.assert_array_equal(result.transform.matrix(),
-                                      reference.transform.matrix())
-        points, dists, idx = blind.search[0].last
+        tgt = cap.transformed(true, frame="sensor")
+        recorded = _recorded(tgt)
+        result = icp_register(src, recorded, Pose.identity())
+        queries = recorded.search[0].queries
+        assert len(queries) == result.iterations
+        _, dists, idx = queries[-1]
         keep = np.isfinite(dists)
-        assert result.correspondence_count == keep.sum()
+        assert result.correspondence_count == keep.sum() == len(cap)
+        moved = result.transform.transform_points(src.points[keep])
         assert result.inlier_rmse == np.sqrt(np.mean(np.sum(
-            (points[keep] - tgt.points[idx[keep]]) ** 2, axis=1)))
-        assert result.inlier_rmse != reference.inlier_rmse
+            (moved - tgt.points[idx[keep]]) ** 2, axis=1)))
 
     def test_result_serializable(self):
         cloud = sphere_cap_cloud(n=100)
@@ -277,7 +284,8 @@ class TestIcpRegister:
 def _reference_icp(source, target, init):
     """icp_register's loop as first written, which gathers every
     iteration's matches through the finite-distance mask, with both stop
-    tests, as a tuple of the ICPResult fields."""
+    tests and the fitness of the returned transform over the last matches,
+    as a tuple of the ICPResult fields."""
     tree, rows = target.search
     transform = init
     converged = False
@@ -294,27 +302,10 @@ def _reference_icp(source, target, init):
                 or reduction <= MIN_PREDICTED_REDUCTION):
             converged = True
             break
-    moved = transform.transform_points(source.points)
-    dists, idx = tree.query(moved,
-                            distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
-    keep = np.isfinite(dists)
-    rmse = np.sqrt(np.mean(np.sum((moved[keep] - rows[idx[keep], :3]) ** 2,
-                                  axis=1)))
+    moved = transform.transform_points(source.points[keep])
+    rmse = np.sqrt(np.mean(np.sum((moved - matched[:, :3]) ** 2, axis=1)))
     return (transform, converged, iterations, float(rmse), int(keep.sum()),
             cond, reduction)
-
-
-class _Unmatched:
-    """A k-d tree that records how many points each query left unmatched."""
-
-    def __init__(self, tree):
-        self.tree = tree
-        self.unmatched = []
-
-    def query(self, points, **kwargs):
-        dists, idx = self.tree.query(points, **kwargs)
-        self.unmatched.append(int(np.isinf(dists).sum()))
-        return dists, idx
 
 
 class TestIcpMatchesReference:
@@ -327,11 +318,10 @@ class TestIcpMatchesReference:
                                                      0.2, -0.1, 0.3])),
                               frame="sensor")
         init = geometry.exp(np.array([0.0, 0.0, 0.0, 3.0, 0.0, 6.2]))
-        recorded = PointCloud(points=tgt.points, normals=tgt.normals)
-        tree, rows = tgt.search
-        recorded.search = (_Unmatched(tree), rows)
+        recorded = _recorded(tgt)
         result = icp_register(src, recorded, init)
-        unmatched = recorded.search[0].unmatched[:-1]   # the loop's queries
+        unmatched = [int(np.isinf(dists).sum())
+                     for _, dists, _ in recorded.search[0].queries]
         assert unmatched[0] > 0 and 0 in unmatched
         transform, *fields = _reference_icp(src, tgt, init)
         np.testing.assert_array_equal(result.transform.rotation,

@@ -189,16 +189,16 @@ class TestModes:
         assert not result.patch.is_empty()
 
     def test_patch_fused_once_in_finalize(self, gel, monkeypatch):
-        # The patch is an output: no step fuses, and finalize fuses each
-        # keyframe once, in order, at the final poses.
+        # The patch is an output: no step fuses, and finalize fuses all the
+        # keyframes in one call, in order, at the final poses.
         ep = generate_episode(Pyramid(),
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
                               gel, NoiseSpec(), seed=3)
         fuse, fused = patchmap.fuse_keyframe, []
 
-        def recorded(pmap, cloud, object_from_sensor):
-            fused.append((tracker.t, cloud, object_from_sensor))
-            return fuse(pmap, cloud, object_from_sensor)
+        def recorded(pmap, keyframes):
+            fused.append((tracker.t, pmap, list(keyframes)))
+            return fuse(pmap, keyframes)
 
         monkeypatch.setattr(patchmap, "fuse_keyframe", recorded)
         tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
@@ -208,14 +208,18 @@ class TestModes:
         assert not fused
         result = tracker.finalize([f.object_pose for f in ep.frames])
         assert [k for k, _ in tracker.keyframes] == [1, 3, 5]
-        assert [cloud for _, cloud, _ in fused] == [
+        assert len(fused) == 1
+        _, pmap, keyframes = fused[0]
+        assert pmap.is_empty()
+        assert [cloud for cloud, _ in keyframes] == [
             cloud for _, cloud in tracker.keyframes]
-        expected = PatchMap()
-        for k, cloud in tracker.keyframes:
-            pose = tracker._object_from_sensor(k)
-            expected = fuse(expected, cloud, pose)
+        for (_, pose), (k, _) in zip(keyframes, tracker.keyframes):
+            expected = tracker._object_from_sensor(k)
+            np.testing.assert_array_equal(pose.rotation, expected.rotation)
+            np.testing.assert_array_equal(pose.translation,
+                                          expected.translation)
         np.testing.assert_array_equal(result.patch.cloud.points,
-                                      expected.cloud.points)
+                                      fuse(PatchMap(), keyframes).cloud.points)
 
     def test_constvel_keeps_patch_empty(self, gel):
         ep = generate_episode(Pyramid(),
@@ -291,8 +295,10 @@ class TestRegistrationEffort:
 
     def test_sphere_patchgraph_linearization_count(self, sphere_episode,
                                                    monkeypatch):
-        # The same episode's 12 solves take 21 linearizations.  The counts
-        # repeat exactly.
+        # The same episode's 12 steps take one linearization each, as each
+        # advances the smoother by one LM iteration, and finalize's
+        # converging solve one more: its first trial step is already
+        # negligible.  The counts repeat exactly.
         calls = []
 
         def counted_linearize(graph, values):
@@ -301,9 +307,52 @@ class TestRegistrationEffort:
 
         monkeypatch.setattr(factors, "linearize", counted_linearize)
         result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH)
-        assert len(calls) == 21
-        assert sum(d["optimizer"]["linearizations"]
-                   for d in result.diagnostics) == len(calls)
+        assert len(calls) == 13
+        assert [d["optimizer"]["linearizations"]
+                for d in result.diagnostics] == [1] * 12
+        assert result.final_optimizer["linearizations"] == 1
+
+
+class TestIncrementalSmoothing:
+    """Each step advances the smoother by at most one LM iteration; finalize
+    converges it."""
+
+    @pytest.mark.parametrize("mode", list(TrackerMode))
+    def test_one_iteration_per_step(self, sphere_episode, mode):
+        result = track_episode(sphere_episode, mode)
+        records = [d["optimizer"] for d in result.diagnostics]
+        assert all(r["iterations"] <= 1 and r["linearizations"] <= 1
+                   for r in records)
+        assert set(result.final_optimizer) == {
+            "iterations", "initial_cost", "final_cost", "linearizations",
+            "predicted_decrease"}
+        assert (result.final_optimizer["initial_cost"]
+                == records[-1]["final_cost"])
+
+    def test_no_iteration_without_budget(self, sphere_episode):
+        config = TrackerConfig(optimizer=OptimizerParams(max_iterations=0))
+        result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH, config)
+        for record in [d["optimizer"] for d in result.diagnostics] \
+                + [result.final_optimizer]:
+            assert record["iterations"] == 0
+            assert record["linearizations"] == 0
+
+    @pytest.mark.parametrize("mode", list(TrackerMode))
+    def test_finalize_converges(self, sphere_episode, mode):
+        # A further solve from finalize's estimate finds no step that pays
+        # more than the cost tolerance.
+        config = TrackerConfig()
+        tracker = Tracker(mode, config, sphere_episode.vision_prior,
+                          sphere_episode.frames[0].eff_measured,
+                          sphere_episode.gel, shape=sphere_episode.shape)
+        for frame in sphere_episode.frames:
+            tracker.step(frame.normals, frame.eff_measured)
+        tracker.finalize([f.object_pose for f in sphere_episode.frames])
+        _, stats = factors.optimize(tracker.graph, tracker.values,
+                                    config.optimizer)
+        assert factors._negligible(stats.initial_cost - stats.final_cost,
+                                   stats.final_cost,
+                                   config.optimizer.cost_tolerance)
 
 
 class TestPatchInit:
