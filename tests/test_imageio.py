@@ -108,9 +108,10 @@ class TestPLY:
         points[0] = [-0.0, 1e-9, -5e-7]
         path = tmp_path / "cloud.ply"
         write_ply(path, points, normals)
-        header = ["ply", "format ascii 1.0", "element vertex 30"] + [
-            f"property float {axis}" for axis in ("x", "y", "z", "nx", "ny", "nz")
-        ] + ["end_header"]
+        header = (["ply", "format ascii 1.0", "element vertex 30"]
+                  + [f"property float {axis}"
+                     for axis in ("x", "y", "z", "nx", "ny", "nz")]
+                  + ["end_header"])
         rows = ["%.6f %.6f %.6f %.6f %.6f %.6f" % (*p, *n)
                 for p, n in zip(points, normals)]
         assert path.read_text() == "\n".join(header + rows) + "\n"
