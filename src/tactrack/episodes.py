@@ -101,8 +101,13 @@ class Frame:
     depth_gt: DepthImage | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Episode:
+    """A generated or loaded episode.  Episodes compare and hash by
+    identity, so `tracker.track_episode` can key the front end that all
+    modes tracking an episode share by the object.  An episode is
+    read-only once tracked, as a `PointCloud`'s arrays are once made."""
+
     frames: list
     vision_prior: Pose
     noise: NoiseSpec

@@ -572,7 +572,10 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
     can pay (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
     Squares Problems", 2004, sec. 3.2).  A trial predicted to be negligible
     is still taken if it lowers the cost.  Accepted costs are monotonically
-    non-increasing.
+    non-increasing.  A point whose gradient J^T r is exactly zero ends the
+    loop before its solve (the same reference's gradient test, with
+    epsilon = 0): a start at an exact optimum, such as priors initialized
+    at their own measurements, costs one linearization and no trial.
 
     Each point is evaluated once.  `linearize` gives the cost with the
     system, so a trial is linearized, and an accepted one drives the next
@@ -615,6 +618,8 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
     predicted = None
     while system is not None and system.keys:
         ab, jtr = system.ab, system.jtr
+        if not jtr.any():   # a stationary point: no step can lower the cost
+            break
         width = len(ab) - 1
         rows = values.rows(system.keys)
         diag = ab[0].copy()

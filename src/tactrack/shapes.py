@@ -19,6 +19,16 @@ from . import geometry
 from .geometry import Pose
 
 
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, 3) array, the same bits as
+    `np.linalg.norm(v, axis=1)`.  A reduction along the short axis pays
+    numpy's per-row overhead; column by column it runs about four times
+    faster at a few thousand rows.  `Box` takes its row maximum the same
+    way, with nested `np.maximum`."""
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 @dataclass
 class ShapeSDF:
     """Base class: signed distance in the object frame."""
@@ -47,7 +57,7 @@ class ShapeSDF:
         for _ in range(iters):
             d = self.sdf(pts)
             g = self.gradient(pts)
-            norm = np.linalg.norm(g, axis=1, keepdims=True)
+            norm = _row_norm(g)[:, None]
             norm[norm < 1e-12] = 1.0
             pts -= (d[:, None]) * g / norm
         return pts
@@ -69,7 +79,7 @@ class Sphere(ShapeSDF):
         self._require_sizes("radius", self.radius)
 
     def _sdf_local(self, points):
-        return np.linalg.norm(points, axis=1) - self.radius
+        return _row_norm(points) - self.radius
 
     def descriptor(self):
         return {"type": "sphere", "radius": self.radius,
@@ -89,8 +99,9 @@ class Box(ShapeSDF):
     def _sdf_local(self, points):
         h = np.asarray(self.half_extents, dtype=float)
         q = np.abs(points) - h
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(np.max(q, axis=1), 0.0)
+        outside = _row_norm(np.maximum(q, 0.0))
+        qx, qy, qz = q[:, 0], q[:, 1], q[:, 2]
+        inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
         return outside + inside
 
     def descriptor(self):

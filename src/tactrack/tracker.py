@@ -1,7 +1,9 @@
 """Per-timestep tracking pipeline: reconstruct the contact cloud, register it
 (image to image, image to the latest keyframe, or image to the true shape),
-assemble factors and optimize.  Patchgraph fuses its keyframes into the
-local patch map once, at the final poses, in `finalize`."""
+assemble factors and optimize.  The graph-independent part, each frame's
+cloud and its image-to-image registration, is a `FrontEnd` that every mode
+tracking one episode shares.  Patchgraph fuses its keyframes into the local
+patch map once, at the final poses, in `finalize`."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import dataclasses
 import enum
 import math
 import typing
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,6 +179,44 @@ def _sample_sdf_surface(shape: ShapeSDF, center: np.ndarray, radius: float,
     return PointCloud(points=pts, normals=normals, frame="object")
 
 
+def _icp(source: PointCloud, target: PointCloud, init: Pose):
+    """`registration.icp_register`'s result, or the message of the error it
+    raised for degenerate geometry or too little overlap.  The message, not
+    the exception, is what callers keep: a traceback holds the frames of
+    the call that raised it, and with them the tracker and its episode."""
+    try:
+        return registration.icp_register(source, target, init)
+    except (registration.DegenerateGeometryError,
+            registration.InsufficientOverlapError) as err:
+        return str(err)
+
+
+class FrontEnd:
+    """The graph-independent per-frame work, done once per frame and kept:
+    frame t's contact cloud, and the outcome of image-to-image (im2im) ICP
+    of cloud t onto cloud t - 1 from the measured end-effector motion, an
+    `ICPResult` or the failure's message (`_icp`).  `track_episode` shares
+    one among all the modes that track an episode, so frames are keyed by
+    step alone and must not change once tracked."""
+
+    def __init__(self, gel: GelConfig):
+        self.gel = gel
+        self.clouds: dict = {}   # t -> sensor-frame contact cloud
+        self.im2im: dict = {}    # t -> ICPResult or message
+
+    def cloud(self, t: int, normal_image: NormalImage) -> PointCloud:
+        if t not in self.clouds:
+            _, self.clouds[t] = reconstruct_cloud(normal_image, self.gel, step=t)
+        return self.clouds[t]
+
+    def register_im2im(self, t: int, init: Pose):
+        """The outcome of ICP of cloud t onto cloud t - 1 from `init`; both
+        clouds must be in `clouds`."""
+        if t not in self.im2im:
+            self.im2im[t] = _icp(self.clouds[t], self.clouds[t - 1], init)
+        return self.im2im[t]
+
+
 class Tracker:
     """Single-episode tracking loop over one of the four baseline modes.
 
@@ -183,11 +224,17 @@ class Tracker:
     2012): each `step` advances the estimate by at most one
     Levenberg-Marquardt iteration from the previous frame's solution, whose
     warm start carries the rest, and `finalize` runs LM to convergence under
-    `config.optimizer` before it scores and serializes the estimate."""
+    `config.optimizer` before it scores and serializes the estimate.
+
+    Clouds and im2im registrations come from `front_end`: a tracker built
+    without one gets its own; `track_episode` passes the episode's shared
+    one.  The skip checks, the jump gates, the warnings and the factors are
+    the tracker's own."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, first_eff_measurement: Pose,
-                 gel: GelConfig, shape: ShapeSDF = None):
+                 gel: GelConfig, shape: ShapeSDF = None,
+                 front_end: FrontEnd = None):
         mode = TrackerMode(mode)
         if mode is TrackerMode.GROUNDTRUTH_PATCH and shape is None:
             raise ConfigError("GroundtruthPatch mode needs the object shape")
@@ -195,6 +242,7 @@ class Tracker:
         self.config = config
         self.gel = gel
         self.shape = shape
+        self.front_end = FrontEnd(gel) if front_end is None else front_end
         self.graph = FactorGraph()
         self.values: dict = {}
         self.keyframes: list = []   # (t, sensor-frame cloud), in time order
@@ -225,17 +273,15 @@ class Tracker:
     def _warn(self, message: str):
         self.warnings.append({"step": self.t, "message": message})
 
-    def _register(self, kind: str, source, target, init: Pose, gate,
+    def _register(self, kind: str, result, init: Pose, gate,
                   diag: dict) -> Pose | None:
-        """Register `source` onto `target` from `init` and record the ICP
-        result as ``diag["icp_<kind>"]``.  Returns the registered transform,
-        or None if the registration failed or its result jumped past `gate`
-        (rad, mm) from `init`; either is logged as a warning."""
-        try:
-            result = registration.icp_register(source, target, init)
-        except (registration.DegenerateGeometryError,
-                registration.InsufficientOverlapError) as err:
-            self._warn(f"{kind} registration dropped: {err}")
+        """Record the outcome of an ICP call from `init`, an ICPResult or
+        the message of its failure (`_icp`), as ``diag["icp_<kind>"]``.
+        Returns the registered transform, or None if the registration failed
+        or its result jumped past `gate` (rad, mm) from `init`; either is
+        logged as a warning."""
+        if isinstance(result, str):
+            self._warn(f"{kind} registration dropped: {result}")
             return None
         diag[f"icp_{kind}"] = result.to_dict()
         jump = geometry.ominus(init, result.transform)
@@ -269,8 +315,8 @@ class Tracker:
             init = geometry.compose(keyframe_from_object,
                                     self._object_from_sensor(t))
             diag["keyframe_init"] = "graph"
-        measured = self._register("keyframe", cloud, target, init, GATE_IM2IM,
-                                  diag)
+        measured = self._register("keyframe", _icp(cloud, target, init), init,
+                                  GATE_IM2IM, diag)
         if measured is not None:
             self.graph.add(Im2ImFactor(t, measured,
                                        NoiseModel.isotropic(*SIGMA_IM2IM), k=k))
@@ -312,7 +358,7 @@ class Tracker:
             diag["skipped_registration"] = True
             self._warn("contact touches image border; registration skipped")
         elif self.mode is not TrackerMode.CONST_VEL:   # constvel registers nothing
-            _, cloud = reconstruct_cloud(normal_image, self.gel, step=t)
+            cloud = self.front_end.cloud(t, normal_image)
 
         im2im = None
         if (self.mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH)
@@ -324,8 +370,9 @@ class Tracker:
             # graph's own prediction (self-confirming feedback).
             init = geometry.compose(geometry.inverse(self.prev_eff_measurement),
                                     eff_measurement)
-            im2im = self._register("im2im", cloud, self.prev_cloud, init,
-                                   GATE_IM2IM, diag)
+            im2im = self._register("im2im",
+                                   self.front_end.register_im2im(t, init),
+                                   init, GATE_IM2IM, diag)
             if im2im is not None:
                 self.graph.add(Im2ImFactor(t, im2im,
                                            NoiseModel.isotropic(*SIGMA_IM2IM)))
@@ -338,9 +385,10 @@ class Tracker:
             self._ensure_gt_target(cloud)
             if len(self.gt_target) > 0:
                 diag["im2patch_init"] = "graph"
-                measured = self._register("im2patch", cloud, self.gt_target,
-                                          self._object_from_sensor(t),
-                                          GATE_IM2PC, diag)
+                init = self._object_from_sensor(t)
+                measured = self._register(
+                    "im2patch", _icp(cloud, self.gt_target, init), init,
+                    GATE_IM2PC, diag)
                 if measured is not None:
                     self.graph.add(Im2PatchFactor(
                         t, measured, NoiseModel.isotropic(*SIGMA_IM2GT)))
@@ -389,13 +437,27 @@ class Tracker:
                              final_optimizer=dataclasses.asdict(stats))
 
 
+# Episode -> the FrontEnd every mode tracking it shares, dropped with the
+# episode.
+_FRONT_ENDS = weakref.WeakKeyDictionary()
+
+
 def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> EpisodeResult:
     """Run the tracker over a generated episode and score it against the
-    stored ground truth."""
+    stored ground truth.
+
+    Every call on the same episode object shares one `FrontEnd`, so each
+    frame is reconstructed, and registered onto the one before, once per
+    episode however many modes track it.  The episode is therefore
+    read-only once tracked: a changed frame is not seen again."""
     config = config or TrackerConfig()
     shape = episode.shape if TrackerMode(mode) is TrackerMode.GROUNDTRUTH_PATCH else None
+    front_end = _FRONT_ENDS.get(episode)
+    if front_end is None:
+        front_end = _FRONT_ENDS[episode] = FrontEnd(episode.gel)
     tracker = Tracker(mode, config, episode.vision_prior,
-                      episode.frames[0].eff_measured, episode.gel, shape=shape)
+                      episode.frames[0].eff_measured, episode.gel, shape=shape,
+                      front_end=front_end)
     for frame in episode.frames:
         tracker.step(frame.normals, frame.eff_measured)
     return tracker.finalize([f.object_pose for f in episode.frames])

@@ -581,26 +581,60 @@ class TestOptimize:
         with pytest.raises(DivergenceError):
             optimize(graph, {obj_key(1): Pose.identity()})
 
-    @pytest.mark.parametrize("offset", [0.0, 0.05],
+    @pytest.mark.parametrize("offset", [1e-9, 0.05],
                              ids=["final_trial", "linearized_trial"])
     def test_non_finite_trial_cost_raises(self, monkeypatch, offset):
-        # At the optimum the model calls the first trial final, which gets
-        # a cost-only pass; away from it the trial is linearized.
+        # Next to the optimum the gradient is not zero, but the model calls
+        # the first trial final, which gets a cost-only pass; away from it
+        # the trial is linearized.
         rng = np.random.default_rng(15)
         mean = random_pose(rng)
         graph = FactorGraph()
         graph.add(vis_prior(1, mean, UNIT))
-        retract = factors.Values.retract
+        retract, cost = factors.Values.retract, FactorGraph.cost
+        cost_only = []
 
         def poisoned(self, rows, delta):
             moved = retract(self, rows, delta)
             moved.poses.translation[rows] = np.nan
             return moved
 
+        def counted_cost(self, values):
+            cost_only.append(values)
+            return cost(self, values)
+
         monkeypatch.setattr(factors.Values, "retract", poisoned)
+        monkeypatch.setattr(FactorGraph, "cost", counted_cost)
         with pytest.raises(DivergenceError):
             optimize(graph, {obj_key(1): geometry.oplus(mean,
                                                         np.full(6, offset))})
+        assert len(cost_only) == (1 if offset < 1e-6 else 0)
+
+    def test_exact_optimum_stops_before_solving(self, monkeypatch):
+        # A start whose gradient J^T r is exactly zero ends the loop after
+        # its one linearization, with no solve, no retraction and no trial.
+        rng = np.random.default_rng(15)
+        mean = random_pose(rng)
+        graph = FactorGraph()
+        graph.add(vis_prior(1, mean, UNIT))
+        init = {obj_key(1): geometry.oplus(mean, np.zeros(6))}
+        assert not linearize(graph, factors.Values.of(init)).jtr.any()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("trial step taken")
+
+        monkeypatch.setattr(factors, "_solve_damped", refused)
+        monkeypatch.setattr(factors.Values, "retract", refused)
+        monkeypatch.setattr(FactorGraph, "cost", refused)
+        values, stats = optimize(graph, init)
+        assert stats == OptimizeStats(
+            iterations=0, initial_cost=stats.initial_cost,
+            final_cost=stats.initial_cost, linearizations=1,
+            predicted_decrease=None)
+        np.testing.assert_array_equal(values[obj_key(1)].rotation,
+                                      init[obj_key(1)].rotation)
+        np.testing.assert_array_equal(values[obj_key(1)].translation,
+                                      init[obj_key(1)].translation)
 
     def test_no_iterations_computes_no_jacobian(self, monkeypatch):
         rng = np.random.default_rng(16)

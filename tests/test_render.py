@@ -25,7 +25,66 @@ def centered_sphere(radius=6.35, indent=1.0):
                   offset=Pose(np.eye(3), np.array([0, 0, radius - indent])))
 
 
+def _reference_sdf(shape, points):
+    """The SDF with the row reductions along axis 1 (`np.linalg.norm`,
+    `np.max`) that the shapes now compute column by column."""
+    local = geometry.inverse(shape.offset).transform_points(points)
+    if isinstance(shape, Sphere):
+        return np.linalg.norm(local, axis=1) - shape.radius
+    if isinstance(shape, Box):
+        q = np.abs(local) - np.asarray(shape.half_extents, dtype=float)
+        return (np.linalg.norm(np.maximum(q, 0.0), axis=1)
+                + np.minimum(np.max(q, axis=1), 0.0))
+    return shape._sdf_local(local)
+
+
+def _reference_projection(shape, points, iters=12, eps=1e-5):
+    """`ShapeSDF.project_to_surface` over `_reference_sdf`, with its
+    gradient norm along axis 1."""
+    pts = points.copy()
+    for _ in range(iters):
+        d = _reference_sdf(shape, pts)
+        g = np.empty_like(pts)
+        for axis in range(3):
+            step = np.zeros(3)
+            step[axis] = eps
+            g[:, axis] = (_reference_sdf(shape, pts + step)
+                          - _reference_sdf(shape, pts - step)) / (2 * eps)
+        norm = np.linalg.norm(g, axis=1, keepdims=True)
+        norm[norm < 1e-12] = 1.0
+        pts -= d[:, None] * g / norm
+    return pts
+
+
+def _probe_points(shape, size, seed=0):
+    """Points inside, outside and on the surface of a shape about `size`
+    (mm) across, its local origin and, for a box, its face centres, edge
+    midpoints and corners."""
+    rng = np.random.default_rng(seed)
+    local = [rng.uniform(-size, size, size=(500, 3)), np.zeros((1, 3))]
+    if isinstance(shape, Box):
+        signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+        local.append(signs * np.asarray(shape.half_extents))
+    points = shape.offset.transform_points(np.concatenate(local))
+    return np.concatenate([points, shape.project_to_surface(points[:100])])
+
+
 class TestShapes:
+    @pytest.mark.parametrize("shape, size", [
+        (Sphere(radius=6.35), 12.0),
+        (Sphere(radius=2.0, offset=geometry.exp(
+            np.array([0.3, -0.2, 0.1, 1.0, 2.0, 5.35]))), 4.0),
+        (Box(half_extents=(1.0, 2.0, 3.0)), 6.0),
+        (shape_from_descriptor(default_suite_config().objects[1].shape), 18.0),
+        (Pyramid(), 44.0),
+    ], ids=["sphere", "sphere_offset", "box", "tilted_cube", "pyramid"])
+    def test_same_bits_as_axis_reductions(self, shape, size):
+        points = _probe_points(shape, size)
+        assert shape.sdf(points).tobytes() == \
+            _reference_sdf(shape, points).tobytes()
+        assert shape.project_to_surface(points).tobytes() == \
+            _reference_projection(shape, points).tobytes()
+
     def test_sphere_sdf_signs(self):
         s = Sphere(radius=2.0)
         d = s.sdf(np.array([[0, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float))

@@ -1,21 +1,24 @@
 """Tracking loop: mode behavior, zero-noise regressions, determinism."""
 
+import copy
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 import yaml
 
 from tactrack import factors, geometry, patchmap, registration
+from tactrack import tracker as tracker_module
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
-from tactrack.harness import default_suite_config, episode_seed
+from tactrack.harness import default_suite_config, episode_seed, run_tracking
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
 from tactrack.factors import OptimizerParams, linearize, obj_key
 from tactrack.patchmap import PatchMap
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import MAX_ITERATIONS
-from tactrack.render import GelConfig
+from tactrack.render import GelConfig, contact_touches_border
 from tactrack.tracker import (ConfigError, Tracker, TrackerConfig, TrackerMode,
                               pose_errors, track_episode)
 
@@ -542,3 +545,121 @@ class TestScenarioMatrix:
                 for d in result.diagnostics:
                     assert d["keyframe_target"] is None \
                         or d["keyframe_target"] < d["step"]
+
+
+@pytest.fixture(scope="module")
+def cube_episode():
+    """The default suite's first cube episode, whose im2im registrations are
+    gated and dropped (degenerate, no overlap), as are its gtpatch ones."""
+    suite = default_suite_config()
+    index = [o.name for o in suite.objects].index("cube")
+    return generate_episode(shape_from_descriptor(suite.objects[index].shape),
+                            suite.trajectories[0], suite.gel, suite.noise,
+                            seed=episode_seed(suite, index, 0))
+
+
+class TestFrontEnd:
+    """Every mode tracking one episode object shares its FrontEnd: each
+    frame is reconstructed, and registered onto the one before, once, with
+    the results a tracker of its own computes."""
+
+    @staticmethod
+    def _written(episode, mode, out_dir):
+        run_tracking(episode, mode, TrackerConfig(), out_dir)
+        return {path.name: path.read_bytes()
+                for path in sorted(out_dir.iterdir())}
+
+    def test_shared_front_end_writes_the_bytes_of_fresh_episodes(
+            self, cube_episode, sphere_episode, tmp_path):
+        modes = list(TrackerMode)
+        fresh = {mode: self._written(copy.deepcopy(cube_episode), mode,
+                                     tmp_path / "fresh" / mode.value)
+                 for mode in modes}
+        assert "patch.ply" in fresh[TrackerMode.PATCH_GRAPH]
+        # Another live episode keeps its own front end.
+        track_episode(sphere_episode, TrackerMode.IMAGE_TO_IMAGE)
+        for name, order in (("forward", modes), ("reverse", modes[::-1])):
+            episode = copy.deepcopy(cube_episode)
+            for mode in order:
+                assert self._written(episode, mode,
+                                     tmp_path / name / mode.value) \
+                    == fresh[mode], (name, mode)
+
+    def test_each_frame_reconstructed_and_registered_once(
+            self, cube_episode, monkeypatch):
+        episode = copy.deepcopy(cube_episode)
+        episode.frames[4].normals.mask[:] = False   # frame 5 out of contact
+        reconstruct = tracker_module.reconstruct_cloud
+        register = registration.icp_register
+        reconstructed, im2im = [], []
+
+        def counted_reconstruct(normals, gel, step=-1):
+            reconstructed.append(step)
+            return reconstruct(normals, gel, step=step)
+
+        def counted_register(source, target, init):
+            if target.frame == "sensor" and target.step == source.step - 1:
+                im2im.append(source.step)
+            return register(source, target, init)
+
+        monkeypatch.setattr(tracker_module, "reconstruct_cloud",
+                            counted_reconstruct)
+        monkeypatch.setattr(registration, "icp_register", counted_register)
+        warnings = []
+        for mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH,
+                     TrackerMode.GROUNDTRUTH_PATCH):
+            warnings += track_episode(episode, mode).warnings
+        contact = [t for t, frame in enumerate(episode.frames, start=1)
+                   if frame.normals.mask.any()
+                   and not contact_touches_border(frame.normals.mask)]
+        assert 5 not in contact and len(contact) == len(episode.frames) - 1
+        assert reconstructed == contact
+        assert im2im == [t for t in contact if t - 1 in contact]
+        assert any(w["message"].startswith("im2im registration dropped")
+                   for w in warnings)
+
+    def test_trackers_die_with_their_run(self, cube_episode, monkeypatch):
+        # A dropped registration is kept as its message.  Its exception's
+        # traceback would hold the tracker that stepped into it, alive for
+        # as long as the episode's front end.
+        made = []
+
+        class Recorded(Tracker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(tracker_module, "Tracker", Recorded)
+        episode = copy.deepcopy(cube_episode)
+        warnings = []
+        for mode in TrackerMode:
+            warnings += track_episode(episode, mode).warnings
+        assert any(w["message"].startswith(f"{kind} registration dropped")
+                   for w in warnings for kind in ("im2im", "im2patch"))
+        assert len(made) == len(TrackerMode)
+        assert [ref() for ref in made] == [None] * len(made)
+
+    def test_direct_tracker_matches_track_episode(self, cube_episode):
+        # The modes in turn on one episode, so that later ones read the
+        # front end earlier ones filled.
+        episode = copy.deepcopy(cube_episode)
+        for mode in TrackerMode:
+            shared = track_episode(episode, mode)
+            shape = (cube_episode.shape
+                     if mode is TrackerMode.GROUNDTRUTH_PATCH else None)
+            tracker = Tracker(mode, TrackerConfig(), cube_episode.vision_prior,
+                              cube_episode.frames[0].eff_measured,
+                              cube_episode.gel, shape=shape)
+            for frame in cube_episode.frames:
+                tracker.step(frame.normals, frame.eff_measured)
+            direct = tracker.finalize([f.object_pose
+                                       for f in cube_episode.frames])
+            for name in ("object_trajectory", "eff_trajectory",
+                         "final_rotation_error", "final_translation_error",
+                         "diagnostics", "warnings", "final_optimizer"):
+                assert getattr(direct, name) == getattr(shared, name), \
+                    (mode, name)
+            for name in ("points", "normals"):
+                np.testing.assert_array_equal(
+                    getattr(direct.patch.cloud, name),
+                    getattr(shared.patch.cloud, name))
