@@ -1,9 +1,9 @@
 """Per-timestep tracking pipeline: reconstruct the contact cloud, register it
 (image to image, image to the latest keyframe, or image to the true shape),
 assemble factors and optimize.  The graph-independent part, each frame's
-cloud and its image-to-image registration, is a `FrontEnd` that every mode
-tracking one episode shares.  Patchgraph fuses its keyframes into the local
-patch map once, at the final poses, in `finalize`."""
+contact cloud, is a `FrontEnd` that every mode tracking one episode shares.
+Patchgraph fuses its keyframes into the local patch map once, at the final
+poses, in `finalize`."""
 
 from __future__ import annotations
 
@@ -179,42 +179,21 @@ def _sample_sdf_surface(shape: ShapeSDF, center: np.ndarray, radius: float,
     return PointCloud(points=pts, normals=normals, frame="object")
 
 
-def _icp(source: PointCloud, target: PointCloud, init: Pose):
-    """`registration.icp_register`'s result, or the message of the error it
-    raised for degenerate geometry or too little overlap.  The message, not
-    the exception, is what callers keep: a traceback holds the frames of
-    the call that raised it, and with them the tracker and its episode."""
-    try:
-        return registration.icp_register(source, target, init)
-    except (registration.DegenerateGeometryError,
-            registration.InsufficientOverlapError) as err:
-        return str(err)
-
-
 class FrontEnd:
     """The graph-independent per-frame work, done once per frame and kept:
-    frame t's contact cloud, and the outcome of image-to-image (im2im) ICP
-    of cloud t onto cloud t - 1 from the measured end-effector motion, an
-    `ICPResult` or the failure's message (`_icp`).  `track_episode` shares
-    one among all the modes that track an episode, so frames are keyed by
-    step alone and must not change once tracked."""
+    frame t's sensor-frame contact cloud.  `track_episode` shares one among
+    all the modes that track an episode, so frames are keyed by step alone
+    and must not change once tracked.  Registration stays with each mode's
+    tracker."""
 
     def __init__(self, gel: GelConfig):
         self.gel = gel
         self.clouds: dict = {}   # t -> sensor-frame contact cloud
-        self.im2im: dict = {}    # t -> ICPResult or message
 
     def cloud(self, t: int, normal_image: NormalImage) -> PointCloud:
         if t not in self.clouds:
             _, self.clouds[t] = reconstruct_cloud(normal_image, self.gel, step=t)
         return self.clouds[t]
-
-    def register_im2im(self, t: int, init: Pose):
-        """The outcome of ICP of cloud t onto cloud t - 1 from `init`; both
-        clouds must be in `clouds`."""
-        if t not in self.im2im:
-            self.im2im[t] = _icp(self.clouds[t], self.clouds[t - 1], init)
-        return self.im2im[t]
 
 
 class Tracker:
@@ -226,10 +205,11 @@ class Tracker:
     warm start carries the rest, and `finalize` runs LM to convergence under
     `config.optimizer` before it scores and serializes the estimate.
 
-    Clouds and im2im registrations come from `front_end`: a tracker built
-    without one gets its own; `track_episode` passes the episode's shared
-    one.  The skip checks, the jump gates, the warnings and the factors are
-    the tracker's own."""
+    Contact clouds come from `front_end`: `track_episode` passes the
+    episode's shared one, and a tracker built without one gets its own,
+    which keeps only the current frame's cloud.  Registrations, the skip
+    checks, the jump gates, the warnings and the factors are the
+    tracker's own."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, first_eff_measurement: Pose,
@@ -242,6 +222,7 @@ class Tracker:
         self.config = config
         self.gel = gel
         self.shape = shape
+        self.own_front_end = front_end is None
         self.front_end = FrontEnd(gel) if front_end is None else front_end
         self.graph = FactorGraph()
         self.values: dict = {}
@@ -273,15 +254,17 @@ class Tracker:
     def _warn(self, message: str):
         self.warnings.append({"step": self.t, "message": message})
 
-    def _register(self, kind: str, result, init: Pose, gate,
+    def _register(self, kind: str, source, target, init: Pose, gate,
                   diag: dict) -> Pose | None:
-        """Record the outcome of an ICP call from `init`, an ICPResult or
-        the message of its failure (`_icp`), as ``diag["icp_<kind>"]``.
-        Returns the registered transform, or None if the registration failed
-        or its result jumped past `gate` (rad, mm) from `init`; either is
-        logged as a warning."""
-        if isinstance(result, str):
-            self._warn(f"{kind} registration dropped: {result}")
+        """Register `source` onto `target` from `init` and record the ICP
+        result as ``diag["icp_<kind>"]``.  Returns the registered transform,
+        or None if the registration failed or its result jumped past `gate`
+        (rad, mm) from `init`; either is logged as a warning."""
+        try:
+            result = registration.icp_register(source, target, init)
+        except (registration.DegenerateGeometryError,
+                registration.InsufficientOverlapError) as err:
+            self._warn(f"{kind} registration dropped: {err}")
             return None
         diag[f"icp_{kind}"] = result.to_dict()
         jump = geometry.ominus(init, result.transform)
@@ -315,8 +298,8 @@ class Tracker:
             init = geometry.compose(keyframe_from_object,
                                     self._object_from_sensor(t))
             diag["keyframe_init"] = "graph"
-        measured = self._register("keyframe", _icp(cloud, target, init), init,
-                                  GATE_IM2IM, diag)
+        measured = self._register("keyframe", cloud, target, init, GATE_IM2IM,
+                                  diag)
         if measured is not None:
             self.graph.add(Im2ImFactor(t, measured,
                                        NoiseModel.isotropic(*SIGMA_IM2IM), k=k))
@@ -350,6 +333,8 @@ class Tracker:
             self.graph.add(eff_prior(t, eff_measurement, self.eff_noise))
             self.graph.add(MotionPriorFactor(t, self.vel_noise))
 
+        if self.own_front_end:   # no other tracker reads its clouds
+            self.front_end.clouds.clear()
         cloud = None
         if not normal_image.mask.any():
             diag["skipped_registration"] = True
@@ -370,9 +355,8 @@ class Tracker:
             # graph's own prediction (self-confirming feedback).
             init = geometry.compose(geometry.inverse(self.prev_eff_measurement),
                                     eff_measurement)
-            im2im = self._register("im2im",
-                                   self.front_end.register_im2im(t, init),
-                                   init, GATE_IM2IM, diag)
+            im2im = self._register("im2im", cloud, self.prev_cloud, init,
+                                   GATE_IM2IM, diag)
             if im2im is not None:
                 self.graph.add(Im2ImFactor(t, im2im,
                                            NoiseModel.isotropic(*SIGMA_IM2IM)))
@@ -385,10 +369,9 @@ class Tracker:
             self._ensure_gt_target(cloud)
             if len(self.gt_target) > 0:
                 diag["im2patch_init"] = "graph"
-                init = self._object_from_sensor(t)
-                measured = self._register(
-                    "im2patch", _icp(cloud, self.gt_target, init), init,
-                    GATE_IM2PC, diag)
+                measured = self._register("im2patch", cloud, self.gt_target,
+                                          self._object_from_sensor(t),
+                                          GATE_IM2PC, diag)
                 if measured is not None:
                     self.graph.add(Im2PatchFactor(
                         t, measured, NoiseModel.isotropic(*SIGMA_IM2GT)))
@@ -447,9 +430,9 @@ def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> E
     stored ground truth.
 
     Every call on the same episode object shares one `FrontEnd`, so each
-    frame is reconstructed, and registered onto the one before, once per
-    episode however many modes track it.  The episode is therefore
-    read-only once tracked: a changed frame is not seen again."""
+    frame is reconstructed once per episode however many modes track it.
+    The episode is therefore read-only once tracked: a changed frame is not
+    seen again."""
     config = config or TrackerConfig()
     shape = episode.shape if TrackerMode(mode) is TrackerMode.GROUNDTRUTH_PATCH else None
     front_end = _FRONT_ENDS.get(episode)

@@ -560,8 +560,8 @@ def cube_episode():
 
 class TestFrontEnd:
     """Every mode tracking one episode object shares its FrontEnd: each
-    frame is reconstructed, and registered onto the one before, once, with
-    the results a tracker of its own computes."""
+    frame is reconstructed once, with the results a tracker of its own
+    computes."""
 
     @staticmethod
     def _written(episode, mode, out_dir):
@@ -585,7 +585,7 @@ class TestFrontEnd:
                                      tmp_path / name / mode.value) \
                     == fresh[mode], (name, mode)
 
-    def test_each_frame_reconstructed_and_registered_once(
+    def test_each_frame_reconstructed_once(
             self, cube_episode, monkeypatch):
         episode = copy.deepcopy(cube_episode)
         episode.frames[4].normals.mask[:] = False   # frame 5 out of contact
@@ -614,14 +614,17 @@ class TestFrontEnd:
                    and not contact_touches_border(frame.normals.mask)]
         assert 5 not in contact and len(contact) == len(episode.frames) - 1
         assert reconstructed == contact
-        assert im2im == [t for t in contact if t - 1 in contact]
+        # Each mode that registers image to image runs its own ICP.
+        pairs = [t for t in contact if t - 1 in contact]
+        assert im2im == pairs + pairs
         assert any(w["message"].startswith("im2im registration dropped")
                    for w in warnings)
 
     def test_trackers_die_with_their_run(self, cube_episode, monkeypatch):
-        # A dropped registration is kept as its message.  Its exception's
-        # traceback would hold the tracker that stepped into it, alive for
-        # as long as the episode's front end.
+        # The shared front end lives as long as the episode, so it must hold
+        # nothing of a tracker, such as the traceback of a dropped
+        # registration's exception, which holds the frames of the tracker
+        # that stepped into it.
         made = []
 
         class Recorded(Tracker):
@@ -663,3 +666,15 @@ class TestFrontEnd:
                 np.testing.assert_array_equal(
                     getattr(direct.patch.cloud, name),
                     getattr(shared.patch.cloud, name))
+
+    def test_direct_tracker_keeps_only_the_current_cloud(self, sphere_episode):
+        tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
+                          sphere_episode.vision_prior,
+                          sphere_episode.frames[0].eff_measured,
+                          sphere_episode.gel)
+        for _ in range(3):
+            for frame in sphere_episode.frames:
+                tracker.step(frame.normals, frame.eff_measured)
+                assert len(tracker.front_end.clouds) <= 1
+        assert tracker.t == 3 * len(sphere_episode.frames)
+        assert list(tracker.front_end.clouds) == [tracker.t]
