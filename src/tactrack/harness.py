@@ -19,7 +19,8 @@ from .episodes import (Episode, EpisodeGenerationError, NoiseSpec,
                        save_episode)
 from .render import GelConfig
 from .shapes import shape_from_descriptor
-from .tracker import (ConfigError, TrackerConfig, TrackerMode, from_mapping,
+from .tracker import (REGISTRATION_FATES, REGISTRATION_KINDS, ConfigError,
+                      TrackerConfig, TrackerMode, from_mapping,
                       read_yaml_mapping, track_episode)
 
 
@@ -247,6 +248,21 @@ class SuiteReport:
         return self.results[object_name][mode]["rotation_stats"]["median"]
 
 
+def _registration_fates(entries) -> dict:
+    """kind -> fate -> count over the registration calls recorded in the
+    step diagnostics of `entries`, for each kind that made a call.  Records
+    written before calls had a fate are not counted."""
+    fates = {}
+    for entry in entries:
+        for diag in entry.get("diagnostics", ()):
+            for kind in REGISTRATION_KINDS:
+                fate = (diag.get(f"icp_{kind}") or {}).get("fate")
+                if fate is not None:
+                    fates.setdefault(kind, dict.fromkeys(REGISTRATION_FATES,
+                                                         0))[fate] += 1
+    return fates
+
+
 def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> SuiteReport:
     results = {}
     for obj, by_mode in records.items():
@@ -263,6 +279,7 @@ def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> Sui
                 if any(err is not None for err in errors):
                     record[f"{name}_stats"] = boxplot_stats(
                         err for err in errors if err is not None)
+            record["registration_fates"] = _registration_fates(entries)
             results[obj][mode] = record
     return SuiteReport(config_hash=config_hash,
                        episodes_per_object=episodes_per_object, results=results)

@@ -26,7 +26,12 @@ class GradientField:
 
 @dataclass
 class PointCloud:
-    """3-D points (mm) with unit normals, expressed in a declared frame."""
+    """3-D points (mm) with unit normals, expressed in a declared frame.
+
+    A cloud's arrays are not changed once it is made, so what is derived
+    from them is built on first use and kept: its k-d tree as a target
+    (`search`) and the outcomes of its registrations as a source
+    (`registrations`)."""
 
     points: np.ndarray
     normals: np.ndarray
@@ -39,9 +44,15 @@ class PointCloud:
     @functools.cached_property
     def search(self):
         """A k-d tree over the points, and the points and normals side by
-        side as one (n, 6) array to gather matches from.  Built on first use
-        and kept: a cloud's arrays are not changed once it is made."""
+        side as one (n, 6) array to gather matches from."""
         return cKDTree(self.points), np.hstack([self.points, self.normals])
+
+    @functools.cached_property
+    def registrations(self) -> dict:
+        """`registration.icp_register`'s memo of this cloud's registrations
+        as the source: (target id, init bytes) -> (weak reference to the
+        target, outcome).  It holds no target alive."""
+        return {}
 
     def transformed(self, pose, frame: str) -> "PointCloud":
         return PointCloud(points=pose.transform_points(self.points),

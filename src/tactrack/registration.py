@@ -3,6 +3,7 @@ the factor graph, with fitness and degeneracy diagnostics."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,36 @@ def icp_register(source: PointCloud, target: PointCloud,
     over the last iteration's matches, so a call makes one tree query per
     iteration; it is reported with those matches' count and the last step's
     predicted reduction.
+
+    Each registration is solved once: its outcome is kept in
+    `source.registrations`, keyed by the target's identity and the exact
+    bytes of `init`, and a repeated call replays it without a tree query.
+    A replayed result is the object the solve returned.  A replayed
+    failure is raised as a fresh exception of the same type and message;
+    the memo keeps only its constructor arguments, since an exception's
+    traceback would hold the frames, and so the tracker, of the call that
+    raised it.  The target is held by a weak reference, so the memo keeps
+    no cloud alive.
     """
+    key = (id(target), init.rotation.tobytes(), init.translation.tobytes())
+    entry = source.registrations.get(key)
+    if entry is None or entry[0]() is not target:
+        try:
+            outcome = _solve(source, target, init)
+        except DegenerateGeometryError as err:
+            outcome = (DegenerateGeometryError, err.condition_number)
+        except InsufficientOverlapError as err:
+            outcome = (InsufficientOverlapError, err.count, err.required)
+        entry = source.registrations[key] = (weakref.ref(target), outcome)
+    outcome = entry[1]
+    if isinstance(outcome, ICPResult):
+        return outcome
+    error, *args = outcome
+    raise error(*args)
+
+
+def _solve(source: PointCloud, target: PointCloud, init: Pose) -> ICPResult:
+    """`icp_register`'s solve, without its memo."""
     if len(source) == 0 or len(target) == 0:
         raise InsufficientOverlapError(min(len(source), len(target)),
                                        MIN_CORRESPONDENCES)

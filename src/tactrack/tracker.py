@@ -51,6 +51,10 @@ SIGMA_IM2GT = (0.02, 1.0)
 # carrying good translation information.
 GATE_IM2IM = (0.2, 3.0)
 GATE_IM2PC = (1.0, 8.0)
+# What each step records of its registration calls, as "icp_<kind>", and
+# the fate of a call that ran (see Tracker._register).
+REGISTRATION_KINDS = ("im2im", "keyframe", "im2patch")
+REGISTRATION_FATES = ("added", "gated", "degenerate", "no_overlap")
 # Patchgraph keeps every k-th frame's cloud as a keyframe, from the first,
 # and registers each later frame against the latest one.  With k = 2 every
 # other frame spans two steps, and the band of J^T J stays narrow.
@@ -183,8 +187,11 @@ class FrontEnd:
     """The graph-independent per-frame work, done once per frame and kept:
     frame t's sensor-frame contact cloud.  `track_episode` shares one among
     all the modes that track an episode, so frames are keyed by step alone
-    and must not change once tracked.  Registration stays with each mode's
-    tracker."""
+    and must not change once tracked.  Each mode's tracker still makes and
+    records its own registration calls; since they share these clouds, a
+    call that another mode already made (im2im's, which im2im and
+    patchgraph both make for each pair of consecutive frames) is replayed
+    from the source cloud's memo (`registration.icp_register`)."""
 
     def __init__(self, gel: GelConfig):
         self.gel = gel
@@ -207,9 +214,10 @@ class Tracker:
 
     Contact clouds come from `front_end`: `track_episode` passes the
     episode's shared one, and a tracker built without one gets its own,
-    which keeps only the current frame's cloud.  Registrations, the skip
-    checks, the jump gates, the warnings and the factors are the
-    tracker's own."""
+    which keeps only the current frame's cloud.  The registration calls,
+    the skip checks, the jump gates, the warnings and the factors are the
+    tracker's own, though a call another tracker made on the same clouds
+    replays its outcome."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, first_eff_measurement: Pose,
@@ -256,23 +264,41 @@ class Tracker:
 
     def _register(self, kind: str, source, target, init: Pose, gate,
                   diag: dict) -> Pose | None:
-        """Register `source` onto `target` from `init` and record the ICP
-        result as ``diag["icp_<kind>"]``.  Returns the registered transform,
-        or None if the registration failed or its result jumped past `gate`
-        (rad, mm) from `init`; either is logged as a warning."""
+        """Register `source` onto `target` from `init` and record the call
+        as ``diag["icp_<kind>"]`` with its `fate`:
+
+        - `added`: the ICP result, whose transform is returned;
+        - `gated`: the ICP result and its jump from `init`
+          (`jump_rotation_rad`, `jump_translation_mm`), past `gate`;
+        - `degenerate`: the `condition_number`, null when not finite;
+        - `no_overlap`: the `correspondence_count`.
+
+        Every fate but `added` returns None and is logged as a warning."""
         try:
             result = registration.icp_register(source, target, init)
-        except (registration.DegenerateGeometryError,
-                registration.InsufficientOverlapError) as err:
+        except registration.DegenerateGeometryError as err:
+            cond = err.condition_number
+            diag[f"icp_{kind}"] = {
+                "fate": "degenerate",
+                "condition_number": cond if math.isfinite(cond) else None}
             self._warn(f"{kind} registration dropped: {err}")
             return None
-        diag[f"icp_{kind}"] = result.to_dict()
+        except registration.InsufficientOverlapError as err:
+            diag[f"icp_{kind}"] = {"fate": "no_overlap",
+                                   "correspondence_count": err.count}
+            self._warn(f"{kind} registration dropped: {err}")
+            return None
+        record = diag[f"icp_{kind}"] = result.to_dict()
         jump = geometry.ominus(init, result.transform)
-        if (np.linalg.norm(jump[:3]) > gate[0]
-                or np.linalg.norm(jump[3:]) > gate[1]):
+        rotation = float(np.linalg.norm(jump[:3]))
+        translation = float(np.linalg.norm(jump[3:]))
+        if rotation > gate[0] or translation > gate[1]:
+            record.update(fate="gated", jump_rotation_rad=rotation,
+                          jump_translation_mm=translation)
             self._warn(f"{kind} registration jumped far from its "
                        "initialization; factor omitted")
             return None
+        record["fate"] = "added"
         return result.transform
 
     def _register_keyframe(self, cloud: PointCloud, im2im: Pose | None,

@@ -1,6 +1,8 @@
 """Suite orchestration: config parsing, aggregation, reports, determinism."""
 
+import collections
 import gc
+import importlib.resources as resources
 import json
 import warnings
 
@@ -12,9 +14,9 @@ from tactrack import imageio
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.harness import (ConfigError, SuiteConfig, SuiteObject,
                               boxplot_stats, default_suite_config,
-                              episode_seed, generate_suite_episodes,
-                              relative_motion_error, run_suite, run_tracking,
-                              write_report)
+                              episode_seed, evaluate_runs,
+                              generate_suite_episodes, relative_motion_error,
+                              run_suite, run_tracking, write_report)
 from tactrack.render import GelConfig
 from tactrack.shapes import Sphere
 from tactrack.tracker import TrackerConfig, track_episode
@@ -205,16 +207,56 @@ class TestRunSuite:
         jb = (tmp_path / "b" / "report.json").read_bytes()
         assert ja == jb
 
-    def test_report_validates_against_schema(self, tmp_path):
-        import importlib.resources as resources
+    @staticmethod
+    def _schema():
+        return json.loads(resources.files("tactrack")
+                          .joinpath("schemas/suite_report.schema.json")
+                          .read_text())
 
+    def test_report_validates_against_schema(self, tmp_path):
         cfg = tiny_config()
         run_suite(cfg, tmp_path / "suite")
-        schema = json.loads(resources.files("tactrack")
-                            .joinpath("schemas/suite_report.schema.json")
-                            .read_text())
         report = json.loads((tmp_path / "suite" / "report.json").read_text())
-        jsonschema.validate(report, schema)
+        jsonschema.validate(report, self._schema())
+
+    def test_fate_counts_per_cell(self, tmp_path):
+        # The default suite's first cube episode has calls of every fate.
+        cfg = default_suite_config(episodes_per_object=1)
+        report = run_suite(cfg, tmp_path / "suite")
+        expected = {}
+        for path in sorted((tmp_path / "suite" / "runs").glob(
+                "cube/*/*/metrics.json")):
+            metrics = json.loads(path.read_text())
+            counts = collections.Counter(
+                (kind, diag[f"icp_{kind}"]["fate"])
+                for diag in metrics["diagnostics"]
+                for kind in ("im2im", "keyframe", "im2patch")
+                if diag[f"icp_{kind}"] is not None)
+            expected[metrics["mode"]] = {
+                kind: {fate: counts[kind, fate] for fate in
+                       ("added", "gated", "degenerate", "no_overlap")}
+                for kind in sorted({kind for kind, _ in counts})}
+        cells = report.results["cube"]
+        assert {mode: cells[mode]["registration_fates"] for mode in cells} \
+            == expected
+        assert expected["constvel"] == {}
+        assert set(expected["patchgraph"]) == {"im2im", "keyframe"}
+        assert expected["im2im"]["im2im"] == expected["patchgraph"]["im2im"]
+        assert {fate for by_kind in expected.values()
+                for counts in by_kind.values()
+                for fate, n in counts.items() if n} \
+            == {"added", "gated", "degenerate", "no_overlap"}
+        evaluated = evaluate_runs(tmp_path / "suite" / "runs",
+                                  tmp_path / "eval.json")
+        assert {obj: {mode: cell["registration_fates"]
+                      for mode, cell in cells.items()}
+                for obj, cells in evaluated.results.items()} \
+            == {obj: {mode: cell["registration_fates"]
+                      for mode, cell in cells.items()}
+                for obj, cells in report.results.items()}
+        for path in (tmp_path / "suite" / "report.json",
+                     tmp_path / "eval.json"):
+            jsonschema.validate(json.loads(path.read_text()), self._schema())
 
     def test_csv_matches_json(self, tmp_path):
         import csv

@@ -1,4 +1,6 @@
-"""Point-to-plane ICP: single steps, full registration."""
+"""Point-to-plane ICP: single steps, full registration, the per-cloud memo."""
+
+import traceback
 
 import numpy as np
 import pytest
@@ -331,3 +333,75 @@ class TestIcpMatchesReference:
         assert [result.converged, result.iterations, result.inlier_rmse,
                 result.correspondence_count, result.condition_number,
                 result.predicted_reduction] == fields
+
+
+class TestIcpMemo:
+    """icp_register solves each (source, target, init) once and replays it."""
+
+    @staticmethod
+    def _pair():
+        src = sphere_cap_cloud(n=300)
+        true = geometry.exp(np.array([0.02, -0.01, 0.03, 0.2, -0.1, 0.3]))
+        return src, _recorded(src.transformed(true, frame="sensor"))
+
+    def test_repeat_replays_without_tree_query(self):
+        src, tgt = self._pair()
+        first = icp_register(src, tgt, Pose.identity())
+        queries = len(tgt.search[0].queries)
+        assert queries == first.iterations > 0
+        again = icp_register(src, tgt, Pose.identity())
+        assert len(tgt.search[0].queries) == queries
+        assert again is first
+
+    def test_other_init_or_target_misses(self):
+        src, tgt = self._pair()
+        init = Pose.identity()
+        first = icp_register(src, tgt, init)
+        queries = len(tgt.search[0].queries)
+        # One ulp on one init entry is another registration.
+        for array in ("rotation", "translation"):
+            moved = Pose(init.rotation.copy(), init.translation.copy())
+            getattr(moved, array).flat[0] = np.nextafter(
+                getattr(init, array).flat[0], np.inf)
+            assert icp_register(src, tgt, moved) is not first
+            assert len(tgt.search[0].queries) > queries
+            queries = len(tgt.search[0].queries)
+        # A target with equal arrays is another cloud, and is solved anew.
+        twin = _recorded(tgt)
+        result = icp_register(src, twin, init)
+        assert len(twin.search[0].queries) == result.iterations
+        assert result is not first and result.to_dict() == first.to_dict()
+
+    @staticmethod
+    def _raised(source, target, error):
+        with pytest.raises(error) as caught:
+            icp_register(source, target, Pose.identity())
+        return caught.value
+
+    @pytest.mark.parametrize("error", [DegenerateGeometryError,
+                                       InsufficientOverlapError])
+    def test_replayed_failure_is_a_fresh_exception(self, error):
+        if error is DegenerateGeometryError:
+            src = tgt = plane_cloud(n=300)
+            attrs = ("condition_number",)
+        else:
+            src = sphere_cap_cloud(n=50)
+            tgt = PointCloud(points=src.points + 100.0, normals=src.normals)
+            attrs = ("count", "required")
+        first, again = (self._raised(src, tgt, error) for _ in range(2))
+        assert again is not first
+        assert type(again) is type(first) and str(again) == str(first)
+        assert ([getattr(again, a) for a in attrs]
+                == [getattr(first, a) for a in attrs])
+        for err in (first, again):
+            # Raised by icp_register itself: no frame of the solve that
+            # failed, and no chained exception, comes with it.
+            frames = [frame.f_code.co_name
+                      for frame, _ in traceback.walk_tb(err.__traceback__)]
+            assert frames[-1] == "icp_register"
+            assert "_solve" not in frames
+            assert err.__context__ is None and err.__cause__ is None
+        # The memo keeps the failure's arguments, not the exception.
+        (ref, outcome), = src.registrations.values()
+        assert ref() is tgt
+        assert outcome == (error, *(getattr(first, a) for a in attrs))

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import weakref
 
 import numpy as np
@@ -17,10 +18,12 @@ from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
 from tactrack.factors import OptimizerParams, linearize, obj_key
 from tactrack.patchmap import PatchMap
 from tactrack.reconstruct import PointCloud
-from tactrack.registration import MAX_ITERATIONS
+from tactrack.registration import MAX_ITERATIONS, MIN_CORRESPONDENCES
 from tactrack.render import GelConfig, contact_touches_border
-from tactrack.tracker import (ConfigError, Tracker, TrackerConfig, TrackerMode,
-                              pose_errors, track_episode)
+from tactrack.tracker import (GATE_IM2IM, GATE_IM2PC, REGISTRATION_FATES,
+                              REGISTRATION_KINDS, ConfigError, Tracker,
+                              TrackerConfig, TrackerMode, pose_errors,
+                              track_episode)
 
 ZERO_NOISE = NoiseSpec(normal_sigma=0.0, eff_sigma_rot=0.0,
                        eff_sigma_trans=0.0, vis_sigma_rot=0.0,
@@ -288,8 +291,11 @@ class TestRegistrationEffort:
         # ends them there, so none runs to the iteration cap.  The counts
         # repeat exactly.
         result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH)
-        icp = [d[k] for d in result.diagnostics
-               for k in ("icp_im2im", "icp_keyframe") if d[k] is not None]
+        records = [d[k] for d in result.diagnostics
+                   for k in ("icp_im2im", "icp_keyframe") if d[k] is not None]
+        # Failed calls record their fate alone; the rest an ICP result.
+        icp = [r for r in records if r["fate"] in ("added", "gated")]
+        assert len(records) == len(icp)
         capped = [r for r in icp if not r["converged"]]
         assert all(r["iterations"] == MAX_ITERATIONS for r in capped)
         assert len(icp) == 16
@@ -450,6 +456,15 @@ class TestPatchInit:
         for t, init, _, _, graph in calls:
             self._assert_same(init, graph)
             assert tracker.diagnostics[t - 1]["keyframe_init"] == "graph"
+        # The forced failure has an infinite condition number: null in JSON.
+        records = [d["icp_im2im"] for d in tracker.diagnostics
+                   if d["icp_im2im"] is not None]
+        assert records
+        if im2im == "gated":
+            assert all(r["fate"] == "gated" for r in records)
+        else:
+            assert records == [{"fate": "degenerate",
+                                "condition_number": None}] * len(records)
 
     def test_previous_keyframe_skipped(self, monkeypatch, gel):
         # Keyframes are frames 1, 3, 5: frame t registers against t - 2 when
@@ -490,6 +505,58 @@ class TestPatchInit:
             assert diag["im2patch_init"] == "graph"
             assert diag["keyframe_target"] is None
             assert diag["icp_keyframe"] is None
+
+
+class TestRegistrationFates:
+    """Every registration call that ran leaves its `icp_<kind>` record with
+    its fate, so `metrics.json` alone tells what became of it; a null
+    record means that no call ran."""
+
+    ICP_KEYS = {"transform", "converged", "iterations", "inlier_rmse",
+                "correspondence_count", "condition_number",
+                "predicted_reduction", "fate"}
+
+    def test_every_call_recorded_with_its_fate(self, cube_episode):
+        episode = copy.deepcopy(cube_episode)
+        results = {mode: track_episode(episode, mode) for mode in TrackerMode}
+        fates = set()
+        for mode, result in results.items():
+            json.dumps(result.diagnostics, allow_nan=False)   # strict JSON
+            dropped = []
+            for diag in result.diagnostics:
+                for kind in REGISTRATION_KINDS:
+                    record = diag[f"icp_{kind}"]
+                    if record is None:
+                        continue
+                    fate = record["fate"]
+                    fates.add((mode, fate))
+                    if fate == "degenerate":
+                        assert set(record) == {"fate", "condition_number"}
+                    elif fate == "no_overlap":
+                        assert set(record) == {"fate", "correspondence_count"}
+                        assert record["correspondence_count"] \
+                            < MIN_CORRESPONDENCES
+                    elif fate == "gated":
+                        gate = GATE_IM2PC if kind == "im2patch" else GATE_IM2IM
+                        assert set(record) == self.ICP_KEYS | {
+                            "jump_rotation_rad", "jump_translation_mm"}
+                        assert (record["jump_rotation_rad"] > gate[0]
+                                or record["jump_translation_mm"] > gate[1])
+                    else:
+                        assert fate == "added" and set(record) == self.ICP_KEYS
+                    if fate != "added":
+                        dropped.append((diag["step"], kind))
+            # Each call that added no factor was warned about, and no other.
+            assert dropped == [
+                (w["step"], w["message"].split()[0]) for w in result.warnings
+                if "registration skipped" not in w["message"]], mode
+        assert {fate for _, fate in fates} == set(REGISTRATION_FATES)
+        assert not [f for mode, f in fates if mode is TrackerMode.CONST_VEL]
+        # im2im and patchgraph make the same im2im calls, with the same fates.
+        assert ([d["icp_im2im"] for d in
+                 results[TrackerMode.IMAGE_TO_IMAGE].diagnostics]
+                == [d["icp_im2im"] for d in
+                    results[TrackerMode.PATCH_GRAPH].diagnostics])
 
 
 @pytest.fixture(scope="module")
@@ -549,8 +616,9 @@ class TestScenarioMatrix:
 
 @pytest.fixture(scope="module")
 def cube_episode():
-    """The default suite's first cube episode, whose im2im registrations are
-    gated and dropped (degenerate, no overlap), as are its gtpatch ones."""
+    """The default suite's first cube episode, whose registrations have
+    every fate: added, gated (a keyframe call) and dropped (degenerate, no
+    overlap: im2im and gtpatch calls)."""
     suite = default_suite_config()
     index = [o.name for o in suite.objects].index("cube")
     return generate_episode(shape_from_descriptor(suite.objects[index].shape),
@@ -602,9 +670,16 @@ class TestFrontEnd:
                 im2im.append(source.step)
             return register(source, target, init)
 
+        def counted_solve(source, target, init):
+            if target.frame == "sensor" and target.step == source.step - 1:
+                solved.append(source.step)
+            return solve(source, target, init)
+
+        solve, solved = registration._solve, []
         monkeypatch.setattr(tracker_module, "reconstruct_cloud",
                             counted_reconstruct)
         monkeypatch.setattr(registration, "icp_register", counted_register)
+        monkeypatch.setattr(registration, "_solve", counted_solve)
         warnings = []
         for mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH,
                      TrackerMode.GROUNDTRUTH_PATCH):
@@ -614,9 +689,11 @@ class TestFrontEnd:
                    and not contact_touches_border(frame.normals.mask)]
         assert 5 not in contact and len(contact) == len(episode.frames) - 1
         assert reconstructed == contact
-        # Each mode that registers image to image runs its own ICP.
+        # Each mode that registers image to image makes its own call, and
+        # the second mode's call replays the first's outcome.
         pairs = [t for t in contact if t - 1 in contact]
         assert im2im == pairs + pairs
+        assert solved == pairs
         assert any(w["message"].startswith("im2im registration dropped")
                    for w in warnings)
 
@@ -678,3 +755,39 @@ class TestFrontEnd:
                 assert len(tracker.front_end.clouds) <= 1
         assert tracker.t == 3 * len(sphere_episode.frames)
         assert list(tracker.front_end.clouds) == [tracker.t]
+
+    def test_direct_tracker_frees_earlier_clouds(self, sphere_episode):
+        # Each cloud's registration memo refers to its im2im target, the
+        # previous cloud, only weakly, so no chain of clouds builds up.
+        tracker = Tracker(TrackerMode.IMAGE_TO_IMAGE, TrackerConfig(),
+                          sphere_episode.vision_prior,
+                          sphere_episode.frames[0].eff_measured,
+                          sphere_episode.gel)
+        clouds = []
+        for frame in sphere_episode.frames:
+            tracker.step(frame.normals, frame.eff_measured)
+            clouds.append(weakref.ref(tracker.prev_cloud))
+            assert [ref() is not None for ref in clouds] \
+                == [False] * (len(clouds) - 1) + [True]
+        assert tracker.prev_cloud.registrations
+        assert len(clouds) == len(sphere_episode.frames) > 2
+
+    def test_gtpatch_target_dies_with_its_run(self, cube_episode,
+                                              monkeypatch):
+        # The episode's clouds keep their registrations against the sampled
+        # true shape, but not the shape's samples.
+        sample, targets = tracker_module._sample_sdf_surface, []
+
+        def recorded(*args, **kwargs):
+            target = sample(*args, **kwargs)
+            targets.append(weakref.ref(target))
+            return target
+
+        monkeypatch.setattr(tracker_module, "_sample_sdf_surface", recorded)
+        episode = copy.deepcopy(cube_episode)
+        track_episode(episode, TrackerMode.GROUNDTRUTH_PATCH)
+        assert len(targets) == 1 and targets[0]() is None
+        memos = [entry for cloud in
+                 tracker_module._FRONT_ENDS[episode].clouds.values()
+                 for entry in cloud.registrations.values()]
+        assert memos and all(ref() is None for ref, _ in memos)
