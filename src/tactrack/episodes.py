@@ -101,12 +101,9 @@ class Frame:
     depth_gt: DepthImage | None = None
 
 
-@dataclass(eq=False)
+@dataclass
 class Episode:
-    """A generated or loaded episode.  Episodes compare and hash by
-    identity, so `tracker.track_episode` can key the front end that all
-    modes tracking an episode share by the object.  An episode is
-    read-only once tracked, as a `PointCloud`'s arrays are once made."""
+    """A generated or loaded episode."""
 
     frames: list
     vision_prior: Pose
@@ -289,17 +286,31 @@ def save_episode(episode: Episode, directory) -> None:
 
 
 def load_episode(directory) -> Episode:
+    """Read an episode written by `save_episode`.  ValueError naming the
+    file for an image whose shape is not the gel's height x width (x 3 for
+    normals)."""
     with open(os.path.join(directory, "episode.json")) as f:
         meta = json.load(f)
     gel = GelConfig(**meta["gel"])
+
+    def read(path, reader, shape):
+        data = reader(path)
+        if data.shape != shape:
+            raise ValueError(f"{path} has shape {data.shape}, but the "
+                             f"{gel.height}x{gel.width} gel needs {shape}")
+        return data
+
+    size = (gel.height, gel.width)
     frames = []
     for fr in meta["frames"]:
-        normals = imageio.read_pfm(os.path.join(directory, fr["normals"])).astype(float)
-        mask = imageio.read_pgm_mask(os.path.join(directory, fr["mask"]))
+        normals = read(os.path.join(directory, fr["normals"]),
+                       imageio.read_pfm, size + (3,)).astype(float)
+        mask = read(os.path.join(directory, fr["mask"]),
+                    imageio.read_pgm_mask, size)
         depth_path = os.path.join(directory, fr["depth"])
         depth = None
         if os.path.exists(depth_path):
-            values = imageio.read_pfm(depth_path).astype(float)
+            values = read(depth_path, imageio.read_pfm, size).astype(float)
             depth = DepthImage(values=values, mask=mask.copy())
         frames.append(Frame(
             timestamp=fr["timestamp"],

@@ -517,13 +517,14 @@ class OptimizerParams:
     cost_tolerance: float = 1e-3
 
     def __post_init__(self):
-        tolerance = self.cost_tolerance
-        if (self.max_iterations < 0 or isinstance(tolerance, bool)
+        iterations, tolerance = self.max_iterations, self.cost_tolerance
+        if (type(iterations) is not int or iterations < 0
+                or isinstance(tolerance, bool)
                 or not isinstance(tolerance, (int, float))
                 or not math.isfinite(tolerance) or tolerance < 0):
-            raise ValueError("optimizer max_iterations must be >= 0 and "
-                             "cost_tolerance a finite number >= 0, got "
-                             f"{self.max_iterations!r}, {tolerance!r}")
+            raise ValueError("optimizer max_iterations must be an int >= 0 "
+                             "and cost_tolerance a finite number >= 0, got "
+                             f"{iterations!r}, {tolerance!r}")
 
 
 @dataclass

@@ -63,10 +63,15 @@ class DepthImage:
     mask: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class NormalImage:
     """Per-pixel unit normals (H, W, 3) plus contact mask; (0, 0, 1) away
-    from the contact region."""
+    from the contact region.
+
+    Images compare and hash by identity, because `tracker` keeps the
+    contact cloud reconstructed from an image keyed by the object.  An
+    image is therefore read-only once tracked, as a `PointCloud`'s arrays
+    are once made: a change made afterwards is not seen."""
 
     values: np.ndarray
     mask: np.ndarray

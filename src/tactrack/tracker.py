@@ -1,9 +1,10 @@
 """Per-timestep tracking pipeline: reconstruct the contact cloud, register it
 (image to image, image to the latest keyframe, or image to the true shape),
-assemble factors and optimize.  The graph-independent part, each frame's
-contact cloud, is a `FrontEnd` that every mode tracking one episode shares.
-Patchgraph fuses its keyframes into the local patch map once, at the final
-poses, in `finalize`."""
+assemble factors and optimize.  A frame's contact cloud depends only on its
+normal image and the gel, so it is reconstructed once per image and kept
+with it, and every tracker stepped over that image shares it.  Patchgraph
+fuses its keyframes into the local patch map once, at the final poses, in
+`finalize`."""
 
 from __future__ import annotations
 
@@ -83,6 +84,9 @@ class TrackerConfig:
                     and all(_is_positive_number(v) for v in pair)):
                 raise ConfigError(f"{name} must be a pair of finite numbers > 0, "
                                   f"got {pair!r}")
+        if not isinstance(self.optimizer, OptimizerParams):
+            raise ConfigError(f"optimizer must be OptimizerParams, "
+                              f"got {self.optimizer!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
@@ -183,24 +187,9 @@ def _sample_sdf_surface(shape: ShapeSDF, center: np.ndarray, radius: float,
     return PointCloud(points=pts, normals=normals, frame="object")
 
 
-class FrontEnd:
-    """The graph-independent per-frame work, done once per frame and kept:
-    frame t's sensor-frame contact cloud.  `track_episode` shares one among
-    all the modes that track an episode, so frames are keyed by step alone
-    and must not change once tracked.  Each mode's tracker still makes and
-    records its own registration calls; since they share these clouds, a
-    call that another mode already made (im2im's, which im2im and
-    patchgraph both make for each pair of consecutive frames) is replayed
-    from the source cloud's memo (`registration.icp_register`)."""
-
-    def __init__(self, gel: GelConfig):
-        self.gel = gel
-        self.clouds: dict = {}   # t -> sensor-frame contact cloud
-
-    def cloud(self, t: int, normal_image: NormalImage) -> PointCloud:
-        if t not in self.clouds:
-            _, self.clouds[t] = reconstruct_cloud(normal_image, self.gel, step=t)
-        return self.clouds[t]
+# NormalImage -> {gel field values: the image's sensor-frame contact cloud}.
+# Keyed by the image object, so a cloud dies with its image.
+_CLOUDS = weakref.WeakKeyDictionary()
 
 
 class Tracker:
@@ -212,17 +201,17 @@ class Tracker:
     warm start carries the rest, and `finalize` runs LM to convergence under
     `config.optimizer` before it scores and serializes the estimate.
 
-    Contact clouds come from `front_end`: `track_episode` passes the
-    episode's shared one, and a tracker built without one gets its own,
-    which keeps only the current frame's cloud.  The registration calls,
-    the skip checks, the jump gates, the warnings and the factors are the
-    tracker's own, though a call another tracker made on the same clouds
-    replays its outcome."""
+    Each frame's contact cloud is looked up by its normal image and the
+    gel, and reconstructed on a miss, so trackers stepped over the same
+    images, from `track_episode` or built directly, share their clouds.
+    The registration calls, the skip checks, the jump gates, the warnings
+    and the factors are the tracker's own, though a call another tracker
+    made on the same clouds replays its outcome
+    (`registration.icp_register`)."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, first_eff_measurement: Pose,
-                 gel: GelConfig, shape: ShapeSDF = None,
-                 front_end: FrontEnd = None):
+                 gel: GelConfig, shape: ShapeSDF = None):
         mode = TrackerMode(mode)
         if mode is TrackerMode.GROUNDTRUTH_PATCH and shape is None:
             raise ConfigError("GroundtruthPatch mode needs the object shape")
@@ -230,8 +219,6 @@ class Tracker:
         self.config = config
         self.gel = gel
         self.shape = shape
-        self.own_front_end = front_end is None
-        self.front_end = FrontEnd(gel) if front_end is None else front_end
         self.graph = FactorGraph()
         self.values: dict = {}
         self.keyframes: list = []   # (t, sensor-frame cloud), in time order
@@ -359,8 +346,6 @@ class Tracker:
             self.graph.add(eff_prior(t, eff_measurement, self.eff_noise))
             self.graph.add(MotionPriorFactor(t, self.vel_noise))
 
-        if self.own_front_end:   # no other tracker reads its clouds
-            self.front_end.clouds.clear()
         cloud = None
         if not normal_image.mask.any():
             diag["skipped_registration"] = True
@@ -369,7 +354,11 @@ class Tracker:
             diag["skipped_registration"] = True
             self._warn("contact touches image border; registration skipped")
         elif self.mode is not TrackerMode.CONST_VEL:   # constvel registers nothing
-            cloud = self.front_end.cloud(t, normal_image)
+            clouds = _CLOUDS.setdefault(normal_image, {})
+            gel = dataclasses.astuple(self.gel)
+            if gel not in clouds:
+                _, clouds[gel] = reconstruct_cloud(normal_image, self.gel, step=t)
+            cloud = clouds[gel]
 
         im2im = None
         if (self.mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH)
@@ -446,27 +435,16 @@ class Tracker:
                              final_optimizer=dataclasses.asdict(stats))
 
 
-# Episode -> the FrontEnd every mode tracking it shares, dropped with the
-# episode.
-_FRONT_ENDS = weakref.WeakKeyDictionary()
-
-
 def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> EpisodeResult:
     """Run the tracker over a generated episode and score it against the
     stored ground truth.
 
-    Every call on the same episode object shares one `FrontEnd`, so each
-    frame is reconstructed once per episode however many modes track it.
-    The episode is therefore read-only once tracked: a changed frame is not
-    seen again."""
+    Each frame is reconstructed once per episode however many modes track
+    it, since its cloud is kept with its normal image (see `Tracker`)."""
     config = config or TrackerConfig()
     shape = episode.shape if TrackerMode(mode) is TrackerMode.GROUNDTRUTH_PATCH else None
-    front_end = _FRONT_ENDS.get(episode)
-    if front_end is None:
-        front_end = _FRONT_ENDS[episode] = FrontEnd(episode.gel)
     tracker = Tracker(mode, config, episode.vision_prior,
-                      episode.frames[0].eff_measured, episode.gel, shape=shape,
-                      front_end=front_end)
+                      episode.frames[0].eff_measured, episode.gel, shape=shape)
     for frame in episode.frames:
         tracker.step(frame.normals, frame.eff_measured)
     return tracker.finalize([f.object_pose for f in episode.frames])

@@ -480,6 +480,9 @@ class TestOptimizerParams:
         pytest.param({"cost_tolerance": -1e-9}, id="overrides6"),
         pytest.param({"cost_tolerance": float("inf")}, id="inf"),
         pytest.param({"cost_tolerance": True}, id="bool"),
+        pytest.param({"max_iterations": 2.5}, id="float_iterations"),
+        pytest.param({"max_iterations": True}, id="bool_iterations"),
+        pytest.param({"max_iterations": None}, id="none_iterations"),
     ])
     def test_invalid_rejected(self, overrides):
         with pytest.raises(ValueError):

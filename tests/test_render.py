@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tactrack import geometry
+from tactrack import geometry, imageio
 from tactrack.episodes import (EpisodeGenerationError, NoiseSpec,
                                TrajectorySpec, _lowest_hit, find_contact_base,
                                generate_episode, load_episode, save_episode)
@@ -488,6 +488,27 @@ class TestEpisodes:
         assert len(loaded.frames) == len(ep.frames)
         np.testing.assert_allclose(loaded.vision_prior.matrix(),
                                    ep.vision_prior.matrix(), atol=1e-6)
+
+    @pytest.mark.parametrize("name, data", [
+        pytest.param("mask_0003.pgm", np.ones((32, 32), dtype=bool),
+                     id="small_mask"),
+        pytest.param("normals_0003.pfm", np.ones((64, 64)),
+                     id="one_channel_normals"),
+        pytest.param("normals_0003.pfm", np.ones((64, 32, 3)),
+                     id="narrow_normals"),
+        pytest.param("depth_0003.pfm", np.ones((64, 65)), id="wide_depth"),
+    ])
+    def test_load_rejects_a_misshapen_image(self, gel, tmp_path, name, data):
+        ep = generate_episode(Sphere(radius=6.35),
+                              TrajectorySpec(steps=4, indent=1.0, length=1.0),
+                              gel, NoiseSpec(), seed=5)
+        save_episode(ep, tmp_path)
+        if name.startswith("mask"):
+            imageio.write_pgm_mask(tmp_path / name, data)
+        else:
+            imageio.write_pfm(tmp_path / name, data)
+        with pytest.raises(ValueError, match=name):
+            load_episode(tmp_path)
 
     def test_contact_break_aborts(self, gel):
         # Sliding far off a small sphere loses contact for good.

@@ -132,12 +132,22 @@ class TestTrackerSetup:
         {"sigma_vel": [0.005, float("inf")]},
         {"optimizer": {"max_iterations": 2.5}},
         {"optimizer": {"max_iterations": True}},
+        {"optimizer": {"max_iterations": None}},
+        {"optimizer": None},
         {"optimizer": {"cost_tolerance": float("inf")}},
         {"optimizer": {"cost_tolerance": True}},
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(ConfigError):
             TrackerConfig.from_dict(overrides)
+
+    @pytest.mark.parametrize("optimizer", [
+        {"max_iterations": 20}, None, OptimizerParams])
+    def test_optimizer_must_be_params(self, optimizer):
+        # from_dict builds OptimizerParams from a mapping; the constructor
+        # takes no mapping in its place.
+        with pytest.raises(ConfigError, match="optimizer"):
+            TrackerConfig(optimizer=optimizer)
 
 
 class TestZeroNoiseRegressions:
@@ -626,10 +636,40 @@ def cube_episode():
                             seed=episode_seed(suite, index, 0))
 
 
+def _track_directly(episode, mode, frames=None, gel=None):
+    """Track `frames` (default: the episode's) with a Tracker built
+    directly, and finalize it against their true poses."""
+    frames = episode.frames if frames is None else frames
+    shape = episode.shape if mode is TrackerMode.GROUNDTRUTH_PATCH else None
+    tracker = Tracker(mode, TrackerConfig(), episode.vision_prior,
+                      frames[0].eff_measured, gel or episode.gel, shape=shape)
+    for frame in frames:
+        tracker.step(frame.normals, frame.eff_measured)
+    return tracker.finalize([f.object_pose for f in frames])
+
+
+def _count_reconstructions(monkeypatch):
+    """The steps of every reconstruction the tracker makes from now on."""
+    reconstruct, steps = tracker_module.reconstruct_cloud, []
+
+    def counted(normals, gel, step=-1):
+        steps.append(step)
+        return reconstruct(normals, gel, step=step)
+
+    monkeypatch.setattr(tracker_module, "reconstruct_cloud", counted)
+    return steps
+
+
+def _contact_steps(episode):
+    return [t for t, frame in enumerate(episode.frames, start=1)
+            if frame.normals.mask.any()
+            and not contact_touches_border(frame.normals.mask)]
+
+
 class TestFrontEnd:
-    """Every mode tracking one episode object shares its FrontEnd: each
-    frame is reconstructed once, with the results a tracker of its own
-    computes."""
+    """The per-frame front end: each frame's contact cloud is kept with its
+    normal image, so every tracker stepped over the same images shares it,
+    with the results a tracker over fresh images computes."""
 
     @staticmethod
     def _written(episode, mode, out_dir):
@@ -657,13 +697,8 @@ class TestFrontEnd:
             self, cube_episode, monkeypatch):
         episode = copy.deepcopy(cube_episode)
         episode.frames[4].normals.mask[:] = False   # frame 5 out of contact
-        reconstruct = tracker_module.reconstruct_cloud
         register = registration.icp_register
-        reconstructed, im2im = [], []
-
-        def counted_reconstruct(normals, gel, step=-1):
-            reconstructed.append(step)
-            return reconstruct(normals, gel, step=step)
+        reconstructed, im2im = _count_reconstructions(monkeypatch), []
 
         def counted_register(source, target, init):
             if target.frame == "sensor" and target.step == source.step - 1:
@@ -676,17 +711,13 @@ class TestFrontEnd:
             return solve(source, target, init)
 
         solve, solved = registration._solve, []
-        monkeypatch.setattr(tracker_module, "reconstruct_cloud",
-                            counted_reconstruct)
         monkeypatch.setattr(registration, "icp_register", counted_register)
         monkeypatch.setattr(registration, "_solve", counted_solve)
         warnings = []
         for mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH,
                      TrackerMode.GROUNDTRUTH_PATCH):
             warnings += track_episode(episode, mode).warnings
-        contact = [t for t, frame in enumerate(episode.frames, start=1)
-                   if frame.normals.mask.any()
-                   and not contact_touches_border(frame.normals.mask)]
+        contact = _contact_steps(episode)
         assert 5 not in contact and len(contact) == len(episode.frames) - 1
         assert reconstructed == contact
         # Each mode that registers image to image makes its own call, and
@@ -721,19 +752,11 @@ class TestFrontEnd:
 
     def test_direct_tracker_matches_track_episode(self, cube_episode):
         # The modes in turn on one episode, so that later ones read the
-        # front end earlier ones filled.
+        # clouds earlier ones made; the direct tracker steps other images.
         episode = copy.deepcopy(cube_episode)
         for mode in TrackerMode:
             shared = track_episode(episode, mode)
-            shape = (cube_episode.shape
-                     if mode is TrackerMode.GROUNDTRUTH_PATCH else None)
-            tracker = Tracker(mode, TrackerConfig(), cube_episode.vision_prior,
-                              cube_episode.frames[0].eff_measured,
-                              cube_episode.gel, shape=shape)
-            for frame in cube_episode.frames:
-                tracker.step(frame.normals, frame.eff_measured)
-            direct = tracker.finalize([f.object_pose
-                                       for f in cube_episode.frames])
+            direct = _track_directly(cube_episode, mode)
             for name in ("object_trajectory", "eff_trajectory",
                          "final_rotation_error", "final_translation_error",
                          "diagnostics", "warnings", "final_optimizer"):
@@ -744,28 +767,70 @@ class TestFrontEnd:
                     getattr(direct.patch.cloud, name),
                     getattr(shared.patch.cloud, name))
 
-    def test_direct_tracker_keeps_only_the_current_cloud(self, sphere_episode):
-        tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
-                          sphere_episode.vision_prior,
-                          sphere_episode.frames[0].eff_measured,
-                          sphere_episode.gel)
-        for _ in range(3):
-            for frame in sphere_episode.frames:
-                tracker.step(frame.normals, frame.eff_measured)
-                assert len(tracker.front_end.clouds) <= 1
-        assert tracker.t == 3 * len(sphere_episode.frames)
-        assert list(tracker.front_end.clouds) == [tracker.t]
+    def test_direct_tracker_reuses_the_clouds_of_track_episode(
+            self, cube_episode, monkeypatch):
+        episode = copy.deepcopy(cube_episode)
+        reconstructed = _count_reconstructions(monkeypatch)
+        shared = track_episode(episode, TrackerMode.PATCH_GRAPH)
+        assert reconstructed == _contact_steps(episode)
+        reconstructed.clear()
+        direct = _track_directly(episode, TrackerMode.PATCH_GRAPH)
+        assert reconstructed == []
+        assert direct.diagnostics == shared.diagnostics
+        assert direct.object_trajectory == shared.object_trajectory
+
+    def test_other_gel_reconstructs_its_own_clouds(self, cube_episode,
+                                                   monkeypatch):
+        episode = copy.deepcopy(cube_episode)
+        track_episode(episode, TrackerMode.IMAGE_TO_IMAGE)
+        reconstructed = _count_reconstructions(monkeypatch)
+        wider = dataclasses.replace(episode.gel,
+                                    extent_x=1.1 * episode.gel.extent_x)
+        _track_directly(episode, TrackerMode.IMAGE_TO_IMAGE, gel=wider)
+        contact = _contact_steps(episode)
+        assert reconstructed == contact
+        image = episode.frames[contact[0] - 1].normals
+        clouds = tracker_module._CLOUDS[image]
+        assert set(clouds) == {dataclasses.astuple(episode.gel),
+                               dataclasses.astuple(wider)}
+        narrow, wide = clouds.values()
+        assert not np.array_equal(narrow.points, wide.points)
+        # Both gels' clouds are kept: neither tracks its images again.
+        reconstructed.clear()
+        track_episode(episode, TrackerMode.IMAGE_TO_IMAGE)
+        _track_directly(episode, TrackerMode.IMAGE_TO_IMAGE, gel=wider)
+        assert reconstructed == []
+
+    def test_deep_copy_reconstructs_afresh(self, cube_episode, monkeypatch):
+        tracked = copy.deepcopy(cube_episode)
+        before = track_episode(tracked, TrackerMode.IMAGE_TO_IMAGE)
+        added = [d["step"] for d in before.diagnostics
+                 if (d["icp_im2im"] or {}).get("fate") == "added"]
+        t = added[0]
+        episode = copy.deepcopy(tracked)
+        normals = episode.frames[t - 1].normals
+        normals.values[normals.mask, :2] *= 1.2   # steeper contact
+        reconstructed = _count_reconstructions(monkeypatch)
+        after = track_episode(episode, TrackerMode.IMAGE_TO_IMAGE)
+        assert reconstructed == _contact_steps(episode)
+        changed = [d["step"] for d, e in zip(before.diagnostics,
+                                            after.diagnostics)
+                   if d["icp_im2im"] != e["icp_im2im"]]
+        assert changed[0] == t
 
     def test_direct_tracker_frees_earlier_clouds(self, sphere_episode):
-        # Each cloud's registration memo refers to its im2im target, the
-        # previous cloud, only weakly, so no chain of clouds builds up.
+        # Streaming fresh images, a tracker keeps only the current cloud
+        # alive: each cloud's registration memo refers to its im2im
+        # target, the previous cloud, only weakly, and the previous image
+        # and so its clouds are gone.
         tracker = Tracker(TrackerMode.IMAGE_TO_IMAGE, TrackerConfig(),
                           sphere_episode.vision_prior,
                           sphere_episode.frames[0].eff_measured,
                           sphere_episode.gel)
         clouds = []
         for frame in sphere_episode.frames:
-            tracker.step(frame.normals, frame.eff_measured)
+            image = copy.deepcopy(frame.normals)
+            tracker.step(image, frame.eff_measured)
             clouds.append(weakref.ref(tracker.prev_cloud))
             assert [ref() is not None for ref in clouds] \
                 == [False] * (len(clouds) - 1) + [True]
@@ -774,7 +839,7 @@ class TestFrontEnd:
 
     def test_gtpatch_target_dies_with_its_run(self, cube_episode,
                                               monkeypatch):
-        # The episode's clouds keep their registrations against the sampled
+        # The images' clouds keep their registrations against the sampled
         # true shape, but not the shape's samples.
         sample, targets = tracker_module._sample_sdf_surface, []
 
@@ -787,7 +852,8 @@ class TestFrontEnd:
         episode = copy.deepcopy(cube_episode)
         track_episode(episode, TrackerMode.GROUNDTRUTH_PATCH)
         assert len(targets) == 1 and targets[0]() is None
-        memos = [entry for cloud in
-                 tracker_module._FRONT_ENDS[episode].clouds.values()
+        memos = [entry for frame in episode.frames
+                 for cloud in tracker_module._CLOUDS.get(frame.normals,
+                                                         {}).values()
                  for entry in cloud.registrations.values()]
         assert memos and all(ref() is None for ref, _ in memos)
