@@ -3,10 +3,12 @@ the factor graph, with fitness and degeneracy diagnostics."""
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import geometry
 from .geometry import Pose
@@ -63,37 +65,83 @@ class ICPResult:
 def point_to_plane_step(src_pts, tgt_pts, tgt_normals):
     """One linearized point-to-plane solve over matched point pairs.
 
-    Returns (update twist [w, v], condition number of the 6x6 normal
-    matrix, predicted relative reduction).  The last is the share of the
+    Each pair (p, q, n) gives the row ``[p x n, n]`` of A and the entry
+    ``n . (q - p)`` of b, the residual of the twist [w, v] being
+    ``n . (p + w x p + v - q)`` linearized.  One product of the m-row
+    matrix [A, b] with itself gives AᵀA, Aᵀb and ||b||^2.
+
+    Returns (update twist [w, v], condition number of AᵀA, predicted
+    relative reduction).  The condition number is λmax/λmin of AᵀA's
+    eigenvalues (LAPACK ``dsyev``), and the twist solves AᵀA δ = Aᵀb by
+    Cholesky (``dposv``).  The predicted reduction is the share of the
     squared point-to-plane residual ||b||^2 that the linearized model says
-    the step removes: ||A delta||^2 / ||b||^2, which for the Gauss-Newton
-    solution equals delta . A^T b / ||b||^2 and lies in [0, 1]; it is 0 when
-    every residual is already 0.  Raises InsufficientOverlapError for fewer
-    than 6 pairs and DegenerateGeometryError when the condition number is
-    above 1e8 (e.g. a flat patch sliding in-plane).
+    the step removes: ||A δ||^2 / ||b||^2, which for the Gauss-Newton
+    solution equals δ . Aᵀb / ||b||^2 and lies in [0, 1]; it is 0 when
+    every residual is already 0.
+
+    Raises InsufficientOverlapError for fewer than 6 pairs, and
+    DegenerateGeometryError (e.g. a flat patch sliding in-plane) when
+    λmin <= 0, when the condition number is not finite or above
+    CONDITION_LIMIT, or when the Cholesky factorization fails; the error
+    carries the condition number, infinite when λmin <= 0.
     """
     if len(src_pts) < 6:
         raise InsufficientOverlapError(len(src_pts), 6)
-    # Rows of the linearized system for twist [w, v]:
-    # residual n . (p + w x p + v - q).  The columns p x n are written out
-    # with the same arithmetic as np.cross.
-    p, n = src_pts, tgt_normals
-    a = np.empty((len(p), 6))
-    a[:, 0] = p[:, 1] * n[:, 2] - p[:, 2] * n[:, 1]
-    a[:, 1] = p[:, 2] * n[:, 0] - p[:, 0] * n[:, 2]
-    a[:, 2] = p[:, 0] * n[:, 1] - p[:, 1] * n[:, 0]
-    a[:, 3:] = n
-    b = np.einsum("ij,ij->i", n, tgt_pts - p)
-    ata = a.T @ a
-    # The 2-norm condition number, as np.linalg.cond computes it.
-    s = np.linalg.svd(ata, compute_uv=False)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    # [A, b] is stored transposed, one contiguous row per column; the
+    # columns p x n are written out with the same arithmetic as np.cross.
+    p, n = src_pts.T, tgt_normals.T
+    system = np.empty((7, len(src_pts)))
+    system[0] = p[1] * n[2] - p[2] * n[1]
+    system[1] = p[2] * n[0] - p[0] * n[2]
+    system[2] = p[0] * n[1] - p[1] * n[0]
+    system[3:6] = n
+    system[6] = np.einsum("ij,ij->i", tgt_normals, tgt_pts - src_pts)
+    normal = system @ system.T
+    ata = normal[:6, :6]
+    eigenvalues, _, info = lapack.dsyev(ata, compute_v=0)
+    lowest, highest = float(eigenvalues[0]), float(eigenvalues[-1])
+    cond = highest / lowest if info == 0 and lowest > 0 else math.inf
+    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateGeometryError(cond)
-    atb = a.T @ b
-    delta = np.linalg.solve(ata, atb)
-    total = b @ b
-    return delta, cond, float(delta @ atb / total) if total > 0 else 0.0
+    _, delta, info = lapack.dposv(ata, normal[:6, 6:])
+    if info != 0:
+        raise DegenerateGeometryError(cond)
+    delta = delta[:, 0]
+    total = float(normal[6, 6])
+    reduction = float(delta @ normal[:6, 6]) / total if total > 0 else 0.0
+    return delta, cond, reduction
+
+
+def _increment(twist):
+    """(R, V v) of exp([w, v]) for a twist given as six Python floats.
+
+    The same closed form as `geometry.exp`, with its Taylor series below
+    the same angle, but on scalars: an ICP iteration applies one small
+    twist, where geometry.exp's array calls cost more than the arithmetic.
+    R is not reorthonormalized; `_solve` does that once, at the end.
+    """
+    wx, wy, wz, vx, vy, vz = twist
+    xx, yy, zz = wx * wx, wy * wy, wz * wz
+    t2 = xx + yy + zz
+    theta = math.sqrt(t2)
+    if theta < geometry._SERIES_ANGLE:
+        a, b, c = (geometry._poly(theta, series) for series, _ in
+                   (geometry._SIN_T, geometry._COS_T2, geometry._SIN_T3))
+    else:
+        sin, cos = math.sin(theta), math.cos(theta)
+        a, b, c = sin / theta, (1.0 - cos) / t2, (theta - sin) / (t2 * theta)
+    # R = I + a [w]x + b [w]x^2, with [w]x^2 = w wᵀ - theta^2 I.
+    xy, xz, yz = b * wx * wy, b * wx * wz, b * wy * wz
+    ax, ay, az = a * wx, a * wy, a * wz
+    rot = np.array([[1.0 - b * (yy + zz), xy - az, xz + ay],
+                    [xy + az, 1.0 - b * (xx + zz), yz - ax],
+                    [xz - ay, yz + ax, 1.0 - b * (xx + yy)]])
+    # V v = v + b (w x v) + c (w x (w x v)).
+    ux, uy, uz = wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx
+    sx, sy, sz = wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux
+    trans = np.array([vx + b * ux + c * sx, vy + b * uy + c * sy,
+                      vz + b * uz + c * sz])
+    return rot, trans
 
 
 def _point_rmse(src, tgt):
@@ -154,26 +202,29 @@ def _solve(source: PointCloud, target: PointCloud, init: Pose) -> ICPResult:
         raise InsufficientOverlapError(min(len(source), len(target)),
                                        MIN_CORRESPONDENCES)
     tree, target_rows = target.search
-    transform = init
+    rot, trans = init.rotation, init.translation
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        moved = transform.transform_points(source.points)
+        moved = source.points @ rot.T + trans
         dists, idx = tree.query(moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
         keep = np.isfinite(dists)
-        count = int(keep.sum())
+        count = int(np.count_nonzero(keep))
         if count < MIN_CORRESPONDENCES:
             raise InsufficientOverlapError(count, MIN_CORRESPONDENCES)
         if count == len(moved):   # the usual case: every point matched
-            src, matched = moved, target_rows[idx]
+            src, matched = moved, target_rows.take(idx, axis=0)
         else:
-            src, matched = moved[keep], target_rows[idx[keep]]
+            src, matched = moved[keep], target_rows.take(idx[keep], axis=0)
         delta, cond, reduction = point_to_plane_step(src, matched[:, :3],
                                                      matched[:, 3:])
-        transform = geometry.compose(geometry.exp(delta), transform)
-        if (np.linalg.norm(delta) < CONVERGENCE_THRESHOLD
+        twist = delta.tolist()
+        step_rot, step_trans = _increment(twist)
+        rot, trans = step_rot @ rot, step_rot @ trans + step_trans
+        if (math.hypot(*twist) < CONVERGENCE_THRESHOLD
                 or reduction <= MIN_PREDICTED_REDUCTION):
             converged = True
             break
+    transform = Pose(geometry._reorthonormalize(rot), trans)
     # Score the returned transform on the last iteration's matches.
     moved = transform.transform_points(source.points[keep])
     return ICPResult(transform=transform, converged=converged,

@@ -1,19 +1,26 @@
 """Point-to-plane ICP: single steps, full registration, the per-cloud memo."""
 
+import json
+import math
 import traceback
 
 import numpy as np
 import pytest
 
-from tactrack import geometry
+from tactrack import geometry, registration
+from tactrack.episodes import generate_episode
 from tactrack.geometry import Pose
-from tactrack.reconstruct import PointCloud
-from tactrack.registration import (CONVERGENCE_THRESHOLD,
+from tactrack.harness import default_suite_config, episode_seed
+from tactrack.reconstruct import PointCloud, reconstruct_cloud
+from tactrack.registration import (CONDITION_LIMIT, CONVERGENCE_THRESHOLD,
                                    MAX_CORRESPONDENCE_DISTANCE,
-                                   MAX_ITERATIONS, MIN_PREDICTED_REDUCTION,
+                                   MAX_ITERATIONS, MIN_CORRESPONDENCES,
+                                   MIN_PREDICTED_REDUCTION,
                                    DegenerateGeometryError,
                                    InsufficientOverlapError, icp_register,
                                    point_to_plane_step)
+from tactrack.shapes import shape_from_descriptor
+from tactrack.tracker import GATE_IM2IM, Tracker, TrackerConfig, TrackerMode
 
 from .conftest import plane_cloud, random_pose, sphere_cap_cloud
 
@@ -65,12 +72,25 @@ class TestPointToPlaneStep:
                                 cloud.normals[:4])
 
 
-def _reference_system(src_pts, tgt_pts, tgt_normals):
-    """The normal equations of point_to_plane_step as first written, with
-    np.cross and np.hstack; it solved them and took np.linalg.cond."""
+def _reference_step(src_pts, tgt_pts, tgt_normals):
+    """point_to_plane_step as first written: np.cross and np.hstack build
+    the system, np.linalg.cond gives its condition number and
+    np.linalg.solve its twist."""
     a = np.hstack([np.cross(src_pts, tgt_normals), tgt_normals])
     b = np.einsum("ij,ij->i", tgt_normals, tgt_pts - src_pts)
-    return a.T @ a, a.T @ b
+    ata, atb = a.T @ a, a.T @ b
+    cond = float(np.linalg.cond(ata))
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise DegenerateGeometryError(cond)
+    delta = np.linalg.solve(ata, atb)
+    total = b @ b
+    return delta, cond, float(delta @ atb / total) if total > 0 else 0.0
+
+
+def _relative(value, reference):
+    """Distance of `value` from `reference` over the reference's norm."""
+    return (np.linalg.norm(np.subtract(value, reference))
+            / np.linalg.norm(reference))
 
 
 def _random_match(rng, n):
@@ -86,31 +106,118 @@ def _cap_match(rng, n):
     return cap.points, shift.transform_points(cap.points), cap.normals
 
 
+# Bounds on the lean step and loop against the np.linalg reference: the
+# twist and transform (norm of the difference over the reference's norm),
+# the condition number (relative), and the increment against geometry.exp
+# (absolute on R, relative to |v| on V v).
+TWIST_RTOL = 1e-12
+COND_RTOL = 1e-9
+INCREMENT_TOL = 1e-15
+
+
 class TestStepMatchesReference:
-    """The column-by-column system gives the bits of the np.cross one, on
-    contiguous inputs and on the strided views icp_register passes."""
+    """The LAPACK step against the np.linalg one."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("make, n", [(_random_match, 7), (_random_match, 500),
                                          (_cap_match, 60), (_cap_match, 400)])
     def test_same_bits(self, make, n, seed):
+        # The same bits on contiguous inputs and on the strided views
+        # icp_register passes, within the bounds of the reference.
         src, tgt, nrm = make(np.random.default_rng(seed), n)
-        ata, atb = _reference_system(src, tgt, nrm)
-        expected = np.linalg.solve(ata, atb)
-        expected_cond = float(np.linalg.cond(ata))
+        expected, expected_cond, _ = _reference_step(src, tgt, nrm)
         stacked = np.hstack([tgt, nrm])
-        for args in ((src, tgt, nrm), (src, stacked[:, :3], stacked[:, 3:])):
-            twist, cond, _ = point_to_plane_step(*args)
-            np.testing.assert_array_equal(twist, expected)
-            assert cond == expected_cond
+        twist, cond, reduction = point_to_plane_step(src, tgt, nrm)
+        assert _relative(twist, expected) <= TWIST_RTOL
+        assert abs(cond - expected_cond) <= COND_RTOL * expected_cond
+        strided = point_to_plane_step(src, stacked[:, :3], stacked[:, 3:])
+        np.testing.assert_array_equal(strided[0], twist)
+        assert strided[1:] == (cond, reduction)
 
     def test_plane_still_degenerate(self):
         plane = plane_cloud(n=200)
         shifted = plane.points + np.array([0.3, 0, 0.1])
-        ata, _ = _reference_system(plane.points, shifted, plane.normals)
+        with pytest.raises(DegenerateGeometryError) as expected:
+            _reference_step(plane.points, shifted, plane.normals)
         with pytest.raises(DegenerateGeometryError) as err:
             point_to_plane_step(plane.points, shifted, plane.normals)
-        assert err.value.condition_number == float(np.linalg.cond(ata))
+        assert err.value.condition_number == expected.value.condition_number
+
+    @pytest.mark.parametrize("direction, normal", [
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        ((1.0, 2.0, 3.0), (-2.0, 1.0, 0.3))])
+    def test_rank_deficient_system(self, direction, normal):
+        # Collinear points with one normal span two of the six columns of
+        # A, so AᵀA has rank 2: its smallest eigenvalue is 0 up to rounding.
+        src, nrm = _line(direction, normal)
+        with pytest.raises(DegenerateGeometryError) as err:
+            point_to_plane_step(src, src + 0.1 * nrm, nrm)
+        cond = err.value.condition_number
+        assert not np.isfinite(cond) or cond > CONDITION_LIMIT
+
+    def test_rank_deficient_registration_recorded_as_null(self, gel):
+        # The tracker records the infinite condition number as null.
+        line = PointCloud(*_line((1.0, 2.0, 3.0), (-2.0, 1.0, 0.3)))
+        tracker = Tracker(TrackerMode.IMAGE_TO_IMAGE, TrackerConfig(),
+                          Pose.identity(), Pose.identity(), gel)
+        diag = {}
+        assert tracker._register("im2im", line, line, Pose.identity(),
+                                 GATE_IM2IM, diag) is None
+        assert json.dumps(diag["icp_im2im"]) == (
+            '{"fate": "degenerate", "condition_number": null}')
+
+    def test_failed_factorization_is_degenerate(self, monkeypatch):
+        # A Cholesky failure (LAPACK info > 0) is reported like any other
+        # degenerate system, never as a LinAlgError.
+        def failed(a, b):
+            return a, b, 1
+
+        monkeypatch.setattr(registration.lapack, "dposv", failed)
+        src, tgt, nrm = _cap_match(np.random.default_rng(0), 60)
+        with pytest.raises(DegenerateGeometryError) as err:
+            point_to_plane_step(src, tgt, nrm)
+        assert np.isfinite(err.value.condition_number)
+
+
+def _line(direction, normal, n=50):
+    """`n` points on a line through (1, -2, 0.5) with one shared normal:
+    (points, normals)."""
+    direction = np.asarray(direction) / np.linalg.norm(direction)
+    normal = np.asarray(normal) / np.linalg.norm(normal)
+    points = (np.array([1.0, -2.0, 0.5])
+              + np.linspace(-3.0, 3.0, n)[:, None] * direction)
+    return points, np.tile(normal, (n, 1))
+
+
+class TestIncrement:
+    """ICP's scalar SE(3) increment against geometry.exp."""
+
+    @pytest.mark.parametrize("angle", [
+        0.0, 1e-9, 1e-4,                    # the series branch
+        1e-2 * (1 - 1e-9), 1e-2 * (1 + 1e-9),   # either side of its switch
+        0.3, np.pi / 2 - 1e-6, np.pi / 2, np.pi / 2 + 1e-6])
+    def test_matches_exp(self, angle):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            twist = np.concatenate([angle * axis / np.linalg.norm(axis),
+                                    rng.uniform(-5.0, 5.0, 3)])
+            rot, trans = registration._increment(twist.tolist())
+            expected = geometry.exp(twist)
+            assert np.abs(rot - expected.rotation).max() <= INCREMENT_TOL
+            assert (np.abs(trans - expected.translation).max()
+                    <= INCREMENT_TOL * np.linalg.norm(twist[3:]))
+
+    def test_orthonormal_after_max_iterations(self, monkeypatch):
+        # With both stop tests off, a noisy fit applies MAX_ITERATIONS
+        # increments before the one reorthonormalization.
+        monkeypatch.setattr(registration, "CONVERGENCE_THRESHOLD", 0.0)
+        monkeypatch.setattr(registration, "MIN_PREDICTED_REDUCTION", -1.0)
+        src, tgt, _ = _cap_rotated_about_centre(noise=0.01)
+        result = icp_register(src, tgt, Pose.identity())
+        assert result.iterations == MAX_ITERATIONS and not result.converged
+        rot = result.transform.rotation
+        assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-12
 
 
 def _cap_rotated_about_centre(noise, angle=0.05, radius=6.35, indent=1.0):
@@ -283,11 +390,14 @@ class TestIcpRegister:
                           "condition_number", "predicted_reduction"}
 
 
-def _reference_icp(source, target, init):
-    """icp_register's loop as first written, which gathers every
-    iteration's matches through the finite-distance mask, with both stop
-    tests and the fitness of the returned transform over the last matches,
-    as a tuple of the ICPResult fields."""
+def _masked_icp(source, target, init, lean):
+    """icp_register's loop gathering every iteration's matches through the
+    finite-distance mask, with its overlap check, both stop tests and the
+    fitness of the returned transform over the last matches, as a tuple of
+    the ICPResult fields.  With `lean` False it is the loop as first
+    written: the np.linalg step (_reference_step), each step applied as
+    compose(exp(delta), T) and the twist norm taken by np.linalg.norm.
+    With `lean` True it applies steps as `icp_register` does."""
     tree, rows = target.search
     transform = init
     converged = False
@@ -296,22 +406,50 @@ def _reference_icp(source, target, init):
         dists, idx = tree.query(
             moved, distance_upper_bound=MAX_CORRESPONDENCE_DISTANCE)
         keep = np.isfinite(dists)
+        if keep.sum() < MIN_CORRESPONDENCES:
+            raise InsufficientOverlapError(int(keep.sum()),
+                                           MIN_CORRESPONDENCES)
         matched = rows[idx[keep]]
-        delta, cond, reduction = point_to_plane_step(
-            moved[keep], matched[:, :3], matched[:, 3:])
-        transform = geometry.compose(geometry.exp(delta), transform)
-        if (np.linalg.norm(delta) < CONVERGENCE_THRESHOLD
+        step = point_to_plane_step if lean else _reference_step
+        delta, cond, reduction = step(moved[keep], matched[:, :3],
+                                      matched[:, 3:])
+        if lean:
+            rot, trans = registration._increment(delta.tolist())
+            transform = Pose(rot @ transform.rotation,
+                             rot @ transform.translation + trans)
+            norm = math.hypot(*delta)
+        else:
+            transform = geometry.compose(geometry.exp(delta), transform)
+            norm = np.linalg.norm(delta)
+        if (norm < CONVERGENCE_THRESHOLD
                 or reduction <= MIN_PREDICTED_REDUCTION):
             converged = True
             break
+    if lean:
+        transform = Pose(geometry._reorthonormalize(transform.rotation),
+                         transform.translation)
     moved = transform.transform_points(source.points[keep])
     rmse = np.sqrt(np.mean(np.sum((moved - matched[:, :3]) ** 2, axis=1)))
     return (transform, converged, iterations, float(rmse), int(keep.sum()),
             cond, reduction)
 
 
+def _assert_near_reference(result, reference):
+    """`result` against _masked_icp's tuple as first written: the same
+    iterations, stop and matches; the transform within TWIST_RTOL, the
+    condition number within COND_RTOL."""
+    transform, converged, iterations, _, count, cond, _ = reference
+    assert (result.converged, result.iterations,
+            result.correspondence_count) == (converged, iterations, count)
+    for array in ("rotation", "translation"):
+        assert _relative(getattr(result.transform, array),
+                         getattr(transform, array)) <= TWIST_RTOL
+    assert abs(result.condition_number - cond) <= COND_RTOL * cond
+
+
 class TestIcpMatchesReference:
-    def test_same_bits_with_and_without_unmatched_points(self):
+    @staticmethod
+    def _partly_unmatched():
         # Started 6.2 mm off along the cap's axis and 3 mm across it, part
         # of the source lies beyond the correspondence distance until the
         # first step pulls it in; later iterations match every point.
@@ -320,12 +458,16 @@ class TestIcpMatchesReference:
                                                      0.2, -0.1, 0.3])),
                               frame="sensor")
         init = geometry.exp(np.array([0.0, 0.0, 0.0, 3.0, 0.0, 6.2]))
+        return src, tgt, init
+
+    def test_same_bits_with_and_without_unmatched_points(self):
+        src, tgt, init = self._partly_unmatched()
         recorded = _recorded(tgt)
         result = icp_register(src, recorded, init)
         unmatched = [int(np.isinf(dists).sum())
                      for _, dists, _ in recorded.search[0].queries]
         assert unmatched[0] > 0 and 0 in unmatched
-        transform, *fields = _reference_icp(src, tgt, init)
+        transform, *fields = _masked_icp(src, tgt, init, lean=True)
         np.testing.assert_array_equal(result.transform.rotation,
                                       transform.rotation)
         np.testing.assert_array_equal(result.transform.translation,
@@ -333,6 +475,46 @@ class TestIcpMatchesReference:
         assert [result.converged, result.iterations, result.inlier_rmse,
                 result.correspondence_count, result.condition_number,
                 result.predicted_reduction] == fields
+
+    def test_near_first_written_loop(self):
+        src, tgt, init = self._partly_unmatched()
+        _assert_near_reference(icp_register(src, tgt, init),
+                               _masked_icp(src, tgt, init, lean=False))
+
+    @pytest.mark.parametrize("name", ["sphere", "cube", "pyramid"])
+    def test_episode_im2im_pairs_keep_their_fates(self, name):
+        # Every consecutive pair of contact clouds of the default suite's
+        # first episode, started at the measured end-effector motion as
+        # the tracker's im2im call is: the same fate, and for a solved
+        # registration the same iterations, stop and matches, as the loop
+        # as first written.
+        suite = default_suite_config()
+        index = [o.name for o in suite.objects].index(name)
+        episode = generate_episode(
+            shape_from_descriptor(suite.objects[index].shape),
+            suite.trajectories[0], suite.gel, suite.noise,
+            seed=episode_seed(suite, index, 0))
+        frames = [(reconstruct_cloud(f.normals, suite.gel)[1], f.eff_measured)
+                  for f in episode.frames if f.normals.mask.any()]
+        fates = set()
+        for (target, before), (source, after) in zip(frames, frames[1:]):
+            init = geometry.compose(geometry.inverse(before), after)
+            outcomes = []
+            for solve in (icp_register,
+                          lambda *args: _masked_icp(*args, lean=False)):
+                try:
+                    outcomes.append(solve(source, target, init))
+                except (DegenerateGeometryError,
+                        InsufficientOverlapError) as err:
+                    outcomes.append(type(err))
+            result, reference = outcomes
+            if isinstance(reference, tuple):
+                _assert_near_reference(result, reference)
+                fates.add("solved")
+            else:
+                assert result is reference
+                fates.add(reference.__name__)
+        assert "solved" in fates
 
 
 class TestIcpMemo:
