@@ -48,12 +48,14 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.kind not in ("linear", "arc", "rotation", "composite"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.steps < 3:
-            raise ValueError(f"trajectory steps must be >= 3, got {self.steps!r}")
+        if type(self.steps) is not int or self.steps < 3:
+            raise ValueError(f"trajectory steps must be an int >= 3, "
+                             f"got {self.steps!r}")
 
         def check(name, holds, requirement):
             value = getattr(self, name)
-            if not (math.isfinite(value) and holds(value)):
+            if isinstance(value, bool) or not (math.isfinite(value)
+                                               and holds(value)):
                 raise ValueError(f"trajectory {name} must be {requirement}, "
                                  f"got {value!r}")
 
@@ -80,7 +82,8 @@ class NoiseSpec:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0):
+            if isinstance(value, bool) or not (math.isfinite(value)
+                                               and value >= 0):
                 raise ValueError(f"noise {f.name} must be finite and >= 0, "
                                  f"got {value!r}")
 

@@ -212,7 +212,8 @@ class Im2ImFactor(Factor):
 @dataclass
 class Im2PatchFactor(Factor):
     """Factor tying the object-from-sensor transform to ICP registration
-    against the local patch map (or a known object model)."""
+    against the known object model: gtpatch's registration against
+    surface samples of the true shape."""
 
     t: int
     measured: Pose  # object-from-sensor

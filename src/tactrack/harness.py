@@ -54,11 +54,11 @@ class SuiteConfig:
     tracker: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.episodes_per_object < 1:
-            raise ConfigError("episodes_per_object must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, "
-                              f"got {self.master_seed}")
+        for name, least in (("episodes_per_object", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an int >= {least}, "
+                                  f"got {value!r}")
         if not self.trajectories:
             self.trajectories = [TrajectorySpec()]
         names = [obj.name for obj in self.objects]
@@ -214,7 +214,6 @@ def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
         "final_rotation_error_rad": result.final_rotation_error,
         "final_translation_error_mm": result.final_translation_error,
         "final_rel_translation_error_mm": relative_motion_error(trajectory),
-        "warnings": result.warnings,
         "diagnostics": result.diagnostics,
         "final_optimizer": result.final_optimizer,
     }
@@ -228,24 +227,6 @@ def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
         imageio.write_ply(os.path.join(out_dir, "patch.ply"),
                           result.patch.cloud.points, result.patch.cloud.normals)
     return metrics
-
-
-@dataclass
-class SuiteReport:
-    config_hash: str
-    episodes_per_object: int
-    results: dict   # object -> mode -> record
-
-    def to_dict(self):
-        return {"config_hash": self.config_hash,
-                "episodes_per_object": self.episodes_per_object,
-                "results": self.results}
-
-    def median_translation(self, object_name: str, mode: str) -> float:
-        return self.results[object_name][mode]["translation_stats"]["median"]
-
-    def median_rotation(self, object_name: str, mode: str) -> float:
-        return self.results[object_name][mode]["rotation_stats"]["median"]
 
 
 def _registration_fates(entries) -> dict:
@@ -263,7 +244,8 @@ def _registration_fates(entries) -> dict:
     return fates
 
 
-def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> SuiteReport:
+def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> dict:
+    """The suite report, as `report.json` holds it."""
     results = {}
     for obj, by_mode in records.items():
         results[obj] = {}
@@ -281,15 +263,16 @@ def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> Sui
                         err for err in errors if err is not None)
             record["registration_fates"] = _registration_fates(entries)
             results[obj][mode] = record
-    return SuiteReport(config_hash=config_hash,
-                       episodes_per_object=episodes_per_object, results=results)
+    return {"config_hash": config_hash,
+            "episodes_per_object": episodes_per_object, "results": results}
 
 
-def run_suite(config: SuiteConfig, out_dir) -> SuiteReport:
+def run_suite(config: SuiteConfig, out_dir) -> dict:
     """Generate episodes, run every requested mode on each one, aggregate.
 
-    Per-episode failures are recorded and the suite continues; the report is
-    deterministic for a fixed master seed.
+    Per-episode failures are recorded and the suite continues.  Returns the
+    report that `report.json` holds, which is deterministic for a fixed
+    master seed.
     """
     episode_dirs = generate_suite_episodes(config, os.path.join(out_dir, "episodes"))
     os.makedirs(out_dir, exist_ok=True)
@@ -323,9 +306,9 @@ def run_suite(config: SuiteConfig, out_dir) -> SuiteReport:
     return report
 
 
-def write_report(report: SuiteReport, json_path, csv_path=None) -> None:
+def write_report(report: dict, json_path, csv_path=None) -> None:
     with open(json_path, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
+        json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
     if csv_path is None:
         return
@@ -333,9 +316,10 @@ def write_report(report: SuiteReport, json_path, csv_path=None) -> None:
         writer = csv.writer(f)
         writer.writerow(["object", "mode", "episode",
                          "rotation_error_rad", "translation_error_mm"])
-        for obj in sorted(report.results):
-            for mode in sorted(report.results[obj]):
-                rec = report.results[obj][mode]
+        results = report["results"]
+        for obj in sorted(results):
+            for mode in sorted(results[obj]):
+                rec = results[obj][mode]
                 for ei, (r, t) in enumerate(zip(rec["rotation_errors"],
                                                 rec["translation_errors"])):
                     writer.writerow([obj, mode, ei,
@@ -369,7 +353,7 @@ def collect_runs(runs_dir) -> dict:
     return records
 
 
-def evaluate_runs(runs_dir, json_path, csv_path=None) -> SuiteReport:
+def evaluate_runs(runs_dir, json_path, csv_path=None) -> dict:
     records = collect_runs(runs_dir)
     if not records:
         raise ConfigError(f"no metrics found under {runs_dir}")

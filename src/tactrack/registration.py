@@ -197,10 +197,9 @@ def icp_register(source: PointCloud, target: PointCloud,
 
 
 def _solve(source: PointCloud, target: PointCloud, init: Pose) -> ICPResult:
-    """`icp_register`'s solve, without its memo."""
-    if len(source) == 0 or len(target) == 0:
-        raise InsufficientOverlapError(min(len(source), len(target)),
-                                       MIN_CORRESPONDENCES)
+    """`icp_register`'s solve, without its memo.  An empty source or
+    target matches nothing, so its first iteration raises
+    InsufficientOverlapError."""
     tree, target_rows = target.search
     rot, trans = init.rotation, init.translation
     converged = False

@@ -32,13 +32,15 @@ class GelConfig:
     max_indent: float = 1.5
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image resolution must be strictly positive")
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.extent_x, self.extent_y)):
-            raise ValueError("gel extent must be finite and > 0")
-        if not (math.isfinite(self.max_indent) and self.max_indent > 0):
-            raise ValueError("gel max_indent must be finite and > 0")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"gel {name} must be an int > 0, got {value!r}")
+        for name in ("extent_x", "extent_y", "max_indent"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"gel {name} must be finite and > 0, "
+                                 f"got {value!r}")
 
     @property
     def pitch_x(self) -> float:
@@ -63,7 +65,7 @@ class DepthImage:
     mask: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class NormalImage:
     """Per-pixel unit normals (H, W, 3) plus contact mask; (0, 0, 1) away
     from the contact region.
@@ -71,7 +73,9 @@ class NormalImage:
     Images compare and hash by identity, because `tracker` keeps the
     contact cloud reconstructed from an image keyed by the object.  An
     image is therefore read-only once tracked, as a `PointCloud`'s arrays
-    are once made: a change made afterwards is not seen."""
+    are once made: its fields cannot be rebound, and the tracker makes
+    both arrays read-only when it keeps the image's cloud.  A deep copy is
+    writable again, and a new image to the tracker."""
 
     values: np.ndarray
     mask: np.ndarray
@@ -130,7 +134,6 @@ def render_depth(shape: ShapeSDF, object_pose: Pose, sensor_pose: Pose,
         shape, object_from_sensor, xs, ys, z_start,
         z_range=gel.max_indent + margin, tol=1e-5)
     depth = np.where(hit, np.clip(-z_surf, 0.0, gel.max_indent), 0.0)
-    depth = np.nan_to_num(depth, nan=0.0)
     mask = depth > 0.0
     depth[~mask] = 0.0
     return DepthImage(values=depth, mask=mask)
@@ -166,8 +169,7 @@ def perturb_normals(normals: NormalImage, sigma: float, seed: int) -> NormalImag
         return normals
     rng = np.random.default_rng(seed)
     out = normals.values.copy()
-    idx = np.argwhere(normals.mask)
-    if len(idx) == 0:
+    if not normals.mask.any():
         return NormalImage(out, normals.mask.copy())
     n = out[normals.mask]  # (N, 3)
     angles = np.abs(rng.normal(0.0, sigma, size=len(n)))

@@ -101,9 +101,9 @@ def _is_positive_number(value) -> bool:
 
 def from_mapping(cls, data):
     """Build dataclass `cls` from a mapping of its fields, as read from YAML:
-    dataclass and `list[Dataclass]` fields from nested mappings, tuples from
-    lists, and `int` fields only from ints (not floats or bools).  ConfigError
-    for an unknown key at any level or a bad value."""
+    dataclass and `list[Dataclass]` fields from nested mappings and tuples
+    from lists; each dataclass checks its own values.  ConfigError for an
+    unknown key at any level or a bad value."""
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__} must be a mapping, got {data!r}")
     hints = typing.get_type_hints(cls)
@@ -118,8 +118,6 @@ def from_mapping(cls, data):
                 value = [from_mapping(item, v) for v in value]
             elif hint is tuple:
                 value = tuple(value)
-            elif hint is int and type(value) is not int:
-                raise ConfigError(f"{name} must be an int, got {value!r}")
             kwargs[name] = value
         return cls(**kwargs)
     except (TypeError, ValueError) as err:   # nested ConfigErrors gain a prefix
@@ -147,13 +145,16 @@ class PoseEstimate:
 
 @dataclass
 class EpisodeResult:
+    """A tracked episode at finalize's converged poses.  `diagnostics` holds
+    one record per step: its skip reason, the fate of each registration
+    call and its solve's stats."""
+
     object_trajectory: list
     eff_trajectory: list
     final_rotation_error: float     # rad
     final_translation_error: float  # mm
     diagnostics: list
     patch: PatchMap
-    warnings: list
     final_optimizer: dict   # OptimizeStats of finalize's converged solve
 
 
@@ -204,14 +205,16 @@ class Tracker:
     Each frame's contact cloud is looked up by its normal image and the
     gel, and reconstructed on a miss, so trackers stepped over the same
     images, from `track_episode` or built directly, share their clouds.
-    The registration calls, the skip checks, the jump gates, the warnings
-    and the factors are the tracker's own, though a call another tracker
-    made on the same clouds replays its outcome
-    (`registration.icp_register`)."""
+    The registration calls, the skip checks, the jump gates and the
+    factors are the tracker's own, though a call another tracker made on
+    the same clouds replays its outcome (`registration.icp_register`).
+    Once an image's cloud is kept, its arrays are made read-only.
+
+    The constructor adds only the vision prior on o_1; every end-effector
+    measurement, the first included, comes from `step`."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
-                 vision_prior: Pose, first_eff_measurement: Pose,
-                 gel: GelConfig, shape: ShapeSDF = None):
+                 vision_prior: Pose, gel: GelConfig, shape: ShapeSDF = None):
         mode = TrackerMode(mode)
         if mode is TrackerMode.GROUNDTRUTH_PATCH and shape is None:
             raise ConfigError("GroundtruthPatch mode needs the object shape")
@@ -226,7 +229,6 @@ class Tracker:
         self.prev_eff_measurement: Pose | None = None
         self.gt_target: PointCloud | None = None
         self.t = 0
-        self.warnings: list = []
         self.diagnostics: list = []
 
         self.step_optimizer = dataclasses.replace(
@@ -236,18 +238,13 @@ class Tracker:
         self.vel_noise = NoiseModel.isotropic(*config.sigma_vel)
         self.graph.add(vis_prior(1, vision_prior,
                                  NoiseModel.isotropic(*config.sigma_vis)))
-        self.graph.add(eff_prior(1, first_eff_measurement, self.eff_noise))
         self.values[obj_key(1)] = vision_prior
-        self.values[eff_key(1)] = first_eff_measurement
 
     # -- helpers -----------------------------------------------------------
 
     def _object_from_sensor(self, t: int) -> Pose:
         return geometry.compose(geometry.inverse(self.values[obj_key(t)]),
                                 self.values[eff_key(t)])
-
-    def _warn(self, message: str):
-        self.warnings.append({"step": self.t, "message": message})
 
     def _register(self, kind: str, source, target, init: Pose, gate,
                   diag: dict) -> Pose | None:
@@ -260,7 +257,7 @@ class Tracker:
         - `degenerate`: the `condition_number`, null when not finite;
         - `no_overlap`: the `correspondence_count`.
 
-        Every fate but `added` returns None and is logged as a warning."""
+        Every fate but `added` returns None."""
         try:
             result = registration.icp_register(source, target, init)
         except registration.DegenerateGeometryError as err:
@@ -268,12 +265,10 @@ class Tracker:
             diag[f"icp_{kind}"] = {
                 "fate": "degenerate",
                 "condition_number": cond if math.isfinite(cond) else None}
-            self._warn(f"{kind} registration dropped: {err}")
             return None
         except registration.InsufficientOverlapError as err:
             diag[f"icp_{kind}"] = {"fate": "no_overlap",
                                    "correspondence_count": err.count}
-            self._warn(f"{kind} registration dropped: {err}")
             return None
         record = diag[f"icp_{kind}"] = result.to_dict()
         jump = geometry.ominus(init, result.transform)
@@ -282,8 +277,6 @@ class Tracker:
         if rotation > gate[0] or translation > gate[1]:
             record.update(fate="gated", jump_rotation_rad=rotation,
                           jump_translation_mm=translation)
-            self._warn(f"{kind} registration jumped far from its "
-                       "initialization; factor omitted")
             return None
         record["fate"] = "added"
         return result.transform
@@ -331,33 +324,35 @@ class Tracker:
     # -- pipeline ----------------------------------------------------------
 
     def step(self, normal_image: NormalImage, eff_measurement: Pose) -> PoseEstimate:
-        """Process one frame; the first call corresponds to the frame whose
-        measurement already seeded the priors at construction."""
+        """Process frame t: add its end-effector prior (and, past the first
+        frame, the motion prior from t - 1), then its registrations.
+        `skipped_registration` is null, or why the frame registers nothing:
+        `empty_mask` or `touches_border`."""
         self.t += 1
         t = self.t
         diag = {"step": t, "icp_im2im": None, "icp_keyframe": None,
                 "keyframe_target": None, "keyframe_init": None,
                 "icp_im2patch": None, "im2patch_init": None,
-                "skipped_registration": False, "keyframe": False}
+                "skipped_registration": None, "keyframe": False}
 
+        self.values[eff_key(t)] = eff_measurement
+        self.graph.add(eff_prior(t, eff_measurement, self.eff_noise))
         if t > 1:
-            self.values[eff_key(t)] = eff_measurement
             self.values[obj_key(t)] = self.values[obj_key(t - 1)]
-            self.graph.add(eff_prior(t, eff_measurement, self.eff_noise))
             self.graph.add(MotionPriorFactor(t, self.vel_noise))
 
         cloud = None
         if not normal_image.mask.any():
-            diag["skipped_registration"] = True
-            self._warn("empty contact mask; registration skipped")
+            diag["skipped_registration"] = "empty_mask"
         elif contact_touches_border(normal_image.mask):
-            diag["skipped_registration"] = True
-            self._warn("contact touches image border; registration skipped")
+            diag["skipped_registration"] = "touches_border"
         elif self.mode is not TrackerMode.CONST_VEL:   # constvel registers nothing
             clouds = _CLOUDS.setdefault(normal_image, {})
             gel = dataclasses.astuple(self.gel)
             if gel not in clouds:
                 _, clouds[gel] = reconstruct_cloud(normal_image, self.gel, step=t)
+                normal_image.values.flags.writeable = False
+                normal_image.mask.flags.writeable = False
             cloud = clouds[gel]
 
         im2im = None
@@ -431,7 +426,6 @@ class Tracker:
                              final_rotation_error=rot_err,
                              final_translation_error=trans_err,
                              diagnostics=self.diagnostics, patch=patch,
-                             warnings=self.warnings,
                              final_optimizer=dataclasses.asdict(stats))
 
 
@@ -443,8 +437,8 @@ def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> E
     it, since its cloud is kept with its normal image (see `Tracker`)."""
     config = config or TrackerConfig()
     shape = episode.shape if TrackerMode(mode) is TrackerMode.GROUNDTRUTH_PATCH else None
-    tracker = Tracker(mode, config, episode.vision_prior,
-                      episode.frames[0].eff_measured, episode.gel, shape=shape)
+    tracker = Tracker(mode, config, episode.vision_prior, episode.gel,
+                      shape=shape)
     for frame in episode.frames:
         tracker.step(frame.normals, frame.eff_measured)
     return tracker.finalize([f.object_pose for f in episode.frames])

@@ -102,6 +102,11 @@ class TestSimulate:
         ("master_seed", -1),
         ("tracker", {"optimizer": {"cost_tolerance": float("inf")}}),
         ("tracker", {"optimizer": {"cost_tolerance": True}}),
+        ("gel", {"width": 64.5}),
+        ("gel", {"extent_x": True}),
+        ("noise", {"normal_sigma": True}),
+        ("trajectories", [{"steps": 3.5}]),
+        ("master_seed", 1.5),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):

@@ -307,8 +307,8 @@ def episode_graph():
                           gel, NoiseSpec(), seed=1)
 
     def run(mode, shape=None):
-        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior,
-                          ep.frames[0].eff_measured, gel, shape=shape)
+        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior, gel,
+                          shape=shape)
         for frame in ep.frames:
             tracker.step(frame.normals, frame.eff_measured)
         return tracker

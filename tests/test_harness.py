@@ -89,6 +89,20 @@ class TestSuiteConfig:
         assert clone.to_dict() == cfg.to_dict()
         assert clone.config_hash() == cfg.config_hash()
 
+    @pytest.mark.parametrize("name, value", [
+        ("episodes_per_object", 2.5), ("master_seed", 1.5),
+        ("episodes_per_object", True)])
+    def test_mistyped_count_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            tiny_config(**{name: value})
+
+    @pytest.mark.parametrize("data", [
+        {"gel": {"extent_x": True}}, {"noise": {"normal_sigma": True}},
+        {"gel": {"width": 64.5}}, {"trajectories": [{"steps": 3.5}]}])
+    def test_mistyped_nested_value_rejected(self, data):
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_dict(data)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(modes=["kalman"])
@@ -170,7 +184,7 @@ class TestRunSuite:
                             eff_sigma_trans=0.0, vis_sigma_rot=0.0,
                             vis_sigma_trans=0.0))
         report = run_suite(cfg, tmp_path / "suite")
-        rec = report.results["sphere"]["constvel"]
+        rec = report["results"]["sphere"]["constvel"]
         assert len(rec["translation_errors"]) == 1
         assert rec["translation_errors"][0] < 1e-6
         assert rec["rotation_errors"][0] < 1e-6
@@ -188,7 +202,7 @@ class TestRunSuite:
                 assert metrics["final_rel_translation_error_mm"] == \
                     relative_motion_error(trajectory)
                 rel.append(metrics["final_rel_translation_error_mm"])
-            rec = report.results["sphere"][mode]
+            rec = report["results"]["sphere"][mode]
             assert rec["rel_translation_errors"] == rel
             assert rec["rel_translation_stats"] == boxplot_stats(rel)
 
@@ -196,7 +210,7 @@ class TestRunSuite:
         cfg = tiny_config(modes=["constvel", "im2im"])
         report = run_suite(cfg, tmp_path / "suite")
         for mode in ("constvel", "im2im"):
-            rec = report.results["sphere"][mode]
+            rec = report["results"]["sphere"][mode]
             assert len(rec["translation_errors"]) == cfg.episodes_per_object
 
     def test_deterministic_reports(self, tmp_path):
@@ -212,6 +226,29 @@ class TestRunSuite:
         return json.loads(resources.files("tactrack")
                           .joinpath("schemas/suite_report.schema.json")
                           .read_text())
+
+    def test_returned_report_is_what_is_written(self, tmp_path):
+        # run_suite and evaluate_runs return the mapping they write, and
+        # evaluating the suite's runs gives back its results.
+        cfg = tiny_config(modes=["constvel", "im2im"])
+        report = run_suite(cfg, tmp_path / "suite")
+        assert report == json.loads(
+            (tmp_path / "suite" / "report.json").read_text())
+        evaluated = evaluate_runs(tmp_path / "suite" / "runs",
+                                  tmp_path / "eval.json")
+        assert evaluated == json.loads((tmp_path / "eval.json").read_text())
+        assert evaluated["results"] == report["results"]
+
+    def test_metrics_hold_no_warnings(self, tmp_path):
+        # What became of each frame and call is in its step diagnostics.
+        run_suite(tiny_config(modes=["constvel", "im2im"]), tmp_path / "suite")
+        paths = sorted((tmp_path / "suite" / "runs").glob("*/*/*/metrics.json"))
+        assert len(paths) == 4
+        for path in paths:
+            metrics = json.loads(path.read_text())
+            assert "warnings" not in metrics
+            assert {d["skipped_registration"] for d in metrics["diagnostics"]} \
+                <= {None, "empty_mask", "touches_border"}
 
     def test_report_validates_against_schema(self, tmp_path):
         cfg = tiny_config()
@@ -236,7 +273,7 @@ class TestRunSuite:
                 kind: {fate: counts[kind, fate] for fate in
                        ("added", "gated", "degenerate", "no_overlap")}
                 for kind in sorted({kind for kind, _ in counts})}
-        cells = report.results["cube"]
+        cells = report["results"]["cube"]
         assert {mode: cells[mode]["registration_fates"] for mode in cells} \
             == expected
         assert expected["constvel"] == {}
@@ -250,10 +287,10 @@ class TestRunSuite:
                                   tmp_path / "eval.json")
         assert {obj: {mode: cell["registration_fates"]
                       for mode, cell in cells.items()}
-                for obj, cells in evaluated.results.items()} \
+                for obj, cells in evaluated["results"].items()} \
             == {obj: {mode: cell["registration_fates"]
                       for mode, cell in cells.items()}
-                for obj, cells in report.results.items()}
+                for obj, cells in report["results"].items()}
         for path in (tmp_path / "suite" / "report.json",
                      tmp_path / "eval.json"):
             jsonschema.validate(json.loads(path.read_text()), self._schema())
@@ -265,7 +302,7 @@ class TestRunSuite:
         report = run_suite(cfg, tmp_path / "suite")
         with open(tmp_path / "suite" / "report.csv") as f:
             rows = list(csv.DictReader(f))
-        rec = report.results["sphere"]["constvel"]
+        rec = report["results"]["sphere"]["constvel"]
         assert len(rows) == len(rec["translation_errors"])
         for row, trans, rot in zip(rows, rec["translation_errors"],
                                    rec["rotation_errors"]):
@@ -306,7 +343,7 @@ class TestRunSuite:
             trajectories=[TrajectorySpec(steps=4, indent=1.0, length=0.5),
                           TrajectorySpec(steps=8, indent=0.5, length=30.0)])
         report = run_suite(cfg, tmp_path / "suite")
-        rec = report.results["sphere"]["constvel"]
+        rec = report["results"]["sphere"]["constvel"]
         assert len(rec["failures"]) == 1
         assert sum(t is not None for t in rec["translation_errors"]) == 1
         assert (tmp_path / "suite" / "report.json").exists()

@@ -159,7 +159,7 @@ class TestStepMatchesReference:
         # The tracker records the infinite condition number as null.
         line = PointCloud(*_line((1.0, 2.0, 3.0), (-2.0, 1.0, 0.3)))
         tracker = Tracker(TrackerMode.IMAGE_TO_IMAGE, TrackerConfig(),
-                          Pose.identity(), Pose.identity(), gel)
+                          Pose.identity(), gel)
         diag = {}
         assert tracker._register("im2im", line, line, Pose.identity(),
                                  GATE_IM2IM, diag) is None

@@ -133,6 +133,14 @@ class TestGelConfig:
         with pytest.raises(ValueError):
             GelConfig(**overrides)
 
+    # An int field takes only an int, and a float field no bool.
+    @pytest.mark.parametrize("name, value", [
+        ("width", 64.5), ("height", True), ("extent_x", True),
+        ("extent_y", True), ("max_indent", True)])
+    def test_mistyped_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GelConfig(**{name: value})
+
 
 class TestRenderDepth:
     def test_no_contact_empty_mask(self, gel):
@@ -522,3 +530,18 @@ class TestEpisodes:
         # The spec itself refuses, so no episode can be asked for.
         with pytest.raises(ValueError, match="steps"):
             TrajectorySpec(steps=2, indent=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("steps", 3.5), ("indent", True), ("length", True),
+        ("direction_deg", True), ("arc_radius", True),
+        ("arc_angle_deg", True), ("spin_deg", True), ("dt", True)])
+    def test_mistyped_trajectory_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrajectorySpec(**{name: value})
+
+    @pytest.mark.parametrize("name", [
+        "normal_sigma", "eff_sigma_rot", "eff_sigma_trans", "vis_sigma_rot",
+        "vis_sigma_trans"])
+    def test_bool_noise_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            NoiseSpec(**{name: True})

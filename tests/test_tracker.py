@@ -15,7 +15,7 @@ from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
 from tactrack.harness import default_suite_config, episode_seed, run_tracking
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
-from tactrack.factors import OptimizerParams, linearize, obj_key
+from tactrack.factors import OptimizerParams, eff_key, linearize, obj_key
 from tactrack.patchmap import PatchMap
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import MAX_ITERATIONS, MIN_CORRESPONDENCES
@@ -57,7 +57,7 @@ class TestTrackerSetup:
     def test_gtpatch_requires_shape(self):
         with pytest.raises(ConfigError):
             Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
-                    Pose.identity(), Pose.identity(), GelConfig())
+                    Pose.identity(), GelConfig())
 
     def test_gt_target_covers_contact_on_tall_gel(self):
         # A flat face under the whole 10 x 20 mm gel: the sample ball must
@@ -66,8 +66,9 @@ class TestTrackerSetup:
         face = Box(half_extents=(30.0, 30.0, 5.0),
                    offset=Pose(np.eye(3), np.array([0.0, 0.0, 5.0])))
         tracker = Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
-                          Pose.identity(), Pose.identity(), gel, shape=face)
+                          Pose.identity(), gel, shape=face)
         tracker.t = 1
+        tracker.values[eff_key(1)] = Pose.identity()
         x, y = gel.pixel_centers()
         contact = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
         tracker._ensure_gt_target(PointCloud(points=contact,
@@ -83,7 +84,7 @@ class TestTrackerSetup:
                               TrajectorySpec(steps=3, indent=1.0, length=0.0),
                               gel, ZERO_NOISE, seed=0)
         tracker = Tracker(TrackerMode.CONST_VEL, TrackerConfig(),
-                          ep.vision_prior, ep.frames[0].eff_measured, gel)
+                          ep.vision_prior, gel)
         est = tracker.step(ep.frames[0].normals, ep.frames[0].eff_measured)
         np.testing.assert_allclose(est.object_pose.matrix(),
                                    ep.vision_prior.matrix(), atol=1e-8)
@@ -218,7 +219,7 @@ class TestModes:
 
         monkeypatch.setattr(patchmap, "fuse_keyframe", recorded)
         tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
-                          ep.vision_prior, ep.frames[0].eff_measured, gel)
+                          ep.vision_prior, gel)
         for frame in ep.frames:
             tracker.step(frame.normals, frame.eff_measured)
         assert not fused
@@ -248,13 +249,16 @@ class TestModes:
         ep = generate_episode(Pyramid(),
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
                               gel, NoiseSpec(), seed=4)
-        # Blank out one frame's contact; tracking must continue on priors.
+        # Blank out one frame's contact, and let the next one touch the
+        # border; tracking must continue on priors, and each step records
+        # why it registered nothing.
         blank = ep.frames[2].normals
         blank.mask[:] = False
+        ep.frames[3].normals.mask[0, 0] = True
         result = track_episode(ep, TrackerMode.IMAGE_TO_IMAGE)
         assert len(result.object_trajectory) == len(ep.frames)
-        assert any("registration skipped" in w["message"]
-                   for w in result.warnings)
+        assert [d["skipped_registration"] for d in result.diagnostics] == [
+            None, None, "empty_mask", "touches_border", None, None]
 
 
 class TestMotionModel:
@@ -270,8 +274,7 @@ class TestMotionModel:
                               suite.trajectories[0], suite.gel, suite.noise,
                               seed=seed)
         tracker = Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
-                          ep.vision_prior, ep.frames[0].eff_measured, ep.gel,
-                          shape=ep.shape)
+                          ep.vision_prior, ep.gel, shape=ep.shape)
         for frame in ep.frames:
             estimate = tracker.step(frame.normals, frame.eff_measured)
         first = tracker.values[obj_key(1)]
@@ -362,7 +365,6 @@ class TestIncrementalSmoothing:
         # more than the cost tolerance.
         config = TrackerConfig()
         tracker = Tracker(mode, config, sphere_episode.vision_prior,
-                          sphere_episode.frames[0].eff_measured,
                           sphere_episode.gel, shape=sphere_episode.shape)
         for frame in sphere_episode.frames:
             tracker.step(frame.normals, frame.eff_measured)
@@ -391,8 +393,8 @@ class TestPatchInit:
                               TrajectorySpec(steps=6, indent=1.25, length=1.0),
                               gel, NoiseSpec(), seed=5)
         shape = ep.shape if mode is TrackerMode.GROUNDTRUTH_PATCH else None
-        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior,
-                          ep.frames[0].eff_measured, gel, shape=shape)
+        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior, gel,
+                          shape=shape)
         register, calls = registration.icp_register, []
 
         def recorded(source, target, init):
@@ -459,10 +461,6 @@ class TestPatchInit:
         tracker, added, calls = self._run(monkeypatch, gel,
                                           TrackerMode.PATCH_GRAPH, im2im)
         assert not added and calls
-        messages = [w["message"] for w in tracker.warnings]
-        assert any(m.startswith(f"im2im registration "
-                                f"{'jumped' if im2im == 'gated' else 'dropped'}")
-                   for m in messages)
         for t, init, _, _, graph in calls:
             self._assert_same(init, graph)
             assert tracker.diagnostics[t - 1]["keyframe_init"] == "graph"
@@ -532,7 +530,6 @@ class TestRegistrationFates:
         fates = set()
         for mode, result in results.items():
             json.dumps(result.diagnostics, allow_nan=False)   # strict JSON
-            dropped = []
             for diag in result.diagnostics:
                 for kind in REGISTRATION_KINDS:
                     record = diag[f"icp_{kind}"]
@@ -554,12 +551,6 @@ class TestRegistrationFates:
                                 or record["jump_translation_mm"] > gate[1])
                     else:
                         assert fate == "added" and set(record) == self.ICP_KEYS
-                    if fate != "added":
-                        dropped.append((diag["step"], kind))
-            # Each call that added no factor was warned about, and no other.
-            assert dropped == [
-                (w["step"], w["message"].split()[0]) for w in result.warnings
-                if "registration skipped" not in w["message"]], mode
         assert {fate for _, fate in fates} == set(REGISTRATION_FATES)
         assert not [f for mode, f in fates if mode is TrackerMode.CONST_VEL]
         # im2im and patchgraph make the same im2im calls, with the same fates.
@@ -587,8 +578,8 @@ class TestLongEpisodes:
         # DomainError.
         ep = long_pyramid_episode
         shape = ep.shape if mode is TrackerMode.GROUNDTRUTH_PATCH else None
-        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior,
-                          ep.frames[0].eff_measured, ep.gel, shape=shape)
+        tracker = Tracker(mode, TrackerConfig(), ep.vision_prior, ep.gel,
+                          shape=shape)
         for frame in ep.frames:
             estimate = tracker.step(frame.normals, frame.eff_measured)
             assert np.isfinite(estimate.object_pose.matrix()).all()
@@ -642,7 +633,7 @@ def _track_directly(episode, mode, frames=None, gel=None):
     frames = episode.frames if frames is None else frames
     shape = episode.shape if mode is TrackerMode.GROUNDTRUTH_PATCH else None
     tracker = Tracker(mode, TrackerConfig(), episode.vision_prior,
-                      frames[0].eff_measured, gel or episode.gel, shape=shape)
+                      gel or episode.gel, shape=shape)
     for frame in frames:
         tracker.step(frame.normals, frame.eff_measured)
     return tracker.finalize([f.object_pose for f in frames])
@@ -713,10 +704,10 @@ class TestFrontEnd:
         solve, solved = registration._solve, []
         monkeypatch.setattr(registration, "icp_register", counted_register)
         monkeypatch.setattr(registration, "_solve", counted_solve)
-        warnings = []
+        diagnostics = []
         for mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH,
                      TrackerMode.GROUNDTRUTH_PATCH):
-            warnings += track_episode(episode, mode).warnings
+            diagnostics += track_episode(episode, mode).diagnostics
         contact = _contact_steps(episode)
         assert 5 not in contact and len(contact) == len(episode.frames) - 1
         assert reconstructed == contact
@@ -725,8 +716,8 @@ class TestFrontEnd:
         pairs = [t for t in contact if t - 1 in contact]
         assert im2im == pairs + pairs
         assert solved == pairs
-        assert any(w["message"].startswith("im2im registration dropped")
-                   for w in warnings)
+        assert any((d["icp_im2im"] or {}).get("fate")
+                   in ("degenerate", "no_overlap") for d in diagnostics)
 
     def test_trackers_die_with_their_run(self, cube_episode, monkeypatch):
         # The shared front end lives as long as the episode, so it must hold
@@ -742,11 +733,12 @@ class TestFrontEnd:
 
         monkeypatch.setattr(tracker_module, "Tracker", Recorded)
         episode = copy.deepcopy(cube_episode)
-        warnings = []
+        diagnostics = []
         for mode in TrackerMode:
-            warnings += track_episode(episode, mode).warnings
-        assert any(w["message"].startswith(f"{kind} registration dropped")
-                   for w in warnings for kind in ("im2im", "im2patch"))
+            diagnostics += track_episode(episode, mode).diagnostics
+        assert any((d[f"icp_{kind}"] or {}).get("fate")
+                   in ("degenerate", "no_overlap")
+                   for d in diagnostics for kind in ("im2im", "im2patch"))
         assert len(made) == len(TrackerMode)
         assert [ref() for ref in made] == [None] * len(made)
 
@@ -759,7 +751,7 @@ class TestFrontEnd:
             direct = _track_directly(cube_episode, mode)
             for name in ("object_trajectory", "eff_trajectory",
                          "final_rotation_error", "final_translation_error",
-                         "diagnostics", "warnings", "final_optimizer"):
+                         "diagnostics", "final_optimizer"):
                 assert getattr(direct, name) == getattr(shared, name), \
                     (mode, name)
             for name in ("points", "normals"):
@@ -818,15 +810,26 @@ class TestFrontEnd:
                    if d["icp_im2im"] != e["icp_im2im"]]
         assert changed[0] == t
 
+    def test_tracked_image_is_read_only(self, cube_episode):
+        # A write into a tracked image would not be seen, as its cached
+        # cloud is returned; it raises instead.
+        episode = copy.deepcopy(cube_episode)
+        track_episode(episode, TrackerMode.IMAGE_TO_IMAGE)
+        image = episode.frames[_contact_steps(episode)[0] - 1].normals
+        with pytest.raises(ValueError, match="read-only"):
+            image.values[0, 0] = (0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            image.mask[0, 0] = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            image.values = image.values.copy()
+
     def test_direct_tracker_frees_earlier_clouds(self, sphere_episode):
         # Streaming fresh images, a tracker keeps only the current cloud
         # alive: each cloud's registration memo refers to its im2im
         # target, the previous cloud, only weakly, and the previous image
         # and so its clouds are gone.
         tracker = Tracker(TrackerMode.IMAGE_TO_IMAGE, TrackerConfig(),
-                          sphere_episode.vision_prior,
-                          sphere_episode.frames[0].eff_measured,
-                          sphere_episode.gel)
+                          sphere_episode.vision_prior, sphere_episode.gel)
         clouds = []
         for frame in sphere_episode.frames:
             image = copy.deepcopy(frame.normals)
