@@ -176,53 +176,63 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
     return episodes
 
 
-def relative_motion_error(trajectory: dict) -> float:
-    """Translation error (mm) of the first-to-last object-from-sensor motion
-    (o_1^-1 e_1)^-1 (o_T^-1 e_T), which is what touch observes, from the
-    quaternion-translation lists of a trajectory record."""
-    def motion(objects, effs):
-        first, last = (geometry.compose(
-            geometry.inverse(geometry.from_quat_trans(objects[i])),
-            geometry.from_quat_trans(effs[i])) for i in (0, -1))
+def pose_errors(estimate: Pose, truth: Pose):
+    """(geodesic rotation error rad, Euclidean translation error mm) of the
+    relative pose estimate^-1 * truth."""
+    rel = geometry.compose(geometry.inverse(estimate), truth)
+    return (geometry.rotation_angle(rel.rotation),
+            float(np.linalg.norm(rel.translation)))
+
+
+def tracking_errors(objects: Pose, effs: Pose, true_objects: Pose,
+                    true_effs: Pose) -> dict:
+    """A run's scores, from the stacked estimated and true o_t and e_t: the
+    final object pose's rotation (rad) and translation (mm) errors, and the
+    translation error (mm) of the first-to-last object-from-sensor motion
+    (o_1^-1 e_1)^-1 (o_T^-1 e_T), which is what touch observes."""
+    def at(poses, i):
+        return Pose(poses.rotation[i], poses.translation[i])
+
+    def motion(objs, sensors):
+        first, last = (geometry.compose(geometry.inverse(at(objs, i)),
+                                        at(sensors, i)) for i in (0, -1))
         return geometry.compose(geometry.inverse(first), last)
-    estimate = motion(trajectory["object_estimates"], trajectory["eff_estimates"])
-    truth = motion(trajectory["object_groundtruth"], trajectory["eff_groundtruth"])
-    return float(np.linalg.norm(
-        geometry.compose(geometry.inverse(estimate), truth).translation))
+    rotation, translation = pose_errors(at(objects, -1), at(true_objects, -1))
+    return {"final_rotation_error_rad": rotation,
+            "final_translation_error_mm": translation,
+            "final_rel_translation_error_mm": pose_errors(
+                motion(objects, effs), motion(true_objects, true_effs))[1]}
+
+
+def _write_json(record, path) -> None:
+    with open(path, "w") as f:
+        json.dump(record, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
                  out_dir) -> dict:
-    """Track one episode in one mode, persist the artifacts, and return the
-    metrics record."""
+    """Track one episode in one mode, score the estimate against the
+    episode's true poses (`tracking_errors`), write `trajectory.json`,
+    `metrics.json` and any fused patch, and return the metrics record."""
     os.makedirs(out_dir, exist_ok=True)
     result = track_episode(episode, mode, tracker_config)
-    trajectory = {
-        "mode": TrackerMode(mode).value,
-        "episode_seed": episode.seed,
-        "object_estimates": result.object_trajectory,
-        "eff_estimates": result.eff_trajectory,
-        "object_groundtruth": geometry.to_quat_trans(
-            Pose.stack([f.object_pose for f in episode.frames])),
-        "eff_groundtruth": geometry.to_quat_trans(
-            Pose.stack([f.eff_pose for f in episode.frames])),
-    }
-    metrics = {
-        "mode": TrackerMode(mode).value,
-        "episode_seed": episode.seed,
-        "steps": len(episode.frames),
-        "final_rotation_error_rad": result.final_rotation_error,
-        "final_translation_error_mm": result.final_translation_error,
-        "final_rel_translation_error_mm": relative_motion_error(trajectory),
-        "diagnostics": result.diagnostics,
-        "final_optimizer": result.final_optimizer,
-    }
-    with open(os.path.join(out_dir, "trajectory.json"), "w") as f:
-        json.dump(trajectory, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(os.path.join(out_dir, "metrics.json"), "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
-        f.write("\n")
+    true_objects = Pose.stack([f.object_pose for f in episode.frames])
+    true_effs = Pose.stack([f.eff_pose for f in episode.frames])
+    mode = TrackerMode(mode).value
+    _write_json({"mode": mode, "episode_seed": episode.seed,
+                 "object_estimates": geometry.to_quat_trans(result.object_poses),
+                 "eff_estimates": geometry.to_quat_trans(result.eff_poses),
+                 "object_groundtruth": geometry.to_quat_trans(true_objects),
+                 "eff_groundtruth": geometry.to_quat_trans(true_effs)},
+                os.path.join(out_dir, "trajectory.json"))
+    metrics = {"mode": mode, "episode_seed": episode.seed,
+               "steps": len(episode.frames),
+               **tracking_errors(result.object_poses, result.eff_poses,
+                                 true_objects, true_effs),
+               "diagnostics": result.diagnostics,
+               "final_optimizer": result.final_optimizer}
+    _write_json(metrics, os.path.join(out_dir, "metrics.json"))
     if not result.patch.is_empty():
         imageio.write_ply(os.path.join(out_dir, "patch.ply"),
                           result.patch.cloud.points, result.patch.cloud.normals)
@@ -281,24 +291,23 @@ def run_suite(config: SuiteConfig, out_dir) -> dict:
     for obj in config.objects:
         records[obj.name] = {TrackerMode(m).value: [] for m in config.modes}
         for ei, entry in enumerate(episode_dirs[obj.name]):
-            if isinstance(entry, dict):
-                for mode in config.modes:
-                    mode = TrackerMode(mode).value
-                    metrics = {"status": "failed", "error": entry["error"],
-                               "episode_seed": entry["seed"], "mode": mode}
-                    records[obj.name][mode].append(metrics)
-                continue
-            episode = load_episode(entry)
+            episode = None if isinstance(entry, dict) else load_episode(entry)
+            seed = entry["seed"] if episode is None else episode.seed
             for mode in config.modes:
                 mode = TrackerMode(mode).value
                 run_dir = os.path.join(out_dir, "runs", obj.name,
                                        f"ep{ei:04d}", mode)
                 try:
+                    if episode is None:   # every mode's run fails with it
+                        raise EpisodeGenerationError(entry["error"])
                     metrics = run_tracking(episode, mode, tracker_config, run_dir)
                     metrics["status"] = "ok"
                 except Exception as err:  # recorded, suite continues
                     metrics = {"status": "failed", "error": str(err),
-                               "episode_seed": episode.seed, "mode": mode}
+                               "episode_seed": seed, "mode": mode}
+                    # Written to runs/ too, so evaluating it keeps the run.
+                    os.makedirs(run_dir, exist_ok=True)
+                    _write_json(metrics, os.path.join(run_dir, "metrics.json"))
                 records[obj.name][mode].append(metrics)
     report = _aggregate(records, config.config_hash(), config.episodes_per_object)
     write_report(report, os.path.join(out_dir, "report.json"),
@@ -307,9 +316,7 @@ def run_suite(config: SuiteConfig, out_dir) -> dict:
 
 
 def write_report(report: dict, json_path, csv_path=None) -> None:
-    with open(json_path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(report, json_path)
     if csv_path is None:
         return
     with open(csv_path, "w", newline="") as f:

@@ -54,15 +54,12 @@ class PatchMap:
         return len(self.cloud) == 0
 
 
-def fuse_keyframe(pmap: PatchMap,
-                  keyframes: list[tuple[PointCloud, Pose]]) -> PatchMap:
+def fuse_keyframe(keyframes: list[tuple[PointCloud, Pose]]) -> PatchMap:
     """Transform the sensor-frame cloud of each (cloud, object_from_sensor)
-    pair of `keyframes` into the object frame and voxel-downsample them with
-    the map's points in one pass (centroid per voxel, normals averaged and
-    renormalized).  Fused into an empty map, the patch is the plain voxel
-    mean of all keyframe points.  Returns a new PatchMap; the input map is
-    not modified."""
-    points, normals = [pmap.cloud.points], [pmap.cloud.normals]
+    pair of `keyframes` into the object frame and voxel-downsample them in
+    one pass (centroid per voxel, normals averaged and renormalized): the
+    patch is the plain voxel mean of all keyframe points."""
+    points, normals = [np.zeros((0, 3))], [np.zeros((0, 3))]
     for cloud, object_from_sensor in keyframes:
         if cloud.frame != "sensor":
             raise ValueError(f"expected a sensor-frame cloud, got {cloud.frame!r}")
@@ -71,5 +68,5 @@ def fuse_keyframe(pmap: PatchMap,
         normals.append(moved.normals)
     points, normals = _voxel_downsample(np.vstack(points), np.vstack(normals),
                                         VOXEL_SIZE)
-    fused = PointCloud(points=points, normals=normals, frame="object")
-    return PatchMap(cloud=fused)
+    return PatchMap(cloud=PointCloud(points=points, normals=normals,
+                                     frame="object"))

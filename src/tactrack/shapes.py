@@ -11,12 +11,21 @@ tracing requires.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
 from .geometry import Pose
+
+
+def _size(value) -> float:
+    """A size as a float; ValueError for a bool or a non-number, which
+    float() would convert."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"shape size must be a number, got {value!r}")
+    return float(value)
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
@@ -66,7 +75,7 @@ class ShapeSDF:
         raise NotImplementedError
 
     def _require_sizes(self, name, *sizes):
-        if not all(math.isfinite(v) and v > 0 for v in sizes):
+        if not all(math.isfinite(_size(v)) and v > 0 for v in sizes):
             raise ValueError(f"{type(self).__name__.lower()} {name} must be "
                              f"finite and > 0, got {sizes!r}")
 
@@ -144,10 +153,10 @@ def shape_from_descriptor(desc: dict) -> ShapeSDF:
     offset = geometry.from_quat_trans(desc.get("offset", [1, 0, 0, 0, 0, 0, 0]))
     kind = desc["type"]
     if kind == "sphere":
-        return Sphere(offset=offset, radius=float(desc["radius"]))
+        return Sphere(offset=offset, radius=_size(desc["radius"]))
     if kind == "box":
-        return Box(offset=offset, half_extents=tuple(float(v) for v in desc["half_extents"]))
+        return Box(offset=offset, half_extents=tuple(_size(v) for v in desc["half_extents"]))
     if kind == "pyramid":
-        return Pyramid(offset=offset, base_half_length=float(desc["base_half_length"]),
-                       height=float(desc["height"]))
+        return Pyramid(offset=offset, base_half_length=_size(desc["base_half_length"]),
+                       height=_size(desc["height"]))
     raise ValueError(f"unknown shape type {kind!r}")

@@ -145,25 +145,15 @@ class PoseEstimate:
 
 @dataclass
 class EpisodeResult:
-    """A tracked episode at finalize's converged poses.  `diagnostics` holds
-    one record per step: its skip reason, the fate of each registration
-    call and its solve's stats."""
+    """A tracked episode's estimate: o_t and e_t at finalize's converged
+    poses, as two stacked Poses.  `diagnostics` holds one record per step:
+    its skip reason, each registration call's fate and its solve's stats."""
 
-    object_trajectory: list
-    eff_trajectory: list
-    final_rotation_error: float     # rad
-    final_translation_error: float  # mm
+    object_poses: Pose
+    eff_poses: Pose
     diagnostics: list
     patch: PatchMap
     final_optimizer: dict   # OptimizeStats of finalize's converged solve
-
-
-def pose_errors(estimate: Pose, truth: Pose):
-    """(geodesic rotation error rad, Euclidean translation error mm) of the
-    relative pose estimate^-1 * truth."""
-    rel = geometry.compose(geometry.inverse(estimate), truth)
-    return (geometry.rotation_angle(rel.rotation),
-            float(np.linalg.norm(rel.translation)))
 
 
 def _sample_sdf_surface(shape: ShapeSDF, center: np.ndarray, radius: float,
@@ -200,7 +190,8 @@ class Tracker:
     2012): each `step` advances the estimate by at most one
     Levenberg-Marquardt iteration from the previous frame's solution, whose
     warm start carries the rest, and `finalize` runs LM to convergence under
-    `config.optimizer` before it scores and serializes the estimate.
+    `config.optimizer` and returns the estimate.  The tracker never sees a
+    true pose, only measurements (and, in gtpatch, the object's shape).
 
     Each frame's contact cloud is looked up by its normal image and the
     gel, and reconstructed on a miss, so trackers stepped over the same
@@ -402,36 +393,31 @@ class Tracker:
                             eff_pose=self.values[eff_key(t)],
                             diagnostics=diag)
 
-    def finalize(self, gt_object_poses: list) -> EpisodeResult:
-        """Converge the smoother, then the final-step tracking errors, the
-        serialized trajectory and the patch, all at the converged poses."""
+    def finalize(self) -> EpisodeResult:
+        """Converge the smoother, and return the estimate and the patch at
+        the converged poses."""
         if self.t < 1:
             raise RuntimeError("finalize requires at least one processed step")
         self.values, stats = factors.optimize(self.graph, self.values,
                                               self.config.optimizer)
-        rot_err, trans_err = pose_errors(self.values[obj_key(self.t)],
-                                         gt_object_poses[self.t - 1])
         steps = range(1, self.t + 1)
-        obj_traj = geometry.to_quat_trans(
-            Pose.stack([self.values[obj_key(t)] for t in steps]))
-        eff_traj = geometry.to_quat_trans(
-            Pose.stack([self.values[eff_key(t)] for t in steps]))
         # The patch is an output, fused once at the final poses.
         patch = PatchMap()
         if self.keyframes:
             patch = patchmap.fuse_keyframe(
-                patch, [(cloud, self._object_from_sensor(k))
-                        for k, cloud in self.keyframes])
-        return EpisodeResult(object_trajectory=obj_traj, eff_trajectory=eff_traj,
-                             final_rotation_error=rot_err,
-                             final_translation_error=trans_err,
-                             diagnostics=self.diagnostics, patch=patch,
-                             final_optimizer=dataclasses.asdict(stats))
+                [(cloud, self._object_from_sensor(k))
+                 for k, cloud in self.keyframes])
+        return EpisodeResult(
+            object_poses=Pose.stack([self.values[obj_key(t)] for t in steps]),
+            eff_poses=Pose.stack([self.values[eff_key(t)] for t in steps]),
+            diagnostics=self.diagnostics, patch=patch,
+            final_optimizer=dataclasses.asdict(stats))
 
 
 def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> EpisodeResult:
-    """Run the tracker over a generated episode and score it against the
-    stored ground truth.
+    """Run the tracker over an episode's measurements: its vision prior and
+    each frame's normal image and measured end-effector pose.  Its true
+    poses are not read; `harness.tracking_errors` scores the estimate.
 
     Each frame is reconstructed once per episode however many modes track
     it, since its cloud is kept with its normal image (see `Tracker`)."""
@@ -441,4 +427,4 @@ def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> E
                       shape=shape)
     for frame in episode.frames:
         tracker.step(frame.normals, frame.eff_measured)
-    return tracker.finalize([f.object_pose for f in episode.frames])
+    return tracker.finalize()

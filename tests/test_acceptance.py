@@ -23,7 +23,7 @@ from tactrack.factors import (FactorGraph, Im2ImFactor, MotionPriorFactor,
 from tactrack.geometry import Pose
 from tactrack.harness import (SuiteConfig, SuiteObject, default_suite_config,
                               run_suite)
-from tactrack.patchmap import PatchMap, fuse_keyframe
+from tactrack.patchmap import fuse_keyframe
 from tactrack.reconstruct import (dst2, idst2, normals_to_gradients,
                                   poisson_solve)
 from tactrack.registration import DegenerateGeometryError, icp_register
@@ -266,7 +266,7 @@ class TestCriterion7PatchConsistency:
             for offset in (-1.5, 0.0, 1.5):
                 pose = sensor_pose_over_sphere(offset, radius)
                 keyframes.append((sphere_contact_cloud(pose, radius), pose))
-            pmap = fuse_keyframe(PatchMap(), keyframes)
+            pmap = fuse_keyframe(keyframes)
             med = float(np.median(np.abs(shape.sdf(pmap.cloud.points))))
             note(f"criterion 7: median patch-to-surface distance {med:.3f} mm")
             assert med < 0.3

@@ -107,6 +107,16 @@ class TestSimulate:
         ("noise", {"normal_sigma": True}),
         ("trajectories", [{"steps": 3.5}]),
         ("master_seed", 1.5),
+        ("objects", [{"name": "s", "shape": {"type": "sphere",
+                                             "radius": True}}]),
+        ("objects", [{"name": "b", "shape": {"type": "box",
+                                             "half_extents": [1, "1", 1]}}]),
+        ("objects", [{"name": "p", "shape": {"type": "pyramid",
+                                             "base_half_length": "10.0",
+                                             "height": 5.0}}]),
+        ("objects", [{"name": "p", "shape": {"type": "pyramid",
+                                             "base_half_length": 10.0,
+                                             "height": True}}]),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):

@@ -10,16 +10,17 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tactrack import imageio
+from tactrack import geometry, harness, imageio
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
+from tactrack.geometry import Pose
 from tactrack.harness import (ConfigError, SuiteConfig, SuiteObject,
                               boxplot_stats, default_suite_config,
                               episode_seed, evaluate_runs,
-                              generate_suite_episodes, relative_motion_error,
-                              run_suite, run_tracking, write_report)
+                              generate_suite_episodes, pose_errors, run_suite,
+                              run_tracking, tracking_errors, write_report)
 from tactrack.render import GelConfig
 from tactrack.shapes import Sphere
-from tactrack.tracker import TrackerConfig, track_episode
+from tactrack.tracker import TrackerConfig, TrackerMode, track_episode
 
 SPHERE = {"type": "sphere", "radius": 6.35}
 
@@ -37,22 +38,52 @@ def tiny_config(**overrides):
     return SuiteConfig(**base)
 
 
+def relative_motion_error(trajectory: dict) -> float:
+    """Reference for `tracking_errors`' rel error: the translation error
+    (mm) of the first-to-last object-from-sensor motion, parsed back from
+    the quaternion-translation lists of a `trajectory.json` record."""
+    def motion(objects, effs):
+        first, last = (geometry.compose(
+            geometry.inverse(geometry.from_quat_trans(objects[i])),
+            geometry.from_quat_trans(effs[i])) for i in (0, -1))
+        return geometry.compose(geometry.inverse(first), last)
+    estimate = motion(trajectory["object_estimates"], trajectory["eff_estimates"])
+    truth = motion(trajectory["object_groundtruth"], trajectory["eff_groundtruth"])
+    return float(np.linalg.norm(
+        geometry.compose(geometry.inverse(estimate), truth).translation))
+
+
+def translations(*xs):
+    """Stacked poses without rotation, translated by x mm along x."""
+    return Pose.stack([Pose(np.eye(3), np.array([x, 0.0, 0.0])) for x in xs])
+
+
+class TestPoseErrors:
+    def test_exact_estimate(self):
+        p = Pose.identity()
+        assert pose_errors(p, p) == (0.0, 0.0)
+
+    def test_translation_offset(self):
+        est = Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
+        rot, trans = pose_errors(est, Pose.identity())
+        assert abs(rot) < 1e-12 and abs(trans - 1.0) < 1e-12
+
+    def test_rotation_offset(self):
+        est = Pose(geometry.rot_z(0.1), np.zeros(3))
+        rot, trans = pose_errors(est, Pose.identity())
+        assert abs(rot - 0.1) < 1e-9 and trans < 1e-12
+
+
 class TestRelativeMotionError:
     def test_error_of_first_to_last_sensor_motion(self):
         # The object is still and the sensor truly moves 2 mm along x; the
         # estimate has the object 1 mm off throughout (unobservable by
         # touch, so no error) and the sensor's last pose 0.5 mm short.
-        still = [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]] * 2
-        shifted = [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]] * 2
-        trajectory = {
-            "object_groundtruth": still,
-            "eff_groundtruth": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                                [1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0]],
-            "object_estimates": shifted,
-            "eff_estimates": [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-                              [1.0, 0.0, 0.0, 0.0, 2.5, 0.0, 0.0]],
-        }
-        assert relative_motion_error(trajectory) == pytest.approx(0.5)
+        errors = tracking_errors(translations(1.0, 1.0), translations(1.0, 2.5),
+                                 translations(0.0, 0.0), translations(0.0, 2.0))
+        assert errors["final_rel_translation_error_mm"] == pytest.approx(0.5)
+        assert errors["final_translation_error_mm"] == pytest.approx(1.0)
+        assert errors["final_rotation_error_rad"] == 0.0
 
 
 class TestBoxplotStats:
@@ -199,8 +230,11 @@ class TestRunSuite:
                 run = tmp_path / "suite" / "runs" / "sphere" / f"ep{ep:04d}" / mode
                 metrics = json.loads((run / "metrics.json").read_text())
                 trajectory = json.loads((run / "trajectory.json").read_text())
+                # Scored from the poses in memory, the reference from
+                # their serialization.
                 assert metrics["final_rel_translation_error_mm"] == \
-                    relative_motion_error(trajectory)
+                    pytest.approx(relative_motion_error(trajectory),
+                                  rel=0, abs=1e-12)
                 rel.append(metrics["final_rel_translation_error_mm"])
             rec = report["results"]["sphere"][mode]
             assert rec["rel_translation_errors"] == rel
@@ -347,3 +381,34 @@ class TestRunSuite:
         assert len(rec["failures"]) == 1
         assert sum(t is not None for t in rec["translation_errors"]) == 1
         assert (tmp_path / "suite" / "report.json").exists()
+
+    def test_evaluated_runs_keep_failed_runs(self, tmp_path, monkeypatch):
+        # Episode 1's generation fails (it slides off the gel) and episode
+        # 2's im2im tracking raises: evaluating runs/ gives back every run
+        # in its place, failures included.
+        cfg = tiny_config(
+            episodes_per_object=3, modes=["constvel", "im2im"],
+            trajectories=[TrajectorySpec(steps=4, indent=1.0, length=0.5),
+                          TrajectorySpec(steps=8, indent=0.5, length=30.0)])
+        track = harness.track_episode
+
+        def failing(episode, mode, config=None):
+            if (episode.seed == episode_seed(cfg, 0, 2)
+                    and TrackerMode(mode) is TrackerMode.IMAGE_TO_IMAGE):
+                raise RuntimeError("tracking failed")
+            return track(episode, mode, config)
+
+        monkeypatch.setattr(harness, "track_episode", failing)
+        report = run_suite(cfg, tmp_path / "suite")
+        cells = report["results"]["sphere"]
+        assert [t is None for t in cells["constvel"]["translation_errors"]] \
+            == [False, True, False]
+        assert [t is None for t in cells["im2im"]["translation_errors"]] \
+            == [False, True, True]
+        assert cells["im2im"]["failures"][1] == "tracking failed"
+        evaluated = evaluate_runs(tmp_path / "suite" / "runs",
+                                  tmp_path / "eval.json", tmp_path / "eval.csv")
+        assert evaluated["results"] == report["results"]
+        assert evaluated["episodes_per_object"] == cfg.episodes_per_object
+        assert (tmp_path / "eval.csv").read_bytes() == \
+            (tmp_path / "suite" / "report.csv").read_bytes()

@@ -6,8 +6,7 @@ import pytest
 from tactrack import geometry, tracker
 from tactrack.geometry import Pose
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
-from tactrack.patchmap import (VOXEL_SIZE, PatchMap, _voxel_downsample,
-                               fuse_keyframe)
+from tactrack.patchmap import VOXEL_SIZE, _voxel_downsample, fuse_keyframe
 from tactrack.reconstruct import PointCloud, reconstruct_cloud
 from tactrack.render import GelConfig, depth_to_normals, render_depth
 from tactrack.shapes import Pyramid, Sphere
@@ -67,7 +66,7 @@ class TestFuseKeyframe:
     def test_fuse_into_empty(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
         pose = geometry.exp(np.array([0, 0, 0, 1.0, 0, 0]))
-        pmap = fuse_keyframe(PatchMap(), [(cloud, pose)])
+        pmap = fuse_keyframe([(cloud, pose)])
         assert not pmap.is_empty()
         assert pmap.cloud.frame == "object"
         # Downsampling only merges points; the fused cloud covers the same
@@ -79,8 +78,8 @@ class TestFuseKeyframe:
     def test_refusing_same_cloud_stable(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
         pose = Pose.identity()
-        once = fuse_keyframe(PatchMap(), [(cloud, pose)])
-        twice = fuse_keyframe(once, [(cloud, pose)])
+        once = fuse_keyframe([(cloud, pose)])
+        twice = fuse_keyframe([(cloud, pose)] * 2)
         assert abs(len(twice.cloud) - len(once.cloud)) <= 0.05 * len(once.cloud)
 
     def test_sphere_radius_from_fused_caps(self):
@@ -92,7 +91,7 @@ class TestFuseKeyframe:
             object_from_sensor = geometry.inverse(Pose.identity())
             object_from_sensor = geometry.compose(object_from_sensor, pose)
             keyframes.append((cloud, object_from_sensor))
-        pts = fuse_keyframe(PatchMap(), keyframes).cloud.points
+        pts = fuse_keyframe(keyframes).cloud.points
         # Algebraic least-squares sphere fit.
         A = np.column_stack([2 * pts, np.ones(len(pts))])
         b = np.sum(pts**2, axis=1)
@@ -108,7 +107,7 @@ class TestFuseKeyframe:
         for offset in (-1.5, 0.0, 1.5):
             pose = sensor_pose_over_sphere(offset)
             keyframes.append((sphere_contact_cloud(pose), pose))
-        fused = fuse_keyframe(PatchMap(), keyframes).cloud
+        fused = fuse_keyframe(keyframes).cloud
         moved = [cloud.transformed(pose, frame="object")
                  for cloud, pose in keyframes]
         points, normals = _voxel_downsample(
@@ -121,13 +120,7 @@ class TestFuseKeyframe:
         cloud = PointCloud(points=np.zeros((1, 3)), normals=np.zeros((1, 3)),
                            frame="object")
         with pytest.raises(ValueError):
-            fuse_keyframe(PatchMap(), [(cloud, Pose.identity())])
-
-    def test_input_map_unmodified(self):
-        cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
-        empty = PatchMap()
-        fuse_keyframe(empty, [(cloud, Pose.identity())])
-        assert empty.is_empty()
+            fuse_keyframe([(cloud, Pose.identity())])
 
 
 class TestInvariants:
@@ -140,15 +133,13 @@ class TestInvariants:
         for offset in (-1.5, 0.0, 1.5):
             pose = sensor_pose_over_sphere(offset, radius)
             keyframes.append((sphere_contact_cloud(pose, radius), pose))
-        pmap = fuse_keyframe(PatchMap(), keyframes)
+        pmap = fuse_keyframe(keyframes)
         dists = np.abs(shape.sdf(pmap.cloud.points))
         assert np.median(dists) < 0.3
 
     def test_map_size_bounded(self):
         cloud = sphere_contact_cloud(sensor_pose_over_sphere(0.0))
-        pmap = PatchMap()
-        for _ in range(10):
-            pmap = fuse_keyframe(pmap, [(cloud, Pose.identity())])
+        pmap = fuse_keyframe([(cloud, Pose.identity())] * 10)
         lo = pmap.cloud.points.min(axis=0) - 0.3
         hi = pmap.cloud.points.max(axis=0) + 0.3
         assert len(pmap.cloud) <= np.prod(hi - lo) / 0.3**3

@@ -124,6 +124,24 @@ class TestShapes:
         with pytest.raises(ValueError):
             shape_from_descriptor(desc)
 
+    @pytest.mark.parametrize("build, desc, field", [
+        (lambda v: Sphere(radius=v), {"type": "sphere"}, "radius"),
+        (lambda v: Box(half_extents=(1.0, v, 1.0)), {"type": "box"},
+         "half_extents"),
+        (lambda v: Pyramid(base_half_length=v),
+         {"type": "pyramid", "height": 5.0}, "base_half_length"),
+        (lambda v: Pyramid(height=v),
+         {"type": "pyramid", "base_half_length": 10.0}, "height"),
+    ], ids=["radius", "half_extents", "base_half_length", "height"])
+    @pytest.mark.parametrize("bad", [True, False, "6.35"])
+    def test_mistyped_size_rejected(self, build, desc, field, bad):
+        # float() would take a bool or a numeric string; neither is a size.
+        value = [1.0, bad, 1.0] if field == "half_extents" else bad
+        for make in (lambda: shape_from_descriptor({**desc, field: value}),
+                     lambda: build(bad)):
+            with pytest.raises(ValueError, match="size must be a number"):
+                make()
+
 
 class TestGelConfig:
     @pytest.mark.parametrize("overrides", [

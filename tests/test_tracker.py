@@ -13,17 +13,16 @@ from tactrack import factors, geometry, patchmap, registration
 from tactrack import tracker as tracker_module
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.geometry import Pose
-from tactrack.harness import default_suite_config, episode_seed, run_tracking
+from tactrack.harness import (default_suite_config, episode_seed, run_tracking,
+                              tracking_errors)
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
 from tactrack.factors import OptimizerParams, eff_key, linearize, obj_key
-from tactrack.patchmap import PatchMap
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import MAX_ITERATIONS, MIN_CORRESPONDENCES
 from tactrack.render import GelConfig, contact_touches_border
 from tactrack.tracker import (GATE_IM2IM, GATE_IM2PC, REGISTRATION_FATES,
                               REGISTRATION_KINDS, ConfigError, Tracker,
-                              TrackerConfig, TrackerMode, pose_errors,
-                              track_episode)
+                              TrackerConfig, TrackerMode, track_episode)
 
 ZERO_NOISE = NoiseSpec(normal_sigma=0.0, eff_sigma_rot=0.0,
                        eff_sigma_trans=0.0, vis_sigma_rot=0.0,
@@ -37,20 +36,22 @@ def corner_tilted_cube(half=9.0):
                offset=Pose(tilt, np.zeros(3)))
 
 
-class TestPoseErrors:
-    def test_exact_estimate(self):
-        p = Pose.identity()
-        assert pose_errors(p, p) == (0.0, 0.0)
+def final_errors(episode, result):
+    """(rotation rad, translation mm) error of the final object pose, as the
+    harness scores a run against the episode's true poses."""
+    errors = tracking_errors(
+        result.object_poses, result.eff_poses,
+        Pose.stack([f.object_pose for f in episode.frames]),
+        Pose.stack([f.eff_pose for f in episode.frames]))
+    return (errors["final_rotation_error_rad"],
+            errors["final_translation_error_mm"])
 
-    def test_translation_offset(self):
-        est = Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        rot, trans = pose_errors(est, Pose.identity())
-        assert abs(rot) < 1e-12 and abs(trans - 1.0) < 1e-12
 
-    def test_rotation_offset(self):
-        est = Pose(geometry.rot_z(0.1), np.zeros(3))
-        rot, trans = pose_errors(est, Pose.identity())
-        assert abs(rot - 0.1) < 1e-9 and trans < 1e-12
+def assert_same_estimate(a, b):
+    for name in ("object_poses", "eff_poses"):
+        for part in ("rotation", "translation"):
+            np.testing.assert_array_equal(getattr(getattr(a, name), part),
+                                          getattr(getattr(b, name), part))
 
 
 class TestTrackerSetup:
@@ -156,17 +157,19 @@ class TestZeroNoiseRegressions:
         ep = generate_episode(Sphere(radius=6.35),
                               TrajectorySpec(steps=4, indent=1.0, length=0.0),
                               gel, ZERO_NOISE, seed=0)
-        result = track_episode(ep, TrackerMode.CONST_VEL)
-        assert result.final_translation_error < 1e-6
-        assert result.final_rotation_error < 1e-6
+        rotation, translation = final_errors(
+            ep, track_episode(ep, TrackerMode.CONST_VEL))
+        assert translation < 1e-6
+        assert rotation < 1e-6
 
     def test_patchgraph_cube_slide(self, gel):
         ep = generate_episode(corner_tilted_cube(),
                               TrajectorySpec(steps=20, indent=1.25, length=2.0),
                               gel, ZERO_NOISE, seed=0)
-        result = track_episode(ep, TrackerMode.PATCH_GRAPH)
-        assert result.final_translation_error < 0.5
-        assert result.final_rotation_error < 0.02
+        rotation, translation = final_errors(
+            ep, track_episode(ep, TrackerMode.PATCH_GRAPH))
+        assert translation < 0.5
+        assert rotation < 0.02
 
     def test_patchgraph_sphere_translation_only(self, gel):
         # Sphere rotation is unconstrained by the contact geometry, so only
@@ -174,8 +177,9 @@ class TestZeroNoiseRegressions:
         ep = generate_episode(Sphere(radius=6.35),
                               TrajectorySpec(steps=12, indent=1.25, length=2.0),
                               gel, NoiseSpec(), seed=0)
-        result = track_episode(ep, TrackerMode.PATCH_GRAPH)
-        assert result.final_translation_error < 4.0
+        _, translation = final_errors(
+            ep, track_episode(ep, TrackerMode.PATCH_GRAPH))
+        assert translation < 4.0
 
 
 class TestModes:
@@ -185,8 +189,8 @@ class TestModes:
                               gel, NoiseSpec(), seed=1)
         for mode in TrackerMode:
             result = track_episode(ep, mode)
-            assert len(result.object_trajectory) == len(ep.frames)
-            assert np.isfinite(result.final_translation_error)
+            assert len(result.object_poses.translation) == len(ep.frames)
+            assert np.isfinite(final_errors(ep, result)[1])
 
     def test_determinism(self, gel):
         ep = generate_episode(Pyramid(),
@@ -194,9 +198,8 @@ class TestModes:
                               gel, NoiseSpec(), seed=2)
         a = track_episode(ep, TrackerMode.PATCH_GRAPH)
         b = track_episode(ep, TrackerMode.PATCH_GRAPH)
-        assert a.object_trajectory == b.object_trajectory
-        assert a.final_translation_error == b.final_translation_error
-        assert a.final_rotation_error == b.final_rotation_error
+        assert_same_estimate(a, b)
+        assert final_errors(ep, a) == final_errors(ep, b)
 
     def test_patchgraph_fuses_keyframes(self, gel):
         ep = generate_episode(Pyramid(),
@@ -213,9 +216,9 @@ class TestModes:
                               gel, NoiseSpec(), seed=3)
         fuse, fused = patchmap.fuse_keyframe, []
 
-        def recorded(pmap, keyframes):
-            fused.append((tracker.t, pmap, list(keyframes)))
-            return fuse(pmap, keyframes)
+        def recorded(keyframes):
+            fused.append((tracker.t, list(keyframes)))
+            return fuse(keyframes)
 
         monkeypatch.setattr(patchmap, "fuse_keyframe", recorded)
         tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
@@ -223,11 +226,10 @@ class TestModes:
         for frame in ep.frames:
             tracker.step(frame.normals, frame.eff_measured)
         assert not fused
-        result = tracker.finalize([f.object_pose for f in ep.frames])
+        result = tracker.finalize()
         assert [k for k, _ in tracker.keyframes] == [1, 3, 5]
         assert len(fused) == 1
-        _, pmap, keyframes = fused[0]
-        assert pmap.is_empty()
+        _, keyframes = fused[0]
         assert [cloud for cloud, _ in keyframes] == [
             cloud for _, cloud in tracker.keyframes]
         for (_, pose), (k, _) in zip(keyframes, tracker.keyframes):
@@ -236,7 +238,7 @@ class TestModes:
             np.testing.assert_array_equal(pose.translation,
                                           expected.translation)
         np.testing.assert_array_equal(result.patch.cloud.points,
-                                      fuse(PatchMap(), keyframes).cloud.points)
+                                      fuse(keyframes).cloud.points)
 
     def test_constvel_keeps_patch_empty(self, gel):
         ep = generate_episode(Pyramid(),
@@ -256,9 +258,22 @@ class TestModes:
         blank.mask[:] = False
         ep.frames[3].normals.mask[0, 0] = True
         result = track_episode(ep, TrackerMode.IMAGE_TO_IMAGE)
-        assert len(result.object_trajectory) == len(ep.frames)
+        assert len(result.object_poses.translation) == len(ep.frames)
         assert [d["skipped_registration"] for d in result.diagnostics] == [
             None, None, "empty_mask", "touches_border", None, None]
+
+
+class TestMeasurementsOnly:
+    def test_true_poses_not_read(self, cube_episode):
+        # The tracker reads measurements only: with every frame's true
+        # poses and depth unknown, each mode gives the same estimate.
+        nan = Pose(np.full((3, 3), np.nan), np.full(3, np.nan))
+        blind = dataclasses.replace(cube_episode, frames=[
+            dataclasses.replace(f, object_pose=nan, eff_pose=nan, depth_gt=None)
+            for f in cube_episode.frames])
+        for mode in TrackerMode:
+            assert_same_estimate(track_episode(blind, mode),
+                                 track_episode(cube_episode, mode))
 
 
 class TestMotionModel:
@@ -368,7 +383,7 @@ class TestIncrementalSmoothing:
                           sphere_episode.gel, shape=sphere_episode.shape)
         for frame in sphere_episode.frames:
             tracker.step(frame.normals, frame.eff_measured)
-        tracker.finalize([f.object_pose for f in sphere_episode.frames])
+        tracker.finalize()
         _, stats = factors.optimize(tracker.graph, tracker.values,
                                     config.optimizer)
         assert factors._negligible(stats.initial_cost - stats.final_cost,
@@ -606,7 +621,8 @@ class TestScenarioMatrix:
                                       suite.gel, suite.noise,
                                       seed=episode_seed(suite, index, 0))
                 result = track_episode(ep, TrackerMode.PATCH_GRAPH)
-                poses = result.object_trajectory + result.eff_trajectory
+                poses = (geometry.to_quat_trans(result.object_poses)
+                         + geometry.to_quat_trans(result.eff_poses))
                 assert np.isfinite(np.concatenate(poses)).all(), (kind, obj.name)
                 assert [d["step"] for d in result.diagnostics] == \
                     list(range(1, steps + 1))
@@ -629,14 +645,14 @@ def cube_episode():
 
 def _track_directly(episode, mode, frames=None, gel=None):
     """Track `frames` (default: the episode's) with a Tracker built
-    directly, and finalize it against their true poses."""
+    directly, and finalize it."""
     frames = episode.frames if frames is None else frames
     shape = episode.shape if mode is TrackerMode.GROUNDTRUTH_PATCH else None
     tracker = Tracker(mode, TrackerConfig(), episode.vision_prior,
                       gel or episode.gel, shape=shape)
     for frame in frames:
         tracker.step(frame.normals, frame.eff_measured)
-    return tracker.finalize([f.object_pose for f in frames])
+    return tracker.finalize()
 
 
 def _count_reconstructions(monkeypatch):
@@ -749,9 +765,10 @@ class TestFrontEnd:
         for mode in TrackerMode:
             shared = track_episode(episode, mode)
             direct = _track_directly(cube_episode, mode)
-            for name in ("object_trajectory", "eff_trajectory",
-                         "final_rotation_error", "final_translation_error",
-                         "diagnostics", "final_optimizer"):
+            assert_same_estimate(direct, shared)
+            assert final_errors(cube_episode, direct) == \
+                final_errors(episode, shared)
+            for name in ("diagnostics", "final_optimizer"):
                 assert getattr(direct, name) == getattr(shared, name), \
                     (mode, name)
             for name in ("points", "normals"):
@@ -769,7 +786,7 @@ class TestFrontEnd:
         direct = _track_directly(episode, TrackerMode.PATCH_GRAPH)
         assert reconstructed == []
         assert direct.diagnostics == shared.diagnostics
-        assert direct.object_trajectory == shared.object_trajectory
+        assert_same_estimate(direct, shared)
 
     def test_other_gel_reconstructs_its_own_clouds(self, cube_episode,
                                                    monkeypatch):
