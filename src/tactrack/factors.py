@@ -19,7 +19,6 @@ transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,10 +27,6 @@ from scipy.linalg import blas, lapack
 
 from . import geometry
 from .geometry import Pose
-
-
-class GaugeError(RuntimeError):
-    """A variable is not constrained by any factor."""
 
 
 class DivergenceError(RuntimeError):
@@ -233,49 +228,6 @@ class Im2PatchFactor(Factor):
         return error, [-_ad_inv(graph_rel), _identity_maps(error)]
 
 
-class Values(Mapping):
-    """Poses by variable key, kept stacked: the pose of `key` is row
-    ``index[key]`` of the batched Pose `poses`.  Factors gather their poses
-    from it by row, and a retraction moves rows of a copy, so neither has to
-    restack a dict of poses."""
-
-    def __init__(self, index: dict, poses: Pose):
-        self.index = index
-        self.poses = poses
-
-    @staticmethod
-    def of(values) -> "Values":
-        """`values` if already stacked, else its poses stacked in key order."""
-        if isinstance(values, Values):
-            return values
-        return Values({key: i for i, key in enumerate(values)},
-                      Pose.stack(list(values.values())))
-
-    def __getitem__(self, key) -> Pose:
-        return self.take(self.index[key])
-
-    def __iter__(self):
-        return iter(self.index)
-
-    def __len__(self):
-        return len(self.index)
-
-    def rows(self, keys) -> np.ndarray:
-        return np.array([self.index[key] for key in keys], dtype=np.intp)
-
-    def take(self, rows) -> Pose:
-        return Pose(self.poses.rotation[rows], self.poses.translation[rows])
-
-    def retract(self, rows: np.ndarray, delta: np.ndarray) -> "Values":
-        """A copy with the poses at `rows` moved by oplus of `delta`, six
-        entries per row."""
-        moved = geometry.oplus(self.take(rows), delta.reshape(-1, 6))
-        rotation = self.poses.rotation.copy()
-        translation = self.poses.translation.copy()
-        rotation[rows], translation[rows] = moved.rotation, moved.translation
-        return Values(self.index, Pose(rotation, translation))
-
-
 class _Store:
     """The factors of one class in insertion order, stacked: per factor, its
     graph key ids, its sigmas and, for classes with a measurement, the
@@ -304,12 +256,12 @@ class _Store:
         return Pose(self["rotation"], self["translation"])
 
 
-def _evaluate_by_class(values: Values, rows, stores, jacobians=False):
-    """Evaluate factors one class at a time on poses gathered from `values`
-    by row, with one log (and one inverse right Jacobian) over all of them.
+def _evaluate_by_class(poses: Pose, stores, jacobians=False):
+    """Evaluate factors one class at a time on their keys' rows of the
+    estimate `poses` (row i: the pose of graph key id i), with one log (and
+    one inverse right Jacobian) over all of them.
 
-    `rows` holds the row in `values` of each graph key id, and `stores`
-    lists the class stores in summation order.  Returns one
+    `stores` lists the class stores in summation order.  Returns one
     ``(residuals, blocks)`` pair per store: the whitened residuals (m, 6)
     and, with `jacobians`, the whitened Jacobian blocks (m, k, 6, 6), else
     None.
@@ -318,9 +270,9 @@ def _evaluate_by_class(values: Values, rows, stores, jacobians=False):
         return []
     errors, maps, sigmas = [], [], []
     for store in stores:
-        poses = values.take(rows[store["ids"]].T)   # (k, m, ...)
+        rows = poses[store["ids"].T]   # (k, m, ...)
         error, tangent = store.cls.evaluate(
-            [Pose(r, t) for r, t in zip(poses.rotation, poses.translation)],
+            [Pose(r, t) for r, t in zip(rows.rotation, rows.translation)],
             store.measured(), jacobians)
         errors.append(error)
         maps.append(tangent)
@@ -342,7 +294,9 @@ class FactorGraph:
     """Factors in insertion order.  `add` also numbers each new key in order
     of first appearance and appends the factor to its class's store; the
     stores, in order of each class's first appearance, are what `cost` and
-    `linearize` evaluate."""
+    `linearize` evaluate.  Key ids index the estimate: `cost`, `linearize`
+    and `optimize` take one stacked Pose whose row i is the pose of key id
+    i, so a key's initial pose is appended once a factor introduces it."""
 
     def __init__(self, factors=()):
         self.factors = []
@@ -367,13 +321,12 @@ class FactorGraph:
     def __len__(self):
         return len(self.factors)
 
-    def cost(self, values) -> float:
-        """Half the squared norm of the whitened residuals.  The sum runs as
-        `linearize`'s does, so the two agree to the bit."""
-        values = Values.of(values)
-        plan = _layout(self, values)
+    def cost(self, poses: Pose) -> float:
+        """Half the squared norm of the whitened residuals at the estimate
+        `poses`, in key-id order.  The sum runs as `linearize`'s does, so
+        the two agree to the bit."""
         return _half_squared_norm(
-            _evaluate_by_class(values, plan.rows, plan.stores))
+            _evaluate_by_class(poses, list(self.stores.values())))
 
 
 def _half_squared_norm(groups) -> float:
@@ -400,24 +353,23 @@ class LinearSystem:
 
 
 class _Plan(NamedTuple):
-    """How `linearize` and `FactorGraph.cost` lay out a graph for one key
-    set."""
+    """How `linearize` lays out a graph, and how `optimize` maps its step
+    back to the estimate's rows."""
 
     keys: list           # keys, in column-block order
-    rows: np.ndarray     # row in the values of each graph key id
+    order: np.ndarray    # key id of each column block
     stores: list         # class stores, in summation order
     width: int           # half-bandwidth w of J^T J
     where: np.ndarray    # band, J^T r or trash entry of each product term
 
 
-def _make_plan(graph: FactorGraph, values: Values) -> _Plan:
-    keys = sorted(values, key=lambda k: (k.t, k.kind))
+def _make_plan(graph: FactorGraph) -> _Plan:
+    keys = sorted(graph.key_ids, key=lambda k: (k.t, k.kind))
     n = len(keys)
-    column = {key: i for i, key in enumerate(keys)}
-    block = np.array([column[key] for key in graph.key_ids], dtype=np.intp)
+    order = np.array([graph.key_ids[key] for key in keys], dtype=np.intp)
+    block = np.argsort(order)   # the column block of each key id
     # Classes are summed in the order they first appear in the graph.
     stores = list(graph.stores.values())
-    rows = values.rows(graph.key_ids)
     blocks = [block[store["ids"]] for store in stores]
     # The blocks of the two keys of each product J_k^T J_l, in the order the
     # products are summed: store, factor, then pair.
@@ -448,24 +400,23 @@ def _make_plan(graph: FactorGraph, values: Values) -> _Plan:
     pair_at[(first == second)[:, None, None] & (c < e)] = trash
     grad_at = grad_base + 6 * _flat(blocks)[:, None] + np.arange(6)
     where = np.concatenate([pair_at.ravel(), grad_at.ravel()])
-    return _Plan(keys, rows, stores, width, where)
+    return _Plan(keys, order, stores, width, where)
 
 
-def _layout(graph: FactorGraph, values: Values) -> _Plan:
+def _layout(graph: FactorGraph) -> _Plan:
     """The layout (columns, stores, bandwidth and scatter indices) of
-    `graph` for the keys of `values`.  It depends on nothing else, so the
-    graph keeps the last one: every evaluation within one `optimize` call
-    reuses it."""
-    token = (values.index, len(graph))
-    if graph._plan is None or graph._plan[0] != token:
-        graph._plan = (token, _make_plan(graph, values))
+    `graph`.  Keys arrive only with factors, so it depends on the factor
+    count alone, and the graph keeps the last one: every evaluation within
+    one `optimize` call reuses it."""
+    if graph._plan is None or graph._plan[0] != len(graph):
+        graph._plan = (len(graph), _make_plan(graph))
     return graph._plan[1]
 
 
-def linearize(graph: FactorGraph, values) -> LinearSystem:
+def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     """Normal equations assembled from each factor's closed-form Jacobian
     blocks in tangent space, evaluated one factor class at a time, and the
-    cost at `values`.
+    cost at the estimate `poses`, in key-id order.
 
     The keys are ordered by ``(t, kind)``, so ``J^T J`` is banded, and only
     its lower band is assembled: per factor, the products ``J_k^T J_l`` of
@@ -473,13 +424,12 @@ def linearize(graph: FactorGraph, values) -> LinearSystem:
     (`LinearSystem`).  The cost is summed as `FactorGraph.cost` sums it, so
     the two agree to the bit.
     """
-    values = Values.of(values)
-    keys, rows, stores, width, where = _layout(graph, values)
+    keys, _, stores, width, where = _layout(graph)
     size = 6 * len(keys)
     if not stores:
         return LinearSystem(keys=keys, ab=np.zeros((width + 1, size)),
                             jtr=np.zeros(size), cost=0.0)
-    groups = _evaluate_by_class(values, rows, stores, True)
+    groups = _evaluate_by_class(poses, stores, True)
     products, grads = [], []
     for (r, blocks), store in zip(groups, stores):
         k, l = store.pairs
@@ -561,11 +511,14 @@ def _solve_damped(ab: np.ndarray, jtr: np.ndarray,
     return delta
 
 
-def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
-    """Levenberg-Marquardt on the manifold.
+def optimize(graph: FactorGraph, init: Pose, params: OptimizerParams = None):
+    """Levenberg-Marquardt on the manifold, from the estimate `init`: one
+    stacked Pose whose row i is the pose of graph key id i.  Every key was
+    introduced by a factor, so every row is a free variable; an estimate
+    with another row count is a ValueError.
 
     Solves (J^T J + lambda diag(J^T J)) delta = -J^T r by a banded Cholesky
-    factorization (`_solve_damped`), retracts each pose block via oplus, and
+    factorization (`_solve_damped`), retracts every row via oplus, and
     accepts or rejects by cost; a factorization that fails counts as a
     rejection.  Each rejection raises lambda.  Terminates on an accepted
     step whose decrease is negligible (`_negligible`), on the iteration
@@ -584,20 +537,17 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
     iteration; only a trial that must be the last, by the model or the
     cap, gets a cost-only pass (`FactorGraph.cost`), and its point is
     linearized after all if it is accepted with a real improvement.  With
-    ``max_iterations=0`` no Jacobian is computed.  The estimate stays
-    stacked (`Values`) throughout and is returned as a dict of poses, with
-    the stats: iterations, costs, linearizations and the last trial's
-    predicted decrease.
+    ``max_iterations=0`` no Jacobian is computed.  Returns the estimate,
+    stacked as `init` is, and the stats: iterations, costs, linearizations
+    and the last trial's predicted decrease.
     """
     params = params or OptimizerParams()
-    for key in init:
-        if key not in graph.key_ids:
-            raise GaugeError(f"variable {key.label()} has no factor attached")
-    for key in graph.key_ids:
-        if key not in init:
-            raise KeyError(f"factor references missing variable {key.label()}")
+    rows, keys = init.translation.shape[:-1], len(graph.key_ids)
+    if rows != (keys,):
+        raise ValueError(f"the estimate must stack one pose per graph key "
+                         f"({keys}), got batch shape {rows}")
 
-    values = Values.of(init)
+    poses = init
     linearizations = 0
     tolerance = params.cost_tolerance
 
@@ -610,7 +560,7 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
         system = linearize(graph, point)
         return system.cost, system
 
-    cost, system = evaluate(values, params.max_iterations == 0)
+    cost, system = evaluate(poses, params.max_iterations == 0)
     initial_cost = cost
     if not np.isfinite(cost):
         raise DivergenceError(f"non-finite initial cost {cost}")
@@ -623,7 +573,7 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
         if not jtr.any():   # a stationary point: no step can lower the cost
             break
         width = len(ab) - 1
-        rows = values.rows(system.keys)
+        order = _layout(graph).order
         diag = ab[0].copy()
         diag[diag < 1e-12] = 1e-12
         last = iterations + 1 == params.max_iterations
@@ -638,7 +588,9 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
             predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
                 width, 1.0, ab, delta, lower=1)
             stalled = _negligible(predicted, cost, tolerance)
-            candidate = values.retract(rows, delta)
+            step = np.empty((len(order), 6))
+            step[order] = delta.reshape(-1, 6)
+            candidate = geometry.oplus(poses, step)
             new_cost, new_system = evaluate(candidate, stalled or last)
             if not np.isfinite(new_cost):
                 raise DivergenceError(f"non-finite cost {new_cost}")
@@ -652,14 +604,14 @@ def optimize(graph: FactorGraph, init: dict, params: OptimizerParams = None):
             break
         iterations += 1
         improvement = cost - new_cost
-        values, cost = candidate, new_cost
+        poses, cost = candidate, new_cost
         lam = max(lam / LAMBDA_SCALE, 1e-12)
         if last or _negligible(improvement, cost, tolerance):
             break
         if new_system is None:   # stalled, but paid more than predicted
-            _, new_system = evaluate(values, False)
+            _, new_system = evaluate(poses, False)
         system = new_system
-    return dict(values), OptimizeStats(
+    return poses, OptimizeStats(
         iterations=iterations, initial_cost=initial_cost, final_cost=cost,
         linearizations=linearizations,
         predicted_decrease=None if predicted is None else float(predicted))

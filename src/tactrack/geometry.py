@@ -132,6 +132,10 @@ class Pose:
         return Pose(np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
                     np.array([p.translation for p in poses]).reshape(-1, 3))
 
+    def __getitem__(self, index) -> "Pose":
+        """The pose, or the batch of poses, at `index` of the batch."""
+        return Pose(self.rotation[index], self.translation[index])
+
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
@@ -288,7 +292,11 @@ def from_quat_trans(values) -> Pose:
     values = np.asarray(values, dtype=float)
     if values.shape != (7,):
         raise ValueError("pose serialization must have 7 numbers [qw qx qy qz tx ty tz]")
-    w, x, y, z = values[:4] / np.linalg.norm(values[:4])
+    norm = np.linalg.norm(values[:4])
+    if not (np.isfinite(values).all() and norm > 0):
+        raise ValueError("pose serialization must be finite with a nonzero "
+                         f"quaternion, got {values.tolist()}")
+    w, x, y, z = values[:4] / norm
     rot = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],

@@ -190,14 +190,11 @@ def tracking_errors(objects: Pose, effs: Pose, true_objects: Pose,
     final object pose's rotation (rad) and translation (mm) errors, and the
     translation error (mm) of the first-to-last object-from-sensor motion
     (o_1^-1 e_1)^-1 (o_T^-1 e_T), which is what touch observes."""
-    def at(poses, i):
-        return Pose(poses.rotation[i], poses.translation[i])
-
     def motion(objs, sensors):
-        first, last = (geometry.compose(geometry.inverse(at(objs, i)),
-                                        at(sensors, i)) for i in (0, -1))
+        first, last = (geometry.compose(geometry.inverse(objs[i]), sensors[i])
+                       for i in (0, -1))
         return geometry.compose(geometry.inverse(first), last)
-    rotation, translation = pose_errors(at(objects, -1), at(true_objects, -1))
+    rotation, translation = pose_errors(objects[-1], true_objects[-1])
     return {"final_rotation_error_rad": rotation,
             "final_translation_error_mm": translation,
             "final_rel_translation_error_mm": pose_errors(

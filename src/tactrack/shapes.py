@@ -20,6 +20,10 @@ from . import geometry
 from .geometry import Pose
 
 
+# Projection onto the surface stops once every point is this close (mm).
+PROJECTION_TOLERANCE = 1e-9
+
+
 def _size(value) -> float:
     """A size as a float; ValueError for a bool or a non-number, which
     float() would convert."""
@@ -61,10 +65,14 @@ class ShapeSDF:
         return grad
 
     def project_to_surface(self, points: np.ndarray, iters: int = 12) -> np.ndarray:
-        """Move points onto the zero level set by sphere-trace style projection."""
+        """Move points onto the zero level set by sphere-trace style
+        projection, until every |sdf| is below `PROJECTION_TOLERANCE` or
+        after `iters` steps."""
         pts = np.asarray(points, dtype=float).copy()
         for _ in range(iters):
             d = self.sdf(pts)
+            if np.abs(d).max(initial=0.0) < PROJECTION_TOLERANCE:
+                break
             g = self.gradient(pts)
             norm = _row_norm(g)[:, None]
             norm[norm < 1e-12] = 1.0

@@ -202,7 +202,10 @@ class Tracker:
     Once an image's cloud is kept, its arrays are made read-only.
 
     The constructor adds only the vision prior on o_1; every end-effector
-    measurement, the first included, comes from `step`."""
+    measurement, the first included, comes from `step`.  The estimate
+    `poses` is one stacked Pose in the graph's key-id order, as
+    `factors.optimize` takes it: a key's initial pose is appended when a
+    factor introduces the key."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, gel: GelConfig, shape: ShapeSDF = None):
@@ -214,7 +217,6 @@ class Tracker:
         self.gel = gel
         self.shape = shape
         self.graph = FactorGraph()
-        self.values: dict = {}
         self.keyframes: list = []   # (t, sensor-frame cloud), in time order
         self.prev_cloud: PointCloud | None = None
         self.prev_eff_measurement: Pose | None = None
@@ -229,13 +231,24 @@ class Tracker:
         self.vel_noise = NoiseModel.isotropic(*config.sigma_vel)
         self.graph.add(vis_prior(1, vision_prior,
                                  NoiseModel.isotropic(*config.sigma_vis)))
-        self.values[obj_key(1)] = vision_prior
+        self.poses = Pose.stack([vision_prior])
 
     # -- helpers -----------------------------------------------------------
 
+    def _add_key(self, factor, initial: Pose) -> None:
+        """Add `factor`, which introduces one key, and append that key's
+        initial pose."""
+        self.graph.add(factor)
+        rotation, translation = self.poses.rotation, self.poses.translation
+        self.poses = Pose(np.concatenate([rotation, initial.rotation[None]]),
+                          np.concatenate([translation, initial.translation[None]]))
+
+    def _pose(self, key) -> Pose:
+        return self.poses[self.graph.key_ids[key]]
+
     def _object_from_sensor(self, t: int) -> Pose:
-        return geometry.compose(geometry.inverse(self.values[obj_key(t)]),
-                                self.values[eff_key(t)])
+        return geometry.compose(geometry.inverse(self._pose(obj_key(t))),
+                                self._pose(eff_key(t)))
 
     def _register(self, kind: str, source, target, init: Pose, gate,
                   diag: dict) -> Pose | None:
@@ -326,11 +339,11 @@ class Tracker:
                 "icp_im2patch": None, "im2patch_init": None,
                 "skipped_registration": None, "keyframe": False}
 
-        self.values[eff_key(t)] = eff_measurement
-        self.graph.add(eff_prior(t, eff_measurement, self.eff_noise))
+        self._add_key(eff_prior(t, eff_measurement, self.eff_noise),
+                      eff_measurement)
         if t > 1:
-            self.values[obj_key(t)] = self.values[obj_key(t - 1)]
-            self.graph.add(MotionPriorFactor(t, self.vel_noise))
+            self._add_key(MotionPriorFactor(t, self.vel_noise),
+                          self._pose(obj_key(t - 1)))
 
         cloud = None
         if not normal_image.mask.any():
@@ -377,8 +390,8 @@ class Tracker:
                     self.graph.add(Im2PatchFactor(
                         t, measured, NoiseModel.isotropic(*SIGMA_IM2GT)))
 
-        self.values, stats = factors.optimize(self.graph, self.values,
-                                              self.step_optimizer)
+        self.poses, stats = factors.optimize(self.graph, self.poses,
+                                             self.step_optimizer)
         diag["optimizer"] = dataclasses.asdict(stats)
 
         if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
@@ -389,8 +402,8 @@ class Tracker:
         self.prev_cloud = cloud
         self.prev_eff_measurement = eff_measurement
         self.diagnostics.append(diag)
-        return PoseEstimate(object_pose=self.values[obj_key(t)],
-                            eff_pose=self.values[eff_key(t)],
+        return PoseEstimate(object_pose=self._pose(obj_key(t)),
+                            eff_pose=self._pose(eff_key(t)),
                             diagnostics=diag)
 
     def finalize(self) -> EpisodeResult:
@@ -398,9 +411,10 @@ class Tracker:
         the converged poses."""
         if self.t < 1:
             raise RuntimeError("finalize requires at least one processed step")
-        self.values, stats = factors.optimize(self.graph, self.values,
-                                              self.config.optimizer)
+        self.poses, stats = factors.optimize(self.graph, self.poses,
+                                             self.config.optimizer)
         steps = range(1, self.t + 1)
+        ids = self.graph.key_ids
         # The patch is an output, fused once at the final poses.
         patch = PatchMap()
         if self.keyframes:
@@ -408,8 +422,8 @@ class Tracker:
                 [(cloud, self._object_from_sensor(k))
                  for k, cloud in self.keyframes])
         return EpisodeResult(
-            object_poses=Pose.stack([self.values[obj_key(t)] for t in steps]),
-            eff_poses=Pose.stack([self.values[eff_key(t)] for t in steps]),
+            object_poses=self.poses[[ids[obj_key(t)] for t in steps]],
+            eff_poses=self.poses[[ids[eff_key(t)] for t in steps]],
             diagnostics=self.diagnostics, patch=patch,
             final_optimizer=dataclasses.asdict(stats))
 

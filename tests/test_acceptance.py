@@ -30,7 +30,8 @@ from tactrack.registration import DegenerateGeometryError, icp_register
 from tactrack.render import GelConfig, depth_to_normals, render_depth
 from tactrack.shapes import Sphere
 
-from .conftest import plane_cloud, pyramid_face_cloud, sphere_cap_cloud
+from .conftest import (by_key, plane_cloud, pyramid_face_cloud,
+                       sphere_cap_cloud, stacked)
 from .test_patchmap import sensor_pose_over_sphere, sphere_contact_cloud
 
 
@@ -182,7 +183,9 @@ class TestCriterion4Optimizer:
             graph.add(PriorFactor(obj_key(1), mu1, NoiseModel.isotropic(s1, s1)))
             graph.add(PriorFactor(obj_key(1), mu2, NoiseModel.isotropic(s2, s2)))
             expected = (1 / s1**2 + 3 / s2**2) / (1 / s1**2 + 1 / s2**2)
-            values, _ = optimize(graph, {obj_key(1): Pose.identity()})
+            poses, _ = optimize(graph,
+                                stacked(graph, {obj_key(1): Pose.identity()}))
+            values = by_key(graph, poses)
             assert np.abs(values[obj_key(1)].translation
                           - [expected, 0.0, 0.0]).max() < 1e-6
             assert np.abs(values[obj_key(1)].rotation - np.eye(3)).max() < 1e-6
@@ -204,7 +207,8 @@ class TestCriterion4Optimizer:
             init = {eff_key(t + 1): geometry.oplus(
                 truth[t], rng.uniform(-0.05, 0.05, 6)) for t in range(10)}
             init.update({obj_key(t + 1): Pose.identity() for t in range(10)})
-            values, _ = optimize(graph, init)
+            poses, _ = optimize(graph, stacked(graph, init))
+            values = by_key(graph, poses)
             for t in range(10):
                 err = geometry.ominus(values[eff_key(t + 1)], truth[t])
                 assert np.linalg.norm(err) < 1e-6

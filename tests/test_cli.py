@@ -117,6 +117,9 @@ class TestSimulate:
         ("objects", [{"name": "p", "shape": {"type": "pyramid",
                                              "base_half_length": 10.0,
                                              "height": True}}]),
+        ("objects", [{"name": "s", "shape": {**SPHERE, "offset": [0] * 7}}]),
+        ("objects", [{"name": "s", "shape": {**SPHERE, "offset": [
+            1, 0, 0, 0, float("inf"), 0, 0]}}]),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):

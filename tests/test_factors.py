@@ -8,9 +8,9 @@ from scipy.linalg import blas
 
 from tactrack import factors, geometry
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
-from tactrack.factors import (DivergenceError, FactorGraph, GaugeError,
-                              Im2ImFactor, Im2PatchFactor, MotionPriorFactor,
-                              NoiseModel, OptimizeStats, OptimizerParams,
+from tactrack.factors import (DivergenceError, FactorGraph, Im2ImFactor,
+                              Im2PatchFactor, MotionPriorFactor, NoiseModel,
+                              OptimizeStats, OptimizerParams,
                               PriorFactor, eff_key, eff_prior, linearize,
                               obj_key, optimize, vis_prior)
 from tactrack.geometry import DomainError, Pose
@@ -18,7 +18,7 @@ from tactrack.render import GelConfig
 from tactrack.shapes import Pyramid
 from tactrack.tracker import Tracker, TrackerConfig, TrackerMode
 
-from .conftest import numerical_jacobian, random_pose
+from .conftest import by_key, numerical_jacobian, random_pose, stacked
 
 UNIT = NoiseModel.isotropic(1.0, 1.0)
 
@@ -82,12 +82,12 @@ class TestLinearize:
         p = random_pose(rng)
         graph = FactorGraph()
         graph.add(vis_prior(1, p, UNIT))
-        system = linearize(graph, {obj_key(1): p})
+        system = linearize(graph, stacked(graph, {obj_key(1): p}))
         np.testing.assert_allclose(_dense(system.ab), np.eye(6), atol=1e-6)
         np.testing.assert_allclose(system.jtr, np.zeros(6), atol=1e-9)
 
     def test_empty_graph(self):
-        system = linearize(FactorGraph(), {})
+        system = linearize(FactorGraph(), Pose.stack([]))
         assert system.keys == []
         assert system.ab.shape == (1, 0)
         assert system.jtr.shape == (0,)
@@ -169,13 +169,14 @@ def _dense(ab):
 
 def _assert_matches_per_factor(system, graph, values, block, rel):
     """Compare the normal equations of `system` with a reference built from
-    a dense Jacobian filled one factor at a time, in (t, kind) key order;
+    a dense Jacobian filled one factor at a time, over the graph's keys in
+    (t, kind) order, with the factors evaluated at the dict `values`;
     `block(factor, i)` is the whitened 6x6 block of the factor's i-th key.
     The band of J^T J is compared with the reference's, and the reference
     must be exactly zero outside it, so a band too narrow fails.  The
     tolerance is `rel` times the largest sum of absolute terms, since J^T r
     nearly cancels at an optimum."""
-    keys = sorted(values, key=lambda k: (k.t, k.kind))
+    keys = sorted(graph.key_ids, key=lambda k: (k.t, k.kind))
     col = {key: 6 * i for i, key in enumerate(keys)}
     jac = np.zeros((6 * len(graph), 6 * len(keys)))
     res = np.zeros(6 * len(graph))
@@ -204,21 +205,21 @@ def _two_pass_optimize(graph, init, params=OptimizerParams()):
     point twice: the cost of all factors at each trial, and the normal
     equations of each accepted point again.  It stops where `optimize`
     does, on a negligible decrease (`factors._negligible`).  Returns the
-    values, the iterations, the initial and final cost and, for each trial
-    evaluated, whether it was accepted, whether the decrease the model
+    estimate, the iterations, the initial and final cost and, for each
+    trial evaluated, whether it was accepted, whether the decrease the model
     predicted for it was negligible, and that predicted decrease."""
-    values = factors.Values.of(init)
-    cost = graph.cost(values)
+    poses = init
+    cost = graph.cost(poses)
     initial_cost = cost
     trials = []
     lam = factors.LAMBDA_INIT
     iterations = 0
     for _ in range(params.max_iterations):
-        system = linearize(graph, values)
+        system = linearize(graph, poses)
         if not system.keys:
             break
         ab, jtr = system.ab, system.jtr
-        rows = values.rows(system.keys)
+        rows = [graph.key_ids[key] for key in system.keys]
         diag = ab[0].copy()
         diag[diag < 1e-12] = 1e-12
         accepted = False
@@ -228,7 +229,9 @@ def _two_pass_optimize(graph, init, params=OptimizerParams()):
             except np.linalg.LinAlgError:
                 lam *= factors.LAMBDA_SCALE
                 continue
-            candidate = values.retract(rows, delta)
+            step = np.empty((len(rows), 6))
+            step[rows] = delta.reshape(-1, 6)
+            candidate = geometry.oplus(poses, step)
             new_cost = graph.cost(candidate)
             predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
                 len(ab) - 1, 1.0, ab, delta, lower=1)
@@ -245,11 +248,11 @@ def _two_pass_optimize(graph, init, params=OptimizerParams()):
             break
         iterations += 1
         improvement = cost - new_cost
-        values, cost = candidate, new_cost
+        poses, cost = candidate, new_cost
         lam = max(lam / factors.LAMBDA_SCALE, 1e-12)
         if factors._negligible(improvement, cost, params.cost_tolerance):
             break
-    return dict(values), (iterations, initial_cost, cost), trials
+    return poses, (iterations, initial_cost, cost), trials
 
 
 class TestJacobianOracle:
@@ -289,18 +292,20 @@ class TestJacobianOracle:
                     oracle = numerical_jacobian(perturbed, values[key])
                     err = np.linalg.norm(factor.noise.whiten(block) - oracle)
                     assert err <= 1e-6 * np.linalg.norm(oracle), (key, err)
-            _assert_matches_per_factor(linearize(graph, values), graph,
-                                       values, _analytic_block(values), 1e-12)
+            system = linearize(graph, stacked(graph, values))
+            _assert_matches_per_factor(system, graph, values,
+                                       _analytic_block(values), 1e-12)
 
         check()
 
 
 @pytest.fixture(scope="module")
 def episode_graph():
-    """The graph and estimate at the end of a 24-step patchgraph episode,
-    with the im2patch factors that gtpatch adds on the same episode, so that
-    one real graph holds every factor class: patchgraph's keyframe factors
-    (k = t - 2) and gtpatch's unary factors against the true shape."""
+    """The graph and estimate (a dict by key) at the end of a 24-step
+    patchgraph episode, with the im2patch factors that gtpatch adds on the
+    same episode, so that one real graph holds every factor class:
+    patchgraph's keyframe factors (k = t - 2) and gtpatch's unary factors
+    against the true shape."""
     gel = GelConfig()
     ep = generate_episode(Pyramid(),
                           TrajectorySpec(steps=24, indent=1.25, length=2.0),
@@ -317,7 +322,7 @@ def episode_graph():
     gtpatch = run(TrackerMode.GROUNDTRUTH_PATCH, ep.shape)
     return FactorGraph(patchgraph.graph.factors + [
         f for f in gtpatch.graph.factors if f.name == "im2patch"]), \
-        patchgraph.values
+        by_key(patchgraph.graph, patchgraph.poses)
 
 
 class TestEpisodeGraph:
@@ -333,15 +338,17 @@ class TestEpisodeGraph:
 
     def test_normal_equations_match_per_factor_reference(self, episode_graph):
         graph, values = episode_graph
-        _assert_matches_per_factor(linearize(graph, values), graph, values,
-                                   _analytic_block(values), 1e-10)
+        _assert_matches_per_factor(linearize(graph, stacked(graph, values)),
+                                   graph, values, _analytic_block(values),
+                                   1e-10)
 
     def test_cost_is_sum_of_factor_costs(self, episode_graph):
         graph, values = episode_graph
         expected = sum(0.5 * float(f.residual(values) @ f.residual(values))
                        for f in graph.factors)
-        assert graph.cost(values) == pytest.approx(expected, rel=1e-12)
-        assert linearize(graph, values).cost == graph.cost(values)
+        poses = stacked(graph, values)
+        assert graph.cost(poses) == pytest.approx(expected, rel=1e-12)
+        assert linearize(graph, poses).cost == graph.cost(poses)
 
     def test_residual_at_pi_in_batch_raises(self, episode_graph):
         graph, values = episode_graph
@@ -353,26 +360,29 @@ class TestEpisodeGraph:
             graph_rel, Pose(geometry.rot_z(np.pi), np.zeros(3))), last.noise)
         broken = FactorGraph([flipped if f is last else f
                               for f in graph.factors])
+        poses = stacked(broken, values)
         with pytest.raises(DomainError):
-            broken.cost(values)
+            broken.cost(poses)
         with pytest.raises(DomainError):
-            linearize(broken, values)
+            linearize(broken, poses)
 
     def test_interleaved_adds_match_fresh_graph(self, episode_graph):
         # The class stores grow and the cached linearize layout is rebuilt
         # as factors arrive between evaluations; neither may change a bit
-        # of what a graph built in one go gives.
+        # of what a graph built in one go gives.  Each prefix of the graph
+        # numbers its keys as the whole graph does, so it reads the first
+        # rows of the whole estimate.
         graph, values = episode_graph
-        stacked = factors.Values.of(values)
+        poses = stacked(graph, values)
         grown = FactorGraph()
         for factor in graph.factors:
             grown.add(factor)
-            grown.cost(stacked)
-            linearize(grown, stacked)
+            grown.cost(poses)
+            linearize(grown, poses)
         fresh = FactorGraph(graph.factors)
-        assert grown.cost(stacked) == fresh.cost(values)
-        for a, b in ((linearize(grown, stacked), linearize(fresh, values)),
-                     (linearize(grown, values), linearize(graph, stacked))):
+        assert grown.cost(poses) == fresh.cost(poses)
+        for a, b in ((linearize(grown, poses), linearize(fresh, poses)),
+                     (linearize(grown, poses), linearize(graph, poses))):
             assert a.keys == b.keys
             np.testing.assert_array_equal(a.ab, b.ab)
             np.testing.assert_array_equal(a.jtr, b.jtr)
@@ -385,8 +395,9 @@ class TestEpisodeGraph:
         # point again.
         graph, values = episode_graph
         rng = np.random.default_rng(21)
-        init = {k: geometry.oplus(p, rng.normal(scale=[0.01] * 3 + [0.1] * 3))
-                for k, p in values.items()}
+        init = stacked(graph, {
+            k: geometry.oplus(p, rng.normal(scale=[0.01] * 3 + [0.1] * 3))
+            for k, p in values.items()})
         expected, expected_stats, trials = _two_pass_optimize(graph, init)
         assert expected_stats[0] >= 2
 
@@ -409,11 +420,8 @@ class TestEpisodeGraph:
                 stats.final_cost) == expected_stats
         assert stats.predicted_decrease == trials[-1][2]
         assert stats.linearizations == passes["linearize"]
-        for key in expected:
-            np.testing.assert_array_equal(actual[key].rotation,
-                                          expected[key].rotation)
-            np.testing.assert_array_equal(actual[key].translation,
-                                          expected[key].translation)
+        np.testing.assert_array_equal(actual.rotation, expected.rotation)
+        np.testing.assert_array_equal(actual.translation, expected.translation)
         # A trial the model calls final takes a cost-only pass, and is
         # linearized too if it is accepted and the search goes on; every
         # other trial is linearized once.
@@ -435,8 +443,9 @@ class TestEpisodeGraph:
         # The relative 1e-9 stop it replaces took 4 linearizations here.
         graph, values = episode_graph
         rng = np.random.default_rng(22)
-        init = {k: geometry.oplus(p, rng.normal(scale=[0.01] * 3 + [0.1] * 3))
-                for k, p in values.items()}
+        init = stacked(graph, {
+            k: geometry.oplus(p, rng.normal(scale=[0.01] * 3 + [0.1] * 3))
+            for k, p in values.items()})
         tight, _ = optimize(graph, init, OptimizerParams(cost_tolerance=1e-14))
         calls = []
 
@@ -449,18 +458,17 @@ class TestEpisodeGraph:
         tolerance = OptimizerParams().cost_tolerance
         assert stats.predicted_decrease < tolerance < 0.01 * stats.final_cost
         assert stats.linearizations == len(calls) == 3
-        for key in tight:
-            assert np.linalg.norm(actual[key].translation
-                                  - tight[key].translation) < 5e-3
-            assert np.abs(geometry.ominus(actual[key], tight[key])[:3]).max() \
-                < 1e-4
+        assert np.linalg.norm(actual.translation - tight.translation,
+                              axis=1).max() < 5e-3
+        assert np.abs(geometry.ominus(actual, tight)[:, :3]).max() < 1e-4
 
     def test_banded_damped_solve_matches_dense(self, episode_graph):
         # Time order makes J^T J banded (a keyframe factor, the widest, spans
         # the six key blocks e_{t-2}, o_{t-2} ... e_t, o_t, so
         # w = 6 * 5 + 5 = 35 columns below the diagonal), and the banded
         # Cholesky solve agrees with a dense solve of the same damped system.
-        system = linearize(*episode_graph)
+        graph, values = episode_graph
+        system = linearize(graph, stacked(graph, values))
         assert system.ab.shape == (36, 6 * len(system.keys))
         jtj = _dense(system.ab)
         diag = np.diag(jtj)
@@ -499,9 +507,10 @@ class TestOptimize:
         mean = random_pose(rng)
         graph = FactorGraph()
         graph.add(vis_prior(1, mean, UNIT))
-        init = {obj_key(1): geometry.oplus(mean, rng.uniform(-0.05, 0.05, 6))}
-        values, stats = optimize(graph, init)
-        assert np.linalg.norm(geometry.ominus(values[obj_key(1)], mean)) < 1e-8
+        init = stacked(graph, {
+            obj_key(1): geometry.oplus(mean, rng.uniform(-0.05, 0.05, 6))})
+        poses, stats = optimize(graph, init)
+        assert np.linalg.norm(geometry.ominus(poses[0], mean)) < 1e-8
         assert 1 <= stats.iterations <= 3
 
     def test_at_optimum_ends_damping_search_on_model(self, monkeypatch):
@@ -526,7 +535,7 @@ class TestOptimize:
 
         monkeypatch.setattr(FactorGraph, "cost", counted_cost)
         monkeypatch.setattr(factors, "linearize", counted_linearize)
-        _, stats = optimize(graph, {obj_key(1): mean})
+        _, stats = optimize(graph, stacked(graph, {obj_key(1): mean}))
         assert stats.iterations == 0
         assert len(calls) <= 2
 
@@ -538,7 +547,8 @@ class TestOptimize:
         graph.add(PriorFactor(obj_key(1), mu1, NoiseModel.isotropic(s1, s1)))
         graph.add(PriorFactor(obj_key(1), mu2, NoiseModel.isotropic(s2, s2)))
         expected = (1.0 / s1**2 + 3.0 / s2**2) / (1.0 / s1**2 + 1.0 / s2**2)
-        values, _ = optimize(graph, {obj_key(1): Pose.identity()})
+        poses, _ = optimize(graph, Pose.stack([Pose.identity()]))
+        values = by_key(graph, poses)
         np.testing.assert_allclose(values[obj_key(1)].translation,
                                    [expected, 0.0, 0.0], atol=1e-6)
         np.testing.assert_allclose(values[obj_key(1)].rotation, np.eye(3),
@@ -567,7 +577,8 @@ class TestOptimize:
                                                rng.uniform(-0.05, 0.05, 6))
                 for t in range(10)}
         init.update({obj_key(t + 1): Pose.identity() for t in range(10)})
-        values, _ = optimize(graph, init)
+        poses, _ = optimize(graph, stacked(graph, init))
+        values = by_key(graph, poses)
         for t in range(10):
             err = geometry.ominus(values[eff_key(t + 1)], truth[t])
             assert np.linalg.norm(err) < 1e-6
@@ -582,7 +593,7 @@ class TestOptimize:
         graph.add(vis_prior(1, Pose(np.eye(3), np.array([np.nan, 0.0, 0.0])),
                             UNIT))
         with pytest.raises(DivergenceError):
-            optimize(graph, {obj_key(1): Pose.identity()})
+            optimize(graph, stacked(graph, {obj_key(1): Pose.identity()}))
 
     @pytest.mark.parametrize("offset", [1e-9, 0.05],
                              ids=["final_trial", "linearized_trial"])
@@ -594,23 +605,24 @@ class TestOptimize:
         mean = random_pose(rng)
         graph = FactorGraph()
         graph.add(vis_prior(1, mean, UNIT))
-        retract, cost = factors.Values.retract, FactorGraph.cost
+        init = stacked(graph, {obj_key(1): geometry.oplus(mean,
+                                                          np.full(6, offset))})
+        retract, cost = geometry.oplus, FactorGraph.cost
         cost_only = []
 
-        def poisoned(self, rows, delta):
-            moved = retract(self, rows, delta)
-            moved.poses.translation[rows] = np.nan
+        def poisoned(poses, step):
+            moved = retract(poses, step)
+            moved.translation[:] = np.nan
             return moved
 
-        def counted_cost(self, values):
-            cost_only.append(values)
-            return cost(self, values)
+        def counted_cost(self, poses):
+            cost_only.append(poses)
+            return cost(self, poses)
 
-        monkeypatch.setattr(factors.Values, "retract", poisoned)
+        monkeypatch.setattr(geometry, "oplus", poisoned)
         monkeypatch.setattr(FactorGraph, "cost", counted_cost)
         with pytest.raises(DivergenceError):
-            optimize(graph, {obj_key(1): geometry.oplus(mean,
-                                                        np.full(6, offset))})
+            optimize(graph, init)
         assert len(cost_only) == (1 if offset < 1e-6 else 0)
 
     def test_exact_optimum_stops_before_solving(self, monkeypatch):
@@ -620,54 +632,55 @@ class TestOptimize:
         mean = random_pose(rng)
         graph = FactorGraph()
         graph.add(vis_prior(1, mean, UNIT))
-        init = {obj_key(1): geometry.oplus(mean, np.zeros(6))}
-        assert not linearize(graph, factors.Values.of(init)).jtr.any()
+        init = stacked(graph, {obj_key(1): geometry.oplus(mean, np.zeros(6))})
+        assert not linearize(graph, init).jtr.any()
 
         def refused(*args, **kwargs):
             raise AssertionError("trial step taken")
 
         monkeypatch.setattr(factors, "_solve_damped", refused)
-        monkeypatch.setattr(factors.Values, "retract", refused)
+        monkeypatch.setattr(geometry, "oplus", refused)
         monkeypatch.setattr(FactorGraph, "cost", refused)
-        values, stats = optimize(graph, init)
+        poses, stats = optimize(graph, init)
         assert stats == OptimizeStats(
             iterations=0, initial_cost=stats.initial_cost,
             final_cost=stats.initial_cost, linearizations=1,
             predicted_decrease=None)
-        np.testing.assert_array_equal(values[obj_key(1)].rotation,
-                                      init[obj_key(1)].rotation)
-        np.testing.assert_array_equal(values[obj_key(1)].translation,
-                                      init[obj_key(1)].translation)
+        np.testing.assert_array_equal(poses.rotation, init.rotation)
+        np.testing.assert_array_equal(poses.translation, init.translation)
 
     def test_no_iterations_computes_no_jacobian(self, monkeypatch):
         rng = np.random.default_rng(16)
         graph = FactorGraph()
         graph.add(vis_prior(1, random_pose(rng), UNIT))
-        init = {obj_key(1): random_pose(rng)}
+        init = stacked(graph, {obj_key(1): random_pose(rng)})
 
         def refused(*args, **kwargs):
             raise AssertionError("linearize called")
 
         monkeypatch.setattr(factors, "linearize", refused)
-        values, stats = optimize(graph, init,
-                                 OptimizerParams(max_iterations=0))
+        _, stats = optimize(graph, init, OptimizerParams(max_iterations=0))
         assert stats.iterations == 0
         assert stats.initial_cost == stats.final_cost == graph.cost(init)
 
     def test_empty_graph_returns_empty(self):
         # With no variable there is nothing to solve, and BLAS dsbmv rejects
         # a 0x0 band.
-        values, stats = optimize(FactorGraph(), {})
-        assert values == {}
+        poses, stats = optimize(FactorGraph(), Pose.stack([]))
+        assert len(poses.translation) == 0
         assert stats == OptimizeStats(iterations=0, initial_cost=0.0,
                                       final_cost=0.0, linearizations=1,
                                       predicted_decrease=None)
 
-    def test_gauge_error_for_unconstrained_variable(self):
+    @pytest.mark.parametrize("rows", [1, 3], ids=["too_few", "too_many"])
+    def test_estimate_rows_must_match_graph_keys(self, rows):
+        # Row i is the pose of key id i, so an estimate with another row
+        # count holds a pose no factor constrains or misses one.
         graph = FactorGraph()
         graph.add(vis_prior(1, Pose.identity(), UNIT))
-        init = {obj_key(1): Pose.identity(), obj_key(2): Pose.identity()}
-        with pytest.raises(GaugeError):
+        graph.add(eff_prior(1, Pose.identity(), UNIT))
+        init = Pose.stack([Pose.identity()] * rows)
+        with pytest.raises(ValueError, match=rf"\(2\), got .*\({rows},\)"):
             optimize(graph, init)
 
     def test_cost_monotone_and_final_not_above_initial(self):
@@ -676,7 +689,7 @@ class TestOptimize:
         mean = random_pose(rng)
         graph.add(vis_prior(1, mean, UNIT))
         graph.add(PriorFactor(obj_key(1), random_pose(rng), UNIT))
-        init = {obj_key(1): random_pose(rng)}
+        init = stacked(graph, {obj_key(1): random_pose(rng)})
         _, stats = optimize(graph, init)
         assert stats.final_cost <= stats.initial_cost
 
@@ -685,9 +698,9 @@ class TestOptimize:
         graph = FactorGraph()
         graph.add(PriorFactor(obj_key(1), random_pose(rng), UNIT))
         graph.add(PriorFactor(obj_key(1), random_pose(rng), UNIT))
-        init = {obj_key(1): Pose.identity()}
-        values, stats = optimize(graph, init,
-                                 OptimizerParams(max_iterations=100,
-                                                 cost_tolerance=1e-14))
-        grad = linearize(graph, values).jtr
+        init = stacked(graph, {obj_key(1): Pose.identity()})
+        poses, stats = optimize(graph, init,
+                                OptimizerParams(max_iterations=100,
+                                                cost_tolerance=1e-14))
+        grad = linearize(graph, poses).jtr
         assert np.abs(grad).max() < 1e-6 * (1.0 + stats.initial_cost)

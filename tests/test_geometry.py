@@ -311,6 +311,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             geometry.from_quat_trans([1, 0, 0, 0])
 
+    @pytest.mark.parametrize("values", [
+        [0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, np.inf, 0, 0],
+        [np.nan, 0, 0, 1, 0, 0, 0]], ids=["zero_quaternion", "inf", "nan"])
+    def test_zero_quaternion_and_non_finite_rejected(self, values):
+        # Either would give a NaN pose instead of an error.
+        with pytest.raises(ValueError, match="finite with a nonzero"):
+            geometry.from_quat_trans(values)
+
     def test_batch_equals_each_pose(self):
         # The first four take the four branches of Shepperd's method: a
         # positive trace, then the largest diagonal element x, y or z.

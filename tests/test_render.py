@@ -15,8 +15,10 @@ from tactrack.harness import default_suite_config
 from tactrack.render import (DepthImage, GelConfig, _trace_lower_envelope,
                              contact_touches_border, depth_to_normals,
                              perturb_normals, render_depth)
-from tactrack.shapes import (Box, Pyramid, ShapeSDF, Sphere,
-                             shape_from_descriptor)
+from tactrack.shapes import (PROJECTION_TOLERANCE, Box, Pyramid, ShapeSDF,
+                             Sphere, shape_from_descriptor)
+from tactrack.tracker import (GT_SAMPLE_COUNT, GT_SAMPLE_RADIUS_SCALE,
+                              GT_SAMPLE_SEED)
 
 
 def centered_sphere(radius=6.35, indent=1.0):
@@ -44,6 +46,8 @@ def _reference_projection(shape, points, iters=12, eps=1e-5):
     pts = points.copy()
     for _ in range(iters):
         d = _reference_sdf(shape, pts)
+        if np.abs(d).max(initial=0.0) < PROJECTION_TOLERANCE:
+            break
         g = np.empty_like(pts)
         for axis in range(3):
             step = np.zeros(3)
@@ -84,6 +88,24 @@ class TestShapes:
             _reference_sdf(shape, points).tobytes()
         assert shape.project_to_surface(points).tobytes() == \
             _reference_projection(shape, points).tobytes()
+
+    @pytest.mark.parametrize("index", [0, 1, 2],
+                             ids=["sphere", "cube", "pyramid"])
+    def test_projection_converges_below_tolerance(self, index):
+        # Samples of a ball around the lowest surface point, drawn as
+        # gtpatch draws its target, all end within the tolerance, so
+        # stopping there loses nothing against a fixed iteration count.
+        shape = shape_from_descriptor(
+            default_suite_config().objects[index].shape)
+        center = shape.project_to_surface(np.array([[0.0, 0.0, -30.0]]))[0]
+        gel = GelConfig()
+        radius = GT_SAMPLE_RADIUS_SCALE * max(gel.extent_x, gel.extent_y) / 2
+        rng = np.random.default_rng(GT_SAMPLE_SEED)
+        raw = rng.normal(size=(GT_SAMPLE_COUNT, 3))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        raw *= radius * rng.uniform(0, 1, size=(GT_SAMPLE_COUNT, 1)) ** (1 / 3)
+        projected = shape.project_to_surface(center + raw)
+        assert np.abs(shape.sdf(projected)).max() < PROJECTION_TOLERANCE
 
     def test_sphere_sdf_signs(self):
         s = Sphere(radius=2.0)

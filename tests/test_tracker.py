@@ -16,13 +16,16 @@ from tactrack.geometry import Pose
 from tactrack.harness import (default_suite_config, episode_seed, run_tracking,
                               tracking_errors)
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
-from tactrack.factors import OptimizerParams, eff_key, linearize, obj_key
+from tactrack.factors import (OptimizerParams, eff_key, eff_prior, linearize,
+                              obj_key)
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import MAX_ITERATIONS, MIN_CORRESPONDENCES
 from tactrack.render import GelConfig, contact_touches_border
 from tactrack.tracker import (GATE_IM2IM, GATE_IM2PC, REGISTRATION_FATES,
                               REGISTRATION_KINDS, ConfigError, Tracker,
                               TrackerConfig, TrackerMode, track_episode)
+
+from .conftest import by_key, stacked
 
 ZERO_NOISE = NoiseSpec(normal_sigma=0.0, eff_sigma_rot=0.0,
                        eff_sigma_trans=0.0, vis_sigma_rot=0.0,
@@ -69,7 +72,9 @@ class TestTrackerSetup:
         tracker = Tracker(TrackerMode.GROUNDTRUTH_PATCH, TrackerConfig(),
                           Pose.identity(), gel, shape=face)
         tracker.t = 1
-        tracker.values[eff_key(1)] = Pose.identity()
+        tracker.graph.add(eff_prior(1, Pose.identity(), tracker.eff_noise))
+        tracker.poses = stacked(tracker.graph, {obj_key(1): Pose.identity(),
+                                                eff_key(1): Pose.identity()})
         x, y = gel.pixel_centers()
         contact = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
         tracker._ensure_gt_target(PointCloud(points=contact,
@@ -292,7 +297,7 @@ class TestMotionModel:
                           ep.vision_prior, ep.gel, shape=ep.shape)
         for frame in ep.frames:
             estimate = tracker.step(frame.normals, frame.eff_measured)
-        first = tracker.values[obj_key(1)]
+        first = tracker.poses[tracker.graph.key_ids[obj_key(1)]]
         drift = geometry.ominus(first, estimate.object_pose)[3:]
         assert np.linalg.norm(drift) < 0.25
         steps = [f.keys[1].t for f in tracker.graph.factors
@@ -338,9 +343,9 @@ class TestRegistrationEffort:
         # negligible.  The counts repeat exactly.
         calls = []
 
-        def counted_linearize(graph, values):
-            calls.append(len(values))
-            return linearize(graph, values)
+        def counted_linearize(graph, poses):
+            calls.append(len(poses.translation))
+            return linearize(graph, poses)
 
         monkeypatch.setattr(factors, "linearize", counted_linearize)
         result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH)
@@ -366,6 +371,22 @@ class TestIncrementalSmoothing:
         assert (result.final_optimizer["initial_cost"]
                 == records[-1]["final_cost"])
 
+    def test_one_row_per_graph_key(self, sphere_episode):
+        # The estimate is indexed by the graph's key ids: after every step it
+        # holds one row per key, and the step's estimate is its keys' rows.
+        tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
+                          sphere_episode.vision_prior, sphere_episode.gel)
+        for t, frame in enumerate(sphere_episode.frames, start=1):
+            estimate = tracker.step(frame.normals, frame.eff_measured)
+            keys = len(tracker.graph.key_ids)
+            assert tracker.poses.rotation.shape == (keys, 3, 3)
+            assert tracker.poses.translation.shape == (keys, 3)
+            rows = by_key(tracker.graph, tracker.poses)
+            for key, pose in ((obj_key(t), estimate.object_pose),
+                              (eff_key(t), estimate.eff_pose)):
+                np.testing.assert_array_equal(rows[key].matrix(),
+                                              pose.matrix())
+
     def test_no_iteration_without_budget(self, sphere_episode):
         config = TrackerConfig(optimizer=OptimizerParams(max_iterations=0))
         result = track_episode(sphere_episode, TrackerMode.PATCH_GRAPH, config)
@@ -384,7 +405,7 @@ class TestIncrementalSmoothing:
         for frame in sphere_episode.frames:
             tracker.step(frame.normals, frame.eff_measured)
         tracker.finalize()
-        _, stats = factors.optimize(tracker.graph, tracker.values,
+        _, stats = factors.optimize(tracker.graph, tracker.poses,
                                     config.optimizer)
         assert factors._negligible(stats.initial_cost - stats.final_cost,
                                    stats.final_cost,
@@ -600,7 +621,7 @@ class TestLongEpisodes:
             assert np.isfinite(estimate.object_pose.matrix()).all()
             assert np.isfinite(estimate.eff_pose.matrix()).all()
         assert tracker.t == len(ep.frames) > 36
-        for key, pose in tracker.values.items():
+        for key, pose in by_key(tracker.graph, tracker.poses).items():
             gram = pose.rotation.T @ pose.rotation
             assert np.abs(gram - np.eye(3)).max() < 1e-9, key
 
