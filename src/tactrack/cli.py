@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -49,9 +48,7 @@ def cmd_simulate(args) -> int:
                 "objects": {o.name: config.episodes_per_object
                             for o in config.objects},
                 "generation_failures": failed}
-    with open(os.path.join(args.out, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    imageio.write_json(os.path.join(args.out, "manifest.json"), manifest)
     print(f"generated {total - failures}/{total} episodes under {args.out}")
     return 0
 
@@ -79,7 +76,7 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError("normal image and mask dimensions disagree")
     gel = from_mapping(GelConfig, dict(
         width=mask.shape[1], height=mask.shape[0], extent_x=args.extent_x,
-        extent_y=args.extent_y, max_indent=args.max_indent))
+        extent_y=args.extent_y))
     depth, cloud = reconstruct_cloud(NormalImage(values=normals, mask=mask), gel)
     imageio.write_pfm(args.out_depth, depth.values)
     imageio.write_ply(args.out_cloud, cloud.points, cloud.normals)
@@ -122,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-cloud", required=True, help="output ASCII PLY")
     p.add_argument("--extent-x", type=float, default=20.0)
     p.add_argument("--extent-y", type=float, default=20.0)
-    p.add_argument("--max-indent", type=float, default=1.5)
     p.set_defaults(func=cmd_reconstruct)
     return parser
 

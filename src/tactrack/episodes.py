@@ -283,9 +283,7 @@ def save_episode(episode: Episode, directory) -> None:
             "eff_measured": geometry.to_quat_trans(fr.eff_measured),
             **names,
         })
-    with open(os.path.join(directory, "episode.json"), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    imageio.write_json(os.path.join(directory, "episode.json"), meta)
 
 
 def load_episode(directory) -> Episode:

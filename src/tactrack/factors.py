@@ -37,9 +37,6 @@ class VariableKey(NamedTuple):
     kind: str  # "object" | "endeffector"
     t: int
 
-    def label(self) -> str:
-        return ("o" if self.kind == "object" else "e") + str(self.t)
-
 
 def obj_key(t: int) -> VariableKey:
     return VariableKey("object", t)
@@ -296,7 +293,8 @@ class FactorGraph:
     stores, in order of each class's first appearance, are what `cost` and
     `linearize` evaluate.  Key ids index the estimate: `cost`, `linearize`
     and `optimize` take one stacked Pose whose row i is the pose of key id
-    i, so a key's initial pose is appended once a factor introduces it."""
+    i, so a key's initial pose is appended once a factor introduces it.
+    Key id i is also column block i of ``J^T J`` (`LinearSystem`)."""
 
     def __init__(self, factors=()):
         self.factors = []
@@ -336,44 +334,38 @@ def _half_squared_norm(groups) -> float:
 @dataclass
 class LinearSystem:
     """Gauss-Newton normal equations of the whitened graph, six rows and
-    columns per variable in `keys` order.  The keys are ordered by
-    ``(t, kind)``, so each factor's columns lie close together and ``J^T J``
-    is banded: its half-bandwidth is ``w = 6 s + 5``, ``s`` the widest span
-    of column blocks among the keys of one factor (at most ``6 n - 1``).
-    `ab` holds the lower band in LAPACK storage,
-    ``ab[i - j, j] = (J^T J)[i, j]`` for ``0 <= i - j <= w``, zero where
-    ``i`` would pass the last row; the upper triangle is its mirror image
-    and is not stored.  `cost` is half the squared norm of the whitened
-    residuals at the linearization point."""
+    columns per variable, column block i being graph key id i.  The tracker
+    introduces keys in time order, so each factor's columns lie close
+    together and ``J^T J`` is banded: its half-bandwidth is ``w = 6 s + 5``,
+    ``s`` the widest span of key ids in one factor (at most ``6 n - 1``, as
+    for a graph whose keys arrive out of time order).  `ab` holds the lower
+    band in LAPACK storage, ``ab[i - j, j] = (J^T J)[i, j]`` for
+    ``0 <= i - j <= w``, zero where ``i`` would pass the last row; the upper
+    triangle is its mirror image and is not stored.  `cost` is half the
+    squared norm of the whitened residuals at the linearization point."""
 
-    keys: list                    # variables, in column-block order
     ab: np.ndarray                # (w + 1, 6 n), lower band of J^T J
     jtr: np.ndarray               # (6 n,)
     cost: float
 
 
 class _Plan(NamedTuple):
-    """How `linearize` lays out a graph, and how `optimize` maps its step
-    back to the estimate's rows."""
+    """How `linearize` lays out a graph."""
 
-    keys: list           # keys, in column-block order
-    order: np.ndarray    # key id of each column block
     stores: list         # class stores, in summation order
     width: int           # half-bandwidth w of J^T J
     where: np.ndarray    # band, J^T r or trash entry of each product term
 
 
 def _make_plan(graph: FactorGraph) -> _Plan:
-    keys = sorted(graph.key_ids, key=lambda k: (k.t, k.kind))
-    n = len(keys)
-    order = np.array([graph.key_ids[key] for key in keys], dtype=np.intp)
-    block = np.argsort(order)   # the column block of each key id
+    """The layout of `graph`'s normal equations, column block i being key
+    id i."""
+    n = len(graph.key_ids)
     # Classes are summed in the order they first appear in the graph.
     stores = list(graph.stores.values())
-    blocks = [block[store["ids"]] for store in stores]
     # The blocks of the two keys of each product J_k^T J_l, in the order the
     # products are summed: store, factor, then pair.
-    ends = [b[:, store.pairs] for b, store in zip(blocks, stores)]
+    ends = [store["ids"][:, store.pairs] for store in stores]
     first = _flat([e[:, 0] for e in ends])
     second = _flat([e[:, 1] for e in ends])
     hi, lo = np.maximum(first, second), np.minimum(first, second)
@@ -398,19 +390,10 @@ def _make_plan(graph: FactorGraph) -> _Plan:
     pair_at = (6 * (width * lo + hi))[:, None, None] \
         + pattern[(first < second).astype(np.intp)]
     pair_at[(first == second)[:, None, None] & (c < e)] = trash
-    grad_at = grad_base + 6 * _flat(blocks)[:, None] + np.arange(6)
+    grad_at = grad_base + 6 * _flat([s["ids"] for s in stores])[:, None] \
+        + np.arange(6)
     where = np.concatenate([pair_at.ravel(), grad_at.ravel()])
-    return _Plan(keys, order, stores, width, where)
-
-
-def _layout(graph: FactorGraph) -> _Plan:
-    """The layout (columns, stores, bandwidth and scatter indices) of
-    `graph`.  Keys arrive only with factors, so it depends on the factor
-    count alone, and the graph keeps the last one: every evaluation within
-    one `optimize` call reuses it."""
-    if graph._plan is None or graph._plan[0] != len(graph):
-        graph._plan = (len(graph), _make_plan(graph))
-    return graph._plan[1]
+    return _Plan(stores, width, where)
 
 
 def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
@@ -418,16 +401,21 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     blocks in tangent space, evaluated one factor class at a time, and the
     cost at the estimate `poses`, in key-id order.
 
-    The keys are ordered by ``(t, kind)``, so ``J^T J`` is banded, and only
-    its lower band is assembled: per factor, the products ``J_k^T J_l`` of
-    each unordered key pair, scattered into LAPACK lower band storage
-    (`LinearSystem`).  The cost is summed as `FactorGraph.cost` sums it, so
-    the two agree to the bit.
+    Key ids are the column blocks, so ``J^T J`` is banded when the keys are
+    introduced in time order, and only its lower band is assembled: per
+    factor, the products ``J_k^T J_l`` of each unordered key pair,
+    scattered into LAPACK lower band storage (`LinearSystem`).  Keys arrive
+    only with factors, so the layout (`_make_plan`) depends on the factor
+    count alone, and the graph keeps the last one: every evaluation within
+    one `optimize` call reuses it.  The cost is summed as `FactorGraph.cost`
+    sums it, so the two agree to the bit.
     """
-    keys, _, stores, width, where = _layout(graph)
-    size = 6 * len(keys)
+    if graph._plan is None or graph._plan[0] != len(graph):
+        graph._plan = (len(graph), _make_plan(graph))
+    stores, width, where = graph._plan[1]
+    size = 6 * len(graph.key_ids)
     if not stores:
-        return LinearSystem(keys=keys, ab=np.zeros((width + 1, size)),
+        return LinearSystem(ab=np.zeros((width + 1, size)),
                             jtr=np.zeros(size), cost=0.0)
     groups = _evaluate_by_class(poses, stores, True)
     products, grads = [], []
@@ -440,7 +428,7 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     band = (width + 1) * size
     flat = np.bincount(where, np.concatenate([_flat(products), _flat(grads)]),
                        minlength=band + size + 1)
-    return LinearSystem(keys=keys, ab=flat[:band].reshape(size, width + 1).T,
+    return LinearSystem(ab=flat[:band].reshape(size, width + 1).T,
                         jtr=flat[band:band + size],
                         cost=_half_squared_norm(groups))
 
@@ -568,12 +556,11 @@ def optimize(graph: FactorGraph, init: Pose, params: OptimizerParams = None):
     lam = LAMBDA_INIT
     iterations = 0
     predicted = None
-    while system is not None and system.keys:
+    while system is not None:
         ab, jtr = system.ab, system.jtr
-        if not jtr.any():   # a stationary point: no step can lower the cost
+        if not jtr.any():   # a stationary point or no keys: no step to take
             break
         width = len(ab) - 1
-        order = _layout(graph).order
         diag = ab[0].copy()
         diag[diag < 1e-12] = 1e-12
         last = iterations + 1 == params.max_iterations
@@ -588,9 +575,7 @@ def optimize(graph: FactorGraph, init: Pose, params: OptimizerParams = None):
             predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
                 width, 1.0, ab, delta, lower=1)
             stalled = _negligible(predicted, cost, tolerance)
-            step = np.empty((len(order), 6))
-            step[order] = delta.reshape(-1, 6)
-            candidate = geometry.oplus(poses, step)
+            candidate = geometry.oplus(poses, delta.reshape(-1, 6))
             new_cost, new_system = evaluate(candidate, stalled or last)
             if not np.isfinite(new_cost):
                 raise DivergenceError(f"non-finite cost {new_cost}")

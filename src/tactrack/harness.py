@@ -201,12 +201,6 @@ def tracking_errors(objects: Pose, effs: Pose, true_objects: Pose,
                 motion(objects, effs), motion(true_objects, true_effs))[1]}
 
 
-def _write_json(record, path) -> None:
-    with open(path, "w") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
                  out_dir) -> dict:
     """Track one episode in one mode, score the estimate against the
@@ -217,19 +211,19 @@ def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
     true_objects = Pose.stack([f.object_pose for f in episode.frames])
     true_effs = Pose.stack([f.eff_pose for f in episode.frames])
     mode = TrackerMode(mode).value
-    _write_json({"mode": mode, "episode_seed": episode.seed,
-                 "object_estimates": geometry.to_quat_trans(result.object_poses),
-                 "eff_estimates": geometry.to_quat_trans(result.eff_poses),
-                 "object_groundtruth": geometry.to_quat_trans(true_objects),
-                 "eff_groundtruth": geometry.to_quat_trans(true_effs)},
-                os.path.join(out_dir, "trajectory.json"))
+    imageio.write_json(os.path.join(out_dir, "trajectory.json"), {
+        "mode": mode, "episode_seed": episode.seed,
+        "object_estimates": geometry.to_quat_trans(result.object_poses),
+        "eff_estimates": geometry.to_quat_trans(result.eff_poses),
+        "object_groundtruth": geometry.to_quat_trans(true_objects),
+        "eff_groundtruth": geometry.to_quat_trans(true_effs)})
     metrics = {"mode": mode, "episode_seed": episode.seed,
                "steps": len(episode.frames),
                **tracking_errors(result.object_poses, result.eff_poses,
                                  true_objects, true_effs),
                "diagnostics": result.diagnostics,
                "final_optimizer": result.final_optimizer}
-    _write_json(metrics, os.path.join(out_dir, "metrics.json"))
+    imageio.write_json(os.path.join(out_dir, "metrics.json"), metrics)
     if not result.patch.is_empty():
         imageio.write_ply(os.path.join(out_dir, "patch.ply"),
                           result.patch.cloud.points, result.patch.cloud.normals)
@@ -304,7 +298,8 @@ def run_suite(config: SuiteConfig, out_dir) -> dict:
                                "episode_seed": seed, "mode": mode}
                     # Written to runs/ too, so evaluating it keeps the run.
                     os.makedirs(run_dir, exist_ok=True)
-                    _write_json(metrics, os.path.join(run_dir, "metrics.json"))
+                    imageio.write_json(os.path.join(run_dir, "metrics.json"),
+                                       metrics)
                 records[obj.name][mode].append(metrics)
     report = _aggregate(records, config.config_hash(), config.episodes_per_object)
     write_report(report, os.path.join(out_dir, "report.json"),
@@ -313,7 +308,7 @@ def run_suite(config: SuiteConfig, out_dir) -> dict:
 
 
 def write_report(report: dict, json_path, csv_path=None) -> None:
-    _write_json(report, json_path)
+    imageio.write_json(json_path, report)
     if csv_path is None:
         return
     with open(csv_path, "w", newline="") as f:

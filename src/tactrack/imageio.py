@@ -1,8 +1,18 @@
-"""File formats for episode data: PFM images, P5 PGM masks, ASCII PLY clouds."""
+"""File formats for episode data: PFM images, P5 PGM masks, ASCII PLY
+clouds and JSON records."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+
+def write_json(path, record) -> None:
+    """Write `record` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as f:
+        json.dump(record, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def write_pfm(path, data: np.ndarray) -> None:

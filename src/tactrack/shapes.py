@@ -158,6 +158,8 @@ class Pyramid(ShapeSDF):
 
 
 def shape_from_descriptor(desc: dict) -> ShapeSDF:
+    if not isinstance(desc, dict):
+        raise ValueError(f"a shape descriptor must be a mapping, got {desc!r}")
     offset = geometry.from_quat_trans(desc.get("offset", [1, 0, 0, 0, 0, 0, 0]))
     kind = desc["type"]
     if kind == "sphere":

@@ -201,11 +201,11 @@ class Tracker:
     the same clouds replays its outcome (`registration.icp_register`).
     Once an image's cloud is kept, its arrays are made read-only.
 
-    The constructor adds only the vision prior on o_1; every end-effector
-    measurement, the first included, comes from `step`.  The estimate
-    `poses` is one stacked Pose in the graph's key-id order, as
-    `factors.optimize` takes it: a key's initial pose is appended when a
-    factor introduces the key."""
+    The constructor adds no factor, and each `step` introduces e_t, then
+    o_t: e_t has graph key id 2t - 2 and o_t 2t - 1, a time order that
+    keeps ``J^T J`` banded (`factors.linearize`).  The estimate `poses` is
+    one stacked Pose in the key-id order, as `factors.optimize` takes it: a
+    key's initial pose is appended when a factor introduces the key."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, gel: GelConfig, shape: ShapeSDF = None):
@@ -229,9 +229,9 @@ class Tracker:
             max_iterations=min(1, config.optimizer.max_iterations))
         self.eff_noise = NoiseModel.isotropic(*config.sigma_eff)
         self.vel_noise = NoiseModel.isotropic(*config.sigma_vel)
-        self.graph.add(vis_prior(1, vision_prior,
-                                 NoiseModel.isotropic(*config.sigma_vis)))
-        self.poses = Pose.stack([vision_prior])
+        self.vision_prior = vision_prior
+        self.vis_noise = NoiseModel.isotropic(*config.sigma_vis)
+        self.poses = Pose.stack([])
 
     # -- helpers -----------------------------------------------------------
 
@@ -328,8 +328,9 @@ class Tracker:
     # -- pipeline ----------------------------------------------------------
 
     def step(self, normal_image: NormalImage, eff_measurement: Pose) -> PoseEstimate:
-        """Process frame t: add its end-effector prior (and, past the first
-        frame, the motion prior from t - 1), then its registrations.
+        """Process frame t: introduce e_t by its end-effector prior, then
+        o_t by the vision prior at the first frame or the motion prior from
+        t - 1 after it, then add its registrations.
         `skipped_registration` is null, or why the frame registers nothing:
         `empty_mask` or `touches_border`."""
         self.t += 1
@@ -341,7 +342,10 @@ class Tracker:
 
         self._add_key(eff_prior(t, eff_measurement, self.eff_noise),
                       eff_measurement)
-        if t > 1:
+        if t == 1:
+            self._add_key(vis_prior(1, self.vision_prior, self.vis_noise),
+                          self.vision_prior)
+        else:
             self._add_key(MotionPriorFactor(t, self.vel_noise),
                           self._pose(obj_key(t - 1)))
 
@@ -413,8 +417,6 @@ class Tracker:
             raise RuntimeError("finalize requires at least one processed step")
         self.poses, stats = factors.optimize(self.graph, self.poses,
                                              self.config.optimizer)
-        steps = range(1, self.t + 1)
-        ids = self.graph.key_ids
         # The patch is an output, fused once at the final poses.
         patch = PatchMap()
         if self.keyframes:
@@ -422,8 +424,7 @@ class Tracker:
                 [(cloud, self._object_from_sensor(k))
                  for k, cloud in self.keyframes])
         return EpisodeResult(
-            object_poses=self.poses[[ids[obj_key(t)] for t in steps]],
-            eff_poses=self.poses[[ids[eff_key(t)] for t in steps]],
+            object_poses=self.poses[1::2], eff_poses=self.poses[0::2],
             diagnostics=self.diagnostics, patch=patch,
             final_optimizer=dataclasses.asdict(stats))
 

@@ -120,6 +120,8 @@ class TestSimulate:
         ("objects", [{"name": "s", "shape": {**SPHERE, "offset": [0] * 7}}]),
         ("objects", [{"name": "s", "shape": {**SPHERE, "offset": [
             1, 0, 0, 0, float("inf"), 0, 0]}}]),
+        ("objects", [{"name": "s", "shape": "sphere"}]),
+        ("objects", [{"name": "s", "shape": [1, 2]}]),
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):
@@ -253,8 +255,7 @@ class TestReconstruct:
                      "--out-depth", str(depth_out),
                      "--out-cloud", str(cloud_out),
                      "--extent-x", str(gel["extent_x"]),
-                     "--extent-y", str(gel["extent_y"]),
-                     "--max-indent", str(gel["max_indent"])]) == 0
+                     "--extent-y", str(gel["extent_y"])]) == 0
         from tactrack.imageio import read_pfm, read_ply
 
         depth = read_pfm(depth_out)

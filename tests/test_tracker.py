@@ -17,7 +17,7 @@ from tactrack.harness import (default_suite_config, episode_seed, run_tracking,
                               tracking_errors)
 from tactrack.shapes import Box, Pyramid, Sphere, shape_from_descriptor
 from tactrack.factors import (OptimizerParams, eff_key, eff_prior, linearize,
-                              obj_key)
+                              obj_key, vis_prior)
 from tactrack.reconstruct import PointCloud
 from tactrack.registration import MAX_ITERATIONS, MIN_CORRESPONDENCES
 from tactrack.render import GelConfig, contact_touches_border
@@ -73,6 +73,7 @@ class TestTrackerSetup:
                           Pose.identity(), gel, shape=face)
         tracker.t = 1
         tracker.graph.add(eff_prior(1, Pose.identity(), tracker.eff_noise))
+        tracker.graph.add(vis_prior(1, Pose.identity(), tracker.vis_noise))
         tracker.poses = stacked(tracker.graph, {obj_key(1): Pose.identity(),
                                                 eff_key(1): Pose.identity()})
         x, y = gel.pixel_centers()
@@ -386,6 +387,20 @@ class TestIncrementalSmoothing:
                               (eff_key(t), estimate.eff_pose)):
                 np.testing.assert_array_equal(rows[key].matrix(),
                                               pose.matrix())
+
+    @pytest.mark.parametrize("mode", [TrackerMode.PATCH_GRAPH,
+                                      TrackerMode.GROUNDTRUTH_PATCH])
+    def test_keys_in_time_order(self, sphere_episode, mode):
+        # The constructor adds no factor, and each step introduces e_t then
+        # o_t, so the key ids are a time order: e_t is 2t - 2, o_t 2t - 1.
+        tracker = Tracker(mode, TrackerConfig(), sphere_episode.vision_prior,
+                          sphere_episode.gel, shape=sphere_episode.shape)
+        assert len(tracker.graph) == 0 and not tracker.graph.key_ids
+        assert tracker.poses.translation.shape == (0, 3)
+        for t, frame in enumerate(sphere_episode.frames, start=1):
+            tracker.step(frame.normals, frame.eff_measured)
+            assert list(tracker.graph.key_ids) == [
+                key(s) for s in range(1, t + 1) for key in (eff_key, obj_key)]
 
     def test_no_iteration_without_budget(self, sphere_episode):
         config = TrackerConfig(optimizer=OptimizerParams(max_iterations=0))
