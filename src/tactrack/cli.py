@@ -11,12 +11,12 @@ import os
 import sys
 
 from . import harness, imageio
+from .config import ConfigError, read_yaml_mapping
 from .episodes import load_episode
 from .harness import SuiteConfig
 from .reconstruct import reconstruct_cloud
 from .render import GelConfig, NormalImage
-from .tracker import (ConfigError, TrackerConfig, TrackerMode, from_mapping,
-                      read_yaml_mapping)
+from .tracker import TrackerConfig, TrackerMode
 
 
 def _load_tracker_config(path) -> TrackerConfig:
@@ -74,9 +74,8 @@ def cmd_reconstruct(args) -> int:
     mask = imageio.read_pgm_mask(args.mask)
     if normals.ndim != 3 or normals.shape[:2] != mask.shape:
         raise ConfigError("normal image and mask dimensions disagree")
-    gel = from_mapping(GelConfig, dict(
-        width=mask.shape[1], height=mask.shape[0], extent_x=args.extent_x,
-        extent_y=args.extent_y))
+    gel = GelConfig(width=mask.shape[1], height=mask.shape[0],
+                    extent_x=args.extent_x, extent_y=args.extent_y)
     depth, cloud = reconstruct_cloud(NormalImage(values=normals, mask=mask), gel)
     imageio.write_pfm(args.out_depth, depth.values)
     imageio.write_ply(args.out_cloud, cloud.points, cloud.normals)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry, imageio
+from .config import ConfigError, require
 from .geometry import Pose
 from .render import (DepthImage, GelConfig, NormalImage, contact_touches_border,
                      depth_to_normals, perturb_normals, render_depth)
@@ -33,45 +33,36 @@ class EpisodeGenerationError(RuntimeError):
 @dataclass
 class TrajectorySpec:
     """Sensor motion over the object: linear / arc slide, in-place rotation,
-    or a composite slide-plus-spin."""
+    or a composite slide-plus-spin.  Every number is finite, or ConfigError."""
 
     kind: str = "linear"           # linear | arc | rotation | composite
-    steps: int = 12
-    indent: float = 1.0            # target max indentation at the start pose (mm)
-    length: float = 3.0            # slide length (mm), linear/composite
+    steps: int = 12                # >= 3
+    indent: float = 1.0            # target max indentation at the start pose (mm), > 0
+    length: float = 3.0            # slide length (mm), linear/composite, >= 0
     direction_deg: float | None = 0.0   # slide direction in the gel plane; None = seeded random
-    arc_radius: float = 5.0        # arc variant (mm)
+    arc_radius: float = 5.0        # arc variant (mm), > 0
     arc_angle_deg: float = 40.0
     spin_deg: float = 0.0          # rotation about the contact axis (rotation/composite)
-    dt: float = 0.1
+    dt: float = 0.1                # > 0
 
     def __post_init__(self):
         if self.kind not in ("linear", "arc", "rotation", "composite"):
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if type(self.steps) is not int or self.steps < 3:
-            raise ValueError(f"trajectory steps must be an int >= 3, "
-                             f"got {self.steps!r}")
-
-        def check(name, holds, requirement):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value)
-                                               and holds(value)):
-                raise ValueError(f"trajectory {name} must be {requirement}, "
-                                 f"got {value!r}")
-
+            raise ConfigError(f"unknown trajectory kind {self.kind!r}")
+        require(self.steps, "trajectory steps", 3, integer=True)
         for name in ("indent", "arc_radius", "dt"):
-            check(name, lambda v: v > 0, "finite and > 0")
-        check("length", lambda v: v >= 0, "finite and >= 0")
+            require(getattr(self, name), f"trajectory {name}", 0, strict=True)
+        require(self.length, "trajectory length", 0)
         for name in ("arc_angle_deg", "spin_deg"):
-            check(name, lambda v: True, "finite")
+            require(getattr(self, name), f"trajectory {name}")
         if self.direction_deg is not None:
-            check("direction_deg", lambda v: True, "None or finite")
+            require(self.direction_deg, "trajectory direction_deg")
 
 
 @dataclass
 class NoiseSpec:
     """Noise magnitudes: per-axis sigmas for pose noise (rad, mm) and the
-    angular sigma of the normal-image perturbation (rad)."""
+    angular sigma of the normal-image perturbation (rad), each finite and
+    >= 0, or ConfigError."""
 
     normal_sigma: float = 0.03
     eff_sigma_rot: float = 0.01
@@ -81,11 +72,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not (math.isfinite(value)
-                                               and value >= 0):
-                raise ValueError(f"noise {f.name} must be finite and >= 0, "
-                                 f"got {value!r}")
+            require(getattr(self, f.name), f"noise {f.name}", 0)
 
     def eff_sigmas(self):
         return np.array([self.eff_sigma_rot] * 3 + [self.eff_sigma_trans] * 3)

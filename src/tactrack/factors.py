@@ -18,7 +18,6 @@ transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +25,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from . import geometry
+from .config import require
 from .geometry import Pose
 
 
@@ -447,23 +447,18 @@ LAMBDA_MAX = 1e10
 
 @dataclass
 class OptimizerParams:
-    """`cost_tolerance` is the decrease of the cost (half chi^2) below which
-    a step does not matter: one predicted to remove less is shorter than
-    sqrt(2 cost_tolerance) posterior standard deviations (see
-    `_negligible`)."""
+    """`cost_tolerance` (finite, >= 0) is the decrease of the cost (half
+    chi^2) below which a step does not matter: one predicted to remove less
+    is shorter than sqrt(2 cost_tolerance) posterior standard deviations
+    (see `_negligible`).  `max_iterations` is an int >= 0."""
 
     max_iterations: int = 50
     cost_tolerance: float = 1e-3
 
     def __post_init__(self):
-        iterations, tolerance = self.max_iterations, self.cost_tolerance
-        if (type(iterations) is not int or iterations < 0
-                or isinstance(tolerance, bool)
-                or not isinstance(tolerance, (int, float))
-                or not math.isfinite(tolerance) or tolerance < 0):
-            raise ValueError("optimizer max_iterations must be an int >= 0 "
-                             "and cost_tolerance a finite number >= 0, got "
-                             f"{iterations!r}, {tolerance!r}")
+        require(self.max_iterations, "optimizer max_iterations", 0,
+                integer=True)
+        require(self.cost_tolerance, "optimizer cost_tolerance", 0)
 
 
 @dataclass

@@ -13,15 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, imageio
+from .config import ConfigError, from_mapping, read_yaml_mapping, require
 from .geometry import Pose
 from .episodes import (Episode, EpisodeGenerationError, NoiseSpec,
                        TrajectorySpec, generate_episode, load_episode,
                        save_episode)
 from .render import GelConfig
 from .shapes import shape_from_descriptor
-from .tracker import (REGISTRATION_FATES, REGISTRATION_KINDS, ConfigError,
-                      TrackerConfig, TrackerMode, from_mapping,
-                      read_yaml_mapping, track_episode)
+from .tracker import (REGISTRATION_FATES, REGISTRATION_KINDS, TrackerConfig,
+                      TrackerMode, track_episode)
 
 
 @dataclass
@@ -44,6 +44,8 @@ class SuiteObject:
 
 @dataclass
 class SuiteConfig:
+    """A suite, checked at every level when built: ConfigError if bad."""
+
     objects: list[SuiteObject] = field(default_factory=list)
     episodes_per_object: int = 20
     trajectories: list[TrajectorySpec] = field(default_factory=list)
@@ -54,11 +56,9 @@ class SuiteConfig:
     tracker: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, least in (("episodes_per_object", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ConfigError(f"{name} must be an int >= {least}, "
-                                  f"got {value!r}")
+        require(self.episodes_per_object, "episodes_per_object", 1,
+                integer=True)
+        require(self.master_seed, "master_seed", 0, integer=True)
         if not self.trajectories:
             self.trajectories = [TrajectorySpec()]
         names = [obj.name for obj in self.objects]
@@ -81,7 +81,7 @@ class SuiteConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SuiteConfig":
-        """Inverse of to_dict; see tracker.from_mapping."""
+        """Inverse of to_dict; see config.from_mapping."""
         return from_mapping(SuiteConfig, d)
 
     @staticmethod

@@ -127,8 +127,8 @@ def poisson_solve(grad: GradientField, pixel_pitch) -> DepthImage:
         raise ValueError("p and q must share dimensions")
     hx, hy = (float(h) for h in np.broadcast_to(pixel_pitch, 2))
     rows, cols = p.shape
-    if rows < 3 or cols < 3:
-        raise ValueError("image too small for the Poisson solve")
+    if rows < 4 or cols < 4:   # the DST needs a 2x2 interior
+        raise ValueError(f"Poisson solve needs at least 4x4 pixels, got {rows}x{cols}")
 
     # Central-difference divergence on the interior, the only part the
     # solve uses (np.gradient's interior arithmetic).

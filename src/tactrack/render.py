@@ -10,20 +10,21 @@ normals pointing toward the object.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
+from .config import require
 from .geometry import Pose
 from .shapes import ShapeSDF
 
 
 @dataclass
 class GelConfig:
-    """Gel geometry: image resolution, physical extent (mm) and the maximum
-    indentation; pixels map orthographically onto the gel plane."""
+    """Gel geometry: image resolution (ints >= 4, the least the Poisson solve
+    takes), physical extent (mm) and the maximum indentation, finite and > 0;
+    pixels map orthographically onto the gel plane."""
 
     width: int = 64
     height: int = 64
@@ -33,14 +34,9 @@ class GelConfig:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            value = getattr(self, name)
-            if type(value) is not int or value <= 0:
-                raise ValueError(f"gel {name} must be an int > 0, got {value!r}")
+            require(getattr(self, name), f"gel {name}", 4, integer=True)
         for name in ("extent_x", "extent_y", "max_indent"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"gel {name} must be finite and > 0, "
-                                 f"got {value!r}")
+            require(getattr(self, name), f"gel {name}", 0, strict=True)
 
     @property
     def pitch_x(self) -> float:

@@ -10,13 +10,12 @@ tracing requires.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
+from .config import ConfigError, require
 from .geometry import Pose
 
 
@@ -24,12 +23,9 @@ from .geometry import Pose
 PROJECTION_TOLERANCE = 1e-9
 
 
-def _size(value) -> float:
-    """A size as a float; ValueError for a bool or a non-number, which
-    float() would convert."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"shape size must be a number, got {value!r}")
-    return float(value)
+def _size(value, what) -> float:
+    """A size as a float; ConfigError unless a finite number > 0."""
+    return float(require(value, what, 0, strict=True))
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
@@ -44,7 +40,8 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ShapeSDF:
-    """Base class: signed distance in the object frame."""
+    """Base class: signed distance in the object frame.  A subclass keeps
+    each size as a float: ConfigError unless it is a finite number > 0."""
 
     offset: Pose = field(default_factory=Pose.identity)
 
@@ -82,18 +79,13 @@ class ShapeSDF:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    def _require_sizes(self, name, *sizes):
-        if not all(math.isfinite(_size(v)) and v > 0 for v in sizes):
-            raise ValueError(f"{type(self).__name__.lower()} {name} must be "
-                             f"finite and > 0, got {sizes!r}")
-
 
 @dataclass
 class Sphere(ShapeSDF):
     radius: float = 6.35
 
     def __post_init__(self):
-        self._require_sizes("radius", self.radius)
+        self.radius = _size(self.radius, "sphere radius")
 
     def _sdf_local(self, points):
         return _row_norm(points) - self.radius
@@ -109,9 +101,10 @@ class Box(ShapeSDF):
 
     def __post_init__(self):
         if len(self.half_extents) != 3:
-            raise ValueError("box half_extents must hold 3 values, got "
-                             f"{self.half_extents!r}")
-        self._require_sizes("half_extents", *self.half_extents)
+            raise ConfigError("box half_extents must hold 3 values, got "
+                              f"{self.half_extents!r}")
+        self.half_extents = tuple(_size(v, "box half_extents")
+                                  for v in self.half_extents)
 
     def _sdf_local(self, points):
         h = np.asarray(self.half_extents, dtype=float)
@@ -134,8 +127,9 @@ class Pyramid(ShapeSDF):
     height: float = 12.7
 
     def __post_init__(self):
-        self._require_sizes("base_half_length", self.base_half_length)
-        self._require_sizes("height", self.height)
+        self.base_half_length = _size(self.base_half_length,
+                                      "pyramid base_half_length")
+        self.height = _size(self.height, "pyramid height")
 
     def _sdf_local(self, points):
         a, h = self.base_half_length, self.height
@@ -158,15 +152,16 @@ class Pyramid(ShapeSDF):
 
 
 def shape_from_descriptor(desc: dict) -> ShapeSDF:
+    """The shape a `descriptor()` describes, or ConfigError."""
     if not isinstance(desc, dict):
-        raise ValueError(f"a shape descriptor must be a mapping, got {desc!r}")
+        raise ConfigError(f"a shape descriptor must be a mapping, got {desc!r}")
     offset = geometry.from_quat_trans(desc.get("offset", [1, 0, 0, 0, 0, 0, 0]))
     kind = desc["type"]
     if kind == "sphere":
-        return Sphere(offset=offset, radius=_size(desc["radius"]))
+        return Sphere(offset=offset, radius=desc["radius"])
     if kind == "box":
-        return Box(offset=offset, half_extents=tuple(_size(v) for v in desc["half_extents"]))
+        return Box(offset=offset, half_extents=desc["half_extents"])
     if kind == "pyramid":
-        return Pyramid(offset=offset, base_half_length=_size(desc["base_half_length"]),
-                       height=_size(desc["height"]))
-    raise ValueError(f"unknown shape type {kind!r}")
+        return Pyramid(offset=offset, base_half_length=desc["base_half_length"],
+                       height=desc["height"])
+    raise ConfigError(f"unknown shape type {kind!r}")

@@ -11,14 +11,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import typing
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import factors, geometry, patchmap, registration
+from .config import ConfigError, from_mapping, require
 from .factors import (FactorGraph, Im2ImFactor, Im2PatchFactor,
                       MotionPriorFactor, NoiseModel, OptimizerParams, eff_key,
                       eff_prior, obj_key, vis_prior)
@@ -34,10 +33,6 @@ class TrackerMode(str, enum.Enum):
     IMAGE_TO_IMAGE = "im2im"
     PATCH_GRAPH = "patchgraph"
     GROUNDTRUTH_PATCH = "gtpatch"
-
-
-class ConfigError(ValueError):
-    """A tracker or suite configuration is invalid."""
 
 
 # Registration factor weights and jump gates, (rad, mm) per axis.  Keyframe
@@ -68,6 +63,8 @@ GT_SAMPLE_SEED = 0
 
 @dataclass
 class TrackerConfig:
+    """(rad, mm) sigma pairs, each a finite number > 0, and the optimizer."""
+
     sigma_eff: tuple = (0.01, 1.0)        # (rad, mm) per axis
     sigma_vis: tuple = (0.05, 2.0)
     # Per-step sigma of the object's zero-motion random walk: grasped
@@ -80,10 +77,10 @@ class TrackerConfig:
     def __post_init__(self):
         for name in ("sigma_eff", "sigma_vis", "sigma_vel"):
             pair = getattr(self, name)
-            if not (isinstance(pair, tuple) and len(pair) == 2
-                    and all(_is_positive_number(v) for v in pair)):
-                raise ConfigError(f"{name} must be a pair of finite numbers > 0, "
-                                  f"got {pair!r}")
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ConfigError(f"{name} must be a pair, got {pair!r}")
+            for i, sigma in enumerate(pair):
+                require(sigma, f"{name}[{i}]", 0, strict=True)
         if not isinstance(self.optimizer, OptimizerParams):
             raise ConfigError(f"optimizer must be OptimizerParams, "
                               f"got {self.optimizer!r}")
@@ -92,48 +89,6 @@ class TrackerConfig:
     def from_dict(d: dict) -> "TrackerConfig":
         """Inverse of dataclasses.asdict; see from_mapping."""
         return from_mapping(TrackerConfig, d)
-
-
-def _is_positive_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
-
-
-def from_mapping(cls, data):
-    """Build dataclass `cls` from a mapping of its fields, as read from YAML:
-    dataclass and `list[Dataclass]` fields from nested mappings and tuples
-    from lists; each dataclass checks its own values.  ConfigError for an
-    unknown key at any level or a bad value."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{cls.__name__} must be a mapping, got {data!r}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    try:
-        for name, value in data.items():
-            hint = hints.get(name)   # an unknown name fails in cls(**kwargs)
-            item = typing.get_args(hint)[0] if typing.get_origin(hint) is list else None
-            if dataclasses.is_dataclass(hint):
-                value = from_mapping(hint, value)
-            elif dataclasses.is_dataclass(item):
-                value = [from_mapping(item, v) for v in value]
-            elif hint is tuple:
-                value = tuple(value)
-            kwargs[name] = value
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:   # nested ConfigErrors gain a prefix
-        raise ConfigError(f"bad {cls.__name__}: {err}") from err
-
-
-def read_yaml_mapping(path) -> dict:
-    """The top-level mapping of a YAML file, or ConfigError."""
-    try:
-        with open(path) as f:
-            data = yaml.safe_load(f)
-    except (OSError, yaml.YAMLError) as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a mapping")
-    return data
 
 
 @dataclass

@@ -122,6 +122,8 @@ class TestSimulate:
             1, 0, 0, 0, float("inf"), 0, 0]}}]),
         ("objects", [{"name": "s", "shape": "sphere"}]),
         ("objects", [{"name": "s", "shape": [1, 2]}]),
+        ("gel", {"width": 3, "height": 3}),   # the Poisson solve needs 4x4
+        ("gel", {"extent_x": 10**400}),       # no float holds it
     ])
     def test_unknown_key_exit_2_before_generating(self, suite_yaml, tmp_path,
                                                   key, value):
@@ -219,6 +221,21 @@ class TestPipeline:
                      "--mode", "constvel", "--config", str(tracker_yaml),
                      "--out", str(run)]) == 2
         assert not run.exists()
+
+    @pytest.mark.parametrize("key, field, mode", [
+        ("gel", "max_indent", "constvel"), ("noise", "normal_sigma", "constvel"),
+        ("shape", "radius", "gtpatch")])
+    def test_track_bad_episode_value_exit_2(self, suite_yaml, tmp_path, key,
+                                            field, mode):
+        # The same value exits 2 from a saved episode as from a suite YAML.
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        ep = episodes / "sphere" / "ep0000"
+        meta = json.loads((ep / "episode.json").read_text())
+        meta[key][field] = -1.0
+        (ep / "episode.json").write_text(json.dumps(meta))
+        assert main(["track", "--episode", str(ep), "--mode", mode,
+                     "--out", str(tmp_path / "run")]) == 2
 
     def test_eval_empty_runs_exit_2(self, tmp_path):
         (tmp_path / "runs").mkdir()

@@ -139,6 +139,16 @@ class TestPoissonSolve:
         z += -z[~mask].mean()
         np.testing.assert_array_equal(depth.values, z)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_under_4x4_rejected(self, shape):
+        # A 3-pixel side leaves a 1-pixel interior, too small for the DST.
+        grad = GradientField(p=np.zeros(shape), q=np.zeros(shape),
+                             mask=np.zeros(shape, bool))
+        with pytest.raises(ValueError, match="at least 4x4 pixels"):
+            poisson_solve(grad, 0.5)
+        poisson_solve(GradientField(p=np.zeros((4, 4)), q=np.zeros((4, 4)),
+                                    mask=np.zeros((4, 4), bool)), 0.5)
+
     def test_non_finite_rejected(self):
         p = np.zeros((8, 8))
         p[4, 4] = np.nan

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tactrack import geometry, imageio
+from tactrack.config import ConfigError
 from tactrack.episodes import (EpisodeGenerationError, NoiseSpec,
                                TrajectorySpec, _lowest_hit, find_contact_base,
                                generate_episode, load_episode, save_episode)
@@ -161,7 +162,8 @@ class TestShapes:
         value = [1.0, bad, 1.0] if field == "half_extents" else bad
         for make in (lambda: shape_from_descriptor({**desc, field: value}),
                      lambda: build(bad)):
-            with pytest.raises(ValueError, match="size must be a number"):
+            with pytest.raises(ConfigError, match=f"{field} must be a finite "
+                                                  "number > 0"):
                 make()
 
 
