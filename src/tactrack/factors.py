@@ -18,6 +18,7 @@ transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,9 +84,10 @@ class Factor:
         """The error pose ``E`` of a batch of factors of this class, whose
         log is the raw residual, and with `jacobians` the tangent maps
         ``T_k``, one (..., 6, 6) array per key in `keys` order, such that
-        the key's Jacobian block is ``Jr^-1(log E) @ T_k``.  `poses` holds
-        one Pose per key and `measured` the measurements (None for factors
-        without one), each stacked over the batch."""
+        the key's Jacobian block is ``Jr^-1(log E) @ T_k``; None stands for
+        the identity map, whose block is ``Jr^-1(log E)`` itself.  `poses`
+        holds one Pose per key and `measured` the measurements (None for
+        factors without one), each stacked over the batch."""
         raise NotImplementedError
 
     def _evaluate(self, values, jacobians):
@@ -103,15 +105,13 @@ class Factor:
         key in `keys`."""
         error, maps = self._evaluate(values, True)
         jr_inv = geometry.right_jacobian_inv(geometry.log(error))
-        return [jr_inv @ m for m in maps]
+        return [_block(jr_inv, m) for m in maps]
 
 
-_I6 = np.eye(6)
-_I6.setflags(write=False)
-
-
-def _identity_maps(pose: Pose) -> np.ndarray:
-    return np.broadcast_to(_I6, pose.translation.shape[:-1] + (6, 6))
+def _block(jr_inv: np.ndarray, tangent_map) -> np.ndarray:
+    """A key's Jacobian block from its factor's ``Jr^-1`` and its tangent
+    map (None for the identity)."""
+    return jr_inv if tangent_map is None else jr_inv @ tangent_map
 
 
 def _ad_inv(a: Pose) -> np.ndarray:
@@ -135,7 +135,7 @@ class PriorFactor(Factor):
         error = geometry.compose(geometry.inverse(measured), poses[0])
         if not jacobians:
             return error, None
-        return error, [_identity_maps(error)]
+        return error, [None]
 
 
 def eff_prior(t: int, measured: Pose, noise: NoiseModel) -> PriorFactor:
@@ -165,7 +165,7 @@ class MotionPriorFactor(Factor):
         error = geometry.compose(geometry.inverse(a), b)
         if not jacobians:
             return error, None
-        return error, [-_ad_inv(error), _identity_maps(error)]
+        return error, [-_ad_inv(error), None]
 
 
 @dataclass
@@ -197,8 +197,7 @@ class Im2ImFactor(Factor):
         if not jacobians:
             return error, None
         ad_obj = _ad_inv(rel_curr)
-        return error, [ad_obj, -_ad_inv(graph_rel), -ad_obj,
-                       _identity_maps(error)]
+        return error, [ad_obj, -_ad_inv(graph_rel), -ad_obj, None]
 
 
 @dataclass
@@ -222,7 +221,7 @@ class Im2PatchFactor(Factor):
         error = geometry.compose(geometry.inverse(measured), graph_rel)
         if not jacobians:
             return error, None
-        return error, [-_ad_inv(graph_rel), _identity_maps(error)]
+        return error, [-_ad_inv(graph_rel), None]
 
 
 class _Store:
@@ -265,7 +264,7 @@ def _evaluate_by_class(poses: Pose, stores, jacobians=False):
     """
     if not stores:
         return []
-    errors, maps, sigmas = [], [], []
+    errors, maps, sigmas, ends = [], [], [], [0]
     for store in stores:
         rows = poses[store["ids"].T]   # (k, m, ...)
         error, tangent = store.cls.evaluate(
@@ -274,17 +273,18 @@ def _evaluate_by_class(poses: Pose, stores, jacobians=False):
         errors.append(error)
         maps.append(tangent)
         sigmas.append(store["sigmas"])
-    bounds = np.cumsum([len(s) for s in sigmas])[:-1]
+        ends.append(ends[-1] + len(sigmas[-1]))
     sigmas = np.concatenate(sigmas)
     raw = geometry.log(Pose(np.concatenate([e.rotation for e in errors]),
                             np.concatenate([e.translation for e in errors])))
-    residuals = np.split(raw / sigmas, bounds)
+    residuals = raw / sigmas
+    spans = list(zip(ends, ends[1:]))
     if not jacobians:
-        return [(r, None) for r in residuals]
-    jr_inv = np.split(geometry.right_jacobian_inv(raw) / sigmas[:, :, None],
-                      bounds)
-    return [(r, j[:, None] @ np.stack(tangent, axis=1))
-            for r, j, tangent in zip(residuals, jr_inv, maps)]
+        return [(residuals[a:b], None) for a, b in spans]
+    jr_inv = geometry.right_jacobian_inv(raw) / sigmas[:, :, None]
+    return [(residuals[a:b],
+             np.stack([_block(jr_inv[a:b], m) for m in tangent], axis=1))
+            for (a, b), tangent in zip(spans, maps)]
 
 
 class FactorGraph:
@@ -300,7 +300,7 @@ class FactorGraph:
         self.factors = []
         self.key_ids = {}   # VariableKey -> id
         self.stores = {}    # factor class -> _Store
-        self._plan = None   # (token, _Plan) of the last evaluation
+        self._plan = None   # the _Plan of the last linearization
         for factor in factors:
             self.add(factor)
 
@@ -328,7 +328,7 @@ class FactorGraph:
 
 
 def _half_squared_norm(groups) -> float:
-    return 0.5 * sum(float(np.sum(r * r)) for r, _ in groups)
+    return 0.5 * sum(float((r * r).sum()) for r, _ in groups)
 
 
 @dataclass
@@ -350,50 +350,94 @@ class LinearSystem:
 
 
 class _Plan(NamedTuple):
-    """How `linearize` lays out a graph."""
+    """How `linearize` lays out a graph: where each term of its sums lands.
+    `laid` holds, per class store, how many of its factors are laid out,
+    the band entries of their product terms and the J^T r entries of their
+    gradient terms; `band_at` and `jtr_at` concatenate the entries in
+    summation order.  No entry depends on the number of keys, so factors
+    that leave the band width as it is only append entries."""
 
-    stores: list         # class stores, in summation order
-    width: int           # half-bandwidth w of J^T J
-    where: np.ndarray    # band, J^T r or trash entry of each product term
+    factors: int          # the graph's factor count when laid out
+    span: int             # widest span of key ids in one factor
+    width: int            # half-bandwidth w of J^T J
+    laid: dict            # class store -> (factors, band, J^T r entries)
+    band_at: np.ndarray
+    jtr_at: np.ndarray
 
 
-def _make_plan(graph: FactorGraph) -> _Plan:
-    """The layout of `graph`'s normal equations, column block i being key
-    id i."""
-    n = len(graph.key_ids)
-    # Classes are summed in the order they first appear in the graph.
-    stores = list(graph.stores.values())
-    # The blocks of the two keys of each product J_k^T J_l, in the order the
-    # products are summed: store, factor, then pair.
-    ends = [store["ids"][:, store.pairs] for store in stores]
-    first = _flat([e[:, 0] for e in ends])
-    second = _flat([e[:, 1] for e in ends])
-    hi, lo = np.maximum(first, second), np.minimum(first, second)
+_TRASH = np.iinfo(np.intp).min // 2
+_NO_ENTRIES = np.zeros(0, dtype=np.intp)
+
+
+@functools.lru_cache
+def _band_pattern(width: int) -> np.ndarray:
+    """The flat band offset of entry (c, e) of a product block (see
+    `_layout`), indexed by the sign of the second key's block less the
+    first's: 1 mirrored, -1 as is, and 0 a diagonal block, as is with its
+    upper triangle at `_TRASH`."""
+    c, e = np.indices((6, 6))
+    pattern = np.stack([np.where(c < e, _TRASH, c + width * e),
+                        e + width * c, c + width * e])
+    pattern.setflags(write=False)
+    return pattern
+
+
+def _layout(graph: FactorGraph) -> _Plan:
+    """The layout of a graph with factors, column block i being key id i:
+    the last one if no factor arrived since, that one extended by the new
+    factors' entries if they leave the band width as it is, else laid out
+    afresh."""
+    plan = graph._plan
+    if plan is not None and plan.factors == len(graph):
+        return plan
+    laid = dict(plan.laid) if plan is not None else {}
+    # The factors not laid out yet, in the order their terms are summed:
+    # store (classes by first appearance), factor, then key pair (k, l) of
+    # the product J_k^T J_l.
+    new = [(store, store["ids"][laid[store][0] if store in laid else 0:])
+           for store in graph.stores.values()]
+    new = [(store, ids) for store, ids in new if len(ids)]
+    first = np.concatenate([ids[:, s.pairs[0]].ravel() for s, ids in new])
+    second = np.concatenate([ids[:, s.pairs[1]].ravel() for s, ids in new])
+    apart = second - first
+    gap = np.abs(apart)
     # The widest span of blocks in one factor bounds the distance of a
     # nonzero entry of J^T J from the diagonal.
-    span = int((hi - lo).max(initial=0))
-    width = min(6 * span + 5, max(6 * n - 1, 0))
+    span = max(int(gap.max()), plan.span if plan is not None else 0)
+    width = min(6 * span + 5, 6 * len(graph.key_ids) - 1)
+    if plan is not None and width != plan.width:
+        graph._plan = None   # the band widens: lay every factor out again
+        return _layout(graph)
     # Entry (a, b) of the product J_k^T J_l is entry (6 bk + a, 6 bl + b) of
     # J^T J, bk and bl being the keys' blocks, and its mirror (6 bl + b,
     # 6 bk + a).  The one on or below the diagonal, (i, j) = (6 hi + c,
     # 6 lo + e) with hi and lo the larger and the smaller block, lands at
     # ab[i - j, j]: flat j (w + 1) + i - j = 6 (w lo + hi) + w e + c, since
-    # the storage is column-major, as LAPACK reads it.  J_k^T r lands at
-    # 6 bk + a of J^T r, stored after the band.  The upper triangles of
-    # diagonal blocks (bk = bl) go to a trash slot at the end, which is cut
-    # off.
-    size = 6 * n
-    grad_base = (width + 1) * size
-    trash = grad_base + size
-    c, e = np.indices((6, 6))
-    pattern = np.stack([c + width * e, e + width * c])   # as is, mirrored
-    pair_at = (6 * (width * lo + hi))[:, None, None] \
-        + pattern[(first < second).astype(np.intp)]
-    pair_at[(first == second)[:, None, None] & (c < e)] = trash
-    grad_at = grad_base + 6 * _flat([s["ids"] for s in stores])[:, None] \
-        + np.arange(6)
-    where = np.concatenate([pair_at.ravel(), grad_at.ravel()])
-    return _Plan(stores, width, where)
+    # the storage is column-major, as LAPACK reads it, plus one for a trash
+    # slot in front; w lo + hi = (w + 1) lo + gap.  The upper triangles of
+    # diagonal blocks (bk = bl) go to the trash slot, which is cut off.
+    # J_k^T r lands at 6 bk + a of J^T r.
+    lo = np.minimum(first, second)
+    band = (6 * ((width + 1) * lo + gap) + 1)[:, None, None] \
+        + _band_pattern(width)[np.sign(apart)]
+    band = np.maximum(band, 0).ravel()
+    jtr = (6 * np.concatenate([ids.ravel() for _, ids in new])[:, None]
+           + np.arange(6)).ravel()
+    # Each store's new entries follow its earlier ones.
+    b = j = 0
+    for store, ids in new:
+        count, bands, jtrs = laid.get(store, (0, _NO_ENTRIES, _NO_ENTRIES))
+        b_end = b + 36 * ids.shape[0] * store.pairs.shape[1]
+        j_end = j + 6 * ids.size
+        laid[store] = (count + len(ids),
+                       np.concatenate([bands, band[b:b_end]]),
+                       np.concatenate([jtrs, jtr[j:j_end]]))
+        b, j = b_end, j_end
+    stores = graph.stores.values()
+    graph._plan = _Plan(len(graph), span, width, laid,
+                        np.concatenate([laid[store][1] for store in stores]),
+                        np.concatenate([laid[store][2] for store in stores]))
+    return graph._plan
 
 
 def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
@@ -405,31 +449,31 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     introduced in time order, and only its lower band is assembled: per
     factor, the products ``J_k^T J_l`` of each unordered key pair,
     scattered into LAPACK lower band storage (`LinearSystem`).  Keys arrive
-    only with factors, so the layout (`_make_plan`) depends on the factor
-    count alone, and the graph keeps the last one: every evaluation within
-    one `optimize` call reuses it.  The cost is summed as `FactorGraph.cost`
-    sums it, so the two agree to the bit.
+    only with factors, so the layout (`_layout`) changes only with the
+    factor count, and the graph keeps the last one: every evaluation within
+    one `optimize` call reuses it, and a step that only appends factors
+    extends it unless they widen the band.  The cost is summed as
+    `FactorGraph.cost` sums it, so the two agree to the bit.
     """
-    if graph._plan is None or graph._plan[0] != len(graph):
-        graph._plan = (len(graph), _make_plan(graph))
-    stores, width, where = graph._plan[1]
-    size = 6 * len(graph.key_ids)
-    if not stores:
-        return LinearSystem(ab=np.zeros((width + 1, size)),
-                            jtr=np.zeros(size), cost=0.0)
+    if not graph.stores:
+        return LinearSystem(ab=np.zeros((1, 0)), jtr=np.zeros(0), cost=0.0)
+    plan = _layout(graph)
+    width, size = plan.width, 6 * len(graph.key_ids)
+    stores = list(graph.stores.values())
     groups = _evaluate_by_class(poses, stores, True)
     products, grads = [], []
     for (r, blocks), store in zip(groups, stores):
         k, l = store.pairs
-        products.append(np.swapaxes(blocks[:, k], -1, -2) @ blocks[:, l])
-        grads.append(np.swapaxes(blocks, -1, -2) @ r[:, None, :, None])
-    # One scatter-add over the band of J^T J, then J^T r, then the trash
-    # slot.  np.bincount adds in input order, so the sums are deterministic.
+        products.append(blocks[:, k].swapaxes(-1, -2) @ blocks[:, l])
+        grads.append(blocks.swapaxes(-1, -2) @ r[:, None, :, None])
+    # One scatter-add over the trash slot and the band of J^T J, and one
+    # over J^T r.  np.bincount adds in input order, so the sums are
+    # deterministic.
     band = (width + 1) * size
-    flat = np.bincount(where, np.concatenate([_flat(products), _flat(grads)]),
-                       minlength=band + size + 1)
-    return LinearSystem(ab=flat[:band].reshape(size, width + 1).T,
-                        jtr=flat[band:band + size],
+    flat = np.bincount(plan.band_at, _flat(products), minlength=band + 1)
+    return LinearSystem(ab=flat[1:band + 1].reshape(size, width + 1).T,
+                        jtr=np.bincount(plan.jtr_at, _flat(grads),
+                                        minlength=size),
                         cost=_half_squared_norm(groups))
 
 

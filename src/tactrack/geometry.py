@@ -4,7 +4,12 @@ adjoints and the closed-form inverse right Jacobian.
 Every operation here also works on a batch: a :class:`Pose` may hold
 rotations of shape ``(..., 3, 3)`` and translations of shape ``(..., 3)``,
 and twists may have shape ``(..., 6)``.  A single pose is the same code with
-no batch dimension.
+no batch dimension.  A batch evaluates only the branches its rows need: the
+angle coefficients of exp, log and right_jacobian_inv come from their
+Taylor series or their closed forms, and only a batch with angles on both
+sides of the switch evaluates both; the rotation-to-quaternion conversion
+skips Shepperd's general case when every trace is positive.  Either way
+each row equals what the general path gives it.
 
 The factor Jacobians are closed-form products of :func:`right_jacobian_inv`
 and :func:`adjoint`; the tests check them against central differences.
@@ -43,13 +48,15 @@ _I3.setflags(write=False)
 _LEVI_CIVITA = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
                          [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
                          [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], dtype=float)
-_LEVI_CIVITA.setflags(write=False)
+# The same as one linear map from w to the row-major entries of skew(w).
+_SKEW_MAP = np.moveaxis(_LEVI_CIVITA, 1, 0).reshape(3, 9)
+_SKEW_MAP.setflags(write=False)
 
 
 def _skew(w):
     """Cross-product matrices: skew(w) @ v == cross(w, v)."""
     w = np.asarray(w, dtype=float)
-    return (w[..., None, None, :] @ _LEVI_CIVITA)[..., 0, :]
+    return (w @ _SKEW_MAP).reshape(w.shape[:-1] + (3, 3))
 
 
 def _norm(x):
@@ -59,7 +66,7 @@ def _norm(x):
 
 
 def _t(m):
-    return np.swapaxes(m, -1, -2)
+    return m.swapaxes(-1, -2)
 
 
 def _mv(m, v):
@@ -72,39 +79,71 @@ def _scale(coef, m):
     return coef[..., None, None] * m
 
 
-def _angle_coef(theta, coef):
-    """A coefficient of the rotation angle, given as ``(series, closed)``:
-    ``closed(theta)`` at and above ``_SERIES_ANGLE``, below it the Taylor
-    polynomial whose coefficients in powers of ``theta**2`` are
-    ``series``.  A single angle evaluates only its own branch; a batch
-    evaluates both and selects."""
-    series, closed = coef
-    if np.ndim(theta) == 0:
-        return _poly(theta, series) if theta < _SERIES_ANGLE else closed(theta)
-    return np.where(theta < _SERIES_ANGLE, _poly(theta, series),
-                    closed(np.maximum(theta, _SERIES_ANGLE)))
-
-
 def _poly(theta, series):
+    """The Taylor polynomial in ``theta**2`` whose coefficients are
+    `series`."""
     t2 = theta * theta
     return series[0] + t2 * (series[1] + t2 * series[2])
 
 
-# The closed forms use products, not powers: a power of a single angle
-# (a NumPy scalar) rounds differently from the same power of an array.
-_SIN_T = ((1.0, -1.0 / 6.0, 1.0 / 120.0), lambda t: np.sin(t) / t)
-_COS_T2 = ((0.5, -1.0 / 24.0, 1.0 / 720.0),
-           lambda t: (1.0 - np.cos(t)) / (t * t))
-_SIN_T3 = ((1.0 / 6.0, -1.0 / 120.0, 1.0 / 5040.0),
-           lambda t: (t - np.sin(t)) / (t * t * t))
-# The wx^2 coefficient of the inverse SO(3) Jacobians and inverse V matrix.
-_SO3_INV = ((1.0 / 12.0, 1.0 / 720.0, 1.0 / 30240.0),
-            lambda t: 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
-_COS_T4 = ((1.0 / 24.0, -1.0 / 720.0, 1.0 / 40320.0),
-           lambda t: (t * t + 2.0 * np.cos(t) - 2.0) / (2.0 * t * t * t * t))
-_SIN_T5 = ((1.0 / 120.0, -1.0 / 2520.0, 1.0 / 120960.0),
-           lambda t: ((2.0 * t - 3.0 * np.sin(t) + t * np.cos(t))
-                      / (2.0 * t * t * t * t * t)))
+# Taylor coefficients, in powers of theta**2, of the angle coefficients of
+# exp, log and right_jacobian_inv, whose closed forms cancel near zero:
+# sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3, then the wx^2
+# coefficient of the inverse SO(3) Jacobians and inverse V matrix,
+# 1 / t^2 - (1 + cos t) / (2 t sin t), then (t^2 + 2 cos t - 2) / (2 t^4)
+# and (2 t - 3 sin t + t cos t) / (2 t^5).
+_SIN_T = (1.0, -1.0 / 6.0, 1.0 / 120.0)
+_COS_T2 = (0.5, -1.0 / 24.0, 1.0 / 720.0)
+_SIN_T3 = (1.0 / 6.0, -1.0 / 120.0, 1.0 / 5040.0)
+_SO3_INV = (1.0 / 12.0, 1.0 / 720.0, 1.0 / 30240.0)
+_COS_T4 = (1.0 / 24.0, -1.0 / 720.0, 1.0 / 40320.0)
+_SIN_T5 = (1.0 / 120.0, -1.0 / 2520.0, 1.0 / 120960.0)
+
+
+# The closed forms, one set per function, share one sin and one cos.  They
+# use products, not powers: a power of a single angle (a NumPy scalar)
+# rounds differently from the same power of an array.
+def _exp_closed(t):
+    sin, cos = np.sin(t), np.cos(t)
+    return sin / t, (1.0 - cos) / (t * t), (t - sin) / (t * t * t)
+
+
+def _log_closed(t):
+    return (1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)),)
+
+
+def _jr_inv_closed(t):
+    sin, cos = np.sin(t), np.cos(t)
+    return ((t - sin) / (t * t * t),
+            (t * t + 2.0 * cos - 2.0) / (2.0 * t * t * t * t),
+            (2.0 * t - 3.0 * sin + t * cos) / (2.0 * t * t * t * t * t),
+            1.0 / (t * t) - (1.0 + cos) / (2.0 * t * sin))
+
+
+# (series, closed) per function: the Taylor coefficients stacked as
+# series[power][coefficient], and the closed forms.
+_EXP_COEFS = (np.array([_SIN_T, _COS_T2, _SIN_T3]).T, _exp_closed)
+_LOG_COEFS = (np.array([_SO3_INV]).T, _log_closed)
+_JR_INV_COEFS = (np.array([_SIN_T3, _COS_T4, _SIN_T5, _SO3_INV]).T,
+                 _jr_inv_closed)
+
+
+def _angle_coefs(theta, coefs):
+    """The angle coefficients `coefs` (one of the tables above) of the
+    rotation angles `theta`, one array per coefficient: the closed form at
+    and above ``_SERIES_ANGLE``, the Taylor polynomial below it.  A batch
+    on one side evaluates only that side's formulas; a batch with rows on
+    both evaluates both and selects, with the same values row for row."""
+    series, closed = coefs
+    below = theta < _SERIES_ANGLE
+    count = np.count_nonzero(below)
+    if count == 0:
+        return closed(theta)
+    # One polynomial over every coefficient, which is the leading axis.
+    values = _poly(theta, series.reshape(series.shape + (1,) * np.ndim(theta)))
+    if count == below.size:
+        return values
+    return np.where(below, values, closed(np.maximum(theta, _SERIES_ANGLE)))
 
 
 def _reorthonormalize(rot):
@@ -165,8 +204,7 @@ def exp(xi: np.ndarray) -> Pose:
     theta = _norm(w)
     wx = _skew(w)
     wx2 = wx @ wx
-    a, b, c = (_angle_coef(theta, coef)
-               for coef in (_SIN_T, _COS_T2, _SIN_T3))
+    a, b, c = _angle_coefs(theta, _EXP_COEFS)
     rot = _I3 + _scale(a, wx) + _scale(b, wx2)
     vmat = _I3 + _scale(b, wx) + _scale(c, wx2)
     return Pose(_reorthonormalize(rot), _mv(vmat, v))
@@ -177,12 +215,19 @@ def _mat_to_quat(rot):
     # matrix `k` equals 4 q q^T, so its row i is q scaled by 4 q_i = s.
     # Row 0 serves if the trace is positive (|w| > 1/2), else the row of
     # the largest diagonal element of `rot`.  The component axis comes
-    # first until q is normalized.
+    # first until q is normalized.  A batch whose traces are all positive
+    # reads row 0 directly, with the values of the general path, except
+    # that an exactly zero component keeps its sign there (rot_x(-0.0)
+    # gives x = -0.0, where the masked sum of the general path gives 0.0).
     m = rot
     m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
     tr = m00 + m11 + m22
     wx, wy, wz = (m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
                   m[..., 1, 0] - m[..., 0, 1])
+    if (tr > 0).all():
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.stack([0.25 * s, wx / s, wy / s, wz / s], axis=-1)
+        return q / _norm(q)[..., None]
     xy, xz, yz = (m[..., 0, 1] + m[..., 1, 0], m[..., 0, 2] + m[..., 2, 0],
                   m[..., 1, 2] + m[..., 2, 1])
     k = np.array([[tr + 1.0, wx, wy, wz],
@@ -207,7 +252,7 @@ def rotation_log(rot: np.ndarray) -> np.ndarray:
     q = _mat_to_quat(rot)
     vec_norm = _norm(q[..., 1:])
     theta = 2.0 * np.arctan2(vec_norm, q[..., 0])
-    if np.any(theta >= np.pi - _EPS_ANGLE):
+    if (theta >= np.pi - _EPS_ANGLE).any():
         raise DomainError(f"rotation angle {np.max(theta):.9f} is at the "
                           "log singularity (pi)")
     # Below _SMALL, sin(theta/2) ~ theta/2, so q_vec ~ axis * theta / 2.
@@ -226,7 +271,7 @@ def log(a: Pose) -> np.ndarray:
     """SE(3) logarithm; inverse of :func:`exp` for rotation angle < pi."""
     w = rotation_log(a.rotation)
     wx = _skew(w)
-    coef = _angle_coef(_norm(w), _SO3_INV)
+    coef, = _angle_coefs(_norm(w), _LOG_COEFS)
     vinv = _I3 - 0.5 * wx + _scale(coef, wx @ wx)
     return np.concatenate([w, _mv(vinv, a.translation)], axis=-1)
 
@@ -264,8 +309,7 @@ def right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     wx, vx = _skew(xi[..., :3]), _skew(xi[..., 3:])
     theta = _norm(xi[..., :3])
-    a, b, c, so3 = (_angle_coef(theta, coef)
-                    for coef in (_SIN_T3, _COS_T4, _SIN_T5, _SO3_INV))
+    a, b, c, so3 = _angle_coefs(theta, _JR_INV_COEFS)
     wv, vw = wx @ vx, vx @ wx
     wvw = wv @ wx
     wwv, vww = wx @ wv, vw @ wx

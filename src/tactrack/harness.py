@@ -37,9 +37,8 @@ class SuiteObject:
                               "non-empty path component")
         try:
             shape_from_descriptor(self.shape)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"object {self.name!r} has a bad shape "
-                              f"{self.shape!r}: {err}") from err
+        except ConfigError as err:
+            raise ConfigError(f"object {self.name!r}: {err}") from err
 
 
 @dataclass

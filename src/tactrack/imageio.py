@@ -9,10 +9,10 @@ import numpy as np
 
 
 def write_json(path, record) -> None:
-    """Write `record` as indented JSON with sorted keys and a final newline."""
+    """Write `record` as indented JSON with sorted keys and a final newline,
+    encoded whole and written at once (`json.dump` writes chunk by chunk)."""
     with open(path, "w") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def write_pfm(path, data: np.ndarray) -> None:

@@ -125,7 +125,7 @@ def _increment(twist):
     t2 = xx + yy + zz
     theta = math.sqrt(t2)
     if theta < geometry._SERIES_ANGLE:
-        a, b, c = (geometry._poly(theta, series) for series, _ in
+        a, b, c = (geometry._poly(theta, series) for series in
                    (geometry._SIN_T, geometry._COS_T2, geometry._SIN_T3))
     else:
         sin, cos = math.sin(theta), math.cos(theta)

@@ -100,7 +100,8 @@ class Box(ShapeSDF):
     half_extents: tuple = (10.0, 10.0, 10.0)
 
     def __post_init__(self):
-        if len(self.half_extents) != 3:
+        if not (isinstance(self.half_extents, (list, tuple))
+                and len(self.half_extents) == 3):
             raise ConfigError("box half_extents must hold 3 values, got "
                               f"{self.half_extents!r}")
         self.half_extents = tuple(_size(v, "box half_extents")
@@ -151,17 +152,31 @@ class Pyramid(ShapeSDF):
                 "height": self.height, "offset": geometry.to_quat_trans(self.offset)}
 
 
+# Each descriptor type's shape class and size fields.
+_SHAPE_TYPES = {"sphere": (Sphere, ("radius",)),
+                "box": (Box, ("half_extents",)),
+                "pyramid": (Pyramid, ("base_half_length", "height"))}
+
+
 def shape_from_descriptor(desc: dict) -> ShapeSDF:
-    """The shape a `descriptor()` describes, or ConfigError."""
+    """The shape a `descriptor()` describes, or ConfigError naming the field
+    that is missing or bad.  The `offset` may be left out (identity)."""
     if not isinstance(desc, dict):
         raise ConfigError(f"a shape descriptor must be a mapping, got {desc!r}")
-    offset = geometry.from_quat_trans(desc.get("offset", [1, 0, 0, 0, 0, 0, 0]))
+    if "type" not in desc:
+        raise ConfigError(f"a shape descriptor needs a type, got {desc!r}")
     kind = desc["type"]
-    if kind == "sphere":
-        return Sphere(offset=offset, radius=desc["radius"])
-    if kind == "box":
-        return Box(offset=offset, half_extents=desc["half_extents"])
-    if kind == "pyramid":
-        return Pyramid(offset=offset, base_half_length=desc["base_half_length"],
-                       height=desc["height"])
-    raise ConfigError(f"unknown shape type {kind!r}")
+    if not (isinstance(kind, str) and kind in _SHAPE_TYPES):
+        raise ConfigError(f"unknown shape type {kind!r}")
+    cls, fields = _SHAPE_TYPES[kind]
+    for name in fields:
+        if name not in desc:
+            raise ConfigError(f"a {kind} shape needs {name}, got {desc!r}")
+    offset = desc.get("offset", [1, 0, 0, 0, 0, 0, 0])
+    try:
+        offset = geometry.from_quat_trans(offset)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"shape offset must be 7 finite numbers [qw qx qy "
+                          f"qz tx ty tz] with a nonzero quaternion, got "
+                          f"{offset!r}") from err
+    return cls(offset=offset, **{name: desc[name] for name in fields})

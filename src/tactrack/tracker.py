@@ -170,6 +170,7 @@ class Tracker:
         self.mode = mode
         self.config = config
         self.gel = gel
+        self._gel_key = dataclasses.astuple(gel)   # the gel's field values
         self.shape = shape
         self.graph = FactorGraph()
         self.keyframes: list = []   # (t, sensor-frame cloud), in time order
@@ -311,12 +312,12 @@ class Tracker:
             diag["skipped_registration"] = "touches_border"
         elif self.mode is not TrackerMode.CONST_VEL:   # constvel registers nothing
             clouds = _CLOUDS.setdefault(normal_image, {})
-            gel = dataclasses.astuple(self.gel)
-            if gel not in clouds:
-                _, clouds[gel] = reconstruct_cloud(normal_image, self.gel, step=t)
+            if self._gel_key not in clouds:
+                _, clouds[self._gel_key] = reconstruct_cloud(
+                    normal_image, self.gel, step=t)
                 normal_image.values.flags.writeable = False
                 normal_image.mask.flags.writeable = False
-            cloud = clouds[gel]
+            cloud = clouds[self._gel_key]
 
         im2im = None
         if (self.mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH)
@@ -351,7 +352,7 @@ class Tracker:
 
         self.poses, stats = factors.optimize(self.graph, self.poses,
                                              self.step_optimizer)
-        diag["optimizer"] = dataclasses.asdict(stats)
+        diag["optimizer"] = dict(vars(stats))
 
         if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
                 and (t - 1) % KEYFRAME_INTERVAL == 0):
@@ -381,7 +382,7 @@ class Tracker:
         return EpisodeResult(
             object_poses=self.poses[1::2], eff_poses=self.poses[0::2],
             diagnostics=self.diagnostics, patch=patch,
-            final_optimizer=dataclasses.asdict(stats))
+            final_optimizer=dict(vars(stats)))
 
 
 def track_episode(episode, mode: TrackerMode, config: TrackerConfig = None) -> EpisodeResult:

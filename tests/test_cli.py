@@ -237,6 +237,26 @@ class TestPipeline:
         assert main(["track", "--episode", str(ep), "--mode", mode,
                      "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("field, edit", [
+        ("offset", lambda shape: shape.update(offset=[0] * 7)),
+        ("radius", lambda shape: shape.pop("radius")),
+        ("type", lambda shape: shape.pop("type"))],
+        ids=["zero_offset", "no_radius", "no_type"])
+    def test_track_bad_episode_shape_exit_2(self, suite_yaml, tmp_path, capsys,
+                                            field, edit):
+        # gtpatch reads the shape from the saved episode; a bad one exits 2,
+        # as it does from a suite YAML, with the field named.
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        ep = episodes / "sphere" / "ep0000"
+        meta = json.loads((ep / "episode.json").read_text())
+        edit(meta["shape"])
+        (ep / "episode.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["track", "--episode", str(ep), "--mode", "gtpatch",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_eval_empty_runs_exit_2(self, tmp_path):
         (tmp_path / "runs").mkdir()
         assert main(["eval", "--runs", str(tmp_path / "runs"),

@@ -386,6 +386,41 @@ class TestEpisodeGraph:
             np.testing.assert_array_equal(a.jtr, b.jtr)
             assert a.cost == b.cost
 
+    def test_extended_layout_matches_fresh_layout(self, monkeypatch):
+        # A tracker step only appends keys and factors, so linearize extends
+        # the graph's cached layout, except at a step whose factors widen
+        # the band: at every step of a 24-step patchgraph episode, the
+        # system from the extended layout equals, to the bit, that of a
+        # graph laid out in one go.
+        gel = GelConfig()
+        ep = generate_episode(
+            Pyramid(), TrajectorySpec(steps=24, indent=1.25, length=2.0),
+            gel, NoiseSpec(), seed=1)
+        tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
+                          ep.vision_prior, gel)
+        afresh = []   # per _layout call: the graph, and if it starts afresh
+        layout = factors._layout
+        monkeypatch.setattr(factors, "_layout", lambda graph: (
+            afresh.append((graph, graph._plan is None)), layout(graph))[1])
+        steps = []
+        for frame in ep.frames:
+            afresh.clear()
+            estimate = tracker.step(frame.normals, frame.eff_measured)
+            graph = tracker.graph
+            grown = linearize(graph, tracker.poses)
+            fresh = linearize(FactorGraph(graph.factors), tracker.poses)
+            assert grown.ab.tobytes() == fresh.ab.tobytes()
+            assert grown.jtr.tobytes() == fresh.jtr.tobytes()
+            assert grown.cost == fresh.cost
+            steps.append((graph._plan.width,
+                          any(new for g, new in afresh if g is graph),
+                          estimate.diagnostics["keyframe_target"]))
+        # Steps 1 and 2 widen the band as keys arrive; the first keyframe
+        # factor, k = t - 2 at step 3, widens it again; every later step
+        # extends the layout.
+        assert steps[:3] == [(5, True, None), (23, True, None), (35, True, 1)]
+        assert {(w, new) for w, new, _ in steps[3:]} == {(35, False)}
+
     def test_optimize_matches_two_pass_reference(self, episode_graph,
                                                  monkeypatch):
         # Evaluating each point once takes the same steps, to the bit, as

@@ -288,6 +288,27 @@ class TestBatch:
         self._assert_rows(geometry.right_jacobian_inv(xi),
                           map(geometry.right_jacobian_inv, xi))
 
+    # A batch whose angles all lie on one side of 1e-2 evaluates only that
+    # side's coefficients; each row must equal the same row of a batch that
+    # mixes both sides and selects with np.where.
+    def test_one_sided_batches_match_mixed(self):
+        rng = np.random.default_rng(24)
+        below = np.stack([_twist(rng, a) for a in (0.0, 1e-9, 1e-5, 3e-3,
+                                                   1e-2 - 1e-12)])
+        above = np.stack([_twist(rng, a) for a in (1e-2 + 1e-12, 0.02, 0.5,
+                                                   2.5)]
+                         + [np.r_[1e-2, 0.0, 0.0, rng.uniform(-30, 30, 3)]])
+        mixed = np.concatenate([below, above])
+        for side, rows in ((below, slice(0, 5)), (above, slice(5, None))):
+            self._assert_rows(geometry.exp(side), geometry.exp(mixed)[rows])
+            self._assert_rows(geometry.right_jacobian_inv(side),
+                              geometry.right_jacobian_inv(mixed)[rows])
+        poses = geometry.exp(mixed)
+        angles = np.linalg.norm(geometry.log(poses)[:, :3], axis=1)
+        assert (angles[:5] < 1e-2).all() and (angles[5:] >= 1e-2).all()
+        self._assert_rows(geometry.log(poses[:5]), geometry.log(poses)[:5])
+        self._assert_rows(geometry.log(poses[5:]), geometry.log(poses)[5:])
+
     def test_empty_batch(self):
         empty = Pose.stack([])
         assert geometry.log(empty).shape == (0, 6)
@@ -335,3 +356,23 @@ class TestSerialization:
         singles = [geometry.to_quat_trans(p) for p in poses]
         np.testing.assert_array_equal(np.array(batched), np.array(singles))
         assert all(type(x) is float for row in batched for x in row)
+
+    def test_positive_trace_batch_matches_general_path(self):
+        # A batch whose traces are all positive skips the Shepperd matrix;
+        # appending rot_x(3.0), whose trace is negative, sends the same rows
+        # through the general path.  assert_array_equal takes -0.0 == 0.0,
+        # the one difference the docstring allows.
+        rng = np.random.default_rng(13)
+        poses = ([Pose(geometry.rot_x(-0.0), np.zeros(3)),
+                  Pose(geometry.rot_z(2.0), rng.uniform(-30, 30, 3))]
+                 + [random_pose(rng, max_angle=2.0, max_trans=30.0)
+                    for _ in range(6)])
+        flipped = Pose(geometry.rot_x(3.0), np.zeros(3))
+        assert all(np.trace(p.rotation) > 0 for p in poses)
+        assert np.trace(flipped.rotation) < 0
+        fast = geometry.to_quat_trans(Pose.stack(poses))
+        general = geometry.to_quat_trans(Pose.stack(poses + [flipped]))
+        np.testing.assert_array_equal(np.array(fast), np.array(general[:-1]))
+        fast_log = geometry.log(Pose.stack(poses))
+        general_log = geometry.log(Pose.stack(poses + [flipped]))
+        np.testing.assert_array_equal(fast_log, general_log[:-1])

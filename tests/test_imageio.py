@@ -1,10 +1,12 @@
 """PFM, PGM, and PLY readers/writers: roundtrips and format validation."""
 
+import json
+
 import numpy as np
 import pytest
 
-from tactrack.imageio import (read_pfm, read_pgm_mask, read_ply, write_pfm,
-                              write_pgm_mask, write_ply)
+from tactrack.imageio import (read_pfm, read_pgm_mask, read_ply, write_json,
+                              write_pfm, write_pgm_mask, write_ply)
 
 
 class TestPFM:
@@ -138,3 +140,17 @@ class TestPLY:
         path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n")
         with pytest.raises(ValueError):
             read_ply(path)
+
+
+class TestJSON:
+    def test_same_bytes_as_json_dump(self, tmp_path):
+        # One encode and one write give what json.dump's chunked writes gave.
+        record = {"b": [1.0 / 3.0, -0.0, 1e-300, None, True],
+                  "a": {"z": "\u00e9", "y": [], "x": {}}, "c": 2}
+        path = tmp_path / "record.json"
+        write_json(path, record)
+        with open(tmp_path / "reference.json", "w") as f:
+            json.dump(record, f, indent=2, sort_keys=True)
+            f.write("\n")
+        assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
+        assert json.loads(path.read_text()) == record
