@@ -10,6 +10,8 @@ import typing
 
 import yaml
 
+from . import geometry
+
 
 class ConfigError(ValueError):
     """A configuration value is invalid."""
@@ -31,6 +33,17 @@ def require(value, what, low=None, *, integer=False, strict=False):
     if not valid:
         raise ConfigError(f"{what} must be {kind}, got {value!r}")
     return value
+
+
+def require_pose(value, what) -> geometry.Pose:
+    """The pose that `value` serializes as [qw qx qy qz tx ty tz], or
+    ConfigError naming `what`."""
+    try:
+        return geometry.from_quat_trans(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{what} must be 7 finite numbers [qw qx qy qz tx "
+                          f"ty tz] with a nonzero quaternion, got {value!r}"
+                          ) from err
 
 
 def from_mapping(cls, data):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, imageio
-from .config import ConfigError, require
+from .config import ConfigError, from_mapping, require, require_pose
 from .geometry import Pose
 from .render import (DepthImage, GelConfig, NormalImage, contact_touches_border,
                      depth_to_normals, perturb_normals, render_depth)
@@ -274,12 +274,23 @@ def save_episode(episode: Episode, directory) -> None:
 
 
 def load_episode(directory) -> Episode:
-    """Read an episode written by `save_episode`.  ValueError naming the
-    file for an image whose shape is not the gel's height x width (x 3 for
-    normals)."""
+    """Read an episode written by `save_episode`.  ConfigError naming the
+    field for a missing key, an unknown or bad gel or noise setting, or a
+    pose that is not 7 finite numbers with a nonzero quaternion; ValueError
+    naming the file for an image whose shape is not the gel's height x
+    width (x 3 for normals)."""
     with open(os.path.join(directory, "episode.json")) as f:
         meta = json.load(f)
-    gel = GelConfig(**meta["gel"])
+
+    def get(mapping, key, where="episode"):
+        if key not in mapping:
+            raise ConfigError(f"{where} has no {key!r}")
+        return mapping[key]
+
+    def pose(mapping, key, where="episode"):
+        return require_pose(get(mapping, key, where), f"{where} {key}")
+
+    gel = from_mapping(GelConfig, get(meta, "gel"))
 
     def read(path, reader, shape):
         data = reader(path)
@@ -290,25 +301,27 @@ def load_episode(directory) -> Episode:
 
     size = (gel.height, gel.width)
     frames = []
-    for fr in meta["frames"]:
-        normals = read(os.path.join(directory, fr["normals"]),
+    for i, fr in enumerate(get(meta, "frames")):
+        where = f"episode frame {i}"
+        normals = read(os.path.join(directory, get(fr, "normals", where)),
                        imageio.read_pfm, size + (3,)).astype(float)
-        mask = read(os.path.join(directory, fr["mask"]),
+        mask = read(os.path.join(directory, get(fr, "mask", where)),
                     imageio.read_pgm_mask, size)
-        depth_path = os.path.join(directory, fr["depth"])
+        depth_path = os.path.join(directory, get(fr, "depth", where))
         depth = None
         if os.path.exists(depth_path):
             values = read(depth_path, imageio.read_pfm, size).astype(float)
             depth = DepthImage(values=values, mask=mask.copy())
         frames.append(Frame(
-            timestamp=fr["timestamp"],
-            object_pose=geometry.from_quat_trans(fr["object_pose"]),
-            eff_pose=geometry.from_quat_trans(fr["eff_pose"]),
-            eff_measured=geometry.from_quat_trans(fr["eff_measured"]),
+            timestamp=get(fr, "timestamp", where),
+            object_pose=pose(fr, "object_pose", where),
+            eff_pose=pose(fr, "eff_pose", where),
+            eff_measured=pose(fr, "eff_measured", where),
             normals=NormalImage(values=normals, mask=mask),
             depth_gt=depth))
     return Episode(frames=frames,
-                   vision_prior=geometry.from_quat_trans(meta["vision_prior"]),
-                   noise=NoiseSpec(**meta["noise"]),
-                   shape_descriptor=meta["shape"], gel=gel, seed=meta["seed"],
+                   vision_prior=pose(meta, "vision_prior"),
+                   noise=from_mapping(NoiseSpec, get(meta, "noise")),
+                   shape_descriptor=get(meta, "shape"), gel=gel,
+                   seed=get(meta, "seed"),
                    dropped_steps=meta.get("dropped_steps", []))

@@ -1,15 +1,31 @@
 """Factor definitions and the nonlinear least-squares solver.
 
-Variables are object poses ``o_t`` and end-effector poses ``e_t``; factors
-whiten their twist residuals by per-axis sigmas.  Every residual is
-``log(M^-1 * G)`` of a composition ``G`` of poses, so each factor supplies
-closed-form Jacobians in the tangent space of a right perturbation
-``X * exp(d)``: a variable appearing in ``G`` as ``P * X * Q`` gets
-``Jr^-1(r) Ad(Q^-1)``, one appearing as ``P * X^-1 * Q`` gets
-``-Jr^-1(r) Ad(Q^-1 X)`` (Sola, Deray & Atchuthan, "A micro Lie theory for
-state estimation in robotics", arXiv:1812.01537), and the tests check them
-against central differences.  The solver is Levenberg-Marquardt with
-right-multiplicative retraction of each pose block.
+Variables are object poses ``o_t`` and end-effector poses ``e_t``.  Every
+factor's residual is ``log E`` of one template over four key slots A to D
+and a measurement M (`_template`), whitened by per-axis sigmas:
+
+    E = M^-1 G,   G = (A^-1 B)^-1 (C^-1 D).
+
+A factor class declares the slots its keys fill, in key order; an empty
+slot holds the identity pose, which composes exactly, as M does for a
+factor that measures nothing.  A new kind of factor is one more pattern:
+
+    class               A      B      C          D      M
+    PriorFactor         .      .      .          x      the pose of x
+    MotionPriorFactor   .      .      o_{t-1}    o_t    identity
+    Im2PatchFactor      .      .      o_t        e_t    object-from-sensor
+    Im2ImFactor         o_k    e_k    o_t        e_t    sensor t in sensor k
+
+In the tangent space of a right perturbation ``X * exp(d)``, a variable
+appearing in G as ``P X Q`` has the Jacobian ``Jr^-1(log E) Ad(Q^-1)`` and
+one appearing as ``P X^-1 Q`` has ``-Jr^-1(log E) Ad(Q^-1 X)`` (Sola, Deray
+& Atchuthan, "A micro Lie theory for state estimation in robotics",
+arXiv:1812.01537).  So the tangent maps of the slots A to D are
+``Ad((C^-1 D)^-1)``, ``-Ad(G^-1)``, ``-Ad((C^-1 D)^-1)`` and the identity
+for every factor; the tests check them against central differences.
+`cost` and `linearize` evaluate the template once over all factors.  The
+solver is Levenberg-Marquardt with right-multiplicative retraction of each
+pose block.
 
 Frame convention: with world-from-body poses, the object-from-sensor
 transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
@@ -19,6 +35,7 @@ transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,32 +84,49 @@ class NoiseModel:
         return (residual.T / self.sigmas).T
 
 
-class Factor:
-    """A factor over the poses at `keys` with residual ``log(E)``.
+# The key slots of the residual template, in the order a factor lists keys.
+SLOTS = "ABCD"
+# The pose of a slot no key fills, and the measurement of a factor without
+# one; composing with it changes no value.
+_IDENTITY = Pose.identity()
+_IDENTITY.rotation.setflags(write=False)
+_IDENTITY.translation.setflags(write=False)
 
-    Each subclass's static ``evaluate`` works on a whole batch of factors of
-    that class at once; the per-instance methods below are the same code on
-    a batch of one, with no batch dimension.
-    """
+
+def _template(a: Pose, b: Pose, c: Pose, d: Pose, measured: Pose,
+              jacobians=False):
+    """The error pose E of factors whose slots A to D hold the poses `a` to
+    `d` and whose measurement M is `measured`, each one pose or a batch,
+    and with `jacobians` the tangent maps T of the slots A to D (module
+    docstring): a key's Jacobian block is ``Jr^-1(log E) @ T`` for its
+    slot's T, and ``Jr^-1(log E)`` itself for D, whose T is None."""
+    right = geometry.compose(geometry.inverse(c), d)
+    graph_rel = geometry.compose(
+        geometry.inverse(geometry.compose(geometry.inverse(a), b)), right)
+    error = geometry.compose(geometry.inverse(measured), graph_rel)
+    if not jacobians:
+        return error, None
+    ad_right = geometry.adjoint(geometry.inverse(right))
+    return error, (ad_right, -geometry.adjoint(geometry.inverse(graph_rel)),
+                   -ad_right, None)
+
+
+class Factor:
+    """A factor with residual ``log E`` of the template: its `keys` fill the
+    slots `slots`, in that order, and `measured` is M.  The methods below
+    evaluate it alone, as `cost` and `linearize` evaluate all at once."""
 
     keys: tuple
+    measured: Pose
     noise: NoiseModel
+    slots = ""
     name = "factor"
 
-    @staticmethod
-    def evaluate(poses, measured, jacobians=False):
-        """The error pose ``E`` of a batch of factors of this class, whose
-        log is the raw residual, and with `jacobians` the tangent maps
-        ``T_k``, one (..., 6, 6) array per key in `keys` order, such that
-        the key's Jacobian block is ``Jr^-1(log E) @ T_k``; None stands for
-        the identity map, whose block is ``Jr^-1(log E)`` itself.  `poses`
-        holds one Pose per key and `measured` the measurements (None for
-        factors without one), each stacked over the batch."""
-        raise NotImplementedError
-
     def _evaluate(self, values, jacobians):
-        return self.evaluate([values[k] for k in self.keys],
-                             getattr(self, "measured", None), jacobians)
+        poses = dict(zip(self.slots, (values[k] for k in self.keys)))
+        error, maps = _template(*(poses.get(s, _IDENTITY) for s in SLOTS),
+                                self.measured, jacobians)
+        return error, maps and [maps[SLOTS.index(s)] for s in self.slots]
 
     def residual_raw(self, values: dict) -> np.ndarray:
         return geometry.log(self._evaluate(values, False)[0])
@@ -105,17 +139,7 @@ class Factor:
         key in `keys`."""
         error, maps = self._evaluate(values, True)
         jr_inv = geometry.right_jacobian_inv(geometry.log(error))
-        return [_block(jr_inv, m) for m in maps]
-
-
-def _block(jr_inv: np.ndarray, tangent_map) -> np.ndarray:
-    """A key's Jacobian block from its factor's ``Jr^-1`` and its tangent
-    map (None for the identity)."""
-    return jr_inv if tangent_map is None else jr_inv @ tangent_map
-
-
-def _ad_inv(a: Pose) -> np.ndarray:
-    return geometry.adjoint(geometry.inverse(a))
+        return [jr_inv if m is None else jr_inv @ m for m in maps]
 
 
 @dataclass
@@ -126,16 +150,10 @@ class PriorFactor(Factor):
     measured: Pose
     noise: NoiseModel
     name: str = "prior"
+    slots = "D"
 
     def __post_init__(self):
         self.keys = (self.key,)
-
-    @staticmethod
-    def evaluate(poses, measured, jacobians=False):
-        error = geometry.compose(geometry.inverse(measured), poses[0])
-        if not jacobians:
-            return error, None
-        return error, [None]
 
 
 def eff_prior(t: int, measured: Pose, noise: NoiseModel) -> PriorFactor:
@@ -155,17 +173,11 @@ class MotionPriorFactor(Factor):
     t: int
     noise: NoiseModel
     name = "motion_prior"
+    slots = "CD"
+    measured = _IDENTITY
 
     def __post_init__(self):
         self.keys = (obj_key(self.t - 1), obj_key(self.t))
-
-    @staticmethod
-    def evaluate(poses, measured, jacobians=False):
-        a, b = poses
-        error = geometry.compose(geometry.inverse(a), b)
-        if not jacobians:
-            return error, None
-        return error, [-_ad_inv(error), None]
 
 
 @dataclass
@@ -179,25 +191,13 @@ class Im2ImFactor(Factor):
     noise: NoiseModel
     k: int = None   # t - 1 if None
     name = "im2im"
+    slots = "ABCD"
 
     def __post_init__(self):
         if self.k is None:
             self.k = self.t - 1
         self.keys = (obj_key(self.k), eff_key(self.k),
                      obj_key(self.t), eff_key(self.t))
-
-    @staticmethod
-    def evaluate(poses, measured, jacobians=False):
-        # G = e_prev^-1 o_prev o_curr^-1 e_curr.
-        o_prev, e_prev, o_curr, e_curr = poses
-        rel_prev = geometry.compose(geometry.inverse(o_prev), e_prev)
-        rel_curr = geometry.compose(geometry.inverse(o_curr), e_curr)
-        graph_rel = geometry.compose(geometry.inverse(rel_prev), rel_curr)
-        error = geometry.compose(geometry.inverse(measured), graph_rel)
-        if not jacobians:
-            return error, None
-        ad_obj = _ad_inv(rel_curr)
-        return error, [ad_obj, -_ad_inv(graph_rel), -ad_obj, None]
 
 
 @dataclass
@@ -210,110 +210,44 @@ class Im2PatchFactor(Factor):
     measured: Pose  # object-from-sensor
     noise: NoiseModel
     name = "im2patch"
+    slots = "CD"
 
     def __post_init__(self):
         self.keys = (obj_key(self.t), eff_key(self.t))
 
-    @staticmethod
-    def evaluate(poses, measured, jacobians=False):
-        o, e = poses
-        graph_rel = geometry.compose(geometry.inverse(o), e)
-        error = geometry.compose(geometry.inverse(measured), graph_rel)
-        if not jacobians:
-            return error, None
-        return error, [-_ad_inv(graph_rel), None]
-
-
-class _Store:
-    """The factors of one class in insertion order, stacked: per factor, its
-    graph key ids, its sigmas and, for classes with a measurement, the
-    measured rotation and translation.  `pairs` holds the positions (k, l),
-    k <= l, of the unordered pairs of a factor's keys, whose products
-    J_k^T J_l `linearize` sums."""
-
-    def __init__(self, cls, key_count: int):
-        self.cls = cls
-        self.pairs = np.array(np.triu_indices(key_count))   # (2, pairs)
-        self.arrays = {}
-
-    def append(self, **row):
-        for name, value in row.items():
-            value = np.asarray(value)[None]
-            if name in self.arrays:
-                value = np.concatenate([self.arrays[name], value])
-            self.arrays[name] = value
-
-    def __getitem__(self, name) -> np.ndarray:
-        return self.arrays[name]
-
-    def measured(self):
-        if "rotation" not in self.arrays:
-            return None
-        return Pose(self["rotation"], self["translation"])
-
-
-def _evaluate_by_class(poses: Pose, stores, jacobians=False):
-    """Evaluate factors one class at a time on their keys' rows of the
-    estimate `poses` (row i: the pose of graph key id i), with one log (and
-    one inverse right Jacobian) over all of them.
-
-    `stores` lists the class stores in summation order.  Returns one
-    ``(residuals, blocks)`` pair per store: the whitened residuals (m, 6)
-    and, with `jacobians`, the whitened Jacobian blocks (m, k, 6, 6), else
-    None.
-    """
-    if not stores:
-        return []
-    errors, maps, sigmas, ends = [], [], [], [0]
-    for store in stores:
-        rows = poses[store["ids"].T]   # (k, m, ...)
-        error, tangent = store.cls.evaluate(
-            [Pose(r, t) for r, t in zip(rows.rotation, rows.translation)],
-            store.measured(), jacobians)
-        errors.append(error)
-        maps.append(tangent)
-        sigmas.append(store["sigmas"])
-        ends.append(ends[-1] + len(sigmas[-1]))
-    sigmas = np.concatenate(sigmas)
-    raw = geometry.log(Pose(np.concatenate([e.rotation for e in errors]),
-                            np.concatenate([e.translation for e in errors])))
-    residuals = raw / sigmas
-    spans = list(zip(ends, ends[1:]))
-    if not jacobians:
-        return [(residuals[a:b], None) for a, b in spans]
-    jr_inv = geometry.right_jacobian_inv(raw) / sigmas[:, :, None]
-    return [(residuals[a:b],
-             np.stack([_block(jr_inv[a:b], m) for m in tangent], axis=1))
-            for (a, b), tangent in zip(spans, maps)]
-
 
 class FactorGraph:
     """Factors in insertion order.  `add` also numbers each new key in order
-    of first appearance and appends the factor to its class's store; the
-    stores, in order of each class's first appearance, are what `cost` and
-    `linearize` evaluate.  Key ids index the estimate: `cost`, `linearize`
-    and `optimize` take one stacked Pose whose row i is the pose of key id
-    i, so a key's initial pose is appended once a factor introduces it.
-    Key id i is also column block i of ``J^T J`` (`LinearSystem`)."""
+    of first appearance and appends the factor to its class's store: per
+    factor, the graph key id in each template slot (-1 where no key is),
+    the measured rotation and translation, and the sigmas, stacked.  The
+    stores, in order of each class's first appearance, give the order in
+    which `cost` and `linearize` sum.  Key ids index the estimate: `cost`,
+    `linearize` and `optimize` take one stacked Pose whose row i is the pose
+    of key id i, so a key's initial pose is appended once a factor
+    introduces it.  Key id i is also column block i of ``J^T J``
+    (`LinearSystem`)."""
 
     def __init__(self, factors=()):
         self.factors = []
         self.key_ids = {}   # VariableKey -> id
-        self.stores = {}    # factor class -> _Store
-        self._plan = None   # the _Plan of the last linearization
+        self.stores = {}    # factor class -> {name: stacked rows}
+        self._plan = None   # the _Plan of the last evaluation
         for factor in factors:
             self.add(factor)
 
     def add(self, factor: Factor) -> None:
-        cls = type(factor)
-        if cls not in self.stores:
-            self.stores[cls] = _Store(cls, len(factor.keys))
-        row = {"ids": [self.key_ids.setdefault(key, len(self.key_ids))
-                       for key in factor.keys], "sigmas": factor.noise.sigmas}
-        if hasattr(factor, "measured"):
-            row.update(rotation=factor.measured.rotation,
-                       translation=factor.measured.translation)
-        self.stores[cls].append(**row)
+        ids = dict(zip(factor.slots, [
+            self.key_ids.setdefault(key, len(self.key_ids))
+            for key in factor.keys]))
+        store = self.stores.setdefault(type(factor), {})
+        for name, value in (("ids", [ids.get(s, -1) for s in SLOTS]),
+                            ("sigmas", factor.noise.sigmas),
+                            ("rotation", factor.measured.rotation),
+                            ("translation", factor.measured.translation)):
+            value = np.asarray(value)[None]
+            store[name] = (np.concatenate([store[name], value])
+                           if name in store else value)
         self.factors.append(factor)
 
     def __len__(self):
@@ -323,12 +257,15 @@ class FactorGraph:
         """Half the squared norm of the whitened residuals at the estimate
         `poses`, in key-id order.  The sum runs as `linearize`'s does, so
         the two agree to the bit."""
-        return _half_squared_norm(
-            _evaluate_by_class(poses, list(self.stores.values())))
+        if not self.stores:
+            return 0.0
+        plan = _layout(self)
+        return _half_squared_norm(_evaluate(plan, poses)[0], plan.spans)
 
 
-def _half_squared_norm(groups) -> float:
-    return 0.5 * sum(float((r * r).sum()) for r, _ in groups)
+def _half_squared_norm(residuals: np.ndarray, spans) -> float:
+    return 0.5 * sum(float((r * r).sum())
+                     for r in (residuals[a:b] for a, b in spans))
 
 
 @dataclass
@@ -350,22 +287,31 @@ class LinearSystem:
 
 
 class _Plan(NamedTuple):
-    """How `linearize` lays out a graph: where each term of its sums lands.
-    `laid` holds, per class store, how many of its factors are laid out,
-    the band entries of their product terms and the J^T r entries of their
-    gradient terms; `band_at` and `jtr_at` concatenate the entries in
-    summation order.  No entry depends on the number of keys, so factors
-    that leave the band width as it is only append entries."""
+    """How `cost` and `linearize` lay out a graph, factors in summation
+    order: classes by first appearance, then factors by insertion.  `laid`
+    holds, per class, how many of its factors are laid out and the band and
+    J^T r entries of their terms, which `band_at` and `jtr_at` concatenate
+    in summation order.  No entry depends on the number of keys, so factors
+    that leave the band width as it is only append entries.  `blocks` and
+    `pairs` index the flat (factor, slot) blocks that `_evaluate` gives."""
 
     factors: int          # the graph's factor count when laid out
     span: int             # widest span of key ids in one factor
     width: int            # half-bandwidth w of J^T J
-    laid: dict            # class store -> (factors, band, J^T r entries)
+    laid: dict            # factor class -> (factors, band, J^T r entries)
     band_at: np.ndarray
     jtr_at: np.ndarray
+    ids: np.ndarray       # (m, 4) key id per slot, -1 for the identity
+    measured: Pose        # (m,)
+    sigmas: np.ndarray    # (m, 6)
+    spans: list           # (start, end) of each class's factors
+    blocks: np.ndarray    # (blocks,) flat index 4 factor + slot
+    pairs: np.ndarray     # (2, products) flat indices of J_k and J_l
 
 
 _TRASH = np.iinfo(np.intp).min // 2
+# The slot pairs (k, l), k <= l, of the products J_k^T J_l.
+_SLOT_PAIRS = np.array(np.triu_indices(len(SLOTS)))
 _NO_ENTRIES = np.zeros(0, dtype=np.intp)
 
 
@@ -392,13 +338,14 @@ def _layout(graph: FactorGraph) -> _Plan:
         return plan
     laid = dict(plan.laid) if plan is not None else {}
     # The factors not laid out yet, in the order their terms are summed:
-    # store (classes by first appearance), factor, then key pair (k, l) of
-    # the product J_k^T J_l.
-    new = [(store, store["ids"][laid[store][0] if store in laid else 0:])
-           for store in graph.stores.values()]
-    new = [(store, ids) for store, ids in new if len(ids)]
-    first = np.concatenate([ids[:, s.pairs[0]].ravel() for s, ids in new])
-    second = np.concatenate([ids[:, s.pairs[1]].ravel() for s, ids in new])
+    # class, factor, then key pair (k, l) of the product J_k^T J_l, in slot
+    # order, which is key order (`_key_pairs`).
+    new = [(cls, store["ids"][laid[cls][0] if cls in laid else 0:])
+           for cls, store in graph.stores.items()]
+    new = [(cls, ids) for cls, ids in new if len(ids)]
+    ids = np.concatenate([ids for _, ids in new])
+    row, pair = _key_pairs(ids)
+    first, second = ids[row, _SLOT_PAIRS[:, pair]]
     apart = second - first
     gap = np.abs(apart)
     # The widest span of blocks in one factor bounds the distance of a
@@ -421,29 +368,67 @@ def _layout(graph: FactorGraph) -> _Plan:
     band = (6 * ((width + 1) * lo + gap) + 1)[:, None, None] \
         + _band_pattern(width)[np.sign(apart)]
     band = np.maximum(band, 0).ravel()
-    jtr = (6 * np.concatenate([ids.ravel() for _, ids in new])[:, None]
-           + np.arange(6)).ravel()
-    # Each store's new entries follow its earlier ones.
+    jtr = (6 * ids[ids >= 0][:, None] + np.arange(6)).ravel()
+    # Each class's new entries follow its earlier ones.
     b = j = 0
-    for store, ids in new:
-        count, bands, jtrs = laid.get(store, (0, _NO_ENTRIES, _NO_ENTRIES))
-        b_end = b + 36 * ids.shape[0] * store.pairs.shape[1]
-        j_end = j + 6 * ids.size
-        laid[store] = (count + len(ids),
-                       np.concatenate([bands, band[b:b_end]]),
-                       np.concatenate([jtrs, jtr[j:j_end]]))
+    for cls, ids in new:
+        count, bands, jtrs = laid.get(cls, (0, _NO_ENTRIES, _NO_ENTRIES))
+        keys = len(cls.slots)
+        b_end = b + 18 * keys * (keys + 1) * len(ids)
+        j_end = j + 6 * keys * len(ids)
+        laid[cls] = (count + len(ids), np.concatenate([bands, band[b:b_end]]),
+                     np.concatenate([jtrs, jtr[j:j_end]]))
         b, j = b_end, j_end
-    stores = graph.stores.values()
-    graph._plan = _Plan(len(graph), span, width, laid,
-                        np.concatenate([laid[store][1] for store in stores]),
-                        np.concatenate([laid[store][2] for store in stores]))
+    stores = graph.stores
+    ends = list(itertools.accumulate(laid[cls][0] for cls in stores))
+    ids = np.concatenate([store["ids"] for store in stores.values()])
+    row, pair = _key_pairs(ids)
+    graph._plan = _Plan(
+        len(graph), span, width, laid,
+        np.concatenate([laid[cls][1] for cls in stores]),
+        np.concatenate([laid[cls][2] for cls in stores]),
+        ids,
+        Pose(np.concatenate([s["rotation"] for s in stores.values()]),
+             np.concatenate([s["translation"] for s in stores.values()])),
+        np.concatenate([s["sigmas"] for s in stores.values()]),
+        list(zip([0] + ends, ends)), np.flatnonzero(ids >= 0),
+        len(SLOTS) * row + _SLOT_PAIRS[:, pair])
     return graph._plan
+
+
+def _key_pairs(ids: np.ndarray):
+    """The factor row and the index into `_SLOT_PAIRS` of each key pair of
+    the factors whose slot key ids are `ids`: their slot pairs with a key
+    in both slots, factor by factor."""
+    used = ids >= 0
+    return np.nonzero(used[:, _SLOT_PAIRS[0]] & used[:, _SLOT_PAIRS[1]])
+
+
+def _evaluate(plan: _Plan, poses: Pose, jacobians=False):
+    """The template on every factor of `plan` at once, on the rows of the
+    estimate `poses` that its slot key ids pick (row i: the pose of graph
+    key id i), with one log and one inverse right Jacobian.  Returns the
+    whitened residuals (m, 6) and, with `jacobians`, the whitened Jacobian
+    blocks of every slot, (4 m, 6, 6) in flat (factor, slot) order, of
+    which `plan.blocks` are the keys'; else None."""
+    rows = Pose(np.concatenate([poses.rotation, _IDENTITY.rotation[None]]),
+                np.concatenate([poses.translation,
+                                _IDENTITY.translation[None]]))[plan.ids.T]
+    error, maps = _template(*(rows[i] for i in range(len(SLOTS))),
+                            plan.measured, jacobians)
+    raw = geometry.log(error)
+    residuals = raw / plan.sigmas
+    if not jacobians:
+        return residuals, None
+    jr_inv = geometry.right_jacobian_inv(raw) / plan.sigmas[:, :, None]
+    return residuals, np.stack([jr_inv if m is None else jr_inv @ m
+                                for m in maps], axis=1).reshape(-1, 6, 6)
 
 
 def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     """Normal equations assembled from each factor's closed-form Jacobian
-    blocks in tangent space, evaluated one factor class at a time, and the
-    cost at the estimate `poses`, in key-id order.
+    blocks in tangent space, all factors evaluated at once by the template,
+    and the cost at the estimate `poses`, in key-id order.
 
     Key ids are the column blocks, so ``J^T J`` is banded when the keys are
     introduced in time order, and only its lower band is assembled: per
@@ -459,27 +444,19 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
         return LinearSystem(ab=np.zeros((1, 0)), jtr=np.zeros(0), cost=0.0)
     plan = _layout(graph)
     width, size = plan.width, 6 * len(graph.key_ids)
-    stores = list(graph.stores.values())
-    groups = _evaluate_by_class(poses, stores, True)
-    products, grads = [], []
-    for (r, blocks), store in zip(groups, stores):
-        k, l = store.pairs
-        products.append(blocks[:, k].swapaxes(-1, -2) @ blocks[:, l])
-        grads.append(blocks.swapaxes(-1, -2) @ r[:, None, :, None])
+    residuals, blocks = _evaluate(plan, poses, True)
+    products = blocks[plan.pairs[0]].swapaxes(-1, -2) @ blocks[plan.pairs[1]]
+    grads = (blocks[plan.blocks].swapaxes(-1, -2)
+             @ residuals[plan.blocks // len(SLOTS)][:, :, None])
     # One scatter-add over the trash slot and the band of J^T J, and one
     # over J^T r.  np.bincount adds in input order, so the sums are
     # deterministic.
     band = (width + 1) * size
-    flat = np.bincount(plan.band_at, _flat(products), minlength=band + 1)
+    flat = np.bincount(plan.band_at, products.ravel(), minlength=band + 1)
     return LinearSystem(ab=flat[1:band + 1].reshape(size, width + 1).T,
-                        jtr=np.bincount(plan.jtr_at, _flat(grads),
+                        jtr=np.bincount(plan.jtr_at, grads.ravel(),
                                         minlength=size),
-                        cost=_half_squared_norm(groups))
-
-
-def _flat(arrays):
-    return np.concatenate([a.ravel() for a in arrays]
-                          or [np.zeros(0, dtype=np.intp)])
+                        cost=_half_squared_norm(residuals, plan.spans))
 
 
 # Levenberg-Marquardt damping schedule.  The ceiling is only a safety net:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .config import ConfigError, require
+from .config import ConfigError, require, require_pose
 from .geometry import Pose
 
 
@@ -172,11 +172,6 @@ def shape_from_descriptor(desc: dict) -> ShapeSDF:
     for name in fields:
         if name not in desc:
             raise ConfigError(f"a {kind} shape needs {name}, got {desc!r}")
-    offset = desc.get("offset", [1, 0, 0, 0, 0, 0, 0])
-    try:
-        offset = geometry.from_quat_trans(offset)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"shape offset must be 7 finite numbers [qw qx qy "
-                          f"qz tx ty tz] with a nonzero quaternion, got "
-                          f"{offset!r}") from err
+    offset = require_pose(desc.get("offset", [1, 0, 0, 0, 0, 0, 0]),
+                          "shape offset")
     return cls(offset=offset, **{name: desc[name] for name in fields})

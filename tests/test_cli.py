@@ -257,6 +257,35 @@ class TestPipeline:
                      "--out", str(tmp_path / "run")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("vision_prior", lambda meta: meta.update(vision_prior=[0] * 7)),
+        ("object_pose", lambda meta: meta["frames"][0].update(
+            object_pose=[1, 0, 0])),
+        ("eff_pose", lambda meta: meta["frames"][1].update(eff_pose=[0] * 7)),
+        ("eff_measured", lambda meta: meta["frames"][1].update(
+            eff_measured=[0] * 7)),
+        ("gel", lambda meta: meta.pop("gel")),
+        ("eff_measured", lambda meta: meta["frames"][0].pop("eff_measured")),
+        ("bogus", lambda meta: meta["gel"].update(bogus=1)),
+        ("bogus", lambda meta: meta["noise"].update(bogus=1))],
+        ids=["zero_vision_prior", "short_object_pose", "zero_eff_pose",
+             "zero_eff_measured", "no_gel", "no_eff_measured",
+             "unknown_gel_key", "unknown_noise_key"])
+    def test_track_malformed_episode_exit_2(self, suite_yaml, tmp_path, capsys,
+                                            field, edit):
+        # A malformed pose, a missing key or an unknown setting in a saved
+        # episode exits 2, as a bad value does, with the field named.
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        ep = episodes / "sphere" / "ep0000"
+        meta = json.loads((ep / "episode.json").read_text())
+        edit(meta)
+        (ep / "episode.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["track", "--episode", str(ep), "--mode", "constvel",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_eval_empty_runs_exit_2(self, tmp_path):
         (tmp_path / "runs").mkdir()
         assert main(["eval", "--runs", str(tmp_path / "runs"),

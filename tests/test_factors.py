@@ -1,5 +1,7 @@
 """Factor residuals, linearization, and the Levenberg-Marquardt solver."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -8,11 +10,11 @@ from scipy.linalg import blas
 
 from tactrack import factors, geometry
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
-from tactrack.factors import (DivergenceError, FactorGraph, Im2ImFactor,
-                              Im2PatchFactor, MotionPriorFactor, NoiseModel,
-                              OptimizeStats, OptimizerParams,
-                              PriorFactor, eff_key, eff_prior, linearize,
-                              obj_key, optimize, vis_prior)
+from tactrack.factors import (SLOTS, DivergenceError, Factor, FactorGraph,
+                              Im2ImFactor, Im2PatchFactor, MotionPriorFactor,
+                              NoiseModel, OptimizeStats, OptimizerParams,
+                              PriorFactor, VariableKey, eff_key, eff_prior,
+                              linearize, obj_key, optimize, vis_prior)
 from tactrack.geometry import DomainError, Pose
 from tactrack.render import GelConfig
 from tactrack.shapes import Pyramid
@@ -117,15 +119,43 @@ RESIDUALS = {"zero": st.just(np.zeros(6)), "small": _twist(5e-3, 1e-3),
              "large": _twist(2.5, 30.0)}
 
 
-def _factor_at(kind, poses, offset, t0=0):
+@dataclass
+class _OneSlotFactor(Factor):
+    """A factor on one key in one template slot: a kind of factor declared
+    by its slot pattern alone, as a new kind would be."""
+
+    key: VariableKey
+    measured: Pose
+    noise: NoiseModel
+    name = "one_slot"
+
+    def __post_init__(self):
+        self.keys = (self.key,)
+
+
+# One class per slot but D, whose pattern PriorFactor has: a class's factors
+# share its slot pattern.
+ONE_SLOT = {s: type(f"OneSlot{s}Factor", (_OneSlotFactor,), {"slots": s})
+            for s in SLOTS[:3]}
+
+
+def _factor_at(kind, poses, offset, t0=0, n=0):
     """A factor of `kind` on the poses at times t0 + 1 .. t0 + 3, and values
     whose raw residual is `offset`: the measurement (or the last pose) is
     solved for from the others.  A keyframe factor is an Im2ImFactor from
-    t0 + 1 to t0 + 3 (k = t - 2), with e at t0 + 3 set to e at t0 + 2."""
+    t0 + 1 to t0 + 3 (k = t - 2), with e at t0 + 3 set to e at t0 + 2.  A
+    one_slot factor, the `n`-th of its draw, puts o at t0 + 1 in slot A, B
+    or C by n, so that G is that pose, or its inverse in B and C."""
     o1, e1, o2, e2, o3 = poses
     values = {obj_key(t0 + 1): o1, eff_key(t0 + 1): e1, obj_key(t0 + 2): o2,
               eff_key(t0 + 2): e2, obj_key(t0 + 3): o3}
     off_inv = geometry.exp(-offset)
+    if kind == "one_slot":
+        slot = SLOTS[n % 3]
+        graph_rel = o1 if slot == "A" else geometry.inverse(o1)
+        return ONE_SLOT[slot](obj_key(t0 + 1),
+                              geometry.compose(graph_rel, off_inv),
+                              ANISO), values
     if kind == "prior":
         return PriorFactor(obj_key(t0 + 3), geometry.compose(o3, off_inv),
                            ANISO), values
@@ -260,12 +290,13 @@ class TestJacobianOracle:
 
     @pytest.mark.parametrize("residual", sorted(RESIDUALS))
     @pytest.mark.parametrize("kind", ["prior", "motion_prior", "im2im",
-                                      "keyframe", "im2patch"])
+                                      "keyframe", "im2patch", "one_slot"])
     def test_blocks_match_numerical_jacobian(self, kind, residual):
         # Derandomized, and without shrinking: a wrong block fails on almost
         # every draw, and shrinking 15 cases of ~40 floats takes minutes.
         # Each draw holds two or three factors of the kind, so a batched
-        # evaluation that mixes rows of the batch fails too.
+        # evaluation that mixes rows of the batch fails too; one_slot's
+        # factors fill the slots A, B and C in turn, one class each.
         @settings(max_examples=40, deadline=None, derandomize=True,
                   database=None, phases=[Phase.explicit, Phase.generate],
                   suppress_health_check=[HealthCheck.filter_too_much])
@@ -275,7 +306,7 @@ class TestJacobianOracle:
         def check(draws):
             graph, values = FactorGraph(), {}
             for n, (poses, offset) in enumerate(draws):
-                factor, own = _factor_at(kind, poses, offset, t0=3 * n)
+                factor, own = _factor_at(kind, poses, offset, t0=3 * n, n=n)
                 np.testing.assert_allclose(factor.residual_raw(own), offset,
                                            atol=1e-7)
                 graph.add(factor)
@@ -295,6 +326,160 @@ class TestJacobianOracle:
                                        _analytic_block(values), 1e-12)
 
         check()
+
+
+# The error poses and tangent maps of each factor class as each computed
+# them before the residual template, kept as the template's reference: a
+# batch of factors of the class, `poses` one Pose per key in key order.
+def _ad_inv(a):
+    return geometry.adjoint(geometry.inverse(a))
+
+
+def _prior_reference(poses, measured):
+    return geometry.compose(geometry.inverse(measured), poses[0]), [None]
+
+
+def _motion_prior_reference(poses, measured):
+    a, b = poses
+    error = geometry.compose(geometry.inverse(a), b)
+    return error, [-_ad_inv(error), None]
+
+
+def _im2im_reference(poses, measured):
+    o_prev, e_prev, o_curr, e_curr = poses
+    rel_prev = geometry.compose(geometry.inverse(o_prev), e_prev)
+    rel_curr = geometry.compose(geometry.inverse(o_curr), e_curr)
+    graph_rel = geometry.compose(geometry.inverse(rel_prev), rel_curr)
+    error = geometry.compose(geometry.inverse(measured), graph_rel)
+    ad_obj = _ad_inv(rel_curr)
+    return error, [ad_obj, -_ad_inv(graph_rel), -ad_obj, None]
+
+
+def _im2patch_reference(poses, measured):
+    o, e = poses
+    graph_rel = geometry.compose(geometry.inverse(o), e)
+    error = geometry.compose(geometry.inverse(measured), graph_rel)
+    return error, [-_ad_inv(graph_rel), None]
+
+
+REFERENCES = {PriorFactor: _prior_reference,
+              MotionPriorFactor: _motion_prior_reference,
+              Im2ImFactor: _im2im_reference,
+              Im2PatchFactor: _im2patch_reference}
+
+
+def _mixed_twists(rng, n, max_trans=30.0):
+    """`n` twists whose rotation angles alternate between below and above
+    geometry._SERIES_ANGLE, up to 2.5 rad."""
+    axis = rng.normal(size=(n, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    switch = geometry._SERIES_ANGLE
+    angle = np.where(np.arange(n) % 2 == 0, rng.uniform(0.0, switch, n),
+                     rng.uniform(switch, 2.5, n))
+    return np.concatenate([axis * angle[:, None],
+                           rng.uniform(-max_trans, max_trans, (n, 3))], axis=1)
+
+
+def _reference_evaluate(graph, poses):
+    """The whitened residuals and Jacobian blocks (one per key, factor by
+    factor) of `graph` at the estimate `poses`, as the solver evaluated
+    them before the template: one class at a time by the reference, then
+    one log and one inverse right Jacobian over all classes."""
+    errors, maps, sigmas, ends = [], [], [], [0]
+    for cls in dict.fromkeys(type(f) for f in graph.factors):
+        group = [f for f in graph.factors if type(f) is cls]
+        rows = [poses[np.array([graph.key_ids[f.keys[i]] for f in group])]
+                for i in range(len(cls.slots))]
+        error, tangent = REFERENCES[cls](rows,
+                                         Pose.stack([f.measured for f in group]))
+        errors.append(error)
+        maps.append(tangent)
+        sigmas.append(np.array([f.noise.sigmas for f in group]))
+        ends.append(ends[-1] + len(group))
+    sigmas = np.concatenate(sigmas)
+    raw = geometry.log(Pose(np.concatenate([e.rotation for e in errors]),
+                            np.concatenate([e.translation for e in errors])))
+    jr_inv = geometry.right_jacobian_inv(raw) / sigmas[:, :, None]
+    blocks = [np.stack([jr_inv[a:b] if m is None else jr_inv[a:b] @ m
+                        for m in tangent], axis=1).reshape(-1, 6, 6)
+              for a, b, tangent in zip(ends, ends[1:], maps)]
+    return raw / sigmas, np.concatenate(blocks)
+
+
+def _assert_same_maps(error, maps, expected, expected_maps):
+    """Equal error poses and, key by key, equal tangent maps (None for the
+    identity), to the bit."""
+    np.testing.assert_array_equal(error.rotation, expected.rotation)
+    np.testing.assert_array_equal(error.translation, expected.translation)
+    assert len(maps) == len(expected_maps)
+    for got, want in zip(maps, expected_maps):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+
+
+class TestTemplateReference:
+    """The residual template against each class's own error and tangent
+    maps, to the bit."""
+
+    @pytest.mark.parametrize("cls", list(REFERENCES),
+                             ids=lambda cls: cls.__name__)
+    def test_template_equals_class_reference(self, cls):
+        # A batch as the solver evaluates it, empty slots holding identity
+        # rows, and one factor alone, as its own methods evaluate it.  The
+        # last key's pose is solved for so that the error's rotation angles
+        # alternate around the series switch.
+        rng = np.random.default_rng(31)
+        n = 16
+        identity = Pose(np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)))
+        poses = {s: geometry.exp(_mixed_twists(rng, n)) if s in cls.slots
+                 else identity for s in SLOTS[:3]}
+        measured = (identity if cls is MotionPriorFactor
+                    else geometry.exp(_mixed_twists(rng, n)))
+        poses["D"] = geometry.compose(
+            geometry.compose(poses["C"], geometry.compose(
+                geometry.inverse(poses["A"]), poses["B"])),
+            geometry.compose(measured, geometry.exp(_mixed_twists(rng, n))))
+        expected, expected_maps = REFERENCES[cls](
+            [poses[s] for s in cls.slots], measured)
+        angles = np.linalg.norm(geometry.log(expected)[:, :3], axis=1)
+        assert (angles < geometry._SERIES_ANGLE).any()
+        assert (angles >= geometry._SERIES_ANGLE).any()
+
+        error, maps = factors._template(*(poses[s] for s in SLOTS), measured,
+                                        True)
+        _assert_same_maps(error, [maps[SLOTS.index(s)] for s in cls.slots],
+                          expected, expected_maps)
+
+        factor = {PriorFactor: lambda m: PriorFactor(obj_key(1), m, UNIT),
+                  MotionPriorFactor: lambda m: MotionPriorFactor(2, UNIT),
+                  Im2ImFactor: lambda m: Im2ImFactor(2, m, UNIT),
+                  Im2PatchFactor: lambda m: Im2PatchFactor(1, m, UNIT),
+                  }[cls](measured[0])
+        one = [poses[s][0] for s in cls.slots]
+        _assert_same_maps(*factor._evaluate(dict(zip(factor.keys, one)), True),
+                          *REFERENCES[cls](one, measured[0]))
+
+    def test_graph_evaluation_equals_class_reference(self, episode_graph):
+        # Every class of a real tracking graph in one template evaluation,
+        # against the classes evaluated one at a time.  Half the keys are
+        # moved far enough that the residual angles lie on both sides of
+        # the series switch.
+        graph, values = episode_graph
+        rng = np.random.default_rng(32)
+        poses = stacked(graph, values)
+        far = np.arange(len(poses.translation)) % 2 == 1
+        poses = geometry.oplus(poses, np.where(
+            far[:, None], rng.normal(scale=[0.05] * 3 + [0.5] * 3,
+                                     size=(len(far), 6)), 0.0))
+        plan = factors._layout(graph)
+        residuals, blocks = factors._evaluate(plan, poses, True)
+        expected, expected_blocks = _reference_evaluate(graph, poses)
+        angles = np.linalg.norm((expected * plan.sigmas)[:, :3], axis=1)
+        assert (angles < geometry._SERIES_ANGLE).any()
+        assert (angles >= geometry._SERIES_ANGLE).any()
+        np.testing.assert_array_equal(residuals, expected)
+        np.testing.assert_array_equal(blocks[plan.blocks], expected_blocks)
 
 
 @pytest.fixture(scope="module")
