@@ -275,10 +275,10 @@ def save_episode(episode: Episode, directory) -> None:
 
 def load_episode(directory) -> Episode:
     """Read an episode written by `save_episode`.  ConfigError naming the
-    field for a missing key, an unknown or bad gel or noise setting, or a
-    pose that is not 7 finite numbers with a nonzero quaternion; ValueError
-    naming the file for an image whose shape is not the gel's height x
-    width (x 3 for normals)."""
+    field for a missing key, no frames, an unknown or bad gel or noise
+    setting, or a pose that is not 7 finite numbers with a nonzero
+    quaternion; ValueError naming the file for an image that is truncated
+    or whose shape is not the gel's height x width (x 3 for normals)."""
     with open(os.path.join(directory, "episode.json")) as f:
         meta = json.load(f)
 
@@ -300,8 +300,10 @@ def load_episode(directory) -> Episode:
         return data
 
     size = (gel.height, gel.width)
+    if not get(meta, "frames"):
+        raise ConfigError("episode 'frames' lists no frame")
     frames = []
-    for i, fr in enumerate(get(meta, "frames")):
+    for i, fr in enumerate(meta["frames"]):
         where = f"episode frame {i}"
         normals = read(os.path.join(directory, get(fr, "normals", where)),
                        imageio.read_pfm, size + (3,)).astype(float)

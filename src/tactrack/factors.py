@@ -23,9 +23,9 @@ one appearing as ``P X^-1 Q`` has ``-Jr^-1(log E) Ad(Q^-1 X)`` (Sola, Deray
 arXiv:1812.01537).  So the tangent maps of the slots A to D are
 ``Ad((C^-1 D)^-1)``, ``-Ad(G^-1)``, ``-Ad((C^-1 D)^-1)`` and the identity
 for every factor; the tests check them against central differences.
-`cost` and `linearize` evaluate the template once over all factors.  The
-solver is Levenberg-Marquardt with right-multiplicative retraction of each
-pose block.
+`cost` and `linearize` evaluate the template once over all factors, in
+insertion order.  The solver is Levenberg-Marquardt with
+right-multiplicative retraction of each pose block.
 
 Frame convention: with world-from-body poses, the object-from-sensor
 transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
@@ -35,7 +35,6 @@ transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -218,20 +217,18 @@ class Im2PatchFactor(Factor):
 
 class FactorGraph:
     """Factors in insertion order.  `add` also numbers each new key in order
-    of first appearance and appends the factor to its class's store: per
-    factor, the graph key id in each template slot (-1 where no key is),
-    the measured rotation and translation, and the sigmas, stacked.  The
-    stores, in order of each class's first appearance, give the order in
-    which `cost` and `linearize` sum.  Key ids index the estimate: `cost`,
-    `linearize` and `optimize` take one stacked Pose whose row i is the pose
-    of key id i, so a key's initial pose is appended once a factor
-    introduces it.  Key id i is also column block i of ``J^T J``
-    (`LinearSystem`)."""
+    of first appearance and appends one row to the store: the factor's graph
+    key id in each template slot (-1 where no key is), its sigmas and its
+    measured rotation and translation.  `cost` and `linearize` sum the
+    factors in this order.  Key ids index the estimate: `cost`, `linearize`
+    and `optimize` take one stacked Pose whose row i is the pose of key id
+    i, so a key's initial pose is appended once a factor introduces it.
+    Key id i is also column block i of ``J^T J`` (`LinearSystem`)."""
 
     def __init__(self, factors=()):
         self.factors = []
         self.key_ids = {}   # VariableKey -> id
-        self.stores = {}    # factor class -> {name: stacked rows}
+        self.store = {}     # name -> stacked rows, one per factor
         self._plan = None   # the _Plan of the last evaluation
         for factor in factors:
             self.add(factor)
@@ -240,14 +237,13 @@ class FactorGraph:
         ids = dict(zip(factor.slots, [
             self.key_ids.setdefault(key, len(self.key_ids))
             for key in factor.keys]))
-        store = self.stores.setdefault(type(factor), {})
         for name, value in (("ids", [ids.get(s, -1) for s in SLOTS]),
                             ("sigmas", factor.noise.sigmas),
                             ("rotation", factor.measured.rotation),
                             ("translation", factor.measured.translation)):
             value = np.asarray(value)[None]
-            store[name] = (np.concatenate([store[name], value])
-                           if name in store else value)
+            self.store[name] = (np.concatenate([self.store[name], value])
+                                if self.factors else value)
         self.factors.append(factor)
 
     def __len__(self):
@@ -257,15 +253,13 @@ class FactorGraph:
         """Half the squared norm of the whitened residuals at the estimate
         `poses`, in key-id order.  The sum runs as `linearize`'s does, so
         the two agree to the bit."""
-        if not self.stores:
+        if not self.factors:
             return 0.0
-        plan = _layout(self)
-        return _half_squared_norm(_evaluate(plan, poses)[0], plan.spans)
+        return _half_squared_norm(_evaluate(_layout(self), poses)[0])
 
 
-def _half_squared_norm(residuals: np.ndarray, spans) -> float:
-    return 0.5 * sum(float((r * r).sum())
-                     for r in (residuals[a:b] for a, b in spans))
+def _half_squared_norm(residuals: np.ndarray) -> float:
+    return 0.5 * float((residuals * residuals).sum())
 
 
 @dataclass
@@ -287,24 +281,23 @@ class LinearSystem:
 
 
 class _Plan(NamedTuple):
-    """How `cost` and `linearize` lay out a graph, factors in summation
-    order: classes by first appearance, then factors by insertion.  `laid`
-    holds, per class, how many of its factors are laid out and the band and
-    J^T r entries of their terms, which `band_at` and `jtr_at` concatenate
-    in summation order.  No entry depends on the number of keys, so factors
-    that leave the band width as it is only append entries.  `blocks` and
-    `pairs` index the flat (factor, slot) blocks that `_evaluate` gives."""
+    """How `cost` and `linearize` lay out a graph's first `factors` factors,
+    in insertion order, which is the order they are summed in.  `ids`,
+    `measured` and `sigmas` are the graph's store.  `band_at` and `jtr_at`
+    place the band and J^T r entries of each factor's terms, and `blocks`
+    and `pairs` index the flat (factor, slot) blocks that `_evaluate`
+    gives; all four run factor by factor, and no entry depends on the
+    number of keys, so factors that leave the band width as it is only
+    append entries."""
 
     factors: int          # the graph's factor count when laid out
     span: int             # widest span of key ids in one factor
     width: int            # half-bandwidth w of J^T J
-    laid: dict            # factor class -> (factors, band, J^T r entries)
-    band_at: np.ndarray
-    jtr_at: np.ndarray
     ids: np.ndarray       # (m, 4) key id per slot, -1 for the identity
     measured: Pose        # (m,)
     sigmas: np.ndarray    # (m, 6)
-    spans: list           # (start, end) of each class's factors
+    band_at: np.ndarray
+    jtr_at: np.ndarray
     blocks: np.ndarray    # (blocks,) flat index 4 factor + slot
     pairs: np.ndarray     # (2, products) flat indices of J_k and J_l
 
@@ -312,7 +305,6 @@ class _Plan(NamedTuple):
 _TRASH = np.iinfo(np.intp).min // 2
 # The slot pairs (k, l), k <= l, of the products J_k^T J_l.
 _SLOT_PAIRS = np.array(np.triu_indices(len(SLOTS)))
-_NO_ENTRIES = np.zeros(0, dtype=np.intp)
 
 
 @functools.lru_cache
@@ -330,21 +322,20 @@ def _band_pattern(width: int) -> np.ndarray:
 
 def _layout(graph: FactorGraph) -> _Plan:
     """The layout of a graph with factors, column block i being key id i:
-    the last one if no factor arrived since, that one extended by the new
-    factors' entries if they leave the band width as it is, else laid out
-    afresh."""
+    the last one if no factor arrived since, that one with the new
+    factors' entries appended if they leave the band width as it is, else
+    laid out afresh."""
     plan = graph._plan
     if plan is not None and plan.factors == len(graph):
         return plan
-    laid = dict(plan.laid) if plan is not None else {}
-    # The factors not laid out yet, in the order their terms are summed:
-    # class, factor, then key pair (k, l) of the product J_k^T J_l, in slot
-    # order, which is key order (`_key_pairs`).
-    new = [(cls, store["ids"][laid[cls][0] if cls in laid else 0:])
-           for cls, store in graph.stores.items()]
-    new = [(cls, ids) for cls, ids in new if len(ids)]
-    ids = np.concatenate([ids for _, ids in new])
-    row, pair = _key_pairs(ids)
+    start = plan.factors if plan is not None else 0
+    store = graph.store
+    ids = store["ids"][start:]
+    # The key pairs (k, l) of the new factors' products J_k^T J_l, factor
+    # by factor, in slot order, which is key order: their slot pairs with a
+    # key in both slots.
+    used = ids >= 0
+    row, pair = np.nonzero(used[:, _SLOT_PAIRS[0]] & used[:, _SLOT_PAIRS[1]])
     first, second = ids[row, _SLOT_PAIRS[:, pair]]
     apart = second - first
     gap = np.abs(apart)
@@ -367,41 +358,17 @@ def _layout(graph: FactorGraph) -> _Plan:
     lo = np.minimum(first, second)
     band = (6 * ((width + 1) * lo + gap) + 1)[:, None, None] \
         + _band_pattern(width)[np.sign(apart)]
-    band = np.maximum(band, 0).ravel()
-    jtr = (6 * ids[ids >= 0][:, None] + np.arange(6)).ravel()
-    # Each class's new entries follow its earlier ones.
-    b = j = 0
-    for cls, ids in new:
-        count, bands, jtrs = laid.get(cls, (0, _NO_ENTRIES, _NO_ENTRIES))
-        keys = len(cls.slots)
-        b_end = b + 18 * keys * (keys + 1) * len(ids)
-        j_end = j + 6 * keys * len(ids)
-        laid[cls] = (count + len(ids), np.concatenate([bands, band[b:b_end]]),
-                     np.concatenate([jtrs, jtr[j:j_end]]))
-        b, j = b_end, j_end
-    stores = graph.stores
-    ends = list(itertools.accumulate(laid[cls][0] for cls in stores))
-    ids = np.concatenate([store["ids"] for store in stores.values()])
-    row, pair = _key_pairs(ids)
-    graph._plan = _Plan(
-        len(graph), span, width, laid,
-        np.concatenate([laid[cls][1] for cls in stores]),
-        np.concatenate([laid[cls][2] for cls in stores]),
-        ids,
-        Pose(np.concatenate([s["rotation"] for s in stores.values()]),
-             np.concatenate([s["translation"] for s in stores.values()])),
-        np.concatenate([s["sigmas"] for s in stores.values()]),
-        list(zip([0] + ends, ends)), np.flatnonzero(ids >= 0),
-        len(SLOTS) * row + _SLOT_PAIRS[:, pair])
+    entries = (np.maximum(band, 0).ravel(),
+               (6 * ids[used][:, None] + np.arange(6)).ravel(),
+               len(SLOTS) * start + np.flatnonzero(used),
+               len(SLOTS) * (start + row) + _SLOT_PAIRS[:, pair])
+    if plan is not None:   # the new factors' entries follow the earlier ones
+        entries = [np.concatenate([old, new], axis=-1) for old, new in zip(
+            (plan.band_at, plan.jtr_at, plan.blocks, plan.pairs), entries)]
+    graph._plan = _Plan(len(graph), span, width, store["ids"],
+                        Pose(store["rotation"], store["translation"]),
+                        store["sigmas"], *entries)
     return graph._plan
-
-
-def _key_pairs(ids: np.ndarray):
-    """The factor row and the index into `_SLOT_PAIRS` of each key pair of
-    the factors whose slot key ids are `ids`: their slot pairs with a key
-    in both slots, factor by factor."""
-    used = ids >= 0
-    return np.nonzero(used[:, _SLOT_PAIRS[0]] & used[:, _SLOT_PAIRS[1]])
 
 
 def _evaluate(plan: _Plan, poses: Pose, jacobians=False):
@@ -437,10 +404,11 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     only with factors, so the layout (`_layout`) changes only with the
     factor count, and the graph keeps the last one: every evaluation within
     one `optimize` call reuses it, and a step that only appends factors
-    extends it unless they widen the band.  The cost is summed as
-    `FactorGraph.cost` sums it, so the two agree to the bit.
+    lays out only those and appends their entries, unless they widen the
+    band.  Every sum runs over the factors in insertion order, the cost's
+    as `FactorGraph.cost` runs it, so the two agree to the bit.
     """
-    if not graph.stores:
+    if not graph.factors:
         return LinearSystem(ab=np.zeros((1, 0)), jtr=np.zeros(0), cost=0.0)
     plan = _layout(graph)
     width, size = plan.width, 6 * len(graph.key_ids)
@@ -456,7 +424,7 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     return LinearSystem(ab=flat[1:band + 1].reshape(size, width + 1).T,
                         jtr=np.bincount(plan.jtr_at, grads.ravel(),
                                         minlength=size),
-                        cost=_half_squared_norm(residuals, plan.spans))
+                        cost=_half_squared_norm(residuals))
 
 
 # Levenberg-Marquardt damping schedule.  The ceiling is only a safety net:

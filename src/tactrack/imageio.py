@@ -32,6 +32,16 @@ def write_pfm(path, data: np.ndarray) -> None:
         f.write(np.ascontiguousarray(data[::-1]).tobytes())
 
 
+def _read_exactly(f, size: int, path) -> bytes:
+    """The next `size` bytes of the open file `f`; ValueError naming `path`
+    if it ends sooner."""
+    data = f.read(size)
+    if len(data) < size:
+        raise ValueError(f"{path} is truncated: its pixel data needs {size} "
+                         f"bytes, found {len(data)}")
+    return data
+
+
 def read_pfm(path) -> np.ndarray:
     with open(path, "rb") as f:
         header = f.readline().strip()
@@ -42,7 +52,7 @@ def read_pfm(path) -> np.ndarray:
         channels = 3 if header == b"PF" else 1
         count = w * h * channels
         dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(f.read(count * 4), dtype=dtype, count=count)
+        data = np.frombuffer(_read_exactly(f, count * 4, path), dtype=dtype)
     shape = (h, w, 3) if channels == 3 else (h, w)
     return np.ascontiguousarray(data.reshape(shape)[::-1]).astype(np.float32)
 
@@ -70,7 +80,7 @@ def read_pgm_mask(path) -> np.ndarray:
         maxval = int(f.readline())
         if not 1 <= maxval <= 255:
             raise ValueError(f"PGM maxval {maxval} is not in 1..255: {path}")
-        data = np.frombuffer(f.read(w * h), dtype=np.uint8)
+        data = np.frombuffer(_read_exactly(f, w * h, path), dtype=np.uint8)
     return data.reshape(h, w) > maxval // 2
 
 

@@ -267,14 +267,16 @@ class TestPipeline:
         ("gel", lambda meta: meta.pop("gel")),
         ("eff_measured", lambda meta: meta["frames"][0].pop("eff_measured")),
         ("bogus", lambda meta: meta["gel"].update(bogus=1)),
-        ("bogus", lambda meta: meta["noise"].update(bogus=1))],
+        ("bogus", lambda meta: meta["noise"].update(bogus=1)),
+        ("frames", lambda meta: meta.update(frames=[]))],
         ids=["zero_vision_prior", "short_object_pose", "zero_eff_pose",
              "zero_eff_measured", "no_gel", "no_eff_measured",
-             "unknown_gel_key", "unknown_noise_key"])
+             "unknown_gel_key", "unknown_noise_key", "no_frames"])
     def test_track_malformed_episode_exit_2(self, suite_yaml, tmp_path, capsys,
                                             field, edit):
-        # A malformed pose, a missing key or an unknown setting in a saved
-        # episode exits 2, as a bad value does, with the field named.
+        # A malformed pose, a missing key, an unknown setting or no frames
+        # in a saved episode exits 2, as a bad value does, with the field
+        # named and before anything is written.
         episodes = tmp_path / "episodes"
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
         ep = episodes / "sphere" / "ep0000"
@@ -285,6 +287,19 @@ class TestPipeline:
         assert main(["track", "--episode", str(ep), "--mode", "constvel",
                      "--out", str(tmp_path / "run")]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_track_truncated_image_exit_1(self, suite_yaml, tmp_path, capsys):
+        # A truncated image is a bad file, not a bad setting: exit 1, with
+        # the file named.
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        image = episodes / "sphere" / "ep0000" / "normals_0002.pfm"
+        image.write_bytes(image.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["track", "--episode", str(image.parent),
+                     "--mode", "constvel", "--out", str(tmp_path / "run")]) == 1
+        assert str(image) in capsys.readouterr().err
 
     def test_eval_empty_runs_exit_2(self, tmp_path):
         (tmp_path / "runs").mkdir()

@@ -384,10 +384,12 @@ def _reference_evaluate(graph, poses):
     """The whitened residuals and Jacobian blocks (one per key, factor by
     factor) of `graph` at the estimate `poses`, as the solver evaluated
     them before the template: one class at a time by the reference, then
-    one log and one inverse right Jacobian over all classes."""
-    errors, maps, sigmas, ends = [], [], [], [0]
+    one log and one inverse right Jacobian over all classes, and the rows
+    put back in insertion order."""
+    errors, maps, sigmas, ends, order = [], [], [], [0], []
     for cls in dict.fromkeys(type(f) for f in graph.factors):
-        group = [f for f in graph.factors if type(f) is cls]
+        members = [i for i, f in enumerate(graph.factors) if type(f) is cls]
+        group = [graph.factors[i] for i in members]
         rows = [poses[np.array([graph.key_ids[f.keys[i]] for f in group])]
                 for i in range(len(cls.slots))]
         error, tangent = REFERENCES[cls](rows,
@@ -396,14 +398,18 @@ def _reference_evaluate(graph, poses):
         maps.append(tangent)
         sigmas.append(np.array([f.noise.sigmas for f in group]))
         ends.append(ends[-1] + len(group))
+        order += members
     sigmas = np.concatenate(sigmas)
     raw = geometry.log(Pose(np.concatenate([e.rotation for e in errors]),
                             np.concatenate([e.translation for e in errors])))
     jr_inv = geometry.right_jacobian_inv(raw) / sigmas[:, :, None]
-    blocks = [np.stack([jr_inv[a:b] if m is None else jr_inv[a:b] @ m
-                        for m in tangent], axis=1).reshape(-1, 6, 6)
-              for a, b, tangent in zip(ends, ends[1:], maps)]
-    return raw / sigmas, np.concatenate(blocks)
+    blocks = [None] * len(order)   # per factor, (keys, 6, 6)
+    for a, b, tangent in zip(ends, ends[1:], maps):
+        for i, factor_blocks in zip(order[a:b], np.stack(
+                [jr_inv[a:b] if m is None else jr_inv[a:b] @ m
+                 for m in tangent], axis=1)):
+            blocks[i] = factor_blocks
+    return (raw / sigmas)[np.argsort(order)], np.concatenate(blocks)
 
 
 def _assert_same_maps(error, maps, expected, expected_maps):
@@ -483,16 +489,22 @@ class TestTemplateReference:
 
 
 @pytest.fixture(scope="module")
-def episode_graph():
+def pyramid_episode():
+    """A 24-step pyramid episode on the default gel."""
+    return generate_episode(Pyramid(),
+                            TrajectorySpec(steps=24, indent=1.25, length=2.0),
+                            GelConfig(), NoiseSpec(), seed=1)
+
+
+@pytest.fixture(scope="module")
+def episode_graph(pyramid_episode):
     """The graph and estimate (a dict by key) at the end of a 24-step
     patchgraph episode, with the im2patch factors that gtpatch adds on the
     same episode, so that one real graph holds every factor class:
     patchgraph's keyframe factors (k = t - 2) and gtpatch's unary factors
     against the true shape."""
-    gel = GelConfig()
-    ep = generate_episode(Pyramid(),
-                          TrajectorySpec(steps=24, indent=1.25, length=2.0),
-                          gel, NoiseSpec(), seed=1)
+    ep = pyramid_episode
+    gel = ep.gel
 
     def run(mode, shape=None):
         tracker = Tracker(mode, TrackerConfig(), ep.vision_prior, gel,
@@ -571,18 +583,16 @@ class TestEpisodeGraph:
             np.testing.assert_array_equal(a.jtr, b.jtr)
             assert a.cost == b.cost
 
-    def test_extended_layout_matches_fresh_layout(self, monkeypatch):
+    def test_extended_layout_matches_fresh_layout(self, pyramid_episode,
+                                                  monkeypatch):
         # A tracker step only appends keys and factors, so linearize extends
         # the graph's cached layout, except at a step whose factors widen
         # the band: at every step of a 24-step patchgraph episode, the
         # system from the extended layout equals, to the bit, that of a
         # graph laid out in one go.
-        gel = GelConfig()
-        ep = generate_episode(
-            Pyramid(), TrajectorySpec(steps=24, indent=1.25, length=2.0),
-            gel, NoiseSpec(), seed=1)
+        ep = pyramid_episode
         tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
-                          ep.vision_prior, gel)
+                          ep.vision_prior, ep.gel)
         afresh = []   # per _layout call: the graph, and if it starts afresh
         layout = factors._layout
         monkeypatch.setattr(factors, "_layout", lambda graph: (
@@ -605,6 +615,32 @@ class TestEpisodeGraph:
         # extends the layout.
         assert steps[:3] == [(5, True, None), (23, True, None), (35, True, 1)]
         assert {(w, new) for w, new, _ in steps[3:]} == {(35, False)}
+
+    def test_layout_grows_as_a_prefix(self, pyramid_episode):
+        # At a step whose factors leave the band width as it is, the layout
+        # keeps every earlier entry where it was and appends the new
+        # factors' entries: the plan's band and J^T r entries, blocks and
+        # pairs begin with the previous step's, element for element.  Steps
+        # 2 and 3 widen the band (see above); the 21 later steps do not.
+        ep = pyramid_episode
+        tracker = Tracker(TrackerMode.PATCH_GRAPH, TrackerConfig(),
+                          ep.vision_prior, ep.gel)
+        plans = []
+        for frame in ep.frames:
+            tracker.step(frame.normals, frame.eff_measured)
+            plans.append(tracker.graph._plan)
+        kept = 0
+        for old, new in zip(plans, plans[1:]):
+            assert new.factors > old.factors
+            if new.width != old.width:
+                continue
+            kept += 1
+            for name in ("band_at", "jtr_at", "blocks", "pairs"):
+                before, after = getattr(old, name), getattr(new, name)
+                assert after.shape[-1] > before.shape[-1]
+                np.testing.assert_array_equal(
+                    after[..., :before.shape[-1]], before)
+        assert kept == 21
 
     def test_optimize_matches_two_pass_reference(self, episode_graph,
                                                  monkeypatch):

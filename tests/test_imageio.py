@@ -42,6 +42,15 @@ class TestPFM:
         with pytest.raises(ValueError):
             read_pfm(path)
 
+    def test_truncated_data_names_file(self, tmp_path):
+        path = tmp_path / "normals.pfm"
+        write_pfm(path, np.zeros((8, 8, 3)))
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(ValueError) as err:
+            read_pfm(path)
+        assert str(path) in str(err.value)
+        assert "needs 768 bytes, found 668" in str(err.value)
+
     def test_write_deterministic(self, tmp_path):
         data = np.arange(12, dtype=np.float32).reshape(3, 4)
         write_pfm(tmp_path / "a.pfm", data)
@@ -81,6 +90,15 @@ class TestPGM:
         path.write_bytes(b"P5\n1 1\n%d\n\x00\x00" % maxval)
         with pytest.raises(ValueError):
             read_pgm_mask(path)
+
+    def test_truncated_data_names_file(self, tmp_path):
+        path = tmp_path / "mask.pgm"
+        write_pgm_mask(path, np.ones((8, 8), dtype=bool))
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError) as err:
+            read_pgm_mask(path)
+        assert str(path) in str(err.value)
+        assert "needs 64 bytes, found 59" in str(err.value)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
