@@ -74,12 +74,6 @@ class NoiseSpec:
         for f in dataclasses.fields(self):
             require(getattr(self, f.name), f"noise {f.name}", 0)
 
-    def eff_sigmas(self):
-        return np.array([self.eff_sigma_rot] * 3 + [self.eff_sigma_trans] * 3)
-
-    def vis_sigmas(self):
-        return np.array([self.vis_sigma_rot] * 3 + [self.vis_sigma_trans] * 3)
-
 
 @dataclass
 class Frame:
@@ -108,8 +102,8 @@ class Episode:
         return shape_from_descriptor(self.shape_descriptor)
 
 
-def _sample_pose_noise(rng, sigmas) -> np.ndarray:
-    return rng.normal(0.0, 1.0, size=6) * np.asarray(sigmas)
+def _sample_pose_noise(rng, rot, trans) -> np.ndarray:
+    return rng.normal(0.0, 1.0, size=6) * np.repeat([rot, trans], 3)
 
 
 def _rotation_about_point(axis_angle: np.ndarray, center: np.ndarray) -> Pose:
@@ -232,14 +226,16 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
         normals = depth_to_normals(depth, gel)
         normals = perturb_normals(normals, noise.normal_sigma,
                                   seed=int(rng.integers(0, 2**31 - 1)))
-        eff_measured = geometry.oplus(eff, _sample_pose_noise(rng, noise.eff_sigmas()))
+        eff_measured = geometry.oplus(eff, _sample_pose_noise(
+            rng, noise.eff_sigma_rot, noise.eff_sigma_trans))
         frames.append(Frame(timestamp=k * trajectory.dt, object_pose=object_pose,
                             eff_pose=eff, eff_measured=eff_measured,
                             normals=normals, depth_gt=depth))
     if len(frames) < 3:
         raise EpisodeGenerationError(
             f"only {len(frames)} usable frames after border filtering")
-    vision_prior = geometry.oplus(object_pose, _sample_pose_noise(rng, noise.vis_sigmas()))
+    vision_prior = geometry.oplus(object_pose, _sample_pose_noise(
+        rng, noise.vis_sigma_rot, noise.vis_sigma_trans))
     return Episode(frames=frames, vision_prior=vision_prior, noise=noise,
                    shape_descriptor=shape.descriptor(), gel=gel, seed=seed,
                    dropped_steps=dropped)
@@ -276,7 +272,8 @@ def save_episode(episode: Episode, directory) -> None:
 def load_episode(directory) -> Episode:
     """Read an episode written by `save_episode`.  ConfigError naming the
     field for a missing key, no frames, an unknown or bad gel or noise
-    setting, or a pose that is not 7 finite numbers with a nonzero
+    setting, a seed that is not an int >= 0, a timestamp that is not a
+    finite number, or a pose that is not 7 finite numbers with a nonzero
     quaternion; ValueError naming the file for an image that is truncated
     or whose shape is not the gel's height x width (x 3 for normals)."""
     with open(os.path.join(directory, "episode.json")) as f:
@@ -315,7 +312,8 @@ def load_episode(directory) -> Episode:
             values = read(depth_path, imageio.read_pfm, size).astype(float)
             depth = DepthImage(values=values, mask=mask.copy())
         frames.append(Frame(
-            timestamp=get(fr, "timestamp", where),
+            timestamp=require(get(fr, "timestamp", where),
+                              f"{where} timestamp"),
             object_pose=pose(fr, "object_pose", where),
             eff_pose=pose(fr, "eff_pose", where),
             eff_measured=pose(fr, "eff_measured", where),
@@ -325,5 +323,6 @@ def load_episode(directory) -> Episode:
                    vision_prior=pose(meta, "vision_prior"),
                    noise=from_mapping(NoiseSpec, get(meta, "noise")),
                    shape_descriptor=get(meta, "shape"), gel=gel,
-                   seed=get(meta, "seed"),
+                   seed=require(get(meta, "seed"), "episode seed", 0,
+                                integer=True),
                    dropped_steps=meta.get("dropped_steps", []))

@@ -1,6 +1,8 @@
 """Factor definitions and the nonlinear least-squares solver.
 
-Variables are object poses ``o_t`` and end-effector poses ``e_t``.  Every
+Variables are object poses ``o_t`` and end-effector poses ``e_t``, keyed by
+graph key id, their row of the estimate and column block of ``J^T J``, in
+time order: ``eff_key(t) = 2t - 2``, ``obj_key(t) = 2t - 1``.  Every
 factor's residual is ``log E`` of one template over four key slots A to D
 and a measurement M (`_template`), whitened by per-axis sigmas:
 
@@ -50,17 +52,12 @@ class DivergenceError(RuntimeError):
     """The optimizer produced a non-finite cost."""
 
 
-class VariableKey(NamedTuple):
-    kind: str  # "object" | "endeffector"
-    t: int
+def obj_key(t: int) -> int:
+    return 2 * t - 1
 
 
-def obj_key(t: int) -> VariableKey:
-    return VariableKey("object", t)
-
-
-def eff_key(t: int) -> VariableKey:
-    return VariableKey("endeffector", t)
+def eff_key(t: int) -> int:
+    return 2 * t - 2
 
 
 @dataclass
@@ -113,7 +110,8 @@ def _template(a: Pose, b: Pose, c: Pose, d: Pose, measured: Pose,
 class Factor:
     """A factor with residual ``log E`` of the template: its `keys` fill the
     slots `slots`, in that order, and `measured` is M.  The methods below
-    evaluate it alone, as `cost` and `linearize` evaluate all at once."""
+    evaluate it alone, at the stacked estimate `values` (row k: key id k),
+    as `cost` and `linearize` evaluate all at once."""
 
     keys: tuple
     measured: Pose
@@ -127,13 +125,13 @@ class Factor:
                                 self.measured, jacobians)
         return error, maps and [maps[SLOTS.index(s)] for s in self.slots]
 
-    def residual_raw(self, values: dict) -> np.ndarray:
+    def residual_raw(self, values: Pose) -> np.ndarray:
         return geometry.log(self._evaluate(values, False)[0])
 
-    def residual(self, values: dict) -> np.ndarray:
+    def residual(self, values: Pose) -> np.ndarray:
         return self.noise.whiten(self.residual_raw(values))
 
-    def jacobians(self, values: dict) -> list:
+    def jacobians(self, values: Pose) -> list:
         """Unwhitened 6x6 Jacobians of `residual_raw` at `values`, one per
         key in `keys`."""
         error, maps = self._evaluate(values, True)
@@ -145,7 +143,7 @@ class Factor:
 class PriorFactor(Factor):
     """Unary pose prior; used for both end-effector and vision priors."""
 
-    key: VariableKey
+    key: int
     measured: Pose
     noise: NoiseModel
     name: str = "prior"
@@ -216,27 +214,31 @@ class Im2PatchFactor(Factor):
 
 
 class FactorGraph:
-    """Factors in insertion order.  `add` also numbers each new key in order
-    of first appearance and appends one row to the store: the factor's graph
-    key id in each template slot (-1 where no key is), its sigmas and its
-    measured rotation and translation.  `cost` and `linearize` sum the
-    factors in this order.  Key ids index the estimate: `cost`, `linearize`
-    and `optimize` take one stacked Pose whose row i is the pose of key id
-    i, so a key's initial pose is appended once a factor introduces it.
-    Key id i is also column block i of ``J^T J`` (`LinearSystem`)."""
+    """Factors in insertion order.  `add` numbers no key: it appends one
+    row to the store, the factor's key id in each template slot (-1 where
+    no key is), its sigmas and its measured rotation and translation.  It
+    raises ValueError for a negative key id or one that leaves an id below
+    it unused, which no factor would constrain, so ids 0 to `key_count` - 1
+    are in use.  `cost` and `linearize` sum the factors in insertion order,
+    at one stacked Pose whose row i is the pose of key id i."""
 
     def __init__(self, factors=()):
         self.factors = []
-        self.key_ids = {}   # VariableKey -> id
+        self.key_count = 0
         self.store = {}     # name -> stacked rows, one per factor
         self._plan = None   # the _Plan of the last evaluation
         for factor in factors:
             self.add(factor)
 
     def add(self, factor: Factor) -> None:
-        ids = dict(zip(factor.slots, [
-            self.key_ids.setdefault(key, len(self.key_ids))
-            for key in factor.keys]))
+        count = self.key_count
+        for key in sorted(factor.keys):
+            if key < 0:
+                raise ValueError(f"key id {key} is negative")
+            if key > count:
+                raise ValueError(f"key id {key} leaves key id {count} unused")
+            count = max(count, key + 1)
+        ids = dict(zip(factor.slots, factor.keys))
         for name, value in (("ids", [ids.get(s, -1) for s in SLOTS]),
                             ("sigmas", factor.noise.sigmas),
                             ("rotation", factor.measured.rotation),
@@ -245,6 +247,7 @@ class FactorGraph:
             self.store[name] = (np.concatenate([self.store[name], value])
                                 if self.factors else value)
         self.factors.append(factor)
+        self.key_count = count
 
     def __len__(self):
         return len(self.factors)
@@ -265,11 +268,11 @@ def _half_squared_norm(residuals: np.ndarray) -> float:
 @dataclass
 class LinearSystem:
     """Gauss-Newton normal equations of the whitened graph, six rows and
-    columns per variable, column block i being graph key id i.  The tracker
-    introduces keys in time order, so each factor's columns lie close
-    together and ``J^T J`` is banded: its half-bandwidth is ``w = 6 s + 5``,
-    ``s`` the widest span of key ids in one factor (at most ``6 n - 1``, as
-    for a graph whose keys arrive out of time order).  `ab` holds the lower
+    columns per variable, column block i being graph key id i.  Key ids
+    run in time order, so each factor's columns lie close together and
+    ``J^T J`` is banded: its half-bandwidth is ``w = 6 s + 5``, ``s`` the
+    widest span of key ids in one factor (at most ``6 n - 1``, as for a
+    graph whose ids are out of time order).  `ab` holds the lower
     band in LAPACK storage, ``ab[i - j, j] = (J^T J)[i, j]`` for
     ``0 <= i - j <= w``, zero where ``i`` would pass the last row; the upper
     triangle is its mirror image and is not stored.  `cost` is half the
@@ -342,7 +345,7 @@ def _layout(graph: FactorGraph) -> _Plan:
     # The widest span of blocks in one factor bounds the distance of a
     # nonzero entry of J^T J from the diagonal.
     span = max(int(gap.max()), plan.span if plan is not None else 0)
-    width = min(6 * span + 5, 6 * len(graph.key_ids) - 1)
+    width = min(6 * span + 5, 6 * graph.key_count - 1)
     if plan is not None and width != plan.width:
         graph._plan = None   # the band widens: lay every factor out again
         return _layout(graph)
@@ -397,8 +400,8 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     blocks in tangent space, all factors evaluated at once by the template,
     and the cost at the estimate `poses`, in key-id order.
 
-    Key ids are the column blocks, so ``J^T J`` is banded when the keys are
-    introduced in time order, and only its lower band is assembled: per
+    Key ids are the column blocks, so ``J^T J`` is banded when the ids run
+    in time order, and only its lower band is assembled: per
     factor, the products ``J_k^T J_l`` of each unordered key pair,
     scattered into LAPACK lower band storage (`LinearSystem`).  Keys arrive
     only with factors, so the layout (`_layout`) changes only with the
@@ -411,7 +414,7 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     if not graph.factors:
         return LinearSystem(ab=np.zeros((1, 0)), jtr=np.zeros(0), cost=0.0)
     plan = _layout(graph)
-    width, size = plan.width, 6 * len(graph.key_ids)
+    width, size = plan.width, 6 * graph.key_count
     residuals, blocks = _evaluate(plan, poses, True)
     products = blocks[plan.pairs[0]].swapaxes(-1, -2) @ blocks[plan.pairs[1]]
     grads = (blocks[plan.blocks].swapaxes(-1, -2)
@@ -485,9 +488,9 @@ def _solve_damped(ab: np.ndarray, jtr: np.ndarray,
 
 def optimize(graph: FactorGraph, init: Pose, params: OptimizerParams = None):
     """Levenberg-Marquardt on the manifold, from the estimate `init`: one
-    stacked Pose whose row i is the pose of graph key id i.  Every key was
-    introduced by a factor, so every row is a free variable; an estimate
-    with another row count is a ValueError.
+    stacked Pose whose row i is the pose of graph key id i.  Every id below
+    the key count is a factor's (`FactorGraph.add`), so every row is a free
+    variable; an estimate with another row count is a ValueError.
 
     Solves (J^T J + lambda diag(J^T J)) delta = -J^T r by a banded Cholesky
     factorization (`_solve_damped`), retracts every row via oplus, and
@@ -514,7 +517,7 @@ def optimize(graph: FactorGraph, init: Pose, params: OptimizerParams = None):
     and the last trial's predicted decrease.
     """
     params = params or OptimizerParams()
-    rows, keys = init.translation.shape[:-1], len(graph.key_ids)
+    rows, keys = init.translation.shape[:-1], graph.key_count
     if rows != (keys,):
         raise ValueError(f"the estimate must stack one pose per graph key "
                          f"({keys}), got batch shape {rows}")

@@ -4,8 +4,14 @@ clouds and JSON records."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
+
+# Netpbm's P5 header: magic, width, height and maxval between whitespace
+# and '#' comments to the end of a line, then one whitespace byte.
+_SPACE = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % ((_SPACE,) * 3))
 
 
 def write_json(path, record) -> None:
@@ -67,19 +73,17 @@ def write_pgm_mask(path, mask: np.ndarray) -> None:
 
 
 def read_pgm_mask(path) -> np.ndarray:
-    """Read a binary P5 PGM with maxval 1..255 as a boolean mask: a pixel
-    is inside where its value is above half the maxval."""
+    """Read a binary P5 PGM with maxval 1..255 and a Netpbm header
+    (`_PGM_HEADER`) as a boolean mask: a pixel is inside where its value is
+    above half the maxval."""
     with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
+        header = _PGM_HEADER.match(f.read())
+        if header is None:
             raise ValueError(f"not a binary PGM file: {path}")
-        line = f.readline()
-        while line.startswith(b"#"):
-            line = f.readline()
-        w, h = (int(v) for v in line.split())
-        maxval = int(f.readline())
+        w, h, maxval = (int(v) for v in header.groups())
         if not 1 <= maxval <= 255:
             raise ValueError(f"PGM maxval {maxval} is not in 1..255: {path}")
+        f.seek(header.end())
         data = np.frombuffer(_read_exactly(f, w * h, path), dtype=np.uint8)
     return data.reshape(h, w) > maxval // 2
 

@@ -72,18 +72,18 @@ def point_to_plane_step(src_pts, tgt_pts, tgt_normals):
 
     Returns (update twist [w, v], condition number of AᵀA, predicted
     relative reduction).  The condition number is λmax/λmin of AᵀA's
-    eigenvalues (LAPACK ``dsyev``), and the twist solves AᵀA δ = Aᵀb by
-    Cholesky (``dposv``).  The predicted reduction is the share of the
-    squared point-to-plane residual ||b||^2 that the linearized model says
-    the step removes: ||A δ||^2 / ||b||^2, which for the Gauss-Newton
-    solution equals δ . Aᵀb / ||b||^2 and lies in [0, 1]; it is 0 when
-    every residual is already 0.
+    eigenvalues (LAPACK ``dsyev``), infinite when λmin <= m ε λmax for m
+    pairs, the rounding noise of a singular AᵀA's eigenvalues.  The twist
+    solves AᵀA δ = Aᵀb by Cholesky (``dposv``).  The predicted reduction
+    is the share of the squared point-to-plane residual ||b||^2 that the
+    linearized model says the step removes: ||A δ||^2 / ||b||^2, which for
+    the Gauss-Newton solution equals δ . Aᵀb / ||b||^2 and lies in [0, 1];
+    it is 0 when every residual is already 0.
 
     Raises InsufficientOverlapError for fewer than 6 pairs, and
-    DegenerateGeometryError (e.g. a flat patch sliding in-plane) when
-    λmin <= 0, when the condition number is not finite or above
-    CONDITION_LIMIT, or when the Cholesky factorization fails; the error
-    carries the condition number, infinite when λmin <= 0.
+    DegenerateGeometryError (e.g. a flat patch sliding in-plane) when the
+    condition number is infinite or above CONDITION_LIMIT, or when the
+    Cholesky factorization fails; the error carries the condition number.
     """
     if len(src_pts) < 6:
         raise InsufficientOverlapError(len(src_pts), 6)
@@ -100,7 +100,8 @@ def point_to_plane_step(src_pts, tgt_pts, tgt_normals):
     ata = normal[:6, :6]
     eigenvalues, _, info = lapack.dsyev(ata, compute_v=0)
     lowest, highest = float(eigenvalues[0]), float(eigenvalues[-1])
-    cond = highest / lowest if info == 0 and lowest > 0 else math.inf
+    noise = len(src_pts) * np.finfo(float).eps * highest
+    cond = highest / lowest if info == 0 and lowest > noise else math.inf
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateGeometryError(cond)
     _, delta, info = lapack.dposv(ata, normal[:6, 6:])

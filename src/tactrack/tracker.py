@@ -156,11 +156,10 @@ class Tracker:
     the same clouds replays its outcome (`registration.icp_register`).
     Once an image's cloud is kept, its arrays are made read-only.
 
-    The constructor adds no factor, and each `step` introduces e_t, then
-    o_t: e_t has graph key id 2t - 2 and o_t 2t - 1, a time order that
-    keeps ``J^T J`` banded (`factors.linearize`).  The estimate `poses` is
-    one stacked Pose in the key-id order, as `factors.optimize` takes it: a
-    key's initial pose is appended when a factor introduces the key."""
+    The constructor adds no factor, and each `step` adds e_t's first
+    factor, then o_t's, and appends their initial poses to the estimate
+    `poses`, one stacked Pose in key-id order as `factors.optimize` takes
+    it: row 2t - 2 is e_t (`factors.eff_key`), 2t - 1 is o_t (`obj_key`)."""
 
     def __init__(self, mode: TrackerMode, config: TrackerConfig,
                  vision_prior: Pose, gel: GelConfig, shape: ShapeSDF = None):
@@ -191,20 +190,9 @@ class Tracker:
 
     # -- helpers -----------------------------------------------------------
 
-    def _add_key(self, factor, initial: Pose) -> None:
-        """Add `factor`, which introduces one key, and append that key's
-        initial pose."""
-        self.graph.add(factor)
-        rotation, translation = self.poses.rotation, self.poses.translation
-        self.poses = Pose(np.concatenate([rotation, initial.rotation[None]]),
-                          np.concatenate([translation, initial.translation[None]]))
-
-    def _pose(self, key) -> Pose:
-        return self.poses[self.graph.key_ids[key]]
-
     def _object_from_sensor(self, t: int) -> Pose:
-        return geometry.compose(geometry.inverse(self._pose(obj_key(t))),
-                                self._pose(eff_key(t)))
+        return geometry.compose(geometry.inverse(self.poses[obj_key(t)]),
+                                self.poses[eff_key(t)])
 
     def _register(self, kind: str, source, target, init: Pose, gate,
                   diag: dict) -> Pose | None:
@@ -284,9 +272,9 @@ class Tracker:
     # -- pipeline ----------------------------------------------------------
 
     def step(self, normal_image: NormalImage, eff_measurement: Pose) -> PoseEstimate:
-        """Process frame t: introduce e_t by its end-effector prior, then
-        o_t by the vision prior at the first frame or the motion prior from
-        t - 1 after it, then add its registrations.
+        """Process frame t: add e_t's end-effector prior, then o_t's vision
+        prior at the first frame or motion prior from t - 1 after it, with
+        their initial poses, then its registrations.
         `skipped_registration` is null, or why the frame registers nothing:
         `empty_mask` or `touches_border`."""
         self.t += 1
@@ -296,14 +284,16 @@ class Tracker:
                 "icp_im2patch": None, "im2patch_init": None,
                 "skipped_registration": None, "keyframe": False}
 
-        self._add_key(eff_prior(t, eff_measurement, self.eff_noise),
-                      eff_measurement)
+        self.graph.add(eff_prior(t, eff_measurement, self.eff_noise))
         if t == 1:
-            self._add_key(vis_prior(1, self.vision_prior, self.vis_noise),
-                          self.vision_prior)
+            self.graph.add(vis_prior(1, self.vision_prior, self.vis_noise))
+            new = Pose.stack([eff_measurement, self.vision_prior])
         else:
-            self._add_key(MotionPriorFactor(t, self.vel_noise),
-                          self._pose(obj_key(t - 1)))
+            self.graph.add(MotionPriorFactor(t, self.vel_noise))
+            new = Pose.stack([eff_measurement, self.poses[obj_key(t - 1)]])
+        self.poses = Pose(np.concatenate([self.poses.rotation, new.rotation]),
+                          np.concatenate([self.poses.translation,
+                                          new.translation]))
 
         cloud = None
         if not normal_image.mask.any():
@@ -362,8 +352,8 @@ class Tracker:
         self.prev_cloud = cloud
         self.prev_eff_measurement = eff_measurement
         self.diagnostics.append(diag)
-        return PoseEstimate(object_pose=self._pose(obj_key(t)),
-                            eff_pose=self._pose(eff_key(t)),
+        return PoseEstimate(object_pose=self.poses[obj_key(t)],
+                            eff_pose=self.poses[eff_key(t)],
                             diagnostics=diag)
 
     def finalize(self) -> EpisodeResult:
@@ -379,8 +369,10 @@ class Tracker:
             patch = patchmap.fuse_keyframe(
                 [(cloud, self._object_from_sensor(k))
                  for k, cloud in self.keyframes])
+        steps = np.arange(1, self.t + 1)
         return EpisodeResult(
-            object_poses=self.poses[1::2], eff_poses=self.poses[0::2],
+            object_poses=self.poses[obj_key(steps)],
+            eff_poses=self.poses[eff_key(steps)],
             diagnostics=self.diagnostics, patch=patch,
             final_optimizer=dict(vars(stats)))
 

@@ -33,17 +33,6 @@ def numerical_jacobian(f, at: Pose, eps: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def stacked(graph, values: dict) -> Pose:
-    """The poses of a dict by key as the estimate `factors.optimize` takes:
-    row i holds the pose of the graph's key id i."""
-    return Pose.stack([values[key] for key in graph.key_ids])
-
-
-def by_key(graph, poses: Pose) -> dict:
-    """The inverse of `stacked`: each graph key's row of `poses`."""
-    return {key: poses[i] for key, i in graph.key_ids.items()}
-
-
 def random_pose(rng, max_angle=1.0, max_trans=5.0) -> Pose:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)

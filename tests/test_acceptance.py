@@ -19,7 +19,7 @@ from tactrack.cli import main as cli_main
 from tactrack.episodes import NoiseSpec, TrajectorySpec
 from tactrack.factors import (FactorGraph, Im2ImFactor, MotionPriorFactor,
                               NoiseModel, PriorFactor, eff_key, eff_prior,
-                              obj_key, optimize, vis_prior)
+                              optimize, vis_prior)
 from tactrack.geometry import Pose
 from tactrack.harness import (SuiteConfig, SuiteObject, default_suite_config,
                               run_suite)
@@ -30,8 +30,7 @@ from tactrack.registration import DegenerateGeometryError, icp_register
 from tactrack.render import GelConfig, depth_to_normals, render_depth
 from tactrack.shapes import Sphere
 
-from .conftest import (by_key, plane_cloud, pyramid_face_cloud,
-                       sphere_cap_cloud, stacked)
+from .conftest import plane_cloud, pyramid_face_cloud, sphere_cap_cloud
 from .test_patchmap import sensor_pose_over_sphere, sphere_contact_cloud
 
 
@@ -180,15 +179,13 @@ class TestCriterion4Optimizer:
             mu2 = Pose(np.eye(3), np.array([3.0, 0.0, 0.0]))
             s1, s2 = 1.0, 2.0
             graph = FactorGraph()
-            graph.add(PriorFactor(obj_key(1), mu1, NoiseModel.isotropic(s1, s1)))
-            graph.add(PriorFactor(obj_key(1), mu2, NoiseModel.isotropic(s2, s2)))
+            graph.add(PriorFactor(0, mu1, NoiseModel.isotropic(s1, s1)))
+            graph.add(PriorFactor(0, mu2, NoiseModel.isotropic(s2, s2)))
             expected = (1 / s1**2 + 3 / s2**2) / (1 / s1**2 + 1 / s2**2)
-            poses, _ = optimize(graph,
-                                stacked(graph, {obj_key(1): Pose.identity()}))
-            values = by_key(graph, poses)
-            assert np.abs(values[obj_key(1)].translation
+            poses, _ = optimize(graph, Pose.stack([Pose.identity()]))
+            assert np.abs(poses[0].translation
                           - [expected, 0.0, 0.0]).max() < 1e-6
-            assert np.abs(values[obj_key(1)].rotation - np.eye(3)).max() < 1e-6
+            assert np.abs(poses[0].rotation - np.eye(3)).max() < 1e-6
 
             rng = np.random.default_rng(1)
             unit = NoiseModel.isotropic(1.0, 1.0)
@@ -204,13 +201,13 @@ class TestCriterion4Optimizer:
                                             truth[t - 1])
                 graph.add(Im2ImFactor(t, measured, unit))
                 graph.add(MotionPriorFactor(t, unit))
-            init = {eff_key(t + 1): geometry.oplus(
-                truth[t], rng.uniform(-0.05, 0.05, 6)) for t in range(10)}
-            init.update({obj_key(t + 1): Pose.identity() for t in range(10)})
-            poses, _ = optimize(graph, stacked(graph, init))
-            values = by_key(graph, poses)
+            # Rows e_1, o_1, e_2, o_2, ...: the object starts at the identity.
+            init = Pose.stack([pose for t in range(10) for pose in (
+                geometry.oplus(truth[t], rng.uniform(-0.05, 0.05, 6)),
+                Pose.identity())])
+            poses, _ = optimize(graph, init)
             for t in range(10):
-                err = geometry.ominus(values[eff_key(t + 1)], truth[t])
+                err = geometry.ominus(poses[eff_key(t + 1)], truth[t])
                 assert np.linalg.norm(err) < 1e-6
 
 

@@ -1,5 +1,6 @@
 """Factor residuals, linearization, and the Levenberg-Marquardt solver."""
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,16 +14,43 @@ from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.factors import (SLOTS, DivergenceError, Factor, FactorGraph,
                               Im2ImFactor, Im2PatchFactor, MotionPriorFactor,
                               NoiseModel, OptimizeStats, OptimizerParams,
-                              PriorFactor, VariableKey, eff_key, eff_prior,
-                              linearize, obj_key, optimize, vis_prior)
+                              PriorFactor, eff_key, eff_prior, linearize,
+                              obj_key, optimize, vis_prior)
 from tactrack.geometry import DomainError, Pose
 from tactrack.render import GelConfig
 from tactrack.shapes import Pyramid
 from tactrack.tracker import Tracker, TrackerConfig, TrackerMode
 
-from .conftest import by_key, numerical_jacobian, random_pose, stacked
+from .conftest import numerical_jacobian, random_pose
 
 UNIT = NoiseModel.isotropic(1.0, 1.0)
+IDENTITY = Pose.identity()
+
+
+def _replaced(poses: Pose, key: int, pose: Pose) -> Pose:
+    """The estimate `poses` with row `key` set to `pose`."""
+    rotation, translation = poses.rotation.copy(), poses.translation.copy()
+    rotation[key], translation[key] = pose.rotation, pose.translation
+    return Pose(rotation, translation)
+
+
+def _relabeled(factors):
+    """Copies of `factors` whose key ids are renumbered 0, 1, ... in order
+    of first appearance, so that one graph may hold them, and the old id of
+    each new one."""
+    ids = {}
+    copies = []
+    for factor in factors:
+        factor = copy.copy(factor)
+        factor.keys = tuple(ids.setdefault(k, len(ids)) for k in factor.keys)
+        copies.append(factor)
+    return copies, np.array(list(ids))
+
+
+def _jittered(poses: Pose, rng) -> Pose:
+    """Each row of `poses` moved by a small random twist."""
+    return geometry.oplus(poses, rng.normal(
+        scale=[0.01] * 3 + [0.1] * 3, size=(len(poses.translation), 6)))
 
 
 class TestResiduals:
@@ -30,14 +58,14 @@ class TestResiduals:
         rng = np.random.default_rng(0)
         p = random_pose(rng)
         factor = eff_prior(1, p, UNIT)
-        np.testing.assert_allclose(factor.residual({eff_key(1): p}),
+        np.testing.assert_allclose(factor.residual(Pose.stack([p])),
                                    np.zeros(6), atol=1e-12)
 
     def test_motion_prior_zero_when_static(self):
         rng = np.random.default_rng(2)
         o = random_pose(rng)
         factor = MotionPriorFactor(2, UNIT)
-        values = {obj_key(1): o, obj_key(2): o}
+        values = Pose.stack([IDENTITY, o, IDENTITY, o])
         np.testing.assert_allclose(factor.residual(values), np.zeros(6),
                                    atol=1e-12)
 
@@ -47,7 +75,7 @@ class TestResiduals:
         measured = geometry.compose(geometry.inverse(o), e)
         xi = rng.uniform(-1e-4, 1e-4, 6)
         factor = Im2PatchFactor(1, measured, UNIT)
-        values = {obj_key(1): o, eff_key(1): geometry.oplus(e, xi)}
+        values = Pose.stack([geometry.oplus(e, xi), o])
         np.testing.assert_allclose(factor.residual(values), xi, atol=1e-9)
 
     def test_im2im_zero_on_consistent_motion(self):
@@ -58,16 +86,16 @@ class TestResiduals:
         rel2 = geometry.compose(geometry.inverse(o), e2)
         measured = geometry.compose(geometry.inverse(rel1), rel2)
         factor = Im2ImFactor(2, measured, UNIT)
-        values = {obj_key(1): o, eff_key(1): e1, obj_key(2): o, eff_key(2): e2}
+        values = Pose.stack([e1, o, e2, o])
         np.testing.assert_allclose(factor.residual(values), np.zeros(6),
                                    atol=1e-9)
 
     def test_whitening_scales_inverse(self):
         rng = np.random.default_rng(5)
         p, q = random_pose(rng), random_pose(rng)
-        base = PriorFactor(obj_key(1), p, UNIT)
-        scaled = PriorFactor(obj_key(1), p, NoiseModel.isotropic(4.0, 4.0))
-        values = {obj_key(1): q}
+        base = PriorFactor(0, p, UNIT)
+        scaled = PriorFactor(0, p, NoiseModel.isotropic(4.0, 4.0))
+        values = Pose.stack([q])
         np.testing.assert_allclose(scaled.residual(values),
                                    base.residual(values) / 4.0, atol=1e-12)
 
@@ -78,20 +106,54 @@ class TestResiduals:
             NoiseModel(np.ones(5))
 
 
+class TestKeyIds:
+    """A key is its graph key id, and `add` takes the ids as they are."""
+
+    def test_time_order(self):
+        assert [key(t) for t in (1, 2, 3) for key in (eff_key, obj_key)] \
+            == list(range(6))
+
+    def test_negative_id_rejected(self):
+        graph = FactorGraph()
+        with pytest.raises(ValueError, match="key id -1 is negative"):
+            graph.add(PriorFactor(-1, IDENTITY, UNIT))
+        assert len(graph) == 0 and graph.key_count == 0 and not graph.store
+
+    def test_gap_rejected(self):
+        # A first factor on key 1 would leave id 0 a column no factor
+        # constrains; so would the random walk to o_2 before e_2.  A
+        # rejected factor leaves the graph as it was.
+        graph = FactorGraph()
+        with pytest.raises(ValueError, match="id 1 leaves key id 0 unused"):
+            graph.add(vis_prior(1, IDENTITY, UNIT))
+        assert len(graph) == 0 and graph.key_count == 0
+        graph.add(eff_prior(1, IDENTITY, UNIT))
+        graph.add(vis_prior(1, IDENTITY, UNIT))
+        with pytest.raises(ValueError, match="id 3 leaves key id 2 unused"):
+            graph.add(MotionPriorFactor(2, UNIT))
+        assert len(graph) == 2 and graph.key_count == 2
+        assert len(graph.store["ids"]) == 2
+        graph.add(Im2ImFactor(2, IDENTITY, UNIT))
+        assert graph.key_count == 4
+        np.testing.assert_array_equal(graph.store["ids"],
+                                      [[-1, -1, -1, 0], [-1, -1, -1, 1],
+                                       [1, 0, 3, 2]])
+
+
 class TestLinearize:
     def test_single_prior_block(self):
         rng = np.random.default_rng(6)
         p = random_pose(rng)
         graph = FactorGraph()
-        graph.add(vis_prior(1, p, UNIT))
-        system = linearize(graph, stacked(graph, {obj_key(1): p}))
+        graph.add(PriorFactor(0, p, UNIT))
+        system = linearize(graph, Pose.stack([p]))
         np.testing.assert_allclose(_dense(system.ab), np.eye(6), atol=1e-6)
         np.testing.assert_allclose(system.jtr, np.zeros(6), atol=1e-9)
 
     def test_empty_graph(self):
         graph = FactorGraph()
         system = linearize(graph, Pose.stack([]))
-        assert list(graph.key_ids) == []
+        assert graph.key_count == 0
         assert system.ab.shape == (1, 0)
         assert system.jtr.shape == (0,)
 
@@ -124,7 +186,7 @@ class _OneSlotFactor(Factor):
     """A factor on one key in one template slot: a kind of factor declared
     by its slot pattern alone, as a new kind would be."""
 
-    key: VariableKey
+    key: int
     measured: Pose
     noise: NoiseModel
     name = "one_slot"
@@ -140,42 +202,43 @@ ONE_SLOT = {s: type(f"OneSlot{s}Factor", (_OneSlotFactor,), {"slots": s})
 
 
 def _factor_at(kind, poses, offset, t0=0, n=0):
-    """A factor of `kind` on the poses at times t0 + 1 .. t0 + 3, and values
-    whose raw residual is `offset`: the measurement (or the last pose) is
-    solved for from the others.  A keyframe factor is an Im2ImFactor from
-    t0 + 1 to t0 + 3 (k = t - 2), with e at t0 + 3 set to e at t0 + 2.  A
-    one_slot factor, the `n`-th of its draw, puts o at t0 + 1 in slot A, B
-    or C by n, so that G is that pose, or its inverse in B and C."""
+    """A factor of `kind` on the poses at times t0 + 1 .. t0 + 3, and the
+    six poses e and o at those times, in key-id order (ids 2 t0 to
+    2 t0 + 5), at which its raw residual is `offset`: the measurement (or
+    the last pose) is solved for from the others, and e at t0 + 3 is e at
+    t0 + 2.  A keyframe factor is an Im2ImFactor from t0 + 1 to t0 + 3
+    (k = t - 2).  A one_slot factor, the `n`-th of its draw, puts o at
+    t0 + 1 in slot A, B or C by n, so that G is that pose, or its inverse
+    in B and C."""
     o1, e1, o2, e2, o3 = poses
-    values = {obj_key(t0 + 1): o1, eff_key(t0 + 1): e1, obj_key(t0 + 2): o2,
-              eff_key(t0 + 2): e2, obj_key(t0 + 3): o3}
     off_inv = geometry.exp(-offset)
+    if kind == "motion_prior":
+        o3 = geometry.compose(o2, geometry.exp(offset))
+    rows = [e1, o1, e2, o2, e2, o3]
     if kind == "one_slot":
         slot = SLOTS[n % 3]
         graph_rel = o1 if slot == "A" else geometry.inverse(o1)
         return ONE_SLOT[slot](obj_key(t0 + 1),
                               geometry.compose(graph_rel, off_inv),
-                              ANISO), values
+                              ANISO), rows
     if kind == "prior":
         return PriorFactor(obj_key(t0 + 3), geometry.compose(o3, off_inv),
-                           ANISO), values
+                           ANISO), rows
     if kind == "motion_prior":
-        values[obj_key(t0 + 3)] = geometry.compose(o2, geometry.exp(offset))
-        return MotionPriorFactor(t0 + 3, ANISO), values
+        return MotionPriorFactor(t0 + 3, ANISO), rows
     rel1 = geometry.compose(geometry.inverse(o1), e1)
     rel2 = geometry.compose(geometry.inverse(o2), e2)
     if kind == "im2im":
         graph_rel = geometry.compose(geometry.inverse(rel1), rel2)
         return Im2ImFactor(t0 + 2, geometry.compose(graph_rel, off_inv),
-                           ANISO), values
+                           ANISO), rows
     if kind == "keyframe":
-        values[eff_key(t0 + 3)] = e2
         rel3 = geometry.compose(geometry.inverse(o3), e2)
         graph_rel = geometry.compose(geometry.inverse(rel1), rel3)
         return Im2ImFactor(t0 + 3, geometry.compose(graph_rel, off_inv),
-                           ANISO, k=t0 + 1), values
+                           ANISO, k=t0 + 1), rows
     return Im2PatchFactor(t0 + 2, geometry.compose(rel2, off_inv),
-                          ANISO), values
+                          ANISO), rows
 
 
 def _band(dense, width):
@@ -201,21 +264,20 @@ def _dense(ab):
 def _assert_matches_per_factor(system, graph, values, block, rel):
     """Compare the normal equations of `system` with a reference built from
     a dense Jacobian filled one factor at a time, column block i for the
-    graph's key id i, with the factors evaluated at the dict `values`;
+    graph's key id i, with the factors evaluated at the estimate `values`;
     `block(factor, i)` is the whitened 6x6 block of the factor's i-th key.
     The band of J^T J is compared with the reference's, and the reference
     must be exactly zero outside it, so a band too narrow fails.  The
     tolerance is `rel` times the largest sum of absolute terms, since J^T r
     nearly cancels at an optimum."""
-    keys = list(graph.key_ids)
-    col = {key: 6 * i for i, key in enumerate(keys)}
-    jac = np.zeros((6 * len(graph), 6 * len(keys)))
+    size = 6 * graph.key_count
+    jac = np.zeros((6 * len(graph), size))
     res = np.zeros(6 * len(graph))
     for row, factor in zip(range(0, 6 * len(graph), 6), graph.factors):
         res[row:row + 6] = factor.residual(values)
         for i, key in enumerate(factor.keys):
-            jac[row:row + 6, col[key]:col[key] + 6] = block(factor, i)
-    assert system.jtr.shape == (6 * len(keys),)
+            jac[row:row + 6, 6 * key:6 * key + 6] = block(factor, i)
+    assert system.jtr.shape == (size,)
     width = len(system.ab) - 1
     jtj = jac.T @ jac
     i, j = np.indices(jtj.shape)
@@ -247,7 +309,7 @@ def _two_pass_optimize(graph, init, params=OptimizerParams()):
     iterations = 0
     for _ in range(params.max_iterations):
         system = linearize(graph, poses)
-        if not graph.key_ids:
+        if not graph.key_count:
             break
         ab, jtr = system.ab, system.jtr
         diag = ab[0].copy()
@@ -296,7 +358,8 @@ class TestJacobianOracle:
         # every draw, and shrinking 15 cases of ~40 floats takes minutes.
         # Each draw holds two or three factors of the kind, so a batched
         # evaluation that mixes rows of the batch fails too; one_slot's
-        # factors fill the slots A, B and C in turn, one class each.
+        # factors fill the slots A, B and C in turn, one class each.  The
+        # graph holds them relabeled, as it holds no unused key id.
         @settings(max_examples=40, deadline=None, derandomize=True,
                   database=None, phases=[Phase.explicit, Phase.generate],
                   suppress_health_check=[HealthCheck.filter_too_much])
@@ -304,24 +367,27 @@ class TestJacobianOracle:
             st.tuples(st.tuples(*[POSES] * 5), RESIDUALS[residual]),
             min_size=2, max_size=3))
         def check(draws):
-            graph, values = FactorGraph(), {}
+            made, rows = [], []
             for n, (poses, offset) in enumerate(draws):
                 factor, own = _factor_at(kind, poses, offset, t0=3 * n, n=n)
-                np.testing.assert_allclose(factor.residual_raw(own), offset,
-                                           atol=1e-7)
-                graph.add(factor)
-                values.update(own)
-            for factor in graph.factors:
+                made.append(factor)
+                rows += own
+            values = Pose.stack(rows)
+            for factor, (_, offset) in zip(made, draws):
+                np.testing.assert_allclose(factor.residual_raw(values),
+                                           offset, atol=1e-7)
                 blocks = factor.jacobians(values)
                 assert len(blocks) == len(factor.keys)
                 for key, block in zip(factor.keys, blocks):
                     def perturbed(pose, key=key, factor=factor):
-                        return factor.residual({**values, key: pose})
+                        return factor.residual(_replaced(values, key, pose))
 
                     oracle = numerical_jacobian(perturbed, values[key])
                     err = np.linalg.norm(factor.noise.whiten(block) - oracle)
                     assert err <= 1e-6 * np.linalg.norm(oracle), (key, err)
-            system = linearize(graph, stacked(graph, values))
+            relabeled, old = _relabeled(made)
+            graph, values = FactorGraph(relabeled), values[old]
+            system = linearize(graph, values)
             _assert_matches_per_factor(system, graph, values,
                                        _analytic_block(values), 1e-12)
 
@@ -390,7 +456,7 @@ def _reference_evaluate(graph, poses):
     for cls in dict.fromkeys(type(f) for f in graph.factors):
         members = [i for i, f in enumerate(graph.factors) if type(f) is cls]
         group = [graph.factors[i] for i in members]
-        rows = [poses[np.array([graph.key_ids[f.keys[i]] for f in group])]
+        rows = [poses[np.array([f.keys[i] for f in group])]
                 for i in range(len(cls.slots))]
         error, tangent = REFERENCES[cls](rows,
                                          Pose.stack([f.measured for f in group]))
@@ -457,13 +523,16 @@ class TestTemplateReference:
         _assert_same_maps(error, [maps[SLOTS.index(s)] for s in cls.slots],
                           expected, expected_maps)
 
-        factor = {PriorFactor: lambda m: PriorFactor(obj_key(1), m, UNIT),
+        factor = {PriorFactor: lambda m: PriorFactor(0, m, UNIT),
                   MotionPriorFactor: lambda m: MotionPriorFactor(2, UNIT),
                   Im2ImFactor: lambda m: Im2ImFactor(2, m, UNIT),
                   Im2PatchFactor: lambda m: Im2PatchFactor(1, m, UNIT),
                   }[cls](measured[0])
         one = [poses[s][0] for s in cls.slots]
-        _assert_same_maps(*factor._evaluate(dict(zip(factor.keys, one)), True),
+        values = Pose.stack([IDENTITY] * 4)
+        for key, pose in zip(factor.keys, one):
+            values = _replaced(values, key, pose)
+        _assert_same_maps(*factor._evaluate(values, True),
                           *REFERENCES[cls](one, measured[0]))
 
     def test_graph_evaluation_equals_class_reference(self, episode_graph):
@@ -471,9 +540,8 @@ class TestTemplateReference:
         # against the classes evaluated one at a time.  Half the keys are
         # moved far enough that the residual angles lie on both sides of
         # the series switch.
-        graph, values = episode_graph
+        graph, poses = episode_graph
         rng = np.random.default_rng(32)
-        poses = stacked(graph, values)
         far = np.arange(len(poses.translation)) % 2 == 1
         poses = geometry.oplus(poses, np.where(
             far[:, None], rng.normal(scale=[0.05] * 3 + [0.5] * 3,
@@ -498,7 +566,7 @@ def pyramid_episode():
 
 @pytest.fixture(scope="module")
 def episode_graph(pyramid_episode):
-    """The graph and estimate (a dict by key) at the end of a 24-step
+    """The graph and estimate at the end of a 24-step
     patchgraph episode, with the im2patch factors that gtpatch adds on the
     same episode, so that one real graph holds every factor class:
     patchgraph's keyframe factors (k = t - 2) and gtpatch's unary factors
@@ -517,7 +585,7 @@ def episode_graph(pyramid_episode):
     gtpatch = run(TrackerMode.GROUNDTRUTH_PATCH, ep.shape)
     return FactorGraph(patchgraph.graph.factors + [
         f for f in gtpatch.graph.factors if f.name == "im2patch"]), \
-        by_key(patchgraph.graph, patchgraph.poses)
+        patchgraph.poses
 
 
 class TestEpisodeGraph:
@@ -533,7 +601,7 @@ class TestEpisodeGraph:
 
     def test_normal_equations_match_per_factor_reference(self, episode_graph):
         graph, values = episode_graph
-        _assert_matches_per_factor(linearize(graph, stacked(graph, values)),
+        _assert_matches_per_factor(linearize(graph, values),
                                    graph, values, _analytic_block(values),
                                    1e-10)
 
@@ -541,9 +609,8 @@ class TestEpisodeGraph:
         graph, values = episode_graph
         expected = sum(0.5 * float(f.residual(values) @ f.residual(values))
                        for f in graph.factors)
-        poses = stacked(graph, values)
-        assert graph.cost(poses) == pytest.approx(expected, rel=1e-12)
-        assert linearize(graph, poses).cost == graph.cost(poses)
+        assert graph.cost(values) == pytest.approx(expected, rel=1e-12)
+        assert linearize(graph, values).cost == graph.cost(values)
 
     def test_residual_at_pi_in_batch_raises(self, episode_graph):
         graph, values = episode_graph
@@ -555,27 +622,25 @@ class TestEpisodeGraph:
             graph_rel, Pose(geometry.rot_z(np.pi), np.zeros(3))), last.noise)
         broken = FactorGraph([flipped if f is last else f
                               for f in graph.factors])
-        poses = stacked(broken, values)
         with pytest.raises(DomainError):
-            broken.cost(poses)
+            broken.cost(values)
         with pytest.raises(DomainError):
-            linearize(broken, poses)
+            linearize(broken, values)
 
     def test_interleaved_adds_match_fresh_graph(self, episode_graph):
         # The class stores grow and the cached linearize layout is rebuilt
         # as factors arrive between evaluations; neither may change a bit
         # of what a graph built in one go gives.  Each prefix of the graph
-        # numbers its keys as the whole graph does, so it reads the first
+        # uses the first key ids of the whole graph, so it reads the first
         # rows of the whole estimate.
-        graph, values = episode_graph
-        poses = stacked(graph, values)
+        graph, poses = episode_graph
         grown = FactorGraph()
         for factor in graph.factors:
             grown.add(factor)
             grown.cost(poses)
             linearize(grown, poses)
         fresh = FactorGraph(graph.factors)
-        assert list(grown.key_ids) == list(fresh.key_ids) == list(graph.key_ids)
+        assert grown.key_count == fresh.key_count == graph.key_count
         assert grown.cost(poses) == fresh.cost(poses)
         for a, b in ((linearize(grown, poses), linearize(fresh, poses)),
                      (linearize(grown, poses), linearize(graph, poses))):
@@ -648,10 +713,7 @@ class TestEpisodeGraph:
         # evaluating the cost of every trial and linearizing every accepted
         # point again.
         graph, values = episode_graph
-        rng = np.random.default_rng(21)
-        init = stacked(graph, {
-            k: geometry.oplus(p, rng.normal(scale=[0.01] * 3 + [0.1] * 3))
-            for k, p in values.items()})
+        init = _jittered(values, np.random.default_rng(21))
         expected, expected_stats, trials = _two_pass_optimize(graph, init)
         assert expected_stats[0] >= 2
 
@@ -691,27 +753,28 @@ class TestEpisodeGraph:
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_key_order_does_not_change_estimate(self, episode_graph, order):
-        # Key ids are the column blocks, so a graph whose keys arrive out of
-        # time order has the same optimum: adding the factors backwards
-        # numbers the keys in reverse time order, and a shuffle scatters
-        # them, which widens the band of J^T J (here from 35 to 209).
+        # Key ids are the column blocks, so a graph whose ids run out of time
+        # order has the same optimum: relabeling the keys by first
+        # appearance in the factors taken backwards numbers them in reverse
+        # time order, and in a shuffle scatters them, which widens the band
+        # of J^T J (here from 35 to 209).
         graph, values = episode_graph
         rng = np.random.default_rng(23)
-        noisy = {k: geometry.oplus(p, rng.normal(scale=[0.01] * 3 + [0.1] * 3))
-                 for k, p in values.items()}
+        noisy = _jittered(values, rng)
         others = list(reversed(graph.factors))
         if order == "shuffled":
             others = [others[i] for i in rng.permutation(len(others))]
-        other = FactorGraph(others)
-        assert list(other.key_ids) != list(graph.key_ids)
+        relabeled, old = _relabeled(others)
+        other = FactorGraph(relabeled)
+        assert (old != np.arange(graph.key_count)).any()
         if order == "shuffled":
-            assert len(linearize(other, stacked(other, values)).ab) > 36
-        forward, _ = optimize(graph, stacked(graph, noisy))
-        moved, _ = optimize(other, stacked(other, noisy))
-        forward, moved = by_key(graph, forward), by_key(other, moved)
-        for key, pose in forward.items():
-            np.testing.assert_allclose(moved[key].matrix(), pose.matrix(),
-                                       rtol=0, atol=1e-9)
+            assert len(linearize(other, values[old]).ab) > 36
+        forward, _ = optimize(graph, noisy)
+        moved, _ = optimize(other, noisy[old])
+        for new, key in enumerate(old):
+            np.testing.assert_allclose(moved[new].matrix(),
+                                       forward[key].matrix(), rtol=0,
+                                       atol=1e-9)
 
     def test_noisy_graph_stops_on_sigma_scale(self, episode_graph,
                                               monkeypatch):
@@ -720,10 +783,7 @@ class TestEpisodeGraph:
         # remove less than it: well under a posterior standard deviation.
         # The relative 1e-9 stop it replaces took 4 linearizations here.
         graph, values = episode_graph
-        rng = np.random.default_rng(22)
-        init = stacked(graph, {
-            k: geometry.oplus(p, rng.normal(scale=[0.01] * 3 + [0.1] * 3))
-            for k, p in values.items()})
+        init = _jittered(values, np.random.default_rng(22))
         tight, _ = optimize(graph, init, OptimizerParams(cost_tolerance=1e-14))
         calls = []
 
@@ -746,8 +806,8 @@ class TestEpisodeGraph:
         # w = 6 * 5 + 5 = 35 columns below the diagonal), and the banded
         # Cholesky solve agrees with a dense solve of the same damped system.
         graph, values = episode_graph
-        system = linearize(graph, stacked(graph, values))
-        assert system.ab.shape == (36, 6 * len(graph.key_ids))
+        system = linearize(graph, values)
+        assert system.ab.shape == (36, 6 * graph.key_count)
         jtj = _dense(system.ab)
         diag = np.diag(jtj)
         for lam in (factors.LAMBDA_INIT, 1.0):
@@ -784,9 +844,8 @@ class TestOptimize:
         rng = np.random.default_rng(9)
         mean = random_pose(rng)
         graph = FactorGraph()
-        graph.add(vis_prior(1, mean, UNIT))
-        init = stacked(graph, {
-            obj_key(1): geometry.oplus(mean, rng.uniform(-0.05, 0.05, 6))})
+        graph.add(PriorFactor(0, mean, UNIT))
+        init = Pose.stack([geometry.oplus(mean, rng.uniform(-0.05, 0.05, 6))])
         poses, stats = optimize(graph, init)
         assert np.linalg.norm(geometry.ominus(poses[0], mean)) < 1e-8
         assert 1 <= stats.iterations <= 3
@@ -799,7 +858,7 @@ class TestOptimize:
         rng = np.random.default_rng(13)
         mean = random_pose(rng)
         graph = FactorGraph()
-        graph.add(vis_prior(1, mean, UNIT))
+        graph.add(PriorFactor(0, mean, UNIT))
         calls = []
         cost = FactorGraph.cost
 
@@ -813,7 +872,7 @@ class TestOptimize:
 
         monkeypatch.setattr(FactorGraph, "cost", counted_cost)
         monkeypatch.setattr(factors, "linearize", counted_linearize)
-        _, stats = optimize(graph, stacked(graph, {obj_key(1): mean}))
+        _, stats = optimize(graph, Pose.stack([mean]))
         assert stats.iterations == 0
         assert len(calls) <= 2
 
@@ -822,15 +881,13 @@ class TestOptimize:
         mu2 = Pose(np.eye(3), np.array([3.0, 0.0, 0.0]))
         s1, s2 = 1.0, 2.0
         graph = FactorGraph()
-        graph.add(PriorFactor(obj_key(1), mu1, NoiseModel.isotropic(s1, s1)))
-        graph.add(PriorFactor(obj_key(1), mu2, NoiseModel.isotropic(s2, s2)))
+        graph.add(PriorFactor(0, mu1, NoiseModel.isotropic(s1, s1)))
+        graph.add(PriorFactor(0, mu2, NoiseModel.isotropic(s2, s2)))
         expected = (1.0 / s1**2 + 3.0 / s2**2) / (1.0 / s1**2 + 1.0 / s2**2)
         poses, _ = optimize(graph, Pose.stack([Pose.identity()]))
-        values = by_key(graph, poses)
-        np.testing.assert_allclose(values[obj_key(1)].translation,
+        np.testing.assert_allclose(poses[0].translation,
                                    [expected, 0.0, 0.0], atol=1e-6)
-        np.testing.assert_allclose(values[obj_key(1)].rotation, np.eye(3),
-                                   atol=1e-6)
+        np.testing.assert_allclose(poses[0].rotation, np.eye(3), atol=1e-6)
 
     def test_exact_odometry_chain_recovery(self):
         rng = np.random.default_rng(10)
@@ -851,14 +908,12 @@ class TestOptimize:
             # relative-motion measurement of the still object.
             graph.add(Im2ImFactor(t, measured, UNIT))
             graph.add(MotionPriorFactor(t, UNIT))
-        init = {eff_key(t + 1): geometry.oplus(truth[t],
-                                               rng.uniform(-0.05, 0.05, 6))
-                for t in range(10)}
-        init.update({obj_key(t + 1): Pose.identity() for t in range(10)})
-        poses, _ = optimize(graph, stacked(graph, init))
-        values = by_key(graph, poses)
+        # Rows e_1, o_1, e_2, o_2, ...: the object starts at the identity.
+        init = Pose.stack([pose for t in range(10) for pose in (
+            geometry.oplus(truth[t], rng.uniform(-0.05, 0.05, 6)), IDENTITY)])
+        poses, _ = optimize(graph, init)
         for t in range(10):
-            err = geometry.ominus(values[eff_key(t + 1)], truth[t])
+            err = geometry.ominus(poses[eff_key(t + 1)], truth[t])
             assert np.linalg.norm(err) < 1e-6
 
     def test_indefinite_damped_system_raises(self):
@@ -868,10 +923,10 @@ class TestOptimize:
 
     def test_non_finite_initial_cost_raises(self):
         graph = FactorGraph()
-        graph.add(vis_prior(1, Pose(np.eye(3), np.array([np.nan, 0.0, 0.0])),
-                            UNIT))
+        graph.add(PriorFactor(0, Pose(np.eye(3), np.array([np.nan, 0.0, 0.0])),
+                              UNIT))
         with pytest.raises(DivergenceError):
-            optimize(graph, stacked(graph, {obj_key(1): Pose.identity()}))
+            optimize(graph, Pose.stack([Pose.identity()]))
 
     @pytest.mark.parametrize("offset", [1e-9, 0.05],
                              ids=["final_trial", "linearized_trial"])
@@ -882,9 +937,8 @@ class TestOptimize:
         rng = np.random.default_rng(15)
         mean = random_pose(rng)
         graph = FactorGraph()
-        graph.add(vis_prior(1, mean, UNIT))
-        init = stacked(graph, {obj_key(1): geometry.oplus(mean,
-                                                          np.full(6, offset))})
+        graph.add(PriorFactor(0, mean, UNIT))
+        init = Pose.stack([geometry.oplus(mean, np.full(6, offset))])
         retract, cost = geometry.oplus, FactorGraph.cost
         cost_only = []
 
@@ -909,8 +963,8 @@ class TestOptimize:
         rng = np.random.default_rng(15)
         mean = random_pose(rng)
         graph = FactorGraph()
-        graph.add(vis_prior(1, mean, UNIT))
-        init = stacked(graph, {obj_key(1): geometry.oplus(mean, np.zeros(6))})
+        graph.add(PriorFactor(0, mean, UNIT))
+        init = Pose.stack([geometry.oplus(mean, np.zeros(6))])
         assert not linearize(graph, init).jtr.any()
 
         def refused(*args, **kwargs):
@@ -930,8 +984,8 @@ class TestOptimize:
     def test_no_iterations_computes_no_jacobian(self, monkeypatch):
         rng = np.random.default_rng(16)
         graph = FactorGraph()
-        graph.add(vis_prior(1, random_pose(rng), UNIT))
-        init = stacked(graph, {obj_key(1): random_pose(rng)})
+        graph.add(PriorFactor(0, random_pose(rng), UNIT))
+        init = Pose.stack([random_pose(rng)])
 
         def refused(*args, **kwargs):
             raise AssertionError("linearize called")
@@ -955,8 +1009,8 @@ class TestOptimize:
         # Row i is the pose of key id i, so an estimate with another row
         # count holds a pose no factor constrains or misses one.
         graph = FactorGraph()
-        graph.add(vis_prior(1, Pose.identity(), UNIT))
         graph.add(eff_prior(1, Pose.identity(), UNIT))
+        graph.add(vis_prior(1, Pose.identity(), UNIT))
         init = Pose.stack([Pose.identity()] * rows)
         with pytest.raises(ValueError, match=rf"\(2\), got .*\({rows},\)"):
             optimize(graph, init)
@@ -965,18 +1019,18 @@ class TestOptimize:
         rng = np.random.default_rng(11)
         graph = FactorGraph()
         mean = random_pose(rng)
-        graph.add(vis_prior(1, mean, UNIT))
-        graph.add(PriorFactor(obj_key(1), random_pose(rng), UNIT))
-        init = stacked(graph, {obj_key(1): random_pose(rng)})
+        graph.add(PriorFactor(0, mean, UNIT))
+        graph.add(PriorFactor(0, random_pose(rng), UNIT))
+        init = Pose.stack([random_pose(rng)])
         _, stats = optimize(graph, init)
         assert stats.final_cost <= stats.initial_cost
 
     def test_stationary_point(self):
         rng = np.random.default_rng(12)
         graph = FactorGraph()
-        graph.add(PriorFactor(obj_key(1), random_pose(rng), UNIT))
-        graph.add(PriorFactor(obj_key(1), random_pose(rng), UNIT))
-        init = stacked(graph, {obj_key(1): Pose.identity()})
+        graph.add(PriorFactor(0, random_pose(rng), UNIT))
+        graph.add(PriorFactor(0, random_pose(rng), UNIT))
+        init = Pose.stack([Pose.identity()])
         poses, stats = optimize(graph, init,
                                 OptimizerParams(max_iterations=100,
                                                 cost_tolerance=1e-14))

@@ -100,6 +100,37 @@ class TestPGM:
         assert str(path) in str(err.value)
         assert "needs 64 bytes, found 59" in str(err.value)
 
+    # Netpbm headers: values separated by any whitespace, '#' comments
+    # between them, and one whitespace byte before the raster.
+    @pytest.mark.parametrize("header", [
+        pytest.param(b"P5 2 2 255 ", id="one_line"),
+        pytest.param(b"P5\n2 2 255\n", id="size_and_maxval_on_one_line"),
+        pytest.param(b"P5\n2 2\n# maxval next\n255\n",
+                     id="comment_before_maxval"),
+        pytest.param(b"P5#a\n2\t2 # b\n\n255\r", id="comments_and_blanks"),
+    ])
+    def test_netpbm_headers(self, tmp_path, header):
+        path = tmp_path / "header.pgm"
+        path.write_bytes(header + b"\xff\x00\x00\xff")
+        np.testing.assert_array_equal(read_pgm_mask(path),
+                                      [[True, False], [False, True]])
+
+    def test_raster_starts_after_one_whitespace_byte(self, tmp_path):
+        # A raster byte that reads as whitespace or '#' is pixel data.
+        path = tmp_path / "raster.pgm"
+        path.write_bytes(b"P5\n3 1\n255\n\n#\xff")
+        np.testing.assert_array_equal(read_pgm_mask(path),
+                                      [[False, False, True]])
+
+    @pytest.mark.parametrize("data", [b"P5\n2 2\n", b"P5 2 x 255\n\x00",
+                                      b"P56 2 2 255\n\x00"],
+                             ids=["short", "not_a_number", "long_magic"])
+    def test_bad_header_names_file(self, tmp_path, data):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="bad.pgm"):
+            read_pgm_mask(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0\n")

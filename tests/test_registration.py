@@ -65,6 +65,22 @@ class TestPointToPlaneStep:
         with pytest.raises(DegenerateGeometryError):
             point_to_plane_step(src.points, shifted, src.normals)
 
+    def test_singular_system_reports_infinity(self):
+        # The plane's AᵀA is singular; rounding leaves its smallest
+        # eigenvalue anywhere within m ε λmax of zero, either sign, which
+        # read as λmax/λmin made finite condition numbers of noise.  Posed
+        # anywhere, the plane reports an infinite one.
+        plane = plane_cloud(n=200)
+        shifted = plane.points + np.array([0.3, 0, 0.1])
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            g = random_pose(rng)
+            with pytest.raises(DegenerateGeometryError) as err:
+                point_to_plane_step(g.transform_points(plane.points),
+                                    g.transform_points(shifted),
+                                    plane.normals @ g.rotation.T)
+            assert err.value.condition_number == math.inf
+
     def test_too_few_correspondences(self):
         cloud = sphere_cap_cloud(n=10)
         with pytest.raises(InsufficientOverlapError):

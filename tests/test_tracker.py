@@ -25,7 +25,6 @@ from tactrack.tracker import (GATE_IM2IM, GATE_IM2PC, REGISTRATION_FATES,
                               REGISTRATION_KINDS, ConfigError, Tracker,
                               TrackerConfig, TrackerMode, track_episode)
 
-from .conftest import by_key, stacked
 
 ZERO_NOISE = NoiseSpec(normal_sigma=0.0, eff_sigma_rot=0.0,
                        eff_sigma_trans=0.0, vis_sigma_rot=0.0,
@@ -74,8 +73,7 @@ class TestTrackerSetup:
         tracker.t = 1
         tracker.graph.add(eff_prior(1, Pose.identity(), tracker.eff_noise))
         tracker.graph.add(vis_prior(1, Pose.identity(), tracker.vis_noise))
-        tracker.poses = stacked(tracker.graph, {obj_key(1): Pose.identity(),
-                                                eff_key(1): Pose.identity()})
+        tracker.poses = Pose.stack([Pose.identity()] * 2)
         x, y = gel.pixel_centers()
         contact = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
         tracker._ensure_gt_target(PointCloud(points=contact,
@@ -298,10 +296,10 @@ class TestMotionModel:
                           ep.vision_prior, ep.gel, shape=ep.shape)
         for frame in ep.frames:
             estimate = tracker.step(frame.normals, frame.eff_measured)
-        first = tracker.poses[tracker.graph.key_ids[obj_key(1)]]
+        first = tracker.poses[obj_key(1)]
         drift = geometry.ominus(first, estimate.object_pose)[3:]
         assert np.linalg.norm(drift) < 0.25
-        steps = [f.keys[1].t for f in tracker.graph.factors
+        steps = [f.t for f in tracker.graph.factors
                  if f.name == "motion_prior"]
         assert sorted(steps) == list(range(2, len(ep.frames) + 1))
 
@@ -379,13 +377,12 @@ class TestIncrementalSmoothing:
                           sphere_episode.vision_prior, sphere_episode.gel)
         for t, frame in enumerate(sphere_episode.frames, start=1):
             estimate = tracker.step(frame.normals, frame.eff_measured)
-            keys = len(tracker.graph.key_ids)
+            keys = tracker.graph.key_count
             assert tracker.poses.rotation.shape == (keys, 3, 3)
             assert tracker.poses.translation.shape == (keys, 3)
-            rows = by_key(tracker.graph, tracker.poses)
             for key, pose in ((obj_key(t), estimate.object_pose),
                               (eff_key(t), estimate.eff_pose)):
-                np.testing.assert_array_equal(rows[key].matrix(),
+                np.testing.assert_array_equal(tracker.poses[key].matrix(),
                                               pose.matrix())
 
     @pytest.mark.parametrize("mode", [TrackerMode.PATCH_GRAPH,
@@ -395,12 +392,15 @@ class TestIncrementalSmoothing:
         # o_t, so the key ids are a time order: e_t is 2t - 2, o_t 2t - 1.
         tracker = Tracker(mode, TrackerConfig(), sphere_episode.vision_prior,
                           sphere_episode.gel, shape=sphere_episode.shape)
-        assert len(tracker.graph) == 0 and not tracker.graph.key_ids
+        assert len(tracker.graph) == 0 and tracker.graph.key_count == 0
         assert tracker.poses.translation.shape == (0, 3)
         for t, frame in enumerate(sphere_episode.frames, start=1):
             tracker.step(frame.normals, frame.eff_measured)
-            assert list(tracker.graph.key_ids) == [
+            introduced = dict.fromkeys(key for factor in tracker.graph.factors
+                                       for key in factor.keys)
+            assert list(introduced) == [
                 key(s) for s in range(1, t + 1) for key in (eff_key, obj_key)]
+            assert list(introduced) == list(range(tracker.graph.key_count))
 
     def test_no_iteration_without_budget(self, sphere_episode):
         config = TrackerConfig(optimizer=OptimizerParams(max_iterations=0))
@@ -636,8 +636,9 @@ class TestLongEpisodes:
             assert np.isfinite(estimate.object_pose.matrix()).all()
             assert np.isfinite(estimate.eff_pose.matrix()).all()
         assert tracker.t == len(ep.frames) > 36
-        for key, pose in by_key(tracker.graph, tracker.poses).items():
-            gram = pose.rotation.T @ pose.rotation
+        for key in range(tracker.graph.key_count):
+            rotation = tracker.poses[key].rotation
+            gram = rotation.T @ rotation
             assert np.abs(gram - np.eye(3)).max() < 1e-9, key
 
 
