@@ -70,7 +70,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    normals = imageio.read_pfm(args.normals).astype(float)
+    normals = imageio.read_pfm(args.normals)
     mask = imageio.read_pgm_mask(args.mask)
     if normals.ndim != 3 or normals.shape[:2] != mask.shape:
         raise ConfigError("normal image and mask dimensions disagree")

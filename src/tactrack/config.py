@@ -8,8 +8,6 @@ import numbers
 import sys
 import typing
 
-import yaml
-
 from . import geometry
 
 
@@ -72,7 +70,10 @@ def from_mapping(cls, data):
 
 
 def read_yaml_mapping(path) -> dict:
-    """The top-level mapping of a YAML file, or ConfigError."""
+    """The top-level mapping of a YAML file, or ConfigError.  PyYAML loads
+    here, on the first call, so only a command that reads YAML pays for it."""
+    import yaml
+
     try:
         with open(path) as f:
             data = yaml.safe_load(f)

@@ -272,10 +272,12 @@ def save_episode(episode: Episode, directory) -> None:
 def load_episode(directory) -> Episode:
     """Read an episode written by `save_episode`.  ConfigError naming the
     field for a missing key, no frames, an unknown or bad gel or noise
-    setting, a seed that is not an int >= 0, a timestamp that is not a
-    finite number, or a pose that is not 7 finite numbers with a nonzero
-    quaternion; ValueError naming the file for an image that is truncated
-    or whose shape is not the gel's height x width (x 3 for normals)."""
+    setting, a seed that is not an int >= 0, dropped steps that are not a
+    list of ints >= 0, a timestamp that is not a finite number, or a pose
+    that is not 7 finite numbers with a nonzero quaternion; ValueError
+    naming the file for an image that is truncated or whose shape is not
+    the gel's height x width (x 3 for normals).  Images keep the float32
+    values of their files."""
     with open(os.path.join(directory, "episode.json")) as f:
         meta = json.load(f)
 
@@ -303,13 +305,13 @@ def load_episode(directory) -> Episode:
     for i, fr in enumerate(meta["frames"]):
         where = f"episode frame {i}"
         normals = read(os.path.join(directory, get(fr, "normals", where)),
-                       imageio.read_pfm, size + (3,)).astype(float)
+                       imageio.read_pfm, size + (3,))
         mask = read(os.path.join(directory, get(fr, "mask", where)),
                     imageio.read_pgm_mask, size)
         depth_path = os.path.join(directory, get(fr, "depth", where))
         depth = None
         if os.path.exists(depth_path):
-            values = read(depth_path, imageio.read_pfm, size).astype(float)
+            values = read(depth_path, imageio.read_pfm, size)
             depth = DepthImage(values=values, mask=mask.copy())
         frames.append(Frame(
             timestamp=require(get(fr, "timestamp", where),
@@ -319,10 +321,15 @@ def load_episode(directory) -> Episode:
             eff_measured=pose(fr, "eff_measured", where),
             normals=NormalImage(values=normals, mask=mask),
             depth_gt=depth))
+    dropped = meta.get("dropped_steps", [])
+    if not isinstance(dropped, list):
+        raise ConfigError(f"episode dropped_steps must be a list of ints "
+                          f">= 0, got {dropped!r}")
     return Episode(frames=frames,
                    vision_prior=pose(meta, "vision_prior"),
                    noise=from_mapping(NoiseSpec, get(meta, "noise")),
                    shape_descriptor=get(meta, "shape"), gel=gel,
                    seed=require(get(meta, "seed"), "episode seed", 0,
                                 integer=True),
-                   dropped_steps=meta.get("dropped_steps", []))
+                   dropped_steps=[require(step, "episode dropped_steps", 0,
+                                          integer=True) for step in dropped])

@@ -4,6 +4,7 @@ clouds and JSON records."""
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,8 @@ import numpy as np
 # and '#' comments to the end of a line, then one whitespace byte.
 _SPACE = rb"(?:\s|#[^\r\n]*[\r\n])+"
 _PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % ((_SPACE,) * 3))
+# A PFM size line, stripped: width and height.
+_PFM_SIZE = re.compile(rb"(\d+)\s+(\d+)")
 
 
 def write_json(path, record) -> None:
@@ -49,18 +52,32 @@ def _read_exactly(f, size: int, path) -> bytes:
 
 
 def read_pfm(path) -> np.ndarray:
+    """Read a 1- or 3-channel PFM as float32, rows top-to-bottom.  The size
+    line must hold two ints > 0, and the scale line a finite nonzero number
+    whose sign gives the byte order (negative: little-endian); ValueError
+    naming `path` otherwise, or if the pixel data is truncated."""
     with open(path, "rb") as f:
         header = f.readline().strip()
         if header not in (b"PF", b"Pf"):
             raise ValueError(f"not a PFM file: {path}")
-        w, h = (int(v) for v in f.readline().split())
-        scale = float(f.readline())
+        size, scale = f.readline().strip(), f.readline().strip()
+        match = _PFM_SIZE.fullmatch(size)
+        w, h = (int(v) for v in match.groups()) if match else (0, 0)
+        if w == 0 or h == 0:
+            raise ValueError(f"PFM size {size!r} is not two ints > 0: {path}")
+        try:
+            value = float(scale)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value != 0):
+            raise ValueError(f"PFM scale {scale!r} is not a finite nonzero "
+                             f"number: {path}")
         channels = 3 if header == b"PF" else 1
         count = w * h * channels
-        dtype = "<f4" if scale < 0 else ">f4"
+        dtype = "<f4" if value < 0 else ">f4"
         data = np.frombuffer(_read_exactly(f, count * 4, path), dtype=dtype)
     shape = (h, w, 3) if channels == 3 else (h, w)
-    return np.ascontiguousarray(data.reshape(shape)[::-1]).astype(np.float32)
+    return np.ascontiguousarray(data.reshape(shape)[::-1], dtype=np.float32)
 
 
 def write_pgm_mask(path, mask: np.ndarray) -> None:

@@ -1,5 +1,11 @@
 """Surface reconstruction: normal image -> depth gradients -> Poisson-integrated
-depth -> unprojected 3-D point cloud with per-point normals."""
+depth -> unprojected 3-D point cloud with per-point normals.
+
+Images may hold float32, as read from PFM files; each step computes in
+float64, to which float32 converts exactly.  scipy.spatial, whose k-d tree
+serves a cloud as a registration target (`PointCloud.search`), loads on
+the first search, not with this module: code that only reconstructs never
+pays its memory.  `reconstruct.cKDTree` reaches it as a module attribute."""
 
 from __future__ import annotations
 
@@ -8,11 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.spatial import cKDTree
 
 from .render import DepthImage, GelConfig, NormalImage
 
 N_Z_CLAMP = 0.05  # bounds gradients at slope 20 for grazing normals
+
+
+@functools.cache
+def _kdtree():
+    """scipy.spatial's cKDTree, imported on the first call and kept."""
+    from scipy.spatial import cKDTree
+    return cKDTree
+
+
+def __getattr__(name):   # PEP 562: the module attribute `cKDTree`
+    if name == "cKDTree":
+        return _kdtree()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -45,7 +63,7 @@ class PointCloud:
     def search(self):
         """A k-d tree over the points, and the points and normals side by
         side as one (n, 6) array to gather matches from."""
-        return cKDTree(self.points), np.hstack([self.points, self.normals])
+        return _kdtree()(self.points), np.hstack([self.points, self.normals])
 
     @functools.cached_property
     def registrations(self) -> dict:
@@ -70,7 +88,7 @@ def normals_to_gradients(normals: NormalImage) -> GradientField:
     The returned field's mask covers exactly that support, so gradients
     are zero outside it.
     """
-    n = normals.values
+    n = np.asarray(normals.values, dtype=float)
     nz = np.maximum(n[..., 2], N_Z_CLAMP)
     p = n[..., 0] / nz
     q = n[..., 1] / nz
@@ -157,7 +175,8 @@ def depth_to_pointcloud(depth: DepthImage, normals: NormalImage,
     mask = depth.mask
     xs, ys = gel.pixel_centers()
     pts = np.column_stack([xs[mask], ys[mask], -depth.values[mask]])
-    return PointCloud(points=pts, normals=normals.values[mask].copy(),
+    return PointCloud(points=pts,
+                      normals=normals.values[mask].astype(float, copy=False),
                       frame="sensor", step=step)
 
 

@@ -10,6 +10,7 @@ normals pointing toward the object.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,22 @@ class GelConfig:
         return self.extent_y / self.height
 
     def pixel_centers(self):
-        """Sensor-frame (x, y) coordinates of every pixel centre, shape (H, W)."""
-        x = (np.arange(self.width) + 0.5) * self.pitch_x - self.extent_x / 2.0
-        y = (np.arange(self.height) + 0.5) * self.pitch_y - self.extent_y / 2.0
-        return np.meshgrid(x, y)
+        """Sensor-frame (x, y) coordinates of every pixel centre, shape
+        (H, W).  Read-only: every call on the same grid shares the arrays."""
+        return _pixel_centers(self.width, self.height, self.extent_x,
+                              self.extent_y)
+
+
+# typed: a float32 extent divides in float32, so it keys apart from an
+# equal float.
+@functools.lru_cache(maxsize=8, typed=True)
+def _pixel_centers(width, height, extent_x, extent_y):
+    x = (np.arange(width) + 0.5) * (extent_x / width) - extent_x / 2.0
+    y = (np.arange(height) + 0.5) * (extent_y / height) - extent_y / 2.0
+    xs, ys = np.meshgrid(x, y)
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    return xs, ys
 
 
 @dataclass

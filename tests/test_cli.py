@@ -274,17 +274,19 @@ class TestPipeline:
         ("seed", lambda meta: meta.update(seed=1.0)),
         ("timestamp", lambda meta: meta["frames"][1].update(timestamp="x")),
         ("timestamp", lambda meta: meta["frames"][0].update(
-            timestamp=float("nan")))],
+            timestamp=float("nan"))),
+        ("dropped_steps", lambda meta: meta.update(dropped_steps="abc"))],
         ids=["zero_vision_prior", "short_object_pose", "zero_eff_pose",
              "zero_eff_measured", "no_gel", "no_eff_measured",
              "unknown_gel_key", "unknown_noise_key", "no_frames",
              "text_seed", "negative_seed", "float_seed", "text_timestamp",
-             "nan_timestamp"])
+             "nan_timestamp", "text_dropped_steps"])
     def test_track_malformed_episode_exit_2(self, suite_yaml, tmp_path, capsys,
                                             field, edit):
-        # A malformed pose, seed or timestamp, a missing key, an unknown
-        # setting or no frames in a saved episode exits 2, as a bad value
-        # does, with the field named and before anything is written.
+        # A malformed pose, seed, timestamp or dropped-step list, a missing
+        # key, an unknown setting or no frames in a saved episode exits 2,
+        # as a bad value does, with the field named and before anything is
+        # written.
         episodes = tmp_path / "episodes"
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
         ep = episodes / "sphere" / "ep0000"

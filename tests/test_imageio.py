@@ -51,6 +51,25 @@ class TestPFM:
         assert str(path) in str(err.value)
         assert "needs 768 bytes, found 668" in str(err.value)
 
+    # The size line holds two ints > 0 and the scale line a finite nonzero
+    # number, whose sign gives the byte order.
+    @pytest.mark.parametrize("size, scale", [
+        pytest.param(b"abc 2", b"-1.0", id="text_size"),
+        pytest.param(b"2", b"-1.0", id="one_size"),
+        pytest.param(b"2 2 2", b"-1.0", id="three_sizes"),
+        pytest.param(b"-2 2", b"-1.0", id="negative_size"),
+        pytest.param(b"0 2", b"-1.0", id="zero_size"),
+        pytest.param(b"2 2", b"abc", id="text_scale"),
+        pytest.param(b"2 2", b"0", id="zero_scale"),
+        pytest.param(b"2 2", b"nan", id="nan_scale"),
+        pytest.param(b"2 2", b"-inf", id="infinite_scale"),
+    ])
+    def test_bad_header_names_file(self, tmp_path, size, scale):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n" + size + b"\n" + scale + b"\n" + bytes(16))
+        with pytest.raises(ValueError, match="bad.pfm"):
+            read_pfm(path)
+
     def test_write_deterministic(self, tmp_path):
         data = np.arange(12, dtype=np.float32).reshape(3, 4)
         write_pfm(tmp_path / "a.pfm", data)

@@ -1,5 +1,6 @@
 """Tactile simulator: SDF shapes, depth rendering, normal images, episodes."""
 
+import dataclasses
 import itertools
 import os
 
@@ -182,6 +183,19 @@ class TestGelConfig:
     def test_mistyped_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             GelConfig(**{name: value})
+
+    # One read-only grid per gel geometry, with meshgrid's bytes.
+    @pytest.mark.parametrize("gel", [GelConfig(), GelConfig(
+        width=5, height=7, extent_x=3.0, extent_y=11.0)])
+    def test_pixel_centers_shared_and_read_only(self, gel):
+        x = (np.arange(gel.width) + 0.5) * gel.pitch_x - gel.extent_x / 2.0
+        y = (np.arange(gel.height) + 0.5) * gel.pitch_y - gel.extent_y / 2.0
+        xs, ys = gel.pixel_centers()
+        for got, want in zip((xs, ys), np.meshgrid(x, y)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert not got.flags.writeable
+        again = dataclasses.replace(gel).pixel_centers()
+        assert again[0] is xs and again[1] is ys
 
 
 class TestRenderDepth:
