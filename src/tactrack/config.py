@@ -4,6 +4,7 @@ every config class checks each number setting when it is built."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import sys
 import typing
@@ -22,8 +23,11 @@ def require(value, what, low=None, *, integer=False, strict=False):
     if integer:
         valid, kind = type(value) is int, "an int"
     else:
+        # exact for an int, so a huge one fails; float32 would overflow the bound
         valid = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                 and abs(value) <= sys.float_info.max)   # a huge int too
+                 and (abs(value) <= sys.float_info.max
+                      if isinstance(value, numbers.Integral)
+                      else math.isfinite(value)))
         kind = "a finite number"
     if low is not None:
         valid = valid and (value > low if strict else value >= low)

@@ -28,9 +28,8 @@ for every factor; the tests check them against central differences.
 `cost` and `linearize` evaluate the template once over all factors, in
 insertion order.  The solver is Levenberg-Marquardt with
 right-multiplicative retraction of each pose block.  Its banded solve
-uses scipy.linalg's BLAS and LAPACK wrappers, which load on the first
-solve, not with this module (`factors.blas` and `factors.lapack` reach
-them), so code that never solves never pays their memory.
+uses scipy.linalg's BLAS and LAPACK wrappers, imported where they are
+called, so code that never solves never pays their memory.
 
 Frame convention: with world-from-body poses, the object-from-sensor
 transform is ``o_t^-1 * e_t`` and the step-to-step relative transform is
@@ -48,19 +47,6 @@ import numpy as np
 from . import geometry
 from .config import require
 from .geometry import Pose
-
-
-@functools.cache
-def _linalg():
-    """scipy.linalg, imported on the first call and kept."""
-    import scipy.linalg
-    return scipy.linalg
-
-
-def __getattr__(name):   # PEP 562: the module attributes `blas` and `lapack`
-    if name in ("blas", "lapack"):
-        return getattr(_linalg(), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DivergenceError(RuntimeError):
@@ -494,7 +480,7 @@ def _solve_damped(ab: np.ndarray, jtr: np.ndarray,
     the damped matrix is not positive definite."""
     damped = ab.copy(order="F")
     damped[0] += damping
-    lapack = _linalg().lapack
+    from scipy.linalg import lapack
     _, delta, info = lapack.dpbsv(damped, -jtr, lower=1, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(
@@ -575,7 +561,8 @@ def optimize(graph: FactorGraph, init: Pose, params: OptimizerParams = None):
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_SCALE
                 continue
-            predicted = -(delta @ jtr) - 0.5 * delta @ _linalg().blas.dsbmv(
+            from scipy.linalg import blas
+            predicted = -(delta @ jtr) - 0.5 * delta @ blas.dsbmv(
                 width, 1.0, ab, delta, lower=1)
             stalled = _negligible(predicted, cost, tolerance)
             candidate = geometry.oplus(poses, delta.reshape(-1, 6))

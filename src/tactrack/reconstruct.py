@@ -2,10 +2,9 @@
 depth -> unprojected 3-D point cloud with per-point normals.
 
 Images may hold float32, as read from PFM files; each step computes in
-float64, to which float32 converts exactly.  scipy.spatial, whose k-d tree
-serves a cloud as a registration target (`PointCloud.search`), loads on
-the first search, not with this module: code that only reconstructs never
-pays its memory.  `reconstruct.cKDTree` reaches it as a module attribute."""
+float64, to which float32 converts exactly.  scipy.spatial is imported
+where a target cloud builds its k-d tree (`PointCloud.search`), so code
+that only reconstructs never pays its memory."""
 
 from __future__ import annotations
 
@@ -18,19 +17,6 @@ from scipy import fft as sfft
 from .render import DepthImage, GelConfig, NormalImage
 
 N_Z_CLAMP = 0.05  # bounds gradients at slope 20 for grazing normals
-
-
-@functools.cache
-def _kdtree():
-    """scipy.spatial's cKDTree, imported on the first call and kept."""
-    from scipy.spatial import cKDTree
-    return cKDTree
-
-
-def __getattr__(name):   # PEP 562: the module attribute `cKDTree`
-    if name == "cKDTree":
-        return _kdtree()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -63,7 +49,9 @@ class PointCloud:
     def search(self):
         """A k-d tree over the points, and the points and normals side by
         side as one (n, 6) array to gather matches from."""
-        return _kdtree()(self.points), np.hstack([self.points, self.normals])
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.points), np.hstack([self.points, self.normals])
 
     @functools.cached_property
     def registrations(self) -> dict:

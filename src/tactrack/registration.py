@@ -1,13 +1,11 @@
 """Point-to-plane ICP producing the measured relative transforms consumed by
 the factor graph, with fitness and degeneracy diagnostics.
 
-scipy.linalg, whose LAPACK wrappers solve each step, loads on the first
-solve, not with this module: code that only reconstructs never pays its
-memory.  `registration.lapack` reaches it as a module attribute."""
+scipy.linalg's LAPACK wrappers, which solve each step, are imported where
+they are called: code that only reconstructs never pays their memory."""
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -27,19 +25,6 @@ CONVERGENCE_THRESHOLD = 1e-5        # update twist norm
 # Stop once a step's predicted share of the point-to-plane cost is this small.
 MIN_PREDICTED_REDUCTION = 1e-2
 MIN_CORRESPONDENCES = 20
-
-
-@functools.cache
-def _linalg():
-    """scipy.linalg, imported on the first call and kept."""
-    import scipy.linalg
-    return scipy.linalg
-
-
-def __getattr__(name):   # PEP 562: the module attribute `lapack`
-    if name == "lapack":
-        return _linalg().lapack
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -115,7 +100,7 @@ def point_to_plane_step(src_pts, tgt_pts, tgt_normals):
     system[6] = np.einsum("ij,ij->i", tgt_normals, tgt_pts - src_pts)
     normal = system @ system.T
     ata = normal[:6, :6]
-    lapack = _linalg().lapack
+    from scipy.linalg import lapack
     eigenvalues, _, info = lapack.dsyev(ata, compute_v=0)
     lowest, highest = float(eigenvalues[0]), float(eigenvalues[-1])
     noise = len(src_pts) * np.finfo(float).eps * highest

@@ -7,8 +7,9 @@ import pytest
 import yaml
 
 from tactrack.cli import main
-from tactrack.episodes import NoiseSpec, TrajectorySpec
-from tactrack.harness import SuiteConfig, SuiteObject
+from tactrack.episodes import NoiseSpec, TrajectorySpec, load_episode
+from tactrack.harness import SuiteConfig, SuiteObject, run_tracking
+from tactrack.tracker import TrackerConfig
 
 
 SPHERE = {"type": "sphere", "radius": 6.35}
@@ -165,17 +166,29 @@ class TestPipeline:
             metrics["final_translation_error_mm"]]
         assert csv_path.exists()
 
-    def test_track_with_tracker_yaml(self, suite_yaml, tmp_path):
+    @pytest.mark.parametrize("data", [
+        {"tracker": {"sigma_vel": [0.01, 0.2]}}, {"sigma_vel": [0.01, 0.2]}],
+        ids=["nested", "bare"])
+    def test_track_with_tracker_yaml(self, suite_yaml, tmp_path, data):
+        # Either form writes what the same TrackerConfig does, which is not
+        # what the default writes.
         episodes = tmp_path / "episodes"
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
         tracker_yaml = tmp_path / "tracker.yaml"
-        tracker_yaml.write_text(yaml.safe_dump(
-            {"tracker": {"sigma_vel": [0.01, 0.2]}}))
+        tracker_yaml.write_text(yaml.safe_dump(data))
         run = tmp_path / "run"
         assert main(["track",
                      "--episode", str(episodes / "sphere" / "ep0000"),
-                     "--mode", "constvel", "--config", str(tracker_yaml),
+                     "--mode", "im2im", "--config", str(tracker_yaml),
                      "--out", str(run)]) == 0
+        episode = load_episode(episodes / "sphere" / "ep0000")
+        for config, out, same in [
+                (TrackerConfig(sigma_vel=(0.01, 0.2)), tmp_path / "same", True),
+                (TrackerConfig(), tmp_path / "default", False)]:
+            run_tracking(episode, "im2im", config, out)
+            for name in ("metrics.json", "trajectory.json"):
+                assert ((run / name).read_bytes()
+                        == (out / name).read_bytes()) is same
 
     def test_track_mistyped_key_exit_2(self, suite_yaml, tmp_path):
         episodes = tmp_path / "episodes"

@@ -65,7 +65,8 @@ SETTINGS = {
 }
 
 BAD = {"bool": True, "string": "1.0", "null": None, "nan": float("nan"),
-       "inf": float("inf")}
+       "inf": float("inf"), "float32_inf": np.float32("inf"),
+       "float32_nan": np.float32("nan")}
 
 
 def _cases():
@@ -94,3 +95,4 @@ def test_good_value_passes(what):
     else:
         build(np.float64(4.0))
         build(np.int64(4))
+        build(np.float32(4.0))

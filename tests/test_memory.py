@@ -51,21 +51,58 @@ FIRST_USE = textwrap.dedent("""
     for frame in episode.frames[:2]:
         tracker.step(frame.normals, frame.eff_measured)
     assert loaded() == ["scipy.linalg", "scipy.spatial"], loaded()
+""")
 
-    import scipy.linalg, scipy.spatial
-    assert factors.blas is scipy.linalg.blas
-    assert factors.lapack is registration.lapack is scipy.linalg.lapack
-    assert reconstruct.cKDTree is scipy.spatial.cKDTree
+# The CLI commands that never register or solve load none of the three;
+# `gtpatch` loads exactly the two scipy modules.
+CLI_FIRST_USE = textwrap.dedent("""
+    import os
+    import sys
+    import tempfile
+
+    from tactrack.cli import main
+    from tactrack.episodes import save_episode
+    from test_memory import three_frame_episode
+
+    def loaded():
+        return [m for m in ("scipy.linalg", "scipy.spatial", "yaml")
+                if m in sys.modules]
+
+    with tempfile.TemporaryDirectory() as directory:
+        episode = os.path.join(directory, "episode")
+        save_episode(three_frame_episode(), episode)
+        runs = os.path.join(directory, "runs", "sphere", "ep0000")
+        assert main(["reconstruct",
+                     "--normals", os.path.join(episode, "normals_0001.pfm"),
+                     "--mask", os.path.join(episode, "mask_0001.pgm"),
+                     "--out-depth", os.path.join(directory, "depth.pfm"),
+                     "--out-cloud", os.path.join(directory, "cloud.ply")]) == 0
+        assert main(["track", "--episode", episode, "--mode", "constvel",
+                     "--out", os.path.join(runs, "constvel")]) == 0
+        assert main(["eval", "--runs", os.path.join(directory, "runs"),
+                     "--out", os.path.join(directory, "report.json")]) == 0
+        assert loaded() == [], loaded()
+        assert main(["track", "--episode", episode, "--mode", "gtpatch",
+                     "--out", os.path.join(runs, "gtpatch")]) == 0
+        assert loaded() == ["scipy.linalg", "scipy.spatial"], loaded()
 """)
 
 
-def test_heavy_modules_load_on_first_use():
+def _run_fresh(script):
     paths = [os.path.dirname(os.path.dirname(tactrack.__file__)),
              os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    result = subprocess.run([sys.executable, "-c", FIRST_USE], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_heavy_modules_load_on_first_use():
+    _run_fresh(FIRST_USE)
+
+
+def test_cli_commands_load_heavy_modules_on_first_use():
+    _run_fresh(CLI_FIRST_USE)
 
 
 def test_loaded_images_stay_float32_and_reconstruct_exactly(tmp_path):

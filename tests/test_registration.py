@@ -6,6 +6,7 @@ import traceback
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tactrack import geometry, registration
 from tactrack.episodes import generate_episode
@@ -188,7 +189,7 @@ class TestStepMatchesReference:
         def failed(a, b):
             return a, b, 1
 
-        monkeypatch.setattr(registration.lapack, "dposv", failed)
+        monkeypatch.setattr(scipy.linalg.lapack, "dposv", failed)
         src, tgt, nrm = _cap_match(np.random.default_rng(0), 60)
         with pytest.raises(DegenerateGeometryError) as err:
             point_to_plane_step(src, tgt, nrm)
