@@ -116,7 +116,9 @@ def _lowest_hit(shape: ShapeSDF, xs, ys, z_start: float, z_range: float,
     """(row-major ray index, z) of the lowest surface hit of rays cast along
     +z from (x, y, z_start) in the object frame, or None if no ray hits.
 
-    Each ray marches as in render._trace_lower_envelope.  The ray that
+    Each ray steps by its distance until d <= tol, and is evaluated once
+    more after its travel reaches z_range, where
+    render._trace_lower_envelope retires it unevaluated.  The ray that
     starts closest to the surface marches first, and its hit bounds the
     lowest one from above.  Every ray whose next height z_start + t + d is
     above the lowest hit so far then retires: t only grows, so it can
@@ -192,7 +194,8 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
                      noise: NoiseSpec, seed: int) -> Episode:
     """Simulate one contact episode; deterministic for a fixed seed.
 
-    Frames whose contact region touches the image border are dropped, as the
+    Every step's sensor pose is rendered in one `render_depth` call.  Frames
+    whose contact region touches the image border are dropped, as the
     Poisson boundary condition cannot handle them.  More than
     MAX_CONTACT_BREAKS consecutive out-of-contact steps abort generation.
     """
@@ -205,13 +208,17 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
     contact_center = base.translation - np.array([0.0, 0.0, trajectory.indent])
     object_pose = Pose.identity()
 
-    frames, dropped = [], []
-    consecutive_breaks = 0
+    effs = []
     for k in range(trajectory.steps):
         frac = k / max(trajectory.steps - 1, 1)
         delta = _trajectory_delta(trajectory, frac, direction, contact_center)
-        eff = geometry.compose(delta, base)
-        depth = render_depth(shape, object_pose, eff, gel)
+        effs.append(geometry.compose(delta, base))
+    depths = render_depth(shape, object_pose, Pose.stack(effs), gel)
+
+    frames, dropped = [], []
+    consecutive_breaks = 0
+    for k, eff in enumerate(effs):
+        depth = DepthImage(values=depths.values[k], mask=depths.mask[k])
         if not depth.mask.any():
             consecutive_breaks += 1
             if consecutive_breaks > MAX_CONTACT_BREAKS:

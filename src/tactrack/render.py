@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry
 from .config import require
 from .geometry import Pose
-from .shapes import ShapeSDF
+from .shapes import ShapeSDF, _row_norm
 
 
 @dataclass
@@ -68,7 +68,8 @@ def _pixel_centers(width, height, extent_x, extent_y):
 
 @dataclass
 class DepthImage:
-    """Per-pixel penetration depth in mm (0 = undisturbed gel) plus contact mask."""
+    """Per-pixel penetration depth in mm (0 = undisturbed gel) plus contact
+    mask, each (H, W), or (F, H, W) for a batch of F frames."""
 
     values: np.ndarray
     mask: np.ndarray
@@ -93,39 +94,57 @@ class NormalImage:
 def _trace_lower_envelope(shape: ShapeSDF, object_from_sensor: Pose,
                           xs, ys, z_start: float, z_range: float,
                           tol: float = 1e-5, max_iters: int = 200):
-    """Sphere-trace along +z from z_start; returns (hit, z_surf) per pixel.
+    """Sphere-trace along sensor +z from z_start; returns (hit, z_surf) per
+    pixel, shaped as the batch of `object_from_sensor` followed by xs.shape.
 
-    Pixels whose start point is already inside the object are reported as
-    hits at z_start.
+    `object_from_sensor` is one pose or a batch of F poses, as in
+    `geometry`; one pose is a batch of one.  Each frame's rays are
+    evaluated once on its own full grid, and pixels whose start point is
+    already inside the object are hits at z_start.  The other rays of all
+    frames then march together, each along its own frame's +z, stepping
+    t += d until d <= tol.  A ray retires once t reaches z_range, before it
+    is evaluated there, or after `max_iters` steps.
     """
+    rotations = object_from_sensor.rotation.reshape(-1, 3, 3)
+    translations = object_from_sensor.translation.reshape(-1, 3)
+    out_shape = object_from_sensor.rotation.shape[:-2] + xs.shape
     n = xs.size
     pts_sensor = np.column_stack([xs.ravel(), ys.ravel(), np.full(n, z_start)])
-    rot = object_from_sensor.rotation
-    trans = object_from_sensor.translation
-    step_dir = rot[:, 2]  # sensor +z expressed in the object frame
+    hit = np.zeros(len(rotations) * n, dtype=bool)
+    t = np.zeros(len(rotations) * n)
 
-    # Only the live rays are marched: their grid indices, points, distances
-    # and travel are kept in compact arrays, in grid order, and a ray leaves
-    # them once it hits or runs past z_range.
-    pts = pts_sensor @ rot.T + trans
-    d = shape.sdf(pts)
-    hit = d <= tol
-    t = np.zeros(n)
-    live = np.flatnonzero(~hit & (t < z_range))
-    pts, d, t_live = pts[live], d[live], t[live]
+    # Only the live rays are marched: their indices into the frames' grids,
+    # points, distances, travel and step directions are kept in compact
+    # arrays, in grid order, and a ray leaves them once it hits or its next
+    # step would take it to z_range.
+    live, pts, d, dirs = [], [], [], []
+    for f, (rot, trans) in enumerate(zip(rotations, translations)):
+        grid_pts = pts_sensor @ rot.T + trans
+        grid_d = shape.sdf(grid_pts)
+        grid_hit = grid_d <= tol
+        hit[f * n:(f + 1) * n] = grid_hit
+        keep = np.flatnonzero(~grid_hit & (grid_d < z_range))
+        live.append(keep + f * n)
+        pts.append(grid_pts.take(keep, axis=0))
+        d.append(grid_d[keep])
+        # sensor +z expressed in the object frame
+        dirs.append(np.broadcast_to(rot[:, 2], (keep.size, 3)))
+    live, pts, d, dirs = (np.concatenate(a) for a in (live, pts, d, dirs))
+    t_live = np.zeros(live.size)
     for _ in range(max_iters):
         if not live.size:
             break
         t_live += d
-        pts += d[:, None] * step_dir
+        pts += d[:, None] * dirs
         d = shape.sdf(pts)
         newly_hit = d <= tol
         hit[live[newly_hit]] = True
         t[live[newly_hit]] = t_live[newly_hit]
-        keep = ~newly_hit & (t_live < z_range)
-        live, pts, d, t_live = live[keep], pts[keep], d[keep], t_live[keep]
+        keep = np.flatnonzero(~newly_hit & (t_live + d < z_range))
+        live, d, t_live = live[keep], d[keep], t_live[keep]
+        pts, dirs = pts.take(keep, axis=0), dirs.take(keep, axis=0)
     z_surf = np.where(hit, z_start + t, np.nan)
-    return hit.reshape(xs.shape), z_surf.reshape(xs.shape)
+    return hit.reshape(out_shape), z_surf.reshape(out_shape)
 
 
 def render_depth(shape: ShapeSDF, object_pose: Pose, sensor_pose: Pose,
@@ -134,6 +153,10 @@ def render_depth(shape: ShapeSDF, object_pose: Pose, sensor_pose: Pose,
 
     Depth is found by sphere tracing the SDF along the gel normal, clamped
     to [0, max_indent]; the mask marks pixels with positive penetration.
+    `sensor_pose` is one pose, giving (H, W) depth and mask, or a batch of
+    F poses, giving (F, H, W), all traced together.  The trace starts
+    max_indent + 0.1 mm below the gel plane and retires a ray once it
+    reaches the plane, where its penetration would clamp to 0.
     """
     xs, ys = gel.pixel_centers()
     margin = 0.1
@@ -161,9 +184,17 @@ def depth_to_normals(depth: DepthImage, gel: GelConfig) -> NormalImage:
     """
     z = depth.values
     zy, zx = np.gradient(z, gel.pitch_y, gel.pitch_x)
-    normals = np.dstack([zx, zy, np.ones_like(z)])
-    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    norm = np.sqrt(zx * zx + zy * zy + 1.0)
+    normals = np.dstack([zx / norm, zy / norm, 1.0 / norm])
     return NormalImage(values=normals, mask=depth.mask.copy())
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of each row of two (N, 3) arrays, with the same
+    arithmetic as `np.cross` and without its per-call overhead."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                            a0 * b1 - a1 * b0])
 
 
 def perturb_normals(normals: NormalImage, sigma: float, seed: int) -> NormalImage:
@@ -188,16 +219,16 @@ def perturb_normals(normals: NormalImage, sigma: float, seed: int) -> NormalImag
     ref = np.zeros_like(n)
     smallest = np.argmin(np.abs(n), axis=1)
     ref[np.arange(len(n)), smallest] = 1.0
-    u = np.cross(n, ref)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(n, u)
+    u = _cross(n, ref)
+    u /= _row_norm(u)[:, None]
+    v = _cross(n, u)
 
     axis = np.cos(phis)[:, None] * u + np.sin(phis)[:, None] * v
     # Rodrigues rotation of n about a perpendicular axis by `angles`.
     c = np.cos(angles)[:, None]
     s = np.sin(angles)[:, None]
-    rotated = n * c + np.cross(axis, n) * s
-    rotated /= np.linalg.norm(rotated, axis=1, keepdims=True)
+    rotated = n * c + _cross(axis, n) * s
+    rotated /= _row_norm(rotated)[:, None]
     out[normals.mask] = rotated
     return NormalImage(out, normals.mask.copy())
 

@@ -228,9 +228,12 @@ class TestRenderDepth:
 
 
 def _full_grid_trace(shape, object_from_sensor, xs, ys, z_start, z_range,
-                     tol=1e-5, max_iters=200):
-    """Reference sphere trace that masks every ray of the grid on every
-    iteration; `_trace_lower_envelope` must match it bit for bit."""
+                     tol=1e-5, max_iters=200, retire_at_range=False):
+    """Reference sphere trace of one pose that masks every ray of the grid
+    on every iteration.  A ray is evaluated once more after its travel
+    reaches z_range, as in `_lowest_hit`, which must match it; with
+    `retire_at_range` it retires unevaluated there, as in
+    `_trace_lower_envelope`, which must then match it bit for bit."""
     n = xs.size
     pts_sensor = np.column_stack([xs.ravel(), ys.ravel(), np.full(n, z_start)])
     rot = object_from_sensor.rotation
@@ -238,8 +241,12 @@ def _full_grid_trace(shape, object_from_sensor, xs, ys, z_start, z_range,
     pts = pts_sensor @ rot.T + object_from_sensor.translation
     t = np.zeros(n)
     d = shape.sdf(pts)
+
+    def in_range():
+        return (t + d if retire_at_range else t) < z_range
+
     hit = d <= tol
-    active = ~hit & (t < z_range)
+    active = ~hit & in_range()
     for _ in range(max_iters):
         if not active.any():
             break
@@ -249,9 +256,22 @@ def _full_grid_trace(shape, object_from_sensor, xs, ys, z_start, z_range,
         d[active] = shape.sdf(pts[active])
         newly_hit = active & (d <= tol)
         hit |= newly_hit
-        active &= ~newly_hit & (t < z_range)
+        active &= ~newly_hit & in_range()
     z_surf = np.where(hit, z_start + t, np.nan)
     return hit.reshape(xs.shape), z_surf.reshape(xs.shape)
+
+
+def _per_frame_depth(shape, sensor, gel):
+    """`render_depth` of one sensor pose (object at the origin) as it was
+    before the trace retired rays at z_range: every ray is evaluated once
+    more past the range, and a hit there clamps to depth 0."""
+    xs, ys = gel.pixel_centers()
+    z_range = gel.max_indent + 0.1
+    hit, z_surf = _full_grid_trace(shape, sensor, xs, ys, -z_range, z_range)
+    depth = np.where(hit, np.clip(-z_surf, 0.0, gel.max_indent), 0.0)
+    mask = depth > 0.0
+    depth[~mask] = 0.0
+    return depth, mask, hit & (z_surf >= 0.0)
 
 
 class _SplitFloor(ShapeSDF):
@@ -311,10 +331,66 @@ class TestTraceLowerEnvelope:
         xs, ys = gel.pixel_centers()
         args = (shape, sensor, xs, ys, -1.6, z_range)
         hit, z_surf = _trace_lower_envelope(*args, max_iters=max_iters)
-        ref_hit, ref_z = _full_grid_trace(*args, max_iters=max_iters)
+        ref_hit, ref_z = _full_grid_trace(*args, max_iters=max_iters,
+                                          retire_at_range=True)
         assert hit.any() and not hit.all()
         np.testing.assert_array_equal(hit, ref_hit)
         assert z_surf.tobytes() == ref_z.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_SHAPES))
+    def test_batch_matches_each_pose_alone(self, gel, name):
+        # The contact pose under three twists, and one 5 mm off the object.
+        shape = DEFAULT_SHAPES[name]
+        base = find_contact_base(shape, gel, 1.25)
+        twists = [[0.0] * 6, [0.05, -0.1, 0.2, 0.5, 0.4, 0.0],
+                  [0.1, 0.2, 0.0, -0.4, 0.3, 0.0], [0.0] * 5 + [-5.0]]
+        poses = [geometry.compose(geometry.exp(np.array(tw)), base)
+                 for tw in twists]
+        batch = Pose.stack(poses)
+        xs, ys = gel.pixel_centers()
+        hits, z_surfs = _trace_lower_envelope(shape, batch, xs, ys, -1.6, 1.6)
+        depths = render_depth(shape, Pose.identity(), batch, gel)
+        assert hits.shape == z_surfs.shape == (4,) + xs.shape
+        assert depths.values.shape == depths.mask.shape == (4,) + xs.shape
+        for k, pose in enumerate(poses):
+            hit, z_surf = _trace_lower_envelope(shape, pose, xs, ys, -1.6, 1.6)
+            depth = render_depth(shape, Pose.identity(), pose, gel)
+            assert hit.shape == depth.values.shape == xs.shape
+            np.testing.assert_array_equal(hits[k], hit)
+            assert z_surfs[k].tobytes() == z_surf.tobytes()
+            assert depths.values[k].tobytes() == depth.values.tobytes()
+            np.testing.assert_array_equal(depths.mask[k], depth.mask)
+        assert depths.mask[:3].any(axis=(1, 2)).all()
+        assert not hits[3].any() and not depths.mask[3].any()
+
+    def test_rays_past_range_onto_a_flat_face(self, gel):
+        # An axis-aligned box face pressed 0.8 mm into part of the gel, then
+        # lifted 0.05 mm and 0.3 mm above the gel plane.  Under the lifted
+        # face each ray's first step takes it past z_range, exactly onto
+        # the face.  Evaluated there, as before, it hits; the hit clamps to
+        # depth 0, so retiring the ray unevaluated keeps every depth.
+        box = Box(half_extents=(5.0, 5.0, 5.0),
+                  offset=Pose(np.eye(3), np.array([0.0, 0.0, 5.0])))
+        poses = [Pose(np.eye(3), np.array([dx, 0.0, dz]))
+                 for dx, dz in ((-6.0, 0.8), (0.0, -0.05), (2.0, -0.3))]
+        xs, ys = gel.pixel_centers()
+        hits, z_surfs = _trace_lower_envelope(box, Pose.stack(poses), xs, ys,
+                                              -1.6, 1.6)
+        depths = render_depth(box, Pose.identity(), Pose.stack(poses), gel)
+        past = []
+        for k, pose in enumerate(poses):
+            ref_hit, ref_z = _full_grid_trace(box, pose, xs, ys, -1.6, 1.6,
+                                              retire_at_range=True)
+            np.testing.assert_array_equal(hits[k], ref_hit)
+            assert z_surfs[k].tobytes() == ref_z.tobytes()
+            depth, mask, past_range = _per_frame_depth(box, pose, gel)
+            assert not hits[k][past_range].any()
+            assert depths.values[k].tobytes() == depth.tobytes()
+            np.testing.assert_array_equal(depths.mask[k], mask)
+            past.append(int(past_range.sum()))
+        assert past[0] == 0 and min(past[1:]) > 500
+        assert depths.mask[0].any() and not depths.mask[0].all()
+        assert not depths.mask[1:].any()
 
 
 class TestContactBase:
@@ -577,10 +653,31 @@ class TestEpisodes:
     def test_contact_break_aborts(self, gel):
         # Sliding far off a small sphere loses contact for good.
         shape = Sphere(radius=2.0)
-        with pytest.raises(EpisodeGenerationError):
+        with pytest.raises(EpisodeGenerationError,
+                           match="consecutive steps at step 9$"):
             generate_episode(shape,
                              TrajectorySpec(steps=10, indent=0.5, length=15.0),
                              gel, NoiseSpec(), seed=0)
+
+    def test_border_steps_dropped(self, gel):
+        # An 8 mm slide carries the sphere's contact onto the image border
+        # for its last three steps; only those are dropped, and every kept
+        # frame holds the depth of its own pose rendered alone.
+        shape = Sphere(radius=6.35)
+        traj = TrajectorySpec(steps=12, indent=1.25, length=8.0)
+        ep = generate_episode(shape, traj, gel, NoiseSpec(), seed=4)
+        assert ep.dropped_steps == [9, 10, 11]
+        kept = [round(fr.timestamp / traj.dt) for fr in ep.frames]
+        assert kept == list(range(9))
+        base = find_contact_base(shape, gel, traj.indent)
+        for k in range(traj.steps):
+            slide = Pose(np.eye(3), [8.0 * k / 11, 0.0, 0.0])
+            depth = render_depth(shape, Pose.identity(),
+                                 geometry.compose(slide, base), gel)
+            assert contact_touches_border(depth.mask) == (k >= 9)
+            if k < 9:
+                assert ep.frames[k].depth_gt.values.tobytes() == \
+                    depth.values.tobytes()
 
     def test_too_few_steps_rejected(self):
         # The spec itself refuses, so no episode can be asked for.
