@@ -70,13 +70,32 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    normals = imageio.read_pfm(args.normals)
-    mask = imageio.read_pgm_mask(args.mask)
-    if normals.ndim != 3 or normals.shape[:2] != mask.shape:
-        raise ConfigError("normal image and mask dimensions disagree")
-    gel = GelConfig(width=mask.shape[1], height=mask.shape[0],
-                    extent_x=args.extent_x, extent_y=args.extent_y)
-    depth, cloud = reconstruct_cloud(NormalImage(values=normals, mask=mask), gel)
+    images = (args.normals, args.mask)
+    extents = {name: getattr(args, name) for name in ("extent_x", "extent_y")
+               if getattr(args, name) is not None}
+    if args.episode is None:
+        if None in images or args.frame is not None:
+            raise ConfigError("reconstruct takes --normals and --mask, or "
+                              "--episode and --frame")
+        normals = imageio.read_pfm(args.normals)
+        mask = imageio.read_pgm_mask(args.mask)
+        if normals.ndim != 3 or normals.shape[:2] != mask.shape:
+            raise ConfigError("normal image and mask dimensions disagree")
+        gel = GelConfig(width=mask.shape[1], height=mask.shape[0], **extents)
+        image = NormalImage(values=normals, mask=mask)
+    else:
+        if images != (None, None) or args.frame is None:
+            raise ConfigError("--episode takes --frame, and neither "
+                              "--normals nor --mask")
+        if extents:
+            raise ConfigError("--episode takes the gel's extents from its "
+                              "episode.json, not --extent-x or --extent-y")
+        episode = load_episode(args.episode)
+        if not 0 <= args.frame < len(episode.frames):
+            raise ConfigError(f"--frame {args.frame} is not in "
+                              f"0..{len(episode.frames) - 1}")
+        gel, image = episode.gel, episode.frames[args.frame].normals
+    depth, cloud = reconstruct_cloud(image, gel)
     imageio.write_pfm(args.out_depth, depth.values)
     imageio.write_ply(args.out_cloud, cloud.points, cloud.normals)
     print(f"reconstructed {len(cloud)} points -> {args.out_cloud}")
@@ -112,12 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct",
                        help="normal image -> depth map and point cloud")
-    p.add_argument("--normals", required=True, help="PFM normal image")
-    p.add_argument("--mask", required=True, help="P5 PGM contact mask")
+    p.add_argument("--normals", help="PFM normal image")
+    p.add_argument("--mask", help="P5 PGM contact mask")
+    p.add_argument("--episode", help="episode directory, instead of "
+                   "--normals and --mask")
+    p.add_argument("--frame", type=int, help="frame index in --episode")
     p.add_argument("--out-depth", required=True, help="output depth PFM")
     p.add_argument("--out-cloud", required=True, help="output ASCII PLY")
-    p.add_argument("--extent-x", type=float, default=20.0)
-    p.add_argument("--extent-y", type=float, default=20.0)
+    p.add_argument("--extent-x", type=float,
+                   help="gel width in mm with --normals (default 20)")
+    p.add_argument("--extent-y", type=float,
+                   help="gel height in mm with --normals (default 20)")
     p.set_defaults(func=cmd_reconstruct)
     return parser
 

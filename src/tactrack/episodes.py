@@ -24,6 +24,9 @@ from .shapes import ShapeSDF, shape_from_descriptor
 
 
 MAX_CONTACT_BREAKS = 2   # consecutive out-of-contact steps an episode survives
+# The version of save_episode's files, part of each cached episode's key:
+# 2 stacks every frame's image of a kind into one file.
+EPISODE_LAYOUT = 2
 
 
 class EpisodeGenerationError(RuntimeError):
@@ -142,8 +145,10 @@ def _lowest_hit(shape: ShapeSDF, xs, ys, z_start: float, z_range: float,
                 k = live[hit][m]
                 if z[m] < best_z or (z[m] == best_z and k < best_k):
                     best_k, best_z = k, z[m]
-            keep = ~hit & (t < z_range) & (z_start + (t + d) <= best_z)
-            live, pts, d, t = live[keep], pts[keep], d[keep], t[keep]
+            keep = np.flatnonzero(
+                ~hit & (t < z_range) & (z_start + (t + d) <= best_z))
+            live, d, t = live.take(keep), d.take(keep), t.take(keep)
+            pts = pts.take(keep, axis=0)
             if not live.size:
                 break
         return best_k, best_z
@@ -249,6 +254,13 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
 
 
 def save_episode(episode: Episode, directory) -> None:
+    """Write `episode` to `directory`: `episode.json` plus one stacked image
+    per kind, `normals.pfm` ((F*H)xWx3), `mask.pgm` ((F*H)xW) and, when
+    every frame has its depth, `depth.pfm` ((F*H)xW), frame i in rows
+    i*H .. (i+1)*H - 1 read top to bottom."""
+    has_depth = [fr.depth_gt is not None for fr in episode.frames]
+    if any(has_depth) != all(has_depth):
+        raise ValueError("save_episode needs a depth for every frame or none")
     os.makedirs(directory, exist_ok=True)
     meta = {
         "seed": episode.seed,
@@ -257,22 +269,20 @@ def save_episode(episode: Episode, directory) -> None:
         "noise": dataclasses.asdict(episode.noise),
         "vision_prior": geometry.to_quat_trans(episode.vision_prior),
         "dropped_steps": episode.dropped_steps,
-        "frames": [],
-    }
-    for i, fr in enumerate(episode.frames):
-        names = {"normals": f"normals_{i:04d}.pfm", "mask": f"mask_{i:04d}.pgm",
-                 "depth": f"depth_{i:04d}.pfm"}
-        imageio.write_pfm(os.path.join(directory, names["normals"]), fr.normals.values)
-        imageio.write_pgm_mask(os.path.join(directory, names["mask"]), fr.normals.mask)
-        if fr.depth_gt is not None:
-            imageio.write_pfm(os.path.join(directory, names["depth"]), fr.depth_gt.values)
-        meta["frames"].append({
+        "frames": [{
             "timestamp": fr.timestamp,
             "object_pose": geometry.to_quat_trans(fr.object_pose),
             "eff_pose": geometry.to_quat_trans(fr.eff_pose),
             "eff_measured": geometry.to_quat_trans(fr.eff_measured),
-            **names,
-        })
+        } for fr in episode.frames],
+    }
+    imageio.write_pfm(os.path.join(directory, "normals.pfm"),
+                      [fr.normals.values for fr in episode.frames])
+    imageio.write_pgm_mask(os.path.join(directory, "mask.pgm"),
+                           [fr.normals.mask for fr in episode.frames])
+    if all(has_depth):
+        imageio.write_pfm(os.path.join(directory, "depth.pfm"),
+                          [fr.depth_gt.values for fr in episode.frames])
     imageio.write_json(os.path.join(directory, "episode.json"), meta)
 
 
@@ -283,8 +293,9 @@ def load_episode(directory) -> Episode:
     list of ints >= 0, a timestamp that is not a finite number, or a pose
     that is not 7 finite numbers with a nonzero quaternion; ValueError
     naming the file for an image that is truncated or whose shape is not
-    the gel's height x width (x 3 for normals).  Images keep the float32
-    values of their files."""
+    the stack of F gel-sized frames, (F*height) x width (x 3 for normals).
+    Each stack is read once and its frames are row slices of it; images
+    keep the float32 values of their files."""
     with open(os.path.join(directory, "episode.json")) as f:
         meta = json.load(f)
 
@@ -297,37 +308,37 @@ def load_episode(directory) -> Episode:
         return require_pose(get(mapping, key, where), f"{where} {key}")
 
     gel = from_mapping(GelConfig, get(meta, "gel"))
-
-    def read(path, reader, shape):
-        data = reader(path)
-        if data.shape != shape:
-            raise ValueError(f"{path} has shape {data.shape}, but the "
-                             f"{gel.height}x{gel.width} gel needs {shape}")
-        return data
-
-    size = (gel.height, gel.width)
     if not get(meta, "frames"):
         raise ConfigError("episode 'frames' lists no frame")
+    count, h = len(meta["frames"]), gel.height
+
+    def read(name, reader, channels=()):
+        path = os.path.join(directory, name)
+        data = reader(path)
+        shape = (count * h, gel.width) + channels
+        if data.shape != shape:
+            raise ValueError(f"{path} has shape {data.shape}, but {count} "
+                             f"frames of the {h}x{gel.width} gel need {shape}")
+        return data
+
+    normals = read("normals.pfm", imageio.read_pfm, (3,))
+    mask = read("mask.pgm", imageio.read_pgm_mask)
+    depth = None
+    if os.path.exists(os.path.join(directory, "depth.pfm")):
+        depth = read("depth.pfm", imageio.read_pfm)
     frames = []
     for i, fr in enumerate(meta["frames"]):
         where = f"episode frame {i}"
-        normals = read(os.path.join(directory, get(fr, "normals", where)),
-                       imageio.read_pfm, size + (3,))
-        mask = read(os.path.join(directory, get(fr, "mask", where)),
-                    imageio.read_pgm_mask, size)
-        depth_path = os.path.join(directory, get(fr, "depth", where))
-        depth = None
-        if os.path.exists(depth_path):
-            values = read(depth_path, imageio.read_pfm, size)
-            depth = DepthImage(values=values, mask=mask.copy())
+        rows = slice(i * h, (i + 1) * h)
         frames.append(Frame(
             timestamp=require(get(fr, "timestamp", where),
                               f"{where} timestamp"),
             object_pose=pose(fr, "object_pose", where),
             eff_pose=pose(fr, "eff_pose", where),
             eff_measured=pose(fr, "eff_measured", where),
-            normals=NormalImage(values=normals, mask=mask),
-            depth_gt=depth))
+            normals=NormalImage(values=normals[rows], mask=mask[rows]),
+            depth_gt=None if depth is None else DepthImage(
+                values=depth[rows], mask=mask[rows].copy())))
     dropped = meta.get("dropped_steps", [])
     if not isinstance(dropped, list):
         raise ConfigError(f"episode dropped_steps must be a list of ints "

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,9 +16,9 @@ import numpy as np
 from . import geometry, imageio
 from .config import ConfigError, from_mapping, read_yaml_mapping, require
 from .geometry import Pose
-from .episodes import (Episode, EpisodeGenerationError, NoiseSpec,
-                       TrajectorySpec, generate_episode, load_episode,
-                       save_episode)
+from .episodes import (EPISODE_LAYOUT, Episode, EpisodeGenerationError,
+                       NoiseSpec, TrajectorySpec, generate_episode,
+                       load_episode, save_episode)
 from .render import GelConfig
 from .shapes import shape_from_descriptor
 from .tracker import (REGISTRATION_FATES, REGISTRATION_KINDS, TrackerConfig,
@@ -141,8 +142,11 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
 
     Returns a map object name -> list of entries, each either an episode
     directory or an {"error": message} record for episodes whose generation
-    failed (the suite continues past them).  ConfigError, before anything
-    is written, if the config lists no objects."""
+    failed (the suite continues past them).  An episode directory is
+    reused when its `cache_key.txt` holds the key of its object, trajectory,
+    gel, noise, seed and `EPISODE_LAYOUT`; one whose marker holds another key
+    is removed whole and generated again.  ConfigError, before anything is
+    written, if the config lists no objects."""
     if not config.objects:
         raise ConfigError("suite config lists no objects")
     episodes = {}
@@ -157,9 +161,11 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
                 {"shape": obj.shape, "traj": dataclasses.asdict(traj),
                  "gel": dataclasses.asdict(config.gel),
                  "noise": dataclasses.asdict(config.noise),
-                 "seed": seed}, sort_keys=True).encode()).hexdigest()
+                 "seed": seed, "layout": EPISODE_LAYOUT},
+                sort_keys=True).encode()).hexdigest()
             marker = os.path.join(directory, "cache_key.txt")
-            if not (os.path.exists(marker)
+            cached = os.path.exists(marker)
+            if not (cached
                     and pathlib.Path(marker).read_text().strip() == cache_key):
                 try:
                     episode = generate_episode(shape, traj, config.gel,
@@ -167,6 +173,8 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
                 except EpisodeGenerationError as err:
                     entries.append({"error": str(err), "seed": seed})
                     continue
+                if cached:
+                    shutil.rmtree(directory)
                 save_episode(episode, directory)
                 with open(marker, "w") as f:
                     f.write(cache_key + "\n")

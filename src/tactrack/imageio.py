@@ -15,6 +15,9 @@ _SPACE = rb"(?:\s|#[^\r\n]*[\r\n])+"
 _PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % ((_SPACE,) * 3))
 # A PFM size line, stripped: width and height.
 _PFM_SIZE = re.compile(rb"(\d+)\s+(\d+)")
+# Rows that read_pfm flips per block: flipping a stack of frames in place
+# holds one block aside, not a second copy of the stack.
+_FLIP_ROWS = 64
 
 
 def write_json(path, record) -> None:
@@ -24,38 +27,63 @@ def write_json(path, record) -> None:
         f.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def write_pfm(path, data: np.ndarray) -> None:
-    """Write a 1- or 3-channel float32 PFM (little-endian, rows bottom-to-top)."""
-    data = np.asarray(data, dtype=np.float32)
-    if data.ndim == 2:
+def _frames(data) -> list:
+    """`data` as a list of frames: a list of images of one shape as given,
+    or one image as a list of one."""
+    frames = data if isinstance(data, list) else [data]
+    shape = np.shape(frames[0])
+    if any(np.shape(frame) != shape for frame in frames):
+        raise ValueError("stacked frames must share one shape")
+    return frames
+
+
+def write_pfm(path, data) -> None:
+    """Write a 1- or 3-channel float32 PFM (little-endian, rows bottom-to-top).
+
+    `data` is one HxW or HxWx3 image, or a list of F such frames stacked top
+    to bottom into one (F*H)xW[x3] image.  Frames are converted and flipped
+    one at a time, so no flipped copy of the whole stack is made.
+    """
+    frames = _frames(data)
+    shape = np.shape(frames[0])
+    if len(shape) == 2:
         header = b"Pf"
-    elif data.ndim == 3 and data.shape[2] == 3:
+    elif len(shape) == 3 and shape[2] == 3:
         header = b"PF"
     else:
         raise ValueError("PFM data must be HxW or HxWx3")
-    h, w = data.shape[:2]
+    h, w = shape[0] * len(frames), shape[1]
     with open(path, "wb") as f:
         f.write(header + b"\n")
         f.write(f"{w} {h}\n".encode())
         f.write(b"-1.0\n")  # negative scale marks little-endian
-        f.write(np.ascontiguousarray(data[::-1]).tobytes())
+        for frame in reversed(frames):
+            f.write(np.asarray(frame, dtype=np.float32)[::-1].tobytes())
 
 
-def _read_exactly(f, size: int, path) -> bytes:
-    """The next `size` bytes of the open file `f`; ValueError naming `path`
-    if it ends sooner."""
-    data = f.read(size)
-    if len(data) < size:
-        raise ValueError(f"{path} is truncated: its pixel data needs {size} "
-                         f"bytes, found {len(data)}")
-    return data
+def _truncated(path, size: int, found: int) -> ValueError:
+    return ValueError(f"{path} is truncated: its pixel data needs {size} "
+                      f"bytes, found {found}")
+
+
+def _flip_rows(data: np.ndarray) -> None:
+    """Reverse the rows of `data` in place, swapping blocks of at most
+    _FLIP_ROWS rows from either end."""
+    top, bottom = 0, len(data)
+    while bottom - top > 1:
+        n = min(_FLIP_ROWS, (bottom - top) // 2)
+        block = data[top:top + n].copy()
+        data[top:top + n] = data[bottom - n:bottom][::-1]
+        data[bottom - n:bottom] = block[::-1]
+        top, bottom = top + n, bottom - n
 
 
 def read_pfm(path) -> np.ndarray:
     """Read a 1- or 3-channel PFM as float32, rows top-to-bottom.  The size
     line must hold two ints > 0, and the scale line a finite nonzero number
     whose sign gives the byte order (negative: little-endian); ValueError
-    naming `path` otherwise, or if the pixel data is truncated."""
+    naming `path` otherwise, or if the pixel data is truncated.  The pixels
+    are read straight into the returned array and flipped there."""
     with open(path, "rb") as f:
         header = f.readline().strip()
         if header not in (b"PF", b"Pf"):
@@ -72,21 +100,26 @@ def read_pfm(path) -> np.ndarray:
         if not (math.isfinite(value) and value != 0):
             raise ValueError(f"PFM scale {scale!r} is not a finite nonzero "
                              f"number: {path}")
-        channels = 3 if header == b"PF" else 1
-        count = w * h * channels
-        dtype = "<f4" if value < 0 else ">f4"
-        data = np.frombuffer(_read_exactly(f, count * 4, path), dtype=dtype)
-    shape = (h, w, 3) if channels == 3 else (h, w)
-    return np.ascontiguousarray(data.reshape(shape)[::-1], dtype=np.float32)
+        shape = (h, w, 3) if header == b"PF" else (h, w)
+        data = np.empty(shape, dtype="<f4" if value < 0 else ">f4")
+        found = f.readinto(data.reshape(-1).view(np.uint8))
+        if found < data.nbytes:
+            raise _truncated(path, data.nbytes, found)
+    _flip_rows(data)
+    return data.astype(np.float32, copy=False)
 
 
-def write_pgm_mask(path, mask: np.ndarray) -> None:
-    """Write a boolean mask as binary P5 PGM (255 inside the mask)."""
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
+def write_pgm_mask(path, mask) -> None:
+    """Write a boolean mask as binary P5 PGM (255 inside the mask).  `mask`
+    is one HxW mask, or a list of F such frames stacked top to bottom into
+    one (F*H)xW image."""
+    frames = _frames(mask)
+    h, w = np.shape(frames[0])
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write((mask.astype(np.uint8) * 255).tobytes())
+        f.write(f"P5\n{w} {h * len(frames)}\n255\n".encode())
+        for frame in frames:
+            f.write((np.asarray(frame, dtype=bool).astype(np.uint8) * 255)
+                    .tobytes())
 
 
 def read_pgm_mask(path) -> np.ndarray:
@@ -94,14 +127,17 @@ def read_pgm_mask(path) -> np.ndarray:
     (`_PGM_HEADER`) as a boolean mask: a pixel is inside where its value is
     above half the maxval."""
     with open(path, "rb") as f:
-        header = _PGM_HEADER.match(f.read())
-        if header is None:
-            raise ValueError(f"not a binary PGM file: {path}")
-        w, h, maxval = (int(v) for v in header.groups())
-        if not 1 <= maxval <= 255:
-            raise ValueError(f"PGM maxval {maxval} is not in 1..255: {path}")
-        f.seek(header.end())
-        data = np.frombuffer(_read_exactly(f, w * h, path), dtype=np.uint8)
+        raw = f.read()
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"not a binary PGM file: {path}")
+    w, h, maxval = (int(v) for v in header.groups())
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"PGM maxval {maxval} is not in 1..255: {path}")
+    found = len(raw) - header.end()
+    if found < w * h:
+        raise _truncated(path, w * h, found)
+    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=header.end())
     return data.reshape(h, w) > maxval // 2
 
 

@@ -36,8 +36,9 @@ class TestSimulate:
         assert main(["simulate", "--config", str(suite_yaml),
                      "--out", str(out)]) == 0
         ep = out / "sphere" / "ep0000"
-        assert (ep / "episode.json").exists()
-        assert (ep / "normals_0000.pfm").exists()
+        assert sorted(p.name for p in ep.iterdir()) == [
+            "cache_key.txt", "depth.pfm", "episode.json", "mask.pgm",
+            "normals.pfm"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["objects"] == {"sphere": 1}
 
@@ -317,7 +318,7 @@ class TestPipeline:
         # the file named.
         episodes = tmp_path / "episodes"
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
-        image = episodes / "sphere" / "ep0000" / "normals_0002.pfm"
+        image = episodes / "sphere" / "ep0000" / "normals.pfm"
         image.write_bytes(image.read_bytes()[:-100])
         capsys.readouterr()
         assert main(["track", "--episode", str(image.parent),
@@ -339,7 +340,7 @@ class TestPipeline:
             main(["track", "--episode", str(episodes / "sphere" / "ep0000"),
                   "--mode", "constvel", "--out", str(run)])
             outputs.append((
-                (episodes / "sphere" / "ep0000" / "normals_0000.pfm").read_bytes(),
+                (episodes / "sphere" / "ep0000" / "normals.pfm").read_bytes(),
                 (run / "trajectory.json").read_bytes(),
                 (run / "metrics.json").read_bytes()))
         assert outputs[0] == outputs[1]
@@ -347,27 +348,70 @@ class TestPipeline:
 
 class TestReconstruct:
     def test_reconstruct_episode_frame(self, suite_yaml, tmp_path):
+        # --episode takes the gel from episode.json: the depth is that of
+        # reconstructing the loaded frame with the episode's own gel.
+        from tactrack.imageio import read_pfm, read_ply, write_pfm
+        from tactrack.reconstruct import reconstruct_cloud
+
         episodes = tmp_path / "episodes"
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
         ep = episodes / "sphere" / "ep0000"
-        gel = json.loads((ep / "episode.json").read_text())["gel"]
-        depth_out = tmp_path / "depth.pfm"
-        cloud_out = tmp_path / "cloud.ply"
-        assert main(["reconstruct",
-                     "--normals", str(ep / "normals_0000.pfm"),
-                     "--mask", str(ep / "mask_0000.pgm"),
-                     "--out-depth", str(depth_out),
-                     "--out-cloud", str(cloud_out),
-                     "--extent-x", str(gel["extent_x"]),
-                     "--extent-y", str(gel["extent_y"])]) == 0
-        from tactrack.imageio import read_pfm, read_ply
+        loaded = load_episode(ep)
+        for frame in (0, len(loaded.frames) - 1):
+            depth_out = tmp_path / f"depth{frame}.pfm"
+            cloud_out = tmp_path / f"cloud{frame}.ply"
+            assert main(["reconstruct", "--episode", str(ep),
+                         "--frame", str(frame),
+                         "--out-depth", str(depth_out),
+                         "--out-cloud", str(cloud_out)]) == 0
+            depth, _ = reconstruct_cloud(loaded.frames[frame].normals,
+                                         loaded.gel)
+            write_pfm(tmp_path / "want.pfm", depth.values)
+            assert depth_out.read_bytes() == \
+                (tmp_path / "want.pfm").read_bytes()
+            assert read_pfm(depth_out).shape == (loaded.gel.height,
+                                                 loaded.gel.width)
+            points, normals = read_ply(cloud_out)
+            assert len(points) == len(normals) > 0
 
-        depth = read_pfm(depth_out)
-        points, normals = read_ply(cloud_out)
-        assert depth.shape == tuple(
-            json.loads((ep / "episode.json").read_text())["gel"][k]
-            for k in ("height", "width"))
-        assert len(points) == len(normals) > 0
+    @pytest.mark.parametrize("extra", [
+        pytest.param(["--frame", "4"], id="frame_past_end"),
+        pytest.param(["--frame", "-1"], id="negative_frame"),
+        pytest.param([], id="no_frame"),
+        pytest.param(["--frame", "0", "--extent-x", "20"], id="extent_x"),
+        pytest.param(["--frame", "0", "--extent-y", "20"], id="extent_y"),
+        pytest.param(["--frame", "0", "--normals", "n.pfm"], id="normals"),
+        pytest.param(["--frame", "0", "--mask", "m.pgm"], id="mask"),
+    ])
+    def test_reconstruct_episode_misuse_exit_2(self, suite_yaml, tmp_path,
+                                               capsys, extra):
+        # The 4-step episode keeps frames 0..3.  Each misuse exits 2 with
+        # its option named, before anything is written.
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        assert len(load_episode(episodes / "sphere" / "ep0000").frames) == 4
+        capsys.readouterr()
+        assert main(["reconstruct",
+                     "--episode", str(episodes / "sphere" / "ep0000"),
+                     "--out-depth", str(tmp_path / "d.pfm"),
+                     "--out-cloud", str(tmp_path / "c.ply")] + extra) == 2
+        err = capsys.readouterr().err
+        assert (extra[-2] if extra else "--frame") in err
+        assert not (tmp_path / "d.pfm").exists()
+        assert not (tmp_path / "c.ply").exists()
+
+    def test_reconstruct_frame_without_episode_exit_2(self, tmp_path):
+        from tactrack.imageio import write_pfm, write_pgm_mask
+
+        write_pfm(tmp_path / "n.pfm", np.zeros((4, 4, 3), dtype=np.float32))
+        write_pgm_mask(tmp_path / "m.pgm", np.zeros((4, 4), dtype=bool))
+        for args in (["--normals", str(tmp_path / "n.pfm"), "--mask",
+                      str(tmp_path / "m.pgm"), "--frame", "0"],
+                     ["--normals", str(tmp_path / "n.pfm")]):
+            assert main(["reconstruct", *args,
+                         "--out-depth", str(tmp_path / "d.pfm"),
+                         "--out-cloud", str(tmp_path / "c.ply")]) == 2
+            assert not (tmp_path / "d.pfm").exists()
 
     @pytest.mark.parametrize("extent", [["--extent-x", "-1"],
                                         ["--extent-y", "0"]])

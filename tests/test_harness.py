@@ -1,9 +1,12 @@
 """Suite orchestration: config parsing, aggregation, reports, determinism."""
 
 import collections
+import dataclasses
 import gc
+import hashlib
 import importlib.resources as resources
 import json
+import os
 import warnings
 
 import jsonschema
@@ -11,7 +14,8 @@ import numpy as np
 import pytest
 
 from tactrack import geometry, harness, imageio
-from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
+from tactrack.episodes import (NoiseSpec, TrajectorySpec, generate_episode,
+                               load_episode)
 from tactrack.geometry import Pose
 from tactrack.harness import (ConfigError, SuiteConfig, SuiteObject,
                               boxplot_stats, default_suite_config,
@@ -351,6 +355,51 @@ class TestRunSuite:
         stamp = marker.stat().st_mtime_ns
         run_suite(cfg, tmp_path / "suite")
         assert marker.stat().st_mtime_ns == stamp
+
+    def test_per_frame_layout_cache_regenerated(self, tmp_path):
+        # A directory left by the earlier layout, one image file per frame
+        # and kind, carries a marker whose key lacks the layout: it is
+        # replaced whole by the stacked layout, which then loads.
+        cfg = tiny_config(episodes_per_object=1)
+        traj, seed = cfg.trajectories[0], episode_seed(cfg, 0, 0)
+        old = tmp_path / "episodes" / "sphere" / "ep0000"
+        old.mkdir(parents=True)
+        ep = generate_episode(Sphere(radius=6.35), traj, cfg.gel, cfg.noise,
+                              seed)
+        frames = []
+        for i, fr in enumerate(ep.frames):
+            names = {"normals": f"normals_{i:04d}.pfm",
+                     "mask": f"mask_{i:04d}.pgm", "depth": f"depth_{i:04d}.pfm"}
+            imageio.write_pfm(old / names["normals"], fr.normals.values)
+            imageio.write_pgm_mask(old / names["mask"], fr.normals.mask)
+            imageio.write_pfm(old / names["depth"], fr.depth_gt.values)
+            frames.append({"timestamp": fr.timestamp, **names, **{
+                key: geometry.to_quat_trans(getattr(fr, key))
+                for key in ("object_pose", "eff_pose", "eff_measured")}})
+        imageio.write_json(old / "episode.json", {
+            "seed": seed, "shape": SPHERE,
+            "gel": dataclasses.asdict(cfg.gel),
+            "noise": dataclasses.asdict(cfg.noise),
+            "vision_prior": geometry.to_quat_trans(ep.vision_prior),
+            "dropped_steps": ep.dropped_steps, "frames": frames})
+        old_key = hashlib.sha256(json.dumps(
+            {"shape": SPHERE, "traj": dataclasses.asdict(traj),
+             "gel": dataclasses.asdict(cfg.gel),
+             "noise": dataclasses.asdict(cfg.noise), "seed": seed},
+            sort_keys=True).encode()).hexdigest()
+        (old / "cache_key.txt").write_text(old_key + "\n")
+
+        entries = generate_suite_episodes(cfg, tmp_path / "episodes")
+        assert entries == {"sphere": [str(old)]}
+        assert sorted(os.listdir(old)) == ["cache_key.txt", "depth.pfm",
+                                           "episode.json", "mask.pgm",
+                                           "normals.pfm"]
+        assert (old / "cache_key.txt").read_text().strip() != old_key
+        loaded = load_episode(old)
+        assert len(loaded.frames) == len(ep.frames)
+        for got, want in zip(loaded.frames, ep.frames):
+            assert got.normals.values.tobytes() == \
+                want.normals.values.astype(np.float32).tobytes()
 
     def test_cached_generation_closes_files(self, tmp_path):
         cfg = tiny_config(episodes_per_object=1)

@@ -77,6 +77,45 @@ class TestPFM:
         assert (tmp_path / "a.pfm").read_bytes() == (tmp_path / "b.pfm").read_bytes()
 
 
+    @pytest.mark.parametrize("shape, magic", [((3, 4), b"Pf"),
+                                              ((3, 4, 3), b"PF")])
+    def test_single_image_header_and_row_order(self, tmp_path, shape, magic):
+        # Header lines, then little-endian float32 rows from the bottom up.
+        data = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) / 7
+        path = tmp_path / "image.pfm"
+        write_pfm(path, data)
+        rows = b"".join(data[r].astype("<f4").tobytes() for r in (2, 1, 0))
+        assert path.read_bytes() == magic + b"\n4 3\n-1.0\n" + rows
+
+    @pytest.mark.parametrize("frames, height", [(1, 5), (3, 64), (5, 27)])
+    def test_stack_is_the_concatenated_image(self, tmp_path, frames, height):
+        # A list of frames writes the bytes of their top-to-bottom stack,
+        # and reads back as it; the row counts straddle read_pfm's flip
+        # blocks, odd and even.
+        rng = np.random.default_rng(frames)
+        stack = [rng.normal(size=(height, 4, 3)) for _ in range(frames)]
+        write_pfm(tmp_path / "stack.pfm", stack)
+        write_pfm(tmp_path / "whole.pfm", np.concatenate(stack))
+        assert (tmp_path / "stack.pfm").read_bytes() == \
+            (tmp_path / "whole.pfm").read_bytes()
+        got = read_pfm(tmp_path / "stack.pfm")
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(
+            got, np.concatenate(stack).astype(np.float32))
+
+    def test_frames_of_different_shapes_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="one shape"):
+            write_pfm(tmp_path / "bad.pfm", [np.zeros((4, 4)), np.zeros((5, 4))])
+
+    def test_big_endian_read(self, tmp_path):
+        data = np.arange(130 * 3, dtype=np.float32).reshape(130, 3)
+        path = tmp_path / "big.pfm"
+        path.write_bytes(b"Pf\n3 130\n1.0\n" + data[::-1].astype(">f4").tobytes())
+        got = read_pfm(path)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, data)
+
+
 class TestPGM:
     def test_mask_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -118,6 +157,16 @@ class TestPGM:
             read_pgm_mask(path)
         assert str(path) in str(err.value)
         assert "needs 64 bytes, found 59" in str(err.value)
+
+    def test_stack_is_the_concatenated_mask(self, tmp_path):
+        rng = np.random.default_rng(5)
+        stack = [rng.uniform(size=(6, 7)) > 0.5 for _ in range(3)]
+        write_pgm_mask(tmp_path / "stack.pgm", stack)
+        write_pgm_mask(tmp_path / "whole.pgm", np.concatenate(stack))
+        assert (tmp_path / "stack.pgm").read_bytes() == \
+            (tmp_path / "whole.pgm").read_bytes()
+        np.testing.assert_array_equal(read_pgm_mask(tmp_path / "stack.pgm"),
+                                      np.concatenate(stack))
 
     # Netpbm headers: values separated by any whitespace, '#' comments
     # between them, and one whitespace byte before the raster.

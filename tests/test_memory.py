@@ -72,9 +72,7 @@ CLI_FIRST_USE = textwrap.dedent("""
         episode = os.path.join(directory, "episode")
         save_episode(three_frame_episode(), episode)
         runs = os.path.join(directory, "runs", "sphere", "ep0000")
-        assert main(["reconstruct",
-                     "--normals", os.path.join(episode, "normals_0001.pfm"),
-                     "--mask", os.path.join(episode, "mask_0001.pgm"),
+        assert main(["reconstruct", "--episode", episode, "--frame", "1",
                      "--out-depth", os.path.join(directory, "depth.pfm"),
                      "--out-cloud", os.path.join(directory, "cloud.ply")]) == 0
         assert main(["track", "--episode", episode, "--mode", "constvel",

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -629,25 +630,24 @@ class TestEpisodes:
         np.testing.assert_allclose(loaded.vision_prior.matrix(),
                                    ep.vision_prior.matrix(), atol=1e-6)
 
-    @pytest.mark.parametrize("name, data", [
-        pytest.param("mask_0003.pgm", np.ones((32, 32), dtype=bool),
-                     id="small_mask"),
-        pytest.param("normals_0003.pfm", np.ones((64, 64)),
-                     id="one_channel_normals"),
-        pytest.param("normals_0003.pfm", np.ones((64, 32, 3)),
-                     id="narrow_normals"),
-        pytest.param("depth_0003.pfm", np.ones((64, 65)), id="wide_depth"),
+    # Each stack is misshapen for the episode's 4 frames of 64 x 64.
+    @pytest.mark.parametrize("name, shape", [
+        pytest.param("mask.pgm", (4 * 64 - 32, 64), id="small_mask"),
+        pytest.param("normals.pfm", (4 * 64, 64), id="one_channel_normals"),
+        pytest.param("normals.pfm", (4 * 64, 32, 3), id="narrow_normals"),
+        pytest.param("depth.pfm", (4 * 64, 65), id="wide_depth"),
     ])
-    def test_load_rejects_a_misshapen_image(self, gel, tmp_path, name, data):
+    def test_load_rejects_a_misshapen_image(self, gel, tmp_path, name, shape):
         ep = generate_episode(Sphere(radius=6.35),
                               TrajectorySpec(steps=4, indent=1.0, length=1.0),
                               gel, NoiseSpec(), seed=5)
+        assert len(ep.frames) == 4
         save_episode(ep, tmp_path)
-        if name.startswith("mask"):
-            imageio.write_pgm_mask(tmp_path / name, data)
+        if name == "mask.pgm":
+            imageio.write_pgm_mask(tmp_path / name, np.ones(shape, dtype=bool))
         else:
-            imageio.write_pfm(tmp_path / name, data)
-        with pytest.raises(ValueError, match=name):
+            imageio.write_pfm(tmp_path / name, np.ones(shape))
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path / name))):
             load_episode(tmp_path)
 
     def test_contact_break_aborts(self, gel):
@@ -678,6 +678,49 @@ class TestEpisodes:
             if k < 9:
                 assert ep.frames[k].depth_gt.values.tobytes() == \
                     depth.values.tobytes()
+
+    def test_save_load_round_trip_is_bit_exact(self, gel, tmp_path):
+        # The 8 mm slide drops steps 9-11, so the stack holds frames 0-8.
+        # Every loaded frame is its rows of each stack and holds the float32
+        # values of the generated frame; saving what was loaded writes the
+        # same images again.
+        ep = generate_episode(Sphere(radius=6.35),
+                              TrajectorySpec(steps=12, indent=1.25, length=8.0),
+                              gel, NoiseSpec(), seed=4)
+        assert ep.dropped_steps == [9, 10, 11]
+        save_episode(ep, tmp_path / "a")
+        assert sorted(os.listdir(tmp_path / "a")) == [
+            "depth.pfm", "episode.json", "mask.pgm", "normals.pfm"]
+        loaded = load_episode(tmp_path / "a")
+        assert len(loaded.frames) == len(ep.frames) == 9
+        assert loaded.dropped_steps == [9, 10, 11]
+        for got, want in zip(loaded.frames, ep.frames):
+            for image, reference in [(got.normals, want.normals),
+                                     (got.depth_gt, want.depth_gt)]:
+                assert image.values.dtype == np.float32
+                assert image.values.tobytes() == \
+                    reference.values.astype(np.float32).tobytes()
+                assert image.mask.dtype == bool
+                assert image.mask.tobytes() == want.normals.mask.tobytes()
+        save_episode(loaded, tmp_path / "b")
+        for name in ("depth.pfm", "mask.pgm", "normals.pfm"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
+    def test_depth_is_optional_per_episode(self, gel, tmp_path):
+        ep = generate_episode(Sphere(radius=6.35),
+                              TrajectorySpec(steps=4, indent=1.0, length=1.0),
+                              gel, NoiseSpec(), seed=5)
+        for frame in ep.frames:
+            frame.depth_gt = None
+        save_episode(ep, tmp_path)
+        assert not (tmp_path / "depth.pfm").exists()
+        assert all(fr.depth_gt is None for fr in load_episode(tmp_path).frames)
+        ep.frames[0].depth_gt = DepthImage(values=np.zeros((64, 64)),
+                                           mask=ep.frames[0].normals.mask)
+        with pytest.raises(ValueError, match="every frame or none"):
+            save_episode(ep, tmp_path / "mixed")
+        assert not (tmp_path / "mixed").exists()
 
     def test_too_few_steps_rejected(self):
         # The spec itself refuses, so no episode can be asked for.
