@@ -41,11 +41,14 @@ def require_pose(value, what) -> geometry.Pose:
     """The pose that `value` serializes as [qw qx qy qz tx ty tz], or
     ConfigError naming `what`."""
     try:
-        return geometry.from_quat_trans(value)
+        pose = geometry.from_quat_trans(value)
+        if pose.translation.shape != (3,):
+            raise ValueError("a batch of poses")
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{what} must be 7 finite numbers [qw qx qy qz tx "
                           f"ty tz] with a nonzero quaternion, got {value!r}"
                           ) from err
+    return pose
 
 
 def from_mapping(cls, data):

@@ -27,6 +27,8 @@ MAX_CONTACT_BREAKS = 2   # consecutive out-of-contact steps an episode survives
 # The version of save_episode's files, part of each cached episode's key:
 # 2 stacks every frame's image of a kind into one file.
 EPISODE_LAYOUT = 2
+# The poses each frame of episode.json holds, in the order it lists them.
+POSE_KINDS = ("object_pose", "eff_pose", "eff_measured")
 
 
 class EpisodeGenerationError(RuntimeError):
@@ -196,20 +198,25 @@ def _trajectory_delta(traj: TrajectorySpec, frac: float, direction: float,
 
 
 def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig,
-                     noise: NoiseSpec, seed: int) -> Episode:
+                     noise: NoiseSpec, seed: int, *, base: Pose | None = None
+                     ) -> Episode:
     """Simulate one contact episode; deterministic for a fixed seed.
 
-    Every step's sensor pose is rendered in one `render_depth` call.  Frames
-    whose contact region touches the image border are dropped, as the
-    Poisson boundary condition cannot handle them.  More than
+    Every step's sensor pose is rendered in one `render_depth` call, and
+    the kept frames' normals are computed and perturbed as one stack.
+    Frames whose contact region touches the image border are dropped, as
+    the Poisson boundary condition cannot handle them.  More than
     MAX_CONTACT_BREAKS consecutive out-of-contact steps abort generation.
+    `base` is `find_contact_base(shape, gel, trajectory.indent)`, found
+    here unless the caller already has it.
     """
     rng = np.random.default_rng(seed)
     direction = (np.deg2rad(trajectory.direction_deg)
                  if trajectory.direction_deg is not None
                  else rng.uniform(0.0, 2.0 * np.pi))
 
-    base = find_contact_base(shape, gel, trajectory.indent)
+    if base is None:
+        base = find_contact_base(shape, gel, trajectory.indent)
     contact_center = base.translation - np.array([0.0, 0.0, trajectory.indent])
     object_pose = Pose.identity()
 
@@ -218,13 +225,15 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
         frac = k / max(trajectory.steps - 1, 1)
         delta = _trajectory_delta(trajectory, frac, direction, contact_center)
         effs.append(geometry.compose(delta, base))
-    depths = render_depth(shape, object_pose, Pose.stack(effs), gel)
+    effs = Pose.stack(effs)
+    depths = render_depth(shape, object_pose, effs, gel)
 
-    frames, dropped = [], []
+    # Per kept frame, the generator draws the frame's normal-noise seed,
+    # then its end-effector noise.
+    kept, dropped, seeds, eff_noise = [], [], [], []
     consecutive_breaks = 0
-    for k, eff in enumerate(effs):
-        depth = DepthImage(values=depths.values[k], mask=depths.mask[k])
-        if not depth.mask.any():
+    for k, mask in enumerate(depths.mask):
+        if not mask.any():
             consecutive_breaks += 1
             if consecutive_breaks > MAX_CONTACT_BREAKS:
                 raise EpisodeGenerationError(
@@ -232,20 +241,27 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
                     f"consecutive steps at step {k}")
         else:
             consecutive_breaks = 0
-        if contact_touches_border(depth.mask):
+        if contact_touches_border(mask):
             dropped.append(k)
             continue
-        normals = depth_to_normals(depth, gel)
-        normals = perturb_normals(normals, noise.normal_sigma,
-                                  seed=int(rng.integers(0, 2**31 - 1)))
-        eff_measured = geometry.oplus(eff, _sample_pose_noise(
+        kept.append(k)
+        seeds.append(int(rng.integers(0, 2**31 - 1)))
+        eff_noise.append(_sample_pose_noise(
             rng, noise.eff_sigma_rot, noise.eff_sigma_trans))
-        frames.append(Frame(timestamp=k * trajectory.dt, object_pose=object_pose,
-                            eff_pose=eff, eff_measured=eff_measured,
-                            normals=normals, depth_gt=depth))
-    if len(frames) < 3:
+    if len(kept) < 3:
         raise EpisodeGenerationError(
-            f"only {len(frames)} usable frames after border filtering")
+            f"only {len(kept)} usable frames after border filtering")
+    if dropped:
+        depths = DepthImage(values=depths.values[kept], mask=depths.mask[kept])
+        effs = effs[kept]
+    normals = perturb_normals(depth_to_normals(depths, gel),
+                              noise.normal_sigma, seeds)
+    eff_measured = geometry.oplus(effs, np.array(eff_noise))
+    frames = [Frame(timestamp=k * trajectory.dt, object_pose=object_pose,
+                    eff_pose=effs[i], eff_measured=eff_measured[i],
+                    normals=NormalImage(normals.values[i], normals.mask[i]),
+                    depth_gt=DepthImage(depths.values[i], depths.mask[i]))
+              for i, k in enumerate(kept)]
     vision_prior = geometry.oplus(object_pose, _sample_pose_noise(
         rng, noise.vis_sigma_rot, noise.vis_sigma_trans))
     return Episode(frames=frames, vision_prior=vision_prior, noise=noise,
@@ -269,13 +285,13 @@ def save_episode(episode: Episode, directory) -> None:
         "noise": dataclasses.asdict(episode.noise),
         "vision_prior": geometry.to_quat_trans(episode.vision_prior),
         "dropped_steps": episode.dropped_steps,
-        "frames": [{
-            "timestamp": fr.timestamp,
-            "object_pose": geometry.to_quat_trans(fr.object_pose),
-            "eff_pose": geometry.to_quat_trans(fr.eff_pose),
-            "eff_measured": geometry.to_quat_trans(fr.eff_measured),
-        } for fr in episode.frames],
+        "frames": [{"timestamp": fr.timestamp} for fr in episode.frames],
     }
+    for kind in POSE_KINDS:
+        poses = geometry.to_quat_trans(Pose.stack(
+            [getattr(fr, kind) for fr in episode.frames]))
+        for frame, pose in zip(meta["frames"], poses):
+            frame[kind] = pose
     imageio.write_pfm(os.path.join(directory, "normals.pfm"),
                       [fr.normals.values for fr in episode.frames])
     imageio.write_pgm_mask(os.path.join(directory, "mask.pgm"),
@@ -295,7 +311,8 @@ def load_episode(directory) -> Episode:
     naming the file for an image that is truncated or whose shape is not
     the stack of F gel-sized frames, (F*height) x width (x 3 for normals).
     Each stack is read once and its frames are row slices of it; images
-    keep the float32 values of their files."""
+    keep the float32 values of their files.  Each pose kind is parsed in
+    one call, and frames hold rows of the stacked poses."""
     with open(os.path.join(directory, "episode.json")) as f:
         meta = json.load(f)
 
@@ -303,9 +320,6 @@ def load_episode(directory) -> Episode:
         if key not in mapping:
             raise ConfigError(f"{where} has no {key!r}")
         return mapping[key]
-
-    def pose(mapping, key, where="episode"):
-        return require_pose(get(mapping, key, where), f"{where} {key}")
 
     gel = from_mapping(GelConfig, get(meta, "gel"))
     if not get(meta, "frames"):
@@ -326,16 +340,30 @@ def load_episode(directory) -> Episode:
     depth = None
     if os.path.exists(os.path.join(directory, "depth.pfm")):
         depth = read("depth.pfm", imageio.read_pfm)
+    timestamps = [require(get(fr, "timestamp", f"episode frame {i}"),
+                          f"episode frame {i} timestamp")
+                  for i, fr in enumerate(meta["frames"])]
+
+    def poses(kind):
+        values = [get(fr, kind, f"episode frame {i}")
+                  for i, fr in enumerate(meta["frames"])]
+        try:
+            stacked = geometry.from_quat_trans(values)
+        except (TypeError, ValueError):
+            stacked = None
+        # The stack is F poses exactly when every frame holds one.
+        if stacked is None or stacked.translation.shape != (len(values), 3):
+            for i, value in enumerate(values):   # name the first bad frame
+                require_pose(value, f"episode frame {i} {kind}")
+        return stacked
+
+    object_pose, eff_pose, eff_measured = (poses(kind) for kind in POSE_KINDS)
     frames = []
-    for i, fr in enumerate(meta["frames"]):
-        where = f"episode frame {i}"
+    for i, timestamp in enumerate(timestamps):
         rows = slice(i * h, (i + 1) * h)
         frames.append(Frame(
-            timestamp=require(get(fr, "timestamp", where),
-                              f"{where} timestamp"),
-            object_pose=pose(fr, "object_pose", where),
-            eff_pose=pose(fr, "eff_pose", where),
-            eff_measured=pose(fr, "eff_measured", where),
+            timestamp=timestamp, object_pose=object_pose[i],
+            eff_pose=eff_pose[i], eff_measured=eff_measured[i],
             normals=NormalImage(values=normals[rows], mask=mask[rows]),
             depth_gt=None if depth is None else DepthImage(
                 values=depth[rows], mask=mask[rows].copy())))
@@ -344,7 +372,8 @@ def load_episode(directory) -> Episode:
         raise ConfigError(f"episode dropped_steps must be a list of ints "
                           f">= 0, got {dropped!r}")
     return Episode(frames=frames,
-                   vision_prior=pose(meta, "vision_prior"),
+                   vision_prior=require_pose(get(meta, "vision_prior"),
+                                             "episode vision_prior"),
                    noise=from_mapping(NoiseSpec, get(meta, "noise")),
                    shape_descriptor=get(meta, "shape"), gel=gel,
                    seed=require(get(meta, "seed"), "episode seed", 0,

@@ -175,12 +175,6 @@ class Pose:
         """The pose, or the batch of poses, at `index` of the batch."""
         return Pose(self.rotation[index], self.translation[index])
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def transform_points(self, points: np.ndarray) -> np.ndarray:
         """Apply the pose to an (N, 3) array of points."""
         return points @ self.rotation.T + self.translation
@@ -333,20 +327,23 @@ def to_quat_trans(a: Pose) -> list:
 
 
 def from_quat_trans(values) -> Pose:
+    """Inverse of :func:`to_quat_trans`: one [qw qx qy qz tx ty tz], or a
+    sequence of them for a batched Pose.  ValueError unless every pose has
+    7 finite numbers and a nonzero quaternion."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (7,):
+    if values.shape[-1:] != (7,):
         raise ValueError("pose serialization must have 7 numbers [qw qx qy qz tx ty tz]")
-    norm = np.linalg.norm(values[:4])
-    if not (np.isfinite(values).all() and norm > 0):
+    norm = _norm(values[..., :4])
+    if not (np.isfinite(values).all() and (norm > 0).all()):
         raise ValueError("pose serialization must be finite with a nonzero "
                          f"quaternion, got {values.tolist()}")
-    w, x, y, z = values[:4] / norm
-    rot = np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-    return Pose(_reorthonormalize(rot), values[4:].copy())
+    w, x, y, z = np.moveaxis(values[..., :4] / norm[..., None], -1, 0)
+    rot = np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(values.shape[:-1] + (3, 3))
+    return Pose(_reorthonormalize(rot), values[..., 4:].copy())
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -357,8 +354,3 @@ def rot_x(angle: float) -> np.ndarray:
 def rot_y(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=float)
-
-
-def rot_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -17,8 +18,8 @@ from . import geometry, imageio
 from .config import ConfigError, from_mapping, read_yaml_mapping, require
 from .geometry import Pose
 from .episodes import (EPISODE_LAYOUT, Episode, EpisodeGenerationError,
-                       NoiseSpec, TrajectorySpec, generate_episode,
-                       load_episode, save_episode)
+                       NoiseSpec, TrajectorySpec, find_contact_base,
+                       generate_episode, load_episode, save_episode)
 from .render import GelConfig
 from .shapes import shape_from_descriptor
 from .tracker import (REGISTRATION_FATES, REGISTRATION_KINDS, TrackerConfig,
@@ -145,13 +146,17 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
     failed (the suite continues past them).  An episode directory is
     reused when its `cache_key.txt` holds the key of its object, trajectory,
     gel, noise, seed and `EPISODE_LAYOUT`; one whose marker holds another key
-    is removed whole and generated again.  ConfigError, before anything is
-    written, if the config lists no objects."""
+    is removed whole and generated again.  Each object's contact base is
+    found once per trajectory indent, when the first episode that needs it
+    is generated.  ConfigError, before anything is written, if the config
+    lists no objects."""
     if not config.objects:
         raise ConfigError("suite config lists no objects")
     episodes = {}
     for oi, obj in enumerate(config.objects):
         shape = shape_from_descriptor(obj.shape)
+        contact_base = functools.cache(
+            functools.partial(find_contact_base, shape, config.gel))
         entries = []
         for ei in range(config.episodes_per_object):
             seed = episode_seed(config, oi, ei)
@@ -168,8 +173,9 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
             if not (cached
                     and pathlib.Path(marker).read_text().strip() == cache_key):
                 try:
-                    episode = generate_episode(shape, traj, config.gel,
-                                               config.noise, seed)
+                    episode = generate_episode(
+                        shape, traj, config.gel, config.noise, seed,
+                        base=contact_base(traj.indent))
                 except EpisodeGenerationError as err:
                     entries.append({"error": str(err), "seed": seed})
                     continue

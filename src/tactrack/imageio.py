@@ -162,23 +162,3 @@ def write_ply(path, points: np.ndarray, normals: np.ndarray) -> None:
             % tuple(rows.ravel().tolist()))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n" + body)
-
-
-def read_ply(path):
-    with open(path) as f:
-        line = f.readline().strip()
-        if line != "ply":
-            raise ValueError(f"not a PLY file: {path}")
-        count = 0
-        while True:
-            line = f.readline()
-            if not line:
-                raise ValueError(f"PLY header has no end_header: {path}")
-            line = line.strip()
-            if line.startswith("element vertex"):
-                count = int(line.split()[-1])
-            if line == "end_header":
-                break
-        rows = [f.readline().split() for _ in range(count)]
-    data = np.asarray(rows, dtype=float).reshape(count, 6)
-    return data[:, :3], data[:, 3:6]

@@ -171,6 +171,20 @@ def render_depth(shape: ShapeSDF, object_pose: Pose, sensor_pose: Pose,
     return DepthImage(values=depth, mask=mask)
 
 
+def _gradient(z, pitch, axis, out):
+    """Write `np.gradient(z, pitch, axis=axis)` into `out` with its
+    arithmetic (central differences inside, one-sided at both ends),
+    without its two temporaries."""
+    z, out = np.moveaxis(z, axis, -1), np.moveaxis(out, axis, -1)
+    # (destination, minuend, subtrahend, divisor): inside, first, last.
+    parts = ((out[..., 1:-1], z[..., 2:], z[..., :-2], 2.0 * pitch),
+             (out[..., 0], z[..., 1], z[..., 0], pitch),
+             (out[..., -1], z[..., -1], z[..., -2], pitch))
+    for dst, hi, lo, step in parts:
+        np.subtract(hi, lo, out=dst)
+        np.divide(dst, step, out=dst)
+
+
 def depth_to_normals(depth: DepthImage, gel: GelConfig) -> NormalImage:
     """Surface normals of the deformed gel from depth gradients.
 
@@ -180,12 +194,23 @@ def depth_to_normals(depth: DepthImage, gel: GelConfig) -> NormalImage:
     one-sided at the border.  Normals are computed at every pixel, so the
     one-pixel ring just outside the contact (where the stencil straddles
     the rim) keeps its tilt; pixels farther out come out (0, 0, 1) since
-    the depth is identically zero there.
+    the depth is identically zero there.  An (H, W) depth gives (H, W, 3)
+    normals and an (F, H, W) stack (F, H, W, 3), each frame as if alone.
     """
     z = depth.values
-    zy, zx = np.gradient(z, gel.pitch_y, gel.pitch_x)
-    norm = np.sqrt(zx * zx + zy * zy + 1.0)
-    normals = np.dstack([zx / norm, zy / norm, 1.0 / norm])
+    # Each channel is computed in place, so a stack costs one temporary;
+    # the dtype is np.gradient's, float32 for a float32 depth.
+    normals = np.empty(z.shape + (3,), np.result_type(z, 1.0))
+    zx, zy, norm = normals[..., 0], normals[..., 1], normals[..., 2]
+    _gradient(z, gel.pitch_x, -1, zx)
+    _gradient(z, gel.pitch_y, -2, zy)
+    np.multiply(zx, zx, out=norm)
+    norm += zy * zy
+    norm += 1.0
+    np.sqrt(norm, out=norm)
+    zx /= norm
+    zy /= norm
+    np.divide(1.0, norm, out=norm)
     return NormalImage(values=normals, mask=depth.mask.copy())
 
 
@@ -197,23 +222,34 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                             a0 * b1 - a1 * b0])
 
 
-def perturb_normals(normals: NormalImage, sigma: float, seed: int) -> NormalImage:
+def perturb_normals(normals: NormalImage, sigma: float, seed) -> NormalImage:
     """Rotate each masked normal by a half-normal angle about a random
     perpendicular axis, emulating prediction error of a learned normal model.
 
-    sigma = 0 returns the input unchanged; fixed seed gives identical output.
+    `normals` is one (H, W, 3) image or an (F, H, W, 3) stack, and `seed`
+    holds one int per frame (one int for one image).  Frame i draws its
+    angles, then its axes, from `default_rng(seed[i])` over its own masked
+    pixels in row-major order, so a frame perturbs alike alone or in a
+    stack.  The values are rotated in place and `normals` is returned; sigma
+    = 0 leaves them unchanged.  ValueError for a sigma that is negative or
+    not finite, or a seed count that is not the frame count.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma == 0:
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
+    seeds = np.atleast_1d(seed)
+    frames = normals.mask.reshape(-1, *normals.mask.shape[-2:])
+    if seeds.shape != (len(frames),):
+        raise ValueError(f"perturb_normals needs one seed per frame: "
+                         f"{len(frames)} frames, seeds {seed!r}")
+    n = normals.values[normals.mask]  # (N, 3), frame by frame
+    if sigma == 0 or not len(n):
         return normals
-    rng = np.random.default_rng(seed)
-    out = normals.values.copy()
-    if not normals.mask.any():
-        return NormalImage(out, normals.mask.copy())
-    n = out[normals.mask]  # (N, 3)
-    angles = np.abs(rng.normal(0.0, sigma, size=len(n)))
-    phis = rng.uniform(0.0, 2.0 * np.pi, size=len(n))
+    counts = np.count_nonzero(frames, axis=(1, 2))
+    streams = [np.random.default_rng(int(s)) for s in seeds]
+    angles = np.abs(np.concatenate([rng.normal(0.0, sigma, size=count)
+                                    for rng, count in zip(streams, counts)]))
+    phis = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, size=count)
+                           for rng, count in zip(streams, counts)])
 
     # Orthonormal basis perpendicular to each normal.
     ref = np.zeros_like(n)
@@ -223,14 +259,18 @@ def perturb_normals(normals: NormalImage, sigma: float, seed: int) -> NormalImag
     u /= _row_norm(u)[:, None]
     v = _cross(n, u)
 
-    axis = np.cos(phis)[:, None] * u + np.sin(phis)[:, None] * v
-    # Rodrigues rotation of n about a perpendicular axis by `angles`.
-    c = np.cos(angles)[:, None]
-    s = np.sin(angles)[:, None]
-    rotated = n * c + _cross(axis, n) * s
+    # Sums accumulate in place, which keeps a stack's (N, 3) temporaries
+    # few; products are new arrays, so a float32 image computes in float64.
+    axis = np.cos(phis)[:, None] * u
+    axis += np.sin(phis)[:, None] * v
+    # Rodrigues rotation of n about a perpendicular axis by `angles`:
+    # (axis x n) sin(angle) + n cos(angle).
+    rotated = _cross(axis, n)
+    rotated *= np.sin(angles)[:, None]
+    rotated += n * np.cos(angles)[:, None]
     rotated /= _row_norm(rotated)[:, None]
-    out[normals.mask] = rotated
-    return NormalImage(out, normals.mask.copy())
+    normals.values[normals.mask] = rotated
+    return normals
 
 
 def contact_touches_border(mask: np.ndarray) -> bool:

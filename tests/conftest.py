@@ -33,6 +33,41 @@ def numerical_jacobian(f, at: Pose, eps: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def matrix(pose: Pose) -> np.ndarray:
+    """The 4x4 homogeneous matrix of one pose."""
+    m = np.eye(4)
+    m[:3, :3] = pose.rotation
+    m[:3, 3] = pose.translation
+    return m
+
+
+def rot_z(angle: float) -> np.ndarray:
+    """Rotation by `angle` radians about z."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
+
+
+def read_ply(path):
+    """(points, normals) of an ASCII PLY written by `imageio.write_ply`."""
+    with open(path) as f:
+        line = f.readline().strip()
+        if line != "ply":
+            raise ValueError(f"not a PLY file: {path}")
+        count = 0
+        while True:
+            line = f.readline()
+            if not line:
+                raise ValueError(f"PLY header has no end_header: {path}")
+            line = line.strip()
+            if line.startswith("element vertex"):
+                count = int(line.split()[-1])
+            if line == "end_header":
+                break
+        rows = [f.readline().split() for _ in range(count)]
+    data = np.asarray(rows, dtype=float).reshape(count, 6)
+    return data[:, :3], data[:, 3:6]
+
+
 def random_pose(rng, max_angle=1.0, max_trans=5.0) -> Pose:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)

@@ -11,6 +11,8 @@ from tactrack.episodes import NoiseSpec, TrajectorySpec, load_episode
 from tactrack.harness import SuiteConfig, SuiteObject, run_tracking
 from tactrack.tracker import TrackerConfig
 
+from .conftest import read_ply
+
 
 SPHERE = {"type": "sphere", "radius": 6.35}
 
@@ -350,7 +352,7 @@ class TestReconstruct:
     def test_reconstruct_episode_frame(self, suite_yaml, tmp_path):
         # --episode takes the gel from episode.json: the depth is that of
         # reconstructing the loaded frame with the episode's own gel.
-        from tactrack.imageio import read_pfm, read_ply, write_pfm
+        from tactrack.imageio import read_pfm, write_pfm
         from tactrack.reconstruct import reconstruct_cloud
 
         episodes = tmp_path / "episodes"

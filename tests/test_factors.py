@@ -21,7 +21,7 @@ from tactrack.render import GelConfig
 from tactrack.shapes import Pyramid
 from tactrack.tracker import Tracker, TrackerConfig, TrackerMode
 
-from .conftest import numerical_jacobian, random_pose
+from .conftest import matrix, numerical_jacobian, random_pose, rot_z
 
 UNIT = NoiseModel.isotropic(1.0, 1.0)
 IDENTITY = Pose.identity()
@@ -619,7 +619,7 @@ class TestEpisodeGraph:
         graph_rel = geometry.compose(geometry.inverse(values[obj_key(last.t)]),
                                      values[eff_key(last.t)])
         flipped = Im2PatchFactor(last.t, geometry.compose(
-            graph_rel, Pose(geometry.rot_z(np.pi), np.zeros(3))), last.noise)
+            graph_rel, Pose(rot_z(np.pi), np.zeros(3))), last.noise)
         broken = FactorGraph([flipped if f is last else f
                               for f in graph.factors])
         with pytest.raises(DomainError):
@@ -772,8 +772,8 @@ class TestEpisodeGraph:
         forward, _ = optimize(graph, noisy)
         moved, _ = optimize(other, noisy[old])
         for new, key in enumerate(old):
-            np.testing.assert_allclose(moved[new].matrix(),
-                                       forward[key].matrix(), rtol=0,
+            np.testing.assert_allclose(matrix(moved[new]),
+                                       matrix(forward[key]), rtol=0,
                                        atol=1e-9)
 
     def test_noisy_graph_stops_on_sigma_scale(self, episode_graph,

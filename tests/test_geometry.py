@@ -7,11 +7,11 @@ import scipy.linalg
 from tactrack import geometry
 from tactrack.geometry import DomainError, Pose
 
-from .conftest import numerical_jacobian, random_pose
+from .conftest import matrix, numerical_jacobian, random_pose, rot_z
 
 
 def rz(angle):
-    return Pose(geometry.rot_z(angle), np.zeros(3))
+    return Pose(rot_z(angle), np.zeros(3))
 
 
 class TestCompose:
@@ -19,17 +19,17 @@ class TestCompose:
         rng = np.random.default_rng(0)
         p = random_pose(rng)
         q = geometry.compose(Pose.identity(), p)
-        np.testing.assert_allclose(q.matrix(), p.matrix(), atol=1e-12)
+        np.testing.assert_allclose(matrix(q), matrix(p), atol=1e-12)
 
     def test_inverse_cancels(self):
         rng = np.random.default_rng(1)
         p = random_pose(rng)
         q = geometry.compose(p, geometry.inverse(p))
-        np.testing.assert_allclose(q.matrix(), np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(matrix(q), np.eye(4), atol=1e-9)
 
     def test_rz_quarter_turns_add(self):
         q = geometry.compose(rz(np.pi / 2), rz(np.pi / 2))
-        expected = geometry.rot_z(np.pi / 2) @ geometry.rot_z(np.pi / 2)
+        expected = rot_z(np.pi / 2) @ rot_z(np.pi / 2)
         np.testing.assert_allclose(q.rotation, expected, atol=1e-12)
 
     def test_associativity(self):
@@ -38,12 +38,12 @@ class TestCompose:
             a, b, c = (random_pose(rng) for _ in range(3))
             left = geometry.compose(geometry.compose(a, b), c)
             right = geometry.compose(a, geometry.compose(b, c))
-            np.testing.assert_allclose(left.matrix(), right.matrix(), atol=1e-9)
+            np.testing.assert_allclose(matrix(left), matrix(right), atol=1e-9)
 
 
 class TestInverse:
     def test_identity(self):
-        np.testing.assert_allclose(geometry.inverse(Pose.identity()).matrix(),
+        np.testing.assert_allclose(matrix(geometry.inverse(Pose.identity())),
                                    np.eye(4), atol=1e-15)
 
     def test_pure_translation(self):
@@ -56,12 +56,12 @@ class TestInverse:
         for _ in range(20):
             p = random_pose(rng)
             q = geometry.compose(geometry.inverse(p), p)
-            np.testing.assert_allclose(q.matrix(), np.eye(4), atol=1e-9)
+            np.testing.assert_allclose(matrix(q), np.eye(4), atol=1e-9)
 
 
 class TestExpLog:
     def test_exp_zero(self):
-        np.testing.assert_allclose(geometry.exp(np.zeros(6)).matrix(),
+        np.testing.assert_allclose(matrix(geometry.exp(np.zeros(6))),
                                    np.eye(4), atol=1e-15)
 
     def test_pure_translation_twist(self):
@@ -89,14 +89,14 @@ class TestExpLog:
         twist = np.zeros((4, 4))
         twist[:3, :3] = geometry._skew(xi[:3])
         twist[:3, 3] = xi[3:]
-        np.testing.assert_allclose(geometry.exp(xi).matrix(),
+        np.testing.assert_allclose(matrix(geometry.exp(xi)),
                                    scipy.linalg.expm(twist), rtol=0,
                                    atol=1e-12)
 
     def test_oplus_quarter_turn(self):
         p = geometry.oplus(Pose.identity(),
                            np.array([0, 0, np.pi / 2, 0, 0, 0]))
-        np.testing.assert_allclose(p.rotation, geometry.rot_z(np.pi / 2),
+        np.testing.assert_allclose(p.rotation, rot_z(np.pi / 2),
                                    atol=1e-12)
 
 
@@ -204,7 +204,7 @@ class TestAdjoint:
             lhs = geometry.exp(geometry.adjoint(t) @ xi)
             rhs = geometry.compose(geometry.compose(t, geometry.exp(xi)),
                                    geometry.inverse(t))
-            np.testing.assert_allclose(lhs.matrix(), rhs.matrix(), atol=1e-9)
+            np.testing.assert_allclose(matrix(lhs), matrix(rhs), atol=1e-9)
 
 
 def _series_right_jacobian(xi):
@@ -326,7 +326,7 @@ class TestSerialization:
         for _ in range(20):
             p = random_pose(rng)
             q = geometry.from_quat_trans(geometry.to_quat_trans(p))
-            np.testing.assert_allclose(q.matrix(), p.matrix(), atol=1e-9)
+            np.testing.assert_allclose(matrix(q), matrix(p), atol=1e-9)
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
@@ -344,8 +344,8 @@ class TestSerialization:
         # The first four take the four branches of Shepperd's method: a
         # positive trace, then the largest diagonal element x, y or z.
         rng = np.random.default_rng(12)
-        rotations = [geometry.rot_z(0.3), geometry.rot_x(3.0),
-                     geometry.rot_y(3.0), geometry.rot_z(3.0)]
+        rotations = [rot_z(0.3), geometry.rot_x(3.0),
+                     geometry.rot_y(3.0), rot_z(3.0)]
         branches = [np.argmax([4.0 * (np.trace(r) > 0) - 2.0, *np.diag(r)])
                     for r in rotations]
         assert branches == [0, 1, 2, 3]
@@ -357,6 +357,23 @@ class TestSerialization:
         np.testing.assert_array_equal(np.array(batched), np.array(singles))
         assert all(type(x) is float for row in batched for x in row)
 
+    def test_batch_parses_as_each_pose(self):
+        rng = np.random.default_rng(14)
+        poses = [random_pose(rng, max_angle=3.0, max_trans=30.0)
+                 for _ in range(50)]
+        values = geometry.to_quat_trans(Pose.stack(poses))
+        values[0][:4] = [2.0, 0.5, -0.5, 1.0]   # not a unit quaternion
+        batched = geometry.from_quat_trans(values)
+        assert batched.rotation.shape == (50, 3, 3)
+        for i, row in enumerate(values):
+            single = geometry.from_quat_trans(row)
+            assert batched.rotation[i].tobytes() == single.rotation.tobytes()
+            assert batched.translation[i].tobytes() == \
+                single.translation.tobytes()
+        values[7][2] = np.nan
+        with pytest.raises(ValueError, match="finite with a nonzero"):
+            geometry.from_quat_trans(values)
+
     def test_positive_trace_batch_matches_general_path(self):
         # A batch whose traces are all positive skips the Shepperd matrix;
         # appending rot_x(3.0), whose trace is negative, sends the same rows
@@ -364,7 +381,7 @@ class TestSerialization:
         # the one difference the docstring allows.
         rng = np.random.default_rng(13)
         poses = ([Pose(geometry.rot_x(-0.0), np.zeros(3)),
-                  Pose(geometry.rot_z(2.0), rng.uniform(-30, 30, 3))]
+                  Pose(rot_z(2.0), rng.uniform(-30, 30, 3))]
                  + [random_pose(rng, max_angle=2.0, max_trans=30.0)
                     for _ in range(6)])
         flipped = Pose(geometry.rot_x(3.0), np.zeros(3))

@@ -7,15 +7,16 @@ import hashlib
 import importlib.resources as resources
 import json
 import os
+import pathlib
 import warnings
 
 import jsonschema
 import numpy as np
 import pytest
 
-from tactrack import geometry, harness, imageio
-from tactrack.episodes import (NoiseSpec, TrajectorySpec, generate_episode,
-                               load_episode)
+from tactrack import episodes, geometry, harness, imageio
+from tactrack.episodes import (NoiseSpec, TrajectorySpec, find_contact_base,
+                               generate_episode, load_episode, save_episode)
 from tactrack.geometry import Pose
 from tactrack.harness import (ConfigError, SuiteConfig, SuiteObject,
                               boxplot_stats, default_suite_config,
@@ -25,6 +26,8 @@ from tactrack.harness import (ConfigError, SuiteConfig, SuiteObject,
 from tactrack.render import GelConfig
 from tactrack.shapes import Sphere
 from tactrack.tracker import TrackerConfig, TrackerMode, track_episode
+
+from .conftest import read_ply, rot_z
 
 SPHERE = {"type": "sphere", "radius": 6.35}
 
@@ -73,7 +76,7 @@ class TestPoseErrors:
         assert abs(rot) < 1e-12 and abs(trans - 1.0) < 1e-12
 
     def test_rotation_offset(self):
-        est = Pose(geometry.rot_z(0.1), np.zeros(3))
+        est = Pose(rot_z(0.1), np.zeros(3))
         rot, trans = pose_errors(est, Pose.identity())
         assert abs(rot - 0.1) < 1e-9 and trans < 1e-12
 
@@ -171,7 +174,7 @@ def short_episode():
 class TestPatchPly:
     def test_patchgraph_patch_round_trips(self, short_episode, tmp_path):
         run_tracking(short_episode, "patchgraph", TrackerConfig(), tmp_path)
-        points, normals = imageio.read_ply(tmp_path / "patch.ply")
+        points, normals = read_ply(tmp_path / "patch.ply")
         patch = track_episode(short_episode, "patchgraph").patch.cloud
         assert len(patch) > 0
         # The file keeps 6 decimals: half a unit of the last one, plus the
@@ -409,6 +412,56 @@ class TestRunSuite:
             generate_suite_episodes(cfg, tmp_path / "episodes")
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_contact_base_found_once_per_object_and_indent(self, tmp_path,
+                                                          monkeypatch):
+        # Two trajectories of different indents: 2 searches per object in
+        # each call that generates, none when every episode is cached, and
+        # each call searches afresh.
+        cfg = tiny_config(
+            objects=[SuiteObject("sphere", SPHERE),
+                     SuiteObject("small", {"type": "sphere", "radius": 5.0})],
+            episodes_per_object=5,
+            trajectories=[TrajectorySpec(steps=4, indent=1.0, length=0.5),
+                          TrajectorySpec(steps=4, indent=1.25, length=0.5),
+                          TrajectorySpec(steps=4, indent=1.0, length=1.0)])
+        calls = []
+
+        def counted(shape, gel, indent):
+            calls.append((shape.descriptor()["radius"], indent))
+            return find_contact_base(shape, gel, indent)
+
+        monkeypatch.setattr(harness, "find_contact_base", counted)
+        monkeypatch.setattr(episodes, "find_contact_base", counted)
+        generate_suite_episodes(cfg, tmp_path / "a")
+        assert sorted(calls) == [(5.0, 1.0), (5.0, 1.25), (6.35, 1.0),
+                                 (6.35, 1.25)]
+        calls.clear()
+        generate_suite_episodes(cfg, tmp_path / "a")
+        assert calls == []
+        generate_suite_episodes(cfg, tmp_path / "b")
+        assert len(calls) == 4
+
+    def test_written_episode_is_saved_generate_episode(self, tmp_path):
+        # Finding the base once per suite changes no byte: each episode
+        # directory holds what save_episode writes for generate_episode.
+        cfg = tiny_config(
+            episodes_per_object=3,
+            trajectories=[TrajectorySpec(steps=5, indent=1.0, length=0.5),
+                          TrajectorySpec(kind="arc", steps=4, indent=1.25,
+                                         direction_deg=None)])
+        entries = generate_suite_episodes(cfg, tmp_path / "suite")
+        for ei, directory in enumerate(entries["sphere"]):
+            ep = generate_episode(Sphere(radius=6.35),
+                                  cfg.trajectories[ei % 2], cfg.gel,
+                                  cfg.noise, episode_seed(cfg, 0, ei))
+            save_episode(ep, tmp_path / "alone" / str(ei))
+            names = sorted(os.listdir(tmp_path / "alone" / str(ei)))
+            assert names == ["depth.pfm", "episode.json", "mask.pgm",
+                             "normals.pfm"]
+            for name in names:
+                assert (tmp_path / "alone" / str(ei) / name).read_bytes() \
+                    == (pathlib.Path(directory) / name).read_bytes(), name
 
     def test_no_objects_rejected(self, tmp_path):
         cfg = tiny_config()

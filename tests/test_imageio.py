@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from tactrack.imageio import (read_pfm, read_pgm_mask, read_ply, write_json,
-                              write_pfm, write_pgm_mask, write_ply)
+from tactrack.imageio import (read_pfm, read_pgm_mask, write_json, write_pfm,
+                              write_pgm_mask, write_ply)
+
+from .conftest import read_ply
 
 
 class TestPFM:

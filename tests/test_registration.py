@@ -23,7 +23,7 @@ from tactrack.registration import (CONDITION_LIMIT, CONVERGENCE_THRESHOLD,
 from tactrack.shapes import shape_from_descriptor
 from tactrack.tracker import GATE_IM2IM, Tracker, TrackerConfig, TrackerMode
 
-from .conftest import plane_cloud, random_pose, sphere_cap_cloud
+from .conftest import matrix, plane_cloud, random_pose, sphere_cap_cloud
 
 
 class TestPointToPlaneStep:
@@ -280,7 +280,7 @@ class TestIcpRegister:
         assert result.converged
         assert result.iterations <= 2
         assert result.inlier_rmse < 1e-9
-        np.testing.assert_allclose(result.transform.matrix(), np.eye(4),
+        np.testing.assert_allclose(matrix(result.transform), np.eye(4),
                                    atol=1e-9)
 
     def test_known_transform_recovery(self):
@@ -347,7 +347,7 @@ class TestIcpRegister:
                             tgt.transformed(g, frame="sensor"),
                             Pose.identity()).transform
         expected = geometry.compose(g, geometry.compose(base, geometry.inverse(g)))
-        assert np.abs(conj.matrix() - expected.matrix()).max() < 1e-6
+        assert np.abs(matrix(conj) - matrix(expected)).max() < 1e-6
 
     def test_cap_better_conditioned_than_plane(self):
         cap = sphere_cap_cloud(n=300)

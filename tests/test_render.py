@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import os
 import re
 
@@ -10,7 +11,7 @@ import pytest
 
 from tactrack import geometry, imageio
 from tactrack.config import ConfigError
-from tactrack.episodes import (EpisodeGenerationError, NoiseSpec,
+from tactrack.episodes import (POSE_KINDS, EpisodeGenerationError, NoiseSpec,
                                TrajectorySpec, _lowest_hit, find_contact_base,
                                generate_episode, load_episode, save_episode)
 from tactrack.geometry import Pose
@@ -22,6 +23,8 @@ from tactrack.shapes import (PROJECTION_TOLERANCE, Box, Pyramid, ShapeSDF,
                              Sphere, shape_from_descriptor)
 from tactrack.tracker import (GT_SAMPLE_COUNT, GT_SAMPLE_RADIUS_SCALE,
                               GT_SAMPLE_SEED)
+
+from .conftest import matrix
 
 
 def centered_sphere(radius=6.35, indent=1.0):
@@ -515,6 +518,66 @@ class TestDepthToNormals:
         normals = depth_to_normals(depth, gel)
         assert (normals.values[normals.mask][:, 2] > 0).all()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("gel", [
+        GelConfig(), GelConfig(width=60, height=50, extent_x=17.0,
+                               extent_y=13.0)], ids=["default", "odd_pitch"])
+    def test_matches_whole_array_formula(self, gel, dtype):
+        # The in-place channels give the bits and dtype of the plain form,
+        # also for a pitch that float32 cannot hold.
+        depth = render_depth(centered_sphere(), Pose.identity(),
+                             Pose.identity(), gel)
+        z = depth.values.astype(dtype)
+        zy, zx = np.gradient(z, gel.pitch_y, gel.pitch_x)
+        norm = np.sqrt(zx * zx + zy * zy + 1.0)
+        expected = np.dstack([zx / norm, zy / norm, 1.0 / norm])
+        normals = depth_to_normals(DepthImage(z, depth.mask), gel)
+        assert normals.values.dtype == expected.dtype == dtype
+        assert normals.values.tobytes() == expected.tobytes()
+
+    def test_stack_equals_each_frame(self, gel):
+        depth = sphere_depth_stack(gel)
+        stack = depth_to_normals(depth, gel)
+        assert stack.values.shape == depth.values.shape + (3,)
+        for i in range(len(depth.values)):
+            alone = depth_to_normals(
+                DepthImage(depth.values[i], depth.mask[i]), gel)
+            assert stack.values[i].tobytes() == alone.values.tobytes()
+            np.testing.assert_array_equal(stack.mask[i], alone.mask)
+
+
+def sphere_depth_stack(gel):
+    """Depth of a sphere pressed at three sensor poses, the last of them
+    off the object, so its frame has an empty mask."""
+    slides = [Pose(np.eye(3), np.array(offset))
+              for offset in ([0.0, 0.0, 0.0], [1.5, -0.5, 0.2], [30.0, 0, 0])]
+    depth = render_depth(centered_sphere(), Pose.identity(),
+                         Pose.stack(slides), gel)
+    assert [m.any() for m in depth.mask] == [True, True, False]
+    return depth
+
+
+def perturbed_reference(normals, sigma, seed):
+    """One image's perturbed values, computed as a copy with whole-array
+    products, as `perturb_normals` did one image at a time."""
+    out = normals.values.copy()
+    if sigma == 0 or not normals.mask.any():
+        return out
+    rng = np.random.default_rng(seed)
+    n = out[normals.mask]
+    angles = np.abs(rng.normal(0.0, sigma, size=len(n)))
+    phis = rng.uniform(0.0, 2.0 * np.pi, size=len(n))
+    ref = np.zeros_like(n)
+    ref[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
+    u = np.cross(n, ref)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    v = np.cross(n, u)
+    axis = np.cos(phis)[:, None] * u + np.sin(phis)[:, None] * v
+    rotated = (n * np.cos(angles)[:, None]
+               + np.cross(axis, n) * np.sin(angles)[:, None])
+    out[normals.mask] = rotated / np.linalg.norm(rotated, axis=1)[:, None]
+    return out
+
 
 class TestPerturbNormals:
     def _normals(self, gel):
@@ -524,14 +587,51 @@ class TestPerturbNormals:
 
     def test_zero_sigma_identity(self, gel):
         normals = self._normals(gel)
+        before = normals.values.copy()
         out = perturb_normals(normals, 0.0, seed=3)
         assert out is normals
+        assert out.values.tobytes() == before.tobytes()
 
     def test_deterministic(self, gel):
         normals = self._normals(gel)
-        a = perturb_normals(normals, 0.05, seed=3)
+        a = perturb_normals(self._normals(gel), 0.05, seed=3)
         b = perturb_normals(normals, 0.05, seed=3)
+        assert b is normals
         np.testing.assert_array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, self._normals(gel).values)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_stack_equals_each_frame(self, gel, sigma):
+        # Frame i draws from its own seed over its own masked pixels, so a
+        # stack, its empty frame included, perturbs as its frames alone.
+        depth = sphere_depth_stack(gel)
+        stack = depth_to_normals(depth, gel)
+        frames = [depth_to_normals(DepthImage(d, m), gel)
+                  for d, m in zip(depth.values, depth.mask)]
+        # Python and numpy ints seed alike.
+        seeds = [11, np.int64(12), 13]
+        out = perturb_normals(stack, sigma, seeds)
+        assert out is stack
+        for i, frame in enumerate(frames):
+            reference = perturbed_reference(frame, sigma, int(seeds[i]))
+            alone = perturb_normals(frame, sigma, seed=int(seeds[i]))
+            assert out.values[i].tobytes() == alone.values.tobytes() \
+                == reference.tobytes()
+            np.testing.assert_array_equal(out.mask[i], alone.mask)
+        assert out.values[2].tobytes() == frames[2].values.tobytes()
+
+    @pytest.mark.parametrize("seeds", [[1], [1, 2], [1, 2, 3, 4], 5])
+    def test_seed_per_frame_required(self, gel, seeds):
+        stack = depth_to_normals(sphere_depth_stack(gel), gel)
+        with pytest.raises(ValueError, match="one seed per frame"):
+            perturb_normals(stack, 0.05, seeds)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigma_rejected(self, gel, sigma):
+        # NaN fails both the sign and the zero test, and would turn every
+        # masked normal into NaN.
+        with pytest.raises(ValueError, match="finite"):
+            perturb_normals(self._normals(gel), sigma, seed=0)
 
     def test_half_normal_mean_angle(self):
         n = 10_000
@@ -576,13 +676,13 @@ class TestEpisodes:
         assert len(ep.frames) == 3
         first = ep.frames[0]
         for fr in ep.frames:
-            np.testing.assert_allclose(fr.eff_pose.matrix(),
-                                       first.eff_pose.matrix(), atol=1e-12)
-            np.testing.assert_allclose(fr.eff_measured.matrix(),
-                                       fr.eff_pose.matrix(), atol=1e-12)
+            np.testing.assert_allclose(matrix(fr.eff_pose),
+                                       matrix(first.eff_pose), atol=1e-12)
+            np.testing.assert_allclose(matrix(fr.eff_measured),
+                                       matrix(fr.eff_pose), atol=1e-12)
             np.testing.assert_array_equal(fr.normals.values,
                                           first.normals.values)
-        np.testing.assert_allclose(ep.vision_prior.matrix(),
+        np.testing.assert_allclose(matrix(ep.vision_prior),
                                    np.eye(4), atol=1e-12)
 
     def test_slide_moves_contact_centroid(self, gel):
@@ -604,8 +704,8 @@ class TestEpisodes:
             rel = geometry.compose(geometry.inverse(prev.eff_pose),
                                    curr.eff_pose)
             acc = geometry.compose(acc, rel)
-        np.testing.assert_allclose(acc.matrix(),
-                                   ep.frames[-1].eff_pose.matrix(), atol=1e-9)
+        np.testing.assert_allclose(matrix(acc),
+                                   matrix(ep.frames[-1].eff_pose), atol=1e-9)
 
     def test_masked_normals_heightfield(self, gel):
         ep = generate_episode(Pyramid(), TrajectorySpec(steps=4, indent=1.0),
@@ -627,8 +727,8 @@ class TestEpisodes:
                 assert fa.read() == fb.read(), name
         loaded = load_episode(tmp_path / "a")
         assert len(loaded.frames) == len(ep.frames)
-        np.testing.assert_allclose(loaded.vision_prior.matrix(),
-                                   ep.vision_prior.matrix(), atol=1e-6)
+        np.testing.assert_allclose(matrix(loaded.vision_prior),
+                                   matrix(ep.vision_prior), atol=1e-6)
 
     # Each stack is misshapen for the episode's 4 frames of 64 x 64.
     @pytest.mark.parametrize("name, shape", [
@@ -706,6 +806,39 @@ class TestEpisodes:
         for name in ("depth.pfm", "mask.pgm", "normals.pfm"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
+
+    def test_loaded_poses_parse_as_each_frame(self, gel, tmp_path):
+        ep = generate_episode(Sphere(radius=6.35),
+                              TrajectorySpec(kind="arc", steps=6, indent=1.0),
+                              gel, NoiseSpec(), seed=6)
+        save_episode(ep, tmp_path)
+        meta = json.loads((tmp_path / "episode.json").read_text())
+        loaded = load_episode(tmp_path)
+        for frame, values in zip(loaded.frames, meta["frames"]):
+            for kind in POSE_KINDS:
+                want = geometry.from_quat_trans(values[kind])
+                got = getattr(frame, kind)
+                assert got.rotation.tobytes() == want.rotation.tobytes()
+                assert got.translation.tobytes() == want.translation.tobytes()
+
+    @pytest.mark.parametrize("frames, value", [
+        ([2], [0] * 7), ([2], [1, 0, 0]), ([2], "pose"), ([2], None),
+        ([2], [[1, 0, 0, 0, 0, 0, 0]]), ([2, 3], [[1, 0, 0, 0, 0, 0, 0]]),
+        ([0, 1, 2, 3], [[1, 0, 0, 0, 0, 0, 0]]), ([2, 3], 1)],
+        ids=["zero", "short", "text", "null", "nested", "two_nested",
+             "all_nested", "numbers"])
+    def test_load_names_the_first_bad_pose(self, gel, tmp_path, frames, value):
+        ep = generate_episode(Sphere(radius=6.35),
+                              TrajectorySpec(steps=4, indent=1.0, length=1.0),
+                              gel, NoiseSpec(), seed=5)
+        save_episode(ep, tmp_path)
+        meta = json.loads((tmp_path / "episode.json").read_text())
+        for i in frames:
+            meta["frames"][i]["eff_pose"] = value
+        (tmp_path / "episode.json").write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"episode frame {frames[0]} eff_pose must be 7 finite")):
+            load_episode(tmp_path)
 
     def test_depth_is_optional_per_episode(self, gel, tmp_path):
         ep = generate_episode(Sphere(radius=6.35),

@@ -25,6 +25,8 @@ from tactrack.tracker import (GATE_IM2IM, GATE_IM2PC, REGISTRATION_FATES,
                               REGISTRATION_KINDS, ConfigError, Tracker,
                               TrackerConfig, TrackerMode, track_episode)
 
+from .conftest import matrix
+
 
 ZERO_NOISE = NoiseSpec(normal_sigma=0.0, eff_sigma_rot=0.0,
                        eff_sigma_trans=0.0, vis_sigma_rot=0.0,
@@ -91,10 +93,10 @@ class TestTrackerSetup:
         tracker = Tracker(TrackerMode.CONST_VEL, TrackerConfig(),
                           ep.vision_prior, gel)
         est = tracker.step(ep.frames[0].normals, ep.frames[0].eff_measured)
-        np.testing.assert_allclose(est.object_pose.matrix(),
-                                   ep.vision_prior.matrix(), atol=1e-8)
-        np.testing.assert_allclose(est.eff_pose.matrix(),
-                                   ep.frames[0].eff_measured.matrix(),
+        np.testing.assert_allclose(matrix(est.object_pose),
+                                   matrix(ep.vision_prior), atol=1e-8)
+        np.testing.assert_allclose(matrix(est.eff_pose),
+                                   matrix(ep.frames[0].eff_measured),
                                    atol=1e-8)
 
     def test_config_roundtrip(self):
@@ -382,8 +384,8 @@ class TestIncrementalSmoothing:
             assert tracker.poses.translation.shape == (keys, 3)
             for key, pose in ((obj_key(t), estimate.object_pose),
                               (eff_key(t), estimate.eff_pose)):
-                np.testing.assert_array_equal(tracker.poses[key].matrix(),
-                                              pose.matrix())
+                np.testing.assert_array_equal(matrix(tracker.poses[key]),
+                                              matrix(pose))
 
     @pytest.mark.parametrize("mode", [TrackerMode.PATCH_GRAPH,
                                       TrackerMode.GROUNDTRUTH_PATCH])
@@ -633,8 +635,8 @@ class TestLongEpisodes:
                           shape=shape)
         for frame in ep.frames:
             estimate = tracker.step(frame.normals, frame.eff_measured)
-            assert np.isfinite(estimate.object_pose.matrix()).all()
-            assert np.isfinite(estimate.eff_pose.matrix()).all()
+            assert np.isfinite(matrix(estimate.object_pose)).all()
+            assert np.isfinite(matrix(estimate.eff_pose)).all()
         assert tracker.t == len(ep.frames) > 36
         for key in range(tracker.graph.key_count):
             rotation = tracker.poses[key].rotation
