@@ -76,10 +76,6 @@ class NoiseModel:
     def isotropic(sigma_rot: float, sigma_trans: float) -> "NoiseModel":
         return NoiseModel(np.array([sigma_rot] * 3 + [sigma_trans] * 3))
 
-    def whiten(self, residual: np.ndarray) -> np.ndarray:
-        """Scale each row of a residual (6,) or a Jacobian (6, k)."""
-        return (residual.T / self.sigmas).T
-
 
 # The key slots of the residual template, in the order a factor lists keys.
 SLOTS = "ABCD"
@@ -110,9 +106,9 @@ def _template(a: Pose, b: Pose, c: Pose, d: Pose, measured: Pose,
 
 class Factor:
     """A factor with residual ``log E`` of the template: its `keys` fill the
-    slots `slots`, in that order, and `measured` is M.  The methods below
-    evaluate it alone, at the stacked estimate `values` (row k: key id k),
-    as `cost` and `linearize` evaluate all at once."""
+    slots `slots`, in that order, and `measured` is M.  The graph knows it
+    only by its store row (`row`), and `residual` evaluates that row as
+    `cost` and `linearize` evaluate the graph's."""
 
     keys: tuple
     measured: Pose
@@ -120,24 +116,19 @@ class Factor:
     slots = ""
     name = "factor"
 
-    def _evaluate(self, values, jacobians):
-        poses = dict(zip(self.slots, (values[k] for k in self.keys)))
-        error, maps = _template(*(poses.get(s, _IDENTITY) for s in SLOTS),
-                                self.measured, jacobians)
-        return error, maps and [maps[SLOTS.index(s)] for s in self.slots]
-
-    def residual_raw(self, values: Pose) -> np.ndarray:
-        return geometry.log(self._evaluate(values, False)[0])
+    def row(self) -> dict:
+        """The factor's row of a graph store, each array with a leading
+        axis of one: its key id in each template slot (-1 where no key
+        is), its sigmas and its measured rotation and translation."""
+        ids = dict(zip(self.slots, self.keys))
+        return {"ids": np.array([[ids.get(s, -1) for s in SLOTS]]),
+                "sigmas": self.noise.sigmas[None],
+                "rotation": self.measured.rotation[None],
+                "translation": self.measured.translation[None]}
 
     def residual(self, values: Pose) -> np.ndarray:
-        return self.noise.whiten(self.residual_raw(values))
-
-    def jacobians(self, values: Pose) -> list:
-        """Unwhitened 6x6 Jacobians of `residual_raw` at `values`, one per
-        key in `keys`."""
-        error, maps = self._evaluate(values, True)
-        jr_inv = geometry.right_jacobian_inv(geometry.log(error))
-        return [jr_inv if m is None else jr_inv @ m for m in maps]
+        """The whitened residual at the estimate `values` (row k: key k)."""
+        return _evaluate(self.row(), values)[0][0]
 
 
 @dataclass
@@ -215,13 +206,13 @@ class Im2PatchFactor(Factor):
 
 
 class FactorGraph:
-    """Factors in insertion order.  `add` numbers no key: it appends one
-    row to the store, the factor's key id in each template slot (-1 where
-    no key is), its sigmas and its measured rotation and translation.  It
-    raises ValueError for a negative key id or one that leaves an id below
-    it unused, which no factor would constrain, so ids 0 to `key_count` - 1
-    are in use.  `cost` and `linearize` sum the factors in insertion order,
-    at one stacked Pose whose row i is the pose of key id i."""
+    """Factors in insertion order.  `add` numbers no key: it appends the
+    factor's row (`Factor.row`) to the store, all that `cost` and
+    `linearize` read of the factors.  It raises ValueError for a negative
+    key id or one that leaves an id below it unused, which no factor would
+    constrain, so ids 0 to `key_count` - 1 are in use.  `cost` and
+    `linearize` sum the factors in insertion order, at one stacked Pose
+    whose row i is the pose of key id i."""
 
     def __init__(self, factors=()):
         self.factors = []
@@ -239,12 +230,7 @@ class FactorGraph:
             if key > count:
                 raise ValueError(f"key id {key} leaves key id {count} unused")
             count = max(count, key + 1)
-        ids = dict(zip(factor.slots, factor.keys))
-        for name, value in (("ids", [ids.get(s, -1) for s in SLOTS]),
-                            ("sigmas", factor.noise.sigmas),
-                            ("rotation", factor.measured.rotation),
-                            ("translation", factor.measured.translation)):
-            value = np.asarray(value)[None]
+        for name, value in factor.row().items():
             self.store[name] = (np.concatenate([self.store[name], value])
                                 if self.factors else value)
         self.factors.append(factor)
@@ -259,7 +245,7 @@ class FactorGraph:
         the two agree to the bit."""
         if not self.factors:
             return 0.0
-        return _half_squared_norm(_evaluate(_layout(self), poses)[0])
+        return _half_squared_norm(_evaluate(_layout(self).store, poses)[0])
 
 
 def _half_squared_norm(residuals: np.ndarray) -> float:
@@ -286,10 +272,10 @@ class LinearSystem:
 
 class _Plan(NamedTuple):
     """How `cost` and `linearize` lay out a graph's first `factors` factors,
-    in insertion order, which is the order they are summed in.  `ids`,
-    `measured` and `sigmas` are the graph's store.  `band_at` and `jtr_at`
-    place the band and J^T r entries of each factor's terms, and `blocks`
-    and `pairs` index the flat (factor, slot) blocks that `_evaluate`
+    in insertion order, which is the order they are summed in.  `store`
+    is the graph's store at that count.  `band_at` and `jtr_at` place the
+    band and J^T r entries of each factor's terms, and `blocks` and
+    `pairs` index the flat (factor, slot) blocks that `_evaluate`
     gives; all four run factor by factor, and no entry depends on the
     number of keys, so factors that leave the band width as it is only
     append entries."""
@@ -297,9 +283,7 @@ class _Plan(NamedTuple):
     factors: int          # the graph's factor count when laid out
     span: int             # widest span of key ids in one factor
     width: int            # half-bandwidth w of J^T J
-    ids: np.ndarray       # (m, 4) key id per slot, -1 for the identity
-    measured: Pose        # (m,)
-    sigmas: np.ndarray    # (m, 6)
+    store: dict           # name -> (m, ...) rows, as `FactorGraph.store`
     band_at: np.ndarray
     jtr_at: np.ndarray
     blocks: np.ndarray    # (blocks,) flat index 4 factor + slot
@@ -369,29 +353,29 @@ def _layout(graph: FactorGraph) -> _Plan:
     if plan is not None:   # the new factors' entries follow the earlier ones
         entries = [np.concatenate([old, new], axis=-1) for old, new in zip(
             (plan.band_at, plan.jtr_at, plan.blocks, plan.pairs), entries)]
-    graph._plan = _Plan(len(graph), span, width, store["ids"],
-                        Pose(store["rotation"], store["translation"]),
-                        store["sigmas"], *entries)
+    graph._plan = _Plan(len(graph), span, width, dict(store), *entries)
     return graph._plan
 
 
-def _evaluate(plan: _Plan, poses: Pose, jacobians=False):
-    """The template on every factor of `plan` at once, on the rows of the
-    estimate `poses` that its slot key ids pick (row i: the pose of graph
-    key id i), with one log and one inverse right Jacobian.  Returns the
-    whitened residuals (m, 6) and, with `jacobians`, the whitened Jacobian
-    blocks of every slot, (4 m, 6, 6) in flat (factor, slot) order, of
-    which `plan.blocks` are the keys'; else None."""
+def _evaluate(store: dict, poses: Pose, jacobians=False):
+    """The template on every factor of a store (`FactorGraph.store`, or
+    one `Factor.row`) at once, on the rows of the estimate `poses` that
+    its slot key ids pick (row i: the pose of graph key id i), with one
+    log and one inverse right Jacobian; no other code evaluates a factor.
+    Returns the whitened residuals (m, 6) and, with `jacobians`, the
+    whitened Jacobian blocks of every slot, (4 m, 6, 6) in flat (factor,
+    slot) order, of which `_Plan.blocks` are the keys'; else None."""
     rows = Pose(np.concatenate([poses.rotation, _IDENTITY.rotation[None]]),
                 np.concatenate([poses.translation,
-                                _IDENTITY.translation[None]]))[plan.ids.T]
+                                _IDENTITY.translation[None]]))[store["ids"].T]
     error, maps = _template(*(rows[i] for i in range(len(SLOTS))),
-                            plan.measured, jacobians)
+                            Pose(store["rotation"], store["translation"]),
+                            jacobians)
     raw = geometry.log(error)
-    residuals = raw / plan.sigmas
+    residuals = raw / store["sigmas"]
     if not jacobians:
         return residuals, None
-    jr_inv = geometry.right_jacobian_inv(raw) / plan.sigmas[:, :, None]
+    jr_inv = geometry.right_jacobian_inv(raw) / store["sigmas"][:, :, None]
     return residuals, np.stack([jr_inv if m is None else jr_inv @ m
                                 for m in maps], axis=1).reshape(-1, 6, 6)
 
@@ -416,7 +400,7 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
         return LinearSystem(ab=np.zeros((1, 0)), jtr=np.zeros(0), cost=0.0)
     plan = _layout(graph)
     width, size = plan.width, 6 * graph.key_count
-    residuals, blocks = _evaluate(plan, poses, True)
+    residuals, blocks = _evaluate(plan.store, poses, True)
     products = blocks[plan.pairs[0]].swapaxes(-1, -2) @ blocks[plan.pairs[1]]
     grads = (blocks[plan.blocks].swapaxes(-1, -2)
              @ residuals[plan.blocks // len(SLOTS)][:, :, None])

@@ -47,6 +47,20 @@ def _relabeled(factors):
     return copies, np.array(list(ids))
 
 
+def _per_factor(factor, values):
+    """The test-side reference for one factor at the estimate `values`
+    (row k: key id k), by the template alone: its raw residual and its
+    whitened 6x6 Jacobian blocks, one per key in `keys`."""
+    poses = dict(zip(factor.slots, (values[k] for k in factor.keys)))
+    error, maps = factors._template(*(poses.get(s, IDENTITY) for s in SLOTS),
+                                    factor.measured, True)
+    raw = geometry.log(error)
+    jr_inv = geometry.right_jacobian_inv(raw)
+    return raw, [(jr_inv if m is None else jr_inv @ m)
+                 / factor.noise.sigmas[:, None]
+                 for m in (maps[SLOTS.index(s)] for s in factor.slots)]
+
+
 def _jittered(poses: Pose, rng) -> Pose:
     """Each row of `poses` moved by a small random twist."""
     return geometry.oplus(poses, rng.normal(
@@ -261,22 +275,22 @@ def _dense(ab):
     return dense
 
 
-def _assert_matches_per_factor(system, graph, values, block, rel):
+def _assert_matches_per_factor(system, graph, values, rel):
     """Compare the normal equations of `system` with a reference built from
-    a dense Jacobian filled one factor at a time, column block i for the
-    graph's key id i, with the factors evaluated at the estimate `values`;
-    `block(factor, i)` is the whitened 6x6 block of the factor's i-th key.
-    The band of J^T J is compared with the reference's, and the reference
-    must be exactly zero outside it, so a band too narrow fails.  The
-    tolerance is `rel` times the largest sum of absolute terms, since J^T r
-    nearly cancels at an optimum."""
+    a dense Jacobian filled one factor at a time (`_per_factor`), column
+    block i for the graph's key id i, with the factors evaluated at the
+    estimate `values`.  The band of J^T J is compared with the reference's,
+    and the reference must be exactly zero outside it, so a band too narrow
+    fails.  The tolerance is `rel` times the largest sum of absolute terms,
+    since J^T r nearly cancels at an optimum."""
     size = 6 * graph.key_count
     jac = np.zeros((6 * len(graph), size))
     res = np.zeros(6 * len(graph))
     for row, factor in zip(range(0, 6 * len(graph), 6), graph.factors):
-        res[row:row + 6] = factor.residual(values)
-        for i, key in enumerate(factor.keys):
-            jac[row:row + 6, 6 * key:6 * key + 6] = block(factor, i)
+        raw, blocks = _per_factor(factor, values)
+        res[row:row + 6] = raw / factor.noise.sigmas
+        for key, block in zip(factor.keys, blocks):
+            jac[row:row + 6, 6 * key:6 * key + 6] = block
     assert system.jtr.shape == (size,)
     width = len(system.ab) - 1
     jtj = jac.T @ jac
@@ -287,10 +301,6 @@ def _assert_matches_per_factor(system, graph, values, block, rel):
             (system.jtr, jac.T @ res, np.abs(jac).T @ np.abs(res))):
         np.testing.assert_allclose(actual, expected, rtol=0,
                                    atol=rel * terms.max(initial=0.0))
-
-
-def _analytic_block(values):
-    return lambda factor, i: factor.noise.whiten(factor.jacobians(values)[i])
 
 
 def _two_pass_optimize(graph, init, params=OptimizerParams()):
@@ -374,22 +384,20 @@ class TestJacobianOracle:
                 rows += own
             values = Pose.stack(rows)
             for factor, (_, offset) in zip(made, draws):
-                np.testing.assert_allclose(factor.residual_raw(values),
-                                           offset, atol=1e-7)
-                blocks = factor.jacobians(values)
+                raw, blocks = _per_factor(factor, values)
+                np.testing.assert_allclose(raw, offset, atol=1e-7)
                 assert len(blocks) == len(factor.keys)
                 for key, block in zip(factor.keys, blocks):
                     def perturbed(pose, key=key, factor=factor):
                         return factor.residual(_replaced(values, key, pose))
 
                     oracle = numerical_jacobian(perturbed, values[key])
-                    err = np.linalg.norm(factor.noise.whiten(block) - oracle)
+                    err = np.linalg.norm(block - oracle)
                     assert err <= 1e-6 * np.linalg.norm(oracle), (key, err)
             relabeled, old = _relabeled(made)
             graph, values = FactorGraph(relabeled), values[old]
             system = linearize(graph, values)
-            _assert_matches_per_factor(system, graph, values,
-                                       _analytic_block(values), 1e-12)
+            _assert_matches_per_factor(system, graph, values, 1e-12)
 
         check()
 
@@ -498,9 +506,9 @@ class TestTemplateReference:
                              ids=lambda cls: cls.__name__)
     def test_template_equals_class_reference(self, cls):
         # A batch as the solver evaluates it, empty slots holding identity
-        # rows, and one factor alone, as its own methods evaluate it.  The
-        # last key's pose is solved for so that the error's rotation angles
-        # alternate around the series switch.
+        # rows, and the residual of one factor alone, its row evaluated as
+        # the graph's rows are.  The last key's pose is solved for so that
+        # the error's rotation angles alternate around the series switch.
         rng = np.random.default_rng(31)
         n = 16
         identity = Pose(np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)))
@@ -532,8 +540,8 @@ class TestTemplateReference:
         values = Pose.stack([IDENTITY] * 4)
         for key, pose in zip(factor.keys, one):
             values = _replaced(values, key, pose)
-        _assert_same_maps(*factor._evaluate(values, True),
-                          *REFERENCES[cls](one, measured[0]))
+        np.testing.assert_array_equal(factor.residual(values), geometry.log(
+            REFERENCES[cls](one, measured[0])[0]) / factor.noise.sigmas)
 
     def test_graph_evaluation_equals_class_reference(self, episode_graph):
         # Every class of a real tracking graph in one template evaluation,
@@ -547,9 +555,10 @@ class TestTemplateReference:
             far[:, None], rng.normal(scale=[0.05] * 3 + [0.5] * 3,
                                      size=(len(far), 6)), 0.0))
         plan = factors._layout(graph)
-        residuals, blocks = factors._evaluate(plan, poses, True)
+        residuals, blocks = factors._evaluate(plan.store, poses, True)
         expected, expected_blocks = _reference_evaluate(graph, poses)
-        angles = np.linalg.norm((expected * plan.sigmas)[:, :3], axis=1)
+        angles = np.linalg.norm((expected * graph.store["sigmas"])[:, :3],
+                                axis=1)
         assert (angles < geometry._SERIES_ANGLE).any()
         assert (angles >= geometry._SERIES_ANGLE).any()
         np.testing.assert_array_equal(residuals, expected)
@@ -601,16 +610,43 @@ class TestEpisodeGraph:
 
     def test_normal_equations_match_per_factor_reference(self, episode_graph):
         graph, values = episode_graph
-        _assert_matches_per_factor(linearize(graph, values),
-                                   graph, values, _analytic_block(values),
+        _assert_matches_per_factor(linearize(graph, values), graph, values,
                                    1e-10)
 
     def test_cost_is_sum_of_factor_costs(self, episode_graph):
         graph, values = episode_graph
-        expected = sum(0.5 * float(f.residual(values) @ f.residual(values))
-                       for f in graph.factors)
+        residuals = [_per_factor(f, values)[0] / f.noise.sigmas
+                     for f in graph.factors]
+        expected = sum(0.5 * float(r @ r) for r in residuals)
         assert graph.cost(values) == pytest.approx(expected, rel=1e-12)
         assert linearize(graph, values).cost == graph.cost(values)
+
+    def test_factor_is_its_store_row(self, episode_graph, monkeypatch):
+        # The graph stores its factors' rows and nothing else, and a
+        # factor's residual is its row of the graph's evaluation, to the
+        # bit, at residual angles on both sides of the series switch, got
+        # by evaluating the factor's own row the same way.
+        graph, values = episode_graph
+        assert set(graph.store) == set(graph.factors[0].row())
+        for name, column in graph.store.items():
+            np.testing.assert_array_equal(column, np.concatenate(
+                [f.row()[name] for f in graph.factors]))
+        poses = _jittered(values, np.random.default_rng(33))
+        residuals, _ = factors._evaluate(graph.store, poses)
+        angles = np.linalg.norm((residuals * graph.store["sigmas"])[:, :3],
+                                axis=1)
+        assert (angles < geometry._SERIES_ANGLE).any()
+        assert (angles >= geometry._SERIES_ANGLE).any()
+        evaluate, rows = factors._evaluate, []
+
+        def counted(store, poses, jacobians=False):
+            rows.append(len(store["ids"]))
+            return evaluate(store, poses, jacobians)
+
+        monkeypatch.setattr(factors, "_evaluate", counted)
+        for factor, residual in zip(graph.factors, residuals):
+            np.testing.assert_array_equal(factor.residual(poses), residual)
+        assert rows == [1] * len(graph)
 
     def test_residual_at_pi_in_batch_raises(self, episode_graph):
         graph, values = episode_graph
