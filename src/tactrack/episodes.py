@@ -304,10 +304,11 @@ def save_episode(episode: Episode, directory) -> None:
 
 def load_episode(directory) -> Episode:
     """Read an episode written by `save_episode`.  ConfigError naming the
-    field for a missing key, no frames, an unknown or bad gel or noise
-    setting, a seed that is not an int >= 0, dropped steps that are not a
-    list of ints >= 0, a timestamp that is not a finite number, or a pose
-    that is not 7 finite numbers with a nonzero quaternion; ValueError
+    field for a missing key, an episode or frame that is not a mapping,
+    frames that are not a list of one or more, an unknown or bad gel or
+    noise setting, a seed that is not an int >= 0, dropped steps that are
+    not a list of ints >= 0, a timestamp that is not a finite number, or a
+    pose that is not 7 finite numbers with a nonzero quaternion; ValueError
     naming the file for an image that is truncated or whose shape is not
     the stack of F gel-sized frames, (F*height) x width (x 3 for normals).
     Each stack is read once and its frames are row slices of it; images
@@ -317,13 +318,16 @@ def load_episode(directory) -> Episode:
         meta = json.load(f)
 
     def get(mapping, key, where="episode"):
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"{where} must be a mapping, got {mapping!r}")
         if key not in mapping:
             raise ConfigError(f"{where} has no {key!r}")
         return mapping[key]
 
     gel = from_mapping(GelConfig, get(meta, "gel"))
-    if not get(meta, "frames"):
-        raise ConfigError("episode 'frames' lists no frame")
+    if not isinstance(get(meta, "frames"), list) or not meta["frames"]:
+        raise ConfigError(f"episode 'frames' must be a list of one frame or "
+                          f"more, got {meta['frames']!r}")
     count, h = len(meta["frames"]), gel.height
 
     def read(name, reader, channels=()):

@@ -8,15 +8,17 @@ and a measurement M (`_template`), whitened by per-axis sigmas:
 
     E = M^-1 G,   G = (A^-1 B)^-1 (C^-1 D).
 
-A factor class declares the slots its keys fill, in key order; an empty
+A factor (`Factor`) names the slots its keys fill, in key order; an empty
 slot holds the identity pose, which composes exactly, as M does for a
-factor that measures nothing.  A new kind of factor is one more pattern:
+factor that measures nothing.  A new kind of factor is one more pattern,
+made by one more constructor:
 
-    class               A      B      C          D      M
-    PriorFactor         .      .      .          x      the pose of x
-    MotionPriorFactor   .      .      o_{t-1}    o_t    identity
-    Im2PatchFactor      .      .      o_t        e_t    object-from-sensor
-    Im2ImFactor         o_k    e_k    o_t        e_t    sensor t in sensor k
+    constructor      A      B      C          D      M
+    eff_prior        .      .      .          e_t    the pose of e_t
+    vis_prior        .      .      .          o_t    the pose of o_t
+    motion_prior     .      .      o_{t-1}    o_t    identity
+    im2patch         .      .      o_t        e_t    object-from-sensor
+    im2im            o_k    e_k    o_t        e_t    sensor t in sensor k
 
 In the tangent space of a right perturbation ``X * exp(d)``, a variable
 appearing in G as ``P X Q`` has the Jacobian ``Jr^-1(log E) Ad(Q^-1)`` and
@@ -104,17 +106,19 @@ def _template(a: Pose, b: Pose, c: Pose, d: Pose, measured: Pose,
                    -ad_right, None)
 
 
+@dataclass
 class Factor:
     """A factor with residual ``log E`` of the template: its `keys` fill the
-    slots `slots`, in that order, and `measured` is M.  The graph knows it
-    only by its store row (`row`), and `residual` evaluates that row as
-    `cost` and `linearize` evaluate the graph's."""
+    slots `slots`, in that order, and `measured` is M.  `name` is its kind,
+    the constructor that made it.  The graph knows it only by its store row
+    (`row`), and `residual` evaluates that row as `cost` and `linearize`
+    evaluate the graph's."""
 
+    name: str
+    slots: str
     keys: tuple
     measured: Pose
     noise: NoiseModel
-    slots = ""
-    name = "factor"
 
     def row(self) -> dict:
         """The factor's row of a graph store, each array with a leading
@@ -131,78 +135,38 @@ class Factor:
         return _evaluate(self.row(), values)[0][0]
 
 
-@dataclass
-class PriorFactor(Factor):
-    """Unary pose prior; used for both end-effector and vision priors."""
-
-    key: int
-    measured: Pose
-    noise: NoiseModel
-    name: str = "prior"
-    slots = "D"
-
-    def __post_init__(self):
-        self.keys = (self.key,)
+def eff_prior(t: int, measured: Pose, noise: NoiseModel) -> Factor:
+    return Factor("eff_prior", "D", (eff_key(t),), measured, noise)
 
 
-def eff_prior(t: int, measured: Pose, noise: NoiseModel) -> PriorFactor:
-    return PriorFactor(eff_key(t), measured, noise, name="eff_prior")
+def vis_prior(t: int, measured: Pose, noise: NoiseModel) -> Factor:
+    return Factor("vis_prior", "D", (obj_key(t),), measured, noise)
 
 
-def vis_prior(t: int, measured: Pose, noise: NoiseModel) -> PriorFactor:
-    return PriorFactor(obj_key(t), measured, noise, name="vis_prior")
-
-
-@dataclass
-class MotionPriorFactor(Factor):
+def motion_prior(t: int, noise: NoiseModel) -> Factor:
     """The object's motion model: a zero-motion random walk, penalizing
     the motion ``o_{t-1}^-1 o_t`` between consecutive object poses, so the
     object is held still unless the measurements move it."""
-
-    t: int
-    noise: NoiseModel
-    name = "motion_prior"
-    slots = "CD"
-    measured = _IDENTITY
-
-    def __post_init__(self):
-        self.keys = (obj_key(self.t - 1), obj_key(self.t))
+    return Factor("motion_prior", "CD", (obj_key(t - 1), obj_key(t)),
+                  _IDENTITY, noise)
 
 
-@dataclass
-class Im2ImFactor(Factor):
-    """Binary factor on the (object, end-effector) pairs at `k` and `t` from
+def im2im(t: int, measured: Pose, noise: NoiseModel, k: int = None) -> Factor:
+    """The factor on the (object, end-effector) pairs at `k` and `t` from
     image-to-image ICP registration of frame t against frame k, by default
-    the previous one."""
-
-    t: int
-    measured: Pose  # maps sensor frame at t into sensor frame at k
-    noise: NoiseModel
-    k: int = None   # t - 1 if None
-    name = "im2im"
-    slots = "ABCD"
-
-    def __post_init__(self):
-        if self.k is None:
-            self.k = self.t - 1
-        self.keys = (obj_key(self.k), eff_key(self.k),
-                     obj_key(self.t), eff_key(self.t))
+    the previous one: `measured` maps the sensor frame at t into the one
+    at k."""
+    k = t - 1 if k is None else k
+    return Factor("im2im", "ABCD",
+                  (obj_key(k), eff_key(k), obj_key(t), eff_key(t)),
+                  measured, noise)
 
 
-@dataclass
-class Im2PatchFactor(Factor):
-    """Factor tying the object-from-sensor transform to ICP registration
-    against the known object model: gtpatch's registration against
-    surface samples of the true shape."""
-
-    t: int
-    measured: Pose  # object-from-sensor
-    noise: NoiseModel
-    name = "im2patch"
-    slots = "CD"
-
-    def __post_init__(self):
-        self.keys = (obj_key(self.t), eff_key(self.t))
+def im2patch(t: int, measured: Pose, noise: NoiseModel) -> Factor:
+    """The factor tying the object-from-sensor transform `measured` to ICP
+    registration against the known object model: gtpatch's registration
+    against surface samples of the true shape."""
+    return Factor("im2patch", "CD", (obj_key(t), eff_key(t)), measured, noise)
 
 
 class FactorGraph:
@@ -218,7 +182,7 @@ class FactorGraph:
         self.factors = []
         self.key_count = 0
         self.store = {}     # name -> stacked rows, one per factor
-        self._plan = None   # the _Plan of the last evaluation
+        self._plan = None   # the _Plan of the last `linearize`
         for factor in factors:
             self.add(factor)
 
@@ -245,7 +209,7 @@ class FactorGraph:
         the two agree to the bit."""
         if not self.factors:
             return 0.0
-        return _half_squared_norm(_evaluate(_layout(self).store, poses)[0])
+        return _half_squared_norm(_evaluate(self.store, poses)[0])
 
 
 def _half_squared_norm(residuals: np.ndarray) -> float:
@@ -271,19 +235,17 @@ class LinearSystem:
 
 
 class _Plan(NamedTuple):
-    """How `cost` and `linearize` lay out a graph's first `factors` factors,
-    in insertion order, which is the order they are summed in.  `store`
-    is the graph's store at that count.  `band_at` and `jtr_at` place the
-    band and J^T r entries of each factor's terms, and `blocks` and
-    `pairs` index the flat (factor, slot) blocks that `_evaluate`
-    gives; all four run factor by factor, and no entry depends on the
-    number of keys, so factors that leave the band width as it is only
-    append entries."""
+    """How `linearize` lays out a graph's first `factors` factors, in
+    insertion order, which is the order they are summed in.  `band_at` and
+    `jtr_at` place the band and J^T r entries of each factor's terms, and
+    `blocks` and `pairs` index the flat (factor, slot) blocks that
+    `_evaluate` gives; all four run factor by factor, and no entry depends
+    on the number of keys, so factors that leave the band width as it is
+    only append entries."""
 
     factors: int          # the graph's factor count when laid out
     span: int             # widest span of key ids in one factor
     width: int            # half-bandwidth w of J^T J
-    store: dict           # name -> (m, ...) rows, as `FactorGraph.store`
     band_at: np.ndarray
     jtr_at: np.ndarray
     blocks: np.ndarray    # (blocks,) flat index 4 factor + slot
@@ -317,8 +279,7 @@ def _layout(graph: FactorGraph) -> _Plan:
     if plan is not None and plan.factors == len(graph):
         return plan
     start = plan.factors if plan is not None else 0
-    store = graph.store
-    ids = store["ids"][start:]
+    ids = graph.store["ids"][start:]
     # The key pairs (k, l) of the new factors' products J_k^T J_l, factor
     # by factor, in slot order, which is key order: their slot pairs with a
     # key in both slots.
@@ -353,7 +314,7 @@ def _layout(graph: FactorGraph) -> _Plan:
     if plan is not None:   # the new factors' entries follow the earlier ones
         entries = [np.concatenate([old, new], axis=-1) for old, new in zip(
             (plan.band_at, plan.jtr_at, plan.blocks, plan.pairs), entries)]
-    graph._plan = _Plan(len(graph), span, width, dict(store), *entries)
+    graph._plan = _Plan(len(graph), span, width, *entries)
     return graph._plan
 
 
@@ -390,17 +351,18 @@ def linearize(graph: FactorGraph, poses: Pose) -> LinearSystem:
     factor, the products ``J_k^T J_l`` of each unordered key pair,
     scattered into LAPACK lower band storage (`LinearSystem`).  Keys arrive
     only with factors, so the layout (`_layout`) changes only with the
-    factor count, and the graph keeps the last one: every evaluation within
-    one `optimize` call reuses it, and a step that only appends factors
-    lays out only those and appends their entries, unless they widen the
-    band.  Every sum runs over the factors in insertion order, the cost's
-    as `FactorGraph.cost` runs it, so the two agree to the bit.
+    factor count, and the graph keeps the last one: every linearization
+    within one `optimize` call reuses it, and a step that only appends
+    factors lays out only those and appends their entries, unless they
+    widen the band; `FactorGraph.cost` needs no layout.  Every sum runs
+    over the factors in insertion order, the cost's as `FactorGraph.cost`
+    runs it, so the two agree to the bit.
     """
     if not graph.factors:
         return LinearSystem(ab=np.zeros((1, 0)), jtr=np.zeros(0), cost=0.0)
     plan = _layout(graph)
     width, size = plan.width, 6 * graph.key_count
-    residuals, blocks = _evaluate(plan.store, poses, True)
+    residuals, blocks = _evaluate(graph.store, poses, True)
     products = blocks[plan.pairs[0]].swapaxes(-1, -2) @ blocks[plan.pairs[1]]
     grads = (blocks[plan.blocks].swapaxes(-1, -2)
              @ residuals[plan.blocks // len(SLOTS)][:, :, None])

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import factors, geometry, patchmap, registration
 from .config import ConfigError, from_mapping, require
-from .factors import (FactorGraph, Im2ImFactor, Im2PatchFactor,
-                      MotionPriorFactor, NoiseModel, OptimizerParams, eff_key,
-                      eff_prior, obj_key, vis_prior)
+from .factors import (FactorGraph, NoiseModel, OptimizerParams, eff_key,
+                      eff_prior, im2im, im2patch, motion_prior, obj_key,
+                      vis_prior)
 from .geometry import Pose
 from .patchmap import PatchMap
 from .reconstruct import PointCloud, reconstruct_cloud
@@ -229,10 +229,10 @@ class Tracker:
         record["fate"] = "added"
         return result.transform
 
-    def _register_keyframe(self, cloud: PointCloud, im2im: Pose | None,
+    def _register_keyframe(self, cloud: PointCloud, motion: Pose | None,
                            diag: dict):
         """Register frame t against the latest keyframe k and add an
-        Im2ImFactor on (o_k, e_k, o_t, e_t).  Skipped when k = t - 1, a pair
+        im2im factor on (o_k, e_k, o_t, e_t).  Skipped when k = t - 1, a pair
         that im2im already registers."""
         t = self.t
         k, target = self.keyframes[-1]
@@ -240,13 +240,13 @@ class Tracker:
             return
         diag["keyframe_target"] = k
         keyframe_from_object = geometry.inverse(self._object_from_sensor(k))
-        # Start from this step's accepted image-to-image motion, as
+        # Start from this step's accepted image-to-image `motion`, as
         # odometry-initialized scan-to-map registration does (Zhang & Singh,
         # "LOAM", RSS 2014): it carries no end-effector measurement noise,
         # unlike the graph's o_{t-1}^-1 e_t.
-        if im2im is not None:
+        if motion is not None:
             init = geometry.compose(geometry.compose(
-                keyframe_from_object, self._object_from_sensor(t - 1)), im2im)
+                keyframe_from_object, self._object_from_sensor(t - 1)), motion)
             diag["keyframe_init"] = "im2im"
         else:
             init = geometry.compose(keyframe_from_object,
@@ -255,8 +255,8 @@ class Tracker:
         measured = self._register("keyframe", cloud, target, init, GATE_IM2IM,
                                   diag)
         if measured is not None:
-            self.graph.add(Im2ImFactor(t, measured,
-                                       NoiseModel.isotropic(*SIGMA_IM2IM), k=k))
+            self.graph.add(im2im(t, measured,
+                                 NoiseModel.isotropic(*SIGMA_IM2IM), k=k))
 
     def _ensure_gt_target(self, cloud: PointCloud):
         if self.gt_target is not None:
@@ -289,7 +289,7 @@ class Tracker:
             self.graph.add(vis_prior(1, self.vision_prior, self.vis_noise))
             new = Pose.stack([eff_measurement, self.vision_prior])
         else:
-            self.graph.add(MotionPriorFactor(t, self.vel_noise))
+            self.graph.add(motion_prior(t, self.vel_noise))
             new = Pose.stack([eff_measurement, self.poses[obj_key(t - 1)]])
         self.poses = Pose(np.concatenate([self.poses.rotation, new.rotation]),
                           np.concatenate([self.poses.translation,
@@ -309,7 +309,7 @@ class Tracker:
                 normal_image.mask.flags.writeable = False
             cloud = clouds[self._gel_key]
 
-        im2im = None
+        motion = None
         if (self.mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH)
                 and cloud is not None and self.prev_cloud is not None):
             # Initialize at the measured relative sensor motion.  Directions
@@ -319,15 +319,15 @@ class Tracker:
             # graph's own prediction (self-confirming feedback).
             init = geometry.compose(geometry.inverse(self.prev_eff_measurement),
                                     eff_measurement)
-            im2im = self._register("im2im", cloud, self.prev_cloud, init,
-                                   GATE_IM2IM, diag)
-            if im2im is not None:
-                self.graph.add(Im2ImFactor(t, im2im,
-                                           NoiseModel.isotropic(*SIGMA_IM2IM)))
+            motion = self._register("im2im", cloud, self.prev_cloud, init,
+                                    GATE_IM2IM, diag)
+            if motion is not None:
+                self.graph.add(im2im(t, motion,
+                                     NoiseModel.isotropic(*SIGMA_IM2IM)))
 
         if (self.mode is TrackerMode.PATCH_GRAPH and cloud is not None
                 and self.keyframes):
-            self._register_keyframe(cloud, im2im, diag)
+            self._register_keyframe(cloud, motion, diag)
 
         if cloud is not None and self.mode is TrackerMode.GROUNDTRUTH_PATCH:
             self._ensure_gt_target(cloud)
@@ -337,7 +337,7 @@ class Tracker:
                                           self._object_from_sensor(t),
                                           GATE_IM2PC, diag)
                 if measured is not None:
-                    self.graph.add(Im2PatchFactor(
+                    self.graph.add(im2patch(
                         t, measured, NoiseModel.isotropic(*SIGMA_IM2GT)))
 
         self.poses, stats = factors.optimize(self.graph, self.poses,

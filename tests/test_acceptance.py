@@ -17,9 +17,9 @@ import yaml
 from tactrack import geometry
 from tactrack.cli import main as cli_main
 from tactrack.episodes import NoiseSpec, TrajectorySpec
-from tactrack.factors import (FactorGraph, Im2ImFactor, MotionPriorFactor,
-                              NoiseModel, PriorFactor, eff_key, eff_prior,
-                              optimize, vis_prior)
+from tactrack.factors import (Factor, FactorGraph, NoiseModel, eff_key,
+                              eff_prior, im2im, motion_prior, optimize,
+                              vis_prior)
 from tactrack.geometry import Pose
 from tactrack.harness import (SuiteConfig, SuiteObject, default_suite_config,
                               run_suite)
@@ -179,8 +179,10 @@ class TestCriterion4Optimizer:
             mu2 = Pose(np.eye(3), np.array([3.0, 0.0, 0.0]))
             s1, s2 = 1.0, 2.0
             graph = FactorGraph()
-            graph.add(PriorFactor(0, mu1, NoiseModel.isotropic(s1, s1)))
-            graph.add(PriorFactor(0, mu2, NoiseModel.isotropic(s2, s2)))
+            graph.add(Factor("prior", "D", (0,), mu1,
+                             NoiseModel.isotropic(s1, s1)))
+            graph.add(Factor("prior", "D", (0,), mu2,
+                             NoiseModel.isotropic(s2, s2)))
             expected = (1 / s1**2 + 3 / s2**2) / (1 / s1**2 + 1 / s2**2)
             poses, _ = optimize(graph, Pose.stack([Pose.identity()]))
             assert np.abs(poses[0].translation
@@ -199,8 +201,8 @@ class TestCriterion4Optimizer:
             for t in range(2, 11):
                 measured = geometry.compose(geometry.inverse(truth[t - 2]),
                                             truth[t - 1])
-                graph.add(Im2ImFactor(t, measured, unit))
-                graph.add(MotionPriorFactor(t, unit))
+                graph.add(im2im(t, measured, unit))
+                graph.add(motion_prior(t, unit))
             # Rows e_1, o_1, e_2, o_2, ...: the object starts at the identity.
             init = Pose.stack([pose for t in range(10) for pose in (
                 geometry.oplus(truth[t], rng.uniform(-0.05, 0.05, 6)),

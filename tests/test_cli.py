@@ -285,22 +285,29 @@ class TestPipeline:
         ("bogus", lambda meta: meta["gel"].update(bogus=1)),
         ("bogus", lambda meta: meta["noise"].update(bogus=1)),
         ("frames", lambda meta: meta.update(frames=[])),
+        ("frames", lambda meta: meta.update(frames=5)),
         ("seed", lambda meta: meta.update(seed="abc")),
         ("seed", lambda meta: meta.update(seed=-1)),
         ("seed", lambda meta: meta.update(seed=1.0)),
         ("timestamp", lambda meta: meta["frames"][1].update(timestamp="x")),
         ("timestamp", lambda meta: meta["frames"][0].update(
             timestamp=float("nan"))),
-        ("dropped_steps", lambda meta: meta.update(dropped_steps="abc"))],
+        ("dropped_steps", lambda meta: meta.update(dropped_steps="abc")),
+        ("frame 0 must be a mapping",
+         lambda meta: meta["frames"].__setitem__(0, 1)),
+        ("frame 1 must be a mapping",
+         lambda meta: meta["frames"].__setitem__(1, None))],
         ids=["zero_vision_prior", "short_object_pose", "zero_eff_pose",
              "zero_eff_measured", "no_gel", "no_eff_measured",
              "unknown_gel_key", "unknown_noise_key", "no_frames",
-             "text_seed", "negative_seed", "float_seed", "text_timestamp",
-             "nan_timestamp", "text_dropped_steps"])
+             "int_frames", "text_seed", "negative_seed", "float_seed",
+             "text_timestamp", "nan_timestamp", "text_dropped_steps",
+             "int_frame", "null_frame"])
     def test_track_malformed_episode_exit_2(self, suite_yaml, tmp_path, capsys,
                                             field, edit):
         # A malformed pose, seed, timestamp or dropped-step list, a missing
-        # key, an unknown setting or no frames in a saved episode exits 2,
+        # key, an unknown setting, frames that are not a list of one or
+        # more or a frame that is not a mapping in a saved episode exits 2,
         # as a bad value does, with the field named and before anything is
         # written.
         episodes = tmp_path / "episodes"

@@ -1,7 +1,6 @@
 """Factor residuals, linearization, and the Levenberg-Marquardt solver."""
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,10 +11,9 @@ from scipy.linalg import blas
 from tactrack import factors, geometry
 from tactrack.episodes import NoiseSpec, TrajectorySpec, generate_episode
 from tactrack.factors import (SLOTS, DivergenceError, Factor, FactorGraph,
-                              Im2ImFactor, Im2PatchFactor, MotionPriorFactor,
                               NoiseModel, OptimizeStats, OptimizerParams,
-                              PriorFactor, eff_key, eff_prior, linearize,
-                              obj_key, optimize, vis_prior)
+                              eff_key, eff_prior, im2im, im2patch, linearize,
+                              motion_prior, obj_key, optimize, vis_prior)
 from tactrack.geometry import DomainError, Pose
 from tactrack.render import GelConfig
 from tactrack.shapes import Pyramid
@@ -25,6 +23,16 @@ from .conftest import matrix, numerical_jacobian, random_pose, rot_z
 
 UNIT = NoiseModel.isotropic(1.0, 1.0)
 IDENTITY = Pose.identity()
+
+
+def _prior(key: int, measured: Pose, noise: NoiseModel) -> Factor:
+    """A unary prior on any key, the pattern of eff_prior and vis_prior."""
+    return Factor("prior", "D", (key,), measured, noise)
+
+
+def _time(key: int) -> int:
+    """The time step t of graph key id `key`, e_t's or o_t's."""
+    return key // 2 + 1
 
 
 def _replaced(poses: Pose, key: int, pose: Pose) -> Pose:
@@ -78,7 +86,7 @@ class TestResiduals:
     def test_motion_prior_zero_when_static(self):
         rng = np.random.default_rng(2)
         o = random_pose(rng)
-        factor = MotionPriorFactor(2, UNIT)
+        factor = motion_prior(2, UNIT)
         values = Pose.stack([IDENTITY, o, IDENTITY, o])
         np.testing.assert_allclose(factor.residual(values), np.zeros(6),
                                    atol=1e-12)
@@ -88,7 +96,7 @@ class TestResiduals:
         o, e = random_pose(rng), random_pose(rng)
         measured = geometry.compose(geometry.inverse(o), e)
         xi = rng.uniform(-1e-4, 1e-4, 6)
-        factor = Im2PatchFactor(1, measured, UNIT)
+        factor = im2patch(1, measured, UNIT)
         values = Pose.stack([geometry.oplus(e, xi), o])
         np.testing.assert_allclose(factor.residual(values), xi, atol=1e-9)
 
@@ -99,7 +107,7 @@ class TestResiduals:
         rel1 = geometry.compose(geometry.inverse(o), e1)
         rel2 = geometry.compose(geometry.inverse(o), e2)
         measured = geometry.compose(geometry.inverse(rel1), rel2)
-        factor = Im2ImFactor(2, measured, UNIT)
+        factor = im2im(2, measured, UNIT)
         values = Pose.stack([e1, o, e2, o])
         np.testing.assert_allclose(factor.residual(values), np.zeros(6),
                                    atol=1e-9)
@@ -107,8 +115,8 @@ class TestResiduals:
     def test_whitening_scales_inverse(self):
         rng = np.random.default_rng(5)
         p, q = random_pose(rng), random_pose(rng)
-        base = PriorFactor(0, p, UNIT)
-        scaled = PriorFactor(0, p, NoiseModel.isotropic(4.0, 4.0))
+        base = _prior(0, p, UNIT)
+        scaled = _prior(0, p, NoiseModel.isotropic(4.0, 4.0))
         values = Pose.stack([q])
         np.testing.assert_allclose(scaled.residual(values),
                                    base.residual(values) / 4.0, atol=1e-12)
@@ -130,7 +138,7 @@ class TestKeyIds:
     def test_negative_id_rejected(self):
         graph = FactorGraph()
         with pytest.raises(ValueError, match="key id -1 is negative"):
-            graph.add(PriorFactor(-1, IDENTITY, UNIT))
+            graph.add(_prior(-1, IDENTITY, UNIT))
         assert len(graph) == 0 and graph.key_count == 0 and not graph.store
 
     def test_gap_rejected(self):
@@ -144,14 +152,34 @@ class TestKeyIds:
         graph.add(eff_prior(1, IDENTITY, UNIT))
         graph.add(vis_prior(1, IDENTITY, UNIT))
         with pytest.raises(ValueError, match="id 3 leaves key id 2 unused"):
-            graph.add(MotionPriorFactor(2, UNIT))
+            graph.add(motion_prior(2, UNIT))
         assert len(graph) == 2 and graph.key_count == 2
         assert len(graph.store["ids"]) == 2
-        graph.add(Im2ImFactor(2, IDENTITY, UNIT))
+        graph.add(im2im(2, IDENTITY, UNIT))
         assert graph.key_count == 4
         np.testing.assert_array_equal(graph.store["ids"],
                                       [[-1, -1, -1, 0], [-1, -1, -1, 1],
                                        [1, 0, 3, 2]])
+
+    @pytest.mark.parametrize("make, factor, ids", [
+        (eff_prior, eff_prior(4, IDENTITY, UNIT), [-1, -1, -1, eff_key(4)]),
+        (vis_prior, vis_prior(4, IDENTITY, UNIT), [-1, -1, -1, obj_key(4)]),
+        (motion_prior, motion_prior(4, UNIT),
+         [-1, -1, obj_key(3), obj_key(4)]),
+        (im2patch, im2patch(4, IDENTITY, UNIT),
+         [-1, -1, obj_key(4), eff_key(4)]),
+        (im2im, im2im(5, IDENTITY, UNIT),
+         [obj_key(4), eff_key(4), obj_key(5), eff_key(5)]),
+        (im2im, im2im(5, IDENTITY, UNIT, k=3),
+         [obj_key(3), eff_key(3), obj_key(5), eff_key(5)]),
+    ], ids=["eff_prior", "vis_prior", "motion_prior", "im2patch", "im2im",
+            "im2im_keyframe"])
+    def test_constructor_fills_its_slots(self, make, factor, ids):
+        # Each key lands in the template slot the module docstring's table
+        # names, -1 in an empty one, and a factor's kind is the name of the
+        # constructor that made it.
+        assert factor.name == make.__name__
+        np.testing.assert_array_equal(factor.row()["ids"], [ids])
 
 
 class TestLinearize:
@@ -159,7 +187,7 @@ class TestLinearize:
         rng = np.random.default_rng(6)
         p = random_pose(rng)
         graph = FactorGraph()
-        graph.add(PriorFactor(0, p, UNIT))
+        graph.add(_prior(0, p, UNIT))
         system = linearize(graph, Pose.stack([p]))
         np.testing.assert_allclose(_dense(system.ab), np.eye(6), atol=1e-6)
         np.testing.assert_allclose(system.jtr, np.zeros(6), atol=1e-9)
@@ -195,35 +223,16 @@ RESIDUALS = {"zero": st.just(np.zeros(6)), "small": _twist(5e-3, 1e-3),
              "large": _twist(2.5, 30.0)}
 
 
-@dataclass
-class _OneSlotFactor(Factor):
-    """A factor on one key in one template slot: a kind of factor declared
-    by its slot pattern alone, as a new kind would be."""
-
-    key: int
-    measured: Pose
-    noise: NoiseModel
-    name = "one_slot"
-
-    def __post_init__(self):
-        self.keys = (self.key,)
-
-
-# One class per slot but D, whose pattern PriorFactor has: a class's factors
-# share its slot pattern.
-ONE_SLOT = {s: type(f"OneSlot{s}Factor", (_OneSlotFactor,), {"slots": s})
-            for s in SLOTS[:3]}
-
-
 def _factor_at(kind, poses, offset, t0=0, n=0):
     """A factor of `kind` on the poses at times t0 + 1 .. t0 + 3, and the
     six poses e and o at those times, in key-id order (ids 2 t0 to
     2 t0 + 5), at which its raw residual is `offset`: the measurement (or
     the last pose) is solved for from the others, and e at t0 + 3 is e at
-    t0 + 2.  A keyframe factor is an Im2ImFactor from t0 + 1 to t0 + 3
+    t0 + 2.  A keyframe factor is an im2im factor from t0 + 1 to t0 + 3
     (k = t - 2).  A one_slot factor, the `n`-th of its draw, puts o at
     t0 + 1 in slot A, B or C by n, so that G is that pose, or its inverse
-    in B and C."""
+    in B and C: a kind of factor declared by its slot pattern alone, as a
+    new kind would be."""
     o1, e1, o2, e2, o3 = poses
     off_inv = geometry.exp(-offset)
     if kind == "motion_prior":
@@ -232,27 +241,25 @@ def _factor_at(kind, poses, offset, t0=0, n=0):
     if kind == "one_slot":
         slot = SLOTS[n % 3]
         graph_rel = o1 if slot == "A" else geometry.inverse(o1)
-        return ONE_SLOT[slot](obj_key(t0 + 1),
-                              geometry.compose(graph_rel, off_inv),
-                              ANISO), rows
+        return Factor("one_slot", slot, (obj_key(t0 + 1),),
+                      geometry.compose(graph_rel, off_inv), ANISO), rows
     if kind == "prior":
-        return PriorFactor(obj_key(t0 + 3), geometry.compose(o3, off_inv),
-                           ANISO), rows
+        return _prior(obj_key(t0 + 3), geometry.compose(o3, off_inv),
+                      ANISO), rows
     if kind == "motion_prior":
-        return MotionPriorFactor(t0 + 3, ANISO), rows
+        return motion_prior(t0 + 3, ANISO), rows
     rel1 = geometry.compose(geometry.inverse(o1), e1)
     rel2 = geometry.compose(geometry.inverse(o2), e2)
     if kind == "im2im":
         graph_rel = geometry.compose(geometry.inverse(rel1), rel2)
-        return Im2ImFactor(t0 + 2, geometry.compose(graph_rel, off_inv),
-                           ANISO), rows
+        return im2im(t0 + 2, geometry.compose(graph_rel, off_inv),
+                     ANISO), rows
     if kind == "keyframe":
         rel3 = geometry.compose(geometry.inverse(o3), e2)
         graph_rel = geometry.compose(geometry.inverse(rel1), rel3)
-        return Im2ImFactor(t0 + 3, geometry.compose(graph_rel, off_inv),
-                           ANISO, k=t0 + 1), rows
-    return Im2PatchFactor(t0 + 2, geometry.compose(rel2, off_inv),
-                          ANISO), rows
+        return im2im(t0 + 3, geometry.compose(graph_rel, off_inv),
+                     ANISO, k=t0 + 1), rows
+    return im2patch(t0 + 2, geometry.compose(rel2, off_inv), ANISO), rows
 
 
 def _band(dense, width):
@@ -368,8 +375,8 @@ class TestJacobianOracle:
         # every draw, and shrinking 15 cases of ~40 floats takes minutes.
         # Each draw holds two or three factors of the kind, so a batched
         # evaluation that mixes rows of the batch fails too; one_slot's
-        # factors fill the slots A, B and C in turn, one class each.  The
-        # graph holds them relabeled, as it holds no unused key id.
+        # factors fill the slots A, B and C in turn.  The graph holds them
+        # relabeled, as it holds no unused key id.
         @settings(max_examples=40, deadline=None, derandomize=True,
                   database=None, phases=[Phase.explicit, Phase.generate],
                   suppress_health_check=[HealthCheck.filter_too_much])
@@ -402,9 +409,9 @@ class TestJacobianOracle:
         check()
 
 
-# The error poses and tangent maps of each factor class as each computed
+# The error poses and tangent maps of each kind of factor as each computed
 # them before the residual template, kept as the template's reference: a
-# batch of factors of the class, `poses` one Pose per key in key order.
+# batch of factors of the kind, `poses` one Pose per key in key order.
 def _ad_inv(a):
     return geometry.adjoint(geometry.inverse(a))
 
@@ -436,10 +443,17 @@ def _im2patch_reference(poses, measured):
     return error, [-_ad_inv(graph_rel), None]
 
 
-REFERENCES = {PriorFactor: _prior_reference,
-              MotionPriorFactor: _motion_prior_reference,
-              Im2ImFactor: _im2im_reference,
-              Im2PatchFactor: _im2patch_reference}
+REFERENCES = {"eff_prior": _prior_reference,
+              "vis_prior": _prior_reference,
+              "motion_prior": _motion_prior_reference,
+              "im2im": _im2im_reference,
+              "im2patch": _im2patch_reference}
+# A factor of each kind on the keys of times 1 and 2, measuring `m`.
+MAKERS = {"eff_prior": lambda m: eff_prior(1, m, UNIT),
+          "vis_prior": lambda m: vis_prior(1, m, UNIT),
+          "motion_prior": lambda m: motion_prior(2, UNIT),
+          "im2im": lambda m: im2im(2, m, UNIT),
+          "im2patch": lambda m: im2patch(1, m, UNIT)}
 
 
 def _mixed_twists(rng, n, max_trans=30.0):
@@ -457,17 +471,17 @@ def _mixed_twists(rng, n, max_trans=30.0):
 def _reference_evaluate(graph, poses):
     """The whitened residuals and Jacobian blocks (one per key, factor by
     factor) of `graph` at the estimate `poses`, as the solver evaluated
-    them before the template: one class at a time by the reference, then
-    one log and one inverse right Jacobian over all classes, and the rows
+    them before the template: one kind at a time by the reference, then
+    one log and one inverse right Jacobian over all kinds, and the rows
     put back in insertion order."""
     errors, maps, sigmas, ends, order = [], [], [], [0], []
-    for cls in dict.fromkeys(type(f) for f in graph.factors):
-        members = [i for i, f in enumerate(graph.factors) if type(f) is cls]
+    for name in dict.fromkeys(f.name for f in graph.factors):
+        members = [i for i, f in enumerate(graph.factors) if f.name == name]
         group = [graph.factors[i] for i in members]
         rows = [poses[np.array([f.keys[i] for f in group])]
-                for i in range(len(cls.slots))]
-        error, tangent = REFERENCES[cls](rows,
-                                         Pose.stack([f.measured for f in group]))
+                for i in range(len(group[0].slots))]
+        error, tangent = REFERENCES[name](
+            rows, Pose.stack([f.measured for f in group]))
         errors.append(error)
         maps.append(tangent)
         sigmas.append(np.array([f.noise.sigmas for f in group]))
@@ -499,53 +513,49 @@ def _assert_same_maps(error, maps, expected, expected_maps):
 
 
 class TestTemplateReference:
-    """The residual template against each class's own error and tangent
+    """The residual template against each kind's own error and tangent
     maps, to the bit."""
 
-    @pytest.mark.parametrize("cls", list(REFERENCES),
-                             ids=lambda cls: cls.__name__)
-    def test_template_equals_class_reference(self, cls):
+    @pytest.mark.parametrize("name", list(REFERENCES))
+    def test_template_equals_class_reference(self, name):
         # A batch as the solver evaluates it, empty slots holding identity
         # rows, and the residual of one factor alone, its row evaluated as
         # the graph's rows are.  The last key's pose is solved for so that
         # the error's rotation angles alternate around the series switch.
         rng = np.random.default_rng(31)
         n = 16
+        slots = MAKERS[name](IDENTITY).slots
         identity = Pose(np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)))
-        poses = {s: geometry.exp(_mixed_twists(rng, n)) if s in cls.slots
+        poses = {s: geometry.exp(_mixed_twists(rng, n)) if s in slots
                  else identity for s in SLOTS[:3]}
-        measured = (identity if cls is MotionPriorFactor
+        measured = (identity if name == "motion_prior"
                     else geometry.exp(_mixed_twists(rng, n)))
         poses["D"] = geometry.compose(
             geometry.compose(poses["C"], geometry.compose(
                 geometry.inverse(poses["A"]), poses["B"])),
             geometry.compose(measured, geometry.exp(_mixed_twists(rng, n))))
-        expected, expected_maps = REFERENCES[cls](
-            [poses[s] for s in cls.slots], measured)
+        expected, expected_maps = REFERENCES[name](
+            [poses[s] for s in slots], measured)
         angles = np.linalg.norm(geometry.log(expected)[:, :3], axis=1)
         assert (angles < geometry._SERIES_ANGLE).any()
         assert (angles >= geometry._SERIES_ANGLE).any()
 
         error, maps = factors._template(*(poses[s] for s in SLOTS), measured,
                                         True)
-        _assert_same_maps(error, [maps[SLOTS.index(s)] for s in cls.slots],
+        _assert_same_maps(error, [maps[SLOTS.index(s)] for s in slots],
                           expected, expected_maps)
 
-        factor = {PriorFactor: lambda m: PriorFactor(0, m, UNIT),
-                  MotionPriorFactor: lambda m: MotionPriorFactor(2, UNIT),
-                  Im2ImFactor: lambda m: Im2ImFactor(2, m, UNIT),
-                  Im2PatchFactor: lambda m: Im2PatchFactor(1, m, UNIT),
-                  }[cls](measured[0])
-        one = [poses[s][0] for s in cls.slots]
+        factor = MAKERS[name](measured[0])
+        one = [poses[s][0] for s in slots]
         values = Pose.stack([IDENTITY] * 4)
         for key, pose in zip(factor.keys, one):
             values = _replaced(values, key, pose)
         np.testing.assert_array_equal(factor.residual(values), geometry.log(
-            REFERENCES[cls](one, measured[0])[0]) / factor.noise.sigmas)
+            REFERENCES[name](one, measured[0])[0]) / factor.noise.sigmas)
 
     def test_graph_evaluation_equals_class_reference(self, episode_graph):
-        # Every class of a real tracking graph in one template evaluation,
-        # against the classes evaluated one at a time.  Half the keys are
+        # Every kind of a real tracking graph in one template evaluation,
+        # against the kinds evaluated one at a time.  Half the keys are
         # moved far enough that the residual angles lie on both sides of
         # the series switch.
         graph, poses = episode_graph
@@ -555,7 +565,7 @@ class TestTemplateReference:
             far[:, None], rng.normal(scale=[0.05] * 3 + [0.5] * 3,
                                      size=(len(far), 6)), 0.0))
         plan = factors._layout(graph)
-        residuals, blocks = factors._evaluate(plan.store, poses, True)
+        residuals, blocks = factors._evaluate(graph.store, poses, True)
         expected, expected_blocks = _reference_evaluate(graph, poses)
         angles = np.linalg.norm((expected * graph.store["sigmas"])[:, :3],
                                 axis=1)
@@ -577,7 +587,7 @@ def pyramid_episode():
 def episode_graph(pyramid_episode):
     """The graph and estimate at the end of a 24-step
     patchgraph episode, with the im2patch factors that gtpatch adds on the
-    same episode, so that one real graph holds every factor class:
+    same episode, so that one real graph holds every factor kind:
     patchgraph's keyframe factors (k = t - 2) and gtpatch's unary factors
     against the true shape."""
     ep = pyramid_episode
@@ -605,7 +615,8 @@ class TestEpisodeGraph:
         graph, _ = episode_graph
         assert {f.name for f in graph.factors} == {
             "vis_prior", "eff_prior", "motion_prior", "im2im", "im2patch"}
-        spans = {f.t - f.k for f in graph.factors if f.name == "im2im"}
+        spans = {_time(f.keys[-1]) - _time(f.keys[0]) for f in graph.factors
+                 if f.name == "im2im"}
         assert spans == {1, 2}
 
     def test_normal_equations_match_per_factor_reference(self, episode_graph):
@@ -651,10 +662,11 @@ class TestEpisodeGraph:
     def test_residual_at_pi_in_batch_raises(self, episode_graph):
         graph, values = episode_graph
         last = max((f for f in graph.factors if f.name == "im2patch"),
-                   key=lambda f: f.t)
-        graph_rel = geometry.compose(geometry.inverse(values[obj_key(last.t)]),
-                                     values[eff_key(last.t)])
-        flipped = Im2PatchFactor(last.t, geometry.compose(
+                   key=lambda f: f.keys)
+        t = _time(last.keys[0])
+        graph_rel = geometry.compose(geometry.inverse(values[obj_key(t)]),
+                                     values[eff_key(t)])
+        flipped = im2patch(t, geometry.compose(
             graph_rel, Pose(rot_z(np.pi), np.zeros(3))), last.noise)
         broken = FactorGraph([flipped if f is last else f
                               for f in graph.factors])
@@ -664,7 +676,7 @@ class TestEpisodeGraph:
             linearize(broken, values)
 
     def test_interleaved_adds_match_fresh_graph(self, episode_graph):
-        # The class stores grow and the cached linearize layout is rebuilt
+        # The store grows and the cached linearize layout is rebuilt
         # as factors arrive between evaluations; neither may change a bit
         # of what a graph built in one go gives.  Each prefix of the graph
         # uses the first key ids of the whole graph, so it reads the first
@@ -683,6 +695,22 @@ class TestEpisodeGraph:
             np.testing.assert_array_equal(a.ab, b.ab)
             np.testing.assert_array_equal(a.jtr, b.jtr)
             assert a.cost == b.cost
+
+    def test_cost_reads_the_store_without_a_layout(self, episode_graph):
+        # On a graph that grew since its last linearize, cost leaves that
+        # layout as it is and still agrees, to the bit, with a fresh
+        # linearize of the whole graph.
+        graph, values = episode_graph
+        poses = _jittered(values, np.random.default_rng(34))
+        half = len(graph) // 2
+        grown = FactorGraph(graph.factors[:half])
+        linearize(grown, poses)
+        plan = grown._plan
+        for factor in graph.factors[half:]:
+            grown.add(factor)
+        cost = grown.cost(poses)
+        assert grown._plan is plan and plan.factors == half
+        assert cost == linearize(FactorGraph(graph.factors), poses).cost
 
     def test_extended_layout_matches_fresh_layout(self, pyramid_episode,
                                                   monkeypatch):
@@ -880,7 +908,7 @@ class TestOptimize:
         rng = np.random.default_rng(9)
         mean = random_pose(rng)
         graph = FactorGraph()
-        graph.add(PriorFactor(0, mean, UNIT))
+        graph.add(_prior(0, mean, UNIT))
         init = Pose.stack([geometry.oplus(mean, rng.uniform(-0.05, 0.05, 6))])
         poses, stats = optimize(graph, init)
         assert np.linalg.norm(geometry.ominus(poses[0], mean)) < 1e-8
@@ -894,7 +922,7 @@ class TestOptimize:
         rng = np.random.default_rng(13)
         mean = random_pose(rng)
         graph = FactorGraph()
-        graph.add(PriorFactor(0, mean, UNIT))
+        graph.add(_prior(0, mean, UNIT))
         calls = []
         cost = FactorGraph.cost
 
@@ -917,8 +945,8 @@ class TestOptimize:
         mu2 = Pose(np.eye(3), np.array([3.0, 0.0, 0.0]))
         s1, s2 = 1.0, 2.0
         graph = FactorGraph()
-        graph.add(PriorFactor(0, mu1, NoiseModel.isotropic(s1, s1)))
-        graph.add(PriorFactor(0, mu2, NoiseModel.isotropic(s2, s2)))
+        graph.add(_prior(0, mu1, NoiseModel.isotropic(s1, s1)))
+        graph.add(_prior(0, mu2, NoiseModel.isotropic(s2, s2)))
         expected = (1.0 / s1**2 + 3.0 / s2**2) / (1.0 / s1**2 + 1.0 / s2**2)
         poses, _ = optimize(graph, Pose.stack([Pose.identity()]))
         np.testing.assert_allclose(poses[0].translation,
@@ -942,8 +970,8 @@ class TestOptimize:
                                         truth[t - 1])
             # Odometry between consecutive end-effector poses expressed as a
             # relative-motion measurement of the still object.
-            graph.add(Im2ImFactor(t, measured, UNIT))
-            graph.add(MotionPriorFactor(t, UNIT))
+            graph.add(im2im(t, measured, UNIT))
+            graph.add(motion_prior(t, UNIT))
         # Rows e_1, o_1, e_2, o_2, ...: the object starts at the identity.
         init = Pose.stack([pose for t in range(10) for pose in (
             geometry.oplus(truth[t], rng.uniform(-0.05, 0.05, 6)), IDENTITY)])
@@ -959,8 +987,8 @@ class TestOptimize:
 
     def test_non_finite_initial_cost_raises(self):
         graph = FactorGraph()
-        graph.add(PriorFactor(0, Pose(np.eye(3), np.array([np.nan, 0.0, 0.0])),
-                              UNIT))
+        graph.add(_prior(0, Pose(np.eye(3), np.array([np.nan, 0.0, 0.0])),
+                         UNIT))
         with pytest.raises(DivergenceError):
             optimize(graph, Pose.stack([Pose.identity()]))
 
@@ -973,7 +1001,7 @@ class TestOptimize:
         rng = np.random.default_rng(15)
         mean = random_pose(rng)
         graph = FactorGraph()
-        graph.add(PriorFactor(0, mean, UNIT))
+        graph.add(_prior(0, mean, UNIT))
         init = Pose.stack([geometry.oplus(mean, np.full(6, offset))])
         retract, cost = geometry.oplus, FactorGraph.cost
         cost_only = []
@@ -999,7 +1027,7 @@ class TestOptimize:
         rng = np.random.default_rng(15)
         mean = random_pose(rng)
         graph = FactorGraph()
-        graph.add(PriorFactor(0, mean, UNIT))
+        graph.add(_prior(0, mean, UNIT))
         init = Pose.stack([geometry.oplus(mean, np.zeros(6))])
         assert not linearize(graph, init).jtr.any()
 
@@ -1020,7 +1048,7 @@ class TestOptimize:
     def test_no_iterations_computes_no_jacobian(self, monkeypatch):
         rng = np.random.default_rng(16)
         graph = FactorGraph()
-        graph.add(PriorFactor(0, random_pose(rng), UNIT))
+        graph.add(_prior(0, random_pose(rng), UNIT))
         init = Pose.stack([random_pose(rng)])
 
         def refused(*args, **kwargs):
@@ -1055,8 +1083,8 @@ class TestOptimize:
         rng = np.random.default_rng(11)
         graph = FactorGraph()
         mean = random_pose(rng)
-        graph.add(PriorFactor(0, mean, UNIT))
-        graph.add(PriorFactor(0, random_pose(rng), UNIT))
+        graph.add(_prior(0, mean, UNIT))
+        graph.add(_prior(0, random_pose(rng), UNIT))
         init = Pose.stack([random_pose(rng)])
         _, stats = optimize(graph, init)
         assert stats.final_cost <= stats.initial_cost
@@ -1064,8 +1092,8 @@ class TestOptimize:
     def test_stationary_point(self):
         rng = np.random.default_rng(12)
         graph = FactorGraph()
-        graph.add(PriorFactor(0, random_pose(rng), UNIT))
-        graph.add(PriorFactor(0, random_pose(rng), UNIT))
+        graph.add(_prior(0, random_pose(rng), UNIT))
+        graph.add(_prior(0, random_pose(rng), UNIT))
         init = Pose.stack([Pose.identity()])
         poses, stats = optimize(graph, init,
                                 OptimizerParams(max_iterations=100,

@@ -840,6 +840,26 @@ class TestEpisodes:
                 f"episode frame {frames[0]} eff_pose must be 7 finite")):
             load_episode(tmp_path)
 
+    @pytest.mark.parametrize("where, edited", [
+        ("episode frame 0",
+         lambda meta: {**meta, "frames": [1] + meta["frames"][1:]}),
+        ("episode frame 2", lambda meta: {
+            **meta, "frames": meta["frames"][:2] + [None]
+            + meta["frames"][3:]}),
+        ("episode", lambda meta: meta["frames"])],
+        ids=["int_frame", "null_frame", "list_episode"])
+    def test_load_rejects_an_entry_that_is_not_a_mapping(self, gel, tmp_path,
+                                                        where, edited):
+        ep = generate_episode(Sphere(radius=6.35),
+                              TrajectorySpec(steps=4, indent=1.0, length=1.0),
+                              gel, NoiseSpec(), seed=5)
+        save_episode(ep, tmp_path)
+        meta = json.loads((tmp_path / "episode.json").read_text())
+        (tmp_path / "episode.json").write_text(json.dumps(edited(meta)))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{where} must be a mapping, got ")):
+            load_episode(tmp_path)
+
     def test_depth_is_optional_per_episode(self, gel, tmp_path):
         ep = generate_episode(Sphere(radius=6.35),
                               TrajectorySpec(steps=4, indent=1.0, length=1.0),

@@ -33,6 +33,17 @@ ZERO_NOISE = NoiseSpec(normal_sigma=0.0, eff_sigma_rot=0.0,
                        vis_sigma_trans=0.0)
 
 
+def _time(key):
+    """The time step t of graph key id `key`, e_t's or o_t's."""
+    return key // 2 + 1
+
+
+def _im2im_spans(graph):
+    """Each im2im factor of `graph` with the steps k and t it ties."""
+    return [(f, _time(f.keys[0]), _time(f.keys[-1])) for f in graph.factors
+            if f.name == "im2im"]
+
+
 def corner_tilted_cube(half=9.0):
     tilt = geometry.rot_y(np.arctan(1.0 / np.sqrt(2.0)) + 0.15) \
         @ geometry.rot_x(np.pi / 4.0 + 0.1)
@@ -301,7 +312,7 @@ class TestMotionModel:
         first = tracker.poses[obj_key(1)]
         drift = geometry.ominus(first, estimate.object_pose)[3:]
         assert np.linalg.norm(drift) < 0.25
-        steps = [f.t for f in tracker.graph.factors
+        steps = [_time(f.keys[-1]) for f in tracker.graph.factors
                  if f.name == "motion_prior"]
         assert sorted(steps) == list(range(2, len(ep.frames) + 1))
 
@@ -475,8 +486,8 @@ class TestPatchInit:
         monkeypatch.setattr(registration, "icp_register", recorded)
         for frame in ep.frames:
             tracker.step(frame.normals, frame.eff_measured)
-        added = {f.t: f.measured for f in tracker.graph.factors
-                 if f.name == "im2im" and f.k == f.t - 1}
+        added = {t: f.measured for f, k, t in _im2im_spans(tracker.graph)
+                 if k == t - 1}
         return tracker, added, calls
 
     @staticmethod
@@ -504,8 +515,8 @@ class TestPatchInit:
     def test_keyframe_factor_spans_target_to_step(self, monkeypatch, gel):
         tracker, _, calls = self._run(monkeypatch, gel,
                                       TrackerMode.PATCH_GRAPH)
-        spans = {(f.k, f.t) for f in tracker.graph.factors
-                 if f.name == "im2im" and f.k != f.t - 1}
+        spans = {(k, t) for _, k, t in _im2im_spans(tracker.graph)
+                 if k != t - 1}
         assert spans and spans <= {(k, t) for t, _, k, *_ in calls}
         assert not [f for f in tracker.graph.factors if f.name == "im2patch"]
 
