@@ -9,7 +9,6 @@ perturbed normal images are produced deterministically from a seed.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -309,13 +308,13 @@ def load_episode(directory) -> Episode:
     noise setting, a seed that is not an int >= 0, dropped steps that are
     not a list of ints >= 0, a timestamp that is not a finite number, or a
     pose that is not 7 finite numbers with a nonzero quaternion; ValueError
-    naming the file for an image that is truncated or whose shape is not
-    the stack of F gel-sized frames, (F*height) x width (x 3 for normals).
+    naming the file for an `episode.json` that is not JSON, a truncated
+    image, or one whose shape is not the stack of F gel-sized frames,
+    (F*height) x width (x 3 for normals).
     Each stack is read once and its frames are row slices of it; images
     keep the float32 values of their files.  Each pose kind is parsed in
     one call, and frames hold rows of the stacked poses."""
-    with open(os.path.join(directory, "episode.json")) as f:
-        meta = json.load(f)
+    meta = imageio.read_json(os.path.join(directory, "episode.json"))
 
     def get(mapping, key, where="episode"):
         if not isinstance(mapping, dict):

@@ -246,12 +246,15 @@ def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
 def _registration_fates(entries) -> dict:
     """kind -> fate -> count over the registration calls recorded in the
     step diagnostics of `entries`, for each kind that made a call.  Records
-    written before calls had a fate are not counted."""
+    written before calls had a fate are not counted; ConfigError for a fate
+    outside REGISTRATION_FATES."""
     fates = {}
     for entry in entries:
         for diag in entry.get("diagnostics", ()):
             for kind in REGISTRATION_KINDS:
                 fate = (diag.get(f"icp_{kind}") or {}).get("fate")
+                if fate not in (None, *REGISTRATION_FATES):
+                    raise ConfigError(f"unknown {kind} fate {fate!r}")
                 if fate is not None:
                     fates.setdefault(kind, dict.fromkeys(REGISTRATION_FATES,
                                                          0))[fate] += 1
@@ -341,7 +344,9 @@ def write_report(report: dict, json_path, csv_path=None) -> None:
 
 def collect_runs(runs_dir) -> dict:
     """Rebuild the per-(object, episode, mode) records from metrics.json files
-    written by `track` runs laid out as <runs>/<object>/ep####/<mode>/."""
+    written by `track` runs laid out as <runs>/<object>/ep####/<mode>/.
+    ValueError naming the file for one that is not JSON; ConfigError naming
+    it for one that is not a mapping or records an unknown fate."""
     records = {}
     for obj in sorted(os.listdir(runs_dir)):
         obj_dir = os.path.join(runs_dir, obj)
@@ -356,8 +361,14 @@ def collect_runs(runs_dir) -> dict:
                 path = os.path.join(ep_dir, mode, "metrics.json")
                 if not os.path.exists(path):
                     continue
-                with open(path) as f:
-                    metrics = json.load(f)
+                metrics = imageio.read_json(path)
+                if not isinstance(metrics, dict):
+                    raise ConfigError(f"{path} must hold a mapping, got "
+                                      f"{type(metrics).__name__}")
+                try:
+                    _registration_fates([metrics])
+                except ConfigError as err:
+                    raise ConfigError(f"{path}: {err}") from None
                 metrics.setdefault("status", "ok")
                 by_mode.setdefault(mode, []).append(metrics)
         if by_mode:

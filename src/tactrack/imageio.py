@@ -27,6 +27,15 @@ def write_json(path, record) -> None:
         f.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+def read_json(path):
+    """The JSON value in `path`; ValueError naming the file if not JSON."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as err:   # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path} is not JSON: {err}") from None
+
+
 def _frames(data) -> list:
     """`data` as a list of frames: a list of images of one shape as given,
     or one image as a list of one."""

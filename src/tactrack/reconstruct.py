@@ -28,14 +28,15 @@ class GradientField:
     mask: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class PointCloud:
     """3-D points (mm) with unit normals, expressed in a declared frame.
 
-    A cloud's arrays are not changed once it is made, so what is derived
-    from them is built on first use and kept: its k-d tree as a target
-    (`search`) and the outcomes of its registrations as a source
-    (`registrations`)."""
+    A cloud's arrays are not changed once it is made, so its k-d tree as a
+    target (`search`) is built on first use and kept.  Clouds compare and
+    hash by identity: `registration.icp_register` keeps only the results of
+    solved registrations, keyed by both clouds, held weakly, and solves a
+    failed call again."""
 
     points: np.ndarray
     normals: np.ndarray
@@ -52,13 +53,6 @@ class PointCloud:
         from scipy.spatial import cKDTree
 
         return cKDTree(self.points), np.hstack([self.points, self.normals])
-
-    @functools.cached_property
-    def registrations(self) -> dict:
-        """`registration.icp_register`'s memo of this cloud's registrations
-        as the source: (target id, init bytes) -> (weak reference to the
-        target, outcome).  It holds no target alive."""
-        return {}
 
     def transformed(self, pose, frame: str) -> "PointCloud":
         return PointCloud(points=pose.transform_points(self.points),

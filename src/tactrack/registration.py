@@ -25,6 +25,7 @@ CONVERGENCE_THRESHOLD = 1e-5        # update twist norm
 # Stop once a step's predicted share of the point-to-plane cost is this small.
 MIN_PREDICTED_REDUCTION = 1e-2
 MIN_CORRESPONDENCES = 20
+_SOLVED = weakref.WeakKeyDictionary()   # icp_register's memo, see there
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -173,31 +174,19 @@ def icp_register(source: PointCloud, target: PointCloud,
     iteration; it is reported with those matches' count and the last step's
     predicted reduction.
 
-    Each registration is solved once: its outcome is kept in
-    `source.registrations`, keyed by the target's identity and the exact
-    bytes of `init`, and a repeated call replays it without a tree query.
-    A replayed result is the object the solve returned.  A replayed
-    failure is raised as a fresh exception of the same type and message;
-    the memo keeps only its constructor arguments, since an exception's
-    traceback would hold the frames, and so the tracker, of the call that
-    raised it.  The target is held by a weak reference, so the memo keeps
-    no cloud alive.
+    Only results are kept (`_SOLVED`), keyed by the identity of the source
+    and the target cloud, both held weakly, and the exact bytes of `init`:
+    a repeated call returns the same object without a tree query, and an
+    entry dies with either cloud.  A failed call keeps nothing and is
+    solved again.
     """
-    key = (id(target), init.rotation.tobytes(), init.translation.tobytes())
-    entry = source.registrations.get(key)
-    if entry is None or entry[0]() is not target:
-        try:
-            outcome = _solve(source, target, init)
-        except DegenerateGeometryError as err:
-            outcome = (DegenerateGeometryError, err.condition_number)
-        except InsufficientOverlapError as err:
-            outcome = (InsufficientOverlapError, err.count, err.required)
-        entry = source.registrations[key] = (weakref.ref(target), outcome)
-    outcome = entry[1]
-    if isinstance(outcome, ICPResult):
-        return outcome
-    error, *args = outcome
-    raise error(*args)
+    key = (init.rotation.tobytes(), init.translation.tobytes())
+    result = _SOLVED.get(source, {}).get(target, {}).get(key)
+    if result is None:
+        result = _solve(source, target, init)
+        _SOLVED.setdefault(source, weakref.WeakKeyDictionary()).setdefault(
+            target, {})[key] = result
+    return result
 
 
 def _solve(source: PointCloud, target: PointCloud, init: Pose) -> ICPResult:

@@ -40,17 +40,17 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ShapeSDF:
-    """Base class: signed distance in the object frame.  A subclass keeps
-    each size as a float: ConfigError unless it is a finite number > 0."""
+    """Base class: signed distance in the object frame.  A subclass must
+    define `_sdf_local(points)`, the signed distance of points given in
+    the shape's own frame, which `offset` places in the object frame, and
+    `descriptor()`, the mapping `shape_from_descriptor` reads back.  It keeps each size as a float:
+    ConfigError unless it is a finite number > 0."""
 
     offset: Pose = field(default_factory=Pose.identity)
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
         local = geometry.inverse(self.offset).transform_points(points)
         return self._sdf_local(local)
-
-    def _sdf_local(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def gradient(self, points: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         """Finite-difference SDF gradient (unit surface normal away from edges)."""
@@ -75,9 +75,6 @@ class ShapeSDF:
             norm[norm < 1e-12] = 1.0
             pts -= (d[:, None]) * g / norm
         return pts
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass

@@ -151,9 +151,9 @@ class Tracker:
     Each frame's contact cloud is looked up by its normal image and the
     gel, and reconstructed on a miss, so trackers stepped over the same
     images, from `track_episode` or built directly, share their clouds.
-    The registration calls, the skip checks, the jump gates and the
-    factors are the tracker's own, though a call another tracker made on
-    the same clouds replays its outcome (`registration.icp_register`).
+    The registration calls, skip checks, jump gates and factors are the
+    tracker's own; a call another tracker solved on the same clouds returns
+    its result, a failed one is solved again (`registration.icp_register`).
     Once an image's cloud is kept, its arrays are made read-only.
 
     The constructor adds no factor, and each `step` adds e_t's first

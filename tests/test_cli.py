@@ -334,6 +334,44 @@ class TestPipeline:
                      "--mode", "constvel", "--out", str(tmp_path / "run")]) == 1
         assert str(image) in capsys.readouterr().err
 
+    def test_track_unparsable_episode_json_exit_1(self, suite_yaml,
+                                                  tmp_path, capsys):
+        # episode.json that is not JSON is a bad file, as a truncated image
+        # is: exit 1, with the file named.
+        episodes = tmp_path / "episodes"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        meta = episodes / "sphere" / "ep0000" / "episode.json"
+        meta.write_text("{bad")
+        capsys.readouterr()
+        assert main(["track", "--episode", str(meta.parent),
+                     "--mode", "constvel", "--out", str(tmp_path / "run")]) == 1
+        assert str(meta) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda text: "{bad", 1),
+        (lambda text: "[]", 2),
+        (lambda text: json.dumps(dict(json.loads(text), diagnostics=[
+            {"icp_im2im": {"fate": "bogus"}}])), 2)],
+        ids=["not_json", "not_a_mapping", "unknown_fate"])
+    def test_eval_malformed_metrics(self, suite_yaml, tmp_path, capsys,
+                                    edit, code):
+        # A metrics.json that is not JSON exits 1; one that is not a mapping
+        # or records an unknown registration fate is a bad value, exit 2.
+        # Each names the file.
+        episodes, runs = tmp_path / "episodes", tmp_path / "runs"
+        main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
+        run = runs / "sphere" / "ep0000" / "constvel"
+        main(["track", "--episode", str(episodes / "sphere" / "ep0000"),
+              "--mode", "constvel", "--out", str(run)])
+        metrics = run / "metrics.json"
+        metrics.write_text(edit(metrics.read_text()))
+        capsys.readouterr()
+        assert main(["eval", "--runs", str(runs),
+                     "--out", str(tmp_path / "report.json")]) == code
+        assert str(metrics) in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_eval_empty_runs_exit_2(self, tmp_path):
         (tmp_path / "runs").mkdir()
         assert main(["eval", "--runs", str(tmp_path / "runs"),

@@ -770,20 +770,24 @@ class TestFrontEnd:
         solve, solved = registration._solve, []
         monkeypatch.setattr(registration, "icp_register", counted_register)
         monkeypatch.setattr(registration, "_solve", counted_solve)
-        diagnostics = []
-        for mode in (TrackerMode.IMAGE_TO_IMAGE, TrackerMode.PATCH_GRAPH,
-                     TrackerMode.GROUNDTRUTH_PATCH):
-            diagnostics += track_episode(episode, mode).diagnostics
+        diagnostics = {mode: track_episode(episode, mode).diagnostics
+                       for mode in (TrackerMode.IMAGE_TO_IMAGE,
+                                    TrackerMode.PATCH_GRAPH,
+                                    TrackerMode.GROUNDTRUTH_PATCH)}
         contact = _contact_steps(episode)
         assert 5 not in contact and len(contact) == len(episode.frames) - 1
         assert reconstructed == contact
-        # Each mode that registers image to image makes its own call, and
-        # the second mode's call replays the first's outcome.
+        # Each mode that registers image to image makes its own call.  The
+        # second mode's call reads the first's result, but a failed call
+        # kept nothing and is solved again.
         pairs = [t for t in contact if t - 1 in contact]
         assert im2im == pairs + pairs
-        assert solved == pairs
-        assert any((d["icp_im2im"] or {}).get("fate")
-                   in ("degenerate", "no_overlap") for d in diagnostics)
+        failed_pairs = [d["step"] for d in
+                        diagnostics[TrackerMode.IMAGE_TO_IMAGE]
+                        if (d["icp_im2im"] or {}).get("fate")
+                        in ("degenerate", "no_overlap")]
+        assert failed_pairs
+        assert solved == pairs + failed_pairs
 
     def test_trackers_die_with_their_run(self, cube_episode, monkeypatch):
         # The shared front end lives as long as the episode, so it must hold
@@ -892,9 +896,9 @@ class TestFrontEnd:
 
     def test_direct_tracker_frees_earlier_clouds(self, sphere_episode):
         # Streaming fresh images, a tracker keeps only the current cloud
-        # alive: each cloud's registration memo refers to its im2im
-        # target, the previous cloud, only weakly, and the previous image
-        # and so its clouds are gone.
+        # alive: the registration memo refers to each im2im source and
+        # target only weakly, and the previous image and so its clouds are
+        # gone.
         tracker = Tracker(TrackerMode.IMAGE_TO_IMAGE, TrackerConfig(),
                           sphere_episode.vision_prior, sphere_episode.gel)
         clouds = []
@@ -904,13 +908,17 @@ class TestFrontEnd:
             clouds.append(weakref.ref(tracker.prev_cloud))
             assert [ref() is not None for ref in clouds] \
                 == [False] * (len(clouds) - 1) + [True]
-        assert tracker.prev_cloud.registrations
+        # The current cloud registered as a source, and its entry against
+        # the previous cloud died with that cloud.
+        assert tracker.prev_cloud in registration._SOLVED
+        assert not registration._SOLVED[tracker.prev_cloud]
         assert len(clouds) == len(sphere_episode.frames) > 2
 
-    def test_gtpatch_target_dies_with_its_run(self, cube_episode,
+    def test_gtpatch_target_dies_with_its_run(self, sphere_episode,
                                               monkeypatch):
-        # The images' clouds keep their registrations against the sampled
-        # true shape, but not the shape's samples.
+        # The memo keeps the images' clouds' registrations against the
+        # sampled true shape only while the shape's samples live.  Every
+        # sphere gtpatch call is solved, so every cloud registered.
         sample, targets = tracker_module._sample_sdf_surface, []
 
         def recorded(*args, **kwargs):
@@ -919,11 +927,12 @@ class TestFrontEnd:
             return target
 
         monkeypatch.setattr(tracker_module, "_sample_sdf_surface", recorded)
-        episode = copy.deepcopy(cube_episode)
+        episode = copy.deepcopy(sphere_episode)
         track_episode(episode, TrackerMode.GROUNDTRUTH_PATCH)
         assert len(targets) == 1 and targets[0]() is None
-        memos = [entry for frame in episode.frames
-                 for cloud in tracker_module._CLOUDS.get(frame.normals,
-                                                         {}).values()
-                 for entry in cloud.registrations.values()]
-        assert memos and all(ref() is None for ref, _ in memos)
+        sources = [cloud for frame in episode.frames
+                   for cloud in tracker_module._CLOUDS.get(frame.normals,
+                                                           {}).values()]
+        assert sources
+        assert all(cloud in registration._SOLVED for cloud in sources)
+        assert all(not registration._SOLVED[cloud] for cloud in sources)
