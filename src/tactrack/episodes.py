@@ -9,7 +9,9 @@ perturbed normal images are produced deterministically from a seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,40 +198,39 @@ def _trajectory_delta(traj: TrajectorySpec, frac: float, direction: float,
     raise EpisodeGenerationError(f"unknown trajectory kind {traj.kind!r}")
 
 
-def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig,
-                     noise: NoiseSpec, seed: int, *, base: Pose | None = None
-                     ) -> Episode:
-    """Simulate one contact episode; deterministic for a fixed seed.
+@dataclass(frozen=True)
+class Slide:
+    """The noise-free part of an episode: what its shape, gel, trajectory,
+    contact base and slide direction fix, before any seed draws.  `kept`
+    and `dropped` are step indices; `effs`, `depths` and `normals` are the
+    kept steps' sensor poses, rendered depths and exact normals, stacked.
+    Every array is read-only, so that one slide can serve many episodes."""
 
-    Every step's sensor pose is rendered in one `render_depth` call, and
-    the kept frames' normals are computed and perturbed as one stack.
-    Frames whose contact region touches the image border are dropped, as
-    the Poisson boundary condition cannot handle them.  More than
-    MAX_CONTACT_BREAKS consecutive out-of-contact steps abort generation.
-    `base` is `find_contact_base(shape, gel, trajectory.indent)`, found
-    here unless the caller already has it.
-    """
-    rng = np.random.default_rng(seed)
-    direction = (np.deg2rad(trajectory.direction_deg)
-                 if trajectory.direction_deg is not None
-                 else rng.uniform(0.0, 2.0 * np.pi))
+    kept: tuple
+    dropped: tuple
+    effs: Pose
+    depths: DepthImage
+    normals: NormalImage
 
-    if base is None:
-        base = find_contact_base(shape, gel, trajectory.indent)
+
+def render_slide(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig,
+                 base: Pose, direction: float) -> Slide:
+    """Render `trajectory` from the contact base `base` along `direction`
+    (rad): every step's sensor pose in one `render_depth` call, then the
+    kept frames' normals as one stack.  Frames whose contact region touches
+    the image border are dropped, as the Poisson boundary condition cannot
+    handle them.  EpisodeGenerationError after more than MAX_CONTACT_BREAKS
+    consecutive out-of-contact steps, or for fewer than 3 kept frames."""
     contact_center = base.translation - np.array([0.0, 0.0, trajectory.indent])
-    object_pose = Pose.identity()
-
     effs = []
     for k in range(trajectory.steps):
         frac = k / max(trajectory.steps - 1, 1)
         delta = _trajectory_delta(trajectory, frac, direction, contact_center)
         effs.append(geometry.compose(delta, base))
     effs = Pose.stack(effs)
-    depths = render_depth(shape, object_pose, effs, gel)
+    depths = render_depth(shape, Pose.identity(), effs, gel)
 
-    # Per kept frame, the generator draws the frame's normal-noise seed,
-    # then its end-effector noise.
-    kept, dropped, seeds, eff_noise = [], [], [], []
+    kept, dropped = [], []
     consecutive_breaks = 0
     for k, mask in enumerate(depths.mask):
         if not mask.any():
@@ -240,32 +241,68 @@ def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig
                     f"consecutive steps at step {k}")
         else:
             consecutive_breaks = 0
-        if contact_touches_border(mask):
-            dropped.append(k)
-            continue
-        kept.append(k)
-        seeds.append(int(rng.integers(0, 2**31 - 1)))
-        eff_noise.append(_sample_pose_noise(
-            rng, noise.eff_sigma_rot, noise.eff_sigma_trans))
+        (dropped if contact_touches_border(mask) else kept).append(k)
     if len(kept) < 3:
         raise EpisodeGenerationError(
             f"only {len(kept)} usable frames after border filtering")
     if dropped:
         depths = DepthImage(values=depths.values[kept], mask=depths.mask[kept])
         effs = effs[kept]
-    normals = perturb_normals(depth_to_normals(depths, gel),
-                              noise.normal_sigma, seeds)
+    normals = depth_to_normals(depths, gel)
+    for array in (effs.rotation, effs.translation, depths.values, depths.mask,
+                  normals.values, normals.mask):
+        array.setflags(write=False)
+    return Slide(kept=tuple(kept), dropped=tuple(dropped), effs=effs,
+                 depths=depths, normals=normals)
+
+
+def generate_episode(shape: ShapeSDF, trajectory: TrajectorySpec, gel: GelConfig,
+                     noise: NoiseSpec, seed: int, *,
+                     slide: Callable[[float], Slide] | None = None) -> Episode:
+    """Simulate one contact episode; deterministic for a fixed seed.
+
+    The generator draws the slide direction when the trajectory leaves it
+    open, then gets the noise-free `Slide` for that direction from
+    `slide(direction)`: by default `render_slide` from
+    `find_contact_base(shape, gel, trajectory.indent)`, found here.  A
+    caller that generates many episodes of one fixed-direction trajectory
+    passes a memo of it instead, which changes no byte.  Per kept frame the
+    generator then draws a normal-noise seed and the end-effector noise,
+    and last the vision prior.  The frames' arrays are copies the episode
+    owns, its normals perturbed as one stack.
+    """
+    rng = np.random.default_rng(seed)
+    direction = (np.deg2rad(trajectory.direction_deg)
+                 if trajectory.direction_deg is not None
+                 else rng.uniform(0.0, 2.0 * np.pi))
+    if slide is None:
+        slide = functools.partial(render_slide, shape, trajectory, gel,
+                                  find_contact_base(shape, gel,
+                                                    trajectory.indent))
+    slide = slide(direction)
+
+    seeds, eff_noise = [], []
+    for _ in slide.kept:
+        seeds.append(int(rng.integers(0, 2**31 - 1)))
+        eff_noise.append(_sample_pose_noise(
+            rng, noise.eff_sigma_rot, noise.eff_sigma_trans))
+    effs = Pose(slide.effs.rotation.copy(), slide.effs.translation.copy())
+    depths = DepthImage(slide.depths.values.copy(), slide.depths.mask.copy())
+    normals = perturb_normals(
+        NormalImage(slide.normals.values.copy(), slide.normals.mask.copy()),
+        noise.normal_sigma, seeds)
     eff_measured = geometry.oplus(effs, np.array(eff_noise))
+    object_pose = Pose.identity()
     frames = [Frame(timestamp=k * trajectory.dt, object_pose=object_pose,
                     eff_pose=effs[i], eff_measured=eff_measured[i],
                     normals=NormalImage(normals.values[i], normals.mask[i]),
                     depth_gt=DepthImage(depths.values[i], depths.mask[i]))
-              for i, k in enumerate(kept)]
+              for i, k in enumerate(slide.kept)]
     vision_prior = geometry.oplus(object_pose, _sample_pose_noise(
         rng, noise.vis_sigma_rot, noise.vis_sigma_trans))
     return Episode(frames=frames, vision_prior=vision_prior, noise=noise,
                    shape_descriptor=shape.descriptor(), gel=gel, seed=seed,
-                   dropped_steps=dropped)
+                   dropped_steps=list(slide.dropped))
 
 
 def save_episode(episode: Episode, directory) -> None:

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import numbers
 import os
 import pathlib
 import shutil
@@ -19,7 +20,8 @@ from .config import ConfigError, from_mapping, read_yaml_mapping, require
 from .geometry import Pose
 from .episodes import (EPISODE_LAYOUT, Episode, EpisodeGenerationError,
                        NoiseSpec, TrajectorySpec, find_contact_base,
-                       generate_episode, load_episode, save_episode)
+                       generate_episode, load_episode, render_slide,
+                       save_episode)
 from .render import GelConfig
 from .shapes import shape_from_descriptor
 from .tracker import (REGISTRATION_FATES, REGISTRATION_KINDS, TrackerConfig,
@@ -147,9 +149,12 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
     reused when its `cache_key.txt` holds the key of its object, trajectory,
     gel, noise, seed and `EPISODE_LAYOUT`; one whose marker holds another key
     is removed whole and generated again.  Each object's contact base is
-    found once per trajectory indent, when the first episode that needs it
-    is generated.  ConfigError, before anything is written, if the config
-    lists no objects."""
+    found once per trajectory indent, and its noise-free slide
+    (`render_slide`) rendered once per trajectory of a fixed direction,
+    when the first episode that needs it is generated; a failure is not
+    kept, and repeats for each episode.  A trajectory that draws its
+    direction renders each episode's own slide.  ConfigError, before
+    anything is written, if the config lists no objects."""
     if not config.objects:
         raise ConfigError("suite config lists no objects")
     episodes = {}
@@ -157,10 +162,12 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
         shape = shape_from_descriptor(obj.shape)
         contact_base = functools.cache(
             functools.partial(find_contact_base, shape, config.gel))
+        slides = {}   # trajectory index -> memo of its slide
         entries = []
         for ei in range(config.episodes_per_object):
             seed = episode_seed(config, oi, ei)
-            traj = config.trajectories[ei % len(config.trajectories)]
+            ti = ei % len(config.trajectories)
+            traj = config.trajectories[ti]
             directory = os.path.join(out_dir, obj.name, f"ep{ei:04d}")
             cache_key = hashlib.sha256(json.dumps(
                 {"shape": obj.shape, "traj": dataclasses.asdict(traj),
@@ -173,9 +180,14 @@ def generate_suite_episodes(config: SuiteConfig, out_dir) -> dict:
             if not (cached
                     and pathlib.Path(marker).read_text().strip() == cache_key):
                 try:
+                    slide = functools.partial(render_slide, shape, traj,
+                                              config.gel,
+                                              contact_base(traj.indent))
+                    if traj.direction_deg is not None:
+                        slide = slides.setdefault(ti, functools.cache(slide))
                     episode = generate_episode(
                         shape, traj, config.gel, config.noise, seed,
-                        base=contact_base(traj.indent))
+                        slide=slide)
                 except EpisodeGenerationError as err:
                     entries.append({"error": str(err), "seed": seed})
                     continue
@@ -246,19 +258,30 @@ def run_tracking(episode: Episode, mode, tracker_config: TrackerConfig,
 def _registration_fates(entries) -> dict:
     """kind -> fate -> count over the registration calls recorded in the
     step diagnostics of `entries`, for each kind that made a call.  Records
-    written before calls had a fate are not counted; ConfigError for a fate
-    outside REGISTRATION_FATES."""
+    written before calls had a fate are not counted; ConfigError for a call
+    record that is neither a mapping nor null, or a fate outside
+    REGISTRATION_FATES."""
     fates = {}
     for entry in entries:
         for diag in entry.get("diagnostics", ()):
             for kind in REGISTRATION_KINDS:
-                fate = (diag.get(f"icp_{kind}") or {}).get("fate")
+                call = diag.get(f"icp_{kind}")
+                if not (call is None or isinstance(call, dict)):
+                    raise ConfigError(f"icp_{kind} must be a mapping or null, "
+                                      f"got {call!r}")
+                fate = (call or {}).get("fate")
                 if fate not in (None, *REGISTRATION_FATES):
                     raise ConfigError(f"unknown {kind} fate {fate!r}")
                 if fate is not None:
                     fates.setdefault(kind, dict.fromkeys(REGISTRATION_FATES,
                                                          0))[fate] += 1
     return fates
+
+
+# (report name, metrics.json key) of each tracking error a report scores.
+ERROR_FIELDS = (("rotation", "final_rotation_error_rad"),
+                ("translation", "final_translation_error_mm"),
+                ("rel_translation", "final_rel_translation_error_mm"))
 
 
 def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> dict:
@@ -269,10 +292,7 @@ def _aggregate(records: dict, config_hash: str, episodes_per_object: int) -> dic
         for mode, entries in by_mode.items():
             record = {"failures": [e["error"] for e in entries
                                    if e.get("status") == "failed"]}
-            for name, key in (("rotation", "final_rotation_error_rad"),
-                              ("translation", "final_translation_error_mm"),
-                              ("rel_translation",
-                               "final_rel_translation_error_mm")):
+            for name, key in ERROR_FIELDS:
                 errors = [e.get(key) for e in entries]
                 record[f"{name}_errors"] = errors
                 if any(err is not None for err in errors):
@@ -346,7 +366,9 @@ def collect_runs(runs_dir) -> dict:
     """Rebuild the per-(object, episode, mode) records from metrics.json files
     written by `track` runs laid out as <runs>/<object>/ep####/<mode>/.
     ValueError naming the file for one that is not JSON; ConfigError naming
-    it for one that is not a mapping or records an unknown fate."""
+    it for one that is not a mapping, whose diagnostics are not a list of
+    mappings, whose tracking error is neither a number nor null, or whose
+    registration call record is not a mapping or has an unknown fate."""
     records = {}
     for obj in sorted(os.listdir(runs_dir)):
         obj_dir = os.path.join(runs_dir, obj)
@@ -365,6 +387,17 @@ def collect_runs(runs_dir) -> dict:
                 if not isinstance(metrics, dict):
                     raise ConfigError(f"{path} must hold a mapping, got "
                                       f"{type(metrics).__name__}")
+                diagnostics = metrics.get("diagnostics", [])
+                if not (isinstance(diagnostics, list)
+                        and all(isinstance(d, dict) for d in diagnostics)):
+                    raise ConfigError(f"{path} diagnostics must be a list of "
+                                      f"mappings, got {diagnostics!r}")
+                for _, key in ERROR_FIELDS:
+                    value = metrics.get(key)
+                    if not (value is None or (isinstance(value, numbers.Real)
+                                              and not isinstance(value, bool))):
+                        raise ConfigError(f"{path} {key} must be a number or "
+                                          f"null, got {value!r}")
                 try:
                     _registration_fates([metrics])
                 except ConfigError as err:

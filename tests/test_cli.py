@@ -352,13 +352,22 @@ class TestPipeline:
         (lambda text: "{bad", 1),
         (lambda text: "[]", 2),
         (lambda text: json.dumps(dict(json.loads(text), diagnostics=[
-            {"icp_im2im": {"fate": "bogus"}}])), 2)],
-        ids=["not_json", "not_a_mapping", "unknown_fate"])
+            {"icp_im2im": {"fate": "bogus"}}])), 2),
+        (lambda text: json.dumps(dict(json.loads(text), diagnostics=5)), 2),
+        (lambda text: json.dumps(dict(json.loads(text), diagnostics=[5])), 2),
+        (lambda text: json.dumps(dict(json.loads(text), diagnostics=[
+            {"icp_im2im": 5}])), 2),
+        (lambda text: json.dumps(dict(json.loads(text),
+                                      final_rotation_error_rad="x")), 2)],
+        ids=["not_json", "not_a_mapping", "unknown_fate", "int_diagnostics",
+             "int_diagnostic", "int_call", "text_error"])
     def test_eval_malformed_metrics(self, suite_yaml, tmp_path, capsys,
                                     edit, code):
-        # A metrics.json that is not JSON exits 1; one that is not a mapping
-        # or records an unknown registration fate is a bad value, exit 2.
-        # Each names the file.
+        # A metrics.json that is not JSON exits 1; one that is not a mapping,
+        # holds diagnostics that are not a list of mappings, a registration
+        # call that is not a mapping or a tracking error that is not a
+        # number, or records an unknown registration fate is a bad value,
+        # exit 2.  Each names the file.
         episodes, runs = tmp_path / "episodes", tmp_path / "runs"
         main(["simulate", "--config", str(suite_yaml), "--out", str(episodes)])
         run = runs / "sphere" / "ep0000" / "constvel"

@@ -442,15 +442,93 @@ class TestRunSuite:
         generate_suite_episodes(cfg, tmp_path / "b")
         assert len(calls) == 4
 
-    def test_written_episode_is_saved_generate_episode(self, tmp_path):
-        # Finding the base once per suite changes no byte: each episode
-        # directory holds what save_episode writes for generate_episode.
+    def test_slide_rendered_once_per_object_and_fixed_trajectory(
+            self, tmp_path, monkeypatch):
+        # Two fixed-direction trajectories and one that draws its direction,
+        # told apart by their step counts: each object renders each fixed
+        # one once and the drawn one once per episode, in each call that
+        # generates; none when every episode is cached.
         cfg = tiny_config(
-            episodes_per_object=3,
+            objects=[SuiteObject("sphere", SPHERE),
+                     SuiteObject("small", {"type": "sphere", "radius": 5.0})],
+            episodes_per_object=6,
+            trajectories=[TrajectorySpec(steps=4, indent=1.0, length=0.5),
+                          TrajectorySpec(steps=5, indent=1.25, length=0.5),
+                          TrajectorySpec(steps=6, indent=1.0, length=0.5,
+                                         direction_deg=None)])
+        calls = collections.Counter()
+        render_depth = episodes.render_depth
+
+        def counted(shape, object_pose, sensor_pose, gel):
+            calls[shape.descriptor()["radius"], len(sensor_pose.rotation)] += 1
+            return render_depth(shape, object_pose, sensor_pose, gel)
+
+        monkeypatch.setattr(episodes, "render_depth", counted)
+        want = {(radius, steps): 2 if steps == 6 else 1
+                for radius in (6.35, 5.0) for steps in (4, 5, 6)}
+        generate_suite_episodes(cfg, tmp_path / "a")
+        assert calls == want
+        calls.clear()
+        generate_suite_episodes(cfg, tmp_path / "a")
+        assert calls == {}
+        generate_suite_episodes(cfg, tmp_path / "b")
+        assert calls == want
+
+    def test_failed_slide_renders_again_per_episode(self, tmp_path,
+                                                    monkeypatch):
+        # A slide clean off the gel fails; the failure is not kept, so each
+        # episode renders again and records the same message.
+        cfg = tiny_config(trajectories=[TrajectorySpec(steps=8, indent=0.5,
+                                                       length=30.0)])
+        calls = []
+        render_depth = episodes.render_depth
+
+        def counted(*args):
+            calls.append(args)
+            return render_depth(*args)
+
+        monkeypatch.setattr(episodes, "render_depth", counted)
+        entries = generate_suite_episodes(cfg, tmp_path / "suite")["sphere"]
+        assert len(calls) == 2
+        assert [set(e) for e in entries] == [{"error", "seed"}] * 2
+        assert entries[0]["error"] == entries[1]["error"]
+        assert "contact lost" in entries[0]["error"]
+
+    def test_written_episode_is_saved_generate_episode(self, tmp_path,
+                                                        monkeypatch):
+        # Finding the base and rendering the slide once per suite change no
+        # byte: each episode directory holds what save_episode writes for
+        # generate_episode alone.  Three episodes share the fixed slide and
+        # perturb its normals with noise, yet no two episodes share memory.
+        cfg = tiny_config(
+            episodes_per_object=5,
             trajectories=[TrajectorySpec(steps=5, indent=1.0, length=0.5),
                           TrajectorySpec(kind="arc", steps=4, indent=1.25,
                                          direction_deg=None)])
+        assert cfg.noise.normal_sigma > 0
+        generated = []
+        generate = harness.generate_episode
+
+        def kept(*args, **kwargs):
+            generated.append(generate(*args, **kwargs))
+            return generated[-1]
+
+        monkeypatch.setattr(harness, "generate_episode", kept)
         entries = generate_suite_episodes(cfg, tmp_path / "suite")
+        assert len(generated) == 5
+
+        def arrays(ep):
+            for fr in ep.frames:
+                yield from (fr.normals.values, fr.normals.mask,
+                            fr.depth_gt.values, fr.depth_gt.mask,
+                            fr.eff_pose.rotation, fr.eff_pose.translation,
+                            fr.eff_measured.rotation,
+                            fr.eff_measured.translation)
+
+        for i, a in enumerate(generated):
+            for b in generated[i + 1:]:
+                assert not any(np.shares_memory(x, y) for x in arrays(a)
+                               for y in arrays(b))
         for ei, directory in enumerate(entries["sphere"]):
             ep = generate_episode(Sphere(radius=6.35),
                                   cfg.trajectories[ei % 2], cfg.gel,

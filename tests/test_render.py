@@ -13,7 +13,8 @@ from tactrack import geometry, imageio
 from tactrack.config import ConfigError
 from tactrack.episodes import (POSE_KINDS, EpisodeGenerationError, NoiseSpec,
                                TrajectorySpec, _lowest_hit, find_contact_base,
-                               generate_episode, load_episode, save_episode)
+                               generate_episode, load_episode, render_slide,
+                               save_episode)
 from tactrack.geometry import Pose
 from tactrack.harness import default_suite_config
 from tactrack.render import (DepthImage, GelConfig, _trace_lower_envelope,
@@ -778,6 +779,35 @@ class TestEpisodes:
             if k < 9:
                 assert ep.frames[k].depth_gt.values.tobytes() == \
                     depth.values.tobytes()
+
+    def test_shared_slide_is_read_only_and_changes_nothing(self, gel):
+        # A slide with dropped border steps serves two seeds' episodes:
+        # each equals its episode generated alone, and the slide's arrays,
+        # read-only, keep their values.
+        shape = Sphere(radius=6.35)
+        traj = TrajectorySpec(steps=12, indent=1.25, length=8.0)
+        slide = render_slide(shape, traj, gel,
+                             find_contact_base(shape, gel, traj.indent), 0.0)
+        assert (slide.kept, slide.dropped) == (tuple(range(9)), (9, 10, 11))
+        arrays = (slide.effs.rotation, slide.effs.translation,
+                  slide.depths.values, slide.depths.mask,
+                  slide.normals.values, slide.normals.mask)
+        before = [a.copy() for a in arrays]
+        assert not any(a.flags.writeable for a in arrays)
+        for seed in (4, 5):
+            shared = generate_episode(shape, traj, gel, NoiseSpec(), seed,
+                                      slide=lambda direction: slide)
+            alone = generate_episode(shape, traj, gel, NoiseSpec(), seed)
+            assert shared.dropped_steps == alone.dropped_steps == [9, 10, 11]
+            for a, b in zip(shared.frames, alone.frames):
+                for x, y in ((a.normals.values, b.normals.values),
+                             (a.depth_gt.values, b.depth_gt.values),
+                             (a.eff_measured.translation,
+                              b.eff_measured.translation)):
+                    assert x.flags.writeable
+                    assert x.tobytes() == y.tobytes()
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
 
     def test_save_load_round_trip_is_bit_exact(self, gel, tmp_path):
         # The 8 mm slide drops steps 9-11, so the stack holds frames 0-8.
